@@ -52,7 +52,6 @@ SlotDecision TuskCommitter::evaluate(SlotId slot,
       decision.kind = SlotDecision::Kind::kCommit;
       decision.via = SlotDecision::Via::kDirect;
       decision.block = block;
-      decision.ref = block->ref();
       decision.final_decision = true;
       return decision;
     }
@@ -74,7 +73,6 @@ SlotDecision TuskCommitter::evaluate(SlotId slot,
     decision.kind = SlotDecision::Kind::kCommit;
     decision.via = SlotDecision::Via::kIndirect;
     decision.block = block;
-    decision.ref = block->ref();
   } else {
     decision.kind = SlotDecision::Kind::kSkip;
     decision.via = SlotDecision::Via::kIndirect;
@@ -105,7 +103,7 @@ std::vector<CommittedSubDag> TuskCommitter::try_commit() {
     if (it == pass.end()) break;
     const SlotDecision& decision = it->second;
     if (decision.kind == SlotDecision::Kind::kUndecided) break;
-    decided_log_.push_back(decision);
+    decided_log_.push_back(DecidedSlot::of(decision));
     if (decision.kind == SlotDecision::Kind::kCommit) {
       decision.via == SlotDecision::Via::kDirect ? ++stats_.direct_commits
                                                  : ++stats_.indirect_commits;

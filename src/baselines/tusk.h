@@ -38,7 +38,7 @@ class TuskCommitter : public CommitterBase {
   std::vector<CommittedSubDag> try_commit() override;
   const CommitStats& stats() const override { return stats_; }
   SlotId next_pending_slot() const override { return next_pending_; }
-  const std::vector<SlotDecision>& decided_sequence() const override {
+  const std::vector<DecidedSlot>& decided_sequence() const override {
     return decided_log_;
   }
   void prune_below(Round) override {}  // no memoized state
@@ -56,7 +56,7 @@ class TuskCommitter : public CommitterBase {
   TuskOptions options_;
 
   SlotId next_pending_;
-  std::vector<SlotDecision> decided_log_;
+  std::vector<DecidedSlot> decided_log_;
   DeliveredMap delivered_;
   CommitStats stats_;
 };

@@ -39,16 +39,16 @@ DecidedLogHasher::DecidedLogHasher() : hasher_(32) {
   hasher_.update(domain_view(kDecidedDomain));
 }
 
-void DecidedLogHasher::fold(const CheckpointData::DecidedSlot& entry) {
+void DecidedLogHasher::fold(const DecidedSlot& entry) {
   serde::Writer w;
   write_slot(w, entry.slot);
   w.u32(entry.leader);
   w.u8(static_cast<std::uint8_t>(entry.kind));
   // `via` deliberately excluded (see header).
   if (entry.kind == SlotDecision::Kind::kCommit) {
-    w.varint(entry.block.round);
-    w.u32(entry.block.author);
-    w.digest(entry.block.digest);
+    w.varint(entry.ref.round);
+    w.u32(entry.ref.author);
+    w.digest(entry.ref.digest);
   }
   hasher_.update({w.data().data(), w.data().size()});
   ++count_;

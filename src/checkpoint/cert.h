@@ -49,14 +49,13 @@ SlotId cut_boundary_slot(std::uint64_t cut_index, Round interval,
 
 // Incremental canonical digest over a decided-log prefix. Folding the same
 // entries in the same order yields the same digest on every validator
-// (the entries are the agreed sequence; `via` and the resolved block pointer
-// are excluded). Copy-cheap: snapshot the running digest at a boundary by
-// value.
+// (the entries are the agreed sequence; `via` is excluded). Copy-cheap:
+// snapshot the running digest at a boundary by value.
 class DecidedLogHasher {
  public:
   DecidedLogHasher();
 
-  void fold(const CheckpointData::DecidedSlot& entry);
+  void fold(const DecidedSlot& entry);
   template <typename It>
   void fold(It first, It last) {
     for (; first != last; ++first) fold(*first);

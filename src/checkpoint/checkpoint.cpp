@@ -69,7 +69,7 @@ Bytes encode_checkpoint(const CheckpointData& data) {
     w.u32(d.leader);
     w.u8(static_cast<std::uint8_t>(d.kind));
     w.u8(static_cast<std::uint8_t>(d.via));
-    if (d.kind == SlotDecision::Kind::kCommit) write_ref(w, d.block);
+    if (d.kind == SlotDecision::Kind::kCommit) write_ref(w, d.ref);
   }
 
   w.varint(data.delivered.size());
@@ -123,7 +123,7 @@ CheckpointData decode_checkpoint(BytesView encoded) {
   }
   data.decided.reserve(decided_count);
   for (std::uint64_t i = 0; i < decided_count; ++i) {
-    CheckpointData::DecidedSlot d;
+    DecidedSlot d;
     d.slot = read_slot(r);
     d.leader = r.u32();
     const std::uint8_t kind = r.u8();
@@ -136,7 +136,7 @@ CheckpointData decode_checkpoint(BytesView encoded) {
       throw serde::SerdeError("checkpoint: bad decision via");
     }
     d.via = static_cast<SlotDecision::Via>(via);
-    if (d.kind == SlotDecision::Kind::kCommit) d.block = read_ref(r);
+    if (d.kind == SlotDecision::Kind::kCommit) d.ref = read_ref(r);
     data.decided.push_back(d);
   }
 
@@ -211,7 +211,7 @@ std::string verify_checkpoint(const CheckpointData& data, const Committee& commi
   for (const BlockPtr& block : data.blocks) suffix.insert(block->digest());
   for (const auto& d : data.decided) {
     if (d.kind != SlotDecision::Kind::kCommit) continue;
-    if (d.block.round >= data.horizon && !suffix.contains(d.block.digest)) {
+    if (d.ref.round >= data.horizon && !suffix.contains(d.ref.digest)) {
       return "committed block missing from suffix";
     }
   }

@@ -46,16 +46,7 @@ struct CheckpointData {
   SlotId head;                     // first unconsumed slot at the cut
   Round last_proposed_round = 0;   // author's proposer round at the cut
 
-  // The full decided log at the cut. `block` is resolved against the DAG at
-  // install time (null for commits below the horizon); `ref` always carries
-  // the identity.
-  struct DecidedSlot {
-    SlotId slot;
-    ValidatorId leader = 0;
-    SlotDecision::Kind kind = SlotDecision::Kind::kUndecided;
-    SlotDecision::Via via = SlotDecision::Via::kNone;
-    BlockRef block;  // meaningful for commits
-  };
+  // The full decided log at the cut (Committer::decided_sequence()).
   std::vector<DecidedSlot> decided;
 
   // Delivered marks with round >= horizon (Committer::delivered_snapshot).

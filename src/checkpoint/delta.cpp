@@ -29,7 +29,7 @@ SlotId read_slot(serde::Reader& r) {
 }
 
 void write_decided(serde::Writer& w,
-                   std::span<const CheckpointData::DecidedSlot> decided) {
+                   std::span<const DecidedSlot> decided) {
   w.varint(decided.size());
   for (const auto& d : decided) {
     write_slot(w, d.slot);
@@ -37,23 +37,23 @@ void write_decided(serde::Writer& w,
     w.u8(static_cast<std::uint8_t>(d.kind));
     w.u8(static_cast<std::uint8_t>(d.via));
     if (d.kind == SlotDecision::Kind::kCommit) {
-      w.varint(d.block.round);
-      w.u32(d.block.author);
-      w.digest(d.block.digest);
+      w.varint(d.ref.round);
+      w.u32(d.ref.author);
+      w.digest(d.ref.digest);
     }
   }
 }
 
-std::vector<CheckpointData::DecidedSlot> read_decided(serde::Reader& r) {
+std::vector<DecidedSlot> read_decided(serde::Reader& r) {
   const std::uint64_t count = r.varint();
   constexpr std::size_t kMinDecidedBytes = 11;  // slot(1+4) + leader(4) + kind + via
   if (count > r.remaining() / kMinDecidedBytes) {
     throw serde::SerdeError("delta: decided count exceeds payload");
   }
-  std::vector<CheckpointData::DecidedSlot> decided;
+  std::vector<DecidedSlot> decided;
   decided.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    CheckpointData::DecidedSlot d;
+    DecidedSlot d;
     d.slot = read_slot(r);
     d.leader = r.u32();
     const std::uint8_t kind = r.u8();
@@ -67,9 +67,9 @@ std::vector<CheckpointData::DecidedSlot> read_decided(serde::Reader& r) {
     }
     d.via = static_cast<SlotDecision::Via>(via);
     if (d.kind == SlotDecision::Kind::kCommit) {
-      d.block.round = r.varint();
-      d.block.author = r.u32();
-      d.block.digest = r.digest();
+      d.ref.round = r.varint();
+      d.ref.author = r.u32();
+      d.ref.digest = r.digest();
     }
     decided.push_back(d);
   }
@@ -195,11 +195,7 @@ CheckpointDelta make_checkpoint_delta(const CheckpointData& prev,
     throw std::invalid_argument("delta: decided log shrank");
   }
   for (std::size_t i = 0; i < prev.decided.size(); ++i) {
-    const auto& a = prev.decided[i];
-    const auto& b = next.decided[i];
-    if (a.slot != b.slot || a.kind != b.kind ||
-        (a.kind == SlotDecision::Kind::kCommit &&
-         a.block.digest != b.block.digest)) {
+    if (!same_outcome(prev.decided[i], next.decided[i])) {
       throw std::invalid_argument("delta: decided log is not an extension");
     }
   }
@@ -287,7 +283,7 @@ void truncate_checkpoint(CheckpointData& data, SlotId boundary,
                          std::span<const Digest> delivered_after_boundary) {
   const auto cut = std::lower_bound(
       data.decided.begin(), data.decided.end(), boundary,
-      [](const CheckpointData::DecidedSlot& d, SlotId b) { return d.slot < b; });
+      [](const DecidedSlot& d, SlotId b) { return d.slot < b; });
   data.decided.erase(cut, data.decided.end());
   data.head = boundary;
 

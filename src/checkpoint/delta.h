@@ -46,7 +46,7 @@ struct CheckpointDelta {
   Round last_proposed_round = 0;
 
   // Decided slots in [prev_head, head), in slot order.
-  std::vector<CheckpointData::DecidedSlot> decided_suffix;
+  std::vector<DecidedSlot> decided_suffix;
 
   // Full replacement of the delivered marks (round >= the new horizon).
   std::vector<std::pair<Digest, Round>> delivered;

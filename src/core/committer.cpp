@@ -8,7 +8,9 @@
 
 namespace mahimahi {
 
-std::string SlotDecision::to_string() const {
+std::string DecidedSlot::to_string() const {
+  using Kind = SlotDecision::Kind;
+  using Via = SlotDecision::Via;
   std::string out = slot.to_string() + "=";
   switch (kind) {
     case Kind::kUndecided: out += "undecided"; break;
@@ -114,7 +116,6 @@ SlotDecision Committer::evaluate(SlotId slot,
       decision.kind = SlotDecision::Kind::kCommit;
       decision.via = SlotDecision::Via::kDirect;
       decision.block = candidate;
-      decision.ref = candidate->ref();
       decision.final_decision = true;
       return decision;
     }
@@ -168,7 +169,6 @@ SlotDecision Committer::evaluate(SlotId slot,
       decision.kind = SlotDecision::Kind::kCommit;
       decision.via = SlotDecision::Via::kIndirect;
       decision.block = candidate;
-      decision.ref = candidate->ref();
       decision.final_decision = true;
       return decision;
     }
@@ -228,7 +228,7 @@ std::vector<CommittedSubDag> Committer::apply(
     if (decision.slot != next_pending_) break;    // gap: scanned ahead of our head
     assert(decision.final_decision);
 
-    decided_log_.push_back(decision);
+    decided_log_.push_back(DecidedSlot::of(decision));
     if (decision.kind == SlotDecision::Kind::kCommit) {
       decision.via == SlotDecision::Via::kDirect ? ++stats_.direct_commits
                                                  : ++stats_.indirect_commits;
@@ -270,7 +270,7 @@ std::vector<std::pair<Digest, Round>> Committer::delivered_snapshot(
   return out;
 }
 
-void Committer::restore(std::vector<SlotDecision> decided, SlotId head,
+void Committer::restore(std::vector<DecidedSlot> decided, SlotId head,
                         const std::vector<std::pair<Digest, Round>>& delivered) {
   decided_log_ = std::move(decided);
   next_pending_ = head;
@@ -281,7 +281,7 @@ void Committer::restore(std::vector<SlotDecision> decided, SlotId head,
   for (const auto& [digest, round] : delivered) delivered_.emplace(digest, round);
   delivered_pruned_below_ = 0;
   stats_ = {};
-  for (const SlotDecision& decision : decided_log_) {
+  for (const DecidedSlot& decision : decided_log_) {
     if (decision.kind == SlotDecision::Kind::kCommit) {
       decision.via == SlotDecision::Via::kDirect ? ++stats_.direct_commits
                                                  : ++stats_.indirect_commits;

@@ -86,11 +86,10 @@ class Committer : public CommitterBase {
   // Installs a checkpointed consumption state: replaces the decided log,
   // repositions the head, seeds the delivered map, and recomputes the
   // commit/skip stats from the log (delivered byte/tx counters restart at
-  // zero — they are local diagnostics, not agreed state). Decisions must be
-  // final and in slot order; commits below the checkpoint horizon may carry
-  // a null `block` (their ref keeps the identity). Pair with
-  // Dag::prune_below(horizon) + insert of the checkpoint's DAG suffix.
-  void restore(std::vector<SlotDecision> decided, SlotId head,
+  // zero — they are local diagnostics, not agreed state). Entries must be in
+  // slot order. Pair with Dag::prune_below(horizon) + insert of the
+  // checkpoint's DAG suffix.
+  void restore(std::vector<DecidedSlot> decided, SlotId head,
                const std::vector<std::pair<Digest, Round>>& delivered);
 
   const CommitterOptions& options() const { return options_; }
@@ -100,7 +99,7 @@ class Committer : public CommitterBase {
   SlotId next_pending_slot() const override { return next_pending_; }
 
   // All consumed slot decisions, in slot order.
-  const std::vector<SlotDecision>& decided_sequence() const override {
+  const std::vector<DecidedSlot>& decided_sequence() const override {
     return decided_log_;
   }
 
@@ -137,7 +136,7 @@ class Committer : public CommitterBase {
 
   SlotId next_pending_;
   std::map<SlotId, SlotDecision> final_;  // decided (= final) slots >= next_pending_
-  std::vector<SlotDecision> decided_log_;
+  std::vector<DecidedSlot> decided_log_;
   DeliveredMap delivered_;
   Round delivered_pruned_below_ = 0;  // amortizes delivered_ rescans
   CommitStats stats_;

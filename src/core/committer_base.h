@@ -22,7 +22,7 @@ class CommitterBase {
 
   virtual const CommitStats& stats() const = 0;
   virtual SlotId next_pending_slot() const = 0;
-  virtual const std::vector<SlotDecision>& decided_sequence() const = 0;
+  virtual const std::vector<DecidedSlot>& decided_sequence() const = 0;
   virtual void prune_below(Round round) = 0;
 };
 

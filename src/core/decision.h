@@ -11,6 +11,8 @@
 namespace mahimahi {
 
 // State of a leader slot: undecided until classified commit or skip (§3.1).
+// Transient: it carries one evaluation from Committer::scan() to apply().
+// What outlives the apply is the DecidedSlot below.
 struct SlotDecision {
   enum class Kind { kUndecided, kCommit, kSkip };
   // How the decision was reached; kept for stats and the ablation benches.
@@ -21,10 +23,6 @@ struct SlotDecision {
   Kind kind = Kind::kUndecided;
   Via via = Via::kNone;
   BlockPtr block;           // the committed block, when kind == kCommit
-  // The committed block's reference, set alongside `block` for commits. It
-  // outlives the pointer: a decision restored from a checkpoint whose block
-  // fell below the GC horizon keeps the ref (identity) with a null `block`.
-  BlockRef ref;
   // Final decisions never change as the DAG grows; non-final ones are
   // re-evaluated on the next pass.
   bool final_decision = false;
@@ -34,21 +32,36 @@ struct SlotDecision {
     d.slot = slot;
     return d;
   }
+};
+
+// One consumed slot of the decided log: the slot's identity and outcome,
+// never the leader block itself. The log grows with every slot, so holding
+// blocks here would pin every committed leader (payload included) past the
+// GC horizon. The same record is what checkpoints, delta links and the
+// cut-certificate hasher encode.
+struct DecidedSlot {
+  SlotId slot;
+  ValidatorId leader = 0;
+  SlotDecision::Kind kind = SlotDecision::Kind::kUndecided;
+  SlotDecision::Via via = SlotDecision::Via::kNone;
+  BlockRef ref;  // the committed block's identity; meaningful for commits
+
+  static DecidedSlot of(const SlotDecision& decision) {
+    return {decision.slot, decision.leader, decision.kind, decision.via,
+            decision.block != nullptr ? decision.block->ref() : BlockRef{}};
+  }
 
   std::string to_string() const;
 };
 
-// Do two decisions agree on the observable outcome — same slot, same
+// Do two decided slots agree on the observable outcome — same slot, same
 // classification and, for commits, the same block? `via` is deliberately
 // ignored: a slot may legitimately be decided directly in one view and
 // indirectly in another (Lemma 7); only the outcome is agreement-critical.
-// The serial-vs-off-loop determinism checks compare decision streams with
-// this.
-inline bool same_outcome(const SlotDecision& a, const SlotDecision& b) {
+// The serial-vs-off-loop determinism checks compare decided logs with this.
+inline bool same_outcome(const DecidedSlot& a, const DecidedSlot& b) {
   if (a.slot != b.slot || a.kind != b.kind) return false;
-  if (a.kind != SlotDecision::Kind::kCommit) return true;
-  return a.block != nullptr && b.block != nullptr &&
-         a.block->digest() == b.block->digest();
+  return a.kind != SlotDecision::Kind::kCommit || a.ref.digest == b.ref.digest;
 }
 
 // A committed leader slot together with the newly delivered portion of its

@@ -71,6 +71,7 @@ bool Dag::insert(BlockPtr block) {
   if (cell.empty()) ++it->second.distinct_authors;
   cell.push_back(block);
   if (block->round() > highest_round_) highest_round_ = block->round();
+  wire_bytes_ += block->wire_bytes();
   by_digest_.emplace(block->digest(), std::move(block));
   return true;
 }
@@ -98,7 +99,10 @@ void Dag::prune_below(Round round) {
   if (round <= pruned_below_) return;
   for (auto it = rounds_.begin(); it != rounds_.end() && it->first < round;) {
     for (const auto& cell : it->second.by_author) {
-      for (const auto& block : cell) by_digest_.erase(block->digest());
+      for (const auto& block : cell) {
+        by_digest_.erase(block->digest());
+        wire_bytes_ -= block->wire_bytes();
+      }
     }
     it = rounds_.erase(it);
   }

@@ -52,6 +52,9 @@ class Dag {
   Round highest_round() const { return highest_round_; }
 
   std::size_t block_count() const { return by_digest_.size(); }
+  // Sum of Block::wire_bytes() over the live window (maintained at insert
+  // and prune): what the DAG itself keeps resident.
+  std::uint64_t wire_bytes() const { return wire_bytes_; }
 
   // True if every parent reference of `block` is present.
   bool parents_present(const Block& block) const;
@@ -81,6 +84,7 @@ class Dag {
   std::map<Round, RoundSlots> rounds_;
   Round highest_round_ = 0;
   Round pruned_below_ = 0;
+  std::uint64_t wire_bytes_ = 0;
   std::vector<BlockPtr> empty_;
 };
 

@@ -171,18 +171,27 @@ ExecutionEngine::ExecutionEngine(Options options, DeliveryHandler on_delivery)
 }
 
 ExecutionEngine::~ExecutionEngine() {
+  stop_merge();
+  pool_.reset();
+}
+
+void ExecutionEngine::shutdown() {
+  drain();
+  stop_merge();
+}
+
+void ExecutionEngine::stop_merge() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   wake_.notify_all();
   if (merge_.joinable()) merge_.join();
-  pool_.reset();
 }
 
 void ExecutionEngine::execute(const CommittedSubDag& subdag,
                               TimeMicros enqueued_at) {
-  if (!merge_.joinable()) {
+  if (pool_ == nullptr) {
     // threads == 0: serial inline apply on the caller, deliveries included.
     process(Pending{subdag, enqueued_at});
     return;
@@ -205,7 +214,7 @@ void ExecutionEngine::replay(const CommittedSubDag& subdag) {
 }
 
 void ExecutionEngine::drain() {
-  if (!merge_.joinable()) return;
+  if (pool_ == nullptr) return;
   std::unique_lock<std::mutex> lock(mutex_);
   idle_.wait(lock, [&] { return (queue_.empty() && !busy_) || stopping_; });
 }

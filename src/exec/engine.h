@@ -170,6 +170,12 @@ class ExecutionEngine {
   // Blocks until every enqueued sub-DAG has fully retired.
   void drain();
 
+  // drain() + stop and join the merge thread. After it returns no delivery
+  // callback is running or will run; later execute() calls are dropped, and
+  // the state accessors below keep working. Owners whose delivery handler
+  // touches members that die before the engine call this first.
+  void shutdown();
+
   // drain() + digest of the resulting state.
   Digest state_digest();
 
@@ -201,6 +207,8 @@ class ExecutionEngine {
   };
 
   void merge_main();
+  // Signals the merge thread to exit (queued work is abandoned) and joins it.
+  void stop_merge();
   void process(const Pending& pending);
   void deliver(std::vector<Delivery> batches, bool complete,
                const Pending& pending);

@@ -81,6 +81,11 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
   committed_blocks_ =
       &registry_.counter("mm_committed_blocks_total", "Blocks in committed sub-DAGs");
   highest_round_ = &registry_.gauge("mm_highest_round", "Highest round in the local DAG");
+  dag_blocks_ = &registry_.gauge("mm_dag_blocks", "Blocks in the live DAG window");
+  dag_payload_bytes_ = &registry_.gauge(
+      "mm_dag_payload_bytes", "Wire bytes of the blocks in the live DAG window");
+  decided_log_entries_ = &registry_.gauge("mm_decided_log_entries",
+                                          "Consumed leader slots in the decided log");
   decode_errors_ = &registry_.counter("mm_decode_errors_total",
                                       "Block frames that failed to decode");
   verify_frames_dropped_ =
@@ -439,11 +444,15 @@ void NodeRuntime::stop() {
     loop_.stop();
     thread_.join();
   }
-  // WAL writer last: it may still be flushing a final group and posting acks
-  // through loop_, so it must be joined while the loop object is alive (the
-  // stopped loop queues the posts and never runs them — the sends they gate
-  // have no live connections left anyway).
+  // The WAL writer and the execution merge thread last: both may still post
+  // through loop_ (durability acks; execute_done from on_wave_delivered), so
+  // they must be joined while the loop object is alive — exec_engine_ is
+  // declared before loop_ and would otherwise outlive it. The stopped loop
+  // queues the posts and never runs them (the sends they gate have no live
+  // connections left anyway). The engine drains first, so the app state
+  // covers every commit the loop handed it.
   if (group_wal_) group_wal_->shutdown();
+  if (exec_engine_) exec_engine_->shutdown();
 }
 
 void NodeRuntime::loop_main() {
@@ -1133,6 +1142,11 @@ void NodeRuntime::perform(Actions&& actions) {
   core_cache_hits_->set(static_cast<std::int64_t>(stats.cache_hits));
   core_verified_->set(static_cast<std::int64_t>(stats.verified));
   core_preverified_->set(static_cast<std::int64_t>(stats.preverified));
+  // Retention: what the core keeps resident (DAG window, decided log).
+  dag_blocks_->set(static_cast<std::int64_t>(core_->dag().block_count()));
+  dag_payload_bytes_->set(static_cast<std::int64_t>(core_->dag().wire_bytes()));
+  decided_log_entries_->set(
+      static_cast<std::int64_t>(core_->committer().decided_sequence().size()));
 }
 
 void NodeRuntime::on_wave_delivered(const exec::WaveDelivery& wave) {
@@ -1236,10 +1250,7 @@ void NodeRuntime::cross_cut_boundary(std::uint64_t cut_index, SlotId boundary,
   // that is what makes the payload digest below aggregatable.
   const auto& log = core_->committer().decided_sequence();
   while (decided_folded_ < log.size() && log[decided_folded_].slot < boundary) {
-    const SlotDecision& d = log[decided_folded_];
-    decided_hasher_.fold(
-        CheckpointData::DecidedSlot{d.slot, d.leader, d.kind, d.via, d.ref});
-    ++decided_folded_;
+    decided_hasher_.fold(log[decided_folded_++]);
   }
   CutPayload payload;
   payload.cut_index = cut_index;

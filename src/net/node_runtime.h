@@ -518,7 +518,8 @@ class NodeRuntime {
   // Execution engine (ValidatorConfig::execute_app): fed on the loop thread
   // from the commit path; applies on its merge thread (execution_threads > 0)
   // or inline. Its delivery callback touches only thread-safe observability
-  // surfaces (see on_wave_delivered).
+  // surfaces (see on_wave_delivered) plus loop_.post, which is why stop()
+  // shuts the engine down while loop_ is still alive.
   std::unique_ptr<exec::ExecutionEngine> exec_engine_;
 
   // Checkpoint subsystem (loop-thread state unless noted).
@@ -699,6 +700,12 @@ class NodeRuntime {
   obs::Gauge* core_cache_hits_;
   obs::Gauge* core_verified_;
   obs::Gauge* core_preverified_;
+  // Retention mirrors, refreshed with the ingest mirrors: the DAG window's
+  // block count and wire bytes (Dag maintains both at insert/prune) and the
+  // decided log's length. Together they explain resident memory.
+  obs::Gauge* dag_blocks_;
+  obs::Gauge* dag_payload_bytes_;
+  obs::Gauge* decided_log_entries_;
 };
 
 }  // namespace mahimahi::net

@@ -125,6 +125,25 @@ struct SimHarness::Impl {
       if (!config.wal_dir.empty()) open_wal(v);
       if (config.execute_app) execs[v] = std::make_unique<ExecNode>();
     }
+    // Retention gauges under the runtime's names, for validator 0 (the
+    // tracer's reporter); read when the registry is dumped.
+    const auto v0_gauge = [this](const char* name, const char* help, auto read) {
+      registry.gauge_fn(
+          name,
+          [this, read] {
+            return running(0) ? static_cast<std::int64_t>(read(*nodes[0])) : 0;
+          },
+          help);
+    };
+    v0_gauge("mm_dag_blocks", "Blocks in validator 0's live DAG window",
+             [](const ValidatorCore& core) { return core.dag().block_count(); });
+    v0_gauge("mm_dag_payload_bytes",
+             "Wire bytes of the blocks in validator 0's live DAG window",
+             [](const ValidatorCore& core) { return core.dag().wire_bytes(); });
+    v0_gauge("mm_decided_log_entries", "Consumed leader slots in validator 0's decided log",
+             [](const ValidatorCore& core) {
+               return core.committer().decided_sequence().size();
+             });
   }
 
   // Does this run model the checkpoint subsystem? Requires a horizon to cut

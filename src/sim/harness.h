@@ -263,7 +263,7 @@ struct SimResult {
 
   // Validator 0's consumed slot decisions (diagnostics; filled when
   // record_sequences is set).
-  std::vector<SlotDecision> decisions;
+  std::vector<DecidedSlot> decisions;
 
   std::string to_string() const;
 };

@@ -29,7 +29,7 @@ ValidatorCore::ValidatorCore(const Committee& committee, crypto::Ed25519PrivateK
     default_committer_ = static_cast<Committer*>(committer_.get());
     if (config_.parallel_commit) split_committer_ = default_committer_;
   }
-  own_last_block_ = dag_.slot(0, config_.id).front();  // own genesis
+  own_last_ref_ = dag_.slot(0, config_.id).front()->ref();  // own genesis
   // Genesis blocks of every validator start as tips.
   for (const auto& block : dag_.blocks_at(0)) tips_.insert(block->ref());
   author_highest_seen_.assign(committee_.size(), 0);
@@ -75,7 +75,7 @@ Actions ValidatorCore::recover_block(BlockPtr block) {
     // re-inserted: never re-propose (equivocate on) a logged round.
     if (block->round() > last_proposed_round_) {
       last_proposed_round_ = block->round();
-      own_last_block_ = block;
+      own_last_ref_ = block->ref();
     }
   }
   if (block->round() < dag_.pruned_below()) {
@@ -354,10 +354,7 @@ CheckpointData ValidatorCore::capture_checkpoint() const {
   data.horizon = dag_.pruned_below();
   data.head = committer_->next_pending_slot();
   data.last_proposed_round = last_proposed_round_;
-  for (const SlotDecision& decision : committer_->decided_sequence()) {
-    data.decided.push_back({decision.slot, decision.leader, decision.kind,
-                            decision.via, decision.ref});
-  }
+  data.decided = committer_->decided_sequence();
   if (default_committer_ != nullptr) {
     data.delivered = default_committer_->delivered_snapshot(data.horizon);
   }
@@ -399,7 +396,7 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
       // Our own pre-crash history, coming back to us via a peer's snapshot:
       // restore the proposer round before anything can trigger a proposal.
       last_proposed_round_ = block->round();
-      own_last_block_ = block;
+      own_last_ref_ = block->ref();
     }
     auto outcome = synchronizer_.offer(block);
     for (BlockPtr& inserted : outcome.inserted) {
@@ -409,25 +406,8 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
     }
   }
 
-  // Adopt the consumption state: the decided log with blocks re-resolved
-  // against the (just installed) DAG — commits below the horizon keep only
-  // their ref.
-  std::vector<SlotDecision> decided;
-  decided.reserve(data.decided.size());
-  for (const auto& d : data.decided) {
-    SlotDecision decision;
-    decision.slot = d.slot;
-    decision.leader = d.leader;
-    decision.kind = d.kind;
-    decision.via = d.via;
-    decision.final_decision = true;
-    if (d.kind == SlotDecision::Kind::kCommit) {
-      decision.ref = d.block;
-      decision.block = dag_.get(d.block.digest);
-    }
-    decided.push_back(std::move(decision));
-  }
-  default_committer_->restore(std::move(decided), data.head, data.delivered);
+  // Adopt the consumption state: decided log, head, delivered marks.
+  default_committer_->restore(data.decided, data.head, data.delivered);
 
   if (data.author == config_.id && data.last_proposed_round > last_proposed_round_) {
     // Recovering from our own checkpoint: the proposer round it recorded may
@@ -503,7 +483,7 @@ void ValidatorCore::maybe_propose(TimeMicros now, Actions& actions) {
   const BlockPtr block = build_own_block(target, now);
   last_proposed_round_ = target;
   last_proposal_time_ = now;
-  own_last_block_ = block;
+  own_last_ref_ = block->ref();
   dag_.insert(block);
   note_inserted(block);
   actions.broadcast.push_back(block);
@@ -517,7 +497,7 @@ void ValidatorCore::maybe_propose(TimeMicros now, Actions& actions) {
     marker.count = 0;
     marker.tx_bytes = 0;
     auto twin = std::make_shared<const Block>(
-        Block::make(config_.id, target, own_last_block_->parents(), {marker},
+        Block::make(config_.id, target, block->parents(), {marker},
                     committee_.coin().share(config_.id, target), key_, now));
     dag_.insert(twin);
     actions.broadcast.push_back(twin);
@@ -541,7 +521,7 @@ BlockPtr ValidatorCore::build_own_block(Round round, TimeMicros now) {
     if (chosen.insert(ref.digest).second) parents.push_back(ref);
   };
 
-  add_parent(own_last_block_->ref());
+  add_parent(own_last_ref_);
   for (ValidatorId author = 0; author < committee_.size(); ++author) {
     const auto& cell = dag_.slot(round - 1, author);
     if (!cell.empty()) add_parent(cell.front()->ref());

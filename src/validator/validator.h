@@ -200,7 +200,9 @@ class ValidatorCore {
   // (rather than a 0 sentinel) so a proposal made at t=0 still arms the
   // min_round_delay pacing gate.
   std::optional<TimeMicros> last_proposal_time_;
-  BlockPtr own_last_block_;
+  // Our latest proposal, by identity only: the next proposal's first parent
+  // (§2.3). A ref, so an idle observer or a stalled proposer pins no block.
+  BlockRef own_last_ref_;
 
   // Blocks nobody references yet (candidate parents beyond the quorum).
   std::set<BlockRef> tips_;

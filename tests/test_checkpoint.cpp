@@ -88,9 +88,9 @@ void apply_commits(app::KvStore& kv, const Actions& actions) {
 
 // Byte fingerprint of a decided log: slot, kind, leader, committed digest.
 // This is the "decided log byte-identity" the acceptance criterion compares.
-Bytes decided_fingerprint(const std::vector<SlotDecision>& log) {
+Bytes decided_fingerprint(const std::vector<DecidedSlot>& log) {
   serde::Writer w;
-  for (const SlotDecision& d : log) {
+  for (const DecidedSlot& d : log) {
     w.varint(d.slot.round);
     w.u32(d.slot.leader_offset);
     w.u8(static_cast<std::uint8_t>(d.kind));

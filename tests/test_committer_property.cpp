@@ -194,8 +194,9 @@ TEST_P(CommitterProperty, DecidedSlotsAgreeAcrossViews) {
     committer.try_commit();
     for (const auto& decision : committer.decided_sequence()) {
       const auto entry = std::make_pair(
-          decision.kind, decision.block ? std::optional<Digest>(decision.block->digest())
-                                        : std::nullopt);
+          decision.kind, decision.kind == SlotDecision::Kind::kCommit
+                             ? std::optional<Digest>(decision.ref.digest)
+                             : std::nullopt);
       const auto [it, inserted] = agreed.emplace(decision.slot, entry);
       if (!inserted) {
         EXPECT_EQ(it->second.first, entry.first)

@@ -298,7 +298,7 @@ TEST_F(EquivocationScenario, MinorityEquivocationSkippedMajorityCommitted) {
   const auto& decision = committer.decided_sequence().front();
   EXPECT_EQ(decision.kind, SlotDecision::Kind::kCommit);
   EXPECT_EQ(decision.via, SlotDecision::Via::kDirect);
-  EXPECT_EQ(decision.block->digest(), y->digest()) << "the certified equivocation wins";
+  EXPECT_EQ(decision.ref.digest, y->digest()) << "the certified equivocation wins";
 }
 
 TEST_F(EquivocationScenario, SplitVotesCommitNeither) {
@@ -436,7 +436,7 @@ TEST_F(IndirectScenario, CertifiedLinkCommitsIndirectly) {
   EXPECT_EQ(decision.slot, (SlotId{1, 0}));
   EXPECT_EQ(decision.kind, SlotDecision::Kind::kCommit);
   EXPECT_EQ(decision.via, SlotDecision::Via::kIndirect);
-  EXPECT_EQ(decision.block->digest(), p->digest());
+  EXPECT_EQ(decision.ref.digest, p->digest());
 }
 
 TEST_F(IndirectScenario, NoCertificateSkipsIndirectly) {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <mutex>
 
+#include "client/kv_batches.h"
 #include "net/node_runtime.h"
 #include "obs/flight_recorder.h"
 
@@ -272,6 +273,8 @@ class TcpClusterTest : public ::testing::Test {
     config.validator.parallel_commit = parallel_commit_;
     config.validator.wal_group_commit = wal_group_commit_;
     config.validator.egress_offload = egress_offload_;
+    config.validator.execute_app = execute_app_;
+    config.validator.execution_threads = execution_threads_;
     config.admin_port = admin_port_;
     config.loop_stall_budget = loop_stall_budget_;
     config.flightrec_dir = flightrec_dir_;
@@ -290,6 +293,9 @@ class TcpClusterTest : public ::testing::Test {
   // Write-side offload knobs (egress offload is the production default).
   bool wal_group_commit_ = false;
   bool egress_offload_ = true;
+  // Execution engine (off by default); threads > 0 runs its merge thread.
+  bool execute_app_ = false;
+  std::size_t execution_threads_ = 0;
   // When set, all runtimes share one verification cache (co-located setup).
   std::shared_ptr<VerifierCache> shared_cache_;
   // Admin/metrics endpoint; -1 = disabled, 0 = ephemeral port.
@@ -588,6 +594,44 @@ TEST_F(TcpClusterTest, WatchdogStallAutoDumpsFlightRecorder) {
   EXPECT_TRUE(saw_stall);
   EXPECT_TRUE(saw_stall_snapshot);
   std::filesystem::remove_all(flightrec_dir_);
+}
+
+// Destroys a running cluster with KV load in flight and the execution
+// engine's merge thread busy. The merge thread posts execute_done through
+// the event loop, so stop() must join it while loop_ is still alive (the
+// engine is declared before the loop and would otherwise outlive it); the
+// TSan leg turns a violation into a failure.
+TEST_F(TcpClusterTest, ExecEngineShutdownUnderLoadJoinsBeforeLoopDies) {
+  execute_app_ = true;
+  execution_threads_ = 1;
+  Rng rng(7);
+  client::KvWorkload workload;
+  std::uint64_t sequence = 0;
+  // A few teardowns: each one races the merge thread at a different point.
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    auto nodes = make_cluster();
+    for (auto& node : nodes) node->start();
+    const auto submit_load = [&] {
+      for (ValidatorId v = 0; v < 4; ++v) {
+        std::vector<TxBatch> batches;
+        for (int i = 0; i < 4; ++i) {
+          batches.push_back(
+              client::synth_kv_batch(workload, v, sequence++, rng, steady_now_micros()));
+        }
+        nodes[v]->submit(std::move(batches));
+      }
+    };
+    // Keep the stream flowing until every engine has executed something.
+    EXPECT_TRUE(wait_for([&] {
+      submit_load();
+      for (const auto& node : nodes) {
+        if (node->execution_stats().subdags == 0) return false;
+      }
+      return true;
+    }));
+    submit_load();
+    nodes.clear();  // ~NodeRuntime -> stop() mid-stream
+  }
 }
 
 TEST_F(TcpClusterTest, SharedVerifierCacheSkipsRepeatVerification) {
