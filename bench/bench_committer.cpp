@@ -1,14 +1,10 @@
-// Commit-path microbenchmarks: loop-thread time per commit batch, serial vs
-// off-loop evaluation.
+// Commit-path microbenchmark: loop-thread time per commit batch.
 //
-// Every delivered batch pays the commit path on the event-loop thread, so
-// its loop-thread cost bounds end-to-end latency under load. The headline
-// comparison is BM_CommitBatchSerial vs BM_CommitBatchOffloop over the same
-// replayed DAG: serial pays the full Committer::try_commit (candidate-wave
-// scan + linearization) on the "loop thread"; off-loop pays only
-// Committer::apply of decisions a CommitScanner produced elsewhere — the
-// scan itself (BM_CommitScanOnly measures it) moves to the worker pool.
-// Timings use manual time so only the loop-thread share is reported.
+// Every delivered batch pays the commit rule on the event-loop thread —
+// Committer::try_commit, the candidate-wave scan plus linearization, inside
+// ValidatorCore::on_blocks — so its cost bounds end-to-end latency under
+// load. BM_CommitBatchSerial replays one seeded DAG round by round and times
+// only the try_commit calls (manual time).
 //
 // Machine-readable output: pass --benchmark_format=json (CI uploads
 // bench_committer.json and gates it with scripts/check_bench.py).
@@ -18,7 +14,6 @@
 #include <map>
 #include <memory>
 
-#include "core/commit_scanner.h"
 #include "core/committer.h"
 #include "sim/dag_builder.h"
 
@@ -53,8 +48,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Serial baseline: each ingested batch runs the full commit rule inline —
-// what ValidatorCore::on_blocks stage 4 costs the loop thread today.
+// Each ingested batch runs the full commit rule inline — what
+// ValidatorCore::on_blocks stage 4 costs the loop thread.
 void BM_CommitBatchSerial(benchmark::State& state) {
   const GlobalDag& global = global_dag(static_cast<std::uint32_t>(state.range(0)));
   const CommitterOptions options = mahi_mahi_5(2);
@@ -77,57 +72,6 @@ void BM_CommitBatchSerial(benchmark::State& state) {
       static_cast<double>(slots) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_CommitBatchSerial)->ArgName("n")->Arg(4)->Arg(10)->UseManualTime();
-
-// Off-loop mode: the scan runs against the CommitScanner's replica (a worker
-// would host it); the loop thread only applies the posted decisions.
-void BM_CommitBatchOffloop(benchmark::State& state) {
-  const GlobalDag& global = global_dag(static_cast<std::uint32_t>(state.range(0)));
-  const CommitterOptions options = mahi_mahi_5(2);
-  std::uint64_t slots = 0;
-  for (auto _ : state) {
-    Dag live(global.builder->committee());
-    Committer committer(live, global.builder->committee(), options);
-    CommitScanner scanner(live, committer.next_pending_slot(),
-                          global.builder->committee(), options);
-    double loop_seconds = 0;
-    for (const auto& batch : global.per_round) {
-      for (const auto& block : batch) live.insert(block);
-      scanner.ingest(batch);
-      const auto decisions = scanner.scan();  // worker-side: untimed
-      const auto start = std::chrono::steady_clock::now();
-      const auto sub_dags = committer.apply(decisions);
-      loop_seconds += seconds_since(start);
-      slots += sub_dags.size();
-    }
-    state.SetIterationTime(loop_seconds);
-  }
-  state.SetItemsProcessed(state.iterations() * kRounds);
-  state.counters["slots_per_replay"] =
-      static_cast<double>(slots) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_CommitBatchOffloop)->ArgName("n")->Arg(4)->Arg(10)->UseManualTime();
-
-// The work the off-loop mode moves to the worker pool: replica ingest + scan
-// + self-consumption. Compare against BM_CommitBatchOffloop to see the
-// loop-thread/worker split of the serial total.
-void BM_CommitScanOnly(benchmark::State& state) {
-  const GlobalDag& global = global_dag(static_cast<std::uint32_t>(state.range(0)));
-  const CommitterOptions options = mahi_mahi_5(2);
-  for (auto _ : state) {
-    CommitScanner scanner(Dag(global.builder->committee()), SlotId{1, 0},
-                          global.builder->committee(), options);
-    double scan_seconds = 0;
-    for (const auto& batch : global.per_round) {
-      const auto start = std::chrono::steady_clock::now();
-      scanner.ingest(batch);
-      benchmark::DoNotOptimize(scanner.scan());
-      scan_seconds += seconds_since(start);
-    }
-    state.SetIterationTime(scan_seconds);
-  }
-  state.SetItemsProcessed(state.iterations() * kRounds);
-}
-BENCHMARK(BM_CommitScanOnly)->ArgName("n")->Arg(4)->Arg(10)->UseManualTime();
 
 }  // namespace
 

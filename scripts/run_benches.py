@@ -59,12 +59,11 @@ BENCHES: List[Bench] = [
           filter="BM_MempoolSubmit/shards:(1|8).*threads:8", min_time="0.05",
           gate=("--expect", "BM_MempoolSubmit")),
 
-    # Serial vs off-loop loop-thread time per commit batch: both modes must
-    # be present and well-formed.
+    # Loop-thread time per commit batch (the commit rule's cost): the series
+    # must be present and well-formed.
     Bench(name="committer", binary="bench_committer",
           filter="BM_CommitBatch", min_time="0.05",
-          gate=("--expect", "BM_CommitBatchSerial",
-                "--expect", "BM_CommitBatchOffloop")),
+          gate=("--expect", "BM_CommitBatchSerial")),
 
     # Inline-sync vs group-commit append cost; the ring-backed flush must
     # never pay more syscalls per record than the classic writer (skipped

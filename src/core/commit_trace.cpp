@@ -47,9 +47,7 @@ std::string commit_traces_json(const std::deque<CommitTrace>& traces) {
     append_u64(out, trace.closing_round);
     out += ",\"offset_micros\":";
     append_i64(out, trace.closing_offset_micros);
-    out += "},\"scan_micros\":";
-    append_i64(out, trace.scan_micros);
-    out += ",\"apply_micros\":";
+    out += "},\"apply_micros\":";
     append_i64(out, trace.apply_micros);
     out += ",\"durable_micros\":";
     append_i64(out, trace.durable_micros);

@@ -3,7 +3,7 @@
 // Aggregate histograms say commits are slow; a commit trace says *why this
 // one* was — which author's block arrived last and closed the wave, how the
 // arrival offsets spread across the committee, and how the local pipeline
-// (scan → apply → durable → execute) broke down after the decision. The
+// (apply → durable → execute) broke down after the decision. The
 // runtime keeps a bounded buffer of recent traces and serves them as JSON on
 // /trace/commits; the sim records the same traces in virtual time, so
 // straggler attribution is deterministic and property-testable.
@@ -53,7 +53,6 @@ struct CommitTrace {
   // Post-decision breakdown, durations in micros. 0 = not applicable (or
   // instantaneous); durable/execute fill in asynchronously when the WAL ack
   // or execution handoff lands.
-  TimeMicros scan_micros = 0;
   TimeMicros apply_micros = 0;
   TimeMicros durable_micros = 0;
   TimeMicros execute_micros = 0;
@@ -87,7 +86,7 @@ class CommitForensics {
   void block_arrived(const Digest& digest, TimeMicros at);
 
   // Builds and stores the trace for a committed sub-DAG. The returned
-  // reference is valid until the next call (fill scan/apply/pending flags
+  // reference is valid until the next call (fill apply/pending flags
   // on it immediately).
   CommitTrace& on_committed(const CommittedSubDag& sub_dag, TimeMicros committed_at);
 

@@ -221,26 +221,21 @@ std::vector<SlotDecision> Committer::scan() {
 }
 
 std::vector<CommittedSubDag> Committer::apply(
-    const std::vector<SlotDecision>& decisions, bool deliver) {
+    const std::vector<SlotDecision>& decisions) {
   std::vector<CommittedSubDag> out;
   for (const SlotDecision& decision : decisions) {
-    if (decision.slot < next_pending_) continue;  // consumed by an earlier apply
-    if (decision.slot != next_pending_) break;    // gap: scanned ahead of our head
-    assert(decision.final_decision);
+    assert(decision.slot == next_pending_ && decision.final_decision);
 
     decided_log_.push_back(DecidedSlot::of(decision));
     if (decision.kind == SlotDecision::Kind::kCommit) {
       decision.via == SlotDecision::Via::kDirect ? ++stats_.direct_commits
                                                  : ++stats_.indirect_commits;
-      if (deliver) {
-        const Round leader_round = decision.block->round();
-        const Round min_round =
-            options_.gc_depth > 0 && leader_round > options_.gc_depth
-                ? leader_round - options_.gc_depth
-                : 0;
-        out.push_back(linearize_sub_dag(dag_, decision.slot, decision.block,
-                                        delivered_, stats_, min_round));
-      }
+      const Round leader_round = decision.block->round();
+      const Round min_round = options_.gc_depth > 0 && leader_round > options_.gc_depth
+                                  ? leader_round - options_.gc_depth
+                                  : 0;
+      out.push_back(linearize_sub_dag(dag_, decision.slot, decision.block, delivered_,
+                                      stats_, min_round));
     } else {
       decision.via == SlotDecision::Via::kDirect ? ++stats_.direct_skips
                                                  : ++stats_.indirect_skips;
@@ -249,13 +244,6 @@ std::vector<CommittedSubDag> Committer::apply(
     next_pending_ = successor(decision.slot);
   }
   return out;
-}
-
-void Committer::fast_forward(SlotId head) {
-  if (head <= next_pending_) return;
-  next_pending_ = head;
-  // Memoized final decisions below the head can never be consumed now.
-  std::erase_if(final_, [head](const auto& entry) { return entry.first < head; });
 }
 
 std::vector<std::pair<Digest, Round>> Committer::delivered_snapshot(

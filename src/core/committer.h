@@ -41,40 +41,7 @@ class Committer : public CommitterBase {
   // current DAG allows, consume the decided prefix in slot order, and return
   // the newly committed sub-DAGs (deterministic causal order, leader last).
   // Idempotent: call after every DAG insertion (or batch of insertions).
-  // Equivalent to apply(scan()) — the split below exists so drivers can run
-  // the expensive scan off their loop thread (core/commit_scanner.h).
   std::vector<CommittedSubDag> try_commit() override;
-
-  // --- Split evaluation (parallel commit) -----------------------------------
-  //
-  // scan() is the candidate-wave/leader-slot evaluation: it classifies
-  // pending slots against the current DAG and returns the newly decided
-  // consecutive prefix starting at next_pending_slot(), WITHOUT consuming
-  // it. Read-only with respect to the DAG and the consumption state; only
-  // the memo caches (vote index, final-decision map) mutate. All returned
-  // decisions are final (SlotDecision::final_decision): they never change as
-  // the DAG grows, so a prefix scanned against a lagging replica applies
-  // bit-identically to any equal-or-larger DAG containing the same blocks.
-  std::vector<SlotDecision> scan();
-
-  // apply() consumes a decision prefix produced by scan() — here or on a
-  // replica scanner — in slot order: extends the decided log, advances
-  // next_pending_slot(), and (when `deliver` is set) linearizes committed
-  // sub-DAGs against this committer's DAG. Decisions below the current head
-  // are skipped (already consumed); a gap above the head stops the apply.
-  // `deliver = false` advances the head without delivering — the replica
-  // scanner uses it to stay in lockstep with the owner without duplicating
-  // linearization work.
-  std::vector<CommittedSubDag> apply(const std::vector<SlotDecision>& decisions,
-                                     bool deliver = true);
-
-  // Repositions the consumption head without delivering anything: slots
-  // below `head` are treated as consumed before this committer existed.
-  // Used by replica scanners seeded from a running validator's DAG snapshot
-  // (e.g. after WAL recovery), whose early slots were consumed — and
-  // possibly pruned — before the snapshot was taken. No-op when `head` is
-  // not ahead of the current head.
-  void fast_forward(SlotId head);
 
   // --- Checkpoint support ---------------------------------------------------
   //
@@ -118,6 +85,14 @@ class Committer : public CommitterBase {
   void prune_below(Round round) override;
 
  private:
+  // The two halves of try_commit(). scan() classifies pending slots against
+  // the current DAG and returns the decided consecutive prefix starting at
+  // next_pending_slot() without consuming it; every returned decision is
+  // final. apply() consumes that prefix in slot order: extends the decided
+  // log, advances the head and linearizes the committed sub-DAGs.
+  std::vector<SlotDecision> scan();
+  std::vector<CommittedSubDag> apply(const std::vector<SlotDecision>& decisions);
+
   SlotId successor(SlotId slot) const;
   // Highest propose round whose wave could possibly be evaluated now.
   Round highest_propose_round() const;

@@ -58,7 +58,8 @@ struct DecidedSlot {
 // classification and, for commits, the same block? `via` is deliberately
 // ignored: a slot may legitimately be decided directly in one view and
 // indirectly in another (Lemma 7); only the outcome is agreement-critical.
-// The serial-vs-off-loop determinism checks compare decided logs with this.
+// Checkpoint delta checks and the retention tests compare decided logs with
+// this.
 inline bool same_outcome(const DecidedSlot& a, const DecidedSlot& b) {
   if (a.slot != b.slot || a.kind != b.kind) return false;
   return a.kind != SlotDecision::Kind::kCommit || a.ref.digest == b.ref.digest;

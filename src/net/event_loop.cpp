@@ -83,6 +83,7 @@ void EventLoop::post(Task task) {
     std::lock_guard<std::mutex> lock(posted_mutex_);
     posted_.push_back(std::move(task));
   }
+  if (in_loop_thread()) return;  // drained before the loop blocks again
   const std::uint64_t one = 1;
   [[maybe_unused]] const auto written = ::write(wakeup_fd_, &one, sizeof(one));
 }
@@ -92,12 +93,18 @@ bool EventLoop::in_loop_thread() const {
 }
 
 void EventLoop::drain_posted() {
+  // Until empty: tasks posted by the tasks being run (loop-thread posts skip
+  // the wakeup write) must not wait for the next epoll_wait.
   std::vector<Task> tasks;
-  {
-    std::lock_guard<std::mutex> lock(posted_mutex_);
-    tasks.swap(posted_);
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(posted_mutex_);
+      if (posted_.empty()) return;
+      tasks.swap(posted_);
+    }
+    for (auto& task : tasks) task();
+    tasks.clear();
   }
-  for (auto& task : tasks) task();
 }
 
 void EventLoop::fire_due_timers() {

@@ -55,7 +55,10 @@ class EventLoop {
   // through the queue, even when posted from the loop thread itself: queue
   // order is delivery order, which callers rely on (e.g. commit handlers
   // must see sub-DAGs in consensus order — inline execution could reenter
-  // and reorder them).
+  // and reorder them). Only cross-thread posts write the wakeup eventfd: a
+  // post made on the loop thread — from a callback, a timer or another
+  // posted task — runs in the current iteration's drain, before the loop
+  // next blocks, at no syscall cost.
   void post(Task task);
 
   // True when called from the thread currently inside run(). For asserting

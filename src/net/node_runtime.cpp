@@ -68,11 +68,26 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
                 "v" + std::to_string(config_.validator.id)),
       forensics_(CommitForensics::Options{
           .trace_capacity = config_.commit_trace_capacity}),
-      loop_(config_.io_backend) {
-  if (config_.verify_threads == 0) {
-    // Inline (serial) ingestion has no workers to host the commit scan.
-    config_.validator.parallel_commit = false;
-  }
+      loop_(config_.io_backend),
+      verify_pool_(config_.verify_threads,
+                   "v" + std::to_string(config_.validator.id) + "/wk", &recorder_),
+      verify_drain_(
+          verify_pool_,
+          [this](std::vector<RawFrame> frames) { verify_frames(std::move(frames)); },
+          [this] {
+            // Adaptive batching: bound how much of the backlog one pass takes
+            // so a block arriving mid-burst reaches the core within roughly
+            // the latency budget instead of waiting out the whole queue.
+            return ingest_batch_cap(config_.validator.max_ingest_batch,
+                                    config_.validator.ingest_latency_budget,
+                                    verify_cost_ewma_.load(std::memory_order_relaxed));
+          }),
+      egress_drain_(
+          verify_pool_,
+          [this](std::vector<EgressItem> items) { encode_egress(std::move(items)); }),
+      submit_drain_(
+          verify_pool_,
+          [this](std::vector<TxBatch> batches) { admit_batches(std::move(batches)); }) {
   // Metric handles first: the recovery path below already writes some of
   // them. Creation is the only locked step; every later touch is a relaxed
   // atomic on a stable object.
@@ -95,12 +110,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       "mm_submit_rejected_total", "Local submit() batches the mempool rejected");
   egress_frames_encoded_ = &registry_.counter(
       "mm_egress_frames_encoded_total", "Outbound block frames encoded once and fanned out");
-  commit_scans_ =
-      &registry_.counter("mm_commit_scans_total", "Off-loop commit-rule scans");
-  commit_batches_applied_ = &registry_.counter("mm_commit_batches_applied_total",
-                                               "Decision batches applied on the loop thread");
-  commit_apply_micros_ = &registry_.counter(
-      "mm_commit_apply_micros_total", "Loop-thread micros spent applying decision batches");
   checkpoints_written_ =
       &registry_.counter("mm_checkpoints_written_total", "Checkpoints cut and persisted");
   snapshot_catchups_ = &registry_.counter("mm_snapshot_catchups_total",
@@ -219,7 +228,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
             }
             chain_links_.push_back(std::move(rt));
           }
-          latest_checkpoint_bytes_ = chain_links_.front().record;
           core_->install_checkpoint(data, 0);  // recovery: actions are moot
           if (exec_engine_ != nullptr && !data.app_state.empty()) {
             // The cut's app snapshot stands in for every sub-horizon commit;
@@ -297,17 +305,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
     }
   }
   outgoing_.resize(committee_.size());
-  if (config_.verify_threads > 0) {
-    verify_pool_ = std::make_unique<WorkerPool>(config_.verify_threads,
-                                                "v" + std::to_string(id()) + "/wk");
-  }
-  if (core_->parallel_commit_active()) {
-    // Seed the scanner from the post-recovery DAG and consumption head; the
-    // worker-pool queue orders this construction before the first scan.
-    commit_scanner_ = std::make_unique<CommitScanner>(
-        core_->dag(), core_->committer().next_pending_slot(), committee_,
-        config_.validator.committer);
-  }
   // Constructor tail: every bespoke-counter source (io backend, mempool,
   // group WAL) now exists, so the scrape-time bridges can bind to them.
   register_callback_metrics();
@@ -439,7 +436,7 @@ void NodeRuntime::start() {
 void NodeRuntime::stop() {
   // Workers first: after stop() they hold no reference to any member, so the
   // loop (and everything it owns) can tear down safely.
-  if (verify_pool_) verify_pool_->stop();
+  verify_pool_.stop();
   if (thread_.joinable()) {
     loop_.stop();
     thread_.join();
@@ -597,18 +594,15 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, BytesView frame) {
     const auto type = static_cast<MessageType>(r.u8());
     switch (type) {
       case MessageType::kBlock: {
+        // Decode + crypto verification happen in the verify stage; the loop
+        // thread only copies the frame out of the socket buffer.
         const BytesView payload = r.raw(r.remaining());
-        if (verify_pool_) {
-          // Decode + crypto verification happen on the worker pool; the
-          // loop thread only copies the frame out of the socket buffer.
-          enqueue_block_frame(peer, Bytes(payload.begin(), payload.end()));
-        } else {
-          const TimeMicros received_at = steady_now_micros();
-          auto block = std::make_shared<const Block>(Block::deserialize(payload));
-          record_rx_lag(*block, received_at);
-          recorder_.record(obs::FlightEventType::kBlockAdmit, received_at,
-                           block->author(), block->round());
-          perform(core_->on_block(std::move(block), peer, steady_now_micros()));
+        if (!verify_drain_.push_bounded(
+                RawFrame{peer, Bytes(payload.begin(), payload.end()), steady_now_micros()},
+                config_.max_pending_verify_frames)) {
+          // Overload shedding: anti-entropy and the fetch path re-deliver
+          // dropped blocks once the backlog clears.
+          verify_frames_dropped_->add();
         }
         break;
       }
@@ -635,125 +629,43 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, BytesView frame) {
         serve_checkpoint(peer);
         break;
       }
-      case MessageType::kCheckpointResponse: {
-        // Solicited-window gate: only the peer we asked, and only ONE
-        // response per request — the window closes on receipt, not on
-        // install, so a response that fails verification cannot hold it
-        // open for an unlimited stream of multi-MB frames.
-        if (!catchup_request_outstanding_ || peer != catchup_request_peer_) {
-          break;  // unsolicited: drop unread
-        }
-        catchup_request_outstanding_ = false;
-        const BytesView payload = r.raw(r.remaining());
-        Bytes copy(payload.begin(), payload.end());
-        if (verify_pool_) {
-          // Decode + suffix crypto verification are the expensive parts;
-          // they are pure functions of the bytes and the committee.
-          verify_pool_->submit([this, peer, copy = std::move(copy)]() mutable {
-            verify_checkpoint_response(peer, std::move(copy));
-          });
-        } else {
-          verify_checkpoint_response(peer, std::move(copy));
-        }
-        break;
-      }
       case MessageType::kCertShare: {
         if (!certifying_) break;
         on_cert_share(decode_cut_share(r.raw(r.remaining())));
         break;
       }
       case MessageType::kCheckpointChain: {
-        // Same solicited-window gate as kCheckpointResponse: one chain per
-        // request, only from the peer we asked.
+        // Solicited-window gate: only the peer we asked, and only ONE chain
+        // per request — the window closes on receipt, not on install, so a
+        // chain that fails verification cannot hold it open for an
+        // unlimited stream of multi-MB frames.
         if (!catchup_request_outstanding_ || peer != catchup_request_peer_) {
           break;  // unsolicited: drop unread
         }
         catchup_request_outstanding_ = false;
+        // Decode + crypto verification are the expensive parts; they are
+        // pure functions of the bytes and the committee.
         const BytesView payload = r.raw(r.remaining());
-        Bytes copy(payload.begin(), payload.end());
-        if (verify_pool_) {
-          verify_pool_->submit([this, peer, copy = std::move(copy)]() mutable {
-            verify_chain_response(peer, std::move(copy));
-          });
-        } else {
-          verify_chain_response(peer, std::move(copy));
-        }
+        verify_pool_.submit(
+            [this, peer, copy = Bytes(payload.begin(), payload.end())]() mutable {
+              verify_chain_response(peer, std::move(copy));
+            });
         break;
       }
       default:
-        break;  // late handshakes and unknown types are ignored
+        break;  // late handshakes, retired and unknown types are ignored
     }
   } catch (const serde::SerdeError& error) {
     MM_LOG(kWarn) << "v" << id() << " bad frame from v" << peer << ": " << error.what();
   }
 }
 
-void NodeRuntime::enqueue_block_frame(ValidatorId peer, Bytes payload) {
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(verify_mutex_);
-    if (pending_frames_.size() >= config_.max_pending_verify_frames) {
-      // Overload shedding: a peer outrunning verification throughput must
-      // not grow the queue without bound. Anti-entropy and the fetch path
-      // re-deliver dropped blocks once the backlog clears.
-      verify_frames_dropped_->add();
-      return;
-    }
-    pending_frames_.push_back(RawFrame{peer, std::move(payload), steady_now_micros()});
-    if (!verify_scheduled_) {
-      verify_scheduled_ = true;
-      schedule = true;
-    }
-  }
-  if (schedule) verify_pool_->submit([this] { verify_pending_frames(); });
-}
-
-void NodeRuntime::verify_pending_frames() {
-  recorder_.label_thread("worker");
-  // One drain loop at a time (verify_scheduled_ stays true until the queue
-  // is empty): concurrent drains could post their batches to the loop out
-  // of arrival order, parking children ahead of their in-flight parents and
-  // broadcasting spurious fetch requests. Batching, not thread fan-out, is
-  // where the verification win comes from anyway.
-  for (;;) {
-    std::vector<RawFrame> frames;
-    {
-      std::lock_guard<std::mutex> lock(verify_mutex_);
-      if (pending_frames_.empty()) {
-        verify_scheduled_ = false;
-        return;
-      }
-      // Adaptive batching: bound how much of the backlog one pass takes so
-      // a block arriving mid-burst reaches the core within roughly the
-      // latency budget instead of waiting out the whole queue.
-      const std::size_t cap =
-          ingest_batch_cap(config_.validator.max_ingest_batch,
-                           config_.validator.ingest_latency_budget,
-                           verify_cost_ewma_.load(std::memory_order_relaxed));
-      const std::size_t take = std::min(cap, pending_frames_.size());
-      frames.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        frames.push_back(std::move(pending_frames_.front()));
-        pending_frames_.pop_front();
-      }
-    }
-    const TimeMicros start = steady_now_micros();
-    const std::size_t verified = verify_frames(std::move(frames));
-    // Update the cost estimate only from frames that reached the crypto
-    // stage: floods of near-free drops (duplicate re-offers, decode
-    // failures) must not drag the EWMA to zero and disable the latency
-    // shaping right before a burst of genuine blocks.
-    if (verified > 0) {
-      const TimeMicros per_block =
-          (steady_now_micros() - start) / static_cast<TimeMicros>(verified);
-      const TimeMicros prev = verify_cost_ewma_.load(std::memory_order_relaxed);
-      verify_cost_ewma_.store(prev == 0 ? per_block : (3 * prev + per_block) / 4,
-                              std::memory_order_relaxed);
-    }
-  }
-}
-
-std::size_t NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
+void NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
+  // One drain at a time (SerialDrain): concurrent drains could post their
+  // batches to the loop out of arrival order, parking children ahead of
+  // their in-flight parents and broadcasting spurious fetch requests.
+  // Batching, not thread fan-out, is where the verification win comes from.
+  const TimeMicros start = steady_now_micros();
 
   // Stage: decode + structural validation + dedup.
   std::vector<BlockPtr> blocks;
@@ -808,11 +720,19 @@ std::size_t NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
       run_crypto_stage(blocks, committee_, config_.validator.validation,
                        config_.validator.signature_cache.get());
   if (!blocks.empty()) {
+    const TimeMicros crypto_end = steady_now_micros();
     // Batch-amortized: record the per-block mean, weighted by the batch size.
-    tracer_.record_stage(
-        obs::Stage::kCryptoVerify,
-        (steady_now_micros() - crypto_start) / static_cast<TimeMicros>(blocks.size()),
-        blocks.size());
+    tracer_.record_stage(obs::Stage::kCryptoVerify,
+                         (crypto_end - crypto_start) / static_cast<TimeMicros>(blocks.size()),
+                         blocks.size());
+    // The cost estimate sizing the next drain counts only frames that
+    // reached the crypto stage: floods of near-free drops (duplicate
+    // re-offers, decode failures) must not drag the EWMA to zero and disable
+    // the latency shaping right before a burst of genuine blocks.
+    const TimeMicros per_block = (crypto_end - start) / static_cast<TimeMicros>(blocks.size());
+    const TimeMicros prev = verify_cost_ewma_.load(std::memory_order_relaxed);
+    verify_cost_ewma_.store(prev == 0 ? per_block : (3 * prev + per_block) / 4,
+                            std::memory_order_relaxed);
   }
 
   std::vector<IngestBlock> items;
@@ -827,8 +747,7 @@ std::size_t NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
     items.push_back(IngestBlock{std::move(blocks[i]), senders[i], true,
                                 stage.cache_hit[i] != 0});
   }
-  const std::size_t crypto_staged = blocks.size();
-  if (items.empty()) return crypto_staged;
+  if (items.empty()) return;
 
   // Hand the verified batch back to the loop thread; the core never runs
   // concurrently with itself. The forwarded-digest record is written there,
@@ -849,7 +768,6 @@ std::size_t NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
       if (core_->knows_block(digest)) forwarded_digests_.insert(digest);
     }
   });
-  return crypto_staged;
 }
 
 IngestStats NodeRuntime::ingest_stats() const {
@@ -917,69 +835,27 @@ void NodeRuntime::send_shared(ValidatorId target, const SharedFrame& frame) {
   }
 }
 
-void NodeRuntime::dispatch_egress(std::vector<EgressItem> items) {
-  if (items.empty()) return;
-  if (egress_offload_active()) {
-    enqueue_egress(std::move(items));
-    return;
-  }
-  // Inline path (no worker pool, or offload disabled): still encode once per
-  // block and fan the shared frame out.
+void NodeRuntime::encode_egress(std::vector<EgressItem> items) {
+  // One drain at a time (SerialDrain), so encoded frames post back — and
+  // therefore hit the sockets — in enqueue order; a peer then never sees our
+  // round r+1 proposal before round r just because two drains raced.
+  std::vector<std::pair<ValidatorId, SharedFrame>> sends;
+  sends.reserve(items.size());
   for (const auto& item : items) {
-    const SharedFrame frame = make_shared_frame(encode_block(*item.block));
+    // Pure CPU over immutable blocks: safe off-thread, exactly like the
+    // verify stage's decode.
+    sends.emplace_back(item.target, make_shared_frame(encode_block(*item.block)));
     egress_frames_encoded_->add();
-    send_shared(item.target, frame);
   }
-}
-
-void NodeRuntime::enqueue_egress(std::vector<EgressItem> items) {
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(egress_mutex_);
-    pending_egress_.insert(pending_egress_.end(),
-                           std::make_move_iterator(items.begin()),
-                           std::make_move_iterator(items.end()));
-    if (!egress_scheduled_) {
-      egress_scheduled_ = true;
-      schedule = true;
-    }
-  }
-  if (schedule) verify_pool_->submit([this] { encode_pending_egress(); });
-}
-
-void NodeRuntime::encode_pending_egress() {
-  recorder_.label_thread("worker");
-  // One drain loop at a time (egress_scheduled_ stays true until the queue
-  // is empty), so encoded frames post back — and therefore hit the sockets —
-  // in enqueue order; a peer then never sees our round r+1 proposal before
-  // round r just because two drains raced.
-  for (;;) {
-    std::vector<EgressItem> items;
-    {
-      std::lock_guard<std::mutex> lock(egress_mutex_);
-      if (pending_egress_.empty()) {
-        egress_scheduled_ = false;
-        return;
-      }
-      items.swap(pending_egress_);
-    }
-    std::vector<std::pair<ValidatorId, SharedFrame>> sends;
-    sends.reserve(items.size());
-    for (const auto& item : items) {
-      // Pure CPU over immutable blocks: safe off-thread, exactly like the
-      // verify stage's decode.
-      sends.emplace_back(item.target, make_shared_frame(encode_block(*item.block)));
-      egress_frames_encoded_->add();
-    }
-    loop_.post([this, sends = std::move(sends)] {
-      for (const auto& [target, frame] : sends) send_shared(target, frame);
-    });
-  }
+  loop_.post([this, sends = std::move(sends)] {
+    for (const auto& [target, frame] : sends) send_shared(target, frame);
+  });
 }
 
 void NodeRuntime::perform(Actions&& actions) {
   // The sans-IO core and everything here run exclusively on the loop
-  // thread; workers only decode/verify, scan commits, and encode egress.
+  // thread; workers only decode/verify, encode egress, admit submissions
+  // and write checkpoints.
   assert(loop_.in_loop_thread());
   const TimeMicros perform_now = steady_now_micros();
   for (const auto& block : actions.inserted) {
@@ -1014,10 +890,6 @@ void NodeRuntime::perform(Actions&& actions) {
         recorder_.record_now(obs::FlightEventType::kWalFlush, count);
       });
     }
-    // Parallel commit: the insertion stream feeds the worker-side replica;
-    // the scan it triggers posts decisions back through
-    // apply_commit_decisions.
-    if (commit_scanner_ != nullptr) enqueue_commit_blocks(actions.inserted);
   }
 
   if (!actions.broadcast.empty()) {
@@ -1032,10 +904,10 @@ void NodeRuntime::perform(Actions&& actions) {
     items.reserve(actions.broadcast.size());
     for (const auto& block : actions.broadcast) items.push_back({block, kAllPeers});
     if (group_wal_ == nullptr) {
-      dispatch_egress(std::move(items));
+      egress_drain_.push(std::move(items));
     } else {
       wal_->on_durable([this, items = std::move(items)]() mutable {
-        dispatch_egress(std::move(items));
+        egress_drain_.push(std::move(items));
       });
     }
   }
@@ -1073,7 +945,7 @@ void NodeRuntime::perform(Actions&& actions) {
     std::vector<EgressItem> items;
     items.reserve(response.blocks.size());
     for (const auto& block : response.blocks) items.push_back({block, response.peer});
-    dispatch_egress(std::move(items));
+    egress_drain_.push(std::move(items));
   }
 
   for (const auto& sub_dag : actions.committed) {
@@ -1096,7 +968,6 @@ void NodeRuntime::perform(Actions&& actions) {
     // post-decision breakdown fills in below (apply inline, durable on the
     // WAL ack, execute at delivery).
     CommitTrace& trace = forensics_.on_committed(sub_dag, committed_at);
-    trace.scan_micros = last_scan_micros_.load(std::memory_order_relaxed);
     trace.durable_pending = true;
     trace.execute_pending = exec_engine_ != nullptr;
     tracer_.sub_dag_committed(sub_dag, committed_at,
@@ -1163,65 +1034,6 @@ void NodeRuntime::on_wave_delivered(const exec::WaveDelivery& wave) {
     // Resolve the commit trace's execute breakdown on the loop thread, where
     // forensics_ lives (this callback may be on the merge thread).
     loop_.post([this, slot = wave.slot, now] { forensics_.execute_done(slot, now); });
-  }
-}
-
-void NodeRuntime::enqueue_commit_blocks(const std::vector<BlockPtr>& blocks) {
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(commit_mutex_);
-    pending_commit_blocks_.insert(pending_commit_blocks_.end(), blocks.begin(),
-                                  blocks.end());
-    if (!commit_scan_scheduled_) {
-      commit_scan_scheduled_ = true;
-      schedule = true;
-    }
-  }
-  if (schedule) verify_pool_->submit([this] { scan_pending_commits(); });
-}
-
-void NodeRuntime::scan_pending_commits() {
-  recorder_.label_thread("worker");
-  // One drain loop at a time (commit_scan_scheduled_ stays true until the
-  // queue is empty): the replica and its scanner are single-threaded state,
-  // and decision batches must reach the loop thread in scan order — the
-  // apply step consumes them head-first.
-  for (;;) {
-    std::vector<BlockPtr> blocks;
-    {
-      std::lock_guard<std::mutex> lock(commit_mutex_);
-      if (commit_scanner_stale_) {
-        // A checkpoint install invalidated the replica mid-drain. Stop
-        // touching the scanner and hand the rebuild to the loop thread;
-        // commit_scan_scheduled_ stays true so no second drain races the
-        // swap (rebuild clears it).
-        loop_.post([this] { rebuild_commit_scanner(); });
-        return;
-      }
-      if (pending_commit_blocks_.empty()) {
-        commit_scan_scheduled_ = false;
-        return;
-      }
-      blocks.swap(pending_commit_blocks_);
-    }
-    const TimeMicros scan_start = steady_now_micros();
-    commit_scanner_->ingest(blocks);
-    std::vector<SlotDecision> decisions = commit_scanner_->scan();
-    const TimeMicros scan_elapsed = steady_now_micros() - scan_start;
-    tracer_.record_stage(obs::Stage::kCommitScan, scan_elapsed);
-    // Commit traces read the latest scan duration when they are built on the
-    // loop thread.
-    last_scan_micros_.store(scan_elapsed, std::memory_order_relaxed);
-    commit_scans_->add();
-    if (decisions.empty()) continue;
-    loop_.post([this, decisions = std::move(decisions)] {
-      const TimeMicros start = steady_now_micros();
-      perform(core_->apply_commit_decisions(decisions, start));
-      const TimeMicros elapsed = steady_now_micros() - start;
-      tracer_.record_stage(obs::Stage::kApply, elapsed);
-      commit_apply_micros_->add(static_cast<std::uint64_t>(elapsed));
-      commit_batches_applied_->add();
-    });
   }
 }
 
@@ -1346,8 +1158,8 @@ void NodeRuntime::start_cut(std::uint64_t cut_index, SlotId boundary,
       is_base && seg_wal_ != nullptr ? seg_wal_->roll_segment() : 0;
   checkpoint_in_flight_ = true;
   auto data_ptr = std::make_shared<const CheckpointData>(std::move(data));
-  auto task = [this, data_ptr, delta = std::move(delta), is_base, cut_index,
-               keep_from, epoch = chain_epoch_]() {
+  verify_pool_.submit([this, data_ptr, delta = std::move(delta), is_base, cut_index,
+                       keep_from, epoch = chain_epoch_]() {
     // Worker side: serialization + the crash-atomic file write. The blocks
     // are immutable and the store touches only its own files.
     std::shared_ptr<const Bytes> encoded;
@@ -1378,12 +1190,7 @@ void NodeRuntime::start_cut(std::uint64_t cut_index, SlotId boundary,
       finish_checkpoint(epoch, cut_index, is_base, data_ptr->horizon, keep_from,
                         encoded, data_ptr);
     });
-  };
-  if (verify_pool_) {
-    verify_pool_->submit(std::move(task));
-  } else {
-    task();
-  }
+  });
 }
 
 void NodeRuntime::finish_checkpoint(std::uint64_t epoch, std::uint64_t cut_index,
@@ -1400,7 +1207,6 @@ void NodeRuntime::finish_checkpoint(std::uint64_t epoch, std::uint64_t cut_index
   if (is_base) {
     chain_links_.clear();
     chain_base_seq_ = data->sequence;
-    latest_checkpoint_bytes_ = encoded;
     // Only now — with the new base durable — can the chain before the
     // PREVIOUS one retire, segments and checkpoint files alike: recovery may
     // fall back past a torn newest chain, which needs the previous chain's
@@ -1476,88 +1282,48 @@ void NodeRuntime::attach_cert(std::uint64_t cut_index,
     if (link.cut_index != cut_index) continue;
     link.cert = cert;
     if (checkpoint_store_ != nullptr) {
-      auto task = [this, sequence = link.sequence, cert] {
+      verify_pool_.submit([this, sequence = link.sequence, cert] {
         try {
           checkpoint_store_->write_cert(sequence, {cert->data(), cert->size()});
         } catch (const std::exception& error) {
           MM_LOG(kWarn) << "v" << id()
                         << " certificate write failed: " << error.what();
         }
-      };
-      if (verify_pool_) {
-        verify_pool_->submit(std::move(task));
-      } else {
-        task();
-      }
+      });
     }
     return;
   }
 }
 
 void NodeRuntime::serve_checkpoint(ValidatorId peer) {
-  if (!chain_links_.empty()) {
-    // Prefer the certified trust root: serve the longest chain prefix whose
-    // every link carries an aggregated certificate, so the receiver installs
-    // without trusting this peer. Only when NOT EVEN THE BASE is certified
-    // yet (certification disabled, or its collection still in flight) does
-    // the whole chain go out uncertified via the legacy stuck-requester
-    // trust path — a slightly stale certified cut beats a fresher one the
-    // receiver has to take on faith, and live sync replays the gap anyway.
-    std::size_t certified_prefix = 0;
-    while (certified_prefix < chain_links_.size() &&
-           chain_links_[certified_prefix].cert != nullptr) {
-      ++certified_prefix;
-    }
-    const std::size_t count =
-        certified_prefix > 0 ? certified_prefix : chain_links_.size();
-    std::vector<std::pair<BytesView, BytesView>> links;
-    links.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto& link = chain_links_[i];
-      links.emplace_back(
-          BytesView{link.record->data(), link.record->size()},
-          link.cert != nullptr ? BytesView{link.cert->data(), link.cert->size()}
-                               : BytesView{});
-    }
-    const Bytes frame = encode_checkpoint_chain_frame(links);
-    serde::Writer w(1 + frame.size());
-    w.u8(static_cast<std::uint8_t>(MessageType::kCheckpointChain));
-    w.raw({frame.data(), frame.size()});
-    send_to_peer(peer, {w.data().data(), w.data().size()});
-    checkpoints_served_->add();
-    return;
+  if (chain_links_.empty()) return;  // nothing to offer yet
+  // Prefer the certified trust root: serve the longest chain prefix whose
+  // every link carries an aggregated certificate, so the receiver installs
+  // without trusting this peer. Only when NOT EVEN THE BASE is certified yet
+  // (certification disabled, or its collection still in flight) does the
+  // whole chain go out uncertified via the legacy stuck-requester trust
+  // path — a slightly stale certified cut beats a fresher one the receiver
+  // has to take on faith, and live sync replays the gap anyway.
+  std::size_t certified_prefix = 0;
+  while (certified_prefix < chain_links_.size() &&
+         chain_links_[certified_prefix].cert != nullptr) {
+    ++certified_prefix;
   }
-  if (latest_checkpoint_bytes_ == nullptr) return;  // nothing to offer yet
-  serde::Writer w(1 + latest_checkpoint_bytes_->size());
-  w.u8(static_cast<std::uint8_t>(MessageType::kCheckpointResponse));
-  w.raw({latest_checkpoint_bytes_->data(), latest_checkpoint_bytes_->size()});
+  const std::size_t count = certified_prefix > 0 ? certified_prefix : chain_links_.size();
+  std::vector<std::pair<BytesView, BytesView>> links;
+  links.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& link = chain_links_[i];
+    links.emplace_back(BytesView{link.record->data(), link.record->size()},
+                       link.cert != nullptr ? BytesView{link.cert->data(), link.cert->size()}
+                                            : BytesView{});
+  }
+  const Bytes frame = encode_checkpoint_chain_frame(links);
+  serde::Writer w(1 + frame.size());
+  w.u8(static_cast<std::uint8_t>(MessageType::kCheckpointChain));
+  w.raw({frame.data(), frame.size()});
   send_to_peer(peer, {w.data().data(), w.data().size()});
   checkpoints_served_->add();
-}
-
-void NodeRuntime::verify_checkpoint_response(ValidatorId peer, Bytes payload) {
-  try {
-    CheckpointData data = decode_checkpoint({payload.data(), payload.size()});
-    const std::string error =
-        verify_checkpoint(data, committee_, config_.validator.committer,
-                          config_.validator.validation,
-                          config_.validator.signature_cache.get());
-    if (!error.empty()) {
-      MM_LOG(kWarn) << "v" << id() << " rejected checkpoint from v" << peer << ": "
-                    << error;
-      return;
-    }
-    loop_.post([this, data = std::move(data)]() mutable {
-      // The single-record response carries no certificates: legacy trust.
-      install_peer_checkpoint(std::move(data), /*certified=*/false, nullptr);
-    });
-  } catch (const std::exception& error) {
-    // std::exception, not just SerdeError: a hostile frame can also surface
-    // as e.g. std::length_error from an allocation, and an uncaught throw on
-    // a verify-pool worker would terminate the process — a remote crash.
-    MM_LOG(kWarn) << "v" << id() << " bad checkpoint frame from v" << peer << ": "
-                  << error.what();
-  }
 }
 
 void NodeRuntime::verify_chain_response(ValidatorId peer, Bytes payload) {
@@ -1621,7 +1387,6 @@ void NodeRuntime::install_peer_checkpoint(CheckpointData data, bool certified,
   // Re-encoded rather than stored verbatim so the local sequence stamp keeps
   // our file numbering monotonic (rare path; the cost is one serialization).
   auto restamped = std::make_shared<const Bytes>(encode_checkpoint(data));
-  latest_checkpoint_bytes_ = restamped;
   chain_links_.clear();
   chain_base_seq_ = data.sequence;
   ChainLinkRt base_link;
@@ -1664,43 +1429,8 @@ void NodeRuntime::install_peer_checkpoint(CheckpointData data, bool certified,
     }
   }
   last_cut_data_ = std::make_shared<const CheckpointData>(std::move(data));
-  // The scanner's replica predates the install; rebuild it before any
-  // further scan. Then perform() logs the installed suffix to our WAL and
-  // lets consensus resume.
-  if (commit_scanner_ != nullptr) {
-    bool defer = false;
-    {
-      std::lock_guard<std::mutex> lock(commit_mutex_);
-      pending_commit_blocks_.clear();
-      if (commit_scan_scheduled_) {
-        // A drain may be touching the scanner right now: flag it and let the
-        // drain hand control back (rebuild_commit_scanner via loop post).
-        commit_scanner_stale_ = true;
-        defer = true;
-      }
-    }
-    if (!defer) rebuild_commit_scanner();
-  }
+  // Log the installed suffix to our WAL and let consensus resume.
   perform(std::move(actions));
-}
-
-void NodeRuntime::rebuild_commit_scanner() {
-  // Loop thread, with no scan drain alive: reseed the replica from the
-  // post-install DAG and head.
-  commit_scanner_ = std::make_unique<CommitScanner>(
-      core_->dag(), core_->committer().next_pending_slot(), committee_,
-      config_.validator.committer);
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(commit_mutex_);
-    commit_scanner_stale_ = false;
-    // Blocks that queued while the rebuild was pending are already inside
-    // the seed DAG or genuinely new; either way the drain dedups via the
-    // replica's own insert.
-    commit_scan_scheduled_ = !pending_commit_blocks_.empty();
-    schedule = commit_scan_scheduled_;
-  }
-  if (schedule) verify_pool_->submit([this] { scan_pending_commits(); });
 }
 
 void NodeRuntime::offer_latest_block(ValidatorId peer) {
@@ -1716,11 +1446,11 @@ void NodeRuntime::offer_latest_block(ValidatorId peer) {
   // path the block was synced when it was inserted — dispatch directly.
   std::vector<EgressItem> items{EgressItem{cell.front(), peer}};
   if (group_wal_ == nullptr) {
-    dispatch_egress(std::move(items));
+    egress_drain_.push(std::move(items));
     return;
   }
   wal_->on_durable([this, items = std::move(items)]() mutable {
-    dispatch_egress(std::move(items));
+    egress_drain_.push(std::move(items));
   });
 }
 
@@ -1738,46 +1468,16 @@ void NodeRuntime::tick() {
 
 void NodeRuntime::submit(std::vector<TxBatch> batches) {
   // Admission runs off the loop thread: the sharded pool is thread-safe, so
-  // client submission no longer serializes behind consensus I/O. With a
-  // worker pool the batches go through a single-drain queue (one admission
-  // loop at a time, like verify_pending_frames) so two back-to-back
-  // submit() calls cannot race each other on the worker pool and invert the
-  // pool's per-client FIFO order. Without workers, admission happens inline
-  // on the calling thread.
+  // client submission does not serialize behind consensus I/O. The
+  // single-drain queue (one admission pass at a time) keeps two
+  // back-to-back submit() calls from inverting the pool's per-client FIFO
+  // order.
   if (batches.empty()) {
     // Poke path for clients that admitted via mempool_handle() directly.
     nudge_proposal();
     return;
   }
-  if (!verify_pool_) {
-    admit_batches(std::move(batches));
-    return;
-  }
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(submit_mutex_);
-    for (auto& batch : batches) pending_submissions_.push_back(std::move(batch));
-    if (!submit_scheduled_) {
-      submit_scheduled_ = true;
-      schedule = true;
-    }
-  }
-  if (schedule) verify_pool_->submit([this] { admit_pending_submissions(); });
-}
-
-void NodeRuntime::admit_pending_submissions() {
-  for (;;) {
-    std::vector<TxBatch> batches;
-    {
-      std::lock_guard<std::mutex> lock(submit_mutex_);
-      if (pending_submissions_.empty()) {
-        submit_scheduled_ = false;
-        return;
-      }
-      batches.swap(pending_submissions_);
-    }
-    admit_batches(std::move(batches));
-  }
+  submit_drain_.push(std::move(batches));
 }
 
 void NodeRuntime::admit_batches(std::vector<TxBatch> batches) {

@@ -12,22 +12,21 @@
 // costs (crypto/ed25519.h) — and posts the surviving blocks back to the loop
 // thread, which feeds them to ValidatorCore::on_blocks. The core stays
 // single-threaded and sans-IO; only decode + verification, which are pure
-// functions of the frame bytes and the committee, run concurrently.
+// functions of the frame bytes and the committee, run concurrently. Commit
+// evaluation runs inside the core, on the loop thread.
 //
-// With ValidatorConfig::parallel_commit, the commit-rule scan also leaves
-// the loop thread: newly inserted blocks are queued (same single-drain
-// discipline as the verify stage) for a worker task that maintains a replica
-// DAG (core/commit_scanner.h) and evaluates candidate waves there; the
-// resulting decisions are posted back and applied on the loop thread —
-// linearization only, no wave scans.
+// Every stage has one code path. Each worker stage is fed through a
+// SerialDrain (net/worker_pool.h): one drain at a time, so its output
+// reaches the loop thread in arrival order. With verify_threads = 0 the pool
+// is caller-runs and the same stages run on the loop thread; their posts
+// back then cost no wakeup (net/event_loop.h).
 //
 // The write side is pipelined the same way (docs/ARCHITECTURE.md has the
 // full picture):
-//   * Egress (ValidatorConfig::egress_offload): outbound blocks — proposal
-//     broadcasts, fetch responses, anti-entropy offers — are queued for a
-//     worker that encodes each block ONCE into a shared immutable frame
-//     (net/tcp.h SharedFrame); the loop thread then hands every per-peer
-//     send a refcounted view. Same single-drain discipline, so frames reach
+//   * Egress: outbound blocks — proposal broadcasts, fetch responses,
+//     anti-entropy offers — are queued for a worker that encodes each block
+//     ONCE into a shared immutable frame (net/tcp.h SharedFrame); the loop
+//     thread then hands every per-peer send a refcounted view. Frames reach
 //     the sockets in enqueue order.
 //   * WAL (ValidatorConfig::wal_group_commit): appends stage into
 //     wal/group_commit_wal.h, whose writer thread lands whole groups as one
@@ -70,25 +69,22 @@
 //   kFetch:              varint count + (round, author, digest) refs
 //   kHorizon:            varint GC horizon of the sender
 //   kCheckpointRequest:  empty (send me your latest checkpoint)
-//   kCheckpointResponse: one encode_checkpoint() record (legacy serving)
+//   (type 6)             retired: the legacy single-record checkpoint
+//                        response; ignored like any unknown type
 //   kCertShare:          encode_cut_share() — one cut-certificate share
 //   kCheckpointChain:    encode_checkpoint_chain_frame() — base+delta chain
 #pragma once
 
 #include <atomic>
-#include <deque>
+#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <map>
-
 #include "checkpoint/cert.h"
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/segmented_wal.h"
-#include "core/commit_scanner.h"
 #include "core/commit_trace.h"
 #include "exec/engine.h"
 #include "net/admin.h"
@@ -140,14 +136,13 @@ struct NodeRuntimeConfig {
   // eventual delivery (§2.1, Lemma 9) needs a push-based repair path; the
   // peer's synchronizer pulls any missing ancestry from the offered block.
   TimeMicros resync_interval = millis(500);
-  // Threads decoding and crypto-verifying incoming block frames off the
-  // event-loop thread. 0 = decode and verify inline on the loop thread
-  // (strictly serial ingestion; useful for debugging and determinism).
+  // Worker threads for the off-loop stages: decode + crypto verification of
+  // incoming block frames, egress encoding, client admission, checkpoint
+  // writes. 0 = a caller-runs pool: the same stages run on the thread that
+  // feeds them (the loop thread, or a client's submit() thread).
   std::size_t verify_threads = 2;
-  // Bound on frames queued for the verify workers. The inline path was
-  // implicitly bounded by TCP flow control (the loop read one frame, then
-  // verified it); the worker queue needs an explicit cap or a peer
-  // outrunning verification throughput grows it without bound. Overflow
+  // Bound on frames queued for the verify stage: a peer outrunning
+  // verification throughput must not grow the queue without bound. Overflow
   // drops the incoming frame — safe, since anti-entropy re-offers and the
   // synchronizer's fetch path re-deliver anything that matters.
   std::size_t max_pending_verify_frames = 10'000;
@@ -193,15 +188,15 @@ class NodeRuntime {
   void stop();
 
   // Thread-safe client submission. Admission control (sharded mempool front
-  // door) runs off the loop thread — on the worker pool when one exists,
-  // inline on the calling thread otherwise; the loop thread only learns
-  // "the pool has work" and drains it on the next proposal. Because the
-  // worker-pool path is asynchronous, per-batch verdicts cannot be returned
-  // here: rejects surface through submit_rejected() / mempool_stats() and a
-  // warn-level log. A client that needs each verdict synchronously (to
-  // propagate backpressure upstream) should call
-  // mempool_handle()->submit() itself — thread-safe, never blocks on the
-  // loop thread — then poke this wrapper with an empty vector.
+  // door) runs off the loop thread — on the worker pool, or on the calling
+  // thread with zero workers; the loop thread only learns "the pool has
+  // work" and drains it on the next proposal. Because admission may be
+  // asynchronous, per-batch verdicts cannot be returned here: rejects
+  // surface through submit_rejected() / mempool_stats() and a warn-level
+  // log. A client that needs each verdict synchronously (to propagate
+  // backpressure upstream) should call mempool_handle()->submit() itself —
+  // thread-safe, never blocks on the loop thread — then poke this wrapper
+  // with an empty vector.
   void submit(std::vector<TxBatch> batches);
 
   // The shared admission pool, for clients that want per-batch verdicts.
@@ -240,21 +235,9 @@ class NodeRuntime {
   std::uint64_t verify_frames_dropped() const { return verify_frames_dropped_->value(); }
   // Admission-control counters of the shared mempool (thread-safe).
   MempoolStats mempool_stats() const { return mempool_->stats(); }
-  // Parallel-committer introspection (thread-safe). Scans run on the worker
-  // pool; decision batches and the micros spent applying them are the only
-  // commit work left on the loop thread (serial mode pays the whole scan
-  // there instead, inside ValidatorCore::on_blocks).
-  bool parallel_commit_active() const { return commit_scanner_ != nullptr; }
-  std::uint64_t commit_scans() const { return commit_scans_->value(); }
-  std::uint64_t commit_batches_applied() const { return commit_batches_applied_->value(); }
-  std::uint64_t commit_apply_micros() const { return commit_apply_micros_->value(); }
-  // Egress/WAL write-side introspection (thread-safe). With egress offload
-  // the encode counter advances on the worker pool; inline encodes (no pool,
-  // or egress_offload off) count too, so the counter always means "outbound
-  // block frames encoded once and fanned out as shared views".
-  bool egress_offload_active() const {
-    return verify_pool_ != nullptr && config_.validator.egress_offload;
-  }
+  // Egress/WAL write-side introspection (thread-safe). The encode counter
+  // means "outbound block frames encoded once and fanned out as shared
+  // views".
   std::uint64_t egress_frames_encoded() const { return egress_frames_encoded_->value(); }
   bool wal_group_commit_active() const { return group_wal_ != nullptr; }
   std::uint64_t wal_groups_flushed() const {
@@ -338,7 +321,7 @@ class NodeRuntime {
     kFetch = 3,
     kHorizon = 4,
     kCheckpointRequest = 5,
-    kCheckpointResponse = 6,
+    // 6 is retired (legacy single-record checkpoint response); never reuse.
     kCertShare = 7,
     kCheckpointChain = 8,
   };
@@ -361,44 +344,19 @@ class NodeRuntime {
   void on_peer_frame(ValidatorId peer, BytesView frame);
   void on_unidentified_connection(TcpConnectionPtr connection);
   void perform(Actions&& actions);
-  // Queues a block frame for the verify workers (schedules a drain when
-  // none is pending) — called on the loop thread.
-  void enqueue_block_frame(ValidatorId peer, Bytes payload);
-  // Worker-side: loops draining the queued frames (one drain at a time, so
-  // batches reach the loop thread in arrival order) until the queue is
-  // empty.
-  void verify_pending_frames();
-  // Worker-side: decodes + structurally validates + batch-crypto-verifies
-  // one drained batch and posts survivors to the loop thread. Returns how
-  // many blocks reached the crypto stage (feeds the cost EWMA: cheap drops
-  // must not dilute the per-block verify estimate).
-  std::size_t verify_frames(std::vector<RawFrame> frames);
+  // Verify-drain body: decodes + structurally validates + batch-crypto-
+  // verifies one drained batch, folds its per-block cost into the EWMA that
+  // sizes the next batch, and posts survivors to the loop thread.
+  void verify_frames(std::vector<RawFrame> frames);
   void send_to_peer(ValidatorId peer, BytesView frame);
   // Hands a shared encoded frame to `target` (every peer when kAllPeers) —
   // per-peer sends only bump the frame's refcount. Loop thread.
   void send_shared(ValidatorId target, const SharedFrame& frame);
-  // Routes outbound blocks to the egress encoder: the worker pool when
-  // egress offload is active, inline encode + send otherwise. Loop thread.
-  void dispatch_egress(std::vector<EgressItem> items);
-  // Queues items for the worker-side encoder (schedules a drain when none
-  // is pending) — called on the loop thread.
-  void enqueue_egress(std::vector<EgressItem> items);
-  // Worker-side: drains the egress queue (one drain at a time, so frames
-  // reach the sockets in enqueue order), encodes each block once into a
-  // SharedFrame, and posts the sends back to the loop thread.
-  void encode_pending_egress();
-  // Queues newly inserted blocks for the commit scanner (schedules a drain
-  // when none is pending) — called on the loop thread.
-  void enqueue_commit_blocks(const std::vector<BlockPtr>& blocks);
-  // Worker-side: drains queued blocks into the replica, runs the commit
-  // scan, and posts decision batches to the loop thread (one drain at a
-  // time — the scanner is single-threaded state and decisions must arrive
-  // in scan order).
-  void scan_pending_commits();
-  // Worker-side: drains queued client submissions (one loop at a time, so
-  // admissions hit the pool in arrival order) until the queue is empty.
-  void admit_pending_submissions();
-  // Admits one burst into the shared pool and nudges the loop thread.
+  // Egress-drain body: encodes each block once into a SharedFrame and posts
+  // the sends back to the loop thread.
+  void encode_egress(std::vector<EgressItem> items);
+  // Submission-drain body: admits one burst into the shared pool and nudges
+  // the loop thread.
   void admit_batches(std::vector<TxBatch> batches);
   // Queues one proposal re-check on the loop thread (collapses bursts).
   void nudge_proposal();
@@ -435,26 +393,18 @@ class NodeRuntime {
   // Attaches a freshly formed certificate to its chain link (when already
   // written) and persists the sidecar via a worker.
   void attach_cert(std::uint64_t cut_index, std::shared_ptr<const Bytes> cert);
-  // Answers kCheckpointRequest: the base+delta chain with per-link certs
-  // (kCheckpointChain) when links exist, else the legacy single-record
-  // kCheckpointResponse.
+  // Answers kCheckpointRequest with the base+delta chain and its per-link
+  // certs (kCheckpointChain); nothing until the first cut lands.
   void serve_checkpoint(ValidatorId peer);
-  // Worker-side: decodes + verifies a received checkpoint, posts the install.
-  void verify_checkpoint_response(ValidatorId peer, Bytes payload);
   // Worker-side: decodes + verifies a received base+delta chain
   // (verify_checkpoint_chain), posts the install with its trust class.
   void verify_chain_response(ValidatorId peer, Bytes payload);
   // Installs a verified peer checkpoint into the core and persists it as our
-  // own recovery point; rebuilds the commit scanner (its replica no longer
-  // matches the installed DAG). `certified` selects the trust-root counter;
+  // own recovery point. `certified` selects the trust-root counter;
   // `final_cert` (may be null) is re-attached to the persisted base so the
   // certificate survives the re-base.
   void install_peer_checkpoint(CheckpointData data, bool certified,
                                std::shared_ptr<const Bytes> final_cert);
-  // Scanner rebuild handshake: runs on the loop thread once no scan drain
-  // can be touching the old scanner (immediately when idle, else posted by
-  // the draining worker when it observes the stale flag).
-  void rebuild_commit_scanner();
   void tick();
   Bytes encode_block(const Block& block) const;
   // Sends our latest own block to `peer` (all peers when kAllPeers); its
@@ -525,7 +475,7 @@ class NodeRuntime {
   // Checkpoint subsystem (loop-thread state unless noted).
   bool checkpointing_ = false;  // interval > 0 and the core can capture
   // Armed when the core emits a checkpoint request; records which peer was
-  // asked. kCheckpointResponse frames arriving outside that window —
+  // asked. kCheckpointChain frames arriving outside that window —
   // unsolicited, or from a peer other than the one asked — are dropped
   // BEFORE the (expensive) off-loop decode + verification. The window
   // closes on the FIRST response from the asked peer whatever its
@@ -548,10 +498,6 @@ class NodeRuntime {
   // base boundary still exist (mirrors CheckpointStore's keep-2 policy,
   // which is also chain-granular).
   std::uint64_t chain_keep_from_ = 0;
-  // Latest encoded BASE checkpoint, served on the legacy single-record path.
-  // shared_ptr so the in-flight writer task and a concurrent serve never
-  // copy the blob.
-  std::shared_ptr<const Bytes> latest_checkpoint_bytes_;
 
   // --- Delta chain + threshold certification (loop-thread state) -----------
   bool certifying_ = false;  // checkpointing_ && checkpoint_certify
@@ -604,6 +550,22 @@ class NodeRuntime {
   obs::Counter* uncertified_installs_;
 
   EventLoop loop_;
+  // The off-loop stages' executor (caller-runs with zero threads) and the
+  // three single-drain queues feeding it. stop() joins the workers before
+  // the loop thread exits, so no drain outlives what it touches.
+  WorkerPool verify_pool_;
+  // Bounded by config.max_pending_verify_frames; each pass takes
+  // ingest_batch_cap() frames.
+  SerialDrain<RawFrame> verify_drain_;
+  // Unbounded, unlike verify frames: entries are blocks this node itself
+  // decided to send (proposals, offers) or already holds in its DAG (fetch
+  // responses, whose volume a peer caps at 10000 refs per request), so the
+  // DAG bounds the queue and dropping an entry would silently lose a
+  // message the protocol expects to deliver.
+  SerialDrain<EgressItem> egress_drain_;
+  // Client submissions, admitted in arrival order (two back-to-back
+  // submit() calls cannot invert a client's FIFO order in the pool).
+  SerialDrain<TxBatch> submit_drain_;
   std::thread thread_;
   std::unique_ptr<TcpListener> listener_;
   // Admin/metrics endpoint (config.admin_port >= 0): created on the loop
@@ -630,18 +592,7 @@ class NodeRuntime {
   obs::Counter* flightrec_stall_dumps_;
   // Sequence for stall-dump file names (loop thread only).
   std::uint64_t flightrec_dump_seq_ = 0;
-  // Duration of the most recent off-loop commit scan, read when a trace is
-  // built on the loop thread (0 in serial mode, where the scan is inside
-  // ValidatorCore::on_blocks).
-  std::atomic<TimeMicros> last_scan_micros_{0};
 
-  // Off-loop verification pipeline.
-  std::unique_ptr<WorkerPool> verify_pool_;
-  std::mutex verify_mutex_;
-  // A deque so the adaptive drain can take the front chunk in O(chunk)
-  // while deep backlogs keep arriving at the back.
-  std::deque<RawFrame> pending_frames_;    // guarded by verify_mutex_
-  bool verify_scheduled_ = false;          // guarded by verify_mutex_
   // Digests of blocks the core has retained (inserted or parked): workers
   // drop re-deliveries of them — the periodic anti-entropy re-offers,
   // relayed fetch responses — before paying crypto again. Recorded on the
@@ -652,40 +603,10 @@ class NodeRuntime {
   obs::Counter* decode_errors_;
   obs::Counter* verify_frames_dropped_;
   obs::Counter* submit_rejected_;
-  // Client submissions awaiting worker-side admission; the single-drain
-  // discipline (submit_scheduled_) keeps them in arrival order.
-  std::mutex submit_mutex_;
-  std::vector<TxBatch> pending_submissions_;  // guarded by submit_mutex_
-  bool submit_scheduled_ = false;             // guarded by submit_mutex_
   // Collapses a burst of off-loop submissions into one queued proposal
   // re-check on the loop thread.
   std::atomic<bool> propose_nudge_pending_{false};
-  // Off-loop commit evaluation (parallel committer). The scanner is touched
-  // only by the single active scan drain; the queue hands it the loop
-  // thread's insertion stream in order. Unbounded by design: entries are
-  // BlockPtrs the core already retains, so the DAG itself is the bound, and
-  // dropping one would lose commits (unlike verify frames, nothing
-  // re-delivers them).
-  std::unique_ptr<CommitScanner> commit_scanner_;
-  std::mutex commit_mutex_;
-  std::vector<BlockPtr> pending_commit_blocks_;  // guarded by commit_mutex_
-  bool commit_scan_scheduled_ = false;           // guarded by commit_mutex_
-  // Set (with the queue cleared) when a checkpoint install invalidated the
-  // scanner's replica; the active drain observes it, stops touching the
-  // scanner and posts rebuild_commit_scanner() to the loop thread.
-  bool commit_scanner_stale_ = false;            // guarded by commit_mutex_
-  // Off-loop egress encoding. Unbounded like the commit queue: entries are
-  // blocks this node itself decided to send (proposals, offers) or already
-  // holds in its DAG (fetch responses, whose volume a peer caps at
-  // 10000 refs per request), so the DAG bounds the queue and dropping an
-  // entry would silently lose a message the protocol expects to deliver.
-  std::mutex egress_mutex_;
-  std::vector<EgressItem> pending_egress_;  // guarded by egress_mutex_
-  bool egress_scheduled_ = false;           // guarded by egress_mutex_
   obs::Counter* egress_frames_encoded_;
-  obs::Counter* commit_scans_;
-  obs::Counter* commit_batches_applied_;
-  obs::Counter* commit_apply_micros_;
   // EWMA of per-block decode+verify cost (micros), written by the single
   // active verify drain, read when sizing the next batch. Stays a bespoke
   // atomic (control state, not a metric); a gauge_fn bridges it for scrapes.

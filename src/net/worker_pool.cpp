@@ -1,11 +1,13 @@
 #include "net/worker_pool.h"
 
 #include "common/log.h"
+#include "obs/flight_recorder.h"
 
 namespace mahimahi::net {
 
-WorkerPool::WorkerPool(std::size_t threads, std::string log_context)
-    : log_context_(std::move(log_context)) {
+WorkerPool::WorkerPool(std::size_t threads, std::string log_context,
+                       obs::FlightRecorder* recorder)
+    : log_context_(std::move(log_context)), recorder_(recorder) {
   threads_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     threads_.emplace_back([this] { worker_main(); });
@@ -15,11 +17,15 @@ WorkerPool::WorkerPool(std::size_t threads, std::string log_context)
 WorkerPool::~WorkerPool() { stop(); }
 
 void WorkerPool::submit(Task task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    queue_.push_back(std::move(task));
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (stopping_) return;
+  if (threads_.empty()) {
+    lock.unlock();
+    task();  // caller-runs: the zero-worker pool
+    return;
   }
+  queue_.push_back(std::move(task));
+  lock.unlock();
   wake_.notify_one();
 }
 
@@ -38,6 +44,7 @@ void WorkerPool::stop() {
 
 void WorkerPool::worker_main() {
   if (!log_context_.empty()) set_log_context(log_context_);
+  if (recorder_ != nullptr) recorder_->label_thread("worker");
   for (;;) {
     Task task;
     {

@@ -154,10 +154,10 @@ void FlightRecorder::record_now(FlightEventType type, std::uint64_t a, std::uint
 }
 
 void FlightRecorder::label_thread(std::string_view label) {
-  Ring& ring = ring_for_this_thread();
-  const std::size_t n = std::min(label.size(), ring.label.size() - 1);
-  std::memcpy(ring.label.data(), label.data(), n);
-  ring.label[n] = '\0';
+  for (const TlsEntry& entry : tls_rings) {
+    if (entry.owner == this) return;  // already registered: labels are immutable
+  }
+  register_thread(label);
 }
 
 FlightRecorder::Ring& FlightRecorder::ring_for_this_thread() {
@@ -167,7 +167,7 @@ FlightRecorder::Ring& FlightRecorder::ring_for_this_thread() {
   return *register_thread();
 }
 
-FlightRecorder::Ring* FlightRecorder::register_thread() {
+FlightRecorder::Ring* FlightRecorder::register_thread(std::string_view label) {
   const std::uint64_t tag = this_thread_tag();
   Ring* ring = nullptr;
   {
@@ -181,8 +181,11 @@ FlightRecorder::Ring* FlightRecorder::register_thread() {
         rings_[count] = std::make_unique<Ring>(capacity_);
         ring = rings_[count].get();
         ring->thread_tag = tag;
-        // Publish after the ring is fully constructed: snapshot() and the
-        // signal handler iterate [0, ring_count) against this release.
+        const std::size_t n = std::min(label.size(), ring->label.size() - 1);
+        std::memcpy(ring->label.data(), label.data(), n);
+        // Publish after the ring is fully constructed, label included:
+        // snapshot() and the signal handler iterate [0, ring_count) against
+        // this release.
         ring_count_.store(count + 1, std::memory_order_release);
       } else {
         // Past the cap, threads share rings round-robin; fetch_add heads

@@ -109,8 +109,12 @@ class FlightRecorder {
   // Convenience overload that self-stamps with steady_now_micros().
   void record_now(FlightEventType type, std::uint64_t a = 0, std::uint64_t b = 0);
 
-  // Names the calling thread's ring in dumps ("loop", "verify0", "wal", …).
-  // Truncated to 15 chars. Call once, before or after the first record.
+  // Names the calling thread's ring in dumps ("loop", "worker", "wal", …).
+  // Truncated to 15 chars. The label is written when the ring is registered,
+  // before the ring is published to readers, and never changes afterwards:
+  // call this before the thread's first record. Once the thread has a ring
+  // (labelled or not) the call is a no-op, so concurrent snapshots never
+  // read a label mid-write.
   void label_thread(std::string_view label);
 
   // Merged chronological view of every ring (oldest surviving event first).
@@ -155,7 +159,7 @@ class FlightRecorder {
     explicit Ring(std::size_t capacity) : slots(capacity) {}
     std::atomic<std::uint64_t> head{0};
     std::uint64_t thread_tag = 0;
-    std::array<char, 16> label{};  // NUL-terminated; written before events
+    std::array<char, 16> label{};  // NUL-terminated; immutable once published
     std::vector<Slot> slots;
   };
 
@@ -164,7 +168,9 @@ class FlightRecorder {
   static constexpr std::size_t kMaxRings = 64;
 
   Ring& ring_for_this_thread();
-  Ring* register_thread();
+  // Finds or registers the calling thread's ring; a newly registered ring
+  // carries `label` from before its publication.
+  Ring* register_thread(std::string_view label = {});
   void append_ring_events(const Ring& ring, std::uint32_t index,
                           std::vector<FlightEvent>& out) const;
 

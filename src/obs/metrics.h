@@ -5,7 +5,7 @@
 //
 //   * The hot path is one relaxed atomic add. Counters and histograms stripe
 //     their cells across kMetricShards cache-line-padded shards indexed by a
-//     per-thread stripe id, so the loop thread, verify/scan workers, and the
+//     per-thread stripe id, so the loop thread, the worker pool, and the
 //     WAL writer never contend on the same line. There is no lock anywhere on
 //     the write path.
 //   * Reads merge. value()/snapshot() sum the shards; they are approximate
@@ -43,7 +43,7 @@
 namespace mahimahi::obs {
 
 // Power of two; 16 stripes is enough that the handful of threads a validator
-// runs (loop, 2-4 verify/scan workers, WAL writer, checkpoint writer) rarely
+// runs (loop, 2-4 pool workers, WAL writer, exec merge thread) rarely
 // share a stripe, at 1 KiB per counter.
 inline constexpr std::size_t kMetricShards = 16;
 

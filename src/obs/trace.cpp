@@ -11,9 +11,7 @@ const char* stage_name(Stage stage) {
     case Stage::kCryptoVerify: return "crypto_verify";
     case Stage::kInsertQueue: return "insert_queue";
     case Stage::kDagInsert: return "dag_insert";
-    case Stage::kCommitScan: return "commit_scan";
     case Stage::kCommitWait: return "commit_wait";
-    case Stage::kApply: return "apply";
     case Stage::kWalDurable: return "wal_durable";
     case Stage::kExecute: return "execute";
     case Stage::kCount: break;

@@ -4,8 +4,8 @@
 // The pipeline stages, in wire-to-state order:
 //
 //   ingress decode -> structural check -> crypto verify -> insert queue ->
-//   DAG insert -> commit scan -> commit wait -> apply/linearize ->
-//   WAL durable -> execution
+//   DAG insert (commit rule included) -> commit wait -> WAL durable ->
+//   execution
 //
 // plus an end-to-end finality histogram (client submit stamp -> commit on
 // this validator) weighted by transaction count, the distribution the
@@ -39,9 +39,7 @@ enum class Stage : std::size_t {
   kCryptoVerify,   // signature verification (batch-amortized per block)
   kInsertQueue,    // verified on worker -> picked up by the loop thread
   kDagInsert,      // core on_blocks step (DAG insert + block production)
-  kCommitScan,     // off-loop commit-rule scan duration
   kCommitWait,     // DAG insert -> commit decision applied (per committed block)
-  kApply,          // apply_commit_decisions / linearization duration
   kWalDurable,     // WAL append -> group-commit durability ack
   kExecute,        // committed sub-dag handed to execution -> applied
   kCount,

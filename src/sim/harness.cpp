@@ -11,7 +11,6 @@
 #include "checkpoint/segmented_wal.h"
 #include "client/kv_batches.h"
 #include "common/log.h"
-#include "core/commit_scanner.h"
 #include "exec/access.h"
 #include "exec/engine.h"
 #include "obs/trace.h"
@@ -109,8 +108,6 @@ struct SimHarness::Impl {
     wals.resize(config.n);
     seg_wals.assign(config.n, nullptr);
     wal_stages.resize(config.n);
-    scanners.resize(config.n);
-    scan_scheduled.assign(config.n, 0);
     ckpts.resize(config.n);
     ckpt_stores.resize(config.n);
     execs.resize(config.n);
@@ -121,7 +118,6 @@ struct SimHarness::Impl {
         continue;
       }
       nodes.push_back(make_node(v));
-      scanners[v] = make_scanner(v);
       if (!config.wal_dir.empty()) open_wal(v);
       if (config.execute_app) execs[v] = std::make_unique<ExecNode>();
     }
@@ -190,20 +186,8 @@ struct SimHarness::Impl {
       vc.signature_cache = verifier_cache;
     }
     vc.byzantine_equivocate = v < config.equivocators;
-    vc.parallel_commit = config.parallel_commit;
     return std::make_unique<ValidatorCore>(setup.committee,
                                            setup.keypairs[v].private_key, vc);
-  }
-
-  // The off-loop evaluation replica for `v` — nullptr when the core commits
-  // inline (parallel_commit off, or a committer_factory variant like Tusk).
-  // Seeded from the core's current DAG and consumption head, so it works
-  // both at startup (genesis only) and after a WAL replay (restart()).
-  std::unique_ptr<CommitScanner> make_scanner(ValidatorId v) {
-    if (!nodes[v]->parallel_commit_active()) return nullptr;
-    return std::make_unique<CommitScanner>(nodes[v]->dag(),
-                                           nodes[v]->committer().next_pending_slot(),
-                                           setup.committee, options_for(config));
   }
 
   std::string wal_path(ValidatorId v) const {
@@ -386,13 +370,6 @@ struct SimHarness::Impl {
       for (const auto& block : actions.inserted) mem_logs[v].push_back(block);
     }
 
-    // Parallel commit: feed the replica and schedule the off-loop scan — the
-    // sim analogue of the TCP runtime's worker handoff.
-    if (scanners[v] != nullptr && !actions.inserted.empty()) {
-      scanners[v]->ingest(actions.inserted);
-      schedule_commit_scan(v);
-    }
-
     // Checkpoint & state sync: horizon notices travel like any small
     // message; catch-up requests pull the serving peer's latest snapshot.
     for (const auto& notice : actions.horizon_notices) {
@@ -568,8 +545,7 @@ struct SimHarness::Impl {
 
   // The receiving side of snapshot catch-up: the real chain codec and
   // verification over the wire bytes (the newest cut reconstructed from base
-  // plus deltas), then the core install and a scanner reseed (the replica
-  // predates the installed DAG). Sim chains travel uncertified — the cuts
+  // plus deltas), then the core install. Sim chains travel uncertified — the cuts
   // are horizon-triggered, not canonical boundary cuts — so this always
   // exercises the legacy-trust install path.
   void install_snapshot(ValidatorId client, const Bytes& encoded) {
@@ -591,7 +567,6 @@ struct SimHarness::Impl {
     Actions actions = nodes[client]->install_checkpoint(data, queue.now());
     if (nodes[client]->committer().next_pending_slot() <= before) return;  // stale
     snapshot_catchups->add();
-    scanners[client] = make_scanner(client);
     if (config.execute_app && execs[client] != nullptr && !data.app_state.empty()) {
       // State jump: in-flight and queued sub-DAGs are all below the new
       // horizon (the core just skipped past them), so drop them and restore
@@ -638,20 +613,6 @@ struct SimHarness::Impl {
     const auto gated = std::move(stage.gated_broadcasts);
     stage.gated_broadcasts.clear();
     for (const auto& group : gated) dispatch_broadcast(v, group);
-  }
-
-  void schedule_commit_scan(ValidatorId v) {
-    if (scan_scheduled[v]) return;  // collapses bursts, like the verify drain
-    scan_scheduled[v] = 1;
-    queue.schedule_after(config.commit_scan_delay, [this, v] { run_commit_scan(v); });
-  }
-
-  void run_commit_scan(ValidatorId v) {
-    scan_scheduled[v] = 0;
-    if (!running(v) || scanners[v] == nullptr) return;
-    auto decisions = scanners[v]->scan();
-    if (decisions.empty()) return;
-    handle_actions(v, nodes[v]->apply_commit_decisions(decisions, queue.now()));
   }
 
   void record_commits(ValidatorId v, const CommittedSubDag& sub_dag) {
@@ -798,7 +759,6 @@ struct SimHarness::Impl {
     if (!running(v)) return;
     down[v] = 1;
     nodes[v].reset();
-    scanners[v].reset();  // the replica dies with the process
     inboxes[v].clear();   // in-flight deliveries die with the process
     // The staged group-commit tail dies with the process: records that never
     // flushed are not durable, and the broadcasts they gated never happened.
@@ -918,11 +878,6 @@ struct SimHarness::Impl {
     } else {
       for (const auto& block : mem_logs[v]) replay_one(block);
     }
-
-    // Replay committed inline (recover_block always does); the fresh replica
-    // resumes from the recovered DAG and head, exactly like the TCP runtime
-    // reseeding its scanner after a WAL replay.
-    scanners[v] = make_scanner(v);
 
     // Re-arm the driver loops that died while the validator was down.
     queue.schedule_after(0, [this, v] { tick(v); });
@@ -1090,9 +1045,6 @@ struct SimHarness::Impl {
   std::vector<std::deque<IngestBlock>> inboxes;   // batched same-time deliveries
   std::vector<char> inbox_scheduled;
   std::vector<char> down;                         // RestartSpec crash state
-  // Parallel commit: per-validator replica scanner + pending-scan-event flag.
-  std::vector<std::unique_ptr<CommitScanner>> scanners;
-  std::vector<char> scan_scheduled;
   // Per validator, when wal_dir is set: monolithic FileWal, or SegmentedWal
   // (seg_wals holds the downcast) when the run models checkpointing.
   std::vector<std::unique_ptr<FramedWal>> wals;

@@ -158,19 +158,6 @@ struct SimConfig {
   // share a process; crypto cost is measured by the micro benches).
   bool verify_crypto = false;
 
-  // Off-loop commit evaluation (ValidatorConfig::parallel_commit): each
-  // validator's commit-rule scan runs as a separate deferred event against a
-  // harness-owned replica (core/commit_scanner.h), mirroring the TCP
-  // runtime's worker handoff — decisions post back through
-  // ValidatorCore::apply_commit_decisions. Decisions are final, so the
-  // commit sequence is identical to the inline mode; only event ordering
-  // (and, with a nonzero delay, commit timing) differs. Ignored for Tusk
-  // (committer_factory overrides fall back to inline evaluation).
-  bool parallel_commit = false;
-  // Simulated lag between an insertion and the scan event it schedules:
-  // 0 = same-instant (sequences and metrics bit-identical to serial mode).
-  TimeMicros commit_scan_delay = 0;
-
   // Mahi-Mahi committer options are derived from `protocol` and
   // `leaders_per_round`; override here if non-default shapes are needed.
   std::optional<CommitterOptions> committer_override;

@@ -70,12 +70,6 @@ struct ValidatorConfig {
   // batch; with wal_group_commit it is one fsync per group on the writer
   // thread. Off by default: tests and the simulator model process crashes.
   bool wal_fsync = false;
-  // Encode outbound block frames (proposal broadcasts, fetch responses,
-  // anti-entropy offers) on the worker pool instead of the loop thread; each
-  // block is encoded once into a shared immutable frame and every per-peer
-  // send holds a refcounted view. Forced off when the driver has no worker
-  // pool (NodeRuntimeConfig::verify_threads = 0).
-  bool egress_offload = true;
 
   // --- Checkpoint & state sync (checkpoint/) --------------------------------
   //
@@ -106,20 +100,9 @@ struct ValidatorConfig {
   // horizon-triggered and uncertified (legacy trust path only).
   bool checkpoint_certify = true;
 
-  // Off-loop commit evaluation. When set (and no committer_factory
-  // overrides the default committer), input handlers stop running the
-  // commit-rule scan inline: the driver owns a core/commit_scanner.h replica
-  // fed from Actions::inserted, runs Committer::scan() off the core's thread
-  // (worker pool in the TCP runtime, deferred event in the simulator), and
-  // posts the decisions back through ValidatorCore::apply_commit_decisions().
-  // Drivers without that plumbing must leave this off — blocks would insert
-  // but never commit. WAL replay (recover_block) always commits inline: it
-  // runs single-threaded before any driver thread exists.
-  bool parallel_commit = false;
-
   // --- Execution (exec/) ---------------------------------------------------
   //
-  // Drivers' policy, like the offload knobs above: when set, the driver owns
+  // Drivers' policy, like the write-side knobs above: when set, the driver owns
   // a deterministic KV execution engine fed by the commit stream — committed
   // batches apply to the replicated state machine, finality stamps move from
   // commit time to execution-delivery time, and `mm_exec_*` counters appear

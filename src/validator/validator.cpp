@@ -23,11 +23,9 @@ ValidatorCore::ValidatorCore(const Committee& committee, crypto::Ed25519PrivateK
                    ? config.mempool_instance
                    : std::make_shared<ShardedMempool>(config.mempool)) {
   if (!config.committer_factory) {
-    // Without a factory override the committer is the split/restore-capable
-    // default built above; custom commit rules keep the inline path and
-    // cannot checkpoint.
+    // Without a factory override the committer is the restore-capable
+    // default built above; custom commit rules cannot checkpoint.
     default_committer_ = static_cast<Committer*>(committer_.get());
-    if (config_.parallel_commit) split_committer_ = default_committer_;
   }
   own_last_ref_ = dag_.slot(0, config_.id).front()->ref();  // own genesis
   // Genesis blocks of every validator start as tips.
@@ -98,12 +96,7 @@ Actions ValidatorCore::recover_block(BlockPtr block) {
   dag_.insert(block);
   note_inserted(block);
   actions.inserted.push_back(block);
-  // Replay always commits inline, even in parallel-commit mode: recovery is
-  // single-threaded and runs before the driver's scanner exists (drivers
-  // seed the scanner from the recovered DAG + head afterwards).
-  auto committed = committer_->try_commit();
-  for (auto& sub_dag : committed) actions.committed.push_back(std::move(sub_dag));
-  maybe_gc(actions);
+  commit_and_gc(actions);
   return actions;
 }
 
@@ -195,24 +188,10 @@ Actions ValidatorCore::on_blocks(std::vector<IngestBlock> items, TimeMicros now)
 }
 
 void ValidatorCore::commit_and_gc(Actions& actions) {
-  // In parallel-commit mode the scan belongs to the driver's scanner; the
-  // commits land later through apply_commit_decisions().
-  if (split_committer_ != nullptr) return;
-  auto committed = committer_->try_commit();
-  for (auto& sub_dag : committed) actions.committed.push_back(std::move(sub_dag));
-  maybe_gc(actions);
-}
-
-Actions ValidatorCore::apply_commit_decisions(const std::vector<SlotDecision>& decisions,
-                                              TimeMicros now) {
-  (void)now;  // commits are clock-free; the signature matches the other inputs
-  Actions actions;
-  if (split_committer_ == nullptr) return actions;
-  for (auto& sub_dag : split_committer_->apply(decisions)) {
+  for (auto& sub_dag : committer_->try_commit()) {
     actions.committed.push_back(std::move(sub_dag));
   }
   maybe_gc(actions);
-  return actions;
 }
 
 void ValidatorCore::admit(BlockPtr block, ValidatorId from, TimeMicros now,

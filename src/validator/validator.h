@@ -67,14 +67,6 @@ class ValidatorCore {
   // side-channel (off-loop admission): re-checks the proposal rule only.
   Actions on_mempool_ready(TimeMicros now);
 
-  // Parallel-commit apply step: consumes commit decisions produced by the
-  // driver-owned scanner (core/commit_scanner.h) — linearizes committed
-  // sub-DAGs against the full local DAG, advances the consumption head, and
-  // garbage-collects off the new head. Decisions must arrive in scan order;
-  // already-consumed slots are skipped. No-op unless parallel_commit_active().
-  Actions apply_commit_decisions(const std::vector<SlotDecision>& decisions,
-                                 TimeMicros now);
-
   // A peer requests blocks we may hold.
   Actions on_fetch_request(const std::vector<BlockRef>& refs, ValidatorId from,
                            TimeMicros now);
@@ -115,9 +107,7 @@ class ValidatorCore {
   // checkpoint before segment replay) and snapshot catch-up (a peer's
   // checkpoint received off the wire — run checkpoint/checkpoint.h
   // verify_checkpoint first). No-op when the checkpoint is not ahead of this
-  // validator or a custom committer_factory rule is active. In
-  // parallel-commit mode the driver must rebuild its scanner afterwards: the
-  // replica it fed no longer matches the installed DAG.
+  // validator or a custom committer_factory rule is active.
   Actions install_checkpoint(const CheckpointData& data, TimeMicros now);
 
   // Can this core capture/install checkpoints? True for the default
@@ -134,10 +124,6 @@ class ValidatorCore {
   ValidatorId id() const { return config_.id; }
   const Dag& dag() const { return dag_; }
   const CommitterBase& committer() const { return *committer_; }
-  // Is commit evaluation delegated to a driver-owned scanner? True when
-  // config.parallel_commit is set and the default (split-capable) committer
-  // is in use; custom committer_factory rules always evaluate inline.
-  bool parallel_commit_active() const { return split_committer_ != nullptr; }
   const ValidatorConfig& config() const { return config_; }
   Round last_proposed_round() const { return last_proposed_round_; }
   // Is this digest in the DAG or parked in the synchronizer? Drivers use it
@@ -159,9 +145,7 @@ class ValidatorCore {
   // Pipeline stage: admits one crypto-cleared block through the
   // synchronizer, collecting fetch requests and insertions into `actions`.
   void admit(BlockPtr block, ValidatorId from, TimeMicros now, Actions& actions);
-  // Inline commit + GC after insertions — the serial path. In parallel-
-  // commit mode this is a no-op: the driver's scanner runs the scan and
-  // commits land through apply_commit_decisions() instead.
+  // Commit evaluation + GC after insertions: try_commit, then maybe_gc.
   void commit_and_gc(Actions& actions);
   // Proposes if the advance condition holds; appends to `actions`.
   void maybe_propose(TimeMicros now, Actions& actions);
@@ -187,11 +171,8 @@ class ValidatorCore {
   Dag dag_;
   std::unique_ptr<CommitterBase> committer_;
   // Non-null iff no committer_factory override is set: the owned committer_,
-  // downcast to the default type, for the split/restore APIs.
+  // downcast to the default type, for the checkpoint restore API.
   Committer* default_committer_ = nullptr;
-  // Non-null iff parallel commit is active (default committer + the
-  // parallel_commit flag): apply_commit_decisions() consumes through it.
-  Committer* split_committer_ = nullptr;
   Synchronizer synchronizer_;
   std::shared_ptr<ShardedMempool> mempool_;
 

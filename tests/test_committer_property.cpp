@@ -14,7 +14,6 @@
 #include <set>
 
 #include "common/env.h"
-#include "core/commit_scanner.h"
 #include "core/committer.h"
 #include "sim/dag_builder.h"
 
@@ -238,86 +237,6 @@ TEST_P(CommitterProperty, AtMostOneCommitPerSlot) {
   for (const auto& decision : committer.decided_sequence()) {
     EXPECT_TRUE(seen.insert(decision.slot).second)
         << "slot decided twice: " << decision.slot.to_string();
-  }
-}
-
-// Serial try_commit() and the off-loop split (CommitScanner replica scan on
-// one side, Committer::apply on the other) must produce byte-identical
-// committed sub-DAG sequences — over randomized causal insertion orders,
-// randomized batch boundaries, and randomized scan lag (the scanner skips
-// scans, so its replica evaluates against a different DAG growth history
-// than the serial committer ever saw).
-TEST_P(CommitterProperty, SplitEvaluationMatchesSerial) {
-  const ModelParams params = GetParam();
-  const CommitterOptions options{.wave_length = params.wave_length,
-                                 .leaders_per_round = params.leaders};
-
-  for (std::uint64_t seed = 1; seed <= property_iters(3); ++seed) {
-    const auto global = build_global_dag(params, seed * 7 + 1);
-    if (::testing::Test::HasFatalFailure()) return;
-    Rng rng(seed * 131 + 5);
-
-    // A causal insertion stream: rounds ascending (every parent precedes its
-    // children), random order within a round.
-    std::vector<BlockPtr> stream;
-    for (Round r = 1; r <= params.rounds; ++r) {
-      auto blocks = global->dag().blocks_at(r);
-      std::shuffle(blocks.begin(), blocks.end(), rng);
-      stream.insert(stream.end(), blocks.begin(), blocks.end());
-    }
-
-    Dag serial_dag(global->committee());
-    Committer serial(serial_dag, global->committee(), options);
-    Dag live(global->committee());
-    Committer core(live, global->committee(), options);
-    CommitScanner scanner(live, core.next_pending_slot(), global->committee(),
-                          options);
-
-    std::vector<BlockRef> serial_seq, split_seq;
-    const auto collect = [](std::vector<BlockRef>& out,
-                            const std::vector<CommittedSubDag>& sub_dags) {
-      for (const auto& sub_dag : sub_dags) {
-        for (const auto& block : sub_dag.blocks) out.push_back(block->ref());
-      }
-    };
-
-    std::size_t i = 0;
-    while (i < stream.size()) {
-      const std::size_t take = 1 + rng.uniform(8);
-      std::vector<BlockPtr> batch;
-      for (; i < stream.size() && batch.size() < take; ++i) {
-        batch.push_back(stream[i]);
-      }
-      for (const auto& block : batch) {
-        serial_dag.insert(block);
-        live.insert(block);
-      }
-      collect(serial_seq, serial.try_commit());  // serial evaluates every batch
-      scanner.ingest(batch);
-      if (rng.uniform(3) != 0) {  // the off-loop scan randomly lags behind
-        collect(split_seq, core.apply(scanner.scan()));
-      }
-    }
-    collect(split_seq, core.apply(scanner.scan()));  // flush the lag
-
-    ASSERT_EQ(serial_seq.size(), split_seq.size())
-        << params.label() << " seed " << seed;
-    for (std::size_t k = 0; k < serial_seq.size(); ++k) {
-      ASSERT_EQ(serial_seq[k], split_seq[k])
-          << params.label() << " seed " << seed << " diverges at " << k;
-    }
-
-    // The decided logs agree slot by slot, outcome and all.
-    const auto& serial_log = serial.decided_sequence();
-    const auto& split_log = core.decided_sequence();
-    ASSERT_EQ(serial_log.size(), split_log.size()) << params.label();
-    for (std::size_t k = 0; k < serial_log.size(); ++k) {
-      EXPECT_TRUE(same_outcome(serial_log[k], split_log[k]))
-          << params.label() << " slot " << serial_log[k].to_string() << " vs "
-          << split_log[k].to_string();
-    }
-    EXPECT_EQ(serial.next_pending_slot(), core.next_pending_slot());
-    EXPECT_EQ(core.next_pending_slot(), scanner.next_pending_slot());
   }
 }
 

@@ -7,11 +7,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <thread>
 
 #include "client/kv_batches.h"
 #include "net/node_runtime.h"
@@ -196,6 +199,198 @@ TEST(EventLoop, CancelledTimerDoesNotFire) {
   runner.join();
 }
 
+TEST(EventLoop, LoopThreadPostsRunBeforeTheLoopBlocks) {
+  // Loop-thread posts skip the wakeup write; the drain must still run them —
+  // including a post made from inside a posted task, and one made from a
+  // timer — in the same iteration, without another epoll_wait.
+  EventLoop loop;
+  std::thread runner([&] { loop.run(); });
+  std::vector<int> order;  // touched on the loop thread only
+  std::uint64_t waits_before = 0, waits_after = 0;
+  std::atomic<bool> posted_chain_done{false};
+  loop.post([&] {  // cross-thread: wakes the loop
+    waits_before = loop.wait_syscalls();
+    order.push_back(1);
+    loop.post([&] {
+      order.push_back(2);
+      loop.post([&] {
+        order.push_back(3);
+        waits_after = loop.wait_syscalls();
+        posted_chain_done = true;
+      });
+    });
+  });
+  const bool posted_chain_ran = wait_for([&] { return posted_chain_done.load(); });
+
+  std::uint64_t timer_waits = 0, timer_post_waits = 0;
+  std::atomic<bool> timer_chain_done{false};
+  loop.post([&] {
+    loop.schedule(millis(5), [&] {
+      timer_waits = loop.wait_syscalls();
+      loop.post([&] {
+        timer_post_waits = loop.wait_syscalls();
+        timer_chain_done = true;
+      });
+    });
+  });
+  const bool timer_chain_ran = wait_for([&] { return timer_chain_done.load(); });
+  loop.stop();
+  runner.join();
+  ASSERT_TRUE(posted_chain_ran);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(waits_after, waits_before);
+  ASSERT_TRUE(timer_chain_ran);
+  EXPECT_EQ(timer_post_waits, timer_waits);
+}
+
+TEST(WorkerPool, ZeroThreadsRunTasksOnTheCallerUntilStopped) {
+  WorkerPool pool(0);
+  EXPECT_EQ(pool.thread_count(), 0u);
+  int runs = 0;
+  std::thread::id ran_on;
+  pool.submit([&] {
+    ++runs;
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(runs, 1);  // ran before submit() returned
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  pool.stop();
+  pool.submit([&] { ++runs; });
+  EXPECT_EQ(runs, 1);  // discarded after stop(), as with threads
+}
+
+TEST(SerialDrain, OneDrainAtATimeInEnqueueOrder) {
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
+    WorkerPool pool(threads);
+    std::mutex mutex;
+    std::vector<int> seen;
+    std::size_t largest_chunk = 0;
+    std::atomic<int> active{0};
+    std::atomic<bool> overlapped{false};
+    SerialDrain<int> drain(
+        pool,
+        [&](std::vector<int> chunk) {
+          if (active.fetch_add(1) != 0) overlapped = true;
+          {
+            std::lock_guard<std::mutex> g(mutex);
+            largest_chunk = std::max(largest_chunk, chunk.size());
+            seen.insert(seen.end(), chunk.begin(), chunk.end());
+          }
+          active.fetch_sub(1);
+        },
+        [] { return std::size_t{3}; });
+    // Producers race each other; each one's items must stay in order.
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 3; ++p) {
+      producers.emplace_back([&drain, p] {
+        for (int i = 0; i < 100; ++i) drain.push({p * 1000 + i});
+      });
+    }
+    for (auto& producer : producers) producer.join();
+    const bool all_seen = wait_for([&] {
+      std::lock_guard<std::mutex> g(mutex);
+      return seen.size() == 300;
+    });
+    pool.stop();  // joins the drain before `drain` goes out of scope
+    ASSERT_TRUE(all_seen) << threads << " threads";
+    std::lock_guard<std::mutex> g(mutex);
+    EXPECT_FALSE(overlapped.load()) << threads << " threads";
+    EXPECT_LE(largest_chunk, 3u);
+    std::vector<int> last(3, -1);
+    for (const int item : seen) {
+      EXPECT_EQ(item % 1000, last[item / 1000] + 1) << "producer " << item / 1000;
+      last[item / 1000] = item % 1000;
+    }
+  }
+}
+
+TEST(SerialDrain, ZeroWorkerDrainFinishesReentrantPushesBeforeReturning) {
+  WorkerPool pool(0);
+  std::vector<int> seen;
+  SerialDrain<int>* self = nullptr;
+  SerialDrain<int> drain(pool, [&](std::vector<int> chunk) {
+    for (const int item : chunk) {
+      seen.push_back(item);
+      if (item < 3) self->push({item + 1});  // queued; the running drain takes it
+    }
+  });
+  self = &drain;
+  drain.push({0});
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SerialDrain, BoundedPushShedsAtTheBound) {
+  WorkerPool pool(1);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<bool> draining{false};
+  std::vector<int> seen;
+  SerialDrain<int> drain(pool, [&](std::vector<int> chunk) {
+    draining = true;
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return released; });
+    seen.insert(seen.end(), chunk.begin(), chunk.end());
+  });
+  ASSERT_TRUE(drain.push_bounded(0, 3));
+  EXPECT_TRUE(wait_for([&] { return draining.load(); }));  // 0 taken, drain held
+  EXPECT_TRUE(drain.push_bounded(1, 3));
+  EXPECT_TRUE(drain.push_bounded(2, 3));
+  EXPECT_TRUE(drain.push_bounded(3, 3));
+  EXPECT_FALSE(drain.push_bounded(4, 3));  // three already waiting: shed
+  {
+    std::lock_guard<std::mutex> g(mutex);
+    released = true;
+  }
+  cv.notify_all();
+  const bool all_seen = wait_for([&] {
+    std::lock_guard<std::mutex> g(mutex);
+    return seen.size() == 4;
+  });
+  pool.stop();  // joins the drain before `drain` goes out of scope
+  ASSERT_TRUE(all_seen);
+  std::lock_guard<std::mutex> g(mutex);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(FlightRecorderRace, LabelsArePublishedWithTheirRing) {
+  // Writers label and record while a reader snapshots continuously (a TSan
+  // target: the label must be written before the ring is published). A
+  // ring is never visible without its label, and a second label_thread on a
+  // registered ring changes nothing.
+  obs::FlightRecorder recorder(obs::FlightRecorder::Options{256});
+  constexpr int kWriters = 4;
+  std::atomic<bool> writers_done{false};
+  std::atomic<std::uint64_t> mislabelled{0};
+  std::thread reader([&] {
+    while (!writers_done.load()) {
+      const Bytes dump = recorder.snapshot_binary();
+      for (const auto& event : obs::FlightRecorder::decode({dump.data(), dump.size()})) {
+        if (event.label != "writer" + std::to_string(event.a)) mislabelled.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&recorder, t] {
+      recorder.label_thread("writer" + std::to_string(t));
+      for (std::uint64_t i = 0; i < 2000; ++i) {
+        recorder.record(obs::FlightEventType::kBlockAdmit, static_cast<TimeMicros>(i),
+                        static_cast<std::uint64_t>(t), i);
+        if (i == 1000) recorder.label_thread("relabelled");  // no-op
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  writers_done = true;
+  reader.join();
+  EXPECT_EQ(mislabelled.load(), 0u);
+  EXPECT_EQ(recorder.ring_count(), static_cast<std::size_t>(kWriters));
+  for (const auto& event : recorder.snapshot()) {
+    EXPECT_EQ(event.label, "writer" + std::to_string(event.a));
+  }
+}
+
 TEST(Tcp, EchoRoundTrip) {
   EventLoop loop;
   std::mutex mutex;
@@ -270,9 +465,7 @@ class TcpClusterTest : public ::testing::Test {
     config.wal_path = wal_path;
     config.verify_threads = verify_threads_;
     config.validator.signature_cache = shared_cache_;
-    config.validator.parallel_commit = parallel_commit_;
     config.validator.wal_group_commit = wal_group_commit_;
-    config.validator.egress_offload = egress_offload_;
     config.validator.execute_app = execute_app_;
     config.validator.execution_threads = execution_threads_;
     config.admin_port = admin_port_;
@@ -282,17 +475,14 @@ class TcpClusterTest : public ::testing::Test {
                                          setup_.keypairs[v].private_key, config);
   }
 
-  // Worker-pool ingestion by default; tests may set 0 for the inline path.
+  // Worker-pool stages by default; 0 runs the same stages on the loop thread.
   std::size_t verify_threads_ = 2;
   // Checkpoint subsystem knobs (off by default — no behavior change).
   Round gc_depth_ = 0;
   Round checkpoint_interval_ = 0;
   TimeMicros min_round_delay_ = millis(5);
-  // Off-loop commit evaluation (scan on the worker pool, apply on the loop).
-  bool parallel_commit_ = false;
-  // Write-side offload knobs (egress offload is the production default).
+  // Write-side knob: the group-commit WAL writer thread.
   bool wal_group_commit_ = false;
-  bool egress_offload_ = true;
   // Execution engine (off by default); threads > 0 runs its merge thread.
   bool execute_app_ = false;
   std::size_t execution_threads_ = 0;
@@ -661,10 +851,19 @@ TEST_F(TcpClusterTest, SharedVerifierCacheSkipsRepeatVerification) {
 }
 
 TEST_F(TcpClusterTest, InlineVerificationCommitsIdentically) {
-  // verify_threads = 0: decode + crypto run on the loop thread; the cluster
-  // must behave the same (the pipeline stages are placement-agnostic).
+  // verify_threads = 0: a caller-runs pool, so the same staged code — decode,
+  // the crypto stage, egress encode — runs on the loop thread. The cluster
+  // must commit and agree exactly as with workers.
   verify_threads_ = 0;
   auto nodes = make_cluster();
+  std::mutex mutex;
+  std::vector<std::vector<BlockRef>> sequences(4);
+  for (ValidatorId v = 0; v < 4; ++v) {
+    nodes[v]->set_commit_handler([&, v](const CommittedSubDag& sub_dag) {
+      std::lock_guard<std::mutex> g(mutex);
+      for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
+    });
+  }
   for (auto& node : nodes) node->start();
   TxBatch batch;
   batch.id = 55;
@@ -677,11 +876,29 @@ TEST_F(TcpClusterTest, InlineVerificationCommitsIdentically) {
     return true;
   }));
   for (auto& node : nodes) node->stop();
-  // Inline ingestion pays crypto inside the core: verified, not preverified.
   for (const auto& node : nodes) {
+    // Every peer block went through the crypto stage before the core: the
+    // core never verified one itself.
     const IngestStats stats = node->ingest_stats();
-    EXPECT_GT(stats.verified, 0u) << "node " << node->id();
-    EXPECT_EQ(stats.preverified, 0u);
+    EXPECT_GT(stats.preverified, 0u) << "node " << node->id();
+    EXPECT_EQ(stats.verified, 0u) << "node " << node->id();
+    EXPECT_GT(node->egress_frames_encoded(), 0u) << "node " << node->id();
+    // The stages ran on the loop thread without relabelling its ring.
+    bool saw_admit = false;
+    for (const auto& event : node->flight_recorder().snapshot()) {
+      EXPECT_EQ(event.label, "loop") << obs::flight_event_name(event.type);
+      saw_admit |= event.type == obs::FlightEventType::kBlockAdmit;
+    }
+    EXPECT_TRUE(saw_admit) << "node " << node->id();
+  }
+  std::lock_guard<std::mutex> g(mutex);
+  for (int i = 1; i < 4; ++i) {
+    const std::size_t common = std::min(sequences[0].size(), sequences[i].size());
+    ASSERT_GT(common, 0u);
+    for (std::size_t k = 0; k < common; ++k) {
+      ASSERT_EQ(sequences[0][k], sequences[i][k])
+          << "node 0 and node " << i << " diverge at position " << k;
+    }
   }
 }
 
@@ -744,57 +961,6 @@ TEST_F(TcpClusterTest, CommitSequencesAgreeAcrossNodes) {
   }
 }
 
-TEST_F(TcpClusterTest, ParallelCommitClusterAgreesAndKeepsScanOffLoop) {
-  // The cross-thread committer handoff under real sockets: insertion stream
-  // → worker-side replica scan → posted decisions → loop-thread apply. The
-  // sanitizer CI matrix runs this under TSan; functionally, all nodes must
-  // commit the same sequences and every commit must come through the
-  // off-loop path (scans on workers, apply batches on the loop thread).
-  parallel_commit_ = true;
-  auto nodes = make_cluster();
-  std::mutex mutex;
-  std::vector<std::vector<BlockRef>> sequences(4);
-  for (ValidatorId v = 0; v < 4; ++v) {
-    nodes[v]->set_commit_handler([&, v](const CommittedSubDag& sub_dag) {
-      std::lock_guard<std::mutex> g(mutex);
-      for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
-    });
-  }
-  for (auto& node : nodes) node->start();
-  for (ValidatorId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(nodes[v]->parallel_commit_active());
-    TxBatch batch;
-    batch.id = 500 + v;
-    batch.count = 20;
-    nodes[v]->submit({batch});
-  }
-  EXPECT_TRUE(wait_for([&] {
-    for (const auto& node : nodes) {
-      if (node->committed_transactions() < 80) return false;
-    }
-    return true;
-  })) << "committed: " << nodes[0]->committed_transactions();
-  for (auto& node : nodes) node->stop();
-
-  for (const auto& node : nodes) {
-    // Every commit went through the split path: worker scans happened, and
-    // the loop thread consumed at least one posted decision batch.
-    EXPECT_GT(node->commit_scans(), 0u) << "node " << node->id();
-    EXPECT_GT(node->commit_batches_applied(), 0u) << "node " << node->id();
-    EXPECT_GT(node->committed_blocks(), 0u) << "node " << node->id();
-  }
-
-  std::lock_guard<std::mutex> g(mutex);
-  for (int i = 1; i < 4; ++i) {
-    const std::size_t common = std::min(sequences[0].size(), sequences[i].size());
-    ASSERT_GT(common, 0u);
-    for (std::size_t k = 0; k < common; ++k) {
-      ASSERT_EQ(sequences[0][k], sequences[i][k])
-          << "node 0 and node " << i << " diverge at position " << k;
-    }
-  }
-}
-
 TEST_F(TcpClusterTest, EgressOffloadEncodesOffLoopAndCommits) {
   // Default configuration: outbound blocks are encoded once on the worker
   // pool into shared frames. The cluster must commit exactly as before, and
@@ -802,7 +968,6 @@ TEST_F(TcpClusterTest, EgressOffloadEncodesOffLoopAndCommits) {
   auto nodes = make_cluster();
   for (auto& node : nodes) node->start();
   for (ValidatorId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(nodes[v]->egress_offload_active());
     TxBatch batch;
     batch.id = 900 + v;
     batch.count = 10;
@@ -819,29 +984,6 @@ TEST_F(TcpClusterTest, EgressOffloadEncodesOffLoopAndCommits) {
     // At least one frame per own proposal went through the worker-side
     // encoder (offers and fetch responses add more).
     EXPECT_GT(node->egress_frames_encoded(), 0u) << "node " << node->id();
-  }
-}
-
-TEST_F(TcpClusterTest, InlineEgressCommitsIdentically) {
-  // egress_offload off with workers present: encode happens on the loop
-  // thread but still once per block, fanned out as shared frames.
-  egress_offload_ = false;
-  auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
-  TxBatch batch;
-  batch.id = 44;
-  batch.count = 20;
-  nodes[0]->submit({batch});
-  EXPECT_TRUE(wait_for([&] {
-    for (const auto& node : nodes) {
-      if (node->committed_transactions() < 20) return false;
-    }
-    return true;
-  }));
-  for (auto& node : nodes) node->stop();
-  for (const auto& node : nodes) {
-    EXPECT_FALSE(node->egress_offload_active());
-    EXPECT_GT(node->egress_frames_encoded(), 0u);
   }
 }
 

@@ -16,7 +16,6 @@
 
 #include "baselines/tusk.h"
 #include "common/rng.h"
-#include "core/commit_scanner.h"
 #include "core/committer.h"
 #include "sim/dag_builder.h"
 #include "validator/validator.h"
@@ -120,23 +119,6 @@ TEST(Retention, CommitterReleasesLeadersBelowHorizon) {
   }
   EXPECT_GT(committer.decided_sequence().size(), 100u);
   watch.expect_released_below(dag.pruned_below(), "committer");
-}
-
-TEST(Retention, CommitScannerReleasesLeadersBelowHorizon) {
-  PayloadStream stream(2);
-  const CommitterOptions options = retention_options();
-  CommitScanner scanner(Dag(stream.committee()), SlotId{options.first_slot_round, 0},
-                        stream.committee(), options);
-  LeaderWatch watch;
-  for (Round r = 1; r <= kRounds; ++r) {
-    scanner.ingest(stream.next_round());
-    for (const SlotDecision& decision : scanner.scan()) {
-      if (decision.kind == SlotDecision::Kind::kCommit) watch.track(decision.block);
-    }
-    // The scanner prunes its replica itself; the source follows.
-    stream.prune_below(scanner.replica().pruned_below());
-  }
-  watch.expect_released_below(scanner.replica().pruned_below(), "commit scanner");
 }
 
 TEST(Retention, TuskReleasesLeadersBelowHorizon) {

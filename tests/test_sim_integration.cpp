@@ -97,52 +97,6 @@ TEST(SimIntegration, DeterministicWithIncrementalCheckpointsAndCerts) {
   EXPECT_EQ(a.sequences, b.sequences);
 }
 
-TEST(SimIntegration, ParallelCommitMatchesSerialRun) {
-  // Off-loop commit evaluation must be invisible to consensus: with zero
-  // scan delay the commit sequences, throughput and latencies are
-  // bit-identical to the inline mode (decisions are final, and the scan
-  // event fires at the same simulated instant as the insertion).
-  auto config = base_config(Protocol::kMahiMahi5, 4);
-  const SimResult serial = run_simulation(config);
-  config.parallel_commit = true;
-  const SimResult parallel = run_simulation(config);
-  EXPECT_EQ(serial.sequences, parallel.sequences);
-  EXPECT_EQ(serial.committed_tps, parallel.committed_tps);
-  EXPECT_EQ(serial.avg_latency_s, parallel.avg_latency_s);
-  EXPECT_EQ(serial.max_round, parallel.max_round);
-  EXPECT_EQ(serial.commit_stats.committed_slots(),
-            parallel.commit_stats.committed_slots());
-
-  // With a nonzero scan lag the timing shifts but agreement must hold, and
-  // the delayed sequences stay prefix-consistent with the serial ones.
-  config.commit_scan_delay = millis(5);
-  const SimResult delayed = run_simulation(config);
-  expect_prefix_consistent(delayed, "parallel+delay");
-  ASSERT_EQ(delayed.sequences.size(), serial.sequences.size());
-  for (std::size_t v = 0; v < serial.sequences.size(); ++v) {
-    const std::size_t common =
-        std::min(serial.sequences[v].size(), delayed.sequences[v].size());
-    ASSERT_GT(common, 0u) << "validator " << v << " committed nothing";
-    for (std::size_t k = 0; k < common; ++k) {
-      ASSERT_EQ(serial.sequences[v][k], delayed.sequences[v][k])
-          << "validator " << v << " diverges at " << k;
-    }
-  }
-}
-
-TEST(SimIntegration, ParallelCommitSurvivesCrashRestart) {
-  // The replica scanner dies with the process and is reseeded from the
-  // recovered DAG + consumption head after WAL replay; commits must resume
-  // through the off-loop path with full agreement.
-  auto config = base_config(Protocol::kMahiMahi5, 4);
-  config.parallel_commit = true;
-  config.restarts.push_back({.id = 2, .crash_at = seconds(4), .restart_at = seconds(6)});
-  const SimResult result = run_simulation(config);
-  EXPECT_GT(result.committed_tps, config.load_tps * 0.5) << result.to_string();
-  EXPECT_GT(result.wal_replayed_blocks, 0u);
-  expect_prefix_consistent(result, "parallel+restart");
-}
-
 TEST(SimIntegration, GroupCommitWithoutLogActsSynchronously) {
   // wal_group_commit with no log at all (no wal_dir, no restarts): there is
   // nothing to make durable, so durability acks complete synchronously —
