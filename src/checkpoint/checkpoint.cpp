@@ -80,8 +80,8 @@ Bytes encode_checkpoint(const CheckpointData& data) {
 
   w.varint(data.blocks.size());
   for (const BlockPtr& block : data.blocks) {
-    const Bytes encoded = block->serialize();
-    w.bytes({encoded.data(), encoded.size()});
+    w.varint(block->encoded_size());
+    block->serialize_into(w);
   }
 
   w.bytes({data.app_state.data(), data.app_state.size()});

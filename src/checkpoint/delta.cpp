@@ -101,8 +101,8 @@ Bytes encode_checkpoint_delta(const CheckpointDelta& delta) {
 
   w.varint(delta.blocks_added.size());
   for (const BlockPtr& block : delta.blocks_added) {
-    const Bytes encoded = block->serialize();
-    w.bytes({encoded.data(), encoded.size()});
+    w.varint(block->encoded_size());
+    block->serialize_into(w);
   }
 
   w.bytes({delta.app_delta.data(), delta.app_delta.size()});

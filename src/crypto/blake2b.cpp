@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace mahimahi::crypto {
 
@@ -31,8 +32,8 @@ inline std::uint64_t load_le64(const std::uint8_t* p) {
   return v;
 }
 
-inline void g(std::uint64_t& a, std::uint64_t& b, std::uint64_t& c, std::uint64_t& d,
-              std::uint64_t x, std::uint64_t y) {
+[[gnu::always_inline]] inline void g(std::uint64_t& a, std::uint64_t& b, std::uint64_t& c,
+                                     std::uint64_t& d, std::uint64_t x, std::uint64_t y) {
   a = a + b + x;
   d = std::rotr(d ^ a, 32);
   c = c + d;
@@ -41,6 +42,27 @@ inline void g(std::uint64_t& a, std::uint64_t& b, std::uint64_t& c, std::uint64_
   d = std::rotr(d ^ a, 16);
   c = c + d;
   b = std::rotr(b ^ c, 63);
+}
+
+// One round with its message schedule fixed at compile time, so the fully
+// unrolled compression indexes m[] with constants and keeps v[] in registers.
+template <std::size_t R>
+[[gnu::always_inline]] inline void round(std::uint64_t (&v)[16], const std::uint64_t (&m)[16]) {
+  constexpr const std::uint8_t(&s)[16] = kSigma[R % 10];
+  g(v[0], v[4], v[8], v[12], m[s[0]], m[s[1]]);
+  g(v[1], v[5], v[9], v[13], m[s[2]], m[s[3]]);
+  g(v[2], v[6], v[10], v[14], m[s[4]], m[s[5]]);
+  g(v[3], v[7], v[11], v[15], m[s[6]], m[s[7]]);
+  g(v[0], v[5], v[10], v[15], m[s[8]], m[s[9]]);
+  g(v[1], v[6], v[11], v[12], m[s[10]], m[s[11]]);
+  g(v[2], v[7], v[8], v[13], m[s[12]], m[s[13]]);
+  g(v[3], v[4], v[9], v[14], m[s[14]], m[s[15]]);
+}
+
+template <std::size_t... R>
+[[gnu::always_inline]] inline void rounds(std::uint64_t (&v)[16], const std::uint64_t (&m)[16],
+                                          std::index_sequence<R...>) {
+  (round<R>(v, m), ...);
 }
 
 }  // namespace
@@ -59,9 +81,9 @@ Blake2b::Blake2b(std::size_t digest_size, BytesView key) : digest_size_(digest_s
   }
 }
 
-void Blake2b::compress(bool last) {
+void Blake2b::compress(const std::uint8_t* block, bool last) {
   std::uint64_t m[16];
-  for (int i = 0; i < 16; ++i) m[i] = load_le64(buffer_.data() + 8 * i);
+  for (int i = 0; i < 16; ++i) m[i] = load_le64(block + 8 * i);
 
   std::uint64_t v[16];
   for (int i = 0; i < 8; ++i) v[i] = h_[i];
@@ -69,42 +91,43 @@ void Blake2b::compress(bool last) {
   v[12] ^= counter_;  // low word of the byte counter; high word is zero
   if (last) v[14] = ~v[14];
 
-  for (int round = 0; round < 12; ++round) {
-    const std::uint8_t* s = kSigma[round % 10];
-    g(v[0], v[4], v[8], v[12], m[s[0]], m[s[1]]);
-    g(v[1], v[5], v[9], v[13], m[s[2]], m[s[3]]);
-    g(v[2], v[6], v[10], v[14], m[s[4]], m[s[5]]);
-    g(v[3], v[7], v[11], v[15], m[s[6]], m[s[7]]);
-    g(v[0], v[5], v[10], v[15], m[s[8]], m[s[9]]);
-    g(v[1], v[6], v[11], v[12], m[s[10]], m[s[11]]);
-    g(v[2], v[7], v[8], v[13], m[s[12]], m[s[13]]);
-    g(v[3], v[4], v[9], v[14], m[s[14]], m[s[15]]);
-  }
+  rounds(v, m, std::make_index_sequence<12>{});
 
   for (int i = 0; i < 8; ++i) h_[i] ^= v[i] ^ v[8 + i];
 }
 
 void Blake2b::update(BytesView data) {
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    if (buffered_ == kBlockSize) {
-      // A full buffer is only compressed once more input arrives: the final
-      // block must be compressed with the `last` flag set in finish().
-      counter_ += kBlockSize;
-      compress(/*last=*/false);
-      buffered_ = 0;
-    }
-    const std::size_t take = std::min(kBlockSize - buffered_, data.size() - offset);
-    std::memcpy(buffer_.data() + buffered_, data.data() + offset, take);
+  // The final block must be compressed with the `last` flag set in finish(),
+  // so a block is only compressed once more input follows it.
+  const std::uint8_t* in = data.data();
+  std::size_t size = data.size();
+  if (size == 0) return;
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(kBlockSize - buffered_, size);
+    std::memcpy(buffer_.data() + buffered_, in, take);
     buffered_ += take;
-    offset += take;
+    in += take;
+    size -= take;
+    if (size == 0) return;
+    counter_ += kBlockSize;
+    compress(buffer_.data(), /*last=*/false);
+    buffered_ = 0;
   }
+  // Whole blocks straight from the input, no staging copy.
+  while (size > kBlockSize) {
+    counter_ += kBlockSize;
+    compress(in, /*last=*/false);
+    in += kBlockSize;
+    size -= kBlockSize;
+  }
+  std::memcpy(buffer_.data(), in, size);
+  buffered_ = size;
 }
 
 void Blake2b::finish(std::uint8_t* out) {
   counter_ += buffered_;
   std::memset(buffer_.data() + buffered_, 0, kBlockSize - buffered_);
-  compress(/*last=*/true);
+  compress(buffer_.data(), /*last=*/true);
   std::uint8_t full[kMaxDigestSize];
   for (int i = 0; i < 8; ++i) std::memcpy(full + 8 * i, &h_[i], 8);
   std::memcpy(out, full, digest_size_);

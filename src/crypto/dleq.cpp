@@ -8,16 +8,17 @@ namespace mahimahi::crypto {
 
 namespace {
 
-using curve::ge_add;
 using curve::ge_compressed;
+using curve::ge_multi_scalar_mult;
+using curve::ge_neg;
 using curve::ge_scalar_mult;
-using curve::ge_sub;
 using curve::GroupElement;
 using curve::Scalar;
 using curve::sc_from_bytes32_strict;
 using curve::sc_from_bytes64;
 using curve::sc_mul_add;
 using curve::sc_to_bytes;
+using curve::sc_zero;
 
 constexpr char kChallengeDomain[] = "mahimahi.dleq.challenge.v1";
 constexpr char kNonceDomain[] = "mahimahi.dleq.nonce.v1";
@@ -86,9 +87,13 @@ DleqProof dleq_prove(const Scalar& x, const GroupElement& g, const GroupElement&
 
 bool dleq_verify(const DleqProof& proof, const GroupElement& g, const GroupElement& h,
                  const GroupElement& p, const GroupElement& s, BytesView context) {
-  // A = [z]G - [c]P, B = [z]H - [c]S; accept iff c == H(..., A, B).
-  const GroupElement a = ge_sub(ge_scalar_mult(proof.z, g), ge_scalar_mult(proof.c, p));
-  const GroupElement b = ge_sub(ge_scalar_mult(proof.z, h), ge_scalar_mult(proof.c, s));
+  // A = [z]G - [c]P, B = [z]H - [c]S; accept iff c == H(..., A, B). Each is
+  // one two-term multi-scalar multiplication over the negated second point.
+  const Scalar scalars[2] = {proof.z, proof.c};
+  const GroupElement a_terms[2] = {g, ge_neg(p)};
+  const GroupElement b_terms[2] = {h, ge_neg(s)};
+  const GroupElement a = ge_multi_scalar_mult(scalars, a_terms, sc_zero());
+  const GroupElement b = ge_multi_scalar_mult(scalars, b_terms, sc_zero());
   return challenge(g, h, p, s, a, b, context) == proof.c;
 }
 

@@ -10,12 +10,14 @@ namespace mahimahi::crypto {
 
 namespace {
 
-using curve::ge_add;
-using curve::ge_base;
 using curve::ge_compress;
 using curve::ge_decompress;
+using curve::ge_is_identity;
+using curve::ge_mul_cofactor;
+using curve::ge_multi_scalar_mult;
 using curve::ge_neg;
-using curve::ge_scalar_mult;
+using curve::ge_scalar_mult_base;
+using curve::GroupElement;
 using curve::Scalar;
 using curve::sc_from_bytes32;
 using curve::sc_from_bytes32_strict;
@@ -43,7 +45,7 @@ ExpandedKey expand_seed(const std::array<std::uint8_t, 32>& seed) {
 
 Ed25519Keypair ed25519_keypair_from_seed(const std::array<std::uint8_t, 32>& seed) {
   const ExpandedKey key = expand_seed(seed);
-  const auto a_point = ge_scalar_mult(key.scalar, ge_base());
+  const auto a_point = ge_scalar_mult_base(key.scalar);
   Ed25519Keypair out;
   out.private_key.seed = seed;
   ge_compress(out.public_key.bytes.data(), a_point);
@@ -52,7 +54,7 @@ Ed25519Keypair ed25519_keypair_from_seed(const std::array<std::uint8_t, 32>& see
 
 Ed25519Signature ed25519_sign(const Ed25519PrivateKey& key, BytesView message) {
   const ExpandedKey expanded = expand_seed(key.seed);
-  const auto a_point = ge_scalar_mult(expanded.scalar, ge_base());
+  const auto a_point = ge_scalar_mult_base(expanded.scalar);
   std::uint8_t pub[32];
   ge_compress(pub, a_point);
 
@@ -62,9 +64,7 @@ Ed25519Signature ed25519_sign(const Ed25519PrivateKey& key, BytesView message) {
   const auto r_hash = h1.finish();
   const Scalar r = sc_from_bytes64(r_hash.data());
 
-  std::uint8_t r_scalar[32];
-  sc_to_bytes(r_scalar, r);
-  const auto r_point = ge_scalar_mult(r_scalar, ge_base());
+  const auto r_point = ge_scalar_mult_base(r);
 
   Ed25519Signature sig;
   ge_compress(sig.bytes.data(), r_point);
@@ -116,20 +116,13 @@ bool ed25519_verify(const Ed25519PublicKey& key, BytesView message,
   // instead of flipping the batch verdict with the parity of a random
   // coefficient. A consensus protocol needs every honest validator to reach
   // the same verdict regardless of how its driver happened to batch.
-  std::uint8_t s_bytes[32], k_bytes[32];
-  sc_to_bytes(s_bytes, *s);
-  sc_to_bytes(k_bytes, k);
-
-  const auto sb = ge_scalar_mult(s_bytes, ge_base());
-  const auto ka = ge_scalar_mult(k_bytes, ge_neg(*a_point));
-  const auto difference = curve::ge_sub(ge_add(sb, ka), *r_point);
-  return curve::ge_is_identity(curve::ge_mul_cofactor(difference));
+  const GroupElement minus_a = ge_neg(*a_point);
+  const GroupElement sb_minus_ka = ge_multi_scalar_mult({&k, 1}, {&minus_a, 1}, *s);
+  return ge_is_identity(ge_mul_cofactor(curve::ge_sub(sb_minus_ka, *r_point)));
 }
 
 namespace {
 
-using curve::ge_identity;
-using curve::GroupElement;
 using curve::sc_zero;
 
 // Derives the batch coefficients z_1..z_{n-1} (z_0 is fixed to 1) by hashing
@@ -176,19 +169,17 @@ bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items) {
 
   const std::vector<Scalar> z = batch_coefficients(items);
 
-  // Distinct public keys: decompressed once, with their accumulated
-  // challenge coefficients sum z_i k_i. Committees are small, so a linear
-  // scan beats hashing the 32-byte keys.
-  struct KeyTerm {
-    Ed25519PublicKey key;
-    GroupElement point;
-    Scalar coefficient = sc_zero();
-  };
-  std::vector<KeyTerm> key_terms;
-  key_terms.reserve(items.size());
-
-  Scalar b_coefficient = sc_zero();     // sum z_i s_i
-  GroupElement r_sum = ge_identity();   // sum [z_i] R_i
+  // One multi-scalar multiplication evaluates
+  //   [sum z_i s_i] B + sum [z_i](-R_i) + sum_A [sum_{i: key_i = A} z_i k_i](-A)
+  // over a shared doubling chain. Points are negated rather than scalars so
+  // the R terms keep their 128-bit coefficients (half the wNAF digits).
+  // Distinct public keys are decompressed once; committees are small, so a
+  // linear scan beats hashing the 32-byte keys.
+  std::vector<Scalar> scalars(z);
+  std::vector<GroupElement> points;
+  points.reserve(items.size() * 2);
+  std::vector<Ed25519PublicKey> keys;
+  Scalar b_coefficient = sc_zero();
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     const auto& item = items[i];
@@ -197,39 +188,27 @@ bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items) {
     if (!s) return false;
     const auto r_point = ge_decompress(item.signature.bytes.data());
     if (!r_point) return false;
-
-    KeyTerm* term = nullptr;
-    for (auto& candidate : key_terms) {
-      if (candidate.key == item.key) {
-        term = &candidate;
-        break;
-      }
-    }
-    if (term == nullptr) {
+    points.push_back(ge_neg(*r_point));
+    b_coefficient = sc_mul_add(z[i], *s, b_coefficient);
+  }
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto& item = items[i];
+    const auto known = std::find(keys.begin(), keys.end(), item.key);
+    const std::size_t term = items.size() + static_cast<std::size_t>(known - keys.begin());
+    if (known == keys.end()) {
       const auto a_point = ge_decompress(item.key.bytes.data());
       if (!a_point) return false;
-      key_terms.push_back(KeyTerm{item.key, *a_point, sc_zero()});
-      term = &key_terms.back();
+      keys.push_back(item.key);
+      points.push_back(ge_neg(*a_point));
+      scalars.push_back(sc_zero());
     }
-
     const Scalar k = challenge_scalar(item.signature, item.key, item.message);
-    b_coefficient = sc_mul_add(z[i], *s, b_coefficient);
-    term->coefficient = sc_mul_add(z[i], k, term->coefficient);
-
-    std::uint8_t z_bytes[32];
-    sc_to_bytes(z_bytes, z[i]);
-    r_sum = ge_add(r_sum, ge_scalar_mult(z_bytes, *r_point));
+    scalars[term] = sc_mul_add(z[i], k, scalars[term]);
   }
 
-  GroupElement rhs = r_sum;
-  for (const auto& term : key_terms) {
-    rhs = ge_add(rhs, ge_scalar_mult(term.coefficient, term.point));
-  }
-  const GroupElement lhs = ge_scalar_mult(b_coefficient, ge_base());
   // Cofactored, like ed25519_verify: torsion components never decide the
   // verdict, so batch and single verification agree deterministically.
-  const GroupElement difference = curve::ge_sub(lhs, rhs);
-  return curve::ge_is_identity(curve::ge_mul_cofactor(difference));
+  return ge_is_identity(ge_mul_cofactor(ge_multi_scalar_mult(scalars, points, b_coefficient)));
 }
 
 namespace {

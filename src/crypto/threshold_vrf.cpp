@@ -9,13 +9,13 @@ namespace mahimahi::crypto {
 
 namespace {
 
-using curve::ge_add;
 using curve::ge_compressed;
 using curve::ge_decompress;
-using curve::ge_identity;
 using curve::ge_is_identity;
 using curve::ge_mul_cofactor;
+using curve::ge_multi_scalar_mult;
 using curve::ge_scalar_mult;
+using curve::ge_scalar_mult_base;
 using curve::GroupElement;
 using curve::Scalar;
 using curve::sc_from_bytes64;
@@ -153,13 +153,11 @@ std::optional<VrfOutput> ThresholdVrfPublic::combine(
   }
   if (xs.size() < threshold()) return std::nullopt;
 
-  // σ = Σ [λ_i] σ_i — interpolation of [p(x)]·H(input) at x = 0.
-  GroupElement combined = ge_identity();
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const Scalar lambda = lagrange_at_zero(xs, i);
-    combined = ge_add(combined, ge_scalar_mult(lambda, sigmas[i]));
-  }
-  return output_from_point(combined);
+  // σ = Σ [λ_i] σ_i — interpolation of [p(x)]·H(input) at x = 0, as one
+  // multi-scalar multiplication.
+  std::vector<Scalar> lambdas(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) lambdas[i] = lagrange_at_zero(xs, i);
+  return output_from_point(ge_multi_scalar_mult(lambdas, sigmas, curve::sc_zero()));
 }
 
 ThresholdVrfSetup threshold_vrf_deal(std::uint32_t n, std::uint32_t f,
@@ -185,7 +183,7 @@ ThresholdVrfSetup threshold_vrf_deal(std::uint32_t n, std::uint32_t f,
 
   ThresholdVrfSetup setup{
       .public_state = ThresholdVrfPublic(
-          n, f, ge_compressed(ge_scalar_mult(coeffs[0], curve::ge_base())),
+          n, f, ge_compressed(ge_scalar_mult_base(coeffs[0])),
           std::vector<curve::CompressedPoint>(n)),
       .secret_shares = std::vector<Scalar>(n),
       .master_secret = coeffs[0],
@@ -200,10 +198,10 @@ ThresholdVrfSetup threshold_vrf_deal(std::uint32_t n, std::uint32_t f,
       acc = sc_mul_add(acc, x, coeffs[j]);
     }
     setup.secret_shares[i] = acc;
-    share_keys[i] = ge_compressed(ge_scalar_mult(acc, curve::ge_base()));
+    share_keys[i] = ge_compressed(ge_scalar_mult_base(acc));
   }
   setup.public_state = ThresholdVrfPublic(
-      n, f, ge_compressed(ge_scalar_mult(coeffs[0], curve::ge_base())),
+      n, f, ge_compressed(ge_scalar_mult_base(coeffs[0])),
       std::move(share_keys));
   return setup;
 }
@@ -211,7 +209,7 @@ ThresholdVrfSetup threshold_vrf_deal(std::uint32_t n, std::uint32_t f,
 VrfShare threshold_vrf_share(std::uint32_t author, const Scalar& sk, BytesView input) {
   const GroupElement h = vrf_hash_to_point(input);
   const GroupElement sigma = ge_scalar_mult(sk, h);
-  const GroupElement pk = ge_scalar_mult(sk, curve::ge_base());
+  const GroupElement pk = ge_scalar_mult_base(sk);
   VrfShare share;
   share.author = author;
   share.sigma = ge_compressed(sigma);

@@ -145,6 +145,8 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       &registry_.gauge("mm_ingest_core_verified", "Core ingest stats mirror: verified blocks");
   core_preverified_ = &registry_.gauge("mm_ingest_core_preverified",
                                        "Core ingest stats mirror: preverified blocks");
+  block_payload_bytes_ = &registry_.histogram(
+      "mm_block_payload_bytes", "Transaction bytes per own proposal (TxBatch::wire_bytes)");
   peer_rx_lag_ = &registry_.histogram(
       "mm_peer_rx_lag_micros",
       "Receive-side lag: author created_at to local receive stamp, clamped at 0");
@@ -576,7 +578,9 @@ void NodeRuntime::on_unidentified_connection(TcpConnectionPtr connection) {
           }
           std::erase(pending_incoming_, connection);
           connection->start(
-              [this, peer](BytesView peer_frame) { on_peer_frame(peer, peer_frame); },
+              [this, peer](const TcpConnection::Frame& peer_frame) {
+                on_peer_frame(peer, peer_frame);
+              },
               [] {});
         } catch (const serde::SerdeError&) {
           connection->close();
@@ -587,19 +591,25 @@ void NodeRuntime::on_unidentified_connection(TcpConnectionPtr connection) {
       });
 }
 
-void NodeRuntime::on_peer_frame(ValidatorId peer, BytesView frame) {
-  recorder_.record_now(obs::FlightEventType::kFrameRx, peer, frame.size());
+void NodeRuntime::on_peer_frame(ValidatorId peer, const TcpConnection::Frame& frame) {
+  recorder_.record_now(obs::FlightEventType::kFrameRx, peer, frame.bytes.size());
   try {
     serde::Reader r(frame);
     const auto type = static_cast<MessageType>(r.u8());
     switch (type) {
       case MessageType::kBlock: {
         // Decode + crypto verification happen in the verify stage; the loop
-        // thread only copies the frame out of the socket buffer.
+        // thread only takes the frame out of the socket buffer — by moving
+        // the buffer when the connection gives it away, else by a copy.
         const BytesView payload = r.raw(r.remaining());
-        if (!verify_drain_.push_bounded(
-                RawFrame{peer, Bytes(payload.begin(), payload.end()), steady_now_micros()},
-                config_.max_pending_verify_frames)) {
+        RawFrame raw{peer, {}, 0, steady_now_micros()};
+        if (frame.owner != nullptr) {
+          raw.offset = static_cast<std::size_t>(payload.data() - frame.owner->data());
+          raw.buffer = std::move(*frame.owner);
+        } else {
+          raw.buffer.assign(payload.begin(), payload.end());
+        }
+        if (!verify_drain_.push_bounded(std::move(raw), config_.max_pending_verify_frames)) {
           // Overload shedding: anti-entropy and the fetch path re-deliver
           // dropped blocks once the backlog clears.
           verify_frames_dropped_->add();
@@ -677,7 +687,7 @@ void NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
     BlockPtr block;
     try {
       block = std::make_shared<const Block>(
-          Block::deserialize({frame.payload.data(), frame.payload.size()}));
+          Block::deserialize(frame.block()));
     } catch (const serde::SerdeError& error) {
       decode_errors_->add();
       MM_LOG(kWarn) << "v" << id() << " bad block frame from v" << frame.peer << ": "
@@ -803,10 +813,9 @@ NodeRuntime::IoPlaneReport NodeRuntime::io_plane_report() const {
 }
 
 Bytes NodeRuntime::encode_block(const Block& block) const {
-  serde::Writer w;
+  serde::Writer w(1 + block.encoded_size());
   w.u8(static_cast<std::uint8_t>(MessageType::kBlock));
-  const Bytes encoded = block.serialize();
-  w.raw({encoded.data(), encoded.size()});
+  block.serialize_into(w);
   return std::move(w).take();
 }
 
@@ -902,7 +911,10 @@ void NodeRuntime::perform(Actions&& actions) {
     // disk.
     std::vector<EgressItem> items;
     items.reserve(actions.broadcast.size());
-    for (const auto& block : actions.broadcast) items.push_back({block, kAllPeers});
+    for (const auto& block : actions.broadcast) {
+      block_payload_bytes_->record(static_cast<std::int64_t>(block->payload_bytes()));
+      items.push_back({block, kAllPeers});
+    }
     if (group_wal_ == nullptr) {
       egress_drain_.push(std::move(items));
     } else {

@@ -328,9 +328,15 @@ class NodeRuntime {
 
   struct RawFrame {
     ValidatorId peer;
-    Bytes payload;  // serialized block, type byte stripped
+    // The serialized block is buffer[offset..]: a large frame keeps the
+    // connection's receive buffer (offset past the frame header and type
+    // byte) instead of being copied out of it.
+    Bytes buffer;
+    std::size_t offset = 0;
     // Loop-thread receive stamp: start of the block's lifecycle trace.
     TimeMicros received_at = 0;
+
+    BytesView block() const { return BytesView(buffer).subspan(offset); }
   };
 
   // One outbound block awaiting encode + fan-out. kAllPeers broadcasts.
@@ -341,7 +347,7 @@ class NodeRuntime {
 
   void loop_main();
   void dial_peer(ValidatorId peer);
-  void on_peer_frame(ValidatorId peer, BytesView frame);
+  void on_peer_frame(ValidatorId peer, const TcpConnection::Frame& frame);
   void on_unidentified_connection(TcpConnectionPtr connection);
   void perform(Actions&& actions);
   // Verify-drain body: decodes + structurally validates + batch-crypto-
@@ -586,6 +592,7 @@ class NodeRuntime {
   // clamped at 0. One aggregate histogram plus one per peer; negative deltas
   // (clock skew) clamp and count. Recorded on verify workers or the loop
   // thread — histograms/counters are thread-safe.
+  obs::Histogram* block_payload_bytes_;
   obs::Histogram* peer_rx_lag_;
   std::vector<obs::Histogram*> peer_rx_lag_by_peer_;  // index = author
   obs::Counter* peer_rx_lag_clamped_;

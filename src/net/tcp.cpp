@@ -23,6 +23,8 @@ namespace {
 // partial-frame buffer compacts its consumed prefix (large enough that a
 // compaction amortizes over many frames, small enough to bound slack).
 constexpr std::size_t kIngressChunkBytes = 64 * 1024;
+// Capacity an idle read buffer may keep between bursts.
+constexpr std::size_t kMaxIdleBufferBytes = 4 * kIngressChunkBytes;
 
 void set_non_blocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -100,8 +102,8 @@ void TcpConnection::handle_readable() {
     if (received > 0) {
       bytes_received_ += static_cast<std::uint64_t>(received);
       backend_.note_recv_op(static_cast<std::uint64_t>(received));
-      read_buffer_.insert(read_buffer_.end(), ingress_scratch_.data(),
-                          ingress_scratch_.data() + received);
+      append_and_parse(ingress_scratch_.data(), static_cast<std::size_t>(received));
+      if (closed()) return;
       continue;
     }
     if (received == 0) {  // orderly shutdown
@@ -113,7 +115,15 @@ void TcpConnection::handle_readable() {
     close();
     return;
   }
-  parse_buffered();
+}
+
+void TcpConnection::dispatch(const Frame& frame) {
+  if (!on_frame_) return;
+  // Copy before invoking: the handler may rebind on_frame_ (handshake
+  // identification), which would otherwise destroy the closure that is
+  // currently executing.
+  const FrameHandler handler = on_frame_;
+  handler(frame);
 }
 
 bool TcpConnection::parse_frames(const std::uint8_t* data, std::size_t size,
@@ -127,17 +137,22 @@ bool TcpConnection::parse_frames(const std::uint8_t* data, std::size_t size,
       return false;
     }
     if (size - offset - 4 < length) break;
-    if (on_frame_) {
-      // Copy before invoking: the handler may rebind on_frame_ (handshake
-      // identification), which would otherwise destroy the closure that is
-      // currently executing.
-      const FrameHandler handler = on_frame_;
-      handler({data + offset + 4, length});
-    }
+    dispatch(Frame{{data + offset + 4, length}});
     if (closed()) return false;  // handler may close
     offset += 4 + length;
   }
   return true;
+}
+
+void TcpConnection::append_and_parse(const std::uint8_t* data, std::size_t size) {
+  while (size > 0 && !closed()) {
+    std::size_t take = size;
+    if (frame_end_ > read_buffer_.size()) take = std::min(take, frame_end_ - read_buffer_.size());
+    read_buffer_.insert(read_buffer_.end(), data, data + take);
+    data += take;
+    size -= take;
+    parse_buffered();
+  }
 }
 
 void TcpConnection::parse_buffered() {
@@ -156,17 +171,49 @@ void TcpConnection::parse_buffered() {
     }
     return;
   }
+  if (frame_end_ != 0) {
+    if (read_buffer_.size() < frame_end_) return;
+    // The buffer holds exactly the frame it was sized for: give it away.
+    Bytes owned;
+    owned.swap(read_buffer_);
+    frame_end_ = 0;
+    read_consumed_ = 0;
+    dispatch(Frame{{owned.data() + 4, owned.size() - 4}, &owned});
+    return;
+  }
   std::size_t offset = read_consumed_;
   if (!parse_frames(read_buffer_.data(), read_buffer_.size(), offset)) return;
   read_consumed_ = offset;
   if (read_consumed_ == read_buffer_.size()) {
-    read_buffer_.clear();  // O(1), keeps capacity for the next burst
+    read_buffer_.clear();  // O(1), keeps capacity for the next burst...
     read_consumed_ = 0;
-  } else if (read_consumed_ >= kIngressChunkBytes) {
-    read_buffer_.erase(read_buffer_.begin(),
-                       read_buffer_.begin() + static_cast<std::ptrdiff_t>(read_consumed_));
-    read_consumed_ = 0;
+    // ...but only a few chunks' worth.
+    if (read_buffer_.capacity() > kMaxIdleBufferBytes) Bytes().swap(read_buffer_);
+    return;
   }
+  std::uint32_t length = 0;
+  const bool header = read_buffer_.size() - read_consumed_ >= 4;
+  if (header) std::memcpy(&length, read_buffer_.data() + read_consumed_, 4);
+  if (!header || 4 + static_cast<std::size_t>(length) <= kIngressChunkBytes) {
+    // A small partial frame completes within a chunk or two: let it
+    // accumulate, compacting the consumed prefix once it is large enough to
+    // amortize the move.
+    if (read_consumed_ >= kIngressChunkBytes) {
+      read_buffer_.erase(read_buffer_.begin(),
+                         read_buffer_.begin() + static_cast<std::ptrdiff_t>(read_consumed_));
+      read_consumed_ = 0;
+    }
+    return;
+  }
+  // A large partial frame (parse_frames bounded its length): move it into a
+  // buffer of exactly its size.
+  frame_end_ = 4 + static_cast<std::size_t>(length);
+  Bytes exact;
+  exact.reserve(frame_end_);
+  exact.assign(read_buffer_.begin() + static_cast<std::ptrdiff_t>(read_consumed_),
+               read_buffer_.end());
+  read_buffer_.swap(exact);
+  read_consumed_ = 0;
 }
 
 void TcpConnection::ingress_bytes(const std::uint8_t* data, std::size_t size) {
@@ -180,16 +227,15 @@ void TcpConnection::ingress_bytes(const std::uint8_t* data, std::size_t size) {
   }
   if (read_buffer_.size() == read_consumed_) {
     // Fast path: no partial frame buffered — parse straight out of the
-    // backend's buffer and copy only a trailing fragment, if any.
+    // backend's buffer and buffer only a trailing fragment, if any.
     read_buffer_.clear();
     read_consumed_ = 0;
     std::size_t offset = 0;
     if (!parse_frames(data, size, offset)) return;
-    if (offset < size) read_buffer_.assign(data + offset, data + size);
-    return;
+    data += offset;
+    size -= offset;
   }
-  read_buffer_.insert(read_buffer_.end(), data, data + size);
-  parse_buffered();
+  append_and_parse(data, size);
 }
 
 void TcpConnection::send_frame(BytesView payload) {

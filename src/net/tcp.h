@@ -41,7 +41,18 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
  public:
   static constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
 
-  using FrameHandler = std::function<void(BytesView frame)>;
+  // One received frame. When the frame spanned several reads it arrives in
+  // a buffer sized for exactly this frame, and `owner` points at that
+  // buffer: the handler may move it out to keep the frame without copying
+  // (the frame then sits at `bytes.data() - owner->data()` in it). Converts
+  // to BytesView for handlers that only look.
+  struct Frame {
+    BytesView bytes;
+    Bytes* owner = nullptr;
+    operator BytesView() const { return bytes; }
+  };
+
+  using FrameHandler = std::function<void(const Frame& frame)>;
   using CloseHandler = std::function<void()>;
   using RawHandler = std::function<void(BytesView bytes)>;
 
@@ -112,10 +123,15 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void handle_readable();
   void handle_writable();
   void update_interest();
+  void dispatch(const Frame& frame);
   // Dispatches complete frames in data[offset, size); advances `offset` past
   // them. Returns false when the connection closed mid-parse.
   bool parse_frames(const std::uint8_t* data, std::size_t size, std::size_t& offset);
-  // Runs parse_frames over read_buffer_/read_consumed_ and compacts.
+  // Appends received bytes to read_buffer_, never past the end of a pending
+  // partial frame, and parses after each append.
+  void append_and_parse(const std::uint8_t* data, std::size_t size);
+  // Dispatches the complete frames in read_buffer_; a trailing partial frame
+  // moves to the front and the buffer is sized for exactly that frame.
   void parse_buffered();
 
   EventLoop& loop_;
@@ -132,9 +148,15 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   // 64 KiB stack buffer, allocated once per connection), partial frames
   // accumulate in read_buffer_, and read_consumed_ tracks the parsed prefix
   // so consumption is O(1) instead of an erase-memmove per readable event.
+  // frame_end_ is nonzero while read_buffer_ starts with a partial frame: the
+  // buffer size at which that frame completes. The buffer is reserved to
+  // exactly that size and handed to the frame handler whole, so a multi-MB
+  // block costs one allocation (no doubling series) and its capacity leaves
+  // with it instead of staying with the connection.
   Bytes ingress_scratch_;
   Bytes read_buffer_;
   std::size_t read_consumed_ = 0;
+  std::size_t frame_end_ = 0;
   std::deque<PendingWrite> write_queue_;
   bool want_write_ = false;
   std::uint64_t bytes_sent_ = 0;

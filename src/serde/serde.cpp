@@ -19,7 +19,14 @@ std::uint64_t Reader::varint() {
     // The 10th byte may only contribute the single remaining bit.
     if (shift == 63 && (byte & 0x7e) != 0) throw SerdeError("varint overflow");
     v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return v;
+    if ((byte & 0x80) == 0) {
+      // Canonical encodings only: a zero final byte after the first means a
+      // shorter encoding of the same value exists (the one Writer emits).
+      // Decoders can then treat accepted bytes as the unique encoding of
+      // what they decoded — Block::deserialize hashes them in place.
+      if (byte == 0 && shift > 0) throw SerdeError("overlong varint");
+      return v;
+    }
     shift += 7;
   }
 }

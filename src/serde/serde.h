@@ -3,7 +3,9 @@
 //
 // This is the wire format for blocks (network frames and WAL records) and the
 // preimage format for block digests, so encoding must be deterministic: the
-// same value always serializes to the same bytes.
+// same value always serializes to the same bytes. Decoding is canonical too:
+// Reader rejects overlong varints, so every accepted byte string is the one
+// encoding of its value.
 //
 // Readers are bounds-checked and throw SerdeError on malformed input; the
 // network layer catches at the message boundary and drops the peer's frame.
@@ -23,6 +25,13 @@ class SerdeError : public std::runtime_error {
   explicit SerdeError(const std::string& what) : std::runtime_error(what) {}
 };
 
+// Bytes Writer::varint(v) emits.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t size = 1;
+  for (; v >= 0x80; v >>= 7) ++size;
+  return size;
+}
+
 class Writer {
  public:
   Writer() = default;
@@ -33,7 +42,7 @@ class Writer {
   void u32(std::uint32_t v) { append_le(v, 4); }
   void u64(std::uint64_t v) { append_le(v, 8); }
 
-  // Unsigned LEB128; compact for small counts/rounds.
+  // Unsigned LEB128; compact for small counts/rounds. Never overlong.
   void varint(std::uint64_t v);
 
   // Raw bytes, no length prefix.
@@ -68,6 +77,7 @@ class Reader {
   std::uint32_t u32() { return static_cast<std::uint32_t>(read_le(4)); }
   std::uint64_t u64() { return read_le(8); }
 
+  // Rejects overlong encodings (see the file comment).
   std::uint64_t varint();
 
   BytesView raw(std::size_t count) { return take(count); }

@@ -314,6 +314,11 @@ struct SimHarness::Impl {
 
   void handle_actions(ValidatorId v, Actions&& actions) {
     const bool staged_wal = group_commit_active(v);
+    if (v == 0) {
+      for (const auto& block : actions.broadcast) {
+        block_payload_bytes->record(static_cast<std::int64_t>(block->payload_bytes()));
+      }
+    }
     // Broadcast own blocks — immediately when the log is inline-durable (or
     // absent), behind the covering group flush otherwise.
     if (!actions.broadcast.empty()) {
@@ -1119,6 +1124,8 @@ struct SimHarness::Impl {
   CommitForensics forensics{CommitForensics::Options{.trace_capacity = 1 << 16}};
   obs::Histogram* peer_rx_lag = &registry.histogram(
       "mm_peer_rx_lag_micros", "Peer block creation-to-arrival lag at validator 0");
+  obs::Histogram* block_payload_bytes = &registry.histogram(
+      "mm_block_payload_bytes", "Transaction bytes per own proposal of validator 0");
   obs::Counter* committed_tx = &registry.counter(
       "mm_committed_transactions_total", "Origin-side committed transactions (in-window)");
   obs::Counter* submitted_tx = &registry.counter("mm_submitted_transactions_total",

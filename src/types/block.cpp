@@ -43,13 +43,26 @@ std::uint64_t Block::transaction_count() const {
 std::uint64_t Block::wire_bytes() const {
   // Header approximation: author, round, timestamp, parents, coin share,
   // signature.
-  std::uint64_t total = 4 + 9 + 9 + parents_.size() * 44 + 32 + 64;
-  for (const auto& batch : batches_) total += 24 + batch.wire_bytes();
+  return 4 + 9 + 9 + parents_.size() * 44 + 32 + 64 + batches_.size() * 24 + payload_bytes();
+}
+
+std::uint64_t Block::payload_bytes() const {
+  std::uint64_t total = 0;
+  for (const auto& batch : batches_) total += batch.wire_bytes();
   return total;
 }
 
-Bytes Block::content_bytes() const {
-  serde::Writer w(256 + batches_.size() * 32 + parents_.size() * 48);
+std::size_t Block::content_size() const {
+  std::size_t size = kDigestDomain.size() + 4 + serde::varint_size(round_) +
+                     serde::varint_size(static_cast<std::uint64_t>(created_at_)) +
+                     serde::varint_size(parents_.size());
+  for (const auto& parent : parents_) size += serde::varint_size(parent.round) + 4 + 32;
+  size += 32 + serde::varint_size(batches_.size());
+  for (const auto& batch : batches_) size += batch.encoded_size();
+  return size;
+}
+
+void Block::write_content(serde::Writer& w) const {
   w.raw(as_bytes_view(kDigestDomain));
   w.u32(author_);
   w.varint(round_);
@@ -63,19 +76,26 @@ Bytes Block::content_bytes() const {
   w.digest(coin_share_);
   w.varint(batches_.size());
   for (const auto& batch : batches_) batch.serialize(w);
-  return std::move(w).take();
 }
 
 void Block::finalize_digest() {
-  const Bytes content = content_bytes();
-  digest_ = crypto::Blake2b::hash256({content.data(), content.size()});
+  serde::Writer w(content_size());
+  write_content(w);
+  digest_ = crypto::Blake2b::hash256({w.data().data(), w.size()});
+}
+
+std::size_t Block::encoded_size() const {
+  return content_size() + signature_.bytes.size();
+}
+
+void Block::serialize_into(serde::Writer& w) const {
+  write_content(w);
+  w.raw({signature_.bytes.data(), signature_.bytes.size()});
 }
 
 Bytes Block::serialize() const {
-  serde::Writer w;
-  const Bytes content = content_bytes();
-  w.raw({content.data(), content.size()});
-  w.raw({signature_.bytes.data(), signature_.bytes.size()});
+  serde::Writer w(encoded_size());
+  serialize_into(w);
   return std::move(w).take();
 }
 
@@ -108,7 +128,8 @@ Block Block::deserialize(BytesView data) {
   const BytesView sig = r.raw(64);
   std::copy(sig.begin(), sig.end(), b.signature_.bytes.begin());
   r.expect_done();
-  b.finalize_digest();
+  // Canonical decoding makes the received content the digest preimage.
+  b.digest_ = crypto::Blake2b::hash256(data.first(data.size() - b.signature_.bytes.size()));
   return b;
 }
 

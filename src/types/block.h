@@ -55,10 +55,19 @@ class Block {
   std::uint64_t transaction_count() const;
   // Approximate wire size (header + batches); used for bandwidth modelling.
   std::uint64_t wire_bytes() const;
+  // Transaction bytes across batches (TxBatch::wire_bytes).
+  std::uint64_t payload_bytes() const;
 
-  // Wire codec. deserialize() recomputes the digest from the received
-  // content; it performs structural decoding only (no semantic validation —
+  // Wire codec: the digested content followed by the 64-byte signature.
+  // serialize_into() appends exactly encoded_size() bytes, so callers that
+  // frame a block (network, WAL, checkpoints) size one buffer up front and
+  // encode into it once. deserialize() accepts only canonical encodings
+  // (serde rejects overlong varints; every other field is fixed-width), so
+  // the received content bytes ARE the digest preimage and are hashed in
+  // place. It performs structural decoding only (no semantic validation —
   // see types/validation.h).
+  std::size_t encoded_size() const;
+  void serialize_into(serde::Writer& w) const;
   Bytes serialize() const;
   static Block deserialize(BytesView data);
 
@@ -68,7 +77,9 @@ class Block {
   Block() = default;
 
   // Digest preimage: all fields except the signature, domain-separated.
-  Bytes content_bytes() const;
+  std::size_t content_size() const;
+  void write_content(serde::Writer& w) const;
+  // Digest of a freshly built block (make, genesis).
   void finalize_digest();
 
   ValidatorId author_ = 0;

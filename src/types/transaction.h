@@ -48,6 +48,12 @@ struct TxBatch {
                            : payload.size();
   }
 
+  // Exact size of serialize()'s output.
+  std::size_t encoded_size() const {
+    return 8 + 8 + 4 + 4 + serde::varint_size(payload.size()) + payload.size() +
+           keys_size(read_keys) + keys_size(write_keys);
+  }
+
   void serialize(serde::Writer& w) const {
     w.u64(id);
     w.u64(static_cast<std::uint64_t>(submitted_at));
@@ -71,6 +77,12 @@ struct TxBatch {
   }
 
  private:
+  static std::size_t keys_size(const std::vector<std::string>& keys) {
+    std::size_t size = serde::varint_size(keys.size());
+    for (const std::string& key : keys) size += serde::varint_size(key.size()) + key.size();
+    return size;
+  }
+
   static void serialize_keys(serde::Writer& w, const std::vector<std::string>& keys) {
     w.varint(keys.size());
     for (const std::string& key : keys) w.bytes(as_bytes_view(key));

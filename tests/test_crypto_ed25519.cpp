@@ -1,5 +1,7 @@
 // Ed25519 tests: RFC 8032 vectors, independently generated cross-check
-// vectors, randomized sign/verify round-trips, and rejection paths.
+// vectors, randomized sign/verify round-trips, rejection paths, and a seeded
+// differential check of the fast curve arithmetic against the simple
+// reference implementation in support/curve25519_oracle.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,9 +9,11 @@
 #include <vector>
 
 #include "common/hex.h"
+#include "common/rng.h"
 #include "crypto/curve25519.h"
 #include "crypto/ed25519.h"
 #include "crypto/sha512.h"
+#include "support/curve25519_oracle.h"
 
 namespace mahimahi::crypto {
 namespace {
@@ -62,7 +66,7 @@ struct CrossCheckVector {
   const char* sig;
 };
 
-// Generated with an independent reference implementation (see DESIGN.md).
+// Generated with an independent reference implementation.
 constexpr CrossCheckVector kCrossChecks[] = {
     {"d36e527b204b8b1139f7344431ead1badfcee4f0b8cef7c5ba7904f576fb2ca4",
      "3ead76439cc73f35baa63357b6f0de2e8e545863cfc38f9e916da21d22d70152", "message-0",
@@ -360,5 +364,318 @@ TEST(Ed25519Batch, AgreesWithSingleVerificationOnMixedBatches) {
   }
 }
 
+
+// --- Differential check against the reference implementation -----------------
+//
+// Every comparison goes through encodings (compressed points, signature
+// bytes, accept/reject), so the two implementations share no arithmetic.
+
+namespace {
+
+using Encoding = std::array<std::uint8_t, 32>;
+
+Encoding random_bytes32(Rng& rng) {
+  Encoding out;
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+// L, little-endian: [L]P keeps only P's small-order component.
+constexpr Encoding kOrderL = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+                              0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+                              0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+
+// A random curve point (any order) with its encoding; both implementations
+// must agree on which random strings decode.
+std::pair<Encoding, curve::GroupElement> random_point(Rng& rng) {
+  for (;;) {
+    const Encoding enc = random_bytes32(rng);
+    const auto fast = curve::ge_decompress(enc.data());
+    const auto slow = oracle::ge_decompress(enc.data());
+    EXPECT_EQ(fast.has_value(), slow.has_value()) << to_hex({enc.data(), 32});
+    if (fast) return {enc, *fast};
+  }
+}
+
+Encoding oracle_mult(const Encoding& scalar, const Encoding& point) {
+  return oracle::ge_compressed(
+      oracle::ge_scalar_mult(scalar.data(), *oracle::ge_decompress(point.data())));
+}
+
+// Canonical encodings of the eight small-order points, plus their
+// sign-flipped and non-canonical variants.
+std::vector<Encoding> small_order_and_noncanonical_encodings() {
+  std::vector<Encoding> out;
+  for (const char* hex :
+       {"0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000080",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85"}) {
+    Encoding enc;
+    const auto bytes = from_hex(hex);
+    std::copy(bytes->begin(), bytes->end(), enc.begin());
+    out.push_back(enc);
+    enc[31] ^= 0x80;  // the other sign of x (rejected where x = 0)
+    out.push_back(enc);
+  }
+  // y in [p, 2^255): every non-canonical field encoding, both signs.
+  for (int low = 0xed; low <= 0xff; ++low) {
+    Encoding enc;
+    enc.fill(0xff);
+    enc[0] = static_cast<std::uint8_t>(low);
+    enc[31] = 0x7f;
+    out.push_back(enc);
+    enc[31] = 0xff;
+    out.push_back(enc);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Ed25519Oracle, KeysAndSignaturesMatchByteForByte) {
+  Rng rng(8032);
+  for (int trial = 0; trial < 48; ++trial) {
+    const auto seed = random_bytes32(rng);
+    Bytes message(rng.uniform(300));
+    for (auto& b : message) b = static_cast<std::uint8_t>(rng.next_u64());
+    const BytesView view{message.data(), message.size()};
+
+    const auto kp = ed25519_keypair_from_seed(seed);
+    ASSERT_EQ(kp.public_key.bytes, oracle::public_key(seed)) << "trial " << trial;
+    const auto sig = ed25519_sign(kp.private_key, view);
+    ASSERT_EQ(sig.bytes, oracle::sign(seed, view)) << "trial " << trial;
+    EXPECT_TRUE(ed25519_verify(kp.public_key, view, sig));
+    EXPECT_TRUE(oracle::verify(kp.public_key.bytes, view, sig.bytes));
+  }
+}
+
+TEST(Ed25519Oracle, ScalarMultiplicationAgreesOnRandomScalarsAndPoints) {
+  Rng rng(25519);
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto [enc, point] = random_point(rng);
+    Encoding scalar = random_bytes32(rng);  // full 256 bits, unreduced
+    if (trial % 4 == 0) scalar = kOrderL;   // isolates the torsion component
+    EXPECT_EQ(curve::ge_compressed(curve::ge_scalar_mult(scalar.data(), point)),
+              oracle_mult(scalar, enc))
+        << "trial " << trial;
+
+    // Fixed-base table, both below and above 2^255.
+    scalar[31] = static_cast<std::uint8_t>(trial % 2 == 0 ? scalar[31] & 0x7f : scalar[31] | 0x80);
+    EXPECT_EQ(curve::ge_compressed(curve::ge_scalar_mult_base(scalar.data())),
+              oracle::ge_compressed(oracle::ge_scalar_mult(scalar.data(), oracle::ge_base())))
+        << "trial " << trial;
+  }
+}
+
+TEST(Ed25519Oracle, MultiScalarMultiplicationMatchesSumOfProducts) {
+  Rng rng(9);
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t terms = 1 + rng.uniform(6);
+    std::vector<curve::Scalar> scalars;
+    std::vector<curve::GroupElement> points;
+    oracle::Point expected = oracle::ge_identity();
+    for (std::size_t i = 0; i < terms; ++i) {
+      const auto [enc, point] = random_point(rng);
+      Encoding scalar = random_bytes32(rng);
+      if (i % 2 == 1) std::fill(scalar.begin() + 16, scalar.end(), 0);  // 128-bit, like z_i
+      curve::Scalar s;
+      std::memcpy(s.v, scalar.data(), 32);
+      scalars.push_back(s);
+      points.push_back(point);
+      expected = oracle::ge_add(
+          expected, oracle::ge_scalar_mult(scalar.data(), *oracle::ge_decompress(enc.data())));
+    }
+    Encoding base_scalar = random_bytes32(rng);
+    base_scalar[31] &= 0x0f;  // a reduced-size scalar, as the batch equation uses
+    curve::Scalar b;
+    std::memcpy(b.v, base_scalar.data(), 32);
+    expected = oracle::ge_add(expected,
+                              oracle::ge_scalar_mult(base_scalar.data(), oracle::ge_base()));
+    EXPECT_EQ(curve::ge_compressed(curve::ge_multi_scalar_mult(scalars, points, b)),
+              oracle::ge_compressed(expected))
+        << "trial " << trial;
+  }
+}
+
+TEST(Ed25519Oracle, DecompressionAgreesOnSmallOrderAndNonCanonicalEncodings) {
+  for (const Encoding& enc : small_order_and_noncanonical_encodings()) {
+    const auto fast = curve::ge_decompress(enc.data());
+    const auto slow = oracle::ge_decompress(enc.data());
+    ASSERT_EQ(fast.has_value(), slow.has_value()) << to_hex({enc.data(), 32});
+    if (!fast) continue;
+    EXPECT_EQ(curve::ge_compressed(*fast), oracle::ge_compressed(*slow));
+    EXPECT_TRUE(curve::ge_is_identity(curve::ge_mul_cofactor(*fast))) << to_hex({enc.data(), 32});
+  }
+}
+
+TEST(Ed25519Oracle, ScalarReductionAgrees) {
+  Rng rng(252);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint8_t wide[64];
+    for (auto& b : wide) b = static_cast<std::uint8_t>(rng.next_u64());
+    if (trial == 0) std::fill(wide, wide + 64, 0xff);
+    if (trial == 1) std::fill(wide, wide + 64, 0);
+    std::uint8_t fast[32];
+    curve::sc_to_bytes(fast, curve::sc_from_bytes64(wide));
+    EXPECT_EQ(0, std::memcmp(fast, oracle::sc_from_bytes64(wide).v, 32)) << "trial " << trial;
+
+    const auto a = curve::sc_from_bytes64(wide);
+    const auto b = curve::sc_from_bytes32(wide + 32);
+    const auto c = curve::sc_from_bytes32(wide + 16);
+    curve::sc_to_bytes(fast, curve::sc_mul_add(a, b, c));
+    EXPECT_EQ(0, std::memcmp(fast, oracle::sc_mul_add(oracle::sc_from_bytes64(wide),
+                                                      oracle::sc_from_bytes32(wide + 32),
+                                                      oracle::sc_from_bytes32(wide + 16))
+                                       .v,
+                             32))
+        << "trial " << trial;
+  }
+}
+
+namespace {
+
+// A signature by `seed` over `message`, produced against the public key
+// encoding `key` and nonce point encoding `r` (which may carry torsion),
+// with s recomputed for the resulting challenge.
+Ed25519Signature sign_against(const std::array<std::uint8_t, 32>& seed, const Encoding& key,
+                              const Encoding& r_enc, const curve::Scalar& r,
+                              const std::string& message) {
+  const auto h = Sha512::hash({seed.data(), seed.size()});
+  std::uint8_t clamped[32];
+  std::copy(h.data(), h.data() + 32, clamped);
+  clamped[0] &= 0xf8;
+  clamped[31] &= 0x7f;
+  clamped[31] |= 0x40;
+  Sha512 k_hash;
+  k_hash.update({r_enc.data(), 32});
+  k_hash.update({key.data(), 32});
+  k_hash.update(as_bytes_view(message));
+  const auto k = curve::sc_from_bytes64(k_hash.finish().data());
+  Ed25519Signature sig;
+  std::copy(r_enc.begin(), r_enc.end(), sig.bytes.begin());
+  curve::sc_to_bytes(sig.bytes.data() + 32, curve::sc_mul_add(k, curve::sc_from_bytes32(clamped), r));
+  return sig;
+}
+
+// Adversarial (key, message, signature) triples whose verdicts matter for
+// consensus: valid, torsion-mangled R and A, small-order keys and nonces,
+// non-canonical s and point encodings, and single bit flips.
+std::vector<std::pair<Ed25519BatchItem, std::string>> adversarial_items(Rng& rng) {
+  static std::vector<std::string> messages;  // BytesViews below point here
+  messages.clear();
+  messages.reserve(256);
+  std::vector<std::pair<Ed25519PublicKey, Ed25519Signature>> raw;
+  const auto torsion = small_order_and_noncanonical_encodings();
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto seed = random_bytes32(rng);
+    const auto kp = ed25519_keypair_from_seed(seed);
+    const std::string message = "adversarial-" + std::to_string(trial);
+    messages.push_back(message);
+    const auto honest = ed25519_sign(kp.private_key, as_bytes_view(message));
+    raw.push_back({kp.public_key, honest});
+
+    // R + T and A + T for a small-order T, with s recomputed.
+    const Encoding& t_enc = torsion[2 * (trial % 8)];
+    const auto t = curve::ge_decompress(t_enc.data());
+    const auto r_point = curve::ge_decompress(honest.bytes.data());
+    const auto a_point = curve::ge_decompress(kp.public_key.bytes.data());
+    const auto h = Sha512::hash({seed.data(), seed.size()});
+    Sha512 r_hash;
+    r_hash.update({h.data() + 32, 32});
+    r_hash.update(as_bytes_view(message));
+    const auto r = curve::sc_from_bytes64(r_hash.finish().data());
+    Encoding honest_r;
+    std::copy(honest.bytes.begin(), honest.bytes.begin() + 32, honest_r.begin());
+    const Encoding mangled_r = curve::ge_compressed(curve::ge_add(*r_point, *t));
+    const Encoding mangled_a = curve::ge_compressed(curve::ge_add(*a_point, *t));
+    raw.push_back({kp.public_key, sign_against(seed, kp.public_key.bytes, mangled_r, r, message)});
+    raw.push_back({Ed25519PublicKey{mangled_a}, sign_against(seed, mangled_a, honest_r, r, message)});
+
+    // A small-order key or nonce outright.
+    raw.push_back({Ed25519PublicKey{t_enc}, honest});
+    Ed25519Signature small_r = honest;
+    std::copy(t_enc.begin(), t_enc.end(), small_r.bytes.begin());
+    raw.push_back({kp.public_key, small_r});
+
+    // Non-canonical s (s + L, and s = L) and a non-canonical R encoding.
+    Ed25519Signature s_plus_l = honest;
+    unsigned carry = 0;
+    for (int i = 0; i < 32; ++i) {
+      const unsigned sum = s_plus_l.bytes[32 + i] + kOrderL[i] + carry;
+      s_plus_l.bytes[32 + i] = static_cast<std::uint8_t>(sum);
+      carry = sum >> 8;
+    }
+    raw.push_back({kp.public_key, s_plus_l});
+    Ed25519Signature s_is_l = honest;
+    std::copy(kOrderL.begin(), kOrderL.end(), s_is_l.bytes.begin() + 32);
+    raw.push_back({kp.public_key, s_is_l});
+    Ed25519Signature noncanonical_r = honest;
+    const Encoding& bad = torsion[16 + 2 * (trial % 19)];
+    std::copy(bad.begin(), bad.end(), noncanonical_r.bytes.begin());
+    raw.push_back({kp.public_key, noncanonical_r});
+
+    // One flipped bit anywhere in the signature.
+    Ed25519Signature flipped = honest;
+    flipped.bytes[rng.uniform(64)] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
+    raw.push_back({kp.public_key, flipped});
+  }
+  std::vector<std::pair<Ed25519BatchItem, std::string>> out;
+  constexpr std::size_t kPerTrial = 9;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    out.push_back({Ed25519BatchItem{raw[i].first, as_bytes_view(messages[i / kPerTrial]),
+                                    raw[i].second},
+                   "case " + std::to_string(i % kPerTrial) + " of trial " +
+                       std::to_string(i / kPerTrial)});
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Ed25519Oracle, VerdictsAgreeOnAdversarialSignatures) {
+  Rng rng(77);
+  const auto cases = adversarial_items(rng);
+  std::vector<Ed25519BatchItem> items;
+  std::vector<std::uint8_t> expected;
+  for (const auto& [item, label] : cases) {
+    const bool verdict = oracle::verify(item.key.bytes, item.message, item.signature.bytes);
+    EXPECT_EQ(ed25519_verify(item.key, item.message, item.signature), verdict) << label;
+    items.push_back(item);
+    expected.push_back(verdict ? 1 : 0);
+  }
+  // Honest, torsion-mangled-R and torsion-mangled-A signatures all pass the
+  // cofactored check; the set is not trivially all-reject.
+  EXPECT_GE(std::count(expected.begin(), expected.end(), 1), 3 * 24);
+  // The batch paths agree with the per-item oracle too.
+  EXPECT_EQ(ed25519_verify_each(items), expected);
+  EXPECT_EQ(ed25519_verify_batch(items),
+            std::all_of(expected.begin(), expected.end(), [](std::uint8_t ok) { return ok; }));
+}
+
+TEST(Ed25519Oracle, BatchWithOneBadSignatureAtEveryPosition) {
+  std::vector<SignedMessage> signed_messages;
+  for (int i = 0; i < 16; ++i) {
+    signed_messages.push_back(
+        make_signed(static_cast<std::uint8_t>(i % 5 + 1), "slot-" + std::to_string(i)));
+  }
+  const auto good = as_items(signed_messages);
+  ASSERT_TRUE(ed25519_verify_batch(good));
+  for (std::size_t bad = 0; bad < good.size(); ++bad) {
+    auto items = good;
+    items[bad].signature.bytes[(bad * 7) % 64] ^= 0x10;
+    ASSERT_FALSE(oracle::verify(items[bad].key.bytes, items[bad].message,
+                                items[bad].signature.bytes));
+    EXPECT_FALSE(ed25519_verify_batch(items)) << "bad item " << bad;
+    const auto each = ed25519_verify_each(items);
+    for (std::size_t i = 0; i < each.size(); ++i) {
+      EXPECT_EQ(each[i] != 0, i != bad) << "bad item " << bad << ", item " << i;
+    }
+  }
+}
 }  // namespace
 }  // namespace mahimahi::crypto

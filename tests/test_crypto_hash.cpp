@@ -1,16 +1,19 @@
 // Hash-function tests: published test vectors (FIPS 180-4, RFC 7693,
-// RFC 4231), incremental-API equivalence, and the self-verifying SHA-2
-// constant schedules (fracroot).
+// RFC 4231), incremental-API equivalence, the self-verifying SHA-2
+// constant schedules (fracroot), and a seeded differential check of BLAKE2b
+// against the reference implementation in support/blake2b_oracle.h.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "common/hex.h"
+#include "common/rng.h"
 #include "crypto/blake2b.h"
 #include "crypto/fracroot.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
+#include "support/blake2b_oracle.h"
 
 namespace mahimahi::crypto {
 namespace {
@@ -223,6 +226,89 @@ TEST(Blake2b, ExactBlockMultiples) {
   Digest d;
   split.finish(d.bytes.data());
   EXPECT_EQ(d, Blake2b::hash256(as_bytes_view(two_blocks)));
+}
+
+// RFC 7693 Appendix E: the self-test "grand hash" over unkeyed and keyed
+// digests of every (digest length, input length) pair it lists.
+TEST(Blake2b, Rfc7693SelfTest) {
+  const auto sequence = [](std::size_t length, std::uint32_t seed) {
+    Bytes out(length);
+    std::uint32_t a = 0xDEAD4BAD * seed;
+    std::uint32_t b = 1;
+    for (auto& byte : out) {
+      const std::uint32_t t = a + b;
+      a = b;
+      b = t;
+      byte = static_cast<std::uint8_t>(t >> 24);
+    }
+    return out;
+  };
+  Blake2b grand(32);
+  for (const std::size_t out_len : {20u, 32u, 48u, 64u}) {
+    for (const std::size_t in_len : {0u, 3u, 128u, 129u, 255u, 1024u}) {
+      const Bytes in = sequence(in_len, static_cast<std::uint32_t>(in_len));
+      const Bytes key = sequence(out_len, static_cast<std::uint32_t>(out_len));
+      for (const BytesView k : {BytesView{}, BytesView{key.data(), key.size()}}) {
+        Blake2b h(out_len, k);
+        h.update({in.data(), in.size()});
+        std::uint8_t md[64];
+        h.finish(md);
+        grand.update({md, out_len});
+      }
+    }
+  }
+  Digest d;
+  grand.finish(d.bytes.data());
+  EXPECT_EQ(d.hex(), "c23a7800d98123bd10f506c61e29da5603d763b8bbad2e737f5e765a7bccd475");
+}
+
+// The reference package's keyed known-answer vectors (key 00..3f).
+TEST(Blake2b, KeyedKnownAnswers) {
+  Bytes key(64), in(255);
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::uint8_t>(i);
+  const auto keyed512 = [&](std::size_t in_len) {
+    Blake2b h(64, {key.data(), key.size()});
+    h.update({in.data(), in_len});
+    std::uint8_t md[64];
+    h.finish(md);
+    return to_hex({md, 64});
+  };
+  EXPECT_EQ(keyed512(0),
+            "10ebb67700b1868efb4417987acf4690ae9d972fb7a590c2f02871799aaa4786"
+            "b5e996e8f0f4eb981fc214b005f42d2ff4233499391653df7aefcbc13fc51568");
+  EXPECT_EQ(keyed512(255),
+            "142709d62e28fcccd0af97fad0f8465b971e82201dc51070faa0372aa43e9248"
+            "4be1c1e73ba10906d5d1853db6a4106e0a7bf9800d373d6dee2d46d62ef2a461");
+}
+
+// Every length 0..1000 plus a block-sized 296 KB input, one-shot and in
+// random chunks, against the staged reference implementation.
+TEST(Blake2b, MatchesReferenceImplementation) {
+  Rng rng(7693);
+  Bytes data(296 * 1024);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 1000; ++length) lengths.push_back(length);
+  lengths.push_back(data.size());
+  for (const std::size_t length : lengths) {
+    const BytesView input{data.data(), length};
+    oracle::Blake2bReference reference(32);
+    reference.update(input);
+    const Bytes expected = reference.finish();
+    ASSERT_EQ(to_hex(Blake2b::hash256(input).view()), to_hex({expected.data(), 32}))
+        << "length " << length;
+
+    Blake2b chunked(32);
+    for (std::size_t offset = 0; offset < length;) {
+      const std::size_t take = std::min<std::size_t>(rng.uniform(300), length - offset);
+      chunked.update(input.subspan(offset, take));
+      offset += take;
+    }
+    Digest d;
+    chunked.finish(d.bytes.data());
+    ASSERT_EQ(to_hex(d.view()), to_hex({expected.data(), 32})) << "chunked length " << length;
+  }
 }
 
 // --- HMAC-SHA-256 (RFC 4231) ------------------------------------------------

@@ -10,13 +10,19 @@
 //   * any truncation or extension of the wire image throws;
 //   * arbitrary random bytes never crash the decoder;
 //   * WAL records are CRC-framed, so flipping any byte of a record makes
-//     replay stop at a clean prefix instead of delivering garbage.
+//     replay stop at a clean prefix instead of delivering garbage;
+//   * decoding is canonical: every byte string Block::deserialize accepts
+//     re-serializes byte-identically (so hashing the received content in
+//     place gives the digest re-serialization would), and an overlong varint
+//     in any field is rejected.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "common/rng.h"
+#include "crypto/blake2b.h"
 #include "types/validation.h"
 #include "wal/wal.h"
 
@@ -120,6 +126,143 @@ TEST_F(BlockFuzz, ByteSwapsAreRejected) {
     if (mutated[i] == mutated[j]) continue;  // no-op swap
     std::swap(mutated[i], mutated[j]);
     EXPECT_TRUE(rejected(mutated)) << "swap " << i << "<->" << j;
+  }
+}
+
+// --------------------------------------------------------------------------
+// Canonical encoding
+// --------------------------------------------------------------------------
+
+// Blocks of varied shapes: multi-byte varints (rounds, timestamps, lengths),
+// several parents, payloads and declared keys of random sizes.
+std::vector<Block> varied_blocks(const Committee::TestSetup& setup, Rng& rng) {
+  std::vector<Block> blocks;
+  for (int shape = 0; shape < 6; ++shape) {
+    const Round round = shape == 0 ? 1 : 1 + rng.uniform(std::uint64_t{1} << (7 * shape));
+    std::vector<BlockRef> parents;
+    const std::uint64_t parent_count = 1 + rng.uniform(setup.committee.size());
+    for (ValidatorId v = 0; v < parent_count; ++v) {
+      parents.push_back(BlockRef{round - 1, v, crypto::Blake2b::hash256(as_bytes_view(std::to_string(v)))});
+    }
+    std::vector<TxBatch> batches(rng.uniform(4));
+    for (auto& batch : batches) {
+      batch.id = rng.next_u64();
+      batch.submitted_at = static_cast<TimeMicros>(rng.uniform(1ull << 40));
+      batch.count = static_cast<std::uint32_t>(1 + rng.uniform(1000));
+      batch.payload.resize(rng.uniform(300));
+      for (auto& byte : batch.payload) byte = static_cast<std::uint8_t>(rng.next_u64());
+      for (std::uint64_t k = rng.uniform(3); k > 0; --k) {
+        batch.read_keys.push_back(std::string(rng.uniform(200), 'r'));
+        batch.write_keys.push_back("w" + std::to_string(k));
+      }
+    }
+    const ValidatorId author = static_cast<ValidatorId>(rng.uniform(setup.committee.size()));
+    blocks.push_back(Block::make(author, round, std::move(parents), std::move(batches),
+                                 setup.committee.coin().share(author, round),
+                                 setup.keypairs[author].private_key,
+                                 static_cast<TimeMicros>(rng.uniform(1ull << (10 * shape)))));
+  }
+  return blocks;
+}
+
+TEST(BlockCanonicalEncoding, EncodedSizeIsExact) {
+  const auto setup = Committee::make_test(4);
+  Rng rng(5);
+  for (const Block& block : varied_blocks(setup, rng)) {
+    EXPECT_EQ(block.serialize().size(), block.encoded_size());
+  }
+}
+
+TEST(BlockCanonicalEncoding, AcceptedMutantsReserializeByteIdentically) {
+  const auto setup = Committee::make_test(4);
+  Rng rng(4242);
+  std::size_t accepted = 0;
+  for (const Block& block : varied_blocks(setup, rng)) {
+    const Bytes wire = block.serialize();
+    for (int trial = 0; trial < 400; ++trial) {
+      Bytes mutated = wire;
+      const std::size_t at = rng.uniform(mutated.size());
+      switch (rng.uniform(4)) {
+        case 0: mutated[at] ^= static_cast<std::uint8_t>(1u << rng.uniform(8)); break;
+        case 1: mutated[at] = static_cast<std::uint8_t>(rng.next_u64()); break;
+        case 2: mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(at),
+                               static_cast<std::uint8_t>(rng.next_u64()));
+                break;
+        default: mutated.erase(mutated.begin() + static_cast<std::ptrdiff_t>(at)); break;
+      }
+      std::optional<Block> decoded;
+      try {
+        decoded.emplace(Block::deserialize({mutated.data(), mutated.size()}));
+      } catch (const serde::SerdeError&) {
+        continue;
+      }
+      ++accepted;
+      const Bytes again = decoded->serialize();
+      ASSERT_EQ(again, mutated) << "accepted a non-canonical encoding (trial " << trial << ")";
+      // The in-place digest equals the re-serialize-then-hash digest.
+      EXPECT_EQ(decoded->digest(), crypto::Blake2b::hash256({again.data(), again.size() - 64}));
+    }
+  }
+  EXPECT_GT(accepted, 100u);  // payload and signature bytes decode freely
+}
+
+// Re-encodes `block` field by field with the varint at index `overlong`
+// (in encoding order) written one byte too long; -1 writes it canonically.
+Bytes encode_with_overlong(const Block& block, int overlong, int& varints) {
+  serde::Writer w;
+  varints = 0;
+  const auto varint = [&](std::uint64_t v) {
+    if (varints++ != overlong) {
+      w.varint(v);
+      return;
+    }
+    for (; v >= 0x80; v >>= 7) w.u8(static_cast<std::uint8_t>(v) | 0x80);
+    w.u8(static_cast<std::uint8_t>(v) | 0x80);
+    w.u8(0x00);
+  };
+  w.raw(as_bytes_view("mahi-mahi/block/v2"));
+  w.u32(block.author());
+  varint(block.round());
+  varint(static_cast<std::uint64_t>(block.created_at()));
+  varint(block.parents().size());
+  for (const auto& parent : block.parents()) {
+    varint(parent.round);
+    w.u32(parent.author);
+    w.digest(parent.digest);
+  }
+  w.digest(block.coin_share());
+  varint(block.batches().size());
+  for (const auto& batch : block.batches()) {
+    w.u64(batch.id);
+    w.u64(static_cast<std::uint64_t>(batch.submitted_at));
+    w.u32(batch.count);
+    w.u32(batch.tx_bytes);
+    varint(batch.payload.size());
+    w.raw({batch.payload.data(), batch.payload.size()});
+    for (const auto* keys : {&batch.read_keys, &batch.write_keys}) {
+      varint(keys->size());
+      for (const auto& key : *keys) {
+        varint(key.size());
+        w.raw(as_bytes_view(key));
+      }
+    }
+  }
+  w.raw({block.signature().bytes.data(), block.signature().bytes.size()});
+  return std::move(w).take();
+}
+
+TEST(BlockCanonicalEncoding, OverlongVarintRejectedInEveryField) {
+  const auto setup = Committee::make_test(4);
+  Rng rng(99);
+  for (const Block& block : varied_blocks(setup, rng)) {
+    int varints = 0;
+    ASSERT_EQ(encode_with_overlong(block, -1, varints), block.serialize());
+    for (int field = 0; field < varints; ++field) {
+      int ignored = 0;
+      const Bytes image = encode_with_overlong(block, field, ignored);
+      EXPECT_THROW(Block::deserialize({image.data(), image.size()}), serde::SerdeError)
+          << "overlong varint #" << field << " of " << varints << " accepted";
+    }
   }
 }
 

@@ -70,6 +70,29 @@ TEST(Serde, VarintRejectsOverlongFinalByte) {
   EXPECT_THROW(r.varint(), SerdeError);
 }
 
+TEST(Serde, VarintRejectsOverlongEncodings) {
+  // Writer's encodings (including a lone zero byte) are the only accepted
+  // ones: a zero final byte after the first byte always has a shorter form.
+  for (const Bytes& overlong : {Bytes{0x80, 0x00}, Bytes{0x81, 0x00}, Bytes{0xff, 0x80, 0x00},
+                                Bytes{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00}}) {
+    Reader r({overlong.data(), overlong.size()});
+    EXPECT_THROW(r.varint(), SerdeError) << overlong.size() << " bytes";
+  }
+  const Bytes zero = {0x00};
+  Reader r({zero.data(), zero.size()});
+  EXPECT_EQ(r.varint(), 0u);
+}
+
+TEST(Serde, VarintSizeMatchesWriter) {
+  for (std::uint64_t v = 1; v != 0; v <<= 1) {
+    for (const std::uint64_t probe : {v - 1, v, v + 1}) {
+      Writer w;
+      w.varint(probe);
+      EXPECT_EQ(varint_size(probe), w.size()) << probe;
+    }
+  }
+}
+
 TEST(Serde, VarintTruncatedThrows) {
   Bytes truncated = {0x80, 0x80};  // continuation bits with no terminator
   Reader r({truncated.data(), truncated.size()});
