@@ -1,4 +1,4 @@
-// Ablations of Mahi-Mahi's design choices (DESIGN.md §7).
+// Ablations of Mahi-Mahi's design choices.
 //
 // A: overlapping waves (a wave every round) vs strided waves (one wave per
 //    wave_length rounds) — strided degenerates into Cordial Miners' cadence.
@@ -109,7 +109,7 @@ void ablation_gc_depth() {
 }  // namespace
 
 int main() {
-  std::printf("=== Ablations (DESIGN.md §7) ===\n\n");
+  std::printf("=== Ablations ===\n\n");
   ablation_wave_stride();
   ablation_direct_skip();
   ablation_wave_length_3();

@@ -30,7 +30,7 @@ void BM_Blake2b256(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Blake2b256)->Arg(64)->Arg(512)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_Blake2b256)->Arg(64)->Arg(512)->Arg(4096)->Arg(65536)->Arg(262144);
 
 void BM_Sha256(benchmark::State& state) {
   const Bytes input = make_input(static_cast<std::size_t>(state.range(0)));

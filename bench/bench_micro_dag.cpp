@@ -26,25 +26,45 @@ void BM_BlockCreateAndSign(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCreateAndSign);
 
-void BM_BlockSerialize(benchmark::State& state) {
+// A block of a fully connected 10-validator DAG carrying `payload_bytes`
+// of transaction payload in 4 KiB batches (0 = an empty round-2 block). The
+// 256 KiB shape is close to a tcp-opaque-100k block (~300 KB), whose decode
+// cost is mostly the BLAKE2b digest.
+BlockPtr bench_block(std::size_t payload_bytes) {
   DagBuilder builder(10);
   builder.build_fully_connected(2);
-  const BlockPtr block = builder.dag().slot(2, 0).front();
+  if (payload_bytes == 0) return builder.dag().slot(2, 0).front();
+  std::vector<BlockRef> parents;
+  for (ValidatorId v = 0; v < builder.n(); ++v) parents.push_back(builder.dag().slot(2, v).front()->ref());
+  std::vector<TxBatch> batches;
+  for (std::size_t left = payload_bytes; left > 0;) {
+    TxBatch batch;
+    batch.id = batches.size();
+    batch.count = 8;
+    batch.payload.assign(std::min<std::size_t>(4096, left), 0x5a);
+    left -= batch.payload.size();
+    batches.push_back(std::move(batch));
+  }
+  return builder.add_block(0, 3, std::move(parents), std::move(batches));
+}
+
+void BM_BlockSerialize(benchmark::State& state) {
+  const BlockPtr block = bench_block(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(block->serialize());
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * block->encoded_size()));
 }
-BENCHMARK(BM_BlockSerialize);
+BENCHMARK(BM_BlockSerialize)->Arg(0)->Arg(256 * 1024);
 
 void BM_BlockDeserialize(benchmark::State& state) {
-  DagBuilder builder(10);
-  builder.build_fully_connected(2);
-  const Bytes wire = builder.dag().slot(2, 0).front()->serialize();
+  const Bytes wire = bench_block(static_cast<std::size_t>(state.range(0)))->serialize();
   for (auto _ : state) {
     benchmark::DoNotOptimize(Block::deserialize({wire.data(), wire.size()}));
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * wire.size()));
 }
-BENCHMARK(BM_BlockDeserialize);
+BENCHMARK(BM_BlockDeserialize)->Arg(0)->Arg(256 * 1024);
 
 void BM_BlockValidate(benchmark::State& state) {
   DagBuilder builder(10);

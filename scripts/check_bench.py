@@ -12,9 +12,12 @@ gate fails (exit 1) on:
   * (with --expect NAME) no benchmark whose name contains NAME,
   * (with --compare COUNTER BASE TEST) a TEST-matching entry whose COUNTER
     mean exceeds the BASE-matching entries' mean,
-  * (with --max-ns NAME NANOS) NAME-matching entries whose mean real_time
-    exceeds NANOS nanoseconds — the absolute hot-path overhead gate
-    (bench_obs: a metrics-registry record must stay under 50 ns).
+  * (with --max-ns PATTERN NANOS) entries whose name PATTERN (a regular
+    expression, so a plain name matches as a substring and NAME$ matches
+    only NAME) searches, when their mean real_time exceeds NANOS nanoseconds
+    — the absolute hot-path budget gate (bench_obs: a metrics-registry
+    record must stay under 50 ns; bench_micro_crypto: ed25519 sign and
+    verify).
 
 So a bench that bit-rots into producing garbage — or a CI step whose filter
 matches nothing — fails the push instead of silently uploading junk.
@@ -32,12 +35,13 @@ refuses rings) is not a regression.
 
 Usage: check_bench.py FILE.json [--expect NAME_SUBSTRING]...
                       [--compare COUNTER BASE_SUBSTRING TEST_SUBSTRING]...
-                      [--max-ns NAME_SUBSTRING NANOS]...
+                      [--max-ns NAME_PATTERN NANOS]...
 """
 
 import argparse
 import json
 import math
+import re
 import sys
 
 
@@ -72,10 +76,10 @@ def main() -> None:
         action="append",
         default=[],
         nargs=2,
-        metavar=("NAME_SUBSTRING", "NANOS"),
+        metavar=("NAME_PATTERN", "NANOS"),
         help="fail when the mean real_time (converted to ns) over benchmarks "
-        "matching NAME_SUBSTRING exceeds NANOS, or when nothing matches "
-        "(repeatable)",
+        "whose name NAME_PATTERN (a regex, searched) matches exceeds NANOS, "
+        "or when nothing matches (repeatable)",
     )
     args = parser.parse_args()
 
@@ -169,7 +173,7 @@ def main() -> None:
         for entry in benchmarks:
             if entry.get("run_type") == "aggregate":
                 continue
-            if name_substr not in entry.get("name", ""):
+            if not re.search(name_substr, entry.get("name", "")):
                 continue
             unit = entry.get("time_unit", "ns")
             if unit not in to_ns:

@@ -50,10 +50,16 @@ class Bench:
 # the absolute hot-path budget (see check_bench.py for semantics, including
 # which comparisons self-skip on hosts that cannot run the TEST series).
 BENCHES: List[Bench] = [
-    # No JSON: a pure does-it-still-run smoke of the signature hot loop.
+    # The signature hot path: the batch series must exist, and single sign
+    # and verify stay under an absolute budget (~40 and ~55 us on a 4-vCPU
+    # x86-64 VM; the double-and-add arithmetic they replaced took 380-620 us,
+    # so the budget catches a fall back to it on any CI runner).
     Bench(name="micro_crypto", binary="bench_micro_crypto",
-          filter="Ed25519VerifyBatch|Ed25519VerifySingleLoop",
-          min_time="0.05", json=False),
+          filter="BM_Ed25519(Sign|Verify)$|Ed25519VerifyBatch|Ed25519VerifySingleLoop",
+          min_time="0.05",
+          gate=("--expect", "BM_Ed25519VerifyBatch",
+                "--max-ns", "BM_Ed25519Sign$", "150000",
+                "--max-ns", "BM_Ed25519Verify$", "150000")),
 
     Bench(name="mempool", binary="bench_mempool",
           filter="BM_MempoolSubmit/shards:(1|8).*threads:8", min_time="0.05",

@@ -11,7 +11,7 @@
 //
 // What it does NOT provide is cryptographic unpredictability against a party
 // holding the setup seed (all validators can precompute future coins). Our
-// in-repo adversaries never exploit this; see DESIGN.md §3.
+// in-repo adversaries never exploit this.
 #pragma once
 
 #include <cstdint>

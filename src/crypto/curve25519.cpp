@@ -1,6 +1,7 @@
 #include "crypto/curve25519.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -418,6 +419,7 @@ GroupElement ge_double(const GroupElement& p) { return p1p1_to_p3(dbl(P2{p.x, p.
 GroupElement ge_multi_scalar_mult(std::span<const Scalar> scalars,
                                   std::span<const GroupElement> points,
                                   const Scalar& base_scalar) {
+  assert(scalars.size() == points.size());
   struct Term {
     Naf naf;
     Cached odd[8];  // (2k + 1) P

@@ -175,10 +175,11 @@ bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items) {
   // the R terms keep their 128-bit coefficients (half the wNAF digits).
   // Distinct public keys are decompressed once; committees are small, so a
   // linear scan beats hashing the 32-byte keys.
-  std::vector<Scalar> scalars(z);
-  std::vector<GroupElement> points;
-  points.reserve(items.size() * 2);
+  std::vector<GroupElement> points;  // -R_i, then -A per distinct key
+  points.reserve(items.size());
   std::vector<Ed25519PublicKey> keys;
+  std::vector<GroupElement> key_points;
+  std::vector<Scalar> key_coefficients;
   Scalar b_coefficient = sc_zero();
 
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -190,21 +191,22 @@ bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items) {
     if (!r_point) return false;
     points.push_back(ge_neg(*r_point));
     b_coefficient = sc_mul_add(z[i], *s, b_coefficient);
-  }
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& item = items[i];
-    const auto known = std::find(keys.begin(), keys.end(), item.key);
-    const std::size_t term = items.size() + static_cast<std::size_t>(known - keys.begin());
-    if (known == keys.end()) {
+
+    const std::size_t term =
+        static_cast<std::size_t>(std::find(keys.begin(), keys.end(), item.key) - keys.begin());
+    if (term == keys.size()) {
       const auto a_point = ge_decompress(item.key.bytes.data());
       if (!a_point) return false;
       keys.push_back(item.key);
-      points.push_back(ge_neg(*a_point));
-      scalars.push_back(sc_zero());
+      key_points.push_back(ge_neg(*a_point));
+      key_coefficients.push_back(sc_zero());
     }
     const Scalar k = challenge_scalar(item.signature, item.key, item.message);
-    scalars[term] = sc_mul_add(z[i], k, scalars[term]);
+    key_coefficients[term] = sc_mul_add(z[i], k, key_coefficients[term]);
   }
+  points.insert(points.end(), key_points.begin(), key_points.end());
+  std::vector<Scalar> scalars(z);
+  scalars.insert(scalars.end(), key_coefficients.begin(), key_coefficients.end());
 
   // Cofactored, like ed25519_verify: torsion components never decide the
   // verdict, so batch and single verification agree deterministically.

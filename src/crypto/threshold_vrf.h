@@ -5,7 +5,7 @@
 // scheme with an asynchronous DKG [1,2,20,21,30]. This module implements the
 // pairing-free equivalent over the Ed25519 group:
 //
-//   * a dealer (standing in for the DKG; see DESIGN.md §3) Shamir-shares a
+//   * a dealer (standing in for the DKG) Shamir-shares a
 //     master secret a₀ with a degree-2f polynomial, so any 2f+1 shares
 //     reconstruct and any 2f collude-and-learn-nothing;
 //   * validator i's coin share for input m is σ_i = [sk_i]·H(m), where H is
@@ -21,8 +21,7 @@
 //
 // The protocol simulation defaults to the cheaper keyed-hash coin
 // (crypto/coin.h) because its 32-byte shares ride inside blocks; this module
-// is the drop-in for deployments that need real unpredictability, and the
-// randomness_beacon example runs it end to end.
+// is the drop-in for deployments that need real unpredictability.
 #pragma once
 
 #include <cstdint>

@@ -447,6 +447,79 @@ TEST(Tcp, EchoRoundTrip) {
   runner.join();
 }
 
+// Frames larger than a read chunk arrive in a buffer reserved to exactly
+// their size, which the handler may take over (no copy, and no multi-MB
+// capacity left behind on the connection); frames around them are intact.
+TEST(Tcp, LargeFramesArriveInExactOwnedBuffers) {
+  EventLoop loop;
+  std::mutex mutex;
+  struct Received {
+    Bytes bytes;
+    bool owned = false;
+    std::size_t capacity = 0;
+  };
+  std::vector<Received> received;
+  TcpConnectionPtr server_side;
+
+  TcpListener listener(loop, 0, [&](TcpConnectionPtr connection) {
+    server_side = connection;
+    connection->start(
+        [&](const TcpConnection::Frame& frame) {
+          Received r;
+          if (frame.owner != nullptr) {
+            // Take the buffer, as the verify stage does.
+            const std::size_t offset = static_cast<std::size_t>(frame.bytes.data() - frame.owner->data());
+            Bytes taken = std::move(*frame.owner);
+            r.bytes.assign(taken.begin() + static_cast<std::ptrdiff_t>(offset), taken.end());
+            r.owned = true;
+            r.capacity = taken.capacity();
+          } else {
+            r.bytes.assign(frame.bytes.begin(), frame.bytes.end());
+          }
+          std::lock_guard<std::mutex> g(mutex);
+          received.push_back(std::move(r));
+        },
+        [] {});
+  });
+
+  std::thread runner([&] { loop.run(); });
+  TcpConnectionPtr client;
+  std::atomic<bool> connected{false};
+  loop.post([&] {
+    tcp_connect(loop, "127.0.0.1", listener.port(), [&](TcpConnectionPtr connection) {
+      client = connection;
+      client->start([](BytesView) {}, [] {});
+      connected = true;
+    });
+  });
+  ASSERT_TRUE(wait_for([&] { return connected.load(); }));
+
+  std::vector<Bytes> sent;
+  for (const std::size_t size : {100u, 3000000u, 7u, 1000000u, 70000u, 5u}) {
+    Bytes frame(size);
+    for (std::size_t i = 0; i < size; ++i) frame[i] = static_cast<std::uint8_t>(i * 7 + size);
+    sent.push_back(std::move(frame));
+  }
+  loop.post([&] {
+    for (const Bytes& frame : sent) client->send_frame({frame.data(), frame.size()});
+  });
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard<std::mutex> g(mutex);
+    return received.size() == sent.size();
+  }));
+  std::lock_guard<std::mutex> g(mutex);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(received[i].bytes, sent[i]) << "frame " << i;
+    if (sent[i].size() >= 1000000) {
+      EXPECT_TRUE(received[i].owned) << "frame " << i;
+      EXPECT_EQ(received[i].capacity, 4 + sent[i].size()) << "frame " << i;
+    }
+  }
+
+  loop.stop();
+  runner.join();
+}
+
 class TcpClusterTest : public ::testing::Test {
  protected:
   TcpClusterTest() : setup_(Committee::make_test(4)) {}
