@@ -58,6 +58,109 @@ FieldElement fe_reduce_wide(u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
   return r;
 }
 
+FieldElement fe_add(const FieldElement& a, const FieldElement& b) {
+  return FieldElement{{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2], a.v[3] + b.v[3],
+                       a.v[4] + b.v[4]}};
+}
+
+FieldElement fe_sub(const FieldElement& a, const FieldElement& b) {
+  // a + 4p - b keeps every limb non-negative.
+  constexpr std::uint64_t k4p0 = 0x1fffffffffffb4ULL;
+  constexpr std::uint64_t k4p = 0x1ffffffffffffcULL;
+  return fe_carry(FieldElement{{a.v[0] + k4p0 - b.v[0], a.v[1] + k4p - b.v[1],
+                                a.v[2] + k4p - b.v[2], a.v[3] + k4p - b.v[3],
+                                a.v[4] + k4p - b.v[4]}});
+}
+
+FieldElement fe_mul(const FieldElement& f, const FieldElement& g) {
+  const std::uint64_t f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
+  const std::uint64_t g0 = g.v[0], g1 = g.v[1], g2 = g.v[2], g3 = g.v[3], g4 = g.v[4];
+  // 2^255 ≡ 19: limb products that wrap past limb 4 come back times 19.
+  const std::uint64_t g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3, g4_19 = 19 * g4;
+  const u128 t0 = static_cast<u128>(f0) * g0 + static_cast<u128>(f1) * g4_19 +
+                  static_cast<u128>(f2) * g3_19 + static_cast<u128>(f3) * g2_19 +
+                  static_cast<u128>(f4) * g1_19;
+  const u128 t1 = static_cast<u128>(f0) * g1 + static_cast<u128>(f1) * g0 +
+                  static_cast<u128>(f2) * g4_19 + static_cast<u128>(f3) * g3_19 +
+                  static_cast<u128>(f4) * g2_19;
+  const u128 t2 = static_cast<u128>(f0) * g2 + static_cast<u128>(f1) * g1 +
+                  static_cast<u128>(f2) * g0 + static_cast<u128>(f3) * g4_19 +
+                  static_cast<u128>(f4) * g3_19;
+  const u128 t3 = static_cast<u128>(f0) * g3 + static_cast<u128>(f1) * g2 +
+                  static_cast<u128>(f2) * g1 + static_cast<u128>(f3) * g0 +
+                  static_cast<u128>(f4) * g4_19;
+  const u128 t4 = static_cast<u128>(f0) * g4 + static_cast<u128>(f1) * g3 +
+                  static_cast<u128>(f2) * g2 + static_cast<u128>(f3) * g1 +
+                  static_cast<u128>(f4) * g0;
+  return fe_reduce_wide(t0, t1, t2, t3, t4);
+}
+
+FieldElement fe_sq(const FieldElement& f) {
+  const std::uint64_t f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
+  const std::uint64_t d0 = 2 * f0, d1 = 2 * f1, d2 = 2 * f2, d3 = 2 * f3;
+  const std::uint64_t f3_19 = 19 * f3, f4_19 = 19 * f4;
+  const u128 t0 = static_cast<u128>(f0) * f0 + static_cast<u128>(d1) * f4_19 +
+                  static_cast<u128>(d2) * f3_19;
+  const u128 t1 = static_cast<u128>(d0) * f1 + static_cast<u128>(d2) * f4_19 +
+                  static_cast<u128>(f3) * f3_19;
+  const u128 t2 = static_cast<u128>(d0) * f2 + static_cast<u128>(f1) * f1 +
+                  static_cast<u128>(d3) * f4_19;
+  const u128 t3 = static_cast<u128>(d0) * f3 + static_cast<u128>(d1) * f2 +
+                  static_cast<u128>(f4) * f4_19;
+  const u128 t4 = static_cast<u128>(d0) * f4 + static_cast<u128>(d1) * f3 +
+                  static_cast<u128>(f2) * f2;
+  return fe_reduce_wide(t0, t1, t2, t3, t4);
+}
+
+FieldElement fe_neg(const FieldElement& a) { return fe_sub(kZero, a); }
+
+// Little-endian decode of the low 255 bits; bit 255 is ignored.
+FieldElement fe_from_bytes(const std::uint8_t bytes[32]) {
+  std::uint64_t w[4];
+  std::memcpy(w, bytes, 32);  // little-endian host
+  return FieldElement{{w[0] & kMask51, ((w[0] >> 51) | (w[1] << 13)) & kMask51,
+                       ((w[1] >> 38) | (w[2] << 26)) & kMask51,
+                       ((w[2] >> 25) | (w[3] << 39)) & kMask51, (w[3] >> 12) & kMask51}};
+}
+
+// Canonical (< p) little-endian encoding.
+void fe_to_bytes(std::uint8_t out[32], const FieldElement& a) {
+  // After one carry the value h is below 2p. q = floor((h + 19) / 2^255) is
+  // 1 exactly when h >= p; h - q p = h + 19 q - q 2^255 is then canonical.
+  FieldElement t = fe_carry(a);
+  std::uint64_t q = (t.v[0] + 19) >> 51;
+  q = (t.v[1] + q) >> 51;
+  q = (t.v[2] + q) >> 51;
+  q = (t.v[3] + q) >> 51;
+  q = (t.v[4] + q) >> 51;
+  t.v[0] += 19 * q;
+  std::uint64_t c;
+  c = t.v[0] >> 51; t.v[0] &= kMask51; t.v[1] += c;
+  c = t.v[1] >> 51; t.v[1] &= kMask51; t.v[2] += c;
+  c = t.v[2] >> 51; t.v[2] &= kMask51; t.v[3] += c;
+  c = t.v[3] >> 51; t.v[3] &= kMask51; t.v[4] += c;
+  t.v[4] &= kMask51;  // drops q 2^255
+  const std::uint64_t w[4] = {t.v[0] | (t.v[1] << 51), (t.v[1] >> 13) | (t.v[2] << 38),
+                              (t.v[2] >> 26) | (t.v[3] << 25), (t.v[3] >> 39) | (t.v[4] << 12)};
+  std::memcpy(out, w, 32);
+}
+
+// Comparisons and parity look at the canonical value, not the limbs.
+bool fe_eq(const FieldElement& a, const FieldElement& b) {
+  std::uint8_t ea[32], eb[32];
+  fe_to_bytes(ea, a);
+  fe_to_bytes(eb, b);
+  return std::memcmp(ea, eb, 32) == 0;
+}
+
+bool fe_is_zero(const FieldElement& a) { return fe_eq(a, kZero); }
+
+bool fe_is_odd(const FieldElement& a) {
+  std::uint8_t e[32];
+  fe_to_bytes(e, a);
+  return (e[0] & 1) != 0;
+}
+
 // a^(2^n).
 FieldElement fe_sqn(FieldElement a, int n) {
   for (int i = 0; i < n; ++i) a = fe_sq(a);
@@ -84,6 +187,12 @@ FieldElement fe_pow_2_250_1(const FieldElement& z, FieldElement& z11) {
 FieldElement fe_pow22523(const FieldElement& z) {
   FieldElement z11;
   return fe_mul(fe_sqn(fe_pow_2_250_1(z, z11), 2), z);
+}
+
+FieldElement fe_invert(const FieldElement& a) {
+  // a^(p-2) = a^(2^255 - 21) = (a^(2^250 - 1))^(2^5) * a^11.
+  FieldElement a11;
+  return fe_mul(fe_sqn(fe_pow_2_250_1(a, a11), 5), a11);
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +276,8 @@ P1P1 madd(const GroupElement& p, const Precomp& q, bool negate = false) {
   return r;
 }
 
+GroupElement ge_double(const GroupElement& p) { return p1p1_to_p3(dbl(P2{p.x, p.y, p.z})); }
+
 // Normalizes points to affine table entries with one shared inversion
 // (Montgomery's trick).
 std::vector<Precomp> to_precomp(const std::vector<GroupElement>& points) {
@@ -246,7 +357,8 @@ int wnaf(Naf& naf, const Scalar& s, int w) {
     const int limb = pos / 64;
     const int bit = pos % 64;
     std::uint64_t bits = x[limb] >> bit;
-    if (bit > 64 - w && limb < 4) bits |= x[limb + 1] << (64 - bit);
+    // Never reads past x[4]: limb 4 is reached only at pos 256, bit 0.
+    if (bit > 64 - w) bits |= x[limb + 1] << (64 - bit);
     const std::uint64_t window = carry + (bits & window_mask);
     if ((window & 1) == 0) {
       ++pos;
@@ -272,119 +384,6 @@ Scalar scalar_bits(const std::uint8_t bytes[32]) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Field
-// ---------------------------------------------------------------------------
-
-FieldElement fe_zero() { return kZero; }
-FieldElement fe_one() { return kOne; }
-
-bool fe_eq(const FieldElement& a, const FieldElement& b) {
-  std::uint8_t ea[32], eb[32];
-  fe_to_bytes(ea, a);
-  fe_to_bytes(eb, b);
-  return std::memcmp(ea, eb, 32) == 0;
-}
-
-bool fe_is_zero(const FieldElement& a) { return fe_eq(a, kZero); }
-
-bool fe_is_odd(const FieldElement& a) {
-  std::uint8_t e[32];
-  fe_to_bytes(e, a);
-  return (e[0] & 1) != 0;
-}
-
-FieldElement fe_add(const FieldElement& a, const FieldElement& b) {
-  return FieldElement{{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2], a.v[3] + b.v[3],
-                       a.v[4] + b.v[4]}};
-}
-
-FieldElement fe_sub(const FieldElement& a, const FieldElement& b) {
-  // a + 4p - b keeps every limb non-negative.
-  constexpr std::uint64_t k4p0 = 0x1fffffffffffb4ULL;
-  constexpr std::uint64_t k4p = 0x1ffffffffffffcULL;
-  return fe_carry(FieldElement{{a.v[0] + k4p0 - b.v[0], a.v[1] + k4p - b.v[1],
-                                a.v[2] + k4p - b.v[2], a.v[3] + k4p - b.v[3],
-                                a.v[4] + k4p - b.v[4]}});
-}
-
-FieldElement fe_mul(const FieldElement& f, const FieldElement& g) {
-  const std::uint64_t f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
-  const std::uint64_t g0 = g.v[0], g1 = g.v[1], g2 = g.v[2], g3 = g.v[3], g4 = g.v[4];
-  // 2^255 ≡ 19: limb products that wrap past limb 4 come back times 19.
-  const std::uint64_t g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3, g4_19 = 19 * g4;
-  const u128 t0 = static_cast<u128>(f0) * g0 + static_cast<u128>(f1) * g4_19 +
-                  static_cast<u128>(f2) * g3_19 + static_cast<u128>(f3) * g2_19 +
-                  static_cast<u128>(f4) * g1_19;
-  const u128 t1 = static_cast<u128>(f0) * g1 + static_cast<u128>(f1) * g0 +
-                  static_cast<u128>(f2) * g4_19 + static_cast<u128>(f3) * g3_19 +
-                  static_cast<u128>(f4) * g2_19;
-  const u128 t2 = static_cast<u128>(f0) * g2 + static_cast<u128>(f1) * g1 +
-                  static_cast<u128>(f2) * g0 + static_cast<u128>(f3) * g4_19 +
-                  static_cast<u128>(f4) * g3_19;
-  const u128 t3 = static_cast<u128>(f0) * g3 + static_cast<u128>(f1) * g2 +
-                  static_cast<u128>(f2) * g1 + static_cast<u128>(f3) * g0 +
-                  static_cast<u128>(f4) * g4_19;
-  const u128 t4 = static_cast<u128>(f0) * g4 + static_cast<u128>(f1) * g3 +
-                  static_cast<u128>(f2) * g2 + static_cast<u128>(f3) * g1 +
-                  static_cast<u128>(f4) * g0;
-  return fe_reduce_wide(t0, t1, t2, t3, t4);
-}
-
-FieldElement fe_sq(const FieldElement& f) {
-  const std::uint64_t f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
-  const std::uint64_t d0 = 2 * f0, d1 = 2 * f1, d2 = 2 * f2, d3 = 2 * f3;
-  const std::uint64_t f3_19 = 19 * f3, f4_19 = 19 * f4;
-  const u128 t0 = static_cast<u128>(f0) * f0 + static_cast<u128>(d1) * f4_19 +
-                  static_cast<u128>(d2) * f3_19;
-  const u128 t1 = static_cast<u128>(d0) * f1 + static_cast<u128>(d2) * f4_19 +
-                  static_cast<u128>(f3) * f3_19;
-  const u128 t2 = static_cast<u128>(d0) * f2 + static_cast<u128>(f1) * f1 +
-                  static_cast<u128>(d3) * f4_19;
-  const u128 t3 = static_cast<u128>(d0) * f3 + static_cast<u128>(d1) * f2 +
-                  static_cast<u128>(f4) * f4_19;
-  const u128 t4 = static_cast<u128>(d0) * f4 + static_cast<u128>(d1) * f3 +
-                  static_cast<u128>(f2) * f2;
-  return fe_reduce_wide(t0, t1, t2, t3, t4);
-}
-
-FieldElement fe_invert(const FieldElement& a) {
-  // a^(p-2) = a^(2^255 - 21) = (a^(2^250 - 1))^(2^5) * a^11.
-  FieldElement a11;
-  return fe_mul(fe_sqn(fe_pow_2_250_1(a, a11), 5), a11);
-}
-
-FieldElement fe_neg(const FieldElement& a) { return fe_sub(kZero, a); }
-
-FieldElement fe_from_bytes(const std::uint8_t bytes[32]) {
-  std::uint64_t w[4];
-  std::memcpy(w, bytes, 32);  // little-endian host
-  return FieldElement{{w[0] & kMask51, ((w[0] >> 51) | (w[1] << 13)) & kMask51,
-                       ((w[1] >> 38) | (w[2] << 26)) & kMask51,
-                       ((w[2] >> 25) | (w[3] << 39)) & kMask51, (w[3] >> 12) & kMask51}};
-}
-
-void fe_to_bytes(std::uint8_t out[32], const FieldElement& a) {
-  // After one carry the value h is below 2p. q = floor((h + 19) / 2^255) is
-  // 1 exactly when h >= p; h - q p = h + 19 q - q 2^255 is then canonical.
-  FieldElement t = fe_carry(a);
-  std::uint64_t q = (t.v[0] + 19) >> 51;
-  q = (t.v[1] + q) >> 51;
-  q = (t.v[2] + q) >> 51;
-  q = (t.v[3] + q) >> 51;
-  q = (t.v[4] + q) >> 51;
-  t.v[0] += 19 * q;
-  std::uint64_t c;
-  c = t.v[0] >> 51; t.v[0] &= kMask51; t.v[1] += c;
-  c = t.v[1] >> 51; t.v[1] &= kMask51; t.v[2] += c;
-  c = t.v[2] >> 51; t.v[2] &= kMask51; t.v[3] += c;
-  c = t.v[3] >> 51; t.v[3] &= kMask51; t.v[4] += c;
-  t.v[4] &= kMask51;  // drops q 2^255
-  const std::uint64_t w[4] = {t.v[0] | (t.v[1] << 51), (t.v[1] >> 13) | (t.v[2] << 38),
-                              (t.v[2] >> 26) | (t.v[3] << 25), (t.v[3] >> 39) | (t.v[4] << 12)};
-  std::memcpy(out, w, 32);
-}
 
 // ---------------------------------------------------------------------------
 // Group
@@ -413,8 +412,6 @@ GroupElement ge_sub(const GroupElement& p, const GroupElement& q) {
 GroupElement ge_neg(const GroupElement& p) {
   return GroupElement{fe_neg(p.x), p.y, p.z, fe_neg(p.t)};
 }
-
-GroupElement ge_double(const GroupElement& p) { return p1p1_to_p3(dbl(P2{p.x, p.y, p.z})); }
 
 GroupElement ge_multi_scalar_mult(std::span<const Scalar> scalars,
                                   std::span<const GroupElement> points,

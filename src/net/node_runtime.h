@@ -587,12 +587,13 @@ class NodeRuntime {
   obs::Counter* committed_tx_;
   obs::Counter* committed_blocks_;
   obs::Gauge* highest_round_;
+  // Transaction bytes per own proposal, recorded in perform().
+  obs::Histogram* block_payload_bytes_;
 
   // Receive-side lag forensics: created_at (author clock) -> local receive,
   // clamped at 0. One aggregate histogram plus one per peer; negative deltas
   // (clock skew) clamp and count. Recorded on verify workers or the loop
   // thread — histograms/counters are thread-safe.
-  obs::Histogram* block_payload_bytes_;
   obs::Histogram* peer_rx_lag_;
   std::vector<obs::Histogram*> peer_rx_lag_by_peer_;  // index = author
   obs::Counter* peer_rx_lag_clamped_;

@@ -65,7 +65,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   // the gather/retire paths read it instead of header.size(), which is how
   // both backends emit unframed bytes without any uring-side changes.
   struct PendingWrite {
-    std::array<std::uint8_t, 4> header;
+    std::array<std::uint8_t, 4> header{};
     std::uint8_t header_len = 4;
     SharedFrame payload;
     std::size_t sent = 0;

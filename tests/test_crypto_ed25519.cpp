@@ -25,13 +25,6 @@ std::array<std::uint8_t, 32> seed_from_hex(const std::string& hex) {
   return out;
 }
 
-Ed25519Signature sig_from_hex(const std::string& hex) {
-  const auto bytes = from_hex(hex);
-  Ed25519Signature out;
-  std::copy(bytes->begin(), bytes->end(), out.bytes.begin());
-  return out;
-}
-
 std::string hex_of(BytesView view) { return to_hex(view); }
 
 TEST(Ed25519, Rfc8032Vector1EmptyMessage) {
