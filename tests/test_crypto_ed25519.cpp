@@ -228,7 +228,7 @@ TEST(Ed25519Batch, EmptyAndSingletonBatches) {
 TEST(Ed25519Batch, RejectsBatchWithOneForgeryAndPinpointsIt) {
   std::vector<SignedMessage> signed_messages;
   for (int i = 0; i < 8; ++i) {
-    signed_messages.push_back(make_signed(static_cast<std::uint8_t>(i + 1), "m" + std::to_string(i)));
+    signed_messages.push_back(make_signed(static_cast<std::uint8_t>(i + 1), std::string("m") + std::to_string(i)));
   }
   signed_messages[5].signature.bytes[10] ^= 0x40;  // corrupt R of one item
 
@@ -340,7 +340,7 @@ TEST(Ed25519Batch, AgreesWithSingleVerificationOnMixedBatches) {
     std::vector<bool> expected;
     for (int i = 0; i < 6; ++i) {
       auto s = make_signed(static_cast<std::uint8_t>((trial + i) % 3 + 1),
-                           "t" + std::to_string(trial) + "-" + std::to_string(i));
+                           std::string("t") + std::to_string(trial) + "-" + std::to_string(i));
       const bool corrupt = ((trial * 7 + i * 3) % 5) == 0;
       if (corrupt) s.signature.bytes[(trial + i) % 64] ^= 0x01;
       // Corruption may still rarely yield the same point encoding? No — any
@@ -558,19 +558,30 @@ Ed25519Signature sign_against(const std::array<std::uint8_t, 32>& seed, const En
 // Adversarial (key, message, signature) triples whose verdicts matter for
 // consensus: valid, torsion-mangled R and A, small-order keys and nonces,
 // non-canonical s and point encodings, and single bit flips.
-std::vector<std::pair<Ed25519BatchItem, std::string>> adversarial_items(Rng& rng) {
-  static std::vector<std::string> messages;  // BytesViews below point here
-  messages.clear();
-  messages.reserve(256);
-  std::vector<std::pair<Ed25519PublicKey, Ed25519Signature>> raw;
+struct AdversarialCase {
+  Ed25519PublicKey key;
+  std::string message;
+  Ed25519Signature signature;
+  std::string label;
+};
+
+std::vector<AdversarialCase> adversarial_cases(Rng& rng) {
+  std::vector<AdversarialCase> out;
   const auto torsion = small_order_and_noncanonical_encodings();
   for (int trial = 0; trial < 24; ++trial) {
     const auto seed = random_bytes32(rng);
     const auto kp = ed25519_keypair_from_seed(seed);
     const std::string message = "adversarial-" + std::to_string(trial);
-    messages.push_back(message);
+    int variant = 0;
+    const auto add = [&](const Ed25519PublicKey& key, const Ed25519Signature& signature) {
+      std::string label = "case ";
+      label += std::to_string(variant++);
+      label += " of trial ";
+      label += std::to_string(trial);
+      out.push_back({key, message, signature, std::move(label)});
+    };
     const auto honest = ed25519_sign(kp.private_key, as_bytes_view(message));
-    raw.push_back({kp.public_key, honest});
+    add(kp.public_key, honest);
 
     // R + T and A + T for a small-order T, with s recomputed.
     const Encoding& t_enc = torsion[2 * (trial % 8)];
@@ -586,14 +597,14 @@ std::vector<std::pair<Ed25519BatchItem, std::string>> adversarial_items(Rng& rng
     std::copy(honest.bytes.begin(), honest.bytes.begin() + 32, honest_r.begin());
     const Encoding mangled_r = curve::ge_compressed(curve::ge_add(*r_point, *t));
     const Encoding mangled_a = curve::ge_compressed(curve::ge_add(*a_point, *t));
-    raw.push_back({kp.public_key, sign_against(seed, kp.public_key.bytes, mangled_r, r, message)});
-    raw.push_back({Ed25519PublicKey{mangled_a}, sign_against(seed, mangled_a, honest_r, r, message)});
+    add(kp.public_key, sign_against(seed, kp.public_key.bytes, mangled_r, r, message));
+    add(Ed25519PublicKey{mangled_a}, sign_against(seed, mangled_a, honest_r, r, message));
 
     // A small-order key or nonce outright.
-    raw.push_back({Ed25519PublicKey{t_enc}, honest});
+    add(Ed25519PublicKey{t_enc}, honest);
     Ed25519Signature small_r = honest;
     std::copy(t_enc.begin(), t_enc.end(), small_r.bytes.begin());
-    raw.push_back({kp.public_key, small_r});
+    add(kp.public_key, small_r);
 
     // Non-canonical s (s + L, and s = L) and a non-canonical R encoding.
     Ed25519Signature s_plus_l = honest;
@@ -603,27 +614,19 @@ std::vector<std::pair<Ed25519BatchItem, std::string>> adversarial_items(Rng& rng
       s_plus_l.bytes[32 + i] = static_cast<std::uint8_t>(sum);
       carry = sum >> 8;
     }
-    raw.push_back({kp.public_key, s_plus_l});
+    add(kp.public_key, s_plus_l);
     Ed25519Signature s_is_l = honest;
     std::copy(kOrderL.begin(), kOrderL.end(), s_is_l.bytes.begin() + 32);
-    raw.push_back({kp.public_key, s_is_l});
+    add(kp.public_key, s_is_l);
     Ed25519Signature noncanonical_r = honest;
     const Encoding& bad = torsion[16 + 2 * (trial % 19)];
     std::copy(bad.begin(), bad.end(), noncanonical_r.bytes.begin());
-    raw.push_back({kp.public_key, noncanonical_r});
+    add(kp.public_key, noncanonical_r);
 
     // One flipped bit anywhere in the signature.
     Ed25519Signature flipped = honest;
     flipped.bytes[rng.uniform(64)] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
-    raw.push_back({kp.public_key, flipped});
-  }
-  std::vector<std::pair<Ed25519BatchItem, std::string>> out;
-  constexpr std::size_t kPerTrial = 9;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    out.push_back({Ed25519BatchItem{raw[i].first, as_bytes_view(messages[i / kPerTrial]),
-                                    raw[i].second},
-                   "case " + std::to_string(i % kPerTrial) + " of trial " +
-                       std::to_string(i / kPerTrial)});
+    add(kp.public_key, flipped);
   }
   return out;
 }
@@ -632,13 +635,14 @@ std::vector<std::pair<Ed25519BatchItem, std::string>> adversarial_items(Rng& rng
 
 TEST(Ed25519Oracle, VerdictsAgreeOnAdversarialSignatures) {
   Rng rng(77);
-  const auto cases = adversarial_items(rng);
+  const auto cases = adversarial_cases(rng);
   std::vector<Ed25519BatchItem> items;
   std::vector<std::uint8_t> expected;
-  for (const auto& [item, label] : cases) {
-    const bool verdict = oracle::verify(item.key.bytes, item.message, item.signature.bytes);
-    EXPECT_EQ(ed25519_verify(item.key, item.message, item.signature), verdict) << label;
-    items.push_back(item);
+  for (const auto& c : cases) {
+    const BytesView message = as_bytes_view(c.message);
+    const bool verdict = oracle::verify(c.key.bytes, message, c.signature.bytes);
+    EXPECT_EQ(ed25519_verify(c.key, message, c.signature), verdict) << c.label;
+    items.push_back({c.key, message, c.signature});
     expected.push_back(verdict ? 1 : 0);
   }
   // Honest, torsion-mangled-R and torsion-mangled-A signatures all pass the

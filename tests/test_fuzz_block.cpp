@@ -153,7 +153,7 @@ std::vector<Block> varied_blocks(const Committee::TestSetup& setup, Rng& rng) {
       for (auto& byte : batch.payload) byte = static_cast<std::uint8_t>(rng.next_u64());
       for (std::uint64_t k = rng.uniform(3); k > 0; --k) {
         batch.read_keys.push_back(std::string(rng.uniform(200), 'r'));
-        batch.write_keys.push_back("w" + std::to_string(k));
+        batch.write_keys.push_back(std::to_string(k));
       }
     }
     const ValidatorId author = static_cast<ValidatorId>(rng.uniform(setup.committee.size()));
