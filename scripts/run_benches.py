@@ -51,15 +51,16 @@ class Bench:
 # which comparisons self-skip on hosts that cannot run the TEST series).
 BENCHES: List[Bench] = [
     # The signature hot path: the batch series must exist, and single sign
-    # and verify stay under an absolute budget (~40 and ~55 us on a 4-vCPU
-    # x86-64 VM; the double-and-add arithmetic they replaced took 380-620 us,
-    # so the budget catches a fall back to it on any CI runner).
+    # and verify stay under an absolute budget. A noisy 4-vCPU x86-64 VM
+    # reads 40-56 us and 53-104 us at this min_time; the double-and-add
+    # arithmetic they replaced took 380-620 us, so 200 us catches a fall
+    # back to it without flaking on a slow runner.
     Bench(name="micro_crypto", binary="bench_micro_crypto",
           filter="BM_Ed25519(Sign|Verify)$|Ed25519VerifyBatch|Ed25519VerifySingleLoop",
           min_time="0.05",
           gate=("--expect", "BM_Ed25519VerifyBatch",
-                "--max-ns", "BM_Ed25519Sign$", "150000",
-                "--max-ns", "BM_Ed25519Verify$", "150000")),
+                "--max-ns", "BM_Ed25519Sign$", "200000",
+                "--max-ns", "BM_Ed25519Verify$", "200000")),
 
     Bench(name="mempool", binary="bench_mempool",
           filter="BM_MempoolSubmit/shards:(1|8).*threads:8", min_time="0.05",
