@@ -447,6 +447,43 @@ TEST(Ed25519Oracle, KeysAndSignaturesMatchByteForByte) {
   }
 }
 
+// RFC 8032 §7.1 TEST 1-3 through both implementations.
+TEST(Ed25519Oracle, Rfc8032VectorsAgree) {
+  struct Vector {
+    const char* seed;
+    const char* message;
+    const char* pub;
+    const char* sig;
+  };
+  constexpr Vector kVectors[] = {
+      {"9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60", "",
+       "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
+       "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555fb8821590a33bac"
+       "c61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"},
+      {"4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb", "72",
+       "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+       "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da085ac1e43e15996e"
+       "458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"},
+      {"c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7", "af82",
+       "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+       "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac18ff9b538d16f290"
+       "ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"},
+  };
+  for (const Vector& v : kVectors) {
+    const auto seed = seed_from_hex(v.seed);
+    const auto message = from_hex(v.message);
+    const BytesView view{message->data(), message->size()};
+    const auto kp = ed25519_keypair_from_seed(seed);
+    EXPECT_EQ(hex_of({kp.public_key.bytes.data(), 32}), v.pub);
+    EXPECT_EQ(kp.public_key.bytes, oracle::public_key(seed));
+    const auto sig = ed25519_sign(kp.private_key, view);
+    EXPECT_EQ(hex_of({sig.bytes.data(), 64}), v.sig);
+    EXPECT_EQ(sig.bytes, oracle::sign(seed, view));
+    EXPECT_TRUE(ed25519_verify(kp.public_key, view, sig));
+    EXPECT_TRUE(oracle::verify(kp.public_key.bytes, view, sig.bytes));
+  }
+}
+
 TEST(Ed25519Oracle, ScalarMultiplicationAgreesOnRandomScalarsAndPoints) {
   Rng rng(25519);
   for (int trial = 0; trial < 24; ++trial) {
