@@ -87,8 +87,7 @@ bool Committer::skipped(const Block& candidate, ValidatorId leader,
   std::uint32_t non_voting_authors = 0;
   for (ValidatorId a = 0; a < committee_.size(); ++a) {
     for (const BlockPtr& vote : dag_.slot(vote_round, a)) {
-      const BlockPtr target = votes_.voted_block(*vote, leader, propose_round);
-      if (target == nullptr || target->digest() != candidate.digest()) {
+      if (votes_.voted(*vote, leader, propose_round) != candidate.digest()) {
         ++non_voting_authors;
         break;
       }
@@ -243,6 +242,10 @@ std::vector<CommittedSubDag> Committer::apply(
     final_.erase(decision.slot);
     next_pending_ = successor(decision.slot);
   }
+  // Every later traversal targets a slot round at or above the head
+  // (supported, skipped and the indirect rule only evaluate pending slots),
+  // so the memo below it is dead, with or without GC.
+  if (!decisions.empty()) votes_.evict_below(next_pending_.round);
   return out;
 }
 
@@ -265,6 +268,7 @@ void Committer::restore(std::vector<DecidedSlot> decided, SlotId head,
   // Memoized evaluations predate the installed DAG; drop them rather than
   // reason about which survive (they are a cache, re-deriving is cheap).
   final_.clear();
+  votes_.evict_below(head.round);  // the vote memo stays valid at and above it
   delivered_.clear();
   for (const auto& [digest, round] : delivered) delivered_.emplace(digest, round);
   delivered_pruned_below_ = 0;
@@ -283,7 +287,8 @@ void Committer::restore(std::vector<DecidedSlot> decided, SlotId head,
 std::vector<CommittedSubDag> Committer::try_commit() { return apply(scan()); }
 
 void Committer::prune_below(Round round) {
-  votes_.prune_below(round);
+  // The vote memo needs nothing here: apply() evicts it below the head, and
+  // the GC horizon never passes the head.
   // Delivered entries below the GC cut are never consulted again (linearize
   // skips sub-cut parents before the delivered check). Rescan the map only
   // every 16 rounds of horizon progress to amortize the O(map) sweep.

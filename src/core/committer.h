@@ -81,8 +81,10 @@ class Committer : public CommitterBase {
   // Has `digest` been delivered as part of a committed sub-DAG?
   bool is_delivered(const Digest& digest) const { return delivered_.contains(digest); }
 
-  // Forget memoized state below `round` (pair with Dag::prune_below).
+  // Forget delivered marks below `round` (pair with Dag::prune_below).
   void prune_below(Round round) override;
+
+  std::size_t vote_memo_entries() const override { return votes_.size(); }
 
  private:
   // The two halves of try_commit(). scan() classifies pending slots against

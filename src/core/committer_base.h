@@ -24,6 +24,9 @@ class CommitterBase {
   virtual SlotId next_pending_slot() const = 0;
   virtual const std::vector<DecidedSlot>& decided_sequence() const = 0;
   virtual void prune_below(Round round) = 0;
+
+  // Memoized vote traversals the rule keeps resident (retention gauge).
+  virtual std::size_t vote_memo_entries() const { return 0; }
 };
 
 }  // namespace mahimahi

@@ -1,26 +1,22 @@
 #include "core/vote_index.h"
 
-#include <unordered_set>
-
 namespace mahimahi {
 
-std::optional<Digest> VoteIndex::resolve(const Block& from, ValidatorId author,
-                                         Round round) {
+std::optional<Digest> VoteIndex::voted(const Block& from, ValidatorId author,
+                                       Round round) {
   // Algorithm 3, VotedBlock: the target round must be strictly below the
   // traversal root; otherwise nothing can be found.
   if (round >= from.round()) return std::nullopt;
 
-  if (const auto it = memo_.find(Key{from.digest(), round, author});
-      it != memo_.end()) {
+  Table& memo = memo_[round];
+  if (const auto it = memo.find(Key{from.digest(), author}); it != memo.end()) {
     return it->second;
   }
 
-  // Iterative ordered depth-first traversal with an explicit frame stack.
-  // In parallel-commit mode this runs inside worker-pool tasks, where an
-  // unmemoized ancestor chain as deep as the unpruned DAG must not overflow
-  // a thread stack the way head recursion could. Raw Block pointers are safe
-  // while the owning DAG is not mutated, which the single-threaded-use
-  // contract of the committer guarantees.
+  // Iterative ordered depth-first traversal with an explicit frame stack
+  // (see the header for why). Raw Block pointers are safe while the owning
+  // DAG is not mutated, which the single-threaded-use contract of the
+  // committer guarantees.
   struct Frame {
     const Block* block;
     std::size_t next_parent = 0;
@@ -43,17 +39,19 @@ std::optional<Digest> VoteIndex::resolve(const Block& from, ValidatorId author,
            frame.next_parent < frame.block->parents().size()) {
       const BlockRef& parent = frame.block->parents()[frame.next_parent++];
       if (parent.round < round) continue;  // cannot contain the target
-      if (parent.round == round && parent.author == author) {
+      if (parent.round == round) {
+        if (parent.author != author) continue;  // its parents are older still
         frame.result = parent.digest;
         break;
       }
-      const BlockPtr parent_block = dag_.get(parent.digest);
-      if (parent_block == nullptr) continue;  // pruned history; treated as absent
-      if (const auto it = memo_.find(Key{parent.digest, round, author});
-          it != memo_.end()) {
+      // Memo first: a memoized parent was in the DAG when it was resolved,
+      // and stays there while its target round is live (evict_below).
+      if (const auto it = memo.find(Key{parent.digest, author}); it != memo.end()) {
         if (it->second.has_value()) frame.result = it->second;
         continue;
       }
+      const BlockPtr parent_block = dag_.get(parent.digest);
+      if (parent_block == nullptr) continue;  // pruned history; treated as absent
       stack.push_back(Frame{.block = parent_block.get()});
       descended = true;
       break;
@@ -61,7 +59,7 @@ std::optional<Digest> VoteIndex::resolve(const Block& from, ValidatorId author,
     if (descended) continue;
 
     // Frame exhausted (or found the target): memoize and propagate upward.
-    memo_.emplace(Key{frame.block->digest(), round, author}, frame.result);
+    memo.emplace(Key{frame.block->digest(), author}, frame.result);
     propagated = frame.result;
     child_returned = true;
     stack.pop_back();
@@ -69,28 +67,36 @@ std::optional<Digest> VoteIndex::resolve(const Block& from, ValidatorId author,
   return propagated;
 }
 
-BlockPtr VoteIndex::voted_block(const Block& from, ValidatorId author, Round round) {
-  const auto digest = resolve(from, author, round);
-  return digest.has_value() ? dag_.get(*digest) : nullptr;
-}
-
 bool VoteIndex::is_cert(const Block& cert, const Block& leader, Round vote_round,
                         std::uint32_t quorum) {
-  std::unordered_set<ValidatorId> voting_authors;
+  const Table& memo = memo_[leader.round()];
+  voters_.assign(dag_.committee_size(), false);
+  std::uint32_t voting_authors = 0;
   for (const auto& parent : cert.parents()) {
-    if (parent.round != vote_round) continue;
-    if (voting_authors.contains(parent.author)) continue;
-    const BlockPtr vote = dag_.get(parent.digest);
-    if (vote == nullptr) continue;
-    if (is_vote(*vote, leader)) voting_authors.insert(parent.author);
+    if (parent.round != vote_round || voters_[parent.author]) continue;
+    std::optional<Digest> target;
+    if (const auto it = memo.find(Key{parent.digest, leader.author()}); it != memo.end()) {
+      target = it->second;
+    } else {
+      const BlockPtr vote = dag_.get(parent.digest);
+      if (vote == nullptr) continue;
+      target = voted(*vote, leader.author(), leader.round());
+    }
+    if (target != leader.digest()) continue;
+    voters_[parent.author] = true;
+    if (++voting_authors >= quorum) return true;
   }
-  return voting_authors.size() >= quorum;
+  return voting_authors >= quorum;
 }
 
-void VoteIndex::prune_below(Round round) {
-  for (auto it = memo_.begin(); it != memo_.end();) {
-    it = it->first.round < round ? memo_.erase(it) : std::next(it);
-  }
+void VoteIndex::evict_below(Round round) {
+  memo_.erase(memo_.begin(), memo_.lower_bound(round));
+}
+
+std::size_t VoteIndex::size() const {
+  std::size_t entries = 0;
+  for (const auto& [round, table] : memo_) entries += table.size();
+  return entries;
 }
 
 }  // namespace mahimahi

@@ -5,13 +5,19 @@
 // depth-first traversal of v's causal references (Observation 1: this makes
 // "vote" single-valued per voter even under equivocation). The traversal is
 // a pure function of block content, so results are memoized per
-// (block, author, round); it is implemented iteratively (explicit frame
-// stack) because in parallel-commit mode it runs on worker-pool threads,
-// whose stacks must survive arbitrarily deep unmemoized ancestor chains.
+// (block, author, round). It is implemented iteratively (explicit frame
+// stack): a root far above the target round walks a chain as deep as the
+// rounds between them, and at gc_depth = 0 no pruning bounds that chain.
+//
+// The memo is one table per target round, so evict_below() drops whole
+// rounds in time proportional to the entries it frees.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "dag/dag.h"
 
@@ -21,16 +27,11 @@ class VoteIndex {
  public:
   explicit VoteIndex(const Dag& dag) : dag_(dag) {}
 
-  // The first (author, round) block encountered in the ordered DFS from
-  // `from` (exclusive of `from` itself). nullptr if none is reachable.
-  // Precondition: round < from.round() for a meaningful result.
-  BlockPtr voted_block(const Block& from, ValidatorId author, Round round);
-
-  // Algorithm 3 IsVote: does `vote` vote for `leader`?
-  bool is_vote(const Block& vote, const Block& leader) {
-    const BlockPtr target = voted_block(vote, leader.author(), leader.round());
-    return target != nullptr && target->digest() == leader.digest();
-  }
+  // Algorithm 3 VotedBlock: the digest of the first (author, round) block
+  // encountered in the ordered DFS from `from` (exclusive of `from` itself);
+  // nullopt if none is reachable. `from` votes for a leader block iff this
+  // is the leader's digest (IsVote).
+  std::optional<Digest> voted(const Block& from, ValidatorId author, Round round);
 
   // Algorithm 3 IsCert: `cert` carries >= 2f+1 distinct-author vote-round
   // parents that vote for `leader`. Quorums count distinct authors (not raw
@@ -39,29 +40,32 @@ class VoteIndex {
   bool is_cert(const Block& cert, const Block& leader, Round vote_round,
                std::uint32_t quorum);
 
-  // Drops memoized entries for traversal roots below `round` (DAG pruning).
-  void prune_below(Round round);
+  // Drops the memoized traversals that target a round below `round`.
+  // Lookups trust the memo before the DAG, so callers keep evicting at least
+  // up to the DAG's pruning horizon (a kept entry then names only live
+  // blocks).
+  void evict_below(Round round);
+
+  // Memoized traversals currently held.
+  std::size_t size() const;
 
  private:
   struct Key {
     Digest from;
-    Round round;
     ValidatorId author;
     bool operator==(const Key&) const = default;
   };
   struct KeyHasher {
     std::size_t operator()(const Key& k) const {
-      std::size_t h = DigestHasher{}(k.from);
-      h ^= (k.round * 0x9e3779b97f4a7c15ULL) + (h << 6) + (h >> 2);
-      h ^= (static_cast<std::size_t>(k.author) * 0xc2b2ae3d27d4eb4fULL) + (h << 6);
-      return h;
+      const std::size_t h = DigestHasher{}(k.from);
+      return h ^ ((static_cast<std::size_t>(k.author) * 0xc2b2ae3d27d4eb4fULL) + (h << 6));
     }
   };
-
-  std::optional<Digest> resolve(const Block& from, ValidatorId author, Round round);
+  using Table = std::unordered_map<Key, std::optional<Digest>, KeyHasher>;
 
   const Dag& dag_;
-  std::unordered_map<Key, std::optional<Digest>, KeyHasher> memo_;
+  std::map<Round, Table> memo_;  // keyed by the traversal's target round
+  std::vector<bool> voters_;     // is_cert scratch, one bit per committee member
 };
 
 }  // namespace mahimahi

@@ -101,6 +101,8 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       "mm_dag_payload_bytes", "Wire bytes of the blocks in the live DAG window");
   decided_log_entries_ = &registry_.gauge("mm_decided_log_entries",
                                           "Consumed leader slots in the decided log");
+  vote_memo_entries_ = &registry_.gauge(
+      "mm_vote_memo_entries", "Memoized vote traversals the commit rule keeps");
   decode_errors_ = &registry_.counter("mm_decode_errors_total",
                                       "Block frames that failed to decode");
   verify_frames_dropped_ =
@@ -432,7 +434,11 @@ NodeRuntime::~NodeRuntime() { stop(); }
 
 void NodeRuntime::start() {
   thread_ = std::thread([this] { loop_main(); });
-  while (listen_port_.load() == 0) std::this_thread::yield();
+  while (listen_port_.load() == 0 && !start_failed_.load()) std::this_thread::yield();
+  if (start_failed_.load()) {
+    thread_.join();
+    std::rethrow_exception(start_error_);
+  }
 }
 
 void NodeRuntime::stop() {
@@ -493,9 +499,18 @@ void NodeRuntime::loop_main() {
         });
     admin_port_.store(admin_->port(), std::memory_order_relaxed);
   }
-  listener_ = std::make_unique<TcpListener>(
-      loop_, config_.peers[id()].port,
-      [this](TcpConnectionPtr connection) { on_unidentified_connection(connection); });
+  try {
+    listener_ = std::make_unique<TcpListener>(
+        loop_, config_.peers[id()].port,
+        [this](TcpConnectionPtr connection) { on_unidentified_connection(connection); });
+  } catch (const std::runtime_error&) {
+    // A port someone else holds fails start() on the caller's thread rather
+    // than terminating the process from this one.
+    admin_.reset();
+    start_error_ = std::current_exception();
+    start_failed_.store(true);
+    return;
+  }
   listen_port_.store(listener_->port());
 
   for (ValidatorId peer = 0; peer < committee_.size(); ++peer) {
@@ -1025,11 +1040,14 @@ void NodeRuntime::perform(Actions&& actions) {
   core_cache_hits_->set(static_cast<std::int64_t>(stats.cache_hits));
   core_verified_->set(static_cast<std::int64_t>(stats.verified));
   core_preverified_->set(static_cast<std::int64_t>(stats.preverified));
-  // Retention: what the core keeps resident (DAG window, decided log).
+  // Retention: what the core keeps resident (DAG window, decided log, vote
+  // memo).
   dag_blocks_->set(static_cast<std::int64_t>(core_->dag().block_count()));
   dag_payload_bytes_->set(static_cast<std::int64_t>(core_->dag().wire_bytes()));
   decided_log_entries_->set(
       static_cast<std::int64_t>(core_->committer().decided_sequence().size()));
+  vote_memo_entries_->set(
+      static_cast<std::int64_t>(core_->committer().vote_memo_entries()));
 }
 
 void NodeRuntime::on_wave_delivered(const exec::WaveDelivery& wave) {

@@ -76,6 +76,7 @@
 #pragma once
 
 #include <atomic>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -184,6 +185,8 @@ class NodeRuntime {
   void set_commit_handler(CommitHandler handler) { commit_handler_ = std::move(handler); }
 
   // Replays the WAL (if any), starts the loop thread, listens and dials.
+  // Throws std::runtime_error, with the loop thread joined, if a listener
+  // cannot bind its port.
   void start();
   void stop();
 
@@ -581,6 +584,9 @@ class NodeRuntime {
   std::vector<TcpConnectionPtr> outgoing_;  // index = peer id
   std::vector<TcpConnectionPtr> pending_incoming_;
   std::atomic<std::uint16_t> listen_port_{0};
+  // Set by the loop thread when a listener failed to bind; start() rethrows.
+  std::exception_ptr start_error_;
+  std::atomic<bool> start_failed_{false};
   bool ticking_ = false;
   TimeMicros last_resync_ = 0;
 
@@ -635,6 +641,7 @@ class NodeRuntime {
   obs::Gauge* dag_blocks_;
   obs::Gauge* dag_payload_bytes_;
   obs::Gauge* decided_log_entries_;
+  obs::Gauge* vote_memo_entries_;
 };
 
 }  // namespace mahimahi::net

@@ -140,6 +140,9 @@ struct SimHarness::Impl {
              [](const ValidatorCore& core) {
                return core.committer().decided_sequence().size();
              });
+    v0_gauge("mm_vote_memo_entries",
+             "Memoized vote traversals validator 0's commit rule keeps",
+             [](const ValidatorCore& core) { return core.committer().vote_memo_entries(); });
   }
 
   // Does this run model the checkpoint subsystem? Requires a horizon to cut

@@ -7,8 +7,11 @@
 //  * Integrity (Theorem 2): no block is delivered twice.
 //  * At most one equivocation per slot commits (Lemma 2).
 //  * Eventual decision in the random network model (Lemmas 13/14, 16/18/19).
+//  * Incremental evaluation, in any causal arrival order and with or without
+//    GC, decides and delivers exactly what one pass over the full DAG does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -276,6 +279,144 @@ INSTANTIATE_TEST_SUITE_P(
         ModelParams{.n = 10, .wave_length = 4, .leaders = 3, .net = NetModel::kRandom,
                     .crashed = 3}),
     [](const ::testing::TestParamInfo<ModelParams>& info) { return info.param.label(); });
+
+// A global DAG in which validator 0 signs twin blocks every round, each over
+// its own random 2f+1 parent set, so the twins reach later rounds along
+// different paths and split the votes. Every other author references a random
+// 2f+1 subset of the previous round's authors (plus its own previous block),
+// taking a random twin wherever it references validator 0.
+std::unique_ptr<DagBuilder> build_split_twin_dag(std::uint32_t n, Round rounds,
+                                                 std::uint64_t seed) {
+  auto builder = std::make_unique<DagBuilder>(n, /*committee seed=*/11);
+  Rng rng(seed);
+  const auto random_parents = [&](Round r, ValidatorId author) {
+    const Dag& dag = builder->dag();
+    std::vector<ValidatorId> previous(n);
+    for (ValidatorId a = 0; a < n; ++a) previous[a] = a;
+    std::shuffle(previous.begin(), previous.end(), rng);
+    previous.resize(builder->quorum());
+    if (std::find(previous.begin(), previous.end(), author) == previous.end()) {
+      previous.push_back(author);
+    }
+    std::vector<BlockRef> refs;
+    for (const ValidatorId p : previous) {
+      const auto& cell = dag.slot(r - 1, p);
+      refs.push_back(cell[rng.uniform(cell.size())]->ref());
+    }
+    return refs;
+  };
+  for (Round r = 1; r <= rounds; ++r) {
+    for (ValidatorId author = 0; author < n; ++author) {
+      builder->add_block(author, r, random_parents(r, author));
+      if (author != 0) continue;
+      TxBatch marker;
+      marker.id = 0x7717'0000 + r;
+      builder->add_block(author, r, random_parents(r, author), {marker});
+    }
+  }
+  return builder;
+}
+
+std::vector<BlockRef> refs_of(const std::vector<CommittedSubDag>& sub_dags) {
+  std::vector<BlockRef> out;
+  for (const auto& sub_dag : sub_dags) {
+    for (const auto& block : sub_dag.blocks) out.push_back(block->ref());
+  }
+  return out;
+}
+
+// Inserts the global DAG's blocks one at a time, calling try_commit after
+// each, and prunes at the gc_depth horizon of the consumed head the way
+// ValidatorCore::maybe_gc does. The arrival order is causal and random: one
+// block in eight is held back until nothing else is ready, and the blocks no
+// other block references arrive last. A block that arrives below the horizon
+// is dropped, as the validator drops it.
+std::pair<std::vector<DecidedSlot>, std::vector<BlockRef>> commit_incrementally(
+    const DagBuilder& global, const CommitterOptions& options, Rng& rng) {
+  std::vector<BlockPtr> blocks;
+  std::set<Digest> referenced;
+  for (Round r = 1; r <= global.dag().highest_round(); ++r) {
+    for (const auto& block : global.dag().blocks_at(r)) {
+      blocks.push_back(block);
+      for (const BlockRef& parent : block->parents()) referenced.insert(parent.digest);
+    }
+  }
+  std::vector<BlockPtr> pending, unreferenced;
+  std::set<Digest> held;
+  for (const BlockPtr& block : blocks) {
+    (referenced.contains(block->digest()) ? pending : unreferenced).push_back(block);
+    if (rng.uniform(8) == 0) held.insert(block->digest());
+  }
+
+  Dag view(global.committee());
+  Committer committer(view, global.committee(), options);
+  std::vector<BlockRef> delivered;
+  const auto arrive = [&](const BlockPtr& block) {
+    if (block->round() < view.pruned_below()) return;
+    view.insert(block);
+    for (const BlockRef& ref : refs_of(committer.try_commit())) delivered.push_back(ref);
+    const Round head = committer.next_pending_slot().round;
+    if (options.gc_depth > 0 && head > options.gc_depth &&
+        head - options.gc_depth > view.pruned_below()) {
+      view.prune_below(head - options.gc_depth);
+      committer.prune_below(head - options.gc_depth);
+    }
+  };
+  while (!pending.empty()) {
+    std::vector<std::size_t> ready, eager;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (!view.parents_present(*pending[i])) continue;
+      ready.push_back(i);
+      if (!held.contains(pending[i]->digest())) eager.push_back(i);
+    }
+    const auto& choices = eager.empty() ? ready : eager;
+    const std::size_t pick = choices[rng.uniform(choices.size())];
+    const BlockPtr block = pending[pick];
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+    arrive(block);
+  }
+  for (const BlockPtr& block : unreferenced) arrive(block);
+  return {committer.decided_sequence(), std::move(delivered)};
+}
+
+TEST(CommitterEquivalence, IncrementalMatchesOneShotUnderSplitTwins) {
+  struct Case {
+    std::uint32_t n;
+    CommitterOptions options;
+  };
+  std::vector<Case> cases;
+  for (const Round gc_depth : {Round{0}, Round{6}}) {
+    for (CommitterOptions options : {mahi_mahi_5(2), mahi_mahi_4(1), mahi_mahi_4(3)}) {
+      options.gc_depth = gc_depth;
+      cases.push_back({4, options});
+      cases.push_back({7, options});
+    }
+  }
+
+  for (const Case& c : cases) {
+    const std::string label = "n" + std::to_string(c.n) + "_w" +
+                              std::to_string(c.options.wave_length) + "_l" +
+                              std::to_string(c.options.leaders_per_round) + "_gc" +
+                              std::to_string(c.options.gc_depth);
+    for (std::uint64_t seed = 1; seed <= property_iters(3); ++seed) {
+      const auto global = build_split_twin_dag(c.n, 30, seed);
+      Committer one_shot(global->dag(), global->committee(), c.options);
+      const std::vector<BlockRef> expected_delivered = refs_of(one_shot.try_commit());
+      const auto& expected_decided = one_shot.decided_sequence();
+      ASSERT_GT(expected_decided.size(), 10u) << label << " seed " << seed;
+
+      Rng rng(seed * 7919 + c.n);
+      const auto [decided, delivered] = commit_incrementally(*global, c.options, rng);
+      ASSERT_EQ(decided.size(), expected_decided.size()) << label << " seed " << seed;
+      for (std::size_t i = 0; i < decided.size(); ++i) {
+        EXPECT_TRUE(same_outcome(decided[i], expected_decided[i]))
+            << label << " seed " << seed << ": " << decided[i].to_string() << " vs "
+            << expected_decided[i].to_string();
+      }
+      EXPECT_EQ(delivered, expected_delivered) << label << " seed " << seed;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace mahimahi

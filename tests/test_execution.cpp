@@ -23,6 +23,7 @@
 #include "net/node_runtime.h"
 #include "sim/dag_builder.h"
 #include "sim/harness.h"
+#include "support/local_ports.h"
 
 namespace mahimahi::exec {
 namespace {
@@ -521,41 +522,35 @@ bool wait_for(const std::function<bool()>& predicate,
 
 TEST(ExecCluster, ThreadedEngineMatchesSerialReplayOfOwnCommitStream) {
   const auto setup = Committee::make_test(4);
-  std::vector<net::NodeAddress> addresses(4);
-  {
-    net::EventLoop probe_loop;
-    std::vector<std::unique_ptr<net::TcpListener>> probes;
-    for (int i = 0; i < 4; ++i) {
-      probes.push_back(std::make_unique<net::TcpListener>(
-          probe_loop, 0, [](net::TcpConnectionPtr) {}));
-      addresses[i].port = probes.back()->port();
-    }
-  }
-
-  std::vector<std::unique_ptr<net::NodeRuntime>> nodes;
   // Per-node commit stream recorded by the commit handler (loop thread),
   // replayed serially below as the ground truth for the engine's state.
   std::vector<std::vector<CommittedSubDag>> streams(4);
   std::vector<std::mutex> stream_mutexes(4);
-  for (ValidatorId v = 0; v < 4; ++v) {
-    net::NodeRuntimeConfig config;
-    config.validator.id = v;
-    config.validator.committer = mahi_mahi_5(1);
-    config.validator.min_round_delay = millis(5);
-    config.validator.execute_app = true;
-    config.validator.execution_threads = 2;
-    config.peers = addresses;
-    config.tick_interval = millis(10);
-    config.verify_threads = 2;
-    nodes.push_back(std::make_unique<net::NodeRuntime>(
-        setup.committee, setup.keypairs[v].private_key, config));
-    nodes.back()->set_commit_handler([&streams, &stream_mutexes, v](
-                                         const CommittedSubDag& sub_dag) {
-      std::lock_guard<std::mutex> lock(stream_mutexes[v]);
-      streams[v].push_back(sub_dag);
-    });
-  }
-  for (auto& node : nodes) node->start();
+  auto nodes = test::start_cluster(
+      4,
+      [&](std::vector<net::NodeAddress> addresses) {
+        test::Cluster built;
+        for (ValidatorId v = 0; v < 4; ++v) {
+          net::NodeRuntimeConfig config;
+          config.validator.id = v;
+          config.validator.committer = mahi_mahi_5(1);
+          config.validator.min_round_delay = millis(5);
+          config.validator.execute_app = true;
+          config.validator.execution_threads = 2;
+          config.peers = addresses;
+          config.tick_interval = millis(10);
+          config.verify_threads = 2;
+          built.push_back(std::make_unique<net::NodeRuntime>(
+              setup.committee, setup.keypairs[v].private_key, config));
+          built.back()->set_commit_handler([&streams, &stream_mutexes, v](
+                                               const CommittedSubDag& sub_dag) {
+            std::lock_guard<std::mutex> lock(stream_mutexes[v]);
+            streams[v].push_back(sub_dag);
+          });
+        }
+        return built;
+      },
+      4);
 
   // Conflicting KV load from four client streams, plus one batch submitted
   // to two validators (the resubmission path the dedup horizon exists for).

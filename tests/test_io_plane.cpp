@@ -24,6 +24,7 @@
 
 #include "net/io_backend.h"
 #include "net/node_runtime.h"
+#include "support/local_ports.h"
 
 namespace mahimahi::net {
 namespace {
@@ -252,16 +253,6 @@ TEST(WideCluster, FiftyValidatorsCommitWithAgreementUnderEachBackend) {
   constexpr ValidatorId kValidators = 50;
   for (const IoBackendKind kind : backends_under_test()) {
     auto setup = Committee::make_test(kValidators);
-    std::vector<NodeAddress> addresses(kValidators);
-    {
-      EventLoop probe_loop;
-      std::vector<std::unique_ptr<TcpListener>> probes;
-      for (ValidatorId i = 0; i < kValidators; ++i) {
-        probes.push_back(
-            std::make_unique<TcpListener>(probe_loop, 0, [](TcpConnectionPtr) {}));
-        addresses[i].port = probes.back()->port();
-      }
-    }
 
     // Co-located wide cluster on a small machine: share one verifier cache
     // (every block verifies once, not 50 times) and keep verification inline
@@ -269,26 +260,32 @@ TEST(WideCluster, FiftyValidatorsCommitWithAgreementUnderEachBackend) {
     auto cache = std::make_shared<VerifierCache>();
     std::mutex mutex;
     std::vector<std::vector<BlockRef>> sequences(kValidators);
-    std::vector<std::unique_ptr<NodeRuntime>> nodes;
-    for (ValidatorId v = 0; v < kValidators; ++v) {
-      NodeRuntimeConfig config;
-      config.validator.id = v;
-      config.validator.committer = mahi_mahi_5(1);
-      config.validator.min_round_delay = millis(20);
-      config.validator.signature_cache = cache;
-      config.peers = addresses;
-      config.tick_interval = millis(25);
-      config.verify_threads = 0;
-      config.io_backend = kind;
-      nodes.push_back(std::make_unique<NodeRuntime>(
-          setup.committee, setup.keypairs[v].private_key, config));
-      nodes.back()->set_commit_handler([&, v](const CommittedSubDag& sub_dag) {
-        std::lock_guard<std::mutex> g(mutex);
-        for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
-      });
-    }
-    const auto started = std::chrono::steady_clock::now();
-    for (auto& node : nodes) node->start();
+    std::chrono::steady_clock::time_point started;  // the last attempt's start
+    auto nodes = test::start_cluster(
+        kValidators,
+        [&](std::vector<NodeAddress> addresses) {
+          test::Cluster built;
+          for (ValidatorId v = 0; v < kValidators; ++v) {
+            NodeRuntimeConfig config;
+            config.validator.id = v;
+            config.validator.committer = mahi_mahi_5(1);
+            config.validator.min_round_delay = millis(20);
+            config.validator.signature_cache = cache;
+            config.peers = addresses;
+            config.tick_interval = millis(25);
+            config.verify_threads = 0;
+            config.io_backend = kind;
+            built.push_back(std::make_unique<NodeRuntime>(
+                setup.committee, setup.keypairs[v].private_key, config));
+            built.back()->set_commit_handler([&, v](const CommittedSubDag& sub_dag) {
+              std::lock_guard<std::mutex> g(mutex);
+              for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
+            });
+          }
+          started = std::chrono::steady_clock::now();
+          return built;
+        },
+        kValidators);
     ASSERT_EQ(nodes[0]->io_backend_kind(), kind);
     TxBatch batch;
     batch.id = 7;

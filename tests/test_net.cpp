@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <mutex>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "client/kv_batches.h"
 #include "net/node_runtime.h"
 #include "obs/flight_recorder.h"
+#include "support/local_ports.h"
 
 namespace mahimahi::net {
 namespace {
@@ -568,30 +570,34 @@ class TcpClusterTest : public ::testing::Test {
   TimeMicros loop_stall_budget_ = millis(250);
   std::string flightrec_dir_;
 
-  // Builds a 4-node localhost cluster on ephemeral ports. The chosen
-  // addresses stay in addresses_, so a node restarted later (make_node)
-  // rejoins the same mesh instead of a freshly-probed one.
-  std::vector<std::unique_ptr<NodeRuntime>> make_cluster(
-      const std::vector<std::string>& wal_paths = {}) {
-    // Ports must be known upfront by every node, so pre-claim ephemeral
-    // ports via short-lived listeners.
-    addresses_.assign(4, {});
-    {
-      EventLoop probe_loop;
-      std::vector<std::unique_ptr<TcpListener>> probes;
-      for (int i = 0; i < 4; ++i) {
-        probes.push_back(
-            std::make_unique<TcpListener>(probe_loop, 0, [](TcpConnectionPtr) {}));
-        addresses_[i].port = probes.back()->port();
-      }
-      // Listeners close here; tiny race window is acceptable for tests.
-    }
-
-    std::vector<std::unique_ptr<NodeRuntime>> nodes;
-    for (ValidatorId v = 0; v < 4; ++v) {
-      nodes.push_back(make_node(v, wal_paths.empty() ? std::string{} : wal_paths[v]));
-    }
-    return nodes;
+  // Builds a 4-node localhost cluster and starts its first `started` nodes;
+  // support/local_ports.h picks the ports, and picks again if one is taken.
+  // `prepare` sees the nodes before any of them starts (commit handlers).
+  // The chosen addresses stay in addresses_, so a node restarted later
+  // (make_node) rejoins the same mesh instead of a freshly-probed one.
+  std::vector<std::unique_ptr<NodeRuntime>> start_cluster(
+      const std::vector<std::string>& wal_paths = {}, std::size_t started = 4,
+      const std::function<void(std::vector<std::unique_ptr<NodeRuntime>>&)>& prepare =
+          {}) {
+    bool retry = false;
+    return test::start_cluster(
+        4,
+        [&](std::vector<NodeAddress> addresses) {
+          // An attempt that failed to bind may have logged blocks already.
+          if (retry) {
+            for (const auto& path : wal_paths) std::filesystem::remove_all(path);
+          }
+          retry = true;
+          addresses_ = std::move(addresses);
+          std::vector<std::unique_ptr<NodeRuntime>> nodes;
+          for (ValidatorId v = 0; v < 4; ++v) {
+            nodes.push_back(
+                make_node(v, wal_paths.empty() ? std::string{} : wal_paths[v]));
+          }
+          if (prepare) prepare(nodes);
+          return nodes;
+        },
+        started);
   }
 
   Committee::TestSetup setup_;
@@ -599,8 +605,7 @@ class TcpClusterTest : public ::testing::Test {
 };
 
 TEST_F(TcpClusterTest, FourNodesCommitTransactions) {
-  auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster();
 
   // Submit transactions to every node.
   for (ValidatorId v = 0; v < 4; ++v) {
@@ -641,10 +646,44 @@ TEST_F(TcpClusterTest, FourNodesCommitTransactions) {
   }
 }
 
+// A port someone else holds fails start() instead of aborting the process,
+// and test::start_cluster moves the whole cluster to fresh ports.
+TEST_F(TcpClusterTest, TakenPortFailsStartAndClusterMovesToFreshPorts) {
+  EventLoop blocker_loop;
+  std::unique_ptr<TcpListener> blocker;
+  int attempts = 0;
+  auto nodes = test::start_cluster(
+      4,
+      [&](std::vector<NodeAddress> addresses) {
+        if (++attempts == 1) {
+          blocker = std::make_unique<TcpListener>(blocker_loop, addresses[2].port,
+                                                  [](TcpConnectionPtr) {});
+        }
+        addresses_ = std::move(addresses);
+        test::Cluster built;
+        for (ValidatorId v = 0; v < 4; ++v) built.push_back(make_node(v));
+        return built;
+      },
+      4);
+  EXPECT_EQ(attempts, 2);
+  EXPECT_NE(addresses_[2].port, blocker->port());
+
+  TxBatch batch;
+  batch.id = 4242;
+  batch.count = 10;
+  nodes[1]->submit({batch});
+  EXPECT_TRUE(wait_for([&] {
+    for (const auto& node : nodes) {
+      if (node->committed_transactions() < 10) return false;
+    }
+    return true;
+  }));
+  for (auto& node : nodes) node->stop();
+}
+
 TEST_F(TcpClusterTest, AdminEndpointServesMetricsMidRun) {
   admin_port_ = 0;  // ephemeral admin listener on every node
-  auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster();
 
   // Every node published an admin port distinct from its consensus port.
   for (const auto& node : nodes) ASSERT_GT(node->admin_port(), 0);
@@ -716,8 +755,7 @@ TEST_F(TcpClusterTest, AdminEndpointServesMetricsMidRun) {
 
 TEST_F(TcpClusterTest, AdminIntrospectionStatusTracesAndFlightrec) {
   admin_port_ = 0;
-  auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster();
   for (ValidatorId v = 0; v < 4; ++v) {
     TxBatch batch;
     batch.id = 7200 + v;
@@ -786,8 +824,7 @@ TEST_F(TcpClusterTest, AdminIntrospectionStatusTracesAndFlightrec) {
 
 TEST_F(TcpClusterTest, AdminRejectsBadRequests) {
   admin_port_ = 0;
-  auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster();
   ASSERT_TRUE(wait_for([&] { return nodes[0]->admin_port() > 0; }));
   const int port = nodes[0]->admin_port();
 
@@ -820,8 +857,7 @@ TEST_F(TcpClusterTest, WatchdogStallAutoDumpsFlightRecorder) {
   flightrec_dir_ = ::testing::TempDir() + "flightrec_stall_test";
   std::filesystem::remove_all(flightrec_dir_);
   std::filesystem::create_directories(flightrec_dir_);
-  auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster();
   for (ValidatorId v = 0; v < 4; ++v) {
     TxBatch batch;
     batch.id = 7300 + v;
@@ -872,8 +908,7 @@ TEST_F(TcpClusterTest, ExecEngineShutdownUnderLoadJoinsBeforeLoopDies) {
   std::uint64_t sequence = 0;
   // A few teardowns: each one races the merge thread at a different point.
   for (int attempt = 0; attempt < 3; ++attempt) {
-    auto nodes = make_cluster();
-    for (auto& node : nodes) node->start();
+    auto nodes = start_cluster();
     const auto submit_load = [&] {
       for (ValidatorId v = 0; v < 4; ++v) {
         std::vector<TxBatch> batches;
@@ -902,8 +937,7 @@ TEST_F(TcpClusterTest, SharedVerifierCacheSkipsRepeatVerification) {
   // block pays ed25519 once process-wide; the other three runtimes' verify
   // workers hit the cache.
   shared_cache_ = std::make_shared<VerifierCache>();
-  auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster();
   TxBatch batch;
   batch.id = 77;
   batch.count = 10;
@@ -928,16 +962,16 @@ TEST_F(TcpClusterTest, InlineVerificationCommitsIdentically) {
   // the crypto stage, egress encode — runs on the loop thread. The cluster
   // must commit and agree exactly as with workers.
   verify_threads_ = 0;
-  auto nodes = make_cluster();
   std::mutex mutex;
   std::vector<std::vector<BlockRef>> sequences(4);
-  for (ValidatorId v = 0; v < 4; ++v) {
-    nodes[v]->set_commit_handler([&, v](const CommittedSubDag& sub_dag) {
-      std::lock_guard<std::mutex> g(mutex);
-      for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
-    });
-  }
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster({}, 4, [&](auto& built) {
+    for (ValidatorId v = 0; v < 4; ++v) {
+      built[v]->set_commit_handler([&, v](const CommittedSubDag& sub_dag) {
+        std::lock_guard<std::mutex> g(mutex);
+        for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
+      });
+    }
+  });
   TxBatch batch;
   batch.id = 55;
   batch.count = 20;
@@ -979,8 +1013,7 @@ TEST_F(TcpClusterTest, LateStartingNodeJoinsViaAntiEntropy) {
   // Start only three of four nodes; they commit on their own (2f+1 quorum).
   // The fourth starts late: its peers' broadcasts predate its sockets, so
   // everything must reach it through the periodic tip offers plus fetch.
-  auto nodes = make_cluster();
-  for (ValidatorId v = 0; v < 3; ++v) nodes[v]->start();
+  auto nodes = start_cluster({}, 3);
   TxBatch batch;
   batch.id = 3;
   batch.count = 30;
@@ -999,16 +1032,16 @@ TEST_F(TcpClusterTest, LateStartingNodeJoinsViaAntiEntropy) {
 }
 
 TEST_F(TcpClusterTest, CommitSequencesAgreeAcrossNodes) {
-  auto nodes = make_cluster();
   std::mutex mutex;
   std::vector<std::vector<BlockRef>> sequences(4);
-  for (ValidatorId v = 0; v < 4; ++v) {
-    nodes[v]->set_commit_handler([&, v](const CommittedSubDag& sub_dag) {
-      std::lock_guard<std::mutex> g(mutex);
-      for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
-    });
-  }
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster({}, 4, [&](auto& built) {
+    for (ValidatorId v = 0; v < 4; ++v) {
+      built[v]->set_commit_handler([&, v](const CommittedSubDag& sub_dag) {
+        std::lock_guard<std::mutex> g(mutex);
+        for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
+      });
+    }
+  });
   for (ValidatorId v = 0; v < 4; ++v) {
     TxBatch batch;
     batch.id = v;
@@ -1038,8 +1071,7 @@ TEST_F(TcpClusterTest, EgressOffloadEncodesOffLoopAndCommits) {
   // Default configuration: outbound blocks are encoded once on the worker
   // pool into shared frames. The cluster must commit exactly as before, and
   // the encode counter proves the path was taken.
-  auto nodes = make_cluster();
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster();
   for (ValidatorId v = 0; v < 4; ++v) {
     TxBatch batch;
     batch.id = 900 + v;
@@ -1077,8 +1109,7 @@ TEST_F(TcpClusterTest, GroupCommitWalClusterCommitsAndRestartsCleanly) {
     wal_paths.push_back(path.string());
   }
 
-  auto nodes = make_cluster(wal_paths);
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster(wal_paths);
   for (ValidatorId v = 0; v < 4; ++v) {
     EXPECT_TRUE(nodes[v]->wal_group_commit_active());
     TxBatch batch;
@@ -1149,8 +1180,7 @@ TEST_F(TcpClusterTest, CheckpointClusterLateJoinerCatchesUpViaSnapshot) {
     wal_dirs.push_back(path.string());
   }
 
-  auto nodes = make_cluster(wal_dirs);
-  for (ValidatorId v = 0; v < 3; ++v) nodes[v]->start();
+  auto nodes = start_cluster(wal_dirs, 3);
 
   // Keep load flowing so rounds (and the GC horizon) advance.
   std::uint64_t batch_id = 9000;
@@ -1220,8 +1250,7 @@ TEST_F(TcpClusterTest, SurvivesNodeRestartWithWal) {
     wal_paths.push_back(path.string());
   }
 
-  auto nodes = make_cluster(wal_paths);
-  for (auto& node : nodes) node->start();
+  auto nodes = start_cluster(wal_paths);
   TxBatch batch;
   batch.id = 7;
   batch.count = 40;

@@ -6,6 +6,9 @@
 // payloads, prunes at the gc_depth horizon of the consumed head (as
 // ValidatorCore::maybe_gc does), keeps only weak_ptrs to the committed leader
 // blocks, and checks that every leader below the horizon was released.
+//
+// The commit rule's vote memo is bounded by the consumed head instead, with
+// or without GC; the last case checks it on a gc_depth = 0 sim run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +21,7 @@
 #include "common/rng.h"
 #include "core/committer.h"
 #include "sim/dag_builder.h"
+#include "sim/harness.h"
 #include "validator/validator.h"
 
 namespace mahimahi {
@@ -199,6 +203,38 @@ TEST(Retention, CheckpointInstallKeepsIdentitiesNotBlocks) {
         << live[i].to_string() << " vs " << installed[i].to_string();
   }
   watch.expect_released_below(target.dag().pruned_below(), "checkpoint install");
+}
+
+// At gc_depth = 0 the DAG keeps every round, but the vote memo keeps only
+// the target rounds at or above the consumed head: a few waves of them, not
+// one per round of uptime.
+TEST(Retention, VoteMemoStaysWithinAFewWavesWithoutGc) {
+  sim::SimConfig config;
+  config.protocol = sim::Protocol::kMahiMahi5;
+  config.n = 4;
+  config.wan = false;
+  config.uniform_latency = millis(20);
+  config.load_tps = 500;
+  config.duration = seconds(25);
+  config.warmup = seconds(2);
+  config.seed = 17;
+  const CommitterOptions options = mahi_mahi_5(config.leaders_per_round);
+  ASSERT_EQ(options.gc_depth, 0u);
+
+  const sim::SimResult result = sim::run_simulation(config);
+  EXPECT_GE(result.max_round, 150u);
+  EXPECT_GE(result.total_blocks,
+            static_cast<std::uint64_t>(result.max_round) * (config.n - 1));
+
+  // A target round's traversals start at its vote round and stop above it:
+  // at most n blocks in each of wave_length - 2 rounds, per slot leader.
+  const std::int64_t per_round =
+      options.leaders_per_round * config.n * (options.wave_length - 2);
+  ASSERT_NE(result.metrics.find("mm_vote_memo_entries"), nullptr);
+  const std::int64_t entries = result.metrics.gauge_value("mm_vote_memo_entries");
+  EXPECT_LE(entries, 3 * static_cast<std::int64_t>(options.wave_length) * per_round)
+      << "vote memo of " << entries << " entries after " << result.max_round
+      << " rounds";
 }
 
 }  // namespace
