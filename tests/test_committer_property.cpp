@@ -131,14 +131,18 @@ Dag make_view(const DagBuilder& global, Round horizon, double tip_probability,
   return view;
 }
 
-std::vector<BlockRef> delivered_sequence(const Dag& view, const Committee& committee,
-                                         const CommitterOptions& options) {
-  Committer committer(view, committee, options);
+std::vector<BlockRef> refs_of(const std::vector<CommittedSubDag>& sub_dags) {
   std::vector<BlockRef> out;
-  for (const auto& sub_dag : committer.try_commit()) {
+  for (const auto& sub_dag : sub_dags) {
     for (const auto& block : sub_dag.blocks) out.push_back(block->ref());
   }
   return out;
+}
+
+std::vector<BlockRef> delivered_sequence(const Dag& view, const Committee& committee,
+                                         const CommitterOptions& options) {
+  Committer committer(view, committee, options);
+  return refs_of(committer.try_commit());
 }
 
 class CommitterProperty : public ::testing::TestWithParam<ModelParams> {};
@@ -315,14 +319,6 @@ std::unique_ptr<DagBuilder> build_split_twin_dag(std::uint32_t n, Round rounds,
     }
   }
   return builder;
-}
-
-std::vector<BlockRef> refs_of(const std::vector<CommittedSubDag>& sub_dags) {
-  std::vector<BlockRef> out;
-  for (const auto& sub_dag : sub_dags) {
-    for (const auto& block : sub_dag.blocks) out.push_back(block->ref());
-  }
-  return out;
 }
 
 // Inserts the global DAG's blocks one at a time, calling try_commit after
