@@ -8,8 +8,6 @@
 #include "crypto/blake2b.h"
 #include "crypto/coin.h"
 #include "crypto/ed25519.h"
-#include "crypto/hmac.h"
-#include "crypto/sha256.h"
 #include "crypto/sha512.h"
 
 namespace {
@@ -32,15 +30,6 @@ void BM_Blake2b256(benchmark::State& state) {
 }
 BENCHMARK(BM_Blake2b256)->Arg(64)->Arg(512)->Arg(4096)->Arg(65536)->Arg(262144);
 
-void BM_Sha256(benchmark::State& state) {
-  const Bytes input = make_input(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::hash({input.data(), input.size()}));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(512)->Arg(65536);
-
 void BM_Sha512(benchmark::State& state) {
   const Bytes input = make_input(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -49,16 +38,6 @@ void BM_Sha512(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Sha512)->Arg(512)->Arg(65536);
-
-void BM_HmacSha256(benchmark::State& state) {
-  const Bytes key = make_input(32);
-  const Bytes input = make_input(512);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        hmac_sha256({key.data(), key.size()}, {input.data(), input.size()}));
-  }
-}
-BENCHMARK(BM_HmacSha256);
 
 void BM_Crc32(benchmark::State& state) {
   const Bytes input = make_input(static_cast<std::size_t>(state.range(0)));

@@ -6,7 +6,7 @@
 #include "core/committer.h"
 #include "sim/dag_builder.h"
 #include "types/validation.h"
-#include "wal/wal.h"
+#include "wal/segmented_wal.h"
 
 namespace {
 
@@ -145,14 +145,14 @@ void BM_WalAppend(benchmark::State& state) {
   builder.build_fully_connected(1);
   const BlockPtr block = builder.dag().slot(1, 0).front();
   const auto path = std::filesystem::temp_directory_path() / "mahi_bench.wal";
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
   {
-    FileWal wal(path.string());
+    SegmentedWal wal(path.string());
     for (auto _ : state) {
       wal.append_block(*block, false);
     }
   }
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 BENCHMARK(BM_WalAppend);
 
@@ -161,20 +161,19 @@ void BM_WalReplay(benchmark::State& state) {
   builder.build_fully_connected(1);
   const BlockPtr block = builder.dag().slot(1, 0).front();
   const auto path = std::filesystem::temp_directory_path() / "mahi_bench_replay.wal";
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
   {
-    FileWal wal(path.string());
+    SegmentedWal wal(path.string());
     for (int i = 0; i < 1000; ++i) wal.append_block(*block, false);
   }
   for (auto _ : state) {
     int count = 0;
-    FileWal::Visitor visitor;
-    visitor.on_block = [&](BlockPtr, bool) { ++count; };
-    benchmark::DoNotOptimize(FileWal::replay(path.string(), visitor, false));
+    benchmark::DoNotOptimize(SegmentedWal::replay(
+        path.string(), [&](BlockPtr, bool) { ++count; }, false));
     benchmark::DoNotOptimize(count);
   }
   state.SetLabel("1000-block log");
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 BENCHMARK(BM_WalReplay);
 

@@ -1,12 +1,15 @@
 // Recovery/replay benchmarks: monolithic log vs checkpoint + segment-suffix.
 //
-// The quantity that matters to an operator is restart time. A monolithic WAL
-// replays every record ever written — O(history). The checkpoint subsystem
+// The quantity that matters to an operator is restart time. A log that is
+// never cut replays every record ever written — O(history). The checkpoint
+// subsystem
 // (checkpoint/) bounds it: recovery decodes the newest checkpoint and
 // replays only the segment suffix accumulated since the last cut, which the
 // checkpoint interval caps independently of history length.
 //
-//   BM_RecoveryReplayMonolithic/N        full FileWal::replay of N records
+//   BM_RecoveryReplayMonolithic/N        full SegmentedWal::replay of an
+//                                        uncut N-record log (no checkpoint
+//                                        ever rolled or retired a segment)
 //   BM_RecoveryReplayCheckpointSuffix/N  CheckpointStore load + decode, plus
 //                                        SegmentedWal::replay of the bounded
 //                                        suffix (same fixed interval at every
@@ -46,10 +49,9 @@
 #include "app/kv_store.h"
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/delta.h"
-#include "checkpoint/segmented_wal.h"
 #include "sim/dag_builder.h"
 #include "validator/validator.h"
-#include "wal/wal.h"
+#include "wal/segmented_wal.h"
 
 namespace {
 
@@ -92,9 +94,9 @@ const Bytes& record_bytes() {
 }
 
 // The replayed logs are built the way a production group-commit writer lands
-// them — whole groups through FramedWal::append_group_durable — so the build
-// exercises (and reports) each layout's group-flush syscall accounting. The
-// file bytes are identical to per-record appends either way.
+// them — whole groups through SegmentedWal::append_group_durable — so the
+// build exercises (and reports) the group-flush syscall accounting. The file
+// bytes are identical to per-record appends either way.
 constexpr std::size_t kBuildGroupRecords = 64;
 
 struct LogBuildStats {
@@ -102,7 +104,7 @@ struct LogBuildStats {
   std::uint64_t syscalls = 0;  // kernel entries spent landing the groups
 };
 
-LogBuildStats write_records(FramedWal& wal, std::size_t count) {
+LogBuildStats write_records(SegmentedWal& wal, std::size_t count) {
   const Bytes& record = record_bytes();
   Bytes group;
   std::size_t staged = 0;
@@ -114,7 +116,7 @@ LogBuildStats write_records(FramedWal& wal, std::size_t count) {
       staged = 0;
     }
   }
-  return {wal.groups_durable(), wal.group_flush_syscalls()};
+  return {wal.groups_durable(), wal.syscalls()};
 }
 
 // A real captured cut (30 fully-connected rounds, GC horizon active), so the
@@ -164,19 +166,17 @@ void check_linear(benchmark::State& state, const std::string& series,
 void BM_RecoveryReplayMonolithic(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));
   const std::string dir = bench_dir("mono");
-  const std::string path = (fs::path(dir) / "log.wal").string();
   LogBuildStats build;
   {
-    FileWal wal(path);
+    SegmentedWal wal(dir);
     build = write_records(wal, records);
   }
   std::uint64_t replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
+  const auto visitor = [&](BlockPtr, bool) { ++replayed; };
   const auto wall_start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     replayed = 0;
-    const auto result = FileWal::replay(path, visitor);
+    const auto result = SegmentedWal::replay(dir, visitor);
     benchmark::DoNotOptimize(result.records);
   }
   const double wall_ns = std::chrono::duration<double, std::nano>(
@@ -216,8 +216,7 @@ void BM_RecoveryReplayCheckpointSuffix(benchmark::State& state) {
     store.write(1, {encoded.data(), encoded.size()});
   }
   std::uint64_t replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
+  const auto visitor = [&](BlockPtr, bool) { ++replayed; };
   for (auto _ : state) {
     replayed = 0;
     CheckpointStore store(dir);

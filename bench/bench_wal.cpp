@@ -22,9 +22,11 @@
 // burst 8). Machine-readable output: --benchmark_format=json (CI uploads
 // bench_wal.json and gates it with scripts/check_bench.py).
 //
-// Every series also reports SyscallsPerRecord — kernel entries spent making
-// records durable, divided by records landed. Inline fsync pays 2 per burst
-// on the appender; group commit pays 2 per GROUP on the writer thread; the
+// Every series runs over the WAL's one layout, SegmentedWal, and also
+// reports SyscallsPerRecord — kernel entries spent making records durable
+// (SegmentedWal::syscalls, which counts sync() and group flushes alike),
+// divided by records landed. Inline fsync pays 2 per burst on the appender;
+// group commit pays 2 per GROUP on the writer thread; the
 // ring-backed variant (BM_WalGroupDurableFsyncUring, registered only where
 // the kernel supports io_uring) pays 1 linked write→fsync submission per
 // group. scripts/check_bench.py --compare gates the uring column against the
@@ -37,7 +39,7 @@
 
 #include "types/committee.h"
 #include "wal/group_commit_wal.h"
-#include "wal/wal.h"
+#include "wal/segmented_wal.h"
 #include "wal/wal_ring.h"
 
 namespace {
@@ -72,11 +74,17 @@ std::string bench_wal_path(const char* tag) {
 // Recreate the log every so often so long benchmark runs do not fill /tmp.
 constexpr std::uint64_t kTruncateEveryBursts = 8192;
 
+std::unique_ptr<SegmentedWal> open_log(const std::string& path, bool fsync) {
+  SegmentedWalOptions options;
+  options.fsync_on_sync = fsync;
+  return std::make_unique<SegmentedWal>(path, options);
+}
+
 void inline_append_bench(benchmark::State& state, bool fsync) {
   const std::size_t burst = static_cast<std::size_t>(state.range(0));
   const std::string path = bench_wal_path(fsync ? "inline_fsync" : "inline");
-  std::filesystem::remove(path);
-  auto wal = std::make_unique<FileWal>(path, fsync);
+  std::filesystem::remove_all(path);
+  auto wal = open_log(path, fsync);
   std::uint64_t bursts = 0;
   std::uint64_t syscalls = 0;  // accumulated across truncation resets
   for (auto _ : state) {
@@ -84,22 +92,22 @@ void inline_append_bench(benchmark::State& state, bool fsync) {
     wal->sync();
     if (++bursts % kTruncateEveryBursts == 0) {
       state.PauseTiming();
-      syscalls += wal->sync_syscalls();
+      syscalls += wal->syscalls();
       wal.reset();
-      std::filesystem::remove(path);
-      wal = std::make_unique<FileWal>(path, fsync);
+      std::filesystem::remove_all(path);
+      wal = open_log(path, fsync);
       state.ResumeTiming();
     }
   }
   const auto records = state.iterations() * static_cast<std::int64_t>(burst);
   state.SetItemsProcessed(records);
-  syscalls += wal->sync_syscalls();
+  syscalls += wal->syscalls();
   if (records > 0) {
     state.counters["SyscallsPerRecord"] =
         static_cast<double>(syscalls) / static_cast<double>(records);
   }
   wal.reset();
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 
 // fflush-only durability (process crash), the test/simulator default.
@@ -118,11 +126,11 @@ BENCHMARK(BM_WalAppendInlineFsync)->ArgName("burst")->Arg(1)->Arg(8)->Arg(64);
 void BM_WalAppendGroupCommit(benchmark::State& state) {
   const std::size_t burst = static_cast<std::size_t>(state.range(0));
   const std::string path = bench_wal_path("group");
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
   GroupCommitWalOptions options;
   options.flush_interval = 0;  // writer flushes whatever accumulated, ASAP
   auto make_wal = [&] {
-    return std::make_unique<GroupCommitWal>(std::make_unique<FileWal>(path), options);
+    return std::make_unique<GroupCommitWal>(open_log(path, /*fsync=*/false), options);
   };
   auto wal = make_wal();
   std::uint64_t bursts = 0;
@@ -138,7 +146,7 @@ void BM_WalAppendGroupCommit(benchmark::State& state) {
       groups += wal->groups_flushed();
       flush_syscalls += wal->group_flush_syscalls();
       wal.reset();
-      std::filesystem::remove(path);
+      std::filesystem::remove_all(path);
       wal = make_wal();
       state.ResumeTiming();
     }
@@ -153,7 +161,7 @@ void BM_WalAppendGroupCommit(benchmark::State& state) {
         static_cast<double>(flush_syscalls) / static_cast<double>(records);
   }
   wal.reset();
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 BENCHMARK(BM_WalAppendGroupCommit)->ArgName("burst")->Arg(1)->Arg(8)->Arg(64);
 
@@ -161,13 +169,12 @@ void group_durable_bench(benchmark::State& state, bool fsync, bool use_uring) {
   const std::size_t burst = static_cast<std::size_t>(state.range(0));
   const std::string path = bench_wal_path(
       use_uring ? "durable_uring" : (fsync ? "durable_fsync" : "durable"));
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
   GroupCommitWalOptions options;
   options.flush_interval = 0;
   options.use_io_uring = use_uring;
   auto make_wal = [&] {
-    return std::make_unique<GroupCommitWal>(std::make_unique<FileWal>(path, fsync),
-                                            options);
+    return std::make_unique<GroupCommitWal>(open_log(path, fsync), options);
   };
   auto wal = make_wal();
   if (use_uring && !wal->wal_ring_active()) {
@@ -189,7 +196,7 @@ void group_durable_bench(benchmark::State& state, bool fsync, bool use_uring) {
       groups += wal->groups_flushed();
       flush_syscalls += wal->group_flush_syscalls();
       wal.reset();
-      std::filesystem::remove(path);
+      std::filesystem::remove_all(path);
       wal = make_wal();
       state.ResumeTiming();
     }
@@ -204,7 +211,7 @@ void group_durable_bench(benchmark::State& state, bool fsync, bool use_uring) {
         static_cast<double>(flush_syscalls) / static_cast<double>(records);
   }
   wal.reset();
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 
 void BM_WalGroupDurableLatency(benchmark::State& state) {

@@ -64,7 +64,7 @@ int main() {
     }
   }
   std::printf("agreement            %10s\n", consistent ? "ok" : "VIOLATED");
-  std::printf("\nWAL files: %s (one per validator; the restarted validator replayed\n"
+  std::printf("\nWAL directories: %s (one per validator; the restarted validator replayed\n"
               "its own log and re-fetched the outage gap through the synchronizer)\n",
               wal_dir.string().c_str());
   return consistent ? 0 : 1;

@@ -49,7 +49,7 @@ int main() {
   std::vector<std::string> wal_paths;
   for (int i = 0; i < 4; ++i) {
     auto path = wal_dir / ("mahi_example_node" + std::to_string(i) + ".wal");
-    std::filesystem::remove(path);  // fresh demo
+    std::filesystem::remove_all(path);  // fresh demo (each WAL is a directory)
     wal_paths.push_back(path.string());
   }
 

@@ -7,9 +7,6 @@
 //
 //   frac_sqrt64(p) = floor(sqrt(p) * 2^64) mod 2^64
 //   frac_cbrt64(p) = floor(cbrt(p) * 2^64) mod 2^64
-//
-// The same routine regenerates the (hardcoded) SHA-256 constants, which the
-// test suite uses to cross-validate both the table and this code.
 #pragma once
 
 #include <array>
@@ -19,13 +16,6 @@ namespace mahimahi::crypto {
 
 std::uint64_t frac_sqrt64(std::uint64_t n);
 std::uint64_t frac_cbrt64(std::uint64_t n);
-
-inline std::uint32_t frac_sqrt32(std::uint64_t n) {
-  return static_cast<std::uint32_t>(frac_sqrt64(n) >> 32);
-}
-inline std::uint32_t frac_cbrt32(std::uint64_t n) {
-  return static_cast<std::uint32_t>(frac_cbrt64(n) >> 32);
-}
 
 // First `N` primes (compile-time), for the SHA-2 constant schedules.
 template <std::size_t N>

@@ -185,22 +185,10 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
         [this](const exec::WaveDelivery& wave) { on_wave_delivered(wave); });
   }
   if (!config_.wal_path.empty()) {
-    // Recovery before the WAL is reopened for append. The segmented layout
-    // (checkpointing active) prefers newest-valid-checkpoint + segment-
-    // suffix replay; the monolithic layout replays the whole file.
-    FileWal::Visitor visitor;
-    visitor.on_block = [this](BlockPtr block, bool) {
-      Actions actions = core_->recover_block(std::move(block));
-      if (exec_engine_ != nullptr) {
-        // Replay commits apply serially inline (ISSUE contract: the recovery
-        // path never runs parallel waves) with no delivery callbacks — the
-        // original run already stamped these batches' finality.
-        for (const auto& sub_dag : actions.committed) exec_engine_->replay(sub_dag);
-      }
-    };
-    std::unique_ptr<FramedWal> layout;
+    // Recovery before the WAL is reopened for append: newest valid
+    // checkpoint chain (when checkpointing) plus segment replay. wal_path is
+    // a directory holding the segments and the checkpoint store side by side.
     if (checkpointing_) {
-      // wal_path is a directory here: segments + checkpoints side by side.
       checkpoint_store_ = std::make_unique<CheckpointStore>(config_.wal_path);
       auto chain = checkpoint_store_->newest_valid_chain();
       if (!chain.empty()) {
@@ -249,28 +237,28 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
           last_cut_data_ = std::make_shared<const CheckpointData>(std::move(data));
         }
       }
-      const auto replay = SegmentedWal::replay(config_.wal_path, visitor);
-      if (replay.records > 0) {
-        MM_LOG(kInfo) << "v" << id() << " replayed " << replay.records
-                      << " records from " << replay.segments << " WAL segments"
-                      << (replay.corrupt_tail ? " (torn tail dropped)" : "");
-      }
-      SegmentedWalOptions seg_options;
-      seg_options.segment_bytes = config_.validator.wal_segment_bytes;
-      seg_options.fsync_on_sync = config_.validator.wal_fsync;
-      auto segmented = std::make_unique<SegmentedWal>(config_.wal_path, seg_options);
-      seg_wal_ = segmented.get();
-      layout = std::move(segmented);
-    } else {
-      const auto replay = FileWal::replay(config_.wal_path, visitor);
-      if (replay.records > 0) {
-        MM_LOG(kInfo) << "v" << id() << " recovered " << replay.records
-                      << " WAL records"
-                      << (replay.corrupt_tail ? " (torn tail dropped)" : "");
-      }
-      layout = std::make_unique<FileWal>(config_.wal_path, config_.validator.wal_fsync);
+    }
+    const auto replay = SegmentedWal::replay(
+        config_.wal_path, [this](BlockPtr block, bool) {
+          Actions actions = core_->recover_block(std::move(block));
+          if (exec_engine_ != nullptr) {
+            // Replay commits apply serially inline (the recovery path never
+            // runs parallel waves) with no delivery callbacks — the original
+            // run already stamped these batches' finality.
+            for (const auto& sub_dag : actions.committed) exec_engine_->replay(sub_dag);
+          }
+        });
+    if (replay.records > 0) {
+      MM_LOG(kInfo) << "v" << id() << " replayed " << replay.records
+                    << " records from " << replay.segments << " WAL segments"
+                    << (replay.corrupt_tail ? " (torn tail dropped)" : "");
     }
     highest_round_->set(static_cast<std::int64_t>(core_->dag().highest_round()));
+    SegmentedWalOptions seg_options;
+    seg_options.segment_bytes = config_.validator.wal_segment_bytes;
+    seg_options.fsync_on_sync = config_.validator.wal_fsync;
+    auto segmented = std::make_unique<SegmentedWal>(config_.wal_path, seg_options);
+    seg_wal_ = segmented.get();
     if (config_.validator.wal_group_commit) {
       GroupCommitWalOptions wal_options;
       wal_options.flush_interval = config_.validator.wal_flush_interval;
@@ -281,12 +269,12 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       // Durability acks run on the loop thread: they release gated proposal
       // broadcasts, which touch loop-owned connection state.
       auto group = std::make_unique<GroupCommitWal>(
-          std::move(layout), wal_options,
+          std::move(segmented), wal_options,
           [this](std::function<void()> ack) { loop_.post(std::move(ack)); });
       group_wal_ = group.get();
       wal_ = std::move(group);
     } else {
-      wal_ = std::move(layout);
+      wal_ = std::move(segmented);
     }
   } else {
     // No persistence: NullWal acks durability synchronously, so
@@ -893,50 +881,31 @@ void NodeRuntime::perform(Actions&& actions) {
     forensics_.block_arrived(block->digest(), perform_now);
   }
   if (!actions.inserted.empty()) {
-    // Inline WAL: make the batch durable now, exactly as before. Group
-    // commit skips this — records ride the writer's interval/budget flushes,
-    // and the only send that must wait for durability (the own-proposal
-    // broadcast below) is gated on the ack instead.
-    if (group_wal_ == nullptr) {
-      wal_->sync();
-      // The whole batch became durable together: each block waited the full
-      // sync duration.
-      tracer_.record_stage(obs::Stage::kWalDurable, steady_now_micros() - perform_now,
-                           actions.inserted.size());
-      recorder_.record_now(obs::FlightEventType::kWalFlush, actions.inserted.size());
-    } else {
-      // Group path: the span closes when the writer's durability ack posts
-      // back to the loop thread.
-      wal_->on_durable([this, appended_at = perform_now,
-                        count = actions.inserted.size()] {
-        tracer_.record_stage(obs::Stage::kWalDurable,
-                             steady_now_micros() - appended_at, count);
-        recorder_.record_now(obs::FlightEventType::kWalFlush, count);
-      });
-    }
+    // The whole batch becomes durable together: each block waits the full
+    // span. An inline WAL syncs and acks right here; a group-commit WAL
+    // posts the ack back to the loop thread after the covering flush.
+    wal_->on_durable([this, appended_at = perform_now,
+                      count = actions.inserted.size()] {
+      tracer_.record_stage(obs::Stage::kWalDurable,
+                           steady_now_micros() - appended_at, count);
+      recorder_.record_now(obs::FlightEventType::kWalFlush, count);
+    });
   }
 
   if (!actions.broadcast.empty()) {
     // Non-equivocation rests on never broadcasting an own block that a
-    // restart could forget: the send waits for WAL durability. On the
-    // inline path the batch sync above already covered these appends (own
-    // proposals are always in actions.inserted), so dispatch directly
-    // rather than paying on_durable's redundant second sync; the group WAL
-    // posts the ack from its writer thread once the covering group is on
-    // disk.
+    // restart could forget: the send waits for WAL durability. Own
+    // proposals are always in actions.inserted, so on the inline path the
+    // sync above already covered them and this ack costs no second sync.
     std::vector<EgressItem> items;
     items.reserve(actions.broadcast.size());
     for (const auto& block : actions.broadcast) {
       block_payload_bytes_->record(static_cast<std::int64_t>(block->payload_bytes()));
       items.push_back({block, kAllPeers});
     }
-    if (group_wal_ == nullptr) {
+    wal_->on_durable([this, items = std::move(items)]() mutable {
       egress_drain_.push(std::move(items));
-    } else {
-      wal_->on_durable([this, items = std::move(items)]() mutable {
-        egress_drain_.push(std::move(items));
-      });
-    }
+    });
   }
 
   for (const auto& request : actions.fetch_requests) {
@@ -1019,13 +988,9 @@ void NodeRuntime::perform(Actions&& actions) {
     trace.apply_micros = steady_now_micros() - committed_at;
   }
   if (!actions.committed.empty()) {
-    // Durable breakdown: the next group flush covers every commit above (the
-    // decisions ride the same WAL); inline WALs are already durable here.
-    if (group_wal_ != nullptr) {
-      wal_->on_durable([this] { forensics_.durable_ack(steady_now_micros()); });
-    } else {
-      forensics_.durable_ack(steady_now_micros());
-    }
+    // Durable breakdown: the flush covering this batch's blocks covers every
+    // commit above (replay re-derives them from the blocks).
+    wal_->on_durable([this] { forensics_.durable_ack(steady_now_micros()); });
   }
   highest_round_->set(static_cast<std::int64_t>(core_->dag().highest_round()));
 
@@ -1468,17 +1433,12 @@ void NodeRuntime::offer_latest_block(ValidatorId peer) {
   if (round == 0) return;  // nothing proposed yet
   const auto& cell = core_->dag().slot(round, id());
   if (cell.empty()) return;
-  // Offers carry an own block, so under group commit they obey the same
-  // durability gate as the original broadcast: a tick can fire between a
+  // Offers carry an own block, so they obey the same durability gate as the
+  // original broadcast: under group commit a tick can fire between a
   // proposal's insertion and its group flush, and offering the block in
   // that window would leak a potentially-forgettable proposal. (Usually the
-  // block is long durable and the ack completes at once.) On the inline
-  // path the block was synced when it was inserted — dispatch directly.
+  // block is long durable and the ack completes at once.)
   std::vector<EgressItem> items{EgressItem{cell.front(), peer}};
-  if (group_wal_ == nullptr) {
-    egress_drain_.push(std::move(items));
-    return;
-  }
   wal_->on_durable([this, items = std::move(items)]() mutable {
     egress_drain_.push(std::move(items));
   });

@@ -28,20 +28,23 @@
 //     ONCE into a shared immutable frame (net/tcp.h SharedFrame); the loop
 //     thread then hands every per-peer send a refcounted view. Frames reach
 //     the sockets in enqueue order.
-//   * WAL (ValidatorConfig::wal_group_commit): appends stage into
-//     wal/group_commit_wal.h, whose writer thread lands whole groups as one
-//     write + sync. Own proposals enter the egress path only when the WAL's
-//     durability ack posts back to the loop thread, preserving the recovery
-//     contract (a broadcast block is always replayable). Inline WALs ack
-//     synchronously — including NullWal, so running without persistence can
-//     never wedge the proposal path.
+//   * WAL: with a wal_path, the log is always the segmented layout
+//     (wal/segmented_wal.h, a directory of rolling seg-*.wal files) and
+//     construction replays it. ValidatorConfig::wal_group_commit only picks
+//     who lands the records: the caller (inline append + sync on the loop
+//     thread) or wal/group_commit_wal.h's writer thread (whole groups as one
+//     write + sync). Either way the loop thread makes one call,
+//     on_durable(), and own proposals enter the egress path only when that
+//     ack runs, preserving the recovery contract (a broadcast block is
+//     always replayable). Inline WALs ack synchronously — including
+//     NullWal, so running without persistence can never wedge the proposal
+//     path.
 // Together these leave the loop thread as pure I/O multiplexing.
 //
 // Checkpointing (ValidatorConfig::checkpoint_interval, checkpoint/):
-//   * with persistence, the WAL runs the segmented layout (rolling
-//     seg-*.wal files + a checkpoint store in the same directory) instead of
-//     one monolithic file, and recovery prefers newest-valid-chain +
-//     segment-suffix replay;
+//   * with persistence, a checkpoint store shares the WAL's directory, and
+//     recovery prefers newest-valid-chain + segment-suffix replay. Without
+//     checkpointing the log simply never rolls at a cut or retires;
 //   * cuts happen at CANONICAL boundary slots (checkpoint/cert.h
 //     cut_boundary_slot): when the consumption head crosses boundary k, the
 //     loop thread captures the consistent cut and truncates it back to the
@@ -85,7 +88,6 @@
 
 #include "checkpoint/cert.h"
 #include "checkpoint/checkpoint.h"
-#include "checkpoint/segmented_wal.h"
 #include "core/commit_trace.h"
 #include "exec/engine.h"
 #include "net/admin.h"
@@ -98,6 +100,7 @@
 #include "obs/watchdog.h"
 #include "validator/validator.h"
 #include "wal/group_commit_wal.h"
+#include "wal/segmented_wal.h"
 #include "wal/wal.h"
 
 namespace mahimahi::net {
@@ -126,9 +129,11 @@ struct NodeRuntimeConfig {
   ValidatorConfig validator;
   // peers[i] is validator i's listen address; peers[validator.id] is ours.
   std::vector<NodeAddress> peers;
-  // Empty = no persistence. With validator.checkpoint_interval > 0 (and
-  // gc_depth set) this is a DIRECTORY holding the segmented layout —
-  // seg-*.wal files, MANIFEST, ckpt-*.ckpt — instead of one log file.
+  // Empty = no persistence. Otherwise a DIRECTORY holding the segmented
+  // WAL (seg-*.wal files, MANIFEST) and, with checkpointing, the checkpoint
+  // store (ckpt-*.ckpt). A regular file here (a monolithic log from an
+  // older binary) makes construction throw rather than start from an empty
+  // log and re-propose rounds.
   std::string wal_path;
   TimeMicros tick_interval = millis(50);
   TimeMicros dial_retry = millis(200);
@@ -272,7 +277,6 @@ class NodeRuntime {
   IoBackendKind io_backend_kind() const { return loop_.io_backend_kind(); }
   // Checkpoint subsystem introspection (thread-safe).
   bool checkpointing_active() const { return checkpointing_; }
-  bool segmented_wal_active() const { return seg_wal_ != nullptr; }
   std::uint64_t checkpoints_written() const { return checkpoints_written_->value(); }
   // Snapshot catch-ups completed: peer checkpoints verified and installed.
   std::uint64_t snapshot_catchups() const { return snapshot_catchups_->value(); }
@@ -468,10 +472,9 @@ class NodeRuntime {
   // Non-null iff wal_ is a GroupCommitWal (introspection + explicit shutdown
   // before the loop object dies: the writer posts acks through loop_).
   GroupCommitWal* group_wal_ = nullptr;
-  // Non-null iff the segmented layout is active: the SegmentedWal owned by
-  // wal_ (directly, or inside the group-commit decorator). Its internal
-  // mutex makes the loop thread's roll/retire safe against the WAL writer
-  // thread's appends.
+  // Non-null iff wal_path is set: the SegmentedWal owned by wal_ (directly,
+  // or inside the group-commit decorator). Its internal mutex makes the loop
+  // thread's roll/retire safe against the WAL writer thread's appends.
   SegmentedWal* seg_wal_ = nullptr;
   CommitHandler commit_handler_;
   // Execution engine (ValidatorConfig::execute_app): fed on the loop thread

@@ -8,14 +8,13 @@
 #include "checkpoint/cert.h"
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/delta.h"
-#include "checkpoint/segmented_wal.h"
 #include "client/kv_batches.h"
 #include "common/log.h"
 #include "exec/access.h"
 #include "exec/engine.h"
 #include "obs/trace.h"
 #include "serde/serde.h"
-#include "wal/wal.h"
+#include "wal/segmented_wal.h"
 
 namespace mahimahi::sim {
 
@@ -106,7 +105,6 @@ struct SimHarness::Impl {
     down.assign(config.n, 0);
     mem_logs.resize(config.n);
     wals.resize(config.n);
-    seg_wals.assign(config.n, nullptr);
     wal_stages.resize(config.n);
     ckpts.resize(config.n);
     ckpt_stores.resize(config.n);
@@ -153,21 +151,15 @@ struct SimHarness::Impl {
            nodes[v]->checkpoint_capable();
   }
 
-  // Opens validator v's on-disk log in the layout this run models: rolling
-  // segments + a checkpoint store with checkpointing on, one monolithic
-  // FileWal otherwise.
+  // Opens validator v's on-disk log (rolling segments), plus a checkpoint
+  // store in the same directory when the run models checkpointing.
   void open_wal(ValidatorId v) {
-    if (config.checkpoint_interval > 0 && options_for(config).gc_depth > 0) {
-      SegmentedWalOptions options;
-      options.segment_bytes = config.wal_segment_bytes;
-      auto segmented = std::make_unique<SegmentedWal>(wal_path(v), options);
-      seg_wals[v] = segmented.get();
-      wals[v] = std::move(segmented);
-      if (ckpt_stores[v] == nullptr) {
-        ckpt_stores[v] = std::make_unique<CheckpointStore>(wal_path(v));
-      }
-    } else {
-      wals[v] = std::make_unique<FileWal>(wal_path(v));
+    SegmentedWalOptions options;
+    options.segment_bytes = config.wal_segment_bytes;
+    wals[v] = std::make_unique<SegmentedWal>(wal_path(v), options);
+    if (config.checkpoint_interval > 0 && options_for(config).gc_depth > 0 &&
+        ckpt_stores[v] == nullptr) {
+      ckpt_stores[v] = std::make_unique<CheckpointStore>(wal_path(v));
     }
   }
 
@@ -445,7 +437,7 @@ struct SimHarness::Impl {
     // Segments roll (and retire) only at base cuts: a delta keeps its whole
     // chain's WAL suffix live, so retirement is chain-granular.
     const std::uint64_t keep_from =
-        is_base && seg_wals[v] != nullptr ? seg_wals[v]->roll_segment() : 0;
+        is_base && wals[v] != nullptr ? wals[v]->roll_segment() : 0;
     state.in_flight = true;
     auto encoded = std::make_shared<const Bytes>(std::move(record));
     auto cut = std::make_shared<const CheckpointData>(std::move(data));
@@ -477,8 +469,8 @@ struct SimHarness::Impl {
           }
           // One chain of retirement lag (see NodeRuntime::finish_checkpoint):
           // the previous chain's segments retire when the next base lands.
-          if (is_base && seg_wals[v] != nullptr) {
-            seg_wals[v]->retire_segments_below(done.keep_from);
+          if (is_base && wals[v] != nullptr) {
+            wals[v]->retire_segments_below(done.keep_from);
             done.keep_from = keep_from;
           }
           checkpoints_written->add();
@@ -785,7 +777,6 @@ struct SimHarness::Impl {
       // Keep the file for replay; drop the open handle like a crash would.
       wals[v]->sync();
       wals[v].reset();
-      seg_wals[v] = nullptr;
     }
   }
 
@@ -874,14 +865,8 @@ struct SimHarness::Impl {
     }
 
     if (!config.wal_dir.empty()) {
-      FileWal::Visitor visitor;
-      visitor.on_block = [&](BlockPtr block, bool) { replay_one(std::move(block)); };
-      visitor.on_commit = [](SlotId) {};
-      if (config.checkpoint_interval > 0 && options_for(config).gc_depth > 0) {
-        SegmentedWal::replay(wal_path(v), visitor);
-      } else {
-        FileWal::replay(wal_path(v), visitor);
-      }
+      SegmentedWal::replay(wal_path(v),
+                           [&](BlockPtr block, bool) { replay_one(std::move(block)); });
       open_wal(v);  // resume appends
     } else {
       for (const auto& block : mem_logs[v]) replay_one(block);
@@ -1053,10 +1038,8 @@ struct SimHarness::Impl {
   std::vector<std::deque<IngestBlock>> inboxes;   // batched same-time deliveries
   std::vector<char> inbox_scheduled;
   std::vector<char> down;                         // RestartSpec crash state
-  // Per validator, when wal_dir is set: monolithic FileWal, or SegmentedWal
-  // (seg_wals holds the downcast) when the run models checkpointing.
-  std::vector<std::unique_ptr<FramedWal>> wals;
-  std::vector<SegmentedWal*> seg_wals;
+  // Per validator, when wal_dir is set: the on-disk log.
+  std::vector<std::unique_ptr<SegmentedWal>> wals;
   std::vector<std::vector<BlockPtr>> mem_logs;    // in-memory WAL fallback
   // Checkpoint model state. `latest`/`chain` model the durable checkpoint
   // store in in-memory runs (they survive crashes, like mem_logs); on-disk

@@ -59,9 +59,10 @@ struct SimConfig {
   std::vector<RestartSpec> restarts;
 
   // When non-empty, every live validator appends admitted blocks to a
-  // FileWal at `{wal_dir}/v{id}.wal` and restart replays that file — the
-  // real on-disk recovery path, serde included. When empty, restarts replay
-  // an in-memory block log. Use a fresh directory per run: the WAL appends.
+  // SegmentedWal in the directory `{wal_dir}/v{id}.wal` and restart replays
+  // it — the real on-disk recovery path, serde included. When empty,
+  // restarts replay an in-memory block log. Use a fresh directory per run:
+  // the WAL appends.
   std::string wal_dir;
 
   // Deterministic model of ValidatorConfig::wal_group_commit: admitted

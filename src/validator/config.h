@@ -51,13 +51,15 @@ struct ValidatorConfig {
 
   // Write-side offload (drivers' policy, like the ingest knobs above).
   //
-  // wal_group_commit: WAL appends stage into a buffer and a dedicated writer
-  // thread lands whole groups as one write + sync (wal/group_commit_wal.h in
-  // the TCP runtime; a deterministic deferred flush event in the simulator).
-  // Own proposals broadcast only after their durability ack — the recovery
-  // contract (no post-restart equivocation) is unchanged, the loop thread
-  // just stops paying disk latency for it. Off = the classic inline
-  // append + sync per insertion batch.
+  // wal_group_commit picks who lands the WAL's records; the log itself is
+  // the segmented layout either way. On: appends stage into a buffer and a
+  // dedicated writer thread lands whole groups as one write + sync
+  // (wal/group_commit_wal.h in the TCP runtime; a deterministic deferred
+  // flush event in the simulator). Off: the caller appends and syncs once
+  // per insertion batch. Own proposals broadcast only after their durability
+  // ack in both cases — the recovery contract (no post-restart equivocation)
+  // is the same, the writer thread just takes the disk latency off the loop
+  // thread.
   bool wal_group_commit = false;
   // Longest a staged WAL record waits before its group flushes (also the
   // added proposal-broadcast latency ceiling when the log is idle). 0 = the
@@ -76,13 +78,13 @@ struct ValidatorConfig {
   // Cut a checkpoint every time the GC horizon advances this many rounds
   // past the previous cut (requires committer.gc_depth > 0 — without GC
   // there is no horizon to cut at, and the log already bounds nothing).
-  // 0 = no checkpointing: drivers keep the monolithic WAL layout.
-  // Nonzero (with persistence configured) switches the driver to the
-  // segmented WAL + checkpoint store layout and enables snapshot catch-up
-  // serving.
+  // 0 = no checkpointing: the WAL never rolls at a cut nor retires
+  // segments. Nonzero adds a checkpoint store next to the WAL segments
+  // (with persistence configured), retires covered segments, and enables
+  // snapshot catch-up serving. It does not change the WAL layout.
   Round checkpoint_interval = 0;
-  // Segment-roll byte budget of the segmented WAL layout (see
-  // checkpoint/segmented_wal.h); ignored while checkpoint_interval is 0.
+  // Segment-roll byte budget of the WAL (wal/segmented_wal.h). Applies to
+  // every persistent run, with or without checkpoints.
   std::uint64_t wal_segment_bytes = 4 << 20;
   // Minimum spacing between snapshot catch-up requests, so a validator deep
   // below everyone's horizon asks one peer at a time instead of fanning a

@@ -1,5 +1,7 @@
 #include "wal/group_commit_wal.h"
 
+#include <cstdlib>
+#include <exception>
 #include <utility>
 
 #include "common/log.h"
@@ -15,7 +17,7 @@ std::chrono::microseconds chrono_micros(TimeMicros t) {
 
 }  // namespace
 
-GroupCommitWal::GroupCommitWal(std::unique_ptr<FramedWal> inner,
+GroupCommitWal::GroupCommitWal(std::unique_ptr<SegmentedWal> inner,
                                GroupCommitWalOptions options, AckExecutor ack_executor)
     : options_(options), ack_executor_(std::move(ack_executor)), inner_(std::move(inner)) {
   if (options_.use_io_uring) {
@@ -61,12 +63,8 @@ void GroupCommitWal::stage_record(const Bytes& framed) {
 void GroupCommitWal::append_block(const Block& block, bool own) {
   // Encoding happens on the appender's thread — it is pure CPU over an
   // immutable block and keeps the staged bytes byte-identical to what the
-  // inline FileWal would have written at this point in the sequence.
+  // inline SegmentedWal would have written at this point in the sequence.
   stage_record(wal_encode_block_record(block, own));
-}
-
-void GroupCommitWal::append_commit(SlotId slot) {
-  stage_record(wal_encode_commit_record(slot));
 }
 
 void GroupCommitWal::sync() {
@@ -144,7 +142,13 @@ void GroupCommitWal::writer_main() {
       // write + sync classically, or a single linked write→fsync submission
       // when the layout has the WAL ring attached.
       const TimeMicros start = steady_now_micros();
-      inner_->append_group_durable({group.data(), group.size()});
+      try {
+        inner_->append_group_durable({group.data(), group.size()});
+      } catch (const std::exception& error) {
+        // The group may not be on disk, so no ack it covers may ever fire.
+        MM_LOG(kError) << "WAL group flush failed: " << error.what();
+        std::abort();
+      }
       const TimeMicros spent = steady_now_micros() - start;
 
       lock.lock();

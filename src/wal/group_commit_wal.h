@@ -1,25 +1,28 @@
-// Group-commit decorator over a FramedWal layout (monolithic FileWal or the
-// checkpoint subsystem's SegmentedWal).
+// Group-commit decorator over the WAL's SegmentedWal layout.
 //
-// The inline FileWal pays a write + sync on the appender's thread for every
-// insertion batch — on a deployed validator that thread is the event loop,
-// so a slow disk serializes consensus behind log I/O. This decorator moves
-// the file entirely off the appender's thread:
+// An inline SegmentedWal pays a write + sync on the appender's thread for
+// every insertion batch — on a deployed validator that thread is the event
+// loop, so a slow disk serializes consensus behind log I/O. This decorator
+// moves the file entirely off the appender's thread:
 //
-//   append_*  (appender thread)   encode the record, copy it into a bounded
+//   append_block (appender thread) encode the record, copy it into a bounded
 //                                 staging buffer, return immediately
 //   writer    (dedicated thread)  waits out the flush interval (or a byte
 //                                 budget, whichever trips first), then lands
 //                                 the whole group as ONE write + sync and
 //                                 completes the durability acks it covers
 //
-// Because every implementation shares the wal_encode_* record framing, a
+// Because both writers share the wal_encode_* record framing, a
 // group-committed log is byte-identical to the inline log for the same
-// append sequence — recovery (FileWal::replay) cannot tell them apart, and
-// a torn tail still truncates to a clean record boundary.
+// append sequence — recovery (SegmentedWal::replay) cannot tell them apart,
+// and a torn tail still truncates to a clean record boundary.
 //
-// Threading contract: append_block / append_commit / on_durable come from
-// ONE appender thread (the runtime's event loop); sync() — a full blocking
+// A group that fails to land (flush or fsync error) stops the process before
+// any ack it covers fires: the appender has moved on and cannot be told, and
+// a restart replays exactly the durable prefix.
+//
+// Threading contract: append_block / on_durable come from ONE appender
+// thread (the runtime's event loop); sync() — a full blocking
 // durability barrier, meant for shutdown paths — may come from any thread
 // except the writer's. Acks run on the writer thread, or are handed to the
 // ack executor when one is configured (the TCP runtime posts them to its
@@ -36,7 +39,7 @@
 #include <vector>
 
 #include "common/time.h"
-#include "wal/wal.h"
+#include "wal/segmented_wal.h"
 
 namespace mahimahi {
 
@@ -66,7 +69,7 @@ class GroupCommitWal : public Wal {
   // Runs a durability ack somewhere; null = on the writer thread.
   using AckExecutor = std::function<void(std::function<void()>)>;
 
-  GroupCommitWal(std::unique_ptr<FramedWal> inner, GroupCommitWalOptions options,
+  GroupCommitWal(std::unique_ptr<SegmentedWal> inner, GroupCommitWalOptions options,
                  AckExecutor ack_executor = nullptr);
   // Drains every staged record (one final group) and joins the writer.
   ~GroupCommitWal() override;
@@ -75,7 +78,6 @@ class GroupCommitWal : public Wal {
   GroupCommitWal& operator=(const GroupCommitWal&) = delete;
 
   void append_block(const Block& block, bool own) override;
-  void append_commit(SlotId slot) override;
   // Blocking durability barrier: returns once everything appended before the
   // call is on disk. Shutdown/teardown path — the hot path never calls this;
   // it rides the interval/budget flushes and on_durable acks instead.
@@ -86,7 +88,7 @@ class GroupCommitWal : public Wal {
   void on_durable(std::function<void()> done) override;
 
   // Drains and joins the writer early (idempotent; the destructor calls it).
-  // After shutdown the inner FileWal is still owned and readable; appends
+  // After shutdown the inner SegmentedWal is still owned and readable; appends
   // are a programming error.
   void shutdown();
 
@@ -100,9 +102,9 @@ class GroupCommitWal : public Wal {
   // True when groups land through the WAL ring (use_io_uring requested AND
   // the ring came up AND the layout fsyncs).
   bool wal_ring_active() const { return inner_->wal_ring_active(); }
-  // Syscalls spent landing groups (see FramedWal::group_flush_syscalls).
-  std::uint64_t group_flush_syscalls() const { return inner_->group_flush_syscalls(); }
-  const FramedWal& inner() const { return *inner_; }
+  // Syscalls spent landing groups (see SegmentedWal::syscalls; the writer
+  // never calls the layout's own sync()).
+  std::uint64_t group_flush_syscalls() const { return inner_->syscalls(); }
 
  private:
   // Shared append body: blocks for staging space, copies the framed record
@@ -115,7 +117,7 @@ class GroupCommitWal : public Wal {
   // Declared before inner_ (destroyed after it): the layout holds a raw
   // pointer to the ring. Driven only by the writer thread.
   std::unique_ptr<WalUring> wal_ring_;
-  std::unique_ptr<FramedWal> inner_;
+  std::unique_ptr<SegmentedWal> inner_;
 
   mutable std::mutex mutex_;
   std::condition_variable writer_wake_;   // writer waits: work or stop

@@ -1,12 +1,15 @@
-#include "checkpoint/segmented_wal.h"
+#include "wal/segmented_wal.h"
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
+#include "common/crc32.h"
 #include "common/fsio.h"
 #include "common/log.h"
 #include "serde/serde.h"
@@ -18,6 +21,98 @@ namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
 constexpr std::uint32_t kManifestMagic = 0x4d4d5347;  // "MMSG"
+
+// Throws when `dir` exists but is not a directory: most likely a monolithic
+// log written by an older binary. Treating it as an empty log would make the
+// validator forget its own proposals and equivocate.
+void require_directory_or_absent(const std::string& dir) {
+  std::error_code ec;
+  const auto status = std::filesystem::status(dir, ec);
+  if (std::filesystem::exists(status) && !std::filesystem::is_directory(status)) {
+    throw std::runtime_error("SegmentedWal: " + dir +
+                             " is not a directory (a monolithic log from an older "
+                             "binary? it cannot be replayed)");
+  }
+}
+
+[[noreturn]] void throw_io_error(const char* op, const std::string& path) {
+  throw std::runtime_error(std::string("SegmentedWal: ") + op + " failed on " + path +
+                           ": " + std::strerror(errno));
+}
+
+struct SegmentScan {
+  std::uint64_t records = 0;
+  std::uint64_t valid_bytes = 0;  // prefix that parsed cleanly
+  bool corrupt_tail = false;      // a torn/corrupt record was discarded
+};
+
+// Feeds the intact records of one segment file to the visitor. The payload
+// buffer is shared across every segment of a replay, so replay pays no
+// per-record heap allocation once it warmed up to the largest record.
+SegmentScan scan_segment(const std::string& path, const SegmentedWal::Visitor& visitor,
+                         bool truncate_corrupt_tail, Bytes& payload) {
+  SegmentScan result;
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return result;
+
+  for (;;) {
+    std::uint8_t header[8];
+    const std::size_t header_read = std::fread(header, 1, 8, file);
+    if (header_read != 8) {
+      // 0 bytes = clean EOF. A partial header is a torn tail like any other:
+      // it must be flagged (and truncated) or the next append would land
+      // after the garbage and orphan everything behind it.
+      if (header_read != 0) result.corrupt_tail = true;
+      break;
+    }
+    std::uint32_t len, crc;
+    std::memcpy(&len, header, 4);
+    std::memcpy(&crc, header + 4, 4);
+    if (len > 64 * 1024 * 1024) {  // corrupt length field
+      result.corrupt_tail = true;
+      break;
+    }
+    payload.resize(len);
+    if (std::fread(payload.data(), 1, len, file) != len ||
+        crc32({payload.data(), payload.size()}) != crc) {
+      result.corrupt_tail = true;  // torn or damaged record
+      break;
+    }
+
+    try {
+      serde::Reader r({payload.data(), payload.size()});
+      const auto type = static_cast<WalRecordType>(r.u8());
+      if (type != WalRecordType::kOwnBlock && type != WalRecordType::kReceivedBlock) {
+        throw serde::SerdeError("unknown WAL record type");
+      }
+      // Decode straight out of the scratch buffer: copying the
+      // length-prefixed block bytes into their own heap allocation per
+      // record made long replays allocation-bound.
+      const std::uint64_t encoded_len = r.varint();
+      if (encoded_len > r.remaining()) {
+        throw serde::SerdeError("block record length exceeds payload");
+      }
+      const BytesView encoded = r.raw(static_cast<std::size_t>(encoded_len));
+      auto block = std::make_shared<const Block>(Block::deserialize(encoded));
+      if (visitor) visitor(std::move(block), type == WalRecordType::kOwnBlock);
+    } catch (const serde::SerdeError&) {
+      result.corrupt_tail = true;
+      break;
+    }
+    ++result.records;
+    result.valid_bytes += 8 + len;
+  }
+  std::fclose(file);
+
+  if (result.corrupt_tail && truncate_corrupt_tail) {
+    std::error_code ec;
+    std::filesystem::resize_file(path, result.valid_bytes, ec);
+    if (ec) {
+      MM_LOG(kWarn) << "WAL truncation failed for " << path << ": " << ec.message();
+    }
+  }
+  return result;
+}
 
 }  // namespace
 
@@ -57,6 +152,7 @@ std::vector<std::uint64_t> SegmentedWal::list_segments(const std::string& dir) {
 
 SegmentedWal::SegmentedWal(std::string dir, SegmentedWalOptions options)
     : dir_(std::move(dir)), options_(options) {
+  require_directory_or_absent(dir_);
   std::filesystem::create_directories(dir_);
   std::lock_guard<std::mutex> lock(mutex_);
   base_index_ = read_manifest(dir_);
@@ -85,11 +181,19 @@ void SegmentedWal::open_active_locked(std::uint64_t index) {
   active_bytes_ = ec ? 0 : size;
 }
 
+void SegmentedWal::flush_active_locked() {
+  if (std::fflush(file_) != 0) throw_io_error("flush", segment_path(dir_, active_index_));
+  if (options_.fsync_on_sync && ::fsync(::fileno(file_)) != 0) {
+    throw_io_error("fsync", segment_path(dir_, active_index_));
+  }
+  dirty_ = false;
+}
+
 void SegmentedWal::seal_active_locked() {
-  std::fflush(file_);
-  if (options_.fsync_on_sync) ::fsync(::fileno(file_));
-  std::fclose(file_);
+  flush_active_locked();
+  std::FILE* sealed = file_;
   file_ = nullptr;
+  if (std::fclose(sealed) != 0) throw_io_error("close", segment_path(dir_, active_index_));
 }
 
 void SegmentedWal::roll_if_over_budget_locked(std::size_t incoming_bytes) {
@@ -108,30 +212,23 @@ void SegmentedWal::write_locked(BytesView framed) {
     throw std::runtime_error("SegmentedWal: short write to " +
                              segment_path(dir_, active_index_));
   }
+  dirty_ = true;
   active_bytes_ += framed.size();
   ++active_records_;
-  bytes_written_ += framed.size();
-}
-
-void SegmentedWal::append_framed(BytesView framed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  write_locked(framed);
 }
 
 void SegmentedWal::append_block(const Block& block, bool own) {
   const Bytes framed = wal_encode_block_record(block, own);
-  append_framed({framed.data(), framed.size()});
-}
-
-void SegmentedWal::append_commit(SlotId slot) {
-  const Bytes framed = wal_encode_commit_record(slot);
-  append_framed({framed.data(), framed.size()});
+  std::lock_guard<std::mutex> lock(mutex_);
+  write_locked({framed.data(), framed.size()});
 }
 
 void SegmentedWal::sync() {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::fflush(file_);
-  if (options_.fsync_on_sync) ::fsync(::fileno(file_));
+  if (!dirty_) return;
+  flush_active_locked();
+  // fflush issues the write; fsync is the second entry when enabled.
+  syscalls_.fetch_add(options_.fsync_on_sync ? 2 : 1, std::memory_order_relaxed);
 }
 
 void SegmentedWal::attach_wal_ring(WalUring* ring) {
@@ -151,19 +248,19 @@ void SegmentedWal::append_group_durable(BytesView group) {
   groups_durable_.fetch_add(1, std::memory_order_relaxed);
   if (ring_ != nullptr && options_.fsync_on_sync) {
     roll_if_over_budget_locked(group.size());
-    std::fflush(file_);  // order stdio-buffered bytes ahead of the ring write
+    // Order stdio-buffered bytes ahead of the ring write (O_APPEND orders
+    // the two at the kernel). In steady state the buffer is empty.
+    if (std::fflush(file_) != 0) throw_io_error("flush", segment_path(dir_, active_index_));
     const std::uint64_t spent = ring_->append_fsync(::fileno(file_), group);
-    group_flush_syscalls_.fetch_add(spent, std::memory_order_relaxed);
+    syscalls_.fetch_add(spent, std::memory_order_relaxed);
+    dirty_ = false;
     active_bytes_ += group.size();
     ++active_records_;
-    bytes_written_ += group.size();
     return;
   }
   write_locked(group);
-  std::fflush(file_);
-  if (options_.fsync_on_sync) ::fsync(::fileno(file_));
-  group_flush_syscalls_.fetch_add(options_.fsync_on_sync ? 2 : 1,
-                                  std::memory_order_relaxed);
+  flush_active_locked();
+  syscalls_.fetch_add(options_.fsync_on_sync ? 2 : 1, std::memory_order_relaxed);
 }
 
 std::uint64_t SegmentedWal::roll_segment() {
@@ -222,19 +319,15 @@ std::uint64_t SegmentedWal::base_segment() const {
   return base_index_;
 }
 
-std::uint64_t SegmentedWal::bytes_written() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_written_;
-}
-
 std::uint64_t SegmentedWal::segments_retired() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return segments_retired_;
 }
 
 SegmentedWal::ReplayResult SegmentedWal::replay(const std::string& dir,
-                                                const FileWal::Visitor& visitor,
+                                                const Visitor& visitor,
                                                 bool truncate_corrupt_tail) {
+  require_directory_or_absent(dir);
   ReplayResult result;
   const std::uint64_t base = read_manifest(dir);
   std::vector<std::uint64_t> indexes = list_segments(dir);
@@ -252,12 +345,12 @@ SegmentedWal::ReplayResult SegmentedWal::replay(const std::string& dir,
       return result;
     }
     const bool last = i + 1 == indexes.size();
-    const auto file_result = FileWal::replay_with_scratch(
-        segment_path(dir, indexes[i]), visitor,
-        /*truncate_corrupt_tail=*/last && truncate_corrupt_tail, scratch);
-    result.records += file_result.records;
+    const SegmentScan scan =
+        scan_segment(segment_path(dir, indexes[i]), visitor,
+                     /*truncate_corrupt_tail=*/last && truncate_corrupt_tail, scratch);
+    result.records += scan.records;
     ++result.segments;
-    if (file_result.corrupt_tail) {
+    if (scan.corrupt_tail) {
       result.corrupt_tail = true;
       if (!last) {
         MM_LOG(kWarn) << "SegmentedWal: corrupt record mid-log in segment "

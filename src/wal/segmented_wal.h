@@ -1,11 +1,9 @@
-// Segmented WAL layout: the same record stream as FileWal, rolled across
+// The WAL's on-disk layout: the record stream of wal/wal.h, rolled across
 // bounded segment files so checkpointing can retire history.
 //
-// A monolithic log grows without bound — a long-running validator pays
-// unbounded replay time and disk. This layout splits the identical byte
-// stream (shared wal_encode_* framing, so a segmented log concatenates to
-// exactly what FileWal would have written) into `seg-<index>.wal` files
-// under one directory:
+// The stream (shared wal_encode_* framing) is split into `seg-<index>.wal`
+// files under one directory; concatenating the segments yields exactly the
+// records appended, in order:
 //
 //   * appends go to the highest-index (active) segment; when the active
 //     segment exceeds the byte/record budget, it is sealed (flush + optional
@@ -17,18 +15,27 @@
 //     retire removes;
 //   * replay walks segments base..max in order with one shared scratch
 //     buffer. A torn tail is expected only in the LAST segment (crashes tear
-//     the active file) and truncates exactly like FileWal's; a corrupt
+//     the active file) and is truncated to the last whole record; a corrupt
 //     record in an earlier segment is disk damage — replay stops there and
 //     reports it so the caller can fall back to an older checkpoint.
 //
-// Thread safety: unlike FileWal, all mutating members take an internal
-// mutex. The checkpoint writer needs to roll/retire from the loop thread
-// while the group-commit writer thread is appending groups.
+// A run without checkpoints never calls roll_segment or
+// retire_segments_below: its log is every segment from index 0.
+//
+// Every flush and fsync result is checked. A failure throws and is never
+// retried (after a failed fsync the kernel may already have dropped the
+// dirty pages, so a retry can report success for data that is gone), so no
+// caller ever acknowledges a record that may not be durable.
+//
+// Thread safety: all mutating members take an internal mutex. The checkpoint
+// writer rolls/retires from the loop thread while the group-commit writer
+// thread is appending groups.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -37,6 +44,8 @@
 
 namespace mahimahi {
 
+class WalUring;  // wal/wal_ring.h
+
 struct SegmentedWalOptions {
   // Seal the active segment once it holds at least this many bytes. A single
   // oversized record (or group-commit group) still lands whole — segments
@@ -44,14 +53,18 @@ struct SegmentedWalOptions {
   std::uint64_t segment_bytes = 4 << 20;
   // Record-count budget tripping a roll before the byte budget (0 = none).
   std::uint64_t segment_records = 0;
-  // Same meaning as FileWal: upgrade sync() from fflush to fflush + fsync.
+  // Upgrade sync() from fflush (durable across a process crash — the page
+  // cache survives) to fflush + fsync (durable across a machine crash).
+  // fsync costs milliseconds on real disks, which is exactly the latency the
+  // group-commit decorator amortizes and moves off the appender's thread.
   bool fsync_on_sync = false;
 };
 
-class SegmentedWal : public FramedWal {
+class SegmentedWal : public Wal {
  public:
   // Opens (creating the directory if needed) the segmented log at `dir`.
-  // Appends resume on the highest existing segment. Throws on failure.
+  // Appends resume on the highest existing segment. Throws on failure,
+  // including when `dir` names something other than a directory.
   explicit SegmentedWal(std::string dir, SegmentedWalOptions options = {});
   ~SegmentedWal() override;
 
@@ -59,20 +72,28 @@ class SegmentedWal : public FramedWal {
   SegmentedWal& operator=(const SegmentedWal&) = delete;
 
   void append_block(const Block& block, bool own) override;
-  void append_commit(SlotId slot) override;
+  // Flushes (and fsyncs, per options) the active segment. A no-op when
+  // nothing was appended since the last sync, so a driver may call
+  // on_durable several times per appended batch and pay the disk once.
   void sync() override;
-  void append_framed(BytesView framed) override;
 
-  // With an attached ring (and fsync_on_sync set), lands the group as one
-  // linked write→fsync submission into the active segment — after the usual
-  // roll check, so segment budgets behave exactly as on the classic path.
-  void append_group_durable(BytesView group) override;
-  void attach_wal_ring(WalUring* ring) override;
-  bool wal_ring_active() const override;
-  std::uint64_t group_flush_syscalls() const override {
-    return group_flush_syscalls_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t groups_durable() const override {
+  // Lands one group durably: on return the bytes are written and synced.
+  // The group-commit writer flushes through this. With an attached ring (and
+  // fsync_on_sync set) the group lands as one linked write→fsync submission
+  // into the active segment — after the usual roll check, so segment budgets
+  // behave exactly as on the classic path.
+  void append_group_durable(BytesView group);
+  // Adopts a (non-owning) submission ring for group flushes; nullptr
+  // detaches. Call before concurrent appends start.
+  void attach_wal_ring(WalUring* ring);
+  bool wal_ring_active() const;
+
+  // Syscall accounting: kernel entries spent making records durable —
+  // sync()'s write (+ fsync) and group flushes (write + fsync classically,
+  // ring enters otherwise). With groups_durable() it backs the
+  // syscalls-per-record columns in bench_wal/bench_io_plane.
+  std::uint64_t syscalls() const { return syscalls_.load(std::memory_order_relaxed); }
+  std::uint64_t groups_durable() const {
     return groups_durable_.load(std::memory_order_relaxed);
   }
 
@@ -91,8 +112,10 @@ class SegmentedWal : public FramedWal {
 
   std::uint64_t active_segment() const;
   std::uint64_t base_segment() const;
-  std::uint64_t bytes_written() const;
   std::uint64_t segments_retired() const;
+
+  // Replay visitor: called per intact record in log order.
+  using Visitor = std::function<void(BlockPtr block, bool own)>;
 
   struct ReplayResult {
     std::uint64_t records = 0;
@@ -100,11 +123,15 @@ class SegmentedWal : public FramedWal {
     bool corrupt_tail = false;    // torn tail (last segment) or mid-log damage
   };
 
-  // Replays segments manifest-base..max in index order. A gap in the index
-  // sequence or a corrupt record in a non-final segment stops the replay
-  // with corrupt_tail set (the caller falls back to an older checkpoint); a
-  // torn tail of the final segment truncates like FileWal's.
-  static ReplayResult replay(const std::string& dir, const FileWal::Visitor& visitor,
+  // Replays segments manifest-base..max in index order. An absent directory
+  // is an empty log. A gap in the index sequence or a corrupt record in a
+  // non-final segment stops the replay with corrupt_tail set (the caller
+  // falls back to an older checkpoint); a torn tail of the final segment is
+  // dropped and, with `truncate_corrupt_tail`, cut off the file so the next
+  // append lands on a clean record boundary. Throws when `dir` exists but is
+  // not a directory (e.g. a monolithic log from an older binary): starting
+  // from an empty log instead would re-propose rounds and equivocate.
+  static ReplayResult replay(const std::string& dir, const Visitor& visitor,
                              bool truncate_corrupt_tail = true);
 
   static std::string segment_path(const std::string& dir, std::uint64_t index);
@@ -116,6 +143,7 @@ class SegmentedWal : public FramedWal {
 
  private:
   void open_active_locked(std::uint64_t index);
+  void flush_active_locked();
   void seal_active_locked();
   void roll_if_over_budget_locked(std::size_t incoming_bytes);
   void write_locked(BytesView framed);
@@ -130,10 +158,10 @@ class SegmentedWal : public FramedWal {
   std::uint64_t base_index_ = 0;
   std::uint64_t active_bytes_ = 0;      // size of the active segment file
   std::uint64_t active_records_ = 0;    // records appended to it this session
-  std::uint64_t bytes_written_ = 0;     // this session, across segments
   std::uint64_t segments_retired_ = 0;
+  bool dirty_ = false;                  // appended since the last flush
   WalUring* ring_ = nullptr;            // non-owning; see attach_wal_ring
-  std::atomic<std::uint64_t> group_flush_syscalls_{0};
+  std::atomic<std::uint64_t> syscalls_{0};
   std::atomic<std::uint64_t> groups_durable_{0};
 };
 

@@ -74,10 +74,17 @@ std::uint64_t WalUring::append_fsync(int fd, BytesView data) {
 
   std::uint64_t spent = impl.ring.enter_syscalls() - enters_before;
   const std::size_t len = data.size();
-  if (write_res != static_cast<std::int64_t>(len) || fsync_res != 0) {
-    // Short write (breaks the link: the fsync came back -ECANCELED), write
-    // error, or sync failure. Both completions were observed, so the durable
-    // prefix is known exactly — finish the remainder classically.
+  if (write_res == static_cast<std::int64_t>(len) && fsync_res != 0) {
+    // The write landed but the sync failed. Never retry it: the kernel may
+    // already have dropped the dirty pages, so a second fsync can succeed
+    // for data that is gone.
+    impl.syscalls.fetch_add(spent, std::memory_order_relaxed);
+    throw std::runtime_error("WalUring: fsync failed");
+  }
+  if (write_res != static_cast<std::int64_t>(len)) {
+    // Short write or write error: the link broke, so the fsync came back
+    // -ECANCELED without running. Both completions were observed, so the
+    // written prefix is known exactly — finish the remainder classically.
     std::size_t done = write_res > 0 ? static_cast<std::size_t>(write_res) : 0;
     while (done < len) {
       const ssize_t wrote = ::write(fd, data.data() + done, len - done);
@@ -89,8 +96,11 @@ std::uint64_t WalUring::append_fsync(int fd, BytesView data) {
       }
       done += static_cast<std::size_t>(wrote);
     }
-    ::fsync(fd);
     ++spent;
+    if (::fsync(fd) != 0) {
+      impl.syscalls.fetch_add(spent, std::memory_order_relaxed);
+      throw std::runtime_error("WalUring: fsync fallback failed");
+    }
   }
   impl.groups.fetch_add(1, std::memory_order_relaxed);
   impl.syscalls.fetch_add(spent, std::memory_order_relaxed);

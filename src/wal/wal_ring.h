@@ -6,7 +6,7 @@
 // Owned by the GroupCommitWal and driven exclusively from its writer thread
 // (one ring per thread — common/uring.h contract); the loop's socket ring is
 // a different instance on a different thread. Attached to the inner
-// FramedWal layout, which routes append_group_durable through it. The bytes
+// SegmentedWal, which routes append_group_durable through it. The bytes
 // on disk are identical to the classic path: an O_APPEND write at offset -1
 // appends exactly like the stdio path it replaces.
 #pragma once
@@ -32,11 +32,11 @@ class WalUring {
 
   // Durably appends `data` to `fd` (an O_APPEND file whose stdio buffer the
   // caller already flushed): blocks until both the write and the linked
-  // fsync complete. A short write (which breaks the link) or a failed fsync
-  // is completed via classic write/fsync calls, so on return the group is on
-  // disk either way. Throws std::runtime_error on unrecoverable I/O errors,
-  // matching the layouts' short-write behavior. Returns the syscalls spent
-  // on this group (normally 1).
+  // fsync complete. A short write (which breaks the link and cancels the
+  // fsync) is completed via classic write + fsync calls, so on return the
+  // group is on disk. A failed write or fsync throws std::runtime_error; a
+  // failed fsync is never retried. Returns the syscalls spent on this group
+  // (normally 1).
   std::uint64_t append_fsync(int fd, BytesView data);
 
   std::uint64_t groups() const;    // groups landed through the ring

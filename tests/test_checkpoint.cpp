@@ -6,7 +6,7 @@
 // kill point — mid-append (torn tail), mid-segment-roll, mid-checkpoint
 // (corrupt newest file) — recovery from newest-valid-checkpoint + segment
 // suffix reaches a state byte-identical (decided log, consumption head, app
-// state digest) to replaying the full monolithic log.
+// state digest) to replaying the full, never-cut log.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -18,12 +18,12 @@
 #include "checkpoint/cert.h"
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/delta.h"
-#include "checkpoint/segmented_wal.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "serde/serde.h"
 #include "sim/dag_builder.h"
 #include "validator/validator.h"
+#include "wal/segmented_wal.h"
 #include "wal/wal.h"
 
 namespace mahimahi {
@@ -104,7 +104,8 @@ constexpr Round kGcDepth = 8;
 constexpr Round kCkptInterval = 6;
 
 // Drives an observer through `steps` deliveries, mirroring every insertion
-// into BOTH layouts (monolithic FileWal at `mono_path`, SegmentedWal +
+// into BOTH logs (an uncut SegmentedWal at `full_dir` — the full-replay
+// reference, one segment that never rolls or retires — and a SegmentedWal +
 // CheckpointStore at `seg_dir`) the way the runtime does: append + sync per
 // batch, checkpoint cut + segment roll when the horizon advances, retire
 // with one cut of lag. Cuts happen at step starts, so the log's final record
@@ -117,10 +118,10 @@ struct DriveResult {
 };
 
 DriveResult drive(const Workload& load, std::size_t steps,
-                  const std::string& mono_path, const std::string& seg_dir) {
+                  const std::string& full_dir, const std::string& seg_dir) {
   DriveResult out;
   out.core = load.make_core(kGcDepth);
-  FileWal mono(mono_path);
+  SegmentedWal full(full_dir);
   SegmentedWalOptions seg_options;
   seg_options.segment_bytes = 4096;  // small: every trial exercises rolls
   SegmentedWal seg(seg_dir, seg_options);
@@ -148,25 +149,29 @@ DriveResult drive(const Workload& load, std::size_t steps,
     const BlockPtr& block = load.blocks[i];
     Actions actions = out.core->on_block(block, block->author(), 0);
     for (const BlockPtr& inserted : actions.inserted) {
-      mono.append_block(*inserted, false);
+      full.append_block(*inserted, false);
       seg.append_block(*inserted, false);
     }
-    mono.sync();
+    full.sync();
     seg.sync();
     apply_commits(out.kv, actions);
   }
   return out;
 }
 
-DriveResult recover_monolithic(const Workload& load, const std::string& mono_path) {
+DriveResult recover_full(const Workload& load, const std::string& full_dir) {
   DriveResult out;
   out.core = load.make_core(kGcDepth);
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr block, bool) {
+  SegmentedWal::replay(full_dir, [&](BlockPtr block, bool) {
     apply_commits(out.kv, out.core->recover_block(std::move(block)));
-  };
-  FileWal::replay(mono_path, visitor);
+  });
   return out;
+}
+
+// Tears `bytes` off the end of the uncut reference log's only segment.
+void tear_full_log(const std::string& full_dir, std::uint64_t bytes) {
+  const std::string segment = SegmentedWal::segment_path(full_dir, 0);
+  fs::resize_file(segment, fs::file_size(segment) - bytes);
 }
 
 DriveResult recover_checkpointed(const Workload& load, const std::string& seg_dir) {
@@ -181,11 +186,9 @@ DriveResult recover_checkpointed(const Workload& load, const std::string& seg_di
     out.core->install_checkpoint(*data, 0);
     ++out.checkpoints;
   }
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr block, bool) {
+  SegmentedWal::replay(seg_dir, [&](BlockPtr block, bool) {
     apply_commits(out.kv, out.core->recover_block(std::move(block)));
-  };
-  SegmentedWal::replay(seg_dir, visitor);
+  });
   return out;
 }
 
@@ -203,11 +206,11 @@ struct ChainDriveResult {
 };
 
 ChainDriveResult drive_chain(const Workload& load, std::size_t steps,
-                             const std::string& mono_path, const std::string& seg_dir,
+                             const std::string& full_dir, const std::string& seg_dir,
                              std::size_t max_deltas, std::size_t retire_keep = 2) {
   ChainDriveResult out;
   out.core = load.make_core(kGcDepth);
-  FileWal mono(mono_path);
+  SegmentedWal full(full_dir);
   SegmentedWalOptions seg_options;
   seg_options.segment_bytes = 4096;
   SegmentedWal seg(seg_dir, seg_options);
@@ -261,10 +264,10 @@ ChainDriveResult drive_chain(const Workload& load, std::size_t steps,
     const BlockPtr& block = load.blocks[i];
     Actions actions = out.core->on_block(block, block->author(), 0);
     for (const BlockPtr& inserted : actions.inserted) {
-      mono.append_block(*inserted, false);
+      full.append_block(*inserted, false);
       seg.append_block(*inserted, false);
     }
-    mono.sync();
+    full.sync();
     seg.sync();
     apply_commits(out.kv, actions);
   }
@@ -283,11 +286,9 @@ ChainDriveResult recover_chain(const Workload& load, const std::string& seg_dir)
     out.core->install_checkpoint(*data, 0);
     ++out.checkpoints;
   }
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr block, bool) {
+  SegmentedWal::replay(seg_dir, [&](BlockPtr block, bool) {
     apply_commits(out.kv, out.core->recover_block(std::move(block)));
-  };
-  SegmentedWal::replay(seg_dir, visitor);
+  });
   return out;
 }
 
@@ -308,42 +309,35 @@ void expect_equivalent(const ResultA& a, const ResultB& b,
 
 TEST(SegmentedWal, ByteStreamMatchesMonolithicAndRolls) {
   Workload load(10);
-  const std::string mono_path =
-      (fs::path(fresh_dir("bytes_mono")) / "log.wal").string();
   const std::string seg_dir = fresh_dir("bytes_seg");
 
-  FileWal mono(mono_path);
   SegmentedWalOptions options;
   options.segment_bytes = 2048;
   SegmentedWal seg(seg_dir, options);
+  Bytes stream;  // the records back to back, as the framing encodes them
   for (const BlockPtr& block : load.blocks) {
-    mono.append_block(*block, false);
     seg.append_block(*block, false);
+    const Bytes record = wal_encode_block_record(*block, false);
+    stream.insert(stream.end(), record.begin(), record.end());
   }
-  mono.sync();
   seg.sync();
 
   ASSERT_GT(seg.active_segment(), 0u) << "budget should have forced rolls";
 
-  // Concatenating the segments reproduces the monolithic byte stream: the
-  // two layouts share the record framing exactly.
-  Bytes mono_bytes, seg_bytes;
-  {
-    std::ifstream in(mono_path, std::ios::binary);
-    mono_bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  // Concatenating the segments reproduces the record stream exactly: a
+  // roll never splits or pads a record.
+  Bytes seg_bytes;
   for (std::uint64_t i = 0; i <= seg.active_segment(); ++i) {
     std::ifstream in(SegmentedWal::segment_path(seg_dir, i), std::ios::binary);
     seg_bytes.insert(seg_bytes.end(), std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
   }
-  EXPECT_EQ(mono_bytes, seg_bytes);
+  EXPECT_EQ(stream, seg_bytes);
 
   // Replay yields the same records in the same order.
   std::vector<Digest> replayed;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr block, bool) { replayed.push_back(block->digest()); };
-  const auto result = SegmentedWal::replay(seg_dir, visitor);
+  const auto result = SegmentedWal::replay(
+      seg_dir, [&](BlockPtr block, bool) { replayed.push_back(block->digest()); });
   EXPECT_FALSE(result.corrupt_tail);
   EXPECT_EQ(result.records, load.blocks.size());
   ASSERT_EQ(replayed.size(), load.blocks.size());
@@ -377,8 +371,7 @@ TEST(SegmentedWal, RetireUpdatesManifestAtomicallyAndReplaySkipsRetired) {
     stale << "garbage that must never be parsed";
   }
   std::uint64_t replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
+  const auto visitor = [&](BlockPtr, bool) { ++replayed; };
   const auto result = SegmentedWal::replay(dir, visitor);
   EXPECT_FALSE(result.corrupt_tail);
   EXPECT_EQ(replayed, 0u);  // everything before the boundary was retired
@@ -411,8 +404,7 @@ TEST(SegmentedWal, TornTailOfActiveSegmentTruncates) {
   fs::resize_file(active, size - 5);  // tear the last record
 
   std::uint64_t replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
+  const auto visitor = [&](BlockPtr, bool) { ++replayed; };
   auto result = SegmentedWal::replay(dir, visitor);
   EXPECT_TRUE(result.corrupt_tail);
   EXPECT_EQ(result.records, load.blocks.size() - 1);
@@ -441,8 +433,7 @@ TEST(SegmentedWal, CorruptMidLogSegmentStopsReplay) {
     file.put('\xff');
   }
   std::uint64_t replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
+  const auto visitor = [&](BlockPtr, bool) { ++replayed; };
   const auto result = SegmentedWal::replay(dir, visitor);
   EXPECT_TRUE(result.corrupt_tail);
   EXPECT_LT(replayed, load.blocks.size());
@@ -718,16 +709,14 @@ TEST(CheckpointProperty, RandomKillPointsRecoverIdenticallyToFullReplay) {
   Rng rng(20260726);
   for (int trial = 0; trial < static_cast<int>(property_iters(10)); ++trial) {
     const std::string label = "trial " + std::to_string(trial);
-    const std::string mono_path =
-        (fs::path(fresh_dir("prop_mono_" + std::to_string(trial))) / "log.wal")
-            .string();
+    const std::string full_dir = fresh_dir("prop_full_" + std::to_string(trial));
     const std::string seg_dir = fresh_dir("prop_seg_" + std::to_string(trial));
 
     // Kill point: anywhere past the first few steps, including immediately
     // after a segment roll / checkpoint cut.
     const std::size_t steps =
         8 + static_cast<std::size_t>(rng.uniform(load.blocks.size() - 8));
-    const DriveResult writer = drive(load, steps, mono_path, seg_dir);
+    const DriveResult writer = drive(load, steps, full_dir, seg_dir);
 
     // Torn final write: remove the same few trailing bytes from both
     // layouts (their byte streams share the final record). Skipped when the
@@ -740,7 +729,7 @@ TEST(CheckpointProperty, RandomKillPointsRecoverIdenticallyToFullReplay) {
       const std::uint64_t delta = 1 + rng.uniform(12);
       if (fs::file_size(active) >= delta) {
         fs::resize_file(active, fs::file_size(active) - delta);
-        fs::resize_file(mono_path, fs::file_size(mono_path) - delta);
+        tear_full_log(full_dir, delta);
       }
     }
 
@@ -755,7 +744,7 @@ TEST(CheckpointProperty, RandomKillPointsRecoverIdenticallyToFullReplay) {
       fs::resize_file(newest, fs::file_size(newest) / 2);
     }
 
-    const DriveResult full = recover_monolithic(load, mono_path);
+    const DriveResult full = recover_full(load, full_dir);
     const DriveResult fast = recover_checkpointed(load, seg_dir);
     expect_equivalent(full, fast, label);
 
@@ -776,7 +765,7 @@ TEST(CheckpointProperty, RandomKillPointsRecoverIdenticallyToFullReplay) {
 //
 // For any kill point, any chain length bound 0..4, a torn delta tail and a
 // torn newest base, recovery from the base+delta chain + segment suffix is
-// byte-identical (decided log + app state digest) to BOTH full monolithic
+// byte-identical (decided log + app state digest) to BOTH full uncut-log
 // replay AND recovery from the monolithic every-cut-is-a-base layout.
 TEST(CheckpointProperty, DeltaChainsRecoverIdenticallyToFullReplayAndMonolithic) {
   Workload load(60);
@@ -784,10 +773,8 @@ TEST(CheckpointProperty, DeltaChainsRecoverIdenticallyToFullReplayAndMonolithic)
   for (int trial = 0; trial < static_cast<int>(property_iters(8)); ++trial) {
     const std::string tag = std::to_string(trial);
     const std::string label = "trial " + tag;
-    const std::string mono_path =
-        (fs::path(fresh_dir("chain_mono_" + tag)) / "log.wal").string();
-    const std::string spare_path =
-        (fs::path(fresh_dir("chain_spare_" + tag)) / "log.wal").string();
+    const std::string full_dir = fresh_dir("chain_full_" + tag);
+    const std::string spare_dir = fresh_dir("chain_spare_" + tag);
     const std::string chain_dir = fresh_dir("chain_seg_" + tag);
     const std::string flat_dir = fresh_dir("chain_flat_" + tag);
 
@@ -795,18 +782,18 @@ TEST(CheckpointProperty, DeltaChainsRecoverIdenticallyToFullReplayAndMonolithic)
     const std::size_t steps =
         8 + static_cast<std::size_t>(rng.uniform(load.blocks.size() - 8));
     const ChainDriveResult chained =
-        drive_chain(load, steps, mono_path, chain_dir, max_deltas);
-    const ChainDriveResult flat = drive_chain(load, steps, spare_path, flat_dir, 0);
+        drive_chain(load, steps, full_dir, chain_dir, max_deltas);
+    const ChainDriveResult flat = drive_chain(load, steps, spare_dir, flat_dir, 0);
     ASSERT_EQ(chained.checkpoints, flat.checkpoints) << label;
     if (max_deltas > 0 && chained.checkpoints > 1) {
       EXPECT_GT(chained.delta_cuts, 0u) << label;
     }
 
-    // Torn final WAL write: both segmented layouts share the monolithic byte
-    // stream, so the same few trailing bytes tear off each active segment.
+    // Torn final WAL write: every log shares the same record stream, so the
+    // same few trailing bytes tear off each active segment.
     if (rng.uniform(2) == 0) {
       const std::uint64_t cut_bytes = 1 + rng.uniform(12);
-      fs::resize_file(mono_path, fs::file_size(mono_path) - cut_bytes);
+      tear_full_log(full_dir, cut_bytes);
       for (const std::string& dir : {chain_dir, flat_dir}) {
         const auto indexes = SegmentedWal::list_segments(dir);
         ASSERT_FALSE(indexes.empty()) << label;
@@ -842,7 +829,7 @@ TEST(CheckpointProperty, DeltaChainsRecoverIdenticallyToFullReplayAndMonolithic)
       }
     }
 
-    const DriveResult full = recover_monolithic(load, mono_path);
+    const DriveResult full = recover_full(load, full_dir);
     const ChainDriveResult from_chain = recover_chain(load, chain_dir);
     const ChainDriveResult from_flat = recover_chain(load, flat_dir);
     expect_equivalent(full, from_chain, label + " chain vs full replay");
@@ -865,10 +852,9 @@ TEST(CheckpointProperty, DeltaChainsRecoverIdenticallyToFullReplayAndMonolithic)
 
 TEST(Checkpoint, RetireDropsWholeChainsAndSurvivesMidRetireCrash) {
   Workload load(60);
-  const std::string mono_path =
-      (fs::path(fresh_dir("retire_chain_mono")) / "log.wal").string();
+  const std::string full_dir = fresh_dir("retire_chain_full");
   const std::string dir = fresh_dir("retire_chain");
-  const ChainDriveResult writer = drive_chain(load, load.blocks.size(), mono_path,
+  const ChainDriveResult writer = drive_chain(load, load.blocks.size(), full_dir,
                                               dir, 2, /*retire_keep=*/0);
   CheckpointStore store(dir);
   const auto bases = CheckpointStore::list(dir);

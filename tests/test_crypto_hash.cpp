@@ -1,7 +1,7 @@
-// Hash-function tests: published test vectors (FIPS 180-4, RFC 7693,
-// RFC 4231), incremental-API equivalence, the self-verifying SHA-2
-// constant schedules (fracroot), and a seeded differential check of BLAKE2b
-// against the reference implementation in support/blake2b_oracle.h.
+// Hash-function tests: published test vectors (FIPS 180-4, RFC 7693),
+// incremental-API equivalence, the self-verifying SHA-512 constant
+// schedules (fracroot), and a seeded differential check of BLAKE2b against
+// the reference implementation in support/blake2b_oracle.h.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,8 +10,6 @@
 #include "common/rng.h"
 #include "crypto/blake2b.h"
 #include "crypto/fracroot.h"
-#include "crypto/hmac.h"
-#include "crypto/sha256.h"
 #include "crypto/sha512.h"
 #include "support/blake2b_oracle.h"
 
@@ -20,65 +18,6 @@ namespace {
 
 std::string hex512(const std::array<std::uint8_t, 64>& digest) {
   return to_hex({digest.data(), digest.size()});
-}
-
-// --- SHA-256 ---------------------------------------------------------------
-
-TEST(Sha256, EmptyString) {
-  EXPECT_EQ(Sha256::hash({}).hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256, Abc) {
-  EXPECT_EQ(Sha256::hash(as_bytes_view("abc")).hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256, QuickBrownFox) {
-  EXPECT_EQ(Sha256::hash(as_bytes_view("The quick brown fox jumps over the lazy dog")).hex(),
-            "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592");
-}
-
-TEST(Sha256, MillionAs) {
-  // FIPS 180-4 long-message vector.
-  Sha256 h;
-  const std::string chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(as_bytes_view(chunk));
-  EXPECT_EQ(h.finish().hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha256, IncrementalMatchesOneShot) {
-  const std::string msg = "incremental hashing must match one-shot hashing";
-  for (std::size_t split = 0; split <= msg.size(); ++split) {
-    Sha256 h;
-    h.update(as_bytes_view(msg.substr(0, split)));
-    h.update(as_bytes_view(msg.substr(split)));
-    EXPECT_EQ(h.finish(), Sha256::hash(as_bytes_view(msg))) << "split " << split;
-  }
-}
-
-TEST(Sha256, BlockBoundaryLengths) {
-  // Exercise the padding logic at every length near the 64-byte boundary.
-  for (std::size_t len = 50; len <= 130; ++len) {
-    const std::string msg(len, 'q');
-    Sha256 one;
-    one.update(as_bytes_view(msg));
-    Sha256 two;
-    two.update(as_bytes_view(msg.substr(0, len / 2)));
-    two.update(as_bytes_view(msg.substr(len / 2)));
-    EXPECT_EQ(one.finish(), two.finish()) << "len " << len;
-  }
-}
-
-TEST(Sha256, RoundConstantsMatchDefinition) {
-  // K_i is defined as the first 32 fractional bits of cbrt(prime_i); the
-  // table and the exact-integer generator must agree.
-  const auto primes = first_primes<64>();
-  const auto& table = sha256_round_constants();
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(table[i], frac_cbrt32(primes[i])) << "constant " << i;
-  }
 }
 
 // --- SHA-512 ---------------------------------------------------------------
@@ -309,31 +248,6 @@ TEST(Blake2b, MatchesReferenceImplementation) {
     chunked.finish(d.bytes.data());
     ASSERT_EQ(to_hex(d.view()), to_hex({expected.data(), 32})) << "chunked length " << length;
   }
-}
-
-// --- HMAC-SHA-256 (RFC 4231) ------------------------------------------------
-
-TEST(HmacSha256, Rfc4231Case1) {
-  const Bytes key(20, 0x0b);
-  EXPECT_EQ(hmac_sha256({key.data(), key.size()}, as_bytes_view("Hi There")).hex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(HmacSha256, Rfc4231Case2) {
-  EXPECT_EQ(hmac_sha256(as_bytes_view("Jefe"), as_bytes_view("what do ya want for nothing?")).hex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(HmacSha256, LongKeyIsHashedFirst) {
-  const Bytes key(100, 'k');
-  EXPECT_EQ(hmac_sha256({key.data(), key.size()}, as_bytes_view("big key case")).hex(),
-            "72cf7cebfc5e37ba77d76142118a0edac2ce4e2afd78372b1f45744f641be5a8");
-}
-
-TEST(HmacSha256, KeySensitivity) {
-  const auto m1 = hmac_sha256(as_bytes_view("key-a"), as_bytes_view("msg"));
-  const auto m2 = hmac_sha256(as_bytes_view("key-b"), as_bytes_view("msg"));
-  EXPECT_NE(m1, m2);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 #include "common/rng.h"
 #include "crypto/blake2b.h"
 #include "types/validation.h"
-#include "wal/wal.h"
+#include "wal/segmented_wal.h"
 
 namespace mahimahi {
 namespace {
@@ -274,15 +274,17 @@ class WalCorruption : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WalCorruption, FlipAnywhereYieldsCleanPrefix) {
   const auto setup = Committee::make_test(4);
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("mahi_fuzz_wal_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(GetParam()) + ".wal");
-  std::filesystem::remove(path);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mahi_fuzz_wal_" + std::to_string(::getpid()) + "_" +
+                    std::to_string(GetParam()) + ".wal");
+  std::filesystem::remove_all(dir);
+  // 20 small blocks fit the default segment budget: a one-segment log.
+  const auto path = SegmentedWal::segment_path(dir.string(), 0);
 
   // Write 20 blocks.
   std::vector<Digest> digests;
   {
-    FileWal wal(path.string());
+    SegmentedWal wal(dir.string());
     std::vector<BlockRef> parents;
     for (ValidatorId v = 0; v < 4; ++v) {
       parents.push_back(Block::genesis(v, setup.committee.coin()).ref());
@@ -299,13 +301,14 @@ TEST_P(WalCorruption, FlipAnywhereYieldsCleanPrefix) {
     }
     wal.sync();
   }
+  ASSERT_EQ(SegmentedWal::list_segments(dir.string()).size(), 1u);
 
   // Flip one random byte.
   const auto size = std::filesystem::file_size(path);
   Rng rng(GetParam());
   const std::uint64_t offset = rng.uniform(size);
   {
-    std::FILE* file = std::fopen(path.string().c_str(), "r+b");
+    std::FILE* file = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(file, nullptr);
     std::fseek(file, static_cast<long>(offset), SEEK_SET);
     const int original = std::fgetc(file);
@@ -317,11 +320,9 @@ TEST_P(WalCorruption, FlipAnywhereYieldsCleanPrefix) {
   // Replay must deliver a clean prefix of the original digests: no garbage
   // block, no crash, and everything before the corrupted record intact.
   std::vector<Digest> replayed;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr block, bool) { replayed.push_back(block->digest()); };
-  visitor.on_commit = [](SlotId) {};
-  const auto result = FileWal::replay(path.string(), visitor,
-                                      /*truncate_corrupt_tail=*/false);
+  const auto result = SegmentedWal::replay(
+      dir.string(), [&](BlockPtr block, bool) { replayed.push_back(block->digest()); },
+      /*truncate_corrupt_tail=*/false);
 
   ASSERT_LE(replayed.size(), digests.size());
   for (std::size_t i = 0; i < replayed.size(); ++i) {
@@ -330,7 +331,7 @@ TEST_P(WalCorruption, FlipAnywhereYieldsCleanPrefix) {
   // A flip inside a record's framing or payload costs at least that record.
   EXPECT_TRUE(result.corrupt_tail || replayed.size() == digests.size());
 
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomOffsets, WalCorruption,

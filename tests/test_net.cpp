@@ -1105,7 +1105,7 @@ TEST_F(TcpClusterTest, GroupCommitWalClusterCommitsAndRestartsCleanly) {
   for (int i = 0; i < 4; ++i) {
     auto path = dir / ("mahi_tcp_gcwal_" + std::to_string(::getpid()) + "_" +
                        std::to_string(i) + ".wal");
-    std::filesystem::remove(path);
+    std::filesystem::remove_all(path);
     wal_paths.push_back(path.string());
   }
 
@@ -1151,11 +1151,9 @@ TEST_F(TcpClusterTest, GroupCommitWalClusterCommitsAndRestartsCleanly) {
   }
   // Every log replays cleanly end to end (group boundaries are invisible).
   for (const auto& path : wal_paths) {
-    FileWal::Visitor visitor;
-    visitor.on_block = [](BlockPtr, bool) {};
-    const auto replay = FileWal::replay(path, visitor);
+    const auto replay = SegmentedWal::replay(path, [](BlockPtr, bool) {});
     EXPECT_GT(replay.records, 0u) << path;
-    std::filesystem::remove(path);
+    std::filesystem::remove_all(path);
   }
 }
 
@@ -1198,7 +1196,6 @@ TEST_F(TcpClusterTest, CheckpointClusterLateJoinerCatchesUpViaSnapshot) {
            nodes[0]->checkpoint_certs() > 0;
   })) << "cluster never built a certified checkpointable history; round "
       << nodes[0]->highest_round();
-  ASSERT_TRUE(nodes[0]->segmented_wal_active());
 
   // The late joiner starts from genesis, far below every peer's horizon.
   nodes[3]->start();
@@ -1246,7 +1243,7 @@ TEST_F(TcpClusterTest, SurvivesNodeRestartWithWal) {
   for (int i = 0; i < 4; ++i) {
     auto path = dir / ("mahi_tcp_wal_" + std::to_string(::getpid()) + "_" +
                        std::to_string(i) + ".wal");
-    std::filesystem::remove(path);
+    std::filesystem::remove_all(path);
     wal_paths.push_back(path.string());
   }
 
@@ -1278,7 +1275,20 @@ TEST_F(TcpClusterTest, SurvivesNodeRestartWithWal) {
   for (auto& node : nodes) {
     if (node) node->stop();
   }
-  for (const auto& path : wal_paths) std::filesystem::remove(path);
+  for (const auto& path : wal_paths) std::filesystem::remove_all(path);
+}
+
+TEST_F(TcpClusterTest, MonolithicWalFileIsRefusedAtConstruction) {
+  // An older binary logged to one regular file at wal_path. Starting from an
+  // empty log instead would re-propose rounds that file already holds and
+  // equivocate, so construction must throw.
+  addresses_.assign(4, NodeAddress{"127.0.0.1", 1});
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("mahi_tcp_monolithic_" + std::to_string(::getpid()) + ".wal");
+  { std::ofstream(path, std::ios::binary) << "an old monolithic log"; }
+  EXPECT_THROW(make_node(0, path.string()), std::runtime_error);
+  EXPECT_TRUE(std::filesystem::is_regular_file(path)) << "the old log must be left alone";
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -15,9 +15,8 @@
 #include <string>
 
 #include "checkpoint/checkpoint.h"
-#include "checkpoint/segmented_wal.h"
 #include "sim/harness.h"
-#include "wal/wal.h"
+#include "wal/segmented_wal.h"
 
 namespace mahimahi::sim {
 namespace {
@@ -57,7 +56,7 @@ void expect_prefix_consistent(const SimResult& result, const std::string& label)
   }
 }
 
-TEST(Recovery, RestartFromFileWalRejoinsWithoutEquivocating) {
+TEST(Recovery, RestartFromOnDiskWalRejoinsWithoutEquivocating) {
   SimConfig config = recovery_config();
   config.wal_dir = fresh_dir("filewal");
   config.restarts.push_back({.id = 2, .crash_at = seconds(6), .restart_at = seconds(9)});
@@ -83,7 +82,7 @@ TEST(Recovery, RestartFromFileWalRejoinsWithoutEquivocating) {
       << "restarted validator should resume delivering";
 }
 
-TEST(Recovery, RestartFromInMemoryLogMatchesFileWal) {
+TEST(Recovery, RestartFromInMemoryLogMatchesOnDiskWal) {
   // Same scenario without wal_dir: the harness replays its in-memory block
   // log. Outcomes must be byte-identical to the file path (the sim is
   // deterministic and the WAL round-trip is lossless).
@@ -105,7 +104,7 @@ TEST(Recovery, RestartFromInMemoryLogMatchesFileWal) {
   }
 }
 
-TEST(Recovery, GroupCommitRestartFromFileWalPreservesTheContract) {
+TEST(Recovery, GroupCommitRestartFromOnDiskWalPreservesTheContract) {
   // Same crash/restart scenario as above, but the WAL runs the group-commit
   // model: records land in groups behind a deferred flush, proposals
   // broadcast only after their covering flush, and the crash drops the
@@ -132,12 +131,10 @@ TEST(Recovery, GroupCommitRestartFromFileWalPreservesTheContract) {
   // The group-committed log is indistinguishable from an inline one at
   // replay time: every validator's file parses end to end.
   for (ValidatorId v = 0; v < config.n; ++v) {
-    FileWal::Visitor visitor;
-    visitor.on_block = [](BlockPtr, bool) {};
-    const auto replay = FileWal::replay(
+    const auto replay = SegmentedWal::replay(
         (std::filesystem::path(config.wal_dir) / ("v" + std::to_string(v) + ".wal"))
             .string(),
-        visitor);
+        [](BlockPtr, bool) {});
     EXPECT_GT(replay.records, 0u) << "validator " << v;
     EXPECT_FALSE(replay.corrupt_tail) << "validator " << v;
   }
@@ -411,17 +408,17 @@ TEST(Recovery, WalFilesArePerValidatorAndNonEmpty) {
   for (ValidatorId v = 0; v < config.n; ++v) {
     const auto path = std::filesystem::path(config.wal_dir) /
                       ("v" + std::to_string(v) + ".wal");
-    ASSERT_TRUE(std::filesystem::exists(path)) << path;
-    EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
+    ASSERT_TRUE(std::filesystem::is_directory(path)) << path;
+    const auto first = SegmentedWal::segment_path(path.string(), 0);
+    ASSERT_TRUE(std::filesystem::exists(first)) << first;
+    EXPECT_GT(std::filesystem::file_size(first), 0u) << first;
   }
 
   // The restarted validator's log must replay cleanly end to end.
   std::uint64_t replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
-  visitor.on_commit = [](SlotId) {};
-  const auto replay = FileWal::replay(
-      (std::filesystem::path(config.wal_dir) / "v0.wal").string(), visitor);
+  const auto replay =
+      SegmentedWal::replay((std::filesystem::path(config.wal_dir) / "v0.wal").string(),
+                           [&](BlockPtr, bool) { ++replayed; });
   EXPECT_FALSE(replay.corrupt_tail);
   EXPECT_GT(replayed, 0u);
 }

@@ -1,6 +1,8 @@
-// WAL tests: append/replay round-trips, torn-write recovery, corruption
-// detection, full validator crash-recovery, and the group-commit decorator
-// (byte-identity with the inline log, durability acks, torn groups).
+// WAL tests over the one on-disk layout (SegmentedWal): append/replay
+// round-trips, torn-write recovery, corruption detection, full validator
+// crash-recovery, failed flushes that must never be acknowledged, and the
+// group-commit decorator (byte-identity with the inline log, durability
+// acks, torn groups).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,9 +10,11 @@
 #include <fstream>
 #include <future>
 
+#include "common/log.h"
 #include "common/rng.h"
 #include "validator/validator.h"
 #include "wal/group_commit_wal.h"
+#include "wal/segmented_wal.h"
 #include "wal/wal.h"
 #include "wal/wal_ring.h"
 
@@ -23,9 +27,14 @@ class WalTest : public ::testing::Test {
     path_ = std::filesystem::temp_directory_path() /
             ("mahi_wal_test_" + std::to_string(::getpid()) + "_" +
              ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::remove(path_);
+    std::filesystem::remove_all(path_);
   }
-  ~WalTest() override { std::filesystem::remove(path_); }
+  ~WalTest() override { std::filesystem::remove_all(path_); }
+
+  // The log's only segment: none of these tests writes enough to roll.
+  std::filesystem::path segment() const {
+    return SegmentedWal::segment_path(path_.string(), 0);
+  }
 
   Block make_block(ValidatorId author, std::uint64_t marker) {
     std::vector<BlockRef> refs;
@@ -45,77 +54,78 @@ class WalTest : public ::testing::Test {
 
 TEST_F(WalTest, AppendAndReplayBlocks) {
   {
-    FileWal wal(path_.string());
+    SegmentedWal wal(path_.string());
     wal.append_block(make_block(0, 100), /*own=*/true);
     wal.append_block(make_block(1, 200), /*own=*/false);
-    wal.append_commit(SlotId{1, 0});
     wal.sync();
   }
 
   std::vector<std::pair<Digest, bool>> blocks;
-  std::vector<SlotId> commits;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr block, bool own) {
+  const auto result = SegmentedWal::replay(path_.string(), [&](BlockPtr block, bool own) {
     blocks.emplace_back(block->digest(), own);
-  };
-  visitor.on_commit = [&](SlotId slot) { commits.push_back(slot); };
-  const auto result = FileWal::replay(path_.string(), visitor);
+  });
 
-  EXPECT_EQ(result.records, 3u);
+  EXPECT_EQ(result.records, 2u);
   EXPECT_FALSE(result.corrupt_tail);
   ASSERT_EQ(blocks.size(), 2u);
   EXPECT_EQ(blocks[0].first, make_block(0, 100).digest());
   EXPECT_TRUE(blocks[0].second);
   EXPECT_FALSE(blocks[1].second);
-  ASSERT_EQ(commits.size(), 1u);
-  EXPECT_EQ(commits[0], (SlotId{1, 0}));
 }
 
-TEST_F(WalTest, ReplayOfMissingFileIsEmpty) {
-  const auto result = FileWal::replay(path_.string(), {});
+TEST_F(WalTest, ReplayOfMissingLogIsEmpty) {
+  const auto result = SegmentedWal::replay(path_.string(), {});
   EXPECT_EQ(result.records, 0u);
   EXPECT_FALSE(result.corrupt_tail);
 }
 
+TEST_F(WalTest, MonolithicLogFileIsRefusedNotReadAsEmpty) {
+  // An older binary's log is one regular file at the WAL path. Reading it as
+  // an empty log would forget own proposals, so both replay and open throw.
+  { std::ofstream(path_, std::ios::binary) << "an old monolithic log"; }
+  EXPECT_THROW(SegmentedWal::replay(path_.string(), {}), std::runtime_error);
+  EXPECT_THROW(SegmentedWal wal(path_.string()), std::runtime_error);
+}
+
 TEST_F(WalTest, TornTailIsDiscardedAndTruncated) {
   {
-    FileWal wal(path_.string());
+    SegmentedWal wal(path_.string());
     wal.append_block(make_block(0, 1), true);
     wal.append_block(make_block(1, 2), false);
     wal.sync();
   }
   // Simulate a torn write: chop bytes off the tail.
-  const auto full_size = std::filesystem::file_size(path_);
-  std::filesystem::resize_file(path_, full_size - 7);
+  const auto full_size = std::filesystem::file_size(segment());
+  std::filesystem::resize_file(segment(), full_size - 7);
 
   int replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
-  const auto result = FileWal::replay(path_.string(), visitor, true);
+  const auto visitor = [&](BlockPtr, bool) { ++replayed; };
+  const auto result = SegmentedWal::replay(path_.string(), visitor, true);
   EXPECT_EQ(result.records, 1u);
   EXPECT_TRUE(result.corrupt_tail);
   EXPECT_EQ(replayed, 1);
   // The file was truncated to the valid prefix; appends work cleanly.
-  EXPECT_EQ(std::filesystem::file_size(path_), result.valid_bytes);
+  EXPECT_EQ(std::filesystem::file_size(segment()),
+            wal_encode_block_record(make_block(0, 1), true).size());
   {
-    FileWal wal(path_.string());
+    SegmentedWal wal(path_.string());
     wal.append_block(make_block(2, 3), false);
   }
   replayed = 0;
-  const auto after = FileWal::replay(path_.string(), visitor, true);
+  const auto after = SegmentedWal::replay(path_.string(), visitor, true);
   EXPECT_EQ(after.records, 2u);
   EXPECT_FALSE(after.corrupt_tail);
 }
 
 TEST_F(WalTest, CorruptMiddleByteStopsReplay) {
   {
-    FileWal wal(path_.string());
+    SegmentedWal wal(path_.string());
     wal.append_block(make_block(0, 1), true);
     wal.append_block(make_block(1, 2), false);
   }
   // Flip a byte inside the second record's payload.
-  const auto size = std::filesystem::file_size(path_);
-  std::FILE* f = std::fopen(path_.c_str(), "r+b");
+  const auto size = std::filesystem::file_size(segment());
+  std::FILE* f = std::fopen(segment().c_str(), "r+b");
   std::fseek(f, static_cast<long>(size - 10), SEEK_SET);
   int c = std::fgetc(f);
   std::fseek(f, static_cast<long>(size - 10), SEEK_SET);
@@ -123,10 +133,10 @@ TEST_F(WalTest, CorruptMiddleByteStopsReplay) {
   std::fclose(f);
 
   int replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
-  const auto result = FileWal::replay(path_.string(), visitor, false);
+  const auto result = SegmentedWal::replay(
+      path_.string(), [&](BlockPtr, bool) { ++replayed; }, false);
   EXPECT_EQ(result.records, 1u);
+  EXPECT_EQ(replayed, 1);
   EXPECT_TRUE(result.corrupt_tail);
 }
 
@@ -140,7 +150,7 @@ TEST_F(WalTest, ValidatorCrashRecoveryDoesNotEquivocate) {
 
   BlockPtr first_proposal;
   {
-    FileWal wal(path_.string());
+    SegmentedWal wal(path_.string());
     ValidatorCore validator(setup_.committee, setup_.keypairs[0].private_key, config);
     const Actions actions = validator.on_tick(0);
     for (const auto& block : actions.inserted) {
@@ -150,9 +160,8 @@ TEST_F(WalTest, ValidatorCrashRecoveryDoesNotEquivocate) {
   }
 
   ValidatorCore recovered(setup_.committee, setup_.keypairs[0].private_key, config);
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr block, bool) { recovered.recover_block(block); };
-  FileWal::replay(path_.string(), visitor);
+  SegmentedWal::replay(path_.string(),
+                       [&](BlockPtr block, bool) { recovered.recover_block(block); });
 
   EXPECT_EQ(recovered.last_proposed_round(), 1u);
   const Actions tick = recovered.on_tick(1);
@@ -172,57 +181,119 @@ TEST(NullWalTest, DurabilityAckIsSynchronous) {
   EXPECT_TRUE(ran);
 }
 
-TEST_F(WalTest, FileWalDurabilityAckIsSynchronous) {
-  FileWal wal(path_.string());
+TEST_F(WalTest, InlineDurabilityAckIsSynchronous) {
+  SegmentedWal wal(path_.string());
   wal.append_block(make_block(0, 1), true);
   bool ran = false;
   wal.on_durable([&] { ran = true; });
   EXPECT_TRUE(ran);
 }
 
-// Reads a file fully into memory for byte-level comparisons.
-Bytes slurp(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return Bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+TEST_F(WalTest, InlineFsyncPaysOneSyncPerAppendedBatch) {
+  // The runtime acks one inserted batch up to three times (durable stamp,
+  // gated broadcast, commit stamp). Only the first may touch the disk.
+  SegmentedWalOptions options;
+  options.fsync_on_sync = true;
+  SegmentedWal wal(path_.string(), options);
+  wal.append_block(make_block(0, 1), true);
+  wal.append_block(make_block(1, 2), false);
+  int acks = 0;
+  for (int i = 0; i < 3; ++i) wal.on_durable([&] { ++acks; });
+  EXPECT_EQ(acks, 3);
+  EXPECT_EQ(wal.syscalls(), 2u) << "one write + one fsync for the whole batch";
+  wal.sync();  // nothing new appended: still free
+  EXPECT_EQ(wal.syscalls(), 2u);
+  wal.append_block(make_block(2, 3), false);
+  wal.sync();
+  EXPECT_EQ(wal.syscalls(), 4u);
+}
+
+// A segment that cannot be flushed: /dev/full fails every write with ENOSPC
+// (and fsync with EINVAL), so no record appended to it is ever durable.
+void point_first_segment_at_dev_full(const std::filesystem::path& dir) {
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", SegmentedWal::segment_path(dir.string(), 0));
+}
+
+TEST_F(WalTest, FailedFlushIsNeverAcknowledged) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (const bool fsync : {false, true}) {
+    std::filesystem::remove_all(path_);
+    point_first_segment_at_dev_full(path_);
+    SegmentedWalOptions options;
+    options.fsync_on_sync = fsync;
+    SegmentedWal wal(path_.string(), options);
+    wal.append_block(make_block(0, 1), true);
+    EXPECT_THROW(wal.sync(), std::runtime_error) << "fsync " << fsync;
+    wal.append_block(make_block(1, 2), false);
+    bool acked = false;
+    EXPECT_THROW(wal.on_durable([&] { acked = true; }), std::runtime_error)
+        << "fsync " << fsync;
+    EXPECT_FALSE(acked) << "fsync " << fsync;
+  }
+}
+
+TEST_F(WalTest, FailedGroupFlushTerminatesBeforeItsAck) {
+  // The writer thread cannot hand a flush error back to the appender, so it
+  // stops the process; the ack the group covers must never have fired.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  point_first_segment_at_dev_full(path_);
+  const Block block = make_block(0, 1);
+  EXPECT_DEATH(
+      {
+        set_log_level(LogLevel::kWarn);
+        GroupCommitWal wal(std::make_unique<SegmentedWal>(path_.string()), {});
+        wal.append_block(block, true);
+        wal.on_durable([] {
+          std::fputs("acked\n", stderr);
+          std::_Exit(0);
+        });
+        wal.sync();
+      },
+      "WAL group flush failed");
+}
+
+// Reads a log's segments, concatenated, for byte-level comparisons.
+Bytes slurp(const std::filesystem::path& dir) {
+  Bytes bytes;
+  for (const std::uint64_t index : SegmentedWal::list_segments(dir.string())) {
+    std::ifstream in(SegmentedWal::segment_path(dir.string(), index), std::ios::binary);
+    bytes.insert(bytes.end(), std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  return bytes;
 }
 
 TEST_F(WalTest, GroupCommitLogIsByteIdenticalToInlineLog) {
   // Property: for ANY flush boundaries — randomized here via the byte
   // budget, the flush interval, and mid-stream durability barriers — the
-  // group-committed log is byte-for-byte the log the inline FileWal writes
+  // group-committed log is byte-for-byte the log the inline SegmentedWal writes
   // for the same append sequence. Recovery therefore cannot tell the two
   // apart.
   Rng rng(41);
   for (int trial = 0; trial < 6; ++trial) {
     const auto inline_path = path_.string() + ".inline";
     const auto group_path = path_.string() + ".group";
-    std::filesystem::remove(inline_path);
-    std::filesystem::remove(group_path);
+    std::filesystem::remove_all(inline_path);
+    std::filesystem::remove_all(group_path);
 
-    // A mixed record sequence, same for both logs.
-    std::vector<std::pair<Block, bool>> blocks;
-    std::vector<SlotId> commits;
+    // A record sequence, same for both logs.
     const int records = 8 + static_cast<int>(rng.uniform(25));
     {
-      FileWal inline_wal(inline_path);
+      SegmentedWal inline_wal(inline_path);
       GroupCommitWalOptions options;
       options.flush_interval =
           static_cast<TimeMicros>(rng.uniform(3) * 200);  // 0 / 200us / 400us
       options.group_byte_budget = 1 + rng.uniform(4096);
-      GroupCommitWal group_wal(std::make_unique<FileWal>(group_path), options);
+      GroupCommitWal group_wal(std::make_unique<SegmentedWal>(group_path), options);
 
       for (int i = 0; i < records; ++i) {
-        if (rng.uniform(4) == 0) {
-          const SlotId slot{rng.uniform(100), static_cast<std::uint32_t>(rng.uniform(3))};
-          inline_wal.append_commit(slot);
-          group_wal.append_commit(slot);
-        } else {
-          const Block block = make_block(static_cast<ValidatorId>(rng.uniform(4)),
-                                         1000 * trial + i);
-          const bool own = rng.uniform(2) == 0;
-          inline_wal.append_block(block, own);
-          group_wal.append_block(block, own);
-        }
+        const Block block =
+            make_block(static_cast<ValidatorId>(rng.uniform(4)), 1000 * trial + i);
+        const bool own = rng.uniform(2) == 0;
+        inline_wal.append_block(block, own);
+        group_wal.append_block(block, own);
         if (rng.uniform(8) == 0) group_wal.sync();  // random durability barrier
       }
       inline_wal.sync();
@@ -233,8 +304,8 @@ TEST_F(WalTest, GroupCommitLogIsByteIdenticalToInlineLog) {
     }  // both WALs close (group drains via destructor)
 
     EXPECT_EQ(slurp(inline_path), slurp(group_path)) << "trial " << trial;
-    std::filesystem::remove(inline_path);
-    std::filesystem::remove(group_path);
+    std::filesystem::remove_all(inline_path);
+    std::filesystem::remove_all(group_path);
   }
 }
 
@@ -248,32 +319,26 @@ TEST_F(WalTest, UringGroupFlushLogIsByteIdenticalToClassicLog) {
   for (int trial = 0; trial < 4; ++trial) {
     const auto classic_path = path_.string() + ".classic";
     const auto uring_path = path_.string() + ".uring";
-    std::filesystem::remove(classic_path);
-    std::filesystem::remove(uring_path);
+    std::filesystem::remove_all(classic_path);
+    std::filesystem::remove_all(uring_path);
     {
+      SegmentedWalOptions fsync;
+      fsync.fsync_on_sync = true;
       GroupCommitWalOptions options;
       options.flush_interval = static_cast<TimeMicros>(rng.uniform(3) * 200);
       options.group_byte_budget = 1 + rng.uniform(4096);
-      GroupCommitWal classic(
-          std::make_unique<FileWal>(classic_path, /*fsync_on_sync=*/true), options);
+      GroupCommitWal classic(std::make_unique<SegmentedWal>(classic_path, fsync), options);
       options.use_io_uring = true;
-      GroupCommitWal uring(
-          std::make_unique<FileWal>(uring_path, /*fsync_on_sync=*/true), options);
+      GroupCommitWal uring(std::make_unique<SegmentedWal>(uring_path, fsync), options);
       ASSERT_TRUE(uring.wal_ring_active());
 
       const int records = 8 + static_cast<int>(rng.uniform(25));
       for (int i = 0; i < records; ++i) {
-        if (rng.uniform(4) == 0) {
-          const SlotId slot{rng.uniform(100), static_cast<std::uint32_t>(rng.uniform(3))};
-          classic.append_commit(slot);
-          uring.append_commit(slot);
-        } else {
-          const Block block = make_block(static_cast<ValidatorId>(rng.uniform(4)),
-                                         2000 * trial + i);
-          const bool own = rng.uniform(2) == 0;
-          classic.append_block(block, own);
-          uring.append_block(block, own);
-        }
+        const Block block =
+            make_block(static_cast<ValidatorId>(rng.uniform(4)), 2000 * trial + i);
+        const bool own = rng.uniform(2) == 0;
+        classic.append_block(block, own);
+        uring.append_block(block, own);
         if (rng.uniform(8) == 0) {
           classic.sync();
           uring.sync();
@@ -288,8 +353,8 @@ TEST_F(WalTest, UringGroupFlushLogIsByteIdenticalToClassicLog) {
       EXPECT_LT(uring.group_flush_syscalls(), 2 * uring.groups_flushed());
     }
     EXPECT_EQ(slurp(classic_path), slurp(uring_path)) << "trial " << trial;
-    std::filesystem::remove(classic_path);
-    std::filesystem::remove(uring_path);
+    std::filesystem::remove_all(classic_path);
+    std::filesystem::remove_all(uring_path);
   }
 }
 
@@ -297,7 +362,7 @@ TEST_F(WalTest, GroupCommitDurabilityAcksFireInOrderAfterFlush) {
   GroupCommitWalOptions options;
   options.flush_interval = millis(50);  // force the byte budget to trip first
   options.group_byte_budget = 1;        // every record flushes its group
-  GroupCommitWal wal(std::make_unique<FileWal>(path_.string()), options);
+  GroupCommitWal wal(std::make_unique<SegmentedWal>(path_.string()), options);
 
   std::mutex mutex;
   std::vector<int> order;
@@ -331,7 +396,7 @@ TEST_F(WalTest, GroupCommitTornTailTruncatesCleanlyAtEveryOffset) {
     options.flush_interval = 0;
     // Large budget: the final sync lands the last records as one group.
     options.group_byte_budget = 1 << 20;
-    GroupCommitWal wal(std::make_unique<FileWal>(path_.string()), options);
+    GroupCommitWal wal(std::make_unique<SegmentedWal>(path_.string()), options);
     // First group: two records, made durable by a barrier.
     for (int i = 0; i < 2; ++i) {
       const Block block = make_block(i % 4, 10 + i);
@@ -354,27 +419,29 @@ TEST_F(WalTest, GroupCommitTornTailTruncatesCleanlyAtEveryOffset) {
 
   const std::size_t last_group_start = boundaries[2];  // first 2 records durable
   const auto torn = path_.string() + ".torn";
+  const auto torn_segment = SegmentedWal::segment_path(torn, 0);
   for (std::size_t cut = last_group_start; cut < full.size(); ++cut) {
-    std::filesystem::remove(torn);
+    std::filesystem::remove_all(torn);
+    std::filesystem::create_directories(torn);
     {
-      std::ofstream out(torn, std::ios::binary);
+      std::ofstream out(torn_segment, std::ios::binary);
       out.write(reinterpret_cast<const char*>(full.data()),
                 static_cast<std::streamsize>(cut));
     }
     std::uint64_t replayed = 0;
-    FileWal::Visitor visitor;
-    visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
-    const auto result = FileWal::replay(torn, visitor, /*truncate_corrupt_tail=*/true);
+    const auto result = SegmentedWal::replay(
+        torn, [&](BlockPtr, bool) { ++replayed; }, /*truncate_corrupt_tail=*/true);
 
     // The clean prefix is every record whose end fits inside the cut.
     std::size_t complete = 0;
     while (complete + 1 < boundaries.size() && boundaries[complete + 1] <= cut) ++complete;
     EXPECT_EQ(replayed, complete) << "cut at " << cut;
-    EXPECT_EQ(result.valid_bytes, boundaries[complete]) << "cut at " << cut;
+    EXPECT_EQ(result.records, complete) << "cut at " << cut;
     EXPECT_EQ(result.corrupt_tail, cut != boundaries[complete]) << "cut at " << cut;
-    EXPECT_EQ(std::filesystem::file_size(torn), boundaries[complete]) << "cut at " << cut;
+    EXPECT_EQ(std::filesystem::file_size(torn_segment), boundaries[complete])
+        << "cut at " << cut;
   }
-  std::filesystem::remove(torn);
+  std::filesystem::remove_all(torn);
 }
 
 TEST_F(WalTest, GroupCommitRecoversAcrossReopen) {
@@ -382,21 +449,20 @@ TEST_F(WalTest, GroupCommitRecoversAcrossReopen) {
   // again: the formats interoperate end to end.
   {
     GroupCommitWalOptions options;
-    GroupCommitWal wal(std::make_unique<FileWal>(path_.string()), options);
+    GroupCommitWal wal(std::make_unique<SegmentedWal>(path_.string()), options);
     wal.append_block(make_block(0, 1), true);
     wal.append_block(make_block(1, 2), false);
   }
   std::uint64_t replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
-  EXPECT_FALSE(FileWal::replay(path_.string(), visitor).corrupt_tail);
+  const auto visitor = [&](BlockPtr, bool) { ++replayed; };
+  EXPECT_FALSE(SegmentedWal::replay(path_.string(), visitor).corrupt_tail);
   EXPECT_EQ(replayed, 2u);
   {
-    FileWal wal(path_.string());
+    SegmentedWal wal(path_.string());
     wal.append_block(make_block(2, 3), false);
   }
   replayed = 0;
-  const auto result = FileWal::replay(path_.string(), visitor);
+  const auto result = SegmentedWal::replay(path_.string(), visitor);
   EXPECT_EQ(result.records, 3u);
   EXPECT_FALSE(result.corrupt_tail);
 }
@@ -404,15 +470,14 @@ TEST_F(WalTest, GroupCommitRecoversAcrossReopen) {
 TEST_F(WalTest, LargeLogReplaysCompletely) {
   constexpr int kBlocks = 200;
   {
-    FileWal wal(path_.string());
+    SegmentedWal wal(path_.string());
     for (int i = 0; i < kBlocks; ++i) {
       wal.append_block(make_block(i % 4, 1000 + i), i % 4 == 0);
     }
   }
   int replayed = 0;
-  FileWal::Visitor visitor;
-  visitor.on_block = [&](BlockPtr, bool) { ++replayed; };
-  const auto result = FileWal::replay(path_.string(), visitor);
+  const auto result =
+      SegmentedWal::replay(path_.string(), [&](BlockPtr, bool) { ++replayed; });
   EXPECT_EQ(replayed, kBlocks);
   EXPECT_FALSE(result.corrupt_tail);
 }
