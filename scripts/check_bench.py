@@ -17,7 +17,11 @@ gate fails (exit 1) on:
     only NAME) searches, when their mean real_time exceeds NANOS nanoseconds
     — the absolute hot-path budget gate (bench_obs: a metrics-registry
     record must stay under 50 ns; bench_micro_crypto: ed25519 sign and
-    verify).
+    verify),
+  * (with --max-counter COUNTER PATTERN MAX) any entry PATTERN searches whose
+    COUNTER exceeds MAX, or no matching entry carrying COUNTER — an absolute
+    ceiling on a per-item counter (bench_micro_dag: DAG digest-index probes
+    per inserted block).
 
 So a bench that bit-rots into producing garbage — or a CI step whose filter
 matches nothing — fails the push instead of silently uploading junk.
@@ -36,6 +40,7 @@ refuses rings) is not a regression.
 Usage: check_bench.py FILE.json [--expect NAME_SUBSTRING]...
                       [--compare COUNTER BASE_SUBSTRING TEST_SUBSTRING]...
                       [--max-ns NAME_PATTERN NANOS]...
+                      [--max-counter COUNTER NAME_PATTERN MAX]...
 """
 
 import argparse
@@ -80,6 +85,16 @@ def main() -> None:
         help="fail when the mean real_time (converted to ns) over benchmarks "
         "whose name NAME_PATTERN (a regex, searched) matches exceeds NANOS, "
         "or when nothing matches (repeatable)",
+    )
+    parser.add_argument(
+        "--max-counter",
+        action="append",
+        default=[],
+        nargs=3,
+        metavar=("COUNTER", "NAME_PATTERN", "MAX"),
+        help="fail when any benchmark whose name NAME_PATTERN (a regex, "
+        "searched) matches reports COUNTER above MAX, or when no matching "
+        "benchmark carries COUNTER (repeatable)",
     )
     args = parser.parse_args()
 
@@ -191,6 +206,34 @@ def main() -> None:
             f"check_bench: OK: '{name_substr}' mean {mean_ns:.1f} ns <= "
             f"{limit_ns:.1f} ns"
         )
+
+    for counter, name_pattern, max_text in args.max_counter:
+        try:
+            ceiling = float(max_text)
+        except ValueError:
+            fail(f"--max-counter {counter}: bad ceiling {max_text!r}")
+        values = []
+        for entry in benchmarks:
+            if entry.get("run_type") == "aggregate":
+                continue
+            if not re.search(name_pattern, entry.get("name", "")):
+                continue
+            value = entry.get(counter)
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                fail(f"{entry['name']}: bad {counter} {value!r}")
+            if value > ceiling:
+                fail(f"--max-counter: {entry['name']} {counter} {value:.3f} "
+                     f"exceeds {ceiling:.3f}")
+            values.append(value)
+        if not values:
+            fail(f"{args.file}: --max-counter: no benchmark matching "
+                 f"'{name_pattern}' carries {counter}")
+        print(f"check_bench: OK: {counter} <= {ceiling:.3f} on {len(values)} "
+              f"'{name_pattern}' entries (max {max(values):.3f})")
 
     print(f"check_bench: OK: {args.file}: {len(names)} benchmark entries")
 

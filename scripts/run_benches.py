@@ -47,8 +47,9 @@ class Bench:
 # The CI bench matrix. Filters and gates are the load-bearing part: each
 # --expect pins a series that must exist (renames fail loudly), each
 # --compare is a regression gate between two series of one run, --max-ns is
-# the absolute hot-path budget (see check_bench.py for semantics, including
-# which comparisons self-skip on hosts that cannot run the TEST series).
+# the absolute hot-path budget, --max-counter an absolute ceiling on a
+# per-item counter (see check_bench.py for semantics, including which
+# comparisons self-skip on hosts that cannot run the TEST series).
 BENCHES: List[Bench] = [
     # The signature hot path: the batch series must exist, and single sign
     # and verify stay under an absolute budget. A noisy 4-vCPU x86-64 VM
@@ -61,6 +62,18 @@ BENCHES: List[Bench] = [
           gate=("--expect", "BM_Ed25519VerifyBatch",
                 "--max-ns", "BM_Ed25519Sign$", "200000",
                 "--max-ns", "BM_Ed25519Verify$", "200000")),
+
+    # DAG hot paths: inserting one fully connected round (every parent
+    # resolved through its (round, author) cell), structural validation and
+    # IsLink at n = 10 and 50. The DAG's digest index belongs to ingress
+    # only: one insertion per block, so more than 2 probes per inserted
+    # block means a parent walk went back to hashing digests.
+    Bench(name="micro_dag", binary="bench_micro_dag",
+          filter="BM_DagInsertRound|BM_BlockValidate|BM_IsLink", min_time="0.05",
+          gate=("--expect", "BM_DagInsertRound",
+                "--expect", "BM_BlockValidate",
+                "--expect", "BM_IsLink",
+                "--max-counter", "DigestProbesPerBlock", "BM_DagInsertRound", "2")),
 
     Bench(name="mempool", binary="bench_mempool",
           filter="BM_MempoolSubmit/shards:(1|8).*threads:8", min_time="0.05",

@@ -251,14 +251,7 @@ std::vector<CommittedSubDag> Committer::apply(
 
 std::vector<std::pair<Digest, Round>> Committer::delivered_snapshot(
     Round min_round) const {
-  std::vector<std::pair<Digest, Round>> out;
-  for (const auto& [digest, round] : delivered_) {
-    if (round >= min_round) out.emplace_back(digest, round);
-  }
-  // The map iterates in hash order; a checkpoint must encode
-  // deterministically (two captures of the same cut are byte-identical).
-  std::sort(out.begin(), out.end());
-  return out;
+  return delivered_.snapshot(dag_, min_round);
 }
 
 void Committer::restore(std::vector<DecidedSlot> decided, SlotId head,
@@ -269,9 +262,12 @@ void Committer::restore(std::vector<DecidedSlot> decided, SlotId head,
   // reason about which survive (they are a cache, re-deriving is cheap).
   final_.clear();
   votes_.evict_below(head.round);  // the vote memo stays valid at and above it
+  // install_checkpoint inserts the checkpoint's DAG suffix first, so every
+  // delivered digest it lists names a block the DAG holds.
   delivered_.clear();
-  for (const auto& [digest, round] : delivered) delivered_.emplace(digest, round);
-  delivered_pruned_below_ = 0;
+  for (const auto& [digest, round] : delivered) {
+    if (const BlockPtr block = dag_.get(digest)) delivered_.mark(*dag_.locate(block->ref()));
+  }
   stats_ = {};
   for (const DecidedSlot& decision : decided_log_) {
     if (decision.kind == SlotDecision::Kind::kCommit) {
@@ -288,15 +284,9 @@ std::vector<CommittedSubDag> Committer::try_commit() { return apply(scan()); }
 
 void Committer::prune_below(Round round) {
   // The vote memo needs nothing here: apply() evicts it below the head, and
-  // the GC horizon never passes the head.
-  // Delivered entries below the GC cut are never consulted again (linearize
-  // skips sub-cut parents before the delivered check). Rescan the map only
-  // every 16 rounds of horizon progress to amortize the O(map) sweep.
-  if (round >= delivered_pruned_below_ + 16) {
-    delivered_pruned_below_ = round;
-    std::erase_if(delivered_,
-                  [round](const auto& entry) { return entry.second < round; });
-  }
+  // the GC horizon never passes the head. Delivered marks below the GC cut
+  // are never consulted again (linearize skips sub-cut parents first).
+  delivered_.prune_below(round);
 }
 
 }  // namespace mahimahi

@@ -51,7 +51,7 @@ class Committer : public CommitterBase {
   std::vector<std::pair<Digest, Round>> delivered_snapshot(Round min_round) const;
 
   // Installs a checkpointed consumption state: replaces the decided log,
-  // repositions the head, seeds the delivered map, and recomputes the
+  // repositions the head, seeds the delivered marks, and recomputes the
   // commit/skip stats from the log (delivered byte/tx counters restart at
   // zero — they are local diagnostics, not agreed state). Entries must be in
   // slot order. Pair with Dag::prune_below(horizon) + insert of the
@@ -77,9 +77,6 @@ class Committer : public CommitterBase {
   // Evaluates every pending slot against the current DAG without consuming
   // anything. Exposed for tests and the probability benches.
   std::map<SlotId, SlotDecision> evaluate_all();
-
-  // Has `digest` been delivered as part of a committed sub-DAG?
-  bool is_delivered(const Digest& digest) const { return delivered_.contains(digest); }
 
   // Forget delivered marks below `round` (pair with Dag::prune_below).
   void prune_below(Round round) override;
@@ -115,7 +112,6 @@ class Committer : public CommitterBase {
   std::map<SlotId, SlotDecision> final_;  // decided (= final) slots >= next_pending_
   std::vector<DecidedSlot> decided_log_;
   DeliveredMap delivered_;
-  Round delivered_pruned_below_ = 0;  // amortizes delivered_ rescans
   CommitStats stats_;
 };
 

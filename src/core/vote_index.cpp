@@ -9,7 +9,7 @@ std::optional<Digest> VoteIndex::voted(const Block& from, ValidatorId author,
   if (round >= from.round()) return std::nullopt;
 
   Table& memo = memo_[round];
-  if (const auto it = memo.find(Key{from.digest(), author}); it != memo.end()) {
+  if (const auto it = memo.find(Key{&from, author}); it != memo.end()) {
     return it->second;
   }
 
@@ -23,7 +23,7 @@ std::optional<Digest> VoteIndex::voted(const Block& from, ValidatorId author,
     std::optional<Digest> result;
   };
   std::vector<Frame> stack;
-  stack.push_back(Frame{.block = &from});
+  stack.push_back(Frame{.block = &from, .next_parent = 0, .result = std::nullopt});
   std::optional<Digest> propagated;
   bool child_returned = false;
 
@@ -44,22 +44,20 @@ std::optional<Digest> VoteIndex::voted(const Block& from, ValidatorId author,
         frame.result = parent.digest;
         break;
       }
-      // Memo first: a memoized parent was in the DAG when it was resolved,
-      // and stays there while its target round is live (evict_below).
-      if (const auto it = memo.find(Key{parent.digest, author}); it != memo.end()) {
+      const Block* parent_block = dag_.resolve(parent);
+      if (parent_block == nullptr) continue;  // pruned history; treated as absent
+      if (const auto it = memo.find(Key{parent_block, author}); it != memo.end()) {
         if (it->second.has_value()) frame.result = it->second;
         continue;
       }
-      const BlockPtr parent_block = dag_.get(parent.digest);
-      if (parent_block == nullptr) continue;  // pruned history; treated as absent
-      stack.push_back(Frame{.block = parent_block.get()});
+      stack.push_back(Frame{.block = parent_block, .next_parent = 0, .result = std::nullopt});
       descended = true;
       break;
     }
     if (descended) continue;
 
     // Frame exhausted (or found the target): memoize and propagate upward.
-    memo.emplace(Key{frame.block->digest(), author}, frame.result);
+    memo.emplace(Key{frame.block, author}, frame.result);
     propagated = frame.result;
     child_returned = true;
     stack.pop_back();
@@ -74,12 +72,12 @@ bool VoteIndex::is_cert(const Block& cert, const Block& leader, Round vote_round
   std::uint32_t voting_authors = 0;
   for (const auto& parent : cert.parents()) {
     if (parent.round != vote_round || voters_[parent.author]) continue;
+    const Block* vote = dag_.resolve(parent);
+    if (vote == nullptr) continue;
     std::optional<Digest> target;
-    if (const auto it = memo.find(Key{parent.digest, leader.author()}); it != memo.end()) {
+    if (const auto it = memo.find(Key{vote, leader.author()}); it != memo.end()) {
       target = it->second;
     } else {
-      const BlockPtr vote = dag_.get(parent.digest);
-      if (vote == nullptr) continue;
       target = voted(*vote, leader.author(), leader.round());
     }
     if (target != leader.digest()) continue;

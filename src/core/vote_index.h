@@ -5,9 +5,12 @@
 // depth-first traversal of v's causal references (Observation 1: this makes
 // "vote" single-valued per voter even under equivocation). The traversal is
 // a pure function of block content, so results are memoized per
-// (block, author, round). It is implemented iteratively (explicit frame
-// stack): a root far above the target round walks a chain as deep as the
-// rounds between them, and at gc_depth = 0 no pruning bounds that chain.
+// (block, author, round). Parents resolve through their DAG cells, and the
+// memo is keyed by the resolved block's address: a memoized block is in the
+// DAG, and stays there while its target round is live (evict_below). The
+// traversal is iterative (explicit frame stack): a root far above the target
+// round walks a chain as deep as the rounds between them, and at
+// gc_depth = 0 no pruning bounds that chain.
 //
 // The memo is one table per target round, so evict_below() drops whole
 // rounds in time proportional to the entries it frees.
@@ -41,9 +44,8 @@ class VoteIndex {
                std::uint32_t quorum);
 
   // Drops the memoized traversals that target a round below `round`.
-  // Lookups trust the memo before the DAG, so callers keep evicting at least
-  // up to the DAG's pruning horizon (a kept entry then names only live
-  // blocks).
+  // Callers keep evicting at least up to the DAG's pruning horizon, so a kept
+  // entry names only live blocks (its address is never reused under it).
   void evict_below(Round round);
 
   // Memoized traversals currently held.
@@ -51,14 +53,15 @@ class VoteIndex {
 
  private:
   struct Key {
-    Digest from;
+    const Block* from;
     ValidatorId author;
     bool operator==(const Key&) const = default;
   };
   struct KeyHasher {
     std::size_t operator()(const Key& k) const {
-      const std::size_t h = DigestHasher{}(k.from);
-      return h ^ ((static_cast<std::size_t>(k.author) * 0xc2b2ae3d27d4eb4fULL) + (h << 6));
+      const auto h = reinterpret_cast<std::uintptr_t>(k.from) >> 4;
+      return static_cast<std::size_t>((h ^ (std::uint64_t{k.author} << 40)) *
+                                      0x9e3779b97f4a7c15ULL);
     }
   };
   using Table = std::unordered_map<Key, std::optional<Digest>, KeyHasher>;

@@ -1,8 +1,6 @@
 #include "dag/dag.h"
 
-#include <deque>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace mahimahi {
 
@@ -12,66 +10,86 @@ Dag::Dag(const Committee& committee) : n_(committee.size()) {
   }
 }
 
+bool Dag::contains(const Digest& digest) const {
+  ++digest_probes_;
+  return by_digest_.contains(digest);
+}
+
 BlockPtr Dag::get(const Digest& digest) const {
+  ++digest_probes_;
   const auto it = by_digest_.find(digest);
   return it == by_digest_.end() ? nullptr : it->second;
 }
 
-const std::vector<BlockPtr>& Dag::slot(Round round, ValidatorId author) const {
-  const auto it = rounds_.find(round);
-  if (it == rounds_.end() || author >= n_) return empty_;
-  return it->second.by_author[author];
+Dag::Cell Dag::slot(Round round, ValidatorId author) const {
+  const RoundCells* cells = round_at(round);
+  if (cells == nullptr || author >= n_) return {};
+  return {&cells->entries, author};
 }
 
 std::vector<BlockPtr> Dag::blocks_at(Round round) const {
   std::vector<BlockPtr> out;
-  const auto it = rounds_.find(round);
-  if (it == rounds_.end()) return out;
-  for (const auto& cell : it->second.by_author) {
-    out.insert(out.end(), cell.begin(), cell.end());
-  }
+  for_each_at(round, [&out](const BlockPtr& block) {
+    out.push_back(block);
+    return true;
+  });
   return out;
 }
 
 void Dag::for_each_at(Round round,
                       const std::function<bool(const BlockPtr&)>& visit) const {
-  const auto it = rounds_.find(round);
-  if (it == rounds_.end()) return;
-  for (const auto& cell : it->second.by_author) {
-    for (const auto& block : cell) {
+  for (ValidatorId author = 0; author < n_; ++author) {
+    for (const BlockPtr& block : slot(round, author)) {
       if (!visit(block)) return;
     }
   }
 }
 
-std::uint32_t Dag::distinct_authors_at(Round round) const {
-  const auto it = rounds_.find(round);
-  return it == rounds_.end() ? 0 : it->second.distinct_authors;
-}
-
 bool Dag::parents_present(const Block& block) const {
   for (const auto& parent : block.parents()) {
-    // References below the GC horizon count as satisfied: the deterministic
-    // delivery cut (CommitterOptions::gc_depth) guarantees no future leader
-    // will deliver them, so their absence cannot affect the commit sequence.
     if (parent.round < pruned_below_) continue;
-    if (!contains(parent.digest)) return false;
+    if (find(parent) == nullptr) return false;
   }
   return true;
 }
 
 bool Dag::insert(BlockPtr block) {
-  if (by_digest_.contains(block->digest())) return false;
+  if (block->round() < pruned_below_ || contains(block->ref())) return false;
   if (!parents_present(*block)) {
     throw std::logic_error("Dag::insert: missing parent (synchronizer bug)");
   }
-  auto [it, created] = rounds_.try_emplace(block->round());
-  if (created) it->second.by_author.resize(n_);
-  auto& cell = it->second.by_author.at(block->author());
-  if (cell.empty()) ++it->second.distinct_authors;
-  cell.push_back(block);
-  if (block->round() > highest_round_) highest_round_ = block->round();
+  return insert_resolved(std::move(block));
+}
+
+bool Dag::insert_resolved(BlockPtr block) {
+  const Round round = block->round();
+  if (round < pruned_below_) return false;
+  if (block->author() >= n_) throw std::logic_error("Dag::insert: unknown author");
+  while (window_.size() <= round - pruned_below_) window_.emplace_back(n_);
+  RoundCells& cells = window_[round - pruned_below_];
+
+  std::uint32_t tail = block->author();
+  Entry* cell = &cells.entries[tail];
+  if (cell->block == nullptr) {
+    ++cells.distinct_authors;
+  } else {
+    for (;;) {
+      if (cells.entries[tail].digest == block->digest()) return false;  // duplicate
+      if (cells.entries[tail].next_twin == kNone) break;
+      tail = cells.entries[tail].next_twin;
+    }
+    // A twin: appended after the cells, chained from the cell's last block.
+    const auto twin = static_cast<std::uint32_t>(cells.entries.size());
+    cells.entries.emplace_back();
+    cells.entries[tail].next_twin = twin;
+    cell = &cells.entries[twin];
+  }
+  cell->digest = block->digest();
+  cell->block = block;
+
+  if (round > highest_round_) highest_round_ = round;
   wire_bytes_ += block->wire_bytes();
+  ++digest_probes_;
   by_digest_.emplace(block->digest(), std::move(block));
   return true;
 }
@@ -79,17 +97,24 @@ bool Dag::insert(BlockPtr block) {
 bool Dag::is_link(const BlockRef& old_ref, const Block& from) const {
   if (from.round() < old_ref.round) return false;
   if (from.digest() == old_ref.digest) return true;
-  std::unordered_set<Digest, DigestHasher> visited;
-  std::deque<const Block*> frontier;
-  frontier.push_back(&from);
+  if (++visit_epoch_ == 0) {
+    // The stamp wrapped: clear every stale mark once.
+    for (const RoundCells& cells : window_) {
+      for (const Entry& entry : cells.entries) entry.visit = 0;
+    }
+    visit_epoch_ = 1;
+  }
+  std::vector<const Block*> frontier{&from};
   while (!frontier.empty()) {
-    const Block* current = frontier.front();
-    frontier.pop_front();
+    const Block* current = frontier.back();
+    frontier.pop_back();
     for (const auto& parent : current->parents()) {
       if (parent.round < old_ref.round) continue;
       if (parent.digest == old_ref.digest) return true;
-      if (!visited.insert(parent.digest).second) continue;
-      if (const BlockPtr next = get(parent.digest)) frontier.push_back(next.get());
+      const Entry* entry = find(parent);
+      if (entry == nullptr || entry->visit == visit_epoch_) continue;
+      entry->visit = visit_epoch_;
+      frontier.push_back(entry->block.get());
     }
   }
   return false;
@@ -97,14 +122,14 @@ bool Dag::is_link(const BlockRef& old_ref, const Block& from) const {
 
 void Dag::prune_below(Round round) {
   if (round <= pruned_below_) return;
-  for (auto it = rounds_.begin(); it != rounds_.end() && it->first < round;) {
-    for (const auto& cell : it->second.by_author) {
-      for (const auto& block : cell) {
-        by_digest_.erase(block->digest());
-        wire_bytes_ -= block->wire_bytes();
-      }
+  while (!window_.empty() && pruned_below_ < round) {
+    for (const Entry& entry : window_.front().entries) {
+      if (entry.block == nullptr) continue;
+      by_digest_.erase(entry.digest);
+      wire_bytes_ -= entry.block->wire_bytes();
     }
-    it = rounds_.erase(it);
+    window_.pop_front();
+    ++pruned_below_;
   }
   pruned_below_ = round;
 }

@@ -97,6 +97,9 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       &registry_.counter("mm_committed_blocks_total", "Blocks in committed sub-DAGs");
   highest_round_ = &registry_.gauge("mm_highest_round", "Highest round in the local DAG");
   dag_blocks_ = &registry_.gauge("mm_dag_blocks", "Blocks in the live DAG window");
+  dag_digest_probes_ = &registry_.counter(
+      "mm_dag_digest_probes_total",
+      "Lookups and insertions on the DAG's digest index (ingress only)");
   dag_payload_bytes_ = &registry_.gauge(
       "mm_dag_payload_bytes", "Wire bytes of the blocks in the live DAG window");
   decided_log_entries_ = &registry_.gauge("mm_decided_log_entries",
@@ -766,19 +769,19 @@ void NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
   // concurrently with itself. The forwarded-digest record is written there,
   // AFTER the core decides: a block the synchronizer drops under
   // back-pressure must stay re-deliverable through the fetch path.
-  std::vector<Digest> digests;
-  digests.reserve(items.size());
-  for (const auto& item : items) digests.push_back(item.block->digest());
+  std::vector<BlockRef> refs;
+  refs.reserve(items.size());
+  for (const auto& item : items) refs.push_back(item.block->ref());
   const TimeMicros verified_at = steady_now_micros();
-  loop_.post([this, items = std::move(items), digests = std::move(digests),
+  loop_.post([this, items = std::move(items), refs = std::move(refs),
               verified_at]() mutable {
     const TimeMicros picked_up = steady_now_micros();
     tracer_.record_stage(obs::Stage::kInsertQueue, picked_up - verified_at,
-                         digests.size());
+                         refs.size());
     perform(core_->on_blocks(std::move(items), picked_up));
     tracer_.record_stage(obs::Stage::kDagInsert, steady_now_micros() - picked_up);
-    for (const auto& digest : digests) {
-      if (core_->knows_block(digest)) forwarded_digests_.insert(digest);
+    for (const auto& ref : refs) {
+      if (core_->knows_block(ref)) forwarded_digests_.insert(ref.digest);
     }
   });
 }
@@ -999,7 +1002,7 @@ void NodeRuntime::perform(Actions&& actions) {
   handle_cut_boundaries(core_->committer().next_pending_slot(), actions);
 
   // Publish the core's pipeline counters for thread-safe reads.
-  const IngestStats& stats = core_->ingest_stats();
+  const IngestStats stats = core_->ingest_stats();
   core_structurally_rejected_->set(static_cast<std::int64_t>(stats.structurally_rejected));
   core_crypto_rejected_->set(static_cast<std::int64_t>(stats.crypto_rejected));
   core_cache_hits_->set(static_cast<std::int64_t>(stats.cache_hits));
@@ -1009,6 +1012,9 @@ void NodeRuntime::perform(Actions&& actions) {
   // memo).
   dag_blocks_->set(static_cast<std::int64_t>(core_->dag().block_count()));
   dag_payload_bytes_->set(static_cast<std::int64_t>(core_->dag().wire_bytes()));
+  const std::uint64_t probes = core_->dag().digest_probes();
+  dag_digest_probes_->add(probes - dag_digest_probes_mirrored_);
+  dag_digest_probes_mirrored_ = probes;
   decided_log_entries_->set(
       static_cast<std::int64_t>(core_->committer().decided_sequence().size()));
   vote_memo_entries_->set(

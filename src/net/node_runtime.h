@@ -640,8 +640,11 @@ class NodeRuntime {
   obs::Gauge* core_preverified_;
   // Retention mirrors, refreshed with the ingest mirrors: the DAG window's
   // block count and wire bytes (Dag maintains both at insert/prune) and the
-  // decided log's length. Together they explain resident memory.
+  // decided log's length. Together they explain resident memory. The digest
+  // probe counter advances by the core's count since the last refresh.
   obs::Gauge* dag_blocks_;
+  obs::Counter* dag_digest_probes_;
+  std::uint64_t dag_digest_probes_mirrored_ = 0;
   obs::Gauge* dag_payload_bytes_;
   obs::Gauge* decided_log_entries_;
   obs::Gauge* vote_memo_entries_;

@@ -141,6 +141,10 @@ struct SimHarness::Impl {
     v0_gauge("mm_vote_memo_entries",
              "Memoized vote traversals validator 0's commit rule keeps",
              [](const ValidatorCore& core) { return core.committer().vote_memo_entries(); });
+    registry.counter_fn(
+        "mm_dag_digest_probes_total",
+        [this] { return running(0) ? nodes[0]->dag().digest_probes() : 0; },
+        "Lookups and insertions on validator 0's DAG digest index (ingress only)");
   }
 
   // Does this run model the checkpoint subsystem? Requires a horizon to cut

@@ -1,6 +1,8 @@
 #include "types/validation.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <array>
+#include <limits>
 
 namespace mahimahi {
 
@@ -19,19 +21,65 @@ std::string to_string(BlockValidity validity) {
   return "?";
 }
 
+namespace {
+
+// A scratch array of `size` copies of `fill`: on the stack up to N elements,
+// on the heap only beyond (a parent list above N / 2 refs, or a committee
+// above 64 * N members).
+template <typename T, std::size_t N>
+class Scratch {
+ public:
+  Scratch(std::size_t size, T fill) {
+    if (size > N) heap_.resize(size);
+    data_ = size > N ? heap_.data() : inline_.data();
+    std::fill_n(data_, size, fill);
+  }
+  Scratch(const Scratch&) = delete;  // data_ may point into this object
+  Scratch& operator=(const Scratch&) = delete;
+  T& operator[](std::size_t i) { return data_[i]; }
+
+ private:
+  std::array<T, N> inline_;  // only the first `size` elements are written
+  std::vector<T> heap_;
+  T* data_ = nullptr;
+};
+
+}  // namespace
+
 BlockValidity validate_block_structure(const Block& block, const Committee& committee) {
   if (!committee.contains(block.author())) return BlockValidity::kUnknownAuthor;
   if (block.round() == 0) return BlockValidity::kGenesisFromNetwork;
 
-  std::unordered_set<Digest, DigestHasher> seen;
-  std::unordered_set<ValidatorId> previous_round_authors;
-  for (const auto& parent : block.parents()) {
+  // Distinct round-(R-1) authors: one bit per committee member.
+  Scratch<std::uint64_t, 4> authors((committee.size() + 63) / 64, 0);
+  std::uint32_t previous_round_authors = 0;
+  // Earlier parents by digest: an open-addressed table of parent indices at
+  // most half full, probed from the digest's leading bytes (digests are
+  // uniform). Parent order is untouched: Algorithm 3's DFS depends on it.
+  const auto& parents = block.parents();
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  std::size_t capacity = 16;
+  while (capacity < 2 * parents.size()) capacity *= 2;
+  Scratch<std::uint32_t, 256> seen(capacity, kEmpty);
+
+  for (std::uint32_t i = 0; i < parents.size(); ++i) {
+    const BlockRef& parent = parents[i];
     if (!committee.contains(parent.author)) return BlockValidity::kParentUnknownAuthor;
     if (parent.round >= block.round()) return BlockValidity::kParentFromFuture;
-    if (!seen.insert(parent.digest).second) return BlockValidity::kDuplicateParents;
-    if (parent.round == block.round() - 1) previous_round_authors.insert(parent.author);
+    std::size_t probe = DigestHasher{}(parent.digest) & (capacity - 1);
+    for (; seen[probe] != kEmpty; probe = (probe + 1) & (capacity - 1)) {
+      if (parents[seen[probe]].digest == parent.digest) {
+        return BlockValidity::kDuplicateParents;
+      }
+    }
+    seen[probe] = i;
+    if (parent.round == block.round() - 1) {
+      const std::uint64_t bit = std::uint64_t{1} << (parent.author % 64);
+      if ((authors[parent.author / 64] & bit) == 0) ++previous_round_authors;
+      authors[parent.author / 64] |= bit;
+    }
   }
-  if (previous_round_authors.size() < committee.quorum_threshold()) {
+  if (previous_round_authors < committee.quorum_threshold()) {
     return BlockValidity::kInsufficientParentQuorum;
   }
   return BlockValidity::kValid;

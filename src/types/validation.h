@@ -50,8 +50,10 @@ struct ValidationOptions {
   bool verify_coin_share = true;
 };
 
-// Stage 1: structural checks only — no crypto, no allocation-heavy work
-// beyond the parent-set scan. Returns kValid when the block's shape is
+// Stage 1: structural checks only — no crypto, and no allocation for parent
+// lists up to 128 refs in committees up to 256. Rules are checked per parent,
+// in parent order (author, round, duplicate digest), then the R-1 quorum; the
+// first failure is the verdict. Returns kValid when the block's shape is
 // acceptable.
 BlockValidity validate_block_structure(const Block& block, const Committee& committee);
 

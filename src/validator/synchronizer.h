@@ -7,7 +7,6 @@
 #pragma once
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dag/dag.h"
@@ -27,9 +26,16 @@ class Synchronizer {
     std::vector<BlockRef> missing;
   };
 
-  // Offers a structurally valid block. Inserts it (and cascades) when its
-  // parents are present; otherwise parks it and reports what is missing.
+  // Offers a structurally valid block. Inserts it (and cascades) when every
+  // parent resolves in the DAG cell its ref names; otherwise parks it and
+  // reports what is missing. A parent resolves only in the cell its ref
+  // names: a block whose ref names a digest the DAG holds in another cell
+  // (at offer) or that arrives in another cell (at the cascade) is dropped
+  // and counted in rejected().
   Outcome offer(BlockPtr block);
+
+  // Blocks dropped so far for a parent ref whose labels lie.
+  std::uint64_t rejected() const { return rejected_; }
 
   bool is_pending(const Digest& digest) const { return pending_.contains(digest); }
   std::size_t pending_count() const { return pending_.size(); }
@@ -40,6 +46,8 @@ class Synchronizer {
   // GC: missing refs below `round` count as satisfied (their blocks can
   // never be delivered — see Dag::parents_present), so pending blocks
   // waiting only on them unblock and insert; returns the blocks inserted.
+  // Each waiter is judged by the round its own ref names, never by another
+  // waiter's labels for the same digest.
   // Pending blocks that are themselves below `round` are dropped as stale.
   std::vector<BlockPtr> prune_below(Round round);
 
@@ -53,11 +61,18 @@ class Synchronizer {
     BlockPtr block;
     std::size_t missing_count = 0;
   };
+  // A pending block waiting on a parent, with the cell its ref names.
+  struct Waiter {
+    Digest dependent;
+    Round round;
+    ValidatorId author;
+  };
   std::unordered_map<Digest, Pending, DigestHasher> pending_;
-  // missing parent digest -> digests of pending blocks waiting on it.
-  std::unordered_map<Digest, std::vector<Digest>, DigestHasher> waiters_;
+  // missing parent digest -> the pending blocks waiting on it.
+  std::unordered_map<Digest, std::vector<Waiter>, DigestHasher> waiters_;
   // The refs of missing parents (for outstanding()).
   std::unordered_map<Digest, BlockRef, DigestHasher> missing_refs_;
+  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace mahimahi

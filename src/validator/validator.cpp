@@ -67,7 +67,7 @@ Actions ValidatorCore::on_block(BlockPtr block, ValidatorId from, TimeMicros now
 
 Actions ValidatorCore::recover_block(BlockPtr block) {
   Actions actions;
-  if (dag_.contains(block->digest())) return actions;
+  if (dag_.contains(block->ref())) return actions;
   if (block->author() == config_.id) {
     // Restore the proposer round even if the block itself cannot be
     // re-inserted: never re-propose (equivocate on) a logged round.
@@ -93,7 +93,8 @@ Actions ValidatorCore::recover_block(BlockPtr block) {
                   << block->ref().to_string() << " (parents beyond the GC horizon)";
     return actions;
   }
-  dag_.insert(block);
+  // WAL replay bypasses the synchronizer: the gate above is its only check.
+  dag_.insert_resolved(block);
   note_inserted(block);
   actions.inserted.push_back(block);
   commit_and_gc(actions);
@@ -110,7 +111,7 @@ Actions ValidatorCore::on_blocks(std::vector<IngestBlock> items, TimeMicros now)
   std::unordered_set<Digest, DigestHasher> in_batch;
   for (auto& item : items) {
     const Digest& digest = item.block->digest();
-    if (dag_.contains(digest) || synchronizer_.is_pending(digest)) continue;
+    if (dag_.contains(item.block->ref()) || synchronizer_.is_pending(digest)) continue;
     if (!in_batch.insert(digest).second) continue;  // duplicate within batch
     if (item.block->round() < dag_.pruned_below()) {
       continue;  // stale: below the GC horizon, can never be delivered
@@ -198,9 +199,7 @@ void ValidatorCore::admit(BlockPtr block, ValidatorId from, TimeMicros now,
                           Actions& actions) {
   // An earlier block of this batch may have cascade-inserted this one (it
   // was parked in the synchronizer); re-check before offering.
-  if (dag_.contains(block->digest()) || synchronizer_.is_pending(block->digest())) {
-    return;
-  }
+  if (dag_.contains(block->ref()) || synchronizer_.is_pending(block->digest())) return;
   // Parked blocks count toward the per-author round watermark too: a late
   // joiner's view of the cluster head is EXACTLY its parked suffix.
   note_author_round(block->author(), block->round());
@@ -370,7 +369,7 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
   // cascade. The suffix is round-ascending and the horizon is set, so
   // nothing can report missing parents.
   for (const BlockPtr& block : data.blocks) {
-    if (dag_.contains(block->digest())) continue;
+    if (dag_.contains(block->ref())) continue;
     if (block->author() == config_.id && block->round() > last_proposed_round_) {
       // Our own pre-crash history, coming back to us via a peer's snapshot:
       // restore the proposer round before anything can trigger a proposal.

@@ -126,20 +126,25 @@ class ValidatorCore {
   const CommitterBase& committer() const { return *committer_; }
   const ValidatorConfig& config() const { return config_; }
   Round last_proposed_round() const { return last_proposed_round_; }
-  // Is this digest in the DAG or parked in the synchronizer? Drivers use it
+  // Is this block in the DAG or parked in the synchronizer? Drivers use it
   // as a dedup hint ("safe to drop re-deliveries"); the core's own
   // ingestion-time dedup remains authoritative.
-  bool knows_block(const Digest& digest) const {
-    return dag_.contains(digest) || synchronizer_.is_pending(digest);
+  bool knows_block(const BlockRef& ref) const {
+    return dag_.contains(ref) || synchronizer_.is_pending(ref.digest);
   }
   std::size_t mempool_size() const { return mempool_->size(); }
   const ShardedMempool& mempool() const { return *mempool_; }
   // The pool itself, for drivers that admit submissions off the core's
   // thread (net/node_runtime.h). Thread-safe by construction.
   const std::shared_ptr<ShardedMempool>& mempool_handle() const { return mempool_; }
-  std::uint64_t blocks_rejected() const { return blocks_rejected_; }
-  // Stage counters of the ingestion pipeline (client/metrics.h).
-  const IngestStats& ingest_stats() const { return ingest_stats_; }
+  std::uint64_t blocks_rejected() const { return blocks_rejected_ + synchronizer_.rejected(); }
+  // Stage counters of the ingestion pipeline (client/metrics.h). Blocks the
+  // synchronizer dropped for lying parent labels count as structural rejects.
+  IngestStats ingest_stats() const {
+    IngestStats stats = ingest_stats_;
+    stats.structurally_rejected += synchronizer_.rejected();
+    return stats;
+  }
 
  private:
   // Pipeline stage: admits one crypto-cleared block through the

@@ -45,7 +45,9 @@ TEST(Linearize, LeaderOnlySubDagWhenHistoryAlreadyDelivered) {
 
   // Pre-deliver everything below round 3.
   for (Round r = 0; r <= 2; ++r) {
-    for (const auto& block : builder.dag().blocks_at(r)) delivered.emplace(block->digest(), block->round());
+    for (const auto& block : builder.dag().blocks_at(r)) {
+      delivered.mark(*builder.dag().locate(block->ref()));
+    }
   }
 
   const BlockPtr leader = builder.dag().slot(3, 1).front();

@@ -183,6 +183,22 @@ TEST(SimIntegration, WanGeoModelRuns) {
   expect_prefix_consistent(result, "wan");
 }
 
+TEST(SimIntegration, DagDigestProbesStayWithinTwoPerBlock) {
+  // Parents resolve through their (round, author) cells; the DAG's digest
+  // index sees only ingress: one insertion per block, plus fetch serving and
+  // the synchronizer's miss path. No GC, so validator 0's DAG holds every
+  // block it ever inserted.
+  SimConfig config = base_config(Protocol::kMahiMahi4, 10);
+  config.wan = true;
+  const SimResult result = run_simulation(config);
+  const std::uint64_t probes = result.metrics.counter_value("mm_dag_digest_probes_total");
+  ASSERT_GT(result.total_blocks, 100u) << result.to_string();
+  EXPECT_GT(result.fetch_requests, 0u) << "the run exercised no fetch path";
+  EXPECT_GE(probes, result.total_blocks);
+  EXPECT_LE(probes, 2 * result.total_blocks)
+      << probes << " digest probes for " << result.total_blocks << " blocks";
+}
+
 TEST(SimIntegration, LatencyOrderingMatchesPaperShape) {
   // Claim C1 in miniature: Tusk > Cordial Miners > Mahi-Mahi-5 > Mahi-Mahi-4
   // in latency at equal (low) load. Small committee, WAN links.

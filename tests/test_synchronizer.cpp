@@ -9,6 +9,7 @@
 #include <set>
 
 #include "sim/dag_builder.h"
+#include "types/validation.h"
 #include "validator/synchronizer.h"
 #include "validator/validator.h"
 
@@ -248,6 +249,95 @@ TEST_F(SynchronizerTest, OffersBelowHorizonReportNoSubHorizonMissing) {
   }
   ASSERT_EQ(outcome.inserted.size(), 1u);
   EXPECT_TRUE(dag_.contains(block->digest()));
+}
+
+// A parent ref resolves only in the (round, author) cell it names: a block
+// whose refs relabel other blocks as distinct round-(R-1) authors passes the
+// structural 2f+1 rule on labels alone, and must never be inserted — neither
+// when the relabelled parent is already present, nor when it arrives later.
+BlockPtr relabelled(ValidatorId author, Round round, const std::vector<BlockPtr>& sources) {
+  const auto setup = Committee::make_test(4, 42);
+  std::vector<BlockRef> parents;
+  for (ValidatorId a = 0; a < sources.size(); ++a) {
+    parents.push_back(BlockRef{round - 1, a, sources[a]->digest()});
+  }
+  return std::make_shared<const Block>(
+      Block::make(author, round, std::move(parents), {},
+                  setup.committee.coin().share(author, round),
+                  setup.keypairs[author].private_key));
+}
+
+TEST_F(SynchronizerTest, RelabelledPresentParentIsRejectedAtOffer) {
+  build(2);
+  Synchronizer sync(dag_, 1000);
+  for (Round r = 1; r <= 2; ++r) {
+    for (ValidatorId v = 0; v < 4; ++v) sync.offer(block_at(r, v));
+  }
+  // Round-1 blocks labelled as round-2 blocks of authors 0, 1 and 2.
+  const BlockPtr forged = relabelled(1, 3, {block_at(1, 0), block_at(1, 1), block_at(1, 2)});
+  ASSERT_EQ(validate_block_structure(*forged, builder_.committee()), BlockValidity::kValid);
+
+  const auto outcome = sync.offer(forged);
+  EXPECT_TRUE(outcome.inserted.empty());
+  EXPECT_TRUE(outcome.missing.empty());
+  EXPECT_FALSE(sync.is_pending(forged->digest()));
+  EXPECT_FALSE(dag_.contains(forged->digest()));
+}
+
+TEST_F(SynchronizerTest, RelabelledParentArrivingLaterDropsTheWaiter) {
+  build(1);
+  Synchronizer sync(dag_, 1000);
+  // Author 3's round-1 block labelled as author 0's.
+  const BlockPtr forged = relabelled(1, 2, {block_at(1, 3), block_at(1, 1), block_at(1, 2)});
+  EXPECT_EQ(sync.offer(forged).missing.size(), 3u);
+  ASSERT_TRUE(sync.is_pending(forged->digest()));
+
+  std::vector<BlockPtr> inserted;
+  for (const ValidatorId v : {3u, 1u, 2u}) {
+    const auto outcome = sync.offer(block_at(1, v));
+    inserted.insert(inserted.end(), outcome.inserted.begin(), outcome.inserted.end());
+  }
+  EXPECT_EQ(inserted.size(), 3u);
+  EXPECT_FALSE(sync.is_pending(forged->digest()));
+  EXPECT_FALSE(dag_.contains(forged->digest()));
+}
+
+// GC satisfies a missing digest per waiter, by the round each waiter's own
+// ref names: a lying ref that labels a live block below the horizon must not
+// release an honest waiter whose ref names the block's real round.
+TEST_F(SynchronizerTest, PruneJudgesEachWaiterByItsOwnLabels) {
+  build(6);
+  Synchronizer sync(dag_, 1000);
+  for (Round r = 1; r <= 5; ++r) {
+    for (ValidatorId v = 0; v < 4; ++v) {
+      if (r == 5 && v == 0) continue;
+      sync.offer(block_at(r, v));
+    }
+  }
+  const BlockPtr withheld = block_at(5, 0);
+  // The withheld round-5 block labelled as author 0's round-2 block, offered
+  // first, then an honest round-6 block that names it correctly.
+  const BlockPtr liar = relabelled(3, 3, {withheld, block_at(2, 1), block_at(2, 2)});
+  ASSERT_EQ(validate_block_structure(*liar, builder_.committee()), BlockValidity::kValid);
+  EXPECT_TRUE(sync.offer(liar).inserted.empty());
+  const BlockPtr honest = block_at(6, 1);
+  EXPECT_TRUE(sync.offer(honest).inserted.empty());
+  ASSERT_TRUE(sync.is_pending(liar->digest()));
+  ASSERT_TRUE(sync.is_pending(honest->digest()));
+
+  dag_.prune_below(3);
+  const auto unblocked = sync.prune_below(3);
+  for (const auto& block : unblocked) EXPECT_TRUE(dag_.parents_present(*block));
+  EXPECT_TRUE(sync.is_pending(honest->digest()));
+  EXPECT_FALSE(dag_.contains(honest->digest()));
+  const auto outstanding = sync.outstanding();
+  ASSERT_EQ(outstanding.size(), 1u);
+  EXPECT_EQ(outstanding.front(), withheld->ref());
+
+  const auto outcome = sync.offer(withheld);
+  ASSERT_EQ(outcome.inserted.size(), 2u);
+  EXPECT_EQ(outcome.inserted.back()->digest(), honest->digest());
+  for (const auto& block : outcome.inserted) EXPECT_TRUE(dag_.parents_present(*block));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "types/validation.h"
 #include "validator/validator.h"
 
 namespace mahimahi {
@@ -321,6 +322,61 @@ TEST_F(ValidatorTest, DuplicateDeliveryIsIdempotent) {
   EXPECT_TRUE(second.inserted.empty());
   EXPECT_TRUE(second.broadcast.empty());
   EXPECT_EQ(v0->dag().block_count(), 6u);  // 4 genesis + v1's block + own proposal
+}
+
+// A parent ref resolves only in the (round, author) cell it names. These
+// blocks relabel other blocks as distinct round-(R-1) authors: they pass the
+// structural 2f+1 rule on labels alone, and must never enter the DAG.
+BlockPtr relabelled(const Committee::TestSetup& setup, ValidatorId author, Round round,
+                    const std::vector<BlockPtr>& sources) {
+  std::vector<BlockRef> parents;
+  for (ValidatorId a = 0; a < sources.size(); ++a) {
+    parents.push_back(BlockRef{round - 1, a, sources[a]->digest()});
+  }
+  return std::make_shared<const Block>(
+      Block::make(author, round, std::move(parents), {},
+                  setup.committee.coin().share(author, round),
+                  setup.keypairs[author].private_key));
+}
+
+TEST_F(ValidatorTest, RejectsRelabelledParentsAlreadyPresent) {
+  auto v0 = make_validator(0);
+  std::vector<BlockPtr> round1;
+  for (ValidatorId v = 1; v < 4; ++v) {
+    round1.push_back(make_validator(v)->on_tick(0).broadcast[0]);
+    v0->on_block(round1.back(), v, 0);
+  }
+  // Genesis blocks labelled as the round-1 blocks of authors 0, 1 and 2.
+  const auto genesis = v0->dag().blocks_at(0);
+  const BlockPtr forged = relabelled(setup_, 1, 2, {genesis[0], genesis[1], genesis[2]});
+  ASSERT_EQ(validate_block_structure(*forged, setup_.committee), BlockValidity::kValid);
+
+  const Actions actions = v0->on_block(forged, 1, 1);
+  EXPECT_TRUE(actions.inserted.empty());
+  EXPECT_TRUE(actions.fetch_requests.empty());
+  EXPECT_FALSE(v0->dag().contains(forged->digest()));
+  EXPECT_EQ(v0->blocks_rejected(), 1u);
+  EXPECT_EQ(v0->ingest_stats().structurally_rejected, 1u);
+}
+
+TEST_F(ValidatorTest, DropsWaiterWhenRelabelledParentArrivesByFetch) {
+  auto v0 = make_validator(0);
+  std::vector<BlockPtr> round1;  // authors 1, 2, 3
+  for (ValidatorId v = 1; v < 4; ++v) {
+    round1.push_back(make_validator(v)->on_tick(0).broadcast[0]);
+  }
+  // Author 3's round-1 block labelled as author 0's.
+  const BlockPtr forged = relabelled(setup_, 1, 2, {round1[2], round1[0], round1[1]});
+  const Actions parked = v0->on_block(forged, 1, 0);
+  EXPECT_TRUE(parked.inserted.empty());
+  ASSERT_EQ(parked.fetch_requests.size(), 1u);
+
+  // The fetched parents arrive; the relabelled one lands in author 3's cell.
+  for (const BlockPtr& block : round1) v0->on_block(block, block->author(), 1);
+  for (const BlockPtr& block : round1) EXPECT_TRUE(v0->dag().contains(block->digest()));
+  EXPECT_FALSE(v0->dag().contains(forged->digest()));
+  EXPECT_EQ(v0->blocks_rejected(), 1u);
+  EXPECT_EQ(v0->ingest_stats().structurally_rejected, 1u);
 }
 
 }  // namespace
