@@ -5,7 +5,8 @@
 // latency-throughput curve — the same series as the paper's Figure 3.
 //
 // Paper reference points (absolute numbers are testbed-specific; the SHAPE
-// is what this harness reproduces — see EXPERIMENTS.md):
+// is what this harness reproduces — see
+// docs/BENCHMARKS.md#paper-figure-benches-protocol-level-via-the-simulator):
 //   10 nodes: peak ~100-130k tx/s; latency Tusk 3.5s, CM 1.5s, MM-5 1.1s,
 //             MM-4 0.9s.
 //   50 nodes: CM/MM >350k tx/s, Tusk ~125k; latency Tusk 3.5s, CM 2.6s,

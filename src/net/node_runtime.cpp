@@ -12,27 +12,6 @@
 
 namespace mahimahi::net {
 
-namespace {
-
-// Cut-certificate share admission window around next_cut_index_: shares for
-// boundaries further behind can no longer form a certificate this node would
-// attach; indices further ahead would let a hostile peer grow per-boundary
-// state without bound. The past window also bounds pending_cuts_ retention.
-constexpr std::uint64_t kCertPastWindow = 16;
-constexpr std::uint64_t kCertFutureWindow = 64;
-
-// Smallest cut index whose canonical boundary slot is at or past min_slot.
-std::uint64_t first_cut_index_at_or_after(SlotId min_slot, Round interval,
-                                          const CommitterOptions& options) {
-  std::uint64_t k = std::max<std::uint64_t>(
-      std::uint64_t{1}, min_slot.round / std::max<Round>(interval, 1));
-  while (k > 1 && !(cut_boundary_slot(k - 1, interval, options) < min_slot)) --k;
-  while (cut_boundary_slot(k, interval, options) < min_slot) ++k;
-  return k;
-}
-
-}  // namespace
-
 std::size_t ingest_batch_cap(std::size_t max_batch, TimeMicros latency_budget,
                              TimeMicros ewma_per_block) {
   std::size_t cap = max_batch == 0 ? std::numeric_limits<std::size_t>::max() : max_batch;
@@ -56,7 +35,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
                          NodeRuntimeConfig config)
     : committee_(committee),
       config_(std::move(config)),
-      key_(key),
       registry_("validator=\"" + std::to_string(config_.validator.id) + "\""),
       tracer_(registry_),
       recorder_(obs::FlightRecorder::Options{config_.flightrec_ring_capacity}),
@@ -115,25 +93,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       "mm_submit_rejected_total", "Local submit() batches the mempool rejected");
   egress_frames_encoded_ = &registry_.counter(
       "mm_egress_frames_encoded_total", "Outbound block frames encoded once and fanned out");
-  checkpoints_written_ =
-      &registry_.counter("mm_checkpoints_written_total", "Checkpoints cut and persisted");
-  snapshot_catchups_ = &registry_.counter("mm_snapshot_catchups_total",
-                                          "Peer checkpoints verified and installed");
-  checkpoints_served_ = &registry_.counter("mm_checkpoints_served_total",
-                                           "Checkpoint responses sent to catching-up peers");
-  checkpoint_delta_cuts_ = &registry_.counter(
-      "mm_checkpoint_delta_cuts_total", "Checkpoint cuts persisted as delta links");
-  checkpoint_certs_ = &registry_.counter(
-      "mm_checkpoint_certs_total", "Checkpoint certificates formed (2f+1 shares)");
-  cert_shares_rejected_ = &registry_.counter(
-      "mm_checkpoint_cert_shares_rejected_total",
-      "Cut-certificate shares rejected (bad signature or payload mismatch)");
-  certified_installs_ = &registry_.counter(
-      "mm_checkpoint_certified_installs_total",
-      "Snapshot catch-ups installed from a fully certified chain");
-  uncertified_installs_ = &registry_.counter(
-      "mm_checkpoint_uncertified_installs_total",
-      "Snapshot catch-ups installed via the legacy uncertified trust path");
   worker_structurally_rejected_ =
       &registry_.counter("mm_ingest_worker_structural_rejects_total",
                          "Blocks failing structural validation on the verify workers");
@@ -174,11 +133,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
   // clients and workers admit into it concurrently, the core drains it when
   // proposing.
   mempool_ = core_->mempool_handle();
-  checkpointing_ = config_.validator.checkpoint_interval > 0 &&
-                   config_.validator.committer.gc_depth > 0 &&
-                   core_->checkpoint_capable();
-  certifying_ = config_.validator.checkpoint_interval > 0 &&
-                config_.validator.checkpoint_certify;
   if (config_.validator.execute_app) {
     // Before recovery: replayed commits must reach the state machine too.
     exec::ExecutionEngine::Options exec_options;
@@ -187,60 +141,30 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
         exec_options,
         [this](const exec::WaveDelivery& wave) { on_wave_delivered(wave); });
   }
+  Checkpointer::Hooks hooks;
+  hooks.send = [this](ValidatorId peer, BytesView frame) { send_to_peer(peer, frame); };
+  hooks.write = [this](Checkpointer::WriteTask task) {
+    verify_pool_.submit([this, task = std::move(task)] {
+      if (auto done = task()) loop_.post(std::move(done));
+    });
+  };
+  if (exec_engine_ != nullptr) {
+    hooks.app_digest = [this] { return exec_engine_->state_digest(); };
+    hooks.app_snapshot = [this] { return exec_engine_->app_snapshot(); };
+    hooks.app_delta = [this] { return exec_engine_->app_delta_snapshot(); };
+    hooks.clear_app_delta = [this] { exec_engine_->clear_app_delta_window(); };
+    hooks.install_app = [this](BytesView snapshot) {
+      exec_engine_->install_snapshot(snapshot);
+    };
+  }
+  checkpointer_ = std::make_unique<Checkpointer>(committee_, *core_, key, registry_,
+                                                 &recorder_, std::move(hooks),
+                                                 config_.wal_path);
   if (!config_.wal_path.empty()) {
-    // Recovery before the WAL is reopened for append: newest valid
+    // Recovery before the WAL is reopened for append: the newest valid
     // checkpoint chain (when checkpointing) plus segment replay. wal_path is
     // a directory holding the segments and the checkpoint store side by side.
-    if (checkpointing_) {
-      checkpoint_store_ = std::make_unique<CheckpointStore>(config_.wal_path);
-      auto chain = checkpoint_store_->newest_valid_chain();
-      if (!chain.empty()) {
-        if (auto recovered = checkpoint_store_->load_newest_valid()) {
-          auto data = std::move(*recovered);
-          // load_newest_valid may have truncated a torn delta tail; keep only
-          // the links that actually contributed to the recovered cut.
-          while (!chain.empty() && chain.back().sequence > data.sequence) {
-            chain.pop_back();
-          }
-          checkpoint_seq_ = data.sequence;
-          last_checkpoint_horizon_ = data.horizon;
-          chain_base_seq_ = chain.front().sequence;
-          for (auto& link : chain) {
-            ChainLinkRt rt;
-            rt.sequence = link.sequence;
-            rt.record = std::make_shared<const Bytes>(std::move(link.record));
-            if (!link.cert.empty()) {
-              // Sidecars already decode-gated by newest_valid_chain; the cut
-              // index keys cert attachment after a restart.
-              try {
-                rt.cert = std::make_shared<const Bytes>(std::move(link.cert));
-                rt.cut_index = decode_checkpoint_certificate(
-                                   {rt.cert->data(), rt.cert->size()})
-                                   .payload.cut_index;
-              } catch (const serde::SerdeError&) {
-                rt.cert.reset();
-              }
-            }
-            chain_links_.push_back(std::move(rt));
-          }
-          core_->install_checkpoint(data, 0);  // recovery: actions are moot
-          if (exec_engine_ != nullptr && !data.app_state.empty()) {
-            // The cut's app snapshot stands in for every sub-horizon commit;
-            // the segment-suffix replay below lands the rest on top of it.
-            exec_engine_->install_snapshot(
-                {data.app_state.data(), data.app_state.size()});
-          }
-          MM_LOG(kInfo) << "v" << id() << " recovered checkpoint " << data.sequence
-                        << " (horizon r" << data.horizon << ", "
-                        << chain_links_.size() << "-link chain, "
-                        << data.blocks.size() << " suffix blocks)";
-          // The diff base for the next delta cut. The app snapshot travels
-          // inside; the touched-key window restarts empty, which is exactly
-          // the delta since this recovered state.
-          last_cut_data_ = std::make_shared<const CheckpointData>(std::move(data));
-        }
-      }
-    }
+    checkpointer_->recover();
     const auto replay = SegmentedWal::replay(
         config_.wal_path, [this](BlockPtr block, bool) {
           Actions actions = core_->recover_block(std::move(block));
@@ -284,21 +208,7 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
     // wal_group_commit without a wal_path cannot wedge the proposal path.
     wal_ = std::make_unique<NullWal>();
   }
-  if (checkpointing_ || certifying_) {
-    // First boundary to cross: at or past the replayed consumption head (a
-    // boundary the replay already passed cannot be cut — the execution
-    // engine has been fed beyond it) and strictly past the recovered cut.
-    const Round interval = config_.validator.checkpoint_interval;
-    next_cut_index_ = first_cut_index_at_or_after(
-        core_->committer().next_pending_slot(), interval,
-        config_.validator.committer);
-    while (last_cut_data_ != nullptr &&
-           !(last_cut_data_->head < cut_boundary_slot(
-                                        next_cut_index_, interval,
-                                        config_.validator.committer))) {
-      ++next_cut_index_;
-    }
-  }
+  checkpointer_->start(seg_wal_);
   outgoing_.resize(committee_.size());
   // Constructor tail: every bespoke-counter source (io backend, mempool,
   // group WAL) now exists, so the scrape-time bridges can bind to them.
@@ -642,12 +552,11 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, const TcpConnection::Frame& fr
         break;
       }
       case MessageType::kCheckpointRequest: {
-        serve_checkpoint(peer);
+        checkpointer_->serve(peer);
         break;
       }
       case MessageType::kCertShare: {
-        if (!certifying_) break;
-        on_cert_share(decode_cut_share(r.raw(r.remaining())));
+        checkpointer_->on_share(r.raw(r.remaining()));
         break;
       }
       case MessageType::kCheckpointChain: {
@@ -655,17 +564,17 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, const TcpConnection::Frame& fr
         // per request — the window closes on receipt, not on install, so a
         // chain that fails verification cannot hold it open for an
         // unlimited stream of multi-MB frames.
-        if (!catchup_request_outstanding_ || peer != catchup_request_peer_) {
-          break;  // unsolicited: drop unread
-        }
-        catchup_request_outstanding_ = false;
+        if (!checkpointer_->accept_chain(peer)) break;  // unsolicited: drop unread
         // Decode + crypto verification are the expensive parts; they are
         // pure functions of the bytes and the committee.
         const BytesView payload = r.raw(r.remaining());
-        verify_pool_.submit(
-            [this, peer, copy = Bytes(payload.begin(), payload.end())]() mutable {
-              verify_chain_response(peer, std::move(copy));
-            });
+        verify_pool_.submit([this, peer, copy = Bytes(payload.begin(), payload.end())] {
+          auto chain = checkpointer_->verify_chain(peer, {copy.data(), copy.size()});
+          if (!chain.has_value()) return;
+          loop_.post([this, chain = std::move(*chain)]() mutable {
+            perform(checkpointer_->install(std::move(chain), steady_now_micros()));
+          });
+        });
         break;
       }
       default:
@@ -930,13 +839,7 @@ void NodeRuntime::perform(Actions&& actions) {
     send_to_peer(notice.peer, {w.data().data(), w.data().size()});
   }
 
-  for (const ValidatorId peer : actions.checkpoint_requests) {
-    serde::Writer w;
-    w.u8(static_cast<std::uint8_t>(MessageType::kCheckpointRequest));
-    send_to_peer(peer, {w.data().data(), w.data().size()});
-    catchup_request_outstanding_ = true;
-    catchup_request_peer_ = peer;
-  }
+  for (const ValidatorId peer : actions.checkpoint_requests) checkpointer_->request(peer);
 
   for (const auto& response : actions.responses) {
     // Already-durable blocks (they are in the DAG): no gate, straight to the
@@ -951,7 +854,7 @@ void NodeRuntime::perform(Actions&& actions) {
     // Boundary crossings fire BEFORE this sub-DAG reaches execution: at the
     // crossing of B_k the engine has been fed exactly the commits with
     // slot < B_k, which is what makes the cut's app digest canonical.
-    handle_cut_boundaries(sub_dag.slot, actions);
+    checkpointer_->advance(sub_dag.slot, actions);
     committed_blocks_->add(sub_dag.blocks.size());
     committed_tx_->add(sub_dag.transaction_count());
     // Closes the per-block commit-wait spans and records finality for every
@@ -999,7 +902,7 @@ void NodeRuntime::perform(Actions&& actions) {
 
   // The consumption head may have crossed boundaries past the last committed
   // sub-DAG's slot (skip decisions consume slots without delivering).
-  handle_cut_boundaries(core_->committer().next_pending_slot(), actions);
+  checkpointer_->advance(core_->committer().next_pending_slot(), actions);
 
   // Publish the core's pipeline counters for thread-safe reads.
   const IngestStats stats = core_->ingest_stats();
@@ -1036,402 +939,6 @@ void NodeRuntime::on_wave_delivered(const exec::WaveDelivery& wave) {
     // forensics_ lives (this callback may be on the merge thread).
     loop_.post([this, slot = wave.slot, now] { forensics_.execute_done(slot, now); });
   }
-}
-
-void NodeRuntime::handle_cut_boundaries(SlotId watermark, const Actions& actions) {
-  if (!checkpointing_ && !certifying_) return;
-  const Round interval = config_.validator.checkpoint_interval;
-  for (;;) {
-    const SlotId boundary =
-        cut_boundary_slot(next_cut_index_, interval, config_.validator.committer);
-    if (watermark < boundary) break;
-    cross_cut_boundary(next_cut_index_, boundary, actions);
-    ++next_cut_index_;
-  }
-  // Boundaries more than a window behind can no longer form or serve a
-  // certificate here; drop their share state.
-  while (!pending_cuts_.empty() &&
-         pending_cuts_.begin()->first + kCertPastWindow < next_cut_index_) {
-    pending_cuts_.erase(pending_cuts_.begin());
-  }
-}
-
-void NodeRuntime::cross_cut_boundary(std::uint64_t cut_index, SlotId boundary,
-                                     const Actions& actions) {
-  // Fold the decided log up to the boundary. These entries are the agreed
-  // sequence, so every honest validator folds the identical prefix here —
-  // that is what makes the payload digest below aggregatable.
-  const auto& log = core_->committer().decided_sequence();
-  while (decided_folded_ < log.size() && log[decided_folded_].slot < boundary) {
-    decided_hasher_.fold(log[decided_folded_++]);
-  }
-  CutPayload payload;
-  payload.cut_index = cut_index;
-  payload.head = boundary;
-  payload.decided_digest = decided_hasher_.digest();
-  // state_digest() drains: the engine has been fed exactly the commits with
-  // slot < boundary (the crossing fires before this pass's sub-DAG at or
-  // past it is enqueued), so this is the canonical digest at the cut.
-  payload.app_digest =
-      exec_engine_ != nullptr ? exec_engine_->state_digest() : Digest{};
-
-  if (certifying_) {
-    auto [it, inserted] =
-        pending_cuts_.try_emplace(cut_index, committee_.quorum_threshold());
-    PendingCut& pending = it->second;
-    pending.have_payload = true;
-    pending.payload = payload;
-    const CutShare own = sign_cut(payload, id(), key_);
-    const Bytes wire = encode_cut_share(own);
-    serde::Writer w(1 + wire.size());
-    w.u8(static_cast<std::uint8_t>(MessageType::kCertShare));
-    w.raw({wire.data(), wire.size()});
-    for (ValidatorId peer = 0; peer < committee_.size(); ++peer) {
-      if (peer != id()) send_to_peer(peer, {w.data().data(), w.data().size()});
-    }
-    collect_cut_share(cut_index, pending, own);
-    // Shares that arrived before we crossed: already signature-checked, now
-    // checkable against our own payload.
-    const std::vector<CutShare> early = std::move(pending.early);
-    pending.early.clear();
-    for (const CutShare& share : early) collect_cut_share(cut_index, pending, share);
-  }
-
-  if (checkpointing_ && !checkpoint_in_flight_ &&
-      (last_cut_data_ == nullptr || last_cut_data_->head < boundary)) {
-    // The head guard skips duplicate cuts when several cut indices map to
-    // one boundary slot (interval shorter than the wave stride) — shares
-    // are signed for each k, the cut lands once.
-    start_cut(cut_index, boundary, payload.app_digest, actions);
-  }
-}
-
-void NodeRuntime::start_cut(std::uint64_t cut_index, SlotId boundary,
-                            const Digest& app_digest, const Actions& actions) {
-  // The consistent cut: captured here, on the loop thread, where the core is
-  // quiescent — committed head, decided log, delivered marks, live DAG
-  // suffix — then truncated back to the canonical boundary so the persisted
-  // cut matches the certified payload exactly.
-  CheckpointData data = core_->capture_checkpoint();
-  if (data.horizon > boundary.round) return;  // GC already pruned past it
-  std::vector<Digest> delivered_after;
-  for (const auto& sub_dag : actions.committed) {
-    if (sub_dag.slot < boundary) continue;
-    for (const auto& block : sub_dag.blocks) {
-      delivered_after.push_back(block->digest());
-    }
-  }
-  truncate_checkpoint(data, boundary, delivered_after);
-  data.sequence = ++checkpoint_seq_;
-  data.app_digest = app_digest;
-
-  // Delta while the chain has room; re-base otherwise (or when the diff
-  // base does not extend — e.g. the previous cut was an installed peer
-  // snapshot with a different author).
-  bool is_base = true;
-  CheckpointDelta delta;
-  if (last_cut_data_ != nullptr && !chain_links_.empty() &&
-      config_.validator.checkpoint_max_deltas > 0 &&
-      data.sequence - chain_base_seq_ <= config_.validator.checkpoint_max_deltas) {
-    try {
-      Bytes app_delta =
-          exec_engine_ != nullptr ? exec_engine_->app_delta_snapshot() : Bytes{};
-      delta = make_checkpoint_delta(*last_cut_data_, data, chain_base_seq_,
-                                    std::move(app_delta));
-      is_base = false;
-    } catch (const std::invalid_argument&) {
-      is_base = true;
-    }
-  }
-  if (is_base && exec_engine_ != nullptr) {
-    // The full snapshot subsumes the touched-key window; restart it so the
-    // next delta carries exactly the keys touched after this base.
-    data.app_state = exec_engine_->app_snapshot();
-    exec_engine_->clear_app_delta_window();
-  }
-
-  // Rolling the segment at a base cut gives the retire boundary: every
-  // record of the whole previous chain is now in a sealed segment. Delta
-  // cuts do not roll — recovery replays the segment suffix from the chain
-  // base's boundary, and re-inserting blocks the deltas already cover is
-  // idempotent.
-  const std::uint64_t keep_from =
-      is_base && seg_wal_ != nullptr ? seg_wal_->roll_segment() : 0;
-  checkpoint_in_flight_ = true;
-  auto data_ptr = std::make_shared<const CheckpointData>(std::move(data));
-  verify_pool_.submit([this, data_ptr, delta = std::move(delta), is_base, cut_index,
-                       keep_from, epoch = chain_epoch_]() {
-    // Worker side: serialization + the crash-atomic file write. The blocks
-    // are immutable and the store touches only its own files.
-    std::shared_ptr<const Bytes> encoded;
-    try {
-      encoded = std::make_shared<const Bytes>(
-          is_base ? encode_checkpoint(*data_ptr) : encode_checkpoint_delta(delta));
-      if (checkpoint_store_ != nullptr) {
-        if (is_base) {
-          checkpoint_store_->write(data_ptr->sequence,
-                                   {encoded->data(), encoded->size()});
-        } else {
-          checkpoint_store_->write_delta(data_ptr->sequence,
-                                         {encoded->data(), encoded->size()});
-        }
-      }
-    } catch (const std::exception& error) {
-      MM_LOG(kWarn) << "v" << id() << " checkpoint write failed: " << error.what();
-      loop_.post([this, epoch] {
-        if (epoch != chain_epoch_) return;
-        checkpoint_in_flight_ = false;
-        // The sequence numbering now has a gap the store's chain walk would
-        // stop at; dropping the diff base forces the next cut to re-base.
-        last_cut_data_.reset();
-      });
-      return;  // keep the old serving state; segments stay until a write lands
-    }
-    loop_.post([this, epoch, cut_index, is_base, keep_from, encoded, data_ptr] {
-      finish_checkpoint(epoch, cut_index, is_base, data_ptr->horizon, keep_from,
-                        encoded, data_ptr);
-    });
-  });
-}
-
-void NodeRuntime::finish_checkpoint(std::uint64_t epoch, std::uint64_t cut_index,
-                                    bool is_base, Round horizon,
-                                    std::uint64_t keep_from,
-                                    std::shared_ptr<const Bytes> encoded,
-                                    std::shared_ptr<const CheckpointData> data) {
-  if (epoch != chain_epoch_) return;  // a snapshot install replaced the chain
-  checkpoint_in_flight_ = false;
-  if (horizon > last_checkpoint_horizon_) last_checkpoint_horizon_ = horizon;
-  checkpoints_written_->add();
-  recorder_.record_now(obs::FlightEventType::kCheckpointCut, data->head.round,
-                       cut_index);
-  if (is_base) {
-    chain_links_.clear();
-    chain_base_seq_ = data->sequence;
-    // Only now — with the new base durable — can the chain before the
-    // PREVIOUS one retire, segments and checkpoint files alike: recovery may
-    // fall back past a torn newest chain, which needs the previous chain's
-    // records and the segments from its base boundary.
-    if (seg_wal_ != nullptr) seg_wal_->retire_segments_below(chain_keep_from_);
-    chain_keep_from_ = keep_from;
-    if (checkpoint_store_ != nullptr) checkpoint_store_->retire(2);
-  } else {
-    checkpoint_delta_cuts_->add();
-  }
-  ChainLinkRt link;
-  link.sequence = data->sequence;
-  link.cut_index = cut_index;
-  link.record = std::move(encoded);
-  chain_links_.push_back(std::move(link));
-  last_cut_data_ = std::move(data);
-  // A certificate that formed while the write was in flight attaches now.
-  const auto it = pending_cuts_.find(cut_index);
-  if (it != pending_cuts_.end() && it->second.cert != nullptr) {
-    attach_cert(cut_index, it->second.cert);
-  }
-}
-
-void NodeRuntime::on_cert_share(CutShare share) {
-  const std::uint64_t k = share.payload.cut_index;
-  // Window: boundaries long past cannot form a useful certificate anymore,
-  // and far-future indices would let a hostile peer grow pending_cuts_
-  // without bound.
-  if (k + kCertPastWindow < next_cut_index_ ||
-      k > next_cut_index_ + kCertFutureWindow) {
-    return;
-  }
-  if (!verify_cut_share(share, committee_)) {
-    cert_shares_rejected_->add();
-    return;
-  }
-  auto [it, inserted] =
-      pending_cuts_.try_emplace(k, committee_.quorum_threshold());
-  PendingCut& pending = it->second;
-  if (!pending.have_payload) {
-    // We have not crossed this boundary yet, so there is no own payload to
-    // check against. Buffer (bounded, per-author deduped) until we do.
-    for (const CutShare& buffered : pending.early) {
-      if (buffered.author == share.author) return;
-    }
-    if (pending.early.size() < committee_.size()) {
-      pending.early.push_back(std::move(share));
-    }
-    return;
-  }
-  collect_cut_share(k, pending, share);
-}
-
-void NodeRuntime::collect_cut_share(std::uint64_t cut_index, PendingCut& pending,
-                                    const CutShare& share) {
-  // Only shares over OUR OWN payload enter the collector: a forged payload
-  // can gather any number of signatures over itself without ever producing
-  // a certificate we would serve.
-  if (!(share.payload == pending.payload)) {
-    cert_shares_rejected_->add();
-    return;
-  }
-  if (!pending.collector.add(share.author, share.signature)) return;
-  CheckpointCertificate cert{pending.payload, pending.collector.certificate()};
-  pending.cert = std::make_shared<const Bytes>(encode_checkpoint_certificate(cert));
-  checkpoint_certs_->add();
-  attach_cert(cut_index, pending.cert);
-}
-
-void NodeRuntime::attach_cert(std::uint64_t cut_index,
-                              std::shared_ptr<const Bytes> cert) {
-  for (auto& link : chain_links_) {
-    if (link.cut_index != cut_index) continue;
-    link.cert = cert;
-    if (checkpoint_store_ != nullptr) {
-      verify_pool_.submit([this, sequence = link.sequence, cert] {
-        try {
-          checkpoint_store_->write_cert(sequence, {cert->data(), cert->size()});
-        } catch (const std::exception& error) {
-          MM_LOG(kWarn) << "v" << id()
-                        << " certificate write failed: " << error.what();
-        }
-      });
-    }
-    return;
-  }
-}
-
-void NodeRuntime::serve_checkpoint(ValidatorId peer) {
-  if (chain_links_.empty()) return;  // nothing to offer yet
-  // Prefer the certified trust root: serve the longest chain prefix whose
-  // every link carries an aggregated certificate, so the receiver installs
-  // without trusting this peer. Only when NOT EVEN THE BASE is certified yet
-  // (certification disabled, or its collection still in flight) does the
-  // whole chain go out uncertified via the legacy stuck-requester trust
-  // path — a slightly stale certified cut beats a fresher one the receiver
-  // has to take on faith, and live sync replays the gap anyway.
-  std::size_t certified_prefix = 0;
-  while (certified_prefix < chain_links_.size() &&
-         chain_links_[certified_prefix].cert != nullptr) {
-    ++certified_prefix;
-  }
-  const std::size_t count = certified_prefix > 0 ? certified_prefix : chain_links_.size();
-  std::vector<std::pair<BytesView, BytesView>> links;
-  links.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& link = chain_links_[i];
-    links.emplace_back(BytesView{link.record->data(), link.record->size()},
-                       link.cert != nullptr ? BytesView{link.cert->data(), link.cert->size()}
-                                            : BytesView{});
-  }
-  const Bytes frame = encode_checkpoint_chain_frame(links);
-  serde::Writer w(1 + frame.size());
-  w.u8(static_cast<std::uint8_t>(MessageType::kCheckpointChain));
-  w.raw({frame.data(), frame.size()});
-  send_to_peer(peer, {w.data().data(), w.data().size()});
-  checkpoints_served_->add();
-}
-
-void NodeRuntime::verify_chain_response(ValidatorId peer, Bytes payload) {
-  try {
-    const CheckpointChainFrame frame =
-        decode_checkpoint_chain_frame({payload.data(), payload.size()});
-    std::shared_ptr<const Bytes> final_cert;
-    if (!frame.links.empty() && !frame.links.back().cert.empty()) {
-      final_cert = std::make_shared<const Bytes>(frame.links.back().cert);
-    }
-    ChainVerifyResult result = verify_checkpoint_chain(
-        frame, committee_, config_.validator.committer,
-        config_.validator.checkpoint_interval, config_.validator.validation,
-        config_.validator.signature_cache.get());
-    if (!result.error.empty()) {
-      MM_LOG(kWarn) << "v" << id() << " rejected checkpoint chain from v" << peer
-                    << ": " << result.error;
-      return;
-    }
-    if (!result.certified) final_cert.reset();
-    loop_.post([this, data = std::move(result.data), certified = result.certified,
-                final_cert = std::move(final_cert)]() mutable {
-      install_peer_checkpoint(std::move(data), certified, std::move(final_cert));
-    });
-  } catch (const std::exception& error) {
-    MM_LOG(kWarn) << "v" << id() << " bad checkpoint chain frame from v" << peer
-                  << ": " << error.what();
-  }
-}
-
-void NodeRuntime::install_peer_checkpoint(CheckpointData data, bool certified,
-                                          std::shared_ptr<const Bytes> final_cert) {
-  const SlotId before = core_->committer().next_pending_slot();
-  Actions actions = core_->install_checkpoint(data, steady_now_micros());
-  if (core_->committer().next_pending_slot() <= before) return;  // stale snapshot
-  snapshot_catchups_->add();
-  (certified ? certified_installs_ : uncertified_installs_)->add();
-  if (exec_engine_ != nullptr && !data.app_state.empty()) {
-    // State jump: replace the replica's app state with the cut's snapshot.
-    // Commits the install emits below resume execution from this point.
-    exec_engine_->install_snapshot({data.app_state.data(), data.app_state.size()});
-  }
-  MM_LOG(kInfo) << "v" << id() << " installed snapshot from v" << data.author
-                << " (horizon r" << data.horizon << ", head r" << data.head.round
-                << ")";
-  // Persist the snapshot as our own recovery point: a crash from here on
-  // must not land us back below everyone's horizon. The sequence continues
-  // our local numbering.
-  data.sequence = ++checkpoint_seq_;
-  last_checkpoint_horizon_ = data.horizon;
-  // The installed cut replaces the local chain: in-flight cut completions
-  // for the old one are dropped by the epoch guard, and the writer is free
-  // again (its task may still land a stale file; retirement collects it).
-  ++chain_epoch_;
-  checkpoint_in_flight_ = false;
-  pending_cuts_.clear();
-  // The decided log was replaced wholesale; refold from its start at the
-  // next boundary crossing.
-  decided_hasher_ = DecidedLogHasher{};
-  decided_folded_ = 0;
-  // Re-encoded rather than stored verbatim so the local sequence stamp keeps
-  // our file numbering monotonic (rare path; the cost is one serialization).
-  auto restamped = std::make_shared<const Bytes>(encode_checkpoint(data));
-  chain_links_.clear();
-  chain_base_seq_ = data.sequence;
-  ChainLinkRt base_link;
-  base_link.sequence = data.sequence;
-  base_link.record = restamped;
-  if (final_cert != nullptr) {
-    // The payload a certificate signs is author- and sequence-independent,
-    // so the received chain's final certificate binds the restamped merged
-    // base just as well — a certified install stays a certified serve.
-    try {
-      base_link.cut_index =
-          decode_checkpoint_certificate({final_cert->data(), final_cert->size()})
-              .payload.cut_index;
-      base_link.cert = final_cert;
-    } catch (const serde::SerdeError&) {
-      base_link.cert = nullptr;
-    }
-  }
-  chain_links_.push_back(base_link);
-  if (checkpoint_store_ != nullptr) {
-    try {
-      checkpoint_store_->write(data.sequence, {restamped->data(), restamped->size()});
-      if (base_link.cert != nullptr) {
-        checkpoint_store_->write_cert(
-            data.sequence, {base_link.cert->data(), base_link.cert->size()});
-      }
-      checkpoint_store_->retire(2);
-    } catch (const std::exception& error) {
-      MM_LOG(kWarn) << "v" << id() << " failed to persist snapshot: " << error.what();
-    }
-  }
-  if (config_.validator.checkpoint_interval > 0) {
-    // Resume boundary crossing strictly past the installed head.
-    const Round interval = config_.validator.checkpoint_interval;
-    next_cut_index_ = first_cut_index_at_or_after(data.head, interval,
-                                                  config_.validator.committer);
-    while (!(data.head < cut_boundary_slot(next_cut_index_, interval,
-                                           config_.validator.committer))) {
-      ++next_cut_index_;
-    }
-  }
-  last_cut_data_ = std::make_shared<const CheckpointData>(std::move(data));
-  // Log the installed suffix to our WAL and let consensus resume.
-  perform(std::move(actions));
 }
 
 void NodeRuntime::offer_latest_block(ValidatorId peer) {
@@ -1564,17 +1071,15 @@ std::string NodeRuntime::render_status_json() {
   out += ",\"bytes\":";
   append_u64(out, mempool_->bytes());
   out += "},\"checkpoint\":{\"active\":";
-  out += checkpointing_ ? "true" : "false";
+  out += checkpointer_->cutting() ? "true" : "false";
   out += ",\"sequence\":";
-  append_u64(out, checkpoint_seq_);
+  append_u64(out, checkpointer_->sequence());
   out += ",\"horizon\":";
-  append_u64(out, last_checkpoint_horizon_);
+  append_u64(out, checkpointer_->last_horizon());
   out += ",\"chain_links\":";
-  append_u64(out, chain_links_.size());
-  std::size_t certified = 0;
-  for (const auto& link : chain_links_) certified += link.cert != nullptr;
+  append_u64(out, checkpointer_->chain_links());
   out += ",\"certified_links\":";
-  append_u64(out, certified);
+  append_u64(out, checkpointer_->certified_links());
   out += "},\"flightrec\":{\"rings\":";
   append_u64(out, recorder_.ring_count());
   out += ",\"stall_dumps\":";

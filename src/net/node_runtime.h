@@ -41,30 +41,14 @@
 //     path.
 // Together these leave the loop thread as pure I/O multiplexing.
 //
-// Checkpointing (ValidatorConfig::checkpoint_interval, checkpoint/):
-//   * with persistence, a checkpoint store shares the WAL's directory, and
-//     recovery prefers newest-valid-chain + segment-suffix replay. Without
-//     checkpointing the log simply never rolls at a cut or retires;
-//   * cuts happen at CANONICAL boundary slots (checkpoint/cert.h
-//     cut_boundary_slot): when the consumption head crosses boundary k, the
-//     loop thread captures the consistent cut and truncates it back to the
-//     boundary, so every honest validator's cut k has the identical decided
-//     log and app digest. Up to checkpoint_max_deltas cuts ride as delta
-//     links (checkpoint/delta.h) on the chain's base before a re-base; a
-//     worker serializes and lands each record crash-atomically, completion
-//     posts back to the loop thread, which retires sealed segments one whole
-//     CHAIN behind (recovery may fall back a full chain);
-//   * at every boundary crossing the validator signs the cut payload and
-//     broadcasts the share (kCertShare); 2f+1 matching shares aggregate into
-//     a CheckpointCertificate persisted as a cert-*.cert sidecar and served
-//     with the chain — a fully certified chain is a trust root
-//     (checkpoint/cert.h), an uncertified one installs under the legacy
-//     stuck-requester path with a counter recording the downgrade;
-//   * a peer that asks for ancestors below our GC horizon gets a kHorizon
-//     notice; when it is stuck below it, it sends kCheckpointRequest and we
-//     answer with the base+delta chain (kCheckpointChain), which it verifies
-//     off-loop (verify_checkpoint_chain) and installs — the only way a
-//     validator that fell behind every peer's horizon can ever catch up.
+// Checkpointing (ValidatorConfig::checkpoint_interval) is the sans-IO
+// validator/checkpointer.h, which the simulator runs too. The runtime hands
+// it the loop's peer sends, a writer hook (serialization and crash-atomic
+// file writes on a worker, completion posted back to the loop thread), the
+// execution engine's state, and the SegmentedWal; with persistence its
+// checkpoint store shares the WAL's directory, and recovery installs the
+// newest valid chain before segment-suffix replay. Catch-up chains verify on
+// a worker and install on the loop thread.
 //
 // Message frames (first payload byte is the type):
 //   kHandshake:          u32 validator id + 32-byte committee epoch seed
@@ -86,8 +70,6 @@
 #include <thread>
 #include <vector>
 
-#include "checkpoint/cert.h"
-#include "checkpoint/checkpoint.h"
 #include "core/commit_trace.h"
 #include "exec/engine.h"
 #include "net/admin.h"
@@ -98,6 +80,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
+#include "validator/checkpointer.h"
 #include "validator/validator.h"
 #include "wal/group_commit_wal.h"
 #include "wal/segmented_wal.h"
@@ -275,25 +258,20 @@ class NodeRuntime {
   };
   IoPlaneReport io_plane_report() const;
   IoBackendKind io_backend_kind() const { return loop_.io_backend_kind(); }
-  // Checkpoint subsystem introspection (thread-safe).
-  bool checkpointing_active() const { return checkpointing_; }
-  std::uint64_t checkpoints_written() const { return checkpoints_written_->value(); }
+  // Checkpoint subsystem introspection (thread-safe counter reads).
+  std::uint64_t checkpoints_written() const { return ckpt_counter().written->value(); }
   // Snapshot catch-ups completed: peer checkpoints verified and installed.
-  std::uint64_t snapshot_catchups() const { return snapshot_catchups_->value(); }
-  std::uint64_t checkpoints_served() const { return checkpoints_served_->value(); }
-  // Delta/cert subsystem introspection (thread-safe).
-  std::uint64_t checkpoint_delta_cuts() const { return checkpoint_delta_cuts_->value(); }
-  std::uint64_t checkpoint_certs() const { return checkpoint_certs_->value(); }
-  std::uint64_t checkpoint_cert_shares_rejected() const {
-    return cert_shares_rejected_->value();
-  }
+  std::uint64_t snapshot_catchups() const { return ckpt_counter().catchups->value(); }
+  std::uint64_t checkpoints_served() const { return ckpt_counter().served->value(); }
+  std::uint64_t checkpoint_delta_cuts() const { return ckpt_counter().delta_cuts->value(); }
+  std::uint64_t checkpoint_certs() const { return ckpt_counter().certs->value(); }
   // Catch-up installs split by trust root: a fully certified chain vs the
   // legacy stuck-requester downgrade.
   std::uint64_t certified_snapshot_installs() const {
-    return certified_installs_->value();
+    return ckpt_counter().certified_installs->value();
   }
   std::uint64_t uncertified_snapshot_installs() const {
-    return uncertified_installs_->value();
+    return ckpt_counter().uncertified_installs->value();
   }
   // Batches this runtime's submit() path rejected (subset view of
   // mempool_stats(), attributable to local clients).
@@ -327,10 +305,10 @@ class NodeRuntime {
     kBlock = 2,
     kFetch = 3,
     kHorizon = 4,
-    kCheckpointRequest = 5,
+    kCheckpointRequest = Checkpointer::kRequestFrame,
     // 6 is retired (legacy single-record checkpoint response); never reuse.
-    kCertShare = 7,
-    kCheckpointChain = 8,
+    kCertShare = Checkpointer::kShareFrame,
+    kCheckpointChain = Checkpointer::kChainFrame,
   };
 
   struct RawFrame {
@@ -373,51 +351,7 @@ class NodeRuntime {
   void admit_batches(std::vector<TxBatch> batches);
   // Queues one proposal re-check on the loop thread (collapses bursts).
   void nudge_proposal();
-  // --- Checkpoint writer + snapshot catch-up (loop thread unless noted) ----
-  // Crosses every canonical cut boundary B_k <= watermark: signs/broadcasts
-  // the cert share and starts the cut. Called per committed sub-DAG (before
-  // it is fed to execution) and once per commit pass with the consumption
-  // head, so skip-only boundary crossings still cut.
-  void handle_cut_boundaries(SlotId watermark, const Actions& actions);
-  // One boundary: fold the decided log up to it, form the payload, sign +
-  // broadcast + self-collect the share, start the cut when the writer is
-  // free. `actions` supplies this pass's sub-DAGs for delivered-truncation.
-  void cross_cut_boundary(std::uint64_t cut_index, SlotId boundary,
-                          const Actions& actions);
-  // Captures the consistent cut truncated back to `boundary`, decides
-  // base-vs-delta, and hands serialization + the crash-atomic file write to
-  // a worker (one in flight at a time).
-  void start_cut(std::uint64_t cut_index, SlotId boundary,
-                 const Digest& app_digest, const Actions& actions);
-  // Completion posted back by the writer task: appends the chain link,
-  // caches serving state, retires segments one whole chain behind.
-  void finish_checkpoint(std::uint64_t epoch, std::uint64_t cut_index,
-                         bool is_base, Round horizon, std::uint64_t keep_from,
-                         std::shared_ptr<const Bytes> encoded,
-                         std::shared_ptr<const CheckpointData> data);
-  // kCertShare ingress: window + signature + payload checks, then the
-  // threshold collector; forms and persists the certificate at 2f+1.
-  void on_cert_share(CutShare share);
-  struct PendingCut;
-  // Payload-checked admission into a boundary's collector; forms, records
-  // and attaches the certificate on the threshold-crossing share.
-  void collect_cut_share(std::uint64_t cut_index, PendingCut& pending,
-                         const CutShare& share);
-  // Attaches a freshly formed certificate to its chain link (when already
-  // written) and persists the sidecar via a worker.
-  void attach_cert(std::uint64_t cut_index, std::shared_ptr<const Bytes> cert);
-  // Answers kCheckpointRequest with the base+delta chain and its per-link
-  // certs (kCheckpointChain); nothing until the first cut lands.
-  void serve_checkpoint(ValidatorId peer);
-  // Worker-side: decodes + verifies a received base+delta chain
-  // (verify_checkpoint_chain), posts the install with its trust class.
-  void verify_chain_response(ValidatorId peer, Bytes payload);
-  // Installs a verified peer checkpoint into the core and persists it as our
-  // own recovery point. `certified` selects the trust-root counter;
-  // `final_cert` (may be null) is re-attached to the persisted base so the
-  // certificate survives the re-base.
-  void install_peer_checkpoint(CheckpointData data, bool certified,
-                               std::shared_ptr<const Bytes> final_cert);
+  const Checkpointer::Counters& ckpt_counter() const { return checkpointer_->counters(); }
   void tick();
   Bytes encode_block(const Block& block) const;
   // Sends our latest own block to `peer` (all peers when kAllPeers); its
@@ -451,9 +385,6 @@ class NodeRuntime {
 
   const Committee& committee_;
   NodeRuntimeConfig config_;
-  // Own copy of the signing key: the core holds one for block signing; this
-  // one signs checkpoint-cut certificate shares (checkpoint/cert.h).
-  crypto::Ed25519PrivateKey key_;
   // Declared before every consumer: the tracer, watchdog, and all the metric
   // handles below point into it. Destroyed last among them (reverse order).
   obs::Registry registry_;
@@ -484,82 +415,10 @@ class NodeRuntime {
   // shuts the engine down while loop_ is still alive.
   std::unique_ptr<exec::ExecutionEngine> exec_engine_;
 
-  // Checkpoint subsystem (loop-thread state unless noted).
-  bool checkpointing_ = false;  // interval > 0 and the core can capture
-  // Armed when the core emits a checkpoint request; records which peer was
-  // asked. kCheckpointChain frames arriving outside that window —
-  // unsolicited, or from a peer other than the one asked — are dropped
-  // BEFORE the (expensive) off-loop decode + verification. The window
-  // closes on the FIRST response from the asked peer whatever its
-  // verification outcome (the core's rate-limited re-request path recovers
-  // from a bad or stale one), so one request buys at most one verification,
-  // never a stream; a re-request re-arms the window at the newly asked
-  // peer. Deliberately NO receive deadline: a snapshot transfer can outlast
-  // any fixed timeout, and a deadline shorter than the transfer would drop
-  // every retry identically — a livelock for exactly the far-behind
-  // validator that needs catch-up most.
-  bool catchup_request_outstanding_ = false;
-  ValidatorId catchup_request_peer_ = 0;
-  std::unique_ptr<CheckpointStore> checkpoint_store_;  // null without wal_path
-  bool checkpoint_in_flight_ = false;
-  Round last_checkpoint_horizon_ = 0;
-  std::uint64_t checkpoint_seq_ = 0;
-  // Segment boundary recorded at the base cut of the PREVIOUS chain.
-  // Retirement lags one whole CHAIN: recovery can fall back past a torn
-  // newest chain to the previous one only if the segments from that chain's
-  // base boundary still exist (mirrors CheckpointStore's keep-2 policy,
-  // which is also chain-granular).
-  std::uint64_t chain_keep_from_ = 0;
-
-  // --- Delta chain + threshold certification (loop-thread state) -----------
-  bool certifying_ = false;  // checkpointing_ && checkpoint_certify
-  // The current base+delta chain, oldest first; links[0] is the base. Cert
-  // is null until 2f+1 shares aggregate (or forever, for cuts whose window
-  // closed short).
-  struct ChainLinkRt {
-    std::uint64_t sequence = 0;
-    std::uint64_t cut_index = 0;
-    std::shared_ptr<const Bytes> record;
-    std::shared_ptr<const Bytes> cert;
-  };
-  std::vector<ChainLinkRt> chain_links_;
-  std::uint64_t chain_base_seq_ = 0;
-  // Previous cut's full data, kept as the delta diff base. Null until the
-  // first cut (or after an install, whose record becomes the new base).
-  std::shared_ptr<const CheckpointData> last_cut_data_;
-  // Next canonical boundary to cross (cut_boundary_slot(next_cut_index_)).
-  std::uint64_t next_cut_index_ = 1;
-  // Incremental fold of the decided log: entries [0, decided_folded_) of
-  // committer().decided_sequence() are already in the hasher. Reset (and
-  // refolded from the replayed log) on install/recovery.
-  DecidedLogHasher decided_hasher_;
-  std::size_t decided_folded_ = 0;
-  // Bumped by every snapshot install: in-flight cut writer tasks carry the
-  // epoch they started under, and their completions are dropped on mismatch
-  // (the chain they belonged to no longer exists).
-  std::uint64_t chain_epoch_ = 0;
-  // Per-boundary share collection. Only shares matching OUR OWN payload
-  // enter the collector, so a forged payload can never aggregate; shares
-  // arriving before we cross the boundary wait in `early` (bounded by
-  // committee size, per-author deduped).
-  struct PendingCut {
-    explicit PendingCut(std::uint32_t threshold) : collector(threshold) {}
-    bool have_payload = false;
-    CutPayload payload;
-    crypto::MultisigCollector collector;
-    std::vector<CutShare> early;
-    std::shared_ptr<const Bytes> cert;  // set once formed
-  };
-  std::map<std::uint64_t, PendingCut> pending_cuts_;
-
-  obs::Counter* checkpoints_written_;
-  obs::Counter* snapshot_catchups_;
-  obs::Counter* checkpoints_served_;
-  obs::Counter* checkpoint_delta_cuts_;
-  obs::Counter* checkpoint_certs_;
-  obs::Counter* cert_shares_rejected_;
-  obs::Counter* certified_installs_;
-  obs::Counter* uncertified_installs_;
+  // Checkpoint cut/cert/serve/install/recovery (loop-thread state; its
+  // counters are thread-safe). Built after the core and the engine, whose
+  // state its hooks read.
+  std::unique_ptr<Checkpointer> checkpointer_;
 
   EventLoop loop_;
   // The off-loop stages' executor (caller-runs with zero threads) and the

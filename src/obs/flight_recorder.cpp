@@ -181,8 +181,10 @@ FlightRecorder::Ring* FlightRecorder::register_thread(std::string_view label) {
         rings_[count] = std::make_unique<Ring>(capacity_);
         ring = rings_[count].get();
         ring->thread_tag = tag;
+        // An unlabelled thread's view may have a null data(), which memcpy
+        // must never see, even with n == 0.
         const std::size_t n = std::min(label.size(), ring->label.size() - 1);
-        std::memcpy(ring->label.data(), label.data(), n);
+        if (n > 0) std::memcpy(ring->label.data(), label.data(), n);
         // Publish after the ring is fully constructed, label included:
         // snapshot() and the signal handler iterate [0, ring_count) against
         // this release.

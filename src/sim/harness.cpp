@@ -5,15 +5,12 @@
 
 #include "baselines/cordial_miners.h"
 #include "baselines/tusk.h"
-#include "checkpoint/cert.h"
-#include "checkpoint/checkpoint.h"
-#include "checkpoint/delta.h"
 #include "client/kv_batches.h"
 #include "common/log.h"
 #include "exec/access.h"
 #include "exec/engine.h"
 #include "obs/trace.h"
-#include "serde/serde.h"
+#include "validator/checkpointer.h"
 #include "wal/segmented_wal.h"
 
 namespace mahimahi::sim {
@@ -107,7 +104,6 @@ struct SimHarness::Impl {
     wals.resize(config.n);
     wal_stages.resize(config.n);
     ckpts.resize(config.n);
-    ckpt_stores.resize(config.n);
     execs.resize(config.n);
     exec_epochs.assign(config.n, 0);
     for (ValidatorId v = 0; v < config.n; ++v) {
@@ -118,6 +114,8 @@ struct SimHarness::Impl {
       nodes.push_back(make_node(v));
       if (!config.wal_dir.empty()) open_wal(v);
       if (config.execute_app) execs[v] = std::make_unique<ExecNode>();
+      ckpts[v] = make_checkpointer(v);
+      ckpts[v]->start(wals[v].get());
     }
     // Retention gauges under the runtime's names, for validator 0 (the
     // tracer's reporter); read when the registry is dumped.
@@ -147,24 +145,11 @@ struct SimHarness::Impl {
         "Lookups and insertions on validator 0's DAG digest index (ingress only)");
   }
 
-  // Does this run model the checkpoint subsystem? Requires a horizon to cut
-  // at (gc_depth) and a core with the restore-capable default committer.
-  bool checkpointing_active(ValidatorId v) const {
-    return config.checkpoint_interval > 0 &&
-           options_for(config).gc_depth > 0 && nodes[v] != nullptr &&
-           nodes[v]->checkpoint_capable();
-  }
-
-  // Opens validator v's on-disk log (rolling segments), plus a checkpoint
-  // store in the same directory when the run models checkpointing.
+  // Opens validator v's on-disk log (rolling segments).
   void open_wal(ValidatorId v) {
     SegmentedWalOptions options;
     options.segment_bytes = config.wal_segment_bytes;
     wals[v] = std::make_unique<SegmentedWal>(wal_path(v), options);
-    if (config.checkpoint_interval > 0 && options_for(config).gc_depth > 0 &&
-        ckpt_stores[v] == nullptr) {
-      ckpt_stores[v] = std::make_unique<CheckpointStore>(wal_path(v));
-    }
   }
 
   std::unique_ptr<ValidatorCore> make_node(ValidatorId v) {
@@ -172,6 +157,7 @@ struct SimHarness::Impl {
     vc.id = v;
     vc.min_round_delay = config.min_round_delay;
     vc.committer = options_for(config);
+    vc.checkpoint_interval = config.checkpoint_interval;
     if (config.protocol == Protocol::kTusk) {
       vc.committer_factory = tusk_committer_factory();
     }
@@ -187,6 +173,101 @@ struct SimHarness::Impl {
     vc.byzantine_equivocate = v < config.equivocators;
     return std::make_unique<ValidatorCore>(setup.committee,
                                            setup.keypairs[v].private_key, vc);
+  }
+
+  // Validator v's checkpointer: the node's own (validator/checkpointer.h),
+  // driven over simulated links. A write lands checkpoint_write_delay after
+  // the cut, epoch-guarded like the group-commit flush, so a crash in
+  // between drops it. The app hooks drain the executor first, the sim
+  // analogue of ExecutionEngine::drain().
+  std::unique_ptr<Checkpointer> make_checkpointer(ValidatorId v) {
+    Checkpointer::Hooks hooks;
+    hooks.send = [this, v](ValidatorId to, BytesView frame) {
+      send_checkpoint_frame(v, to, frame);
+    };
+    hooks.write = [this, v](Checkpointer::WriteTask task) {
+      queue.schedule_after(config.checkpoint_write_delay,
+                           [this, v, task = std::move(task), epoch = wal_stages[v].epoch] {
+                             if (wal_stages[v].epoch != epoch || !running(v)) return;
+                             if (auto done = task()) done();
+                           });
+    };
+    if (config.execute_app) {
+      hooks.app_digest = [this, v] {
+        drain_exec(v);
+        return execs[v]->executor.state_digest();
+      };
+      hooks.app_snapshot = [this, v] {
+        drain_exec(v);
+        return execs[v]->executor.snapshot_bytes();
+      };
+      hooks.app_delta = [this, v] {
+        drain_exec(v);
+        return execs[v]->executor.take_app_delta();
+      };
+      hooks.clear_app_delta = [this, v] {
+        drain_exec(v);
+        execs[v]->executor.take_app_delta();
+      };
+      hooks.install_app = [this, v](BytesView snapshot) { install_app(v, snapshot); };
+    }
+    return std::make_unique<Checkpointer>(
+        setup.committee, *nodes[v], setup.keypairs[v].private_key, registry, nullptr,
+        std::move(hooks), config.wal_dir.empty() ? std::string{} : wal_path(v));
+  }
+
+  bool withholds(ValidatorId v) const {
+    return std::find(config.cert_withholding.begin(), config.cert_withholding.end(), v) !=
+           config.cert_withholding.end();
+  }
+
+  // Checkpoint frames over simulated links. Requests and cert shares travel
+  // as small messages; a chain pays sender-side bandwidth serialization on
+  // its bytes plus link latency, like a (large) block send, and the receiver
+  // verifies and installs it on arrival. A Byzantine share withholder
+  // (cert_withholding) neither sends nor accepts shares.
+  void send_checkpoint_frame(ValidatorId from, ValidatorId to, BytesView frame) {
+    if (!alive(to)) return;
+    auto payload = std::make_shared<const Bytes>(frame.begin() + 1, frame.end());
+    switch (frame[0]) {
+      case Checkpointer::kRequestFrame:
+        schedule_small_message(from, to, [this, from, to] { ckpts[to]->serve(from); });
+        return;
+      case Checkpointer::kShareFrame:
+        if (withholds(from) || withholds(to)) return;
+        schedule_small_message(from, to, [this, to, payload] {
+          ckpts[to]->on_share({payload->data(), payload->size()});
+        });
+        return;
+      case Checkpointer::kChainFrame: {
+        const TimeMicros start = std::max(queue.now(), egress_free[from]);
+        egress_free[from] = start + transmission_delay(payload->size());
+        const TimeMicros arrival = egress_free[from] + latency->sample(from, to, rng);
+        queue.schedule(arrival, [this, from, to, payload] {
+          if (!running(to) || !ckpts[to]->accept_chain(from)) return;
+          auto chain = ckpts[to]->verify_chain(from, {payload->data(), payload->size()});
+          if (chain.has_value()) {
+            handle_actions(to, ckpts[to]->install(std::move(*chain), queue.now()));
+          }
+        });
+        return;
+      }
+    }
+  }
+
+  // A checkpoint's app snapshot replaces validator v's state. In-flight and
+  // queued sub-DAGs are all below the new horizon (the core just skipped
+  // past them), so they are dropped; the serial reference restarts from the
+  // same base. Runs before the install's actions, so any commits it unblocks
+  // execute on top of the snapshot.
+  void install_app(ValidatorId v, BytesView snapshot) {
+    ++exec_epochs[v];
+    auto& ex = *execs[v];
+    ex.pending.clear();
+    ex.plan.reset();
+    ex.executor.install_snapshot(snapshot);
+    ex.ref_base.assign(snapshot.begin(), snapshot.end());
+    ex.log.clear();
   }
 
   std::string wal_path(ValidatorId v) const {
@@ -352,6 +433,9 @@ struct SimHarness::Impl {
     }
 
     for (const auto& sub_dag : actions.committed) {
+      // Boundary crossings fire before the sub-DAG reaches execution, which
+      // makes the cut's app digest canonical.
+      ckpts[v]->advance(sub_dag.slot, actions);
       record_commits(v, sub_dag);
     }
 
@@ -375,7 +459,7 @@ struct SimHarness::Impl {
     }
 
     // Checkpoint & state sync: horizon notices travel like any small
-    // message; catch-up requests pull the serving peer's latest snapshot.
+    // message; catch-up requests pull the serving peer's chain.
     for (const auto& notice : actions.horizon_notices) {
       schedule_small_message(
           v, notice.peer, [this, from = v, to = notice.peer, h = notice.horizon] {
@@ -384,208 +468,11 @@ struct SimHarness::Impl {
     }
     for (const ValidatorId target : actions.checkpoint_requests) {
       checkpoint_requests->add();
-      schedule_small_message(v, target,
-                             [this, v, target] { serve_checkpoint(target, v); });
+      ckpts[v]->request(target);
     }
 
-    // Commits may have advanced the GC horizon past the checkpoint interval.
-    maybe_cut_checkpoint(v);
-  }
-
-  // The deterministic checkpoint cut: capture the consistent state and roll
-  // the active segment NOW, complete (publish/persist/retire) a write-delay
-  // later. A crash in between drops the in-flight checkpoint — the
-  // completion event is epoch-guarded exactly like the group-commit flush.
-  void maybe_cut_checkpoint(ValidatorId v) {
-    if (!running(v) || !checkpointing_active(v)) return;
-    auto& state = ckpts[v];
-    if (state.in_flight) return;
-    const Round horizon = nodes[v]->dag().pruned_below();
-    if (horizon == 0 || horizon < state.last_horizon + config.checkpoint_interval) {
-      return;
-    }
-    CheckpointData data = nodes[v]->capture_checkpoint();
-    Bytes app_delta;
-    if (config.execute_app && execs[v] != nullptr) {
-      // ExecutionEngine::drain() analogue: force pending waves through so the
-      // snapshot covers exactly the decided prefix captured above. The
-      // touched-key window is consumed at every cut (a base subsumes it in
-      // the full snapshot, exactly like NodeRuntime::start_cut).
-      drain_exec(v);
-      data.app_digest = execs[v]->executor.state_digest();
-      app_delta = execs[v]->executor.take_app_delta();
-    }
-    data.sequence = ++state.seq;
-
-    // Delta link while the chain is short enough and the new cut extends the
-    // previous one; otherwise (or on any linkage mismatch) re-base.
-    bool is_base = true;
-    Bytes record;
-    if (config.checkpoint_max_deltas > 0 && state.last_cut != nullptr &&
-        !state.chain.empty() &&
-        data.sequence - state.base_seq <= config.checkpoint_max_deltas) {
-      try {
-        record = encode_checkpoint_delta(make_checkpoint_delta(
-            *state.last_cut, data, state.base_seq, std::move(app_delta)));
-        is_base = false;
-      } catch (const std::invalid_argument&) {
-      }
-    }
-    if (is_base) {
-      if (config.execute_app && execs[v] != nullptr) {
-        data.app_state = execs[v]->executor.snapshot_bytes();
-      }
-      record = encode_checkpoint(data);
-    }
-
-    // Segments roll (and retire) only at base cuts: a delta keeps its whole
-    // chain's WAL suffix live, so retirement is chain-granular.
-    const std::uint64_t keep_from =
-        is_base && wals[v] != nullptr ? wals[v]->roll_segment() : 0;
-    state.in_flight = true;
-    auto encoded = std::make_shared<const Bytes>(std::move(record));
-    auto cut = std::make_shared<const CheckpointData>(std::move(data));
-    queue.schedule_after(
-        config.checkpoint_write_delay,
-        [this, v, encoded, cut, is_base, horizon, keep_from,
-         epoch = wal_stages[v].epoch] {
-          if (wal_stages[v].epoch != epoch || !running(v)) return;  // crashed mid-write
-          auto& done = ckpts[v];
-          done.in_flight = false;
-          done.last_horizon = horizon;
-          if (is_base) {
-            done.latest = encoded;
-            done.chain.clear();
-            done.base_seq = cut->sequence;
-          } else {
-            checkpoint_delta_cuts->add();
-          }
-          done.chain.push_back(encoded);
-          done.last_cut = cut;
-          if (ckpt_stores[v] != nullptr) {
-            if (is_base) {
-              ckpt_stores[v]->write(cut->sequence, {encoded->data(), encoded->size()});
-              ckpt_stores[v]->retire(2);
-            } else {
-              ckpt_stores[v]->write_delta(cut->sequence,
-                                          {encoded->data(), encoded->size()});
-            }
-          }
-          // One chain of retirement lag (see NodeRuntime::finish_checkpoint):
-          // the previous chain's segments retire when the next base lands.
-          if (is_base && wals[v] != nullptr) {
-            wals[v]->retire_segments_below(done.keep_from);
-            done.keep_from = keep_from;
-          }
-          checkpoints_written->add();
-          schedule_cut_cert(v, cut);
-        });
-  }
-
-  // Certificate-formation model (SimConfig::cert_collect_delay): one
-  // endorsement event per completed cut, cert_collect_delay after the write
-  // lands. Every running validator outside cert_withholding signs the
-  // cutter's payload with its real key; a real MultisigCollector aggregates
-  // and the finished certificate must pass verify_checkpoint_certificate.
-  // Formation only: the sim's cuts are horizon-triggered rather than
-  // canonical boundary cuts, so certificates are never attached to served
-  // chains (the chain verifier would refuse the binding) and cut_index
-  // doubles as the cut's sequence number.
-  void schedule_cut_cert(ValidatorId v, std::shared_ptr<const CheckpointData> cut) {
-    if (config.cert_collect_delay == 0) return;
-    queue.schedule_after(
-        config.cert_collect_delay, [this, v, cut, epoch = wal_stages[v].epoch] {
-          if (wal_stages[v].epoch != epoch || !running(v)) return;
-          CutPayload payload;
-          payload.cut_index = cut->sequence;
-          payload.head = cut->head;
-          DecidedLogHasher hasher;
-          hasher.fold(cut->decided.begin(), cut->decided.end());
-          payload.decided_digest = hasher.digest();
-          payload.app_digest = cut->app_digest;
-          crypto::MultisigCollector collector(setup.committee.quorum_threshold());
-          bool formed = false;
-          for (ValidatorId signer = 0; signer < config.n && !formed; ++signer) {
-            if (!running(signer)) continue;
-            if (std::find(config.cert_withholding.begin(),
-                          config.cert_withholding.end(),
-                          signer) != config.cert_withholding.end()) {
-              continue;
-            }
-            const CutShare share =
-                sign_cut(payload, signer, setup.keypairs[signer].private_key);
-            if (!verify_cut_share(share, setup.committee)) continue;
-            formed = collector.add(share.author, share.signature);
-          }
-          if (!formed) return;  // withheld/crashed below 2f+1: no certificate
-          const CheckpointCertificate cert{payload, collector.certificate()};
-          if (!verify_checkpoint_certificate(cert, setup.committee).empty()) return;
-          checkpoint_certs->add();
-        });
-  }
-
-  // A catching-up validator asked `server` for its live base+delta chain.
-  // The transfer ships the whole chain as one kCheckpointChain-style frame
-  // and pays sender-side bandwidth serialization on the frame bytes plus
-  // link latency, like a (large) block send.
-  void serve_checkpoint(ValidatorId server, ValidatorId client) {
-    const auto& chain = ckpts[server].chain;
-    if (chain.empty() || !alive(client)) return;
-    std::vector<std::pair<BytesView, BytesView>> links;
-    links.reserve(chain.size());
-    for (const auto& record : chain) {
-      links.emplace_back(BytesView{record->data(), record->size()}, BytesView{});
-    }
-    auto frame = std::make_shared<const Bytes>(encode_checkpoint_chain_frame(links));
-    const TimeMicros start = std::max(queue.now(), egress_free[server]);
-    egress_free[server] = start + transmission_delay(frame->size());
-    const TimeMicros arrival =
-        egress_free[server] + latency->sample(server, client, rng);
-    queue.schedule(arrival, [this, client, frame] {
-      if (!running(client)) return;
-      install_snapshot(client, *frame);
-    });
-  }
-
-  // The receiving side of snapshot catch-up: the real chain codec and
-  // verification over the wire bytes (the newest cut reconstructed from base
-  // plus deltas), then the core install. Sim chains travel uncertified — the cuts
-  // are horizon-triggered, not canonical boundary cuts — so this always
-  // exercises the legacy-trust install path.
-  void install_snapshot(ValidatorId client, const Bytes& encoded) {
-    ValidationOptions validation;
-    validation.verify_signature = config.verify_crypto;
-    validation.verify_coin_share = config.verify_crypto;
-    CheckpointData data;
-    try {
-      ChainVerifyResult result = verify_checkpoint_chain(
-          decode_checkpoint_chain_frame({encoded.data(), encoded.size()}),
-          setup.committee, options_for(config), config.checkpoint_interval,
-          validation, verifier_cache.get());
-      if (!result.error.empty()) return;  // refused: the requester retries
-      data = std::move(result.data);
-    } catch (const serde::SerdeError&) {
-      return;  // torn/corrupt frame: the requester retries elsewhere
-    }
-    const SlotId before = nodes[client]->committer().next_pending_slot();
-    Actions actions = nodes[client]->install_checkpoint(data, queue.now());
-    if (nodes[client]->committer().next_pending_slot() <= before) return;  // stale
-    snapshot_catchups->add();
-    if (config.execute_app && execs[client] != nullptr && !data.app_state.empty()) {
-      // State jump: in-flight and queued sub-DAGs are all below the new
-      // horizon (the core just skipped past them), so drop them and restore
-      // the store. The serial reference restarts from the same base. Must
-      // precede handle_actions — any commits the install unblocks execute on
-      // top of the snapshot.
-      ++exec_epochs[client];
-      auto& ex = *execs[client];
-      ex.pending.clear();
-      ex.plan.reset();
-      ex.executor.install_snapshot({data.app_state.data(), data.app_state.size()});
-      ex.ref_base = data.app_state;
-      ex.log.clear();
-    }
-    handle_actions(client, std::move(actions));
+    // Skip decisions may have moved the consumption head past a boundary.
+    ckpts[v]->advance(nodes[v]->committer().next_pending_slot(), actions);
   }
 
   void schedule_wal_flush(ValidatorId v) {
@@ -762,6 +649,7 @@ struct SimHarness::Impl {
   void crash(ValidatorId v) {
     if (!running(v)) return;
     down[v] = 1;
+    ckpts[v].reset();  // before the core it drives
     nodes[v].reset();
     inboxes[v].clear();   // in-flight deliveries die with the process
     // The staged group-commit tail dies with the process: records that never
@@ -769,10 +657,9 @@ struct SimHarness::Impl {
     wal_stages[v].records.clear();
     wal_stages[v].gated_broadcasts.clear();
     wal_stages[v].flush_scheduled = false;
-    ++wal_stages[v].epoch;  // invalidate in-flight flush + checkpoint events
-    // An in-flight checkpoint cut dies with the process: its completion
-    // event is epoch-guarded, and the captured state was never published.
-    ckpts[v].in_flight = false;
+    // Invalidates in-flight flush and checkpoint-write events: a cut whose
+    // write never landed dies with the process.
+    ++wal_stages[v].epoch;
     // The executor (mid-wave state included) dies with the process; restart
     // rebuilds it from checkpoint + log replay. Scheduled wave events stale.
     ++exec_epochs[v];
@@ -822,52 +709,10 @@ struct SimHarness::Impl {
     // then replay whatever the log still holds. Recovery from an older
     // checkpoint (a newer one corrupted mid-write) degrades to more replay,
     // never to divergence — the log records are a superset of every cut.
-    if (checkpointing_active(v)) {
-      std::optional<CheckpointData> recovered;
-      if (ckpt_stores[v] != nullptr) {
-        recovered = ckpt_stores[v]->load_newest_valid();
-      } else if (!ckpts[v].chain.empty()) {
-        // In-memory chain recovery: base plus the longest cleanly-applying
-        // delta prefix, mirroring CheckpointStore::newest_valid_chain(). A
-        // link that fails to apply truncates the chain there — recovery
-        // degrades to more WAL replay, never to divergence.
-        try {
-          const auto& chain = ckpts[v].chain;
-          CheckpointData data =
-              decode_checkpoint({chain[0]->data(), chain[0]->size()});
-          recovered = data;
-          for (std::size_t i = 1; i < chain.size(); ++i) {
-            apply_checkpoint_delta(
-                data, decode_checkpoint_delta({chain[i]->data(), chain[i]->size()}));
-            recovered = data;
-          }
-        } catch (const std::exception&) {
-        }
-      }
-      ckpts[v].last_cut.reset();  // the diff base dies with the process
-      if (recovered.has_value()) {
-        nodes[v]->install_checkpoint(*recovered, queue.now());
-        ckpts[v].last_horizon = recovered->horizon;
-        ckpts[v].seq = std::max(ckpts[v].seq, recovered->sequence);
-        if (ckpts[v].seq == recovered->sequence) {
-          // The recovered cut IS the newest bookkept one: the next cut may
-          // extend it as a delta. A sequence consumed by a cut that died
-          // in flight would leave a gap in the chain walk instead — the
-          // next cut then re-bases (last_cut stays null), like the
-          // runtime's write-failure path.
-          ckpts[v].last_cut = std::make_shared<const CheckpointData>(*recovered);
-        }
-        if (config.execute_app && !recovered->app_state.empty()) {
-          // The cut's app snapshot stands in for every sub-horizon commit;
-          // the log-suffix replay below lands the rest on top. The serial
-          // reference rebuilds from the same base.
-          execs[v]->executor.install_snapshot(
-              {recovered->app_state.data(), recovered->app_state.size()});
-          execs[v]->ref_base = recovered->app_state;
-        }
-      }
-    }
-
+    // Without wal_dir there is no checkpoint store: the in-memory log
+    // replays and the validator catches up by snapshot like any joiner.
+    ckpts[v] = make_checkpointer(v);
+    ckpts[v]->recover();
     if (!config.wal_dir.empty()) {
       SegmentedWal::replay(wal_path(v),
                            [&](BlockPtr block, bool) { replay_one(std::move(block)); });
@@ -875,6 +720,7 @@ struct SimHarness::Impl {
     } else {
       for (const auto& block : mem_logs[v]) replay_one(block);
     }
+    ckpts[v]->start(wals[v].get());
 
     // Re-arm the driver loops that died while the validator was down.
     queue.schedule_after(0, [this, v] { tick(v); });
@@ -976,11 +822,11 @@ struct SimHarness::Impl {
     result.fetch_requests = fetch_requests->value();
     result.wal_replayed_blocks = wal_replayed_blocks->value();
     result.wal_groups_flushed = wal_groups_flushed->value();
-    result.checkpoints_written = checkpoints_written->value();
-    result.snapshot_catchups = snapshot_catchups->value();
+    result.checkpoints_written = ckpt_counters.written->value();
+    result.snapshot_catchups = ckpt_counters.catchups->value();
     result.checkpoint_requests = checkpoint_requests->value();
-    result.checkpoint_delta_cuts = checkpoint_delta_cuts->value();
-    result.checkpoint_certs_formed = checkpoint_certs->value();
+    result.checkpoint_delta_cuts = ckpt_counters.delta_cuts->value();
+    result.checkpoint_certs_formed = ckpt_counters.certs->value();
     result.equivocation_cells = count_equivocation_cells();
     if (config.execute_app) {
       result.app_digests.assign(config.n, Digest{});
@@ -1045,28 +891,9 @@ struct SimHarness::Impl {
   // Per validator, when wal_dir is set: the on-disk log.
   std::vector<std::unique_ptr<SegmentedWal>> wals;
   std::vector<std::vector<BlockPtr>> mem_logs;    // in-memory WAL fallback
-  // Checkpoint model state. `latest`/`chain` model the durable checkpoint
-  // store in in-memory runs (they survive crashes, like mem_logs); on-disk
-  // runs additionally persist through ckpt_stores.
-  struct CkptState {
-    std::shared_ptr<const Bytes> latest;  // encoded, completed base checkpoint
-    // The live base+delta chain, base first: every completed cut's encoded
-    // record. Cleared at each re-base; served whole for catch-up.
-    std::vector<std::shared_ptr<const Bytes>> chain;
-    std::uint64_t base_seq = 0;  // sequence of chain[0]
-    // The previous completed cut: the diff base for the next delta attempt.
-    // Process state (unlike `chain`): reset across restarts unless the
-    // recovered cut is the newest bookkept one.
-    std::shared_ptr<const CheckpointData> last_cut;
-    std::uint64_t seq = 0;
-    Round last_horizon = 0;
-    bool in_flight = false;
-    // Segment boundary of the previous completed chain: retirement lags one
-    // base cut so recovery can fall back past a corrupt newest chain.
-    std::uint64_t keep_from = 0;
-  };
-  std::vector<CkptState> ckpts;
-  std::vector<std::unique_ptr<CheckpointStore>> ckpt_stores;
+  // Per validator: its checkpointer (null while down). Declared after the
+  // cores it drives, so it is destroyed first.
+  std::vector<std::unique_ptr<Checkpointer>> ckpts;
   // Group-commit staging (SimConfig::wal_group_commit): records and gated
   // broadcast groups awaiting the deferred flush event.
   struct WalStage {
@@ -1122,16 +949,10 @@ struct SimHarness::Impl {
                                                  "Transactions injected (in-window)");
   obs::Counter* fetch_requests =
       &registry.counter("mm_fetch_requests_total", "Synchronizer fetches, all validators");
-  obs::Counter* checkpoints_written =
-      &registry.counter("mm_checkpoints_written_total", "Completed checkpoint cuts");
-  obs::Counter* snapshot_catchups =
-      &registry.counter("mm_snapshot_catchups_total", "Peer checkpoints installed");
+  // The checkpointers' counters, summed over validators.
+  Checkpointer::Counters ckpt_counters{registry};
   obs::Counter* checkpoint_requests =
       &registry.counter("mm_checkpoint_requests_total", "Catch-up requests sent");
-  obs::Counter* checkpoint_delta_cuts = &registry.counter(
-      "mm_checkpoint_delta_cuts_total", "Checkpoint cuts landed as delta links");
-  obs::Counter* checkpoint_certs = &registry.counter(
-      "mm_checkpoint_certs_total", "Cut certificates aggregated (2f+1 shares)");
   obs::Counter* wal_groups_flushed =
       &registry.counter("mm_wal_groups_flushed_total", "Non-empty group flushes");
   obs::Counter* wal_replayed_blocks =

@@ -77,38 +77,26 @@ struct SimConfig {
   bool wal_group_commit = false;
   TimeMicros wal_flush_interval = millis(1);
 
-  // Deterministic model of the checkpoint subsystem (checkpoint/). Nonzero
-  // checkpoint_interval (with a gc_depth-bearing committer_override) cuts a
-  // checkpoint whenever a validator's GC horizon advances that many rounds:
-  // the consistent capture and (with wal_dir) the segment roll happen at the
-  // cut event, and the encoded snapshot becomes visible — installed as the
-  // validator's latest, written to its CheckpointStore, covered segments
-  // retired — only when a completion event fires checkpoint_write_delay
-  // later. A crash in between drops the in-flight checkpoint (epoch-guarded,
-  // like the group-commit flush): exactly what a real crash-during-
-  // checkpoint loses. Peers that request sub-horizon ancestors get horizon
-  // notices, and a stuck validator fetches + installs the serving peer's
-  // latest snapshot — the real codec and verification, over simulated links.
+  // Checkpointing (ValidatorConfig::checkpoint_interval): every validator
+  // runs the node's own validator/checkpointer.h. Nonzero (with a
+  // gc_depth-bearing committer_override for cuts) cuts at canonical boundary
+  // slots as base+delta chains, exchanges cert shares as small messages and
+  // certifies cuts at 2f+1. A cut's write (with wal_dir, to its
+  // CheckpointStore) lands checkpoint_write_delay later; a crash in between
+  // drops it, like a real crash during a checkpoint write. Peers that ask
+  // for sub-horizon ancestors get horizon notices, and a stuck validator
+  // fetches, verifies and installs a serving peer's chain over the
+  // simulated links. Restarts recover from the store with wal_dir; without
+  // it they replay the in-memory log and catch up by snapshot.
   Round checkpoint_interval = 0;
   TimeMicros checkpoint_write_delay = millis(5);
   // Segment-roll budget of the on-disk layout (wal_dir runs); the sim uses
   // smaller segments than the runtime default so tests exercise rolls.
   std::uint64_t wal_segment_bytes = 256 * 1024;
-  // Delta-chain length bound (ValidatorConfig::checkpoint_max_deltas): after
-  // a base cut, up to this many cuts land as incremental deltas
-  // (checkpoint/delta.h, real codec) before the model re-bases; catch-up
-  // serves and restarts reconstruct through the whole base+delta chain.
-  // 0 = every cut is a base (the historical model, trace-identical).
-  std::size_t checkpoint_max_deltas = 0;
-  // Threshold-certification model (checkpoint/cert.h): when nonzero, each
-  // completed cut schedules an endorsement event this long after completion;
-  // every running validator not in cert_withholding then signs the cutter's
-  // payload with its REAL key, and 2f+1 shares aggregate through the real
-  // MultisigCollector into a verified certificate (counted in
-  // checkpoint_certs_formed). 0 = no certificate modeling.
-  TimeMicros cert_collect_delay = 0;
-  // Validators that never endorse (model Byzantine share withholding): with
-  // more than f withheld, no certificate can reach 2f+1.
+  // Byzantine share withholders: the sim drops every kCertShare frame from
+  // or to them, so they neither endorse cuts nor form certificates. With
+  // more than f withholding, no certificate can reach 2f+1 and catch-up
+  // takes the uncertified path.
   std::vector<std::uint32_t> cert_withholding;
 
   // Network. wan=false uses UniformLatency(uniform_latency).
@@ -149,10 +137,12 @@ struct SimConfig {
   // rounds by block building, signing, serialization and batching costs on
   // top of quorum arrival; a pure-logic simulation without this floor runs
   // rounds at raw link speed, which starves the farthest region's blocks of
-  // votes at wave length 4 (see EXPERIMENTS.md). 120ms approximates the
-  // paper's observed round cadence at moderate load (their 10-node MM-5
-  // latency of ~1.1s implies ~200ms effective rounds; we sit on the faster
-  // side while giving the farthest region enough slack to be voted for).
+  // votes at wave length 4 (see
+  // docs/BENCHMARKS.md#paper-figure-benches-protocol-level-via-the-simulator).
+  // 120ms approximates the paper's observed round cadence at moderate load
+  // (their 10-node MM-5 latency of ~1.1s implies ~200ms effective rounds; we
+  // sit on the faster side while giving the farthest region enough slack to
+  // be voted for).
   TimeMicros min_round_delay = millis(120);
 
   // Signature/coin verification is off by default in simulation (all cores
@@ -207,11 +197,15 @@ struct SimResult {
   std::uint64_t wal_replayed_blocks = 0;  // blocks replayed across all restarts
   std::uint64_t wal_groups_flushed = 0;   // non-empty group flushes (group commit)
   std::uint64_t mempool_rejected = 0;     // admission rejects at validator 0's pool
-  std::uint64_t checkpoints_written = 0;  // completed checkpoint cuts, all validators
+  // Checkpoint counters, summed over validators (the runtime's
+  // mm_checkpoint* metrics, which SimResult::metrics also carries).
+  std::uint64_t checkpoints_written = 0;  // completed checkpoint cuts
   std::uint64_t snapshot_catchups = 0;    // peer checkpoints installed
   std::uint64_t checkpoint_requests = 0;  // catch-up requests sent
   std::uint64_t checkpoint_delta_cuts = 0;  // cuts landed as delta links
-  std::uint64_t checkpoint_certs_formed = 0;  // 2f+1 cut certificates aggregated
+  // Certificates formed from 2f+1 exchanged shares, counted at every
+  // validator that formed one; withholders form none.
+  std::uint64_t checkpoint_certs_formed = 0;
 
   // Max over surviving validators of (author, round) cells holding more
   // than one block — nonzero only if some author equivocated (configured

@@ -75,13 +75,15 @@ struct ValidatorConfig {
 
   // --- Checkpoint & state sync (checkpoint/) --------------------------------
   //
-  // Cut a checkpoint every time the GC horizon advances this many rounds
-  // past the previous cut (requires committer.gc_depth > 0 — without GC
-  // there is no horizon to cut at, and the log already bounds nothing).
-  // 0 = no checkpointing: the WAL never rolls at a cut nor retires
-  // segments. Nonzero adds a checkpoint store next to the WAL segments
-  // (with persistence configured), retires covered segments, and enables
-  // snapshot catch-up serving. It does not change the WAL layout.
+  // Cut a checkpoint at every canonical boundary slot, one per this many
+  // rounds (checkpoint/cert.h cut_boundary_slot), and threshold-certify each
+  // cut with a signed share per boundary crossing (validator/checkpointer.h).
+  // Cuts require committer.gc_depth > 0 — without GC there is no horizon to
+  // cut at, and the log already bounds nothing. 0 = no checkpointing: the
+  // WAL never rolls at a cut nor retires segments. Nonzero adds a checkpoint
+  // store next to the WAL segments (with persistence configured), retires
+  // covered segments, and enables snapshot catch-up serving. It does not
+  // change the WAL layout.
   Round checkpoint_interval = 0;
   // Segment-roll byte budget of the WAL (wal/segmented_wal.h). Applies to
   // every persistent run, with or without checkpoints.
@@ -92,15 +94,9 @@ struct ValidatorConfig {
   TimeMicros catchup_retry_delay = seconds(1);
   // Delta-chain length bound: after a base cut, up to this many incremental
   // delta cuts (checkpoint/delta.h) ride on it before the writer re-bases
-  // with a fresh full checkpoint. 0 = every cut is a base (the monolithic
-  // pre-delta behaviour). Bounds both catch-up transfer length and the
-  // recovery replay chain.
-  std::size_t checkpoint_max_deltas = 4;
-  // Threshold-certify canonical cuts (checkpoint/cert.h): sign and broadcast
-  // a share per boundary crossing, aggregate 2f+1 into certificates, and
-  // serve certified base+delta chains for catch-up. Off = cuts stay
-  // horizon-triggered and uncertified (legacy trust path only).
-  bool checkpoint_certify = true;
+  // with a fresh full checkpoint. Bounds both catch-up transfer length and
+  // the recovery replay chain.
+  static constexpr std::size_t checkpoint_max_deltas = 4;
 
   // --- Execution (exec/) ---------------------------------------------------
   //

@@ -193,7 +193,7 @@ DriveResult recover_checkpointed(const Workload& load, const std::string& seg_di
 }
 
 // Like drive(), but cuts land as delta links while the base+delta chain is
-// short enough (mirroring NodeRuntime::start_cut): the app contributes its
+// short enough (mirroring Checkpointer::start_cut): the app contributes its
 // touched-key window instead of a full snapshot, segments roll and retire
 // only at base cuts (chain-granular retirement, one chain of lag), and any
 // linkage mismatch falls back to a re-base. max_deltas == 0 reproduces
@@ -905,7 +905,7 @@ TEST(Checkpoint, RetireDropsWholeChainsAndSurvivesMidRetireCrash) {
 
 const CommitterOptions kShape = observer_config(kGcDepth).committer;
 
-// Mirrors the runtime's canonical-cut protocol (NodeRuntime::start_cut):
+// Mirrors the runtime's canonical-cut protocol (Checkpointer::start_cut):
 // before handing each committed sub-DAG to the app, cut at every boundary
 // B_k = cut_boundary_slot(k, interval) the watermark crossed, truncating the
 // capture back to the boundary. Every validator reaching B_k then cuts the

@@ -401,13 +401,15 @@ TEST(Tcp, EchoRoundTrip) {
 
   TcpListener listener(loop, 0, [&](TcpConnectionPtr connection) {
     server_side = connection;
+    // A raw pointer, not the shared_ptr: the connection owns this handler,
+    // so capturing its owner would form a cycle that leaks both.
     connection->start(
-        [&, connection](BytesView frame) {
+        [&, raw = connection.get()](BytesView frame) {
           {
             std::lock_guard<std::mutex> g(mutex);
             server_frames.emplace_back(frame.begin(), frame.end());
           }
-          connection->send_frame(frame);  // echo
+          raw->send_frame(frame);  // echo
         },
         [] {});
   });

@@ -421,6 +421,21 @@ TEST(FlightRecorder, RecordSnapshotAndPayloads) {
   EXPECT_EQ(obs::flight_event_name(events[2].type), "commit");
 }
 
+TEST(FlightRecorder, UnlabelledThreadRecordsWithAnEmptyLabel) {
+  // A thread that records without label_thread() registers its ring with an
+  // empty label (a view with a null data pointer), which must never reach
+  // memcpy.
+  obs::FlightRecorder recorder;
+  std::thread([&recorder] {
+    recorder.record(obs::FlightEventType::kFrameTx, 7, /*a=*/1, /*b=*/2);
+  }).join();
+  const auto events = recorder.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].at, 7);
+  EXPECT_TRUE(events[0].label.empty());
+  EXPECT_EQ(recorder.ring_count(), 1u);
+}
+
 TEST(FlightRecorder, WrapKeepsTheNewestEvents) {
   obs::FlightRecorder recorder(obs::FlightRecorder::Options{8});
   for (std::uint64_t i = 0; i < 20; ++i) {

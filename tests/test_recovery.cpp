@@ -340,7 +340,7 @@ TEST(Recovery, CrashDuringCheckpointFallsBackWithoutDivergence) {
 }
 
 TEST(Recovery, DeltaChainCatchUpFormsCertsAndStaysDeterministic) {
-  // Incremental-checkpoint model on: after each base, up to max_deltas cuts
+  // Incremental checkpoints: after each base, up to max_deltas cuts
   // land as delta links (real checkpoint/delta.h codec), catch-up ships the
   // whole base+delta chain, and every completed cut collects a 2f+1
   // certificate through the real multisig path. The run must still be
@@ -348,8 +348,6 @@ TEST(Recovery, DeltaChainCatchUpFormsCertsAndStaysDeterministic) {
   // events but no nondeterminism.
   SimConfig config = gc_config();
   config.checkpoint_interval = 5;
-  config.checkpoint_max_deltas = 4;
-  config.cert_collect_delay = millis(2);
   config.restarts.push_back({.id = 2, .crash_at = millis(1), .restart_at = seconds(8)});
 
   const SimResult result = run_simulation(config);
@@ -379,8 +377,6 @@ TEST(Recovery, CertShareWithholdingBeyondFBlocksEveryCertificate) {
   // uncertified catch-up, the legacy trust path) must keep working.
   SimConfig config = gc_config();
   config.checkpoint_interval = 5;
-  config.checkpoint_max_deltas = 4;
-  config.cert_collect_delay = millis(2);
   config.cert_withholding = {0, 1};
   config.restarts.push_back({.id = 2, .crash_at = millis(1), .restart_at = seconds(8)});
 
@@ -394,6 +390,30 @@ TEST(Recovery, CertShareWithholdingBeyondFBlocksEveryCertificate) {
   EXPECT_GT(result.committed_tps, config.load_tps * 0.5);
   ASSERT_EQ(result.sequences.size(), 4u);
   expect_suffix_consistent(result, 2, 0, "withheld-cert catch-up");
+}
+
+TEST(Recovery, SimCatchUpInstallsCertifiedChainsUnlessSharesAreWithheld) {
+  // The sim runs the node's own Checkpointer and exports its counters under
+  // the runtime's names, so catch-up installs split by trust root exactly as
+  // on a real node. With every validator sharing, the joiner installs a
+  // threshold-certified chain; with more than f withholding, no certificate
+  // forms and catch-up takes the uncertified legacy path.
+  SimConfig config = gc_config();
+  config.checkpoint_interval = 5;
+  config.restarts.push_back({.id = 2, .crash_at = millis(1), .restart_at = seconds(8)});
+
+  const SimResult shared = run_simulation(config);
+  EXPECT_GE(shared.metrics.counter_value("mm_checkpoint_certified_installs_total"), 1u);
+  EXPECT_EQ(shared.metrics.counter_value("mm_checkpoint_uncertified_installs_total"), 0u);
+  EXPECT_EQ(shared.metrics.counter_value("mm_checkpoint_certs_total"),
+            shared.checkpoint_certs_formed);
+  EXPECT_EQ(shared.equivocation_cells, 0u);
+
+  config.cert_withholding = {0, 1};
+  const SimResult withheld = run_simulation(config);
+  EXPECT_GE(withheld.metrics.counter_value("mm_checkpoint_uncertified_installs_total"), 1u);
+  EXPECT_EQ(withheld.metrics.counter_value("mm_checkpoint_certified_installs_total"), 0u);
+  EXPECT_EQ(withheld.equivocation_cells, 0u);
 }
 
 TEST(Recovery, WalFilesArePerValidatorAndNonEmpty) {

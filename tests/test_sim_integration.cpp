@@ -79,8 +79,6 @@ TEST(SimIntegration, DeterministicWithIncrementalCheckpointsAndCerts) {
   options.gc_depth = 10;
   config.committer_override = options;
   config.checkpoint_interval = 5;
-  config.checkpoint_max_deltas = 3;
-  config.cert_collect_delay = millis(2);
   config.cert_withholding = {3};  // one withheld signer: quorum still forms
 
   const SimResult a = run_simulation(config);
