@@ -65,7 +65,7 @@ BENCHMARK(BM_ObsHistogramRecord);
 
 // A full lifecycle span stamp as the pipeline issues it: the tracer's bounds
 // check plus the stage histogram record. This is what every handoff in
-// NodeRuntime::perform / verify_frames pays per block.
+// NodePipeline::perform / NodeRuntime::verify_frames pays per block.
 void BM_ObsSpanStamp(benchmark::State& state) {
   obs::Registry registry;
   obs::LifecycleTracer tracer(registry);

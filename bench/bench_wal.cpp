@@ -6,7 +6,8 @@
 // spent in append + sync is a micro not spent multiplexing sockets.
 //
 //   BM_WalAppendInlineSync   the classic path: burst appends + one sync on
-//                            the caller, what perform() used to cost.
+//                            the caller, what an inline log costs
+//                            NodePipeline::perform.
 //   BM_WalAppendGroupCommit  the staged path: burst appends return after an
 //                            encode + memcpy; the writer thread lands groups
 //                            concurrently. Caller-side cost only — the disk

@@ -18,6 +18,7 @@ int main() {
   std::printf("%-16s %10s %10s %10s %10s\n", "protocol", "tx/s", "avg lat", "p50",
               "p95");
 
+  bool committed = true;
   for (const Protocol protocol : {Protocol::kMahiMahi4, Protocol::kMahiMahi5,
                                   Protocol::kCordialMiners, Protocol::kTusk}) {
     SimConfig config;
@@ -28,6 +29,7 @@ int main() {
     config.duration = seconds(20);
     config.warmup = seconds(5);
     const SimResult result = run_simulation(config);
+    committed &= result.committed_tps > 0;
     std::printf("%-16s %10.0f %9.3fs %9.3fs %9.3fs\n", to_string(protocol).c_str(),
                 result.committed_tps, result.avg_latency_s, result.p50_latency_s,
                 result.p95_latency_s);
@@ -36,5 +38,5 @@ int main() {
   std::printf(
       "\nExpected shape (paper, Fig. 3): Mahi-Mahi-4 < Mahi-Mahi-5 < Cordial "
       "Miners < Tusk.\n");
-  return 0;
+  return committed ? 0 : 1;
 }

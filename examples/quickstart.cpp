@@ -91,5 +91,5 @@ int main() {
               static_cast<unsigned long long>(committed_blocks),
               static_cast<unsigned long long>(committed_txs),
               static_cast<unsigned long long>(validators[0]->dag().highest_round()));
-  return 0;
+  return committed_txs > 0 ? 0 : 1;
 }

@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <thread>
 
+#include <unistd.h>
+
 #include "net/node_runtime.h"
 
 using namespace mahimahi;
@@ -41,14 +43,24 @@ std::unique_ptr<NodeRuntime> make_node(const Committee::TestSetup& setup, Valida
 int main() {
   auto setup = Committee::make_test(4);
 
-  // Fixed localhost ports for the demo.
+  // Pre-claim ephemeral localhost ports with short-lived listeners: every
+  // node needs the full mesh upfront, and fixed ports collide with anything
+  // else running.
   std::vector<NodeAddress> addresses(4);
-  for (int i = 0; i < 4; ++i) addresses[i].port = static_cast<std::uint16_t>(19331 + i);
+  {
+    EventLoop probe_loop;
+    std::vector<std::unique_ptr<TcpListener>> probes;
+    for (int i = 0; i < 4; ++i) {
+      probes.push_back(std::make_unique<TcpListener>(probe_loop, 0, [](TcpConnectionPtr) {}));
+      addresses[i].port = probes.back()->port();
+    }
+  }
 
   const auto wal_dir = std::filesystem::temp_directory_path();
   std::vector<std::string> wal_paths;
   for (int i = 0; i < 4; ++i) {
-    auto path = wal_dir / ("mahi_example_node" + std::to_string(i) + ".wal");
+    auto path = wal_dir / ("mahi_example_" + std::to_string(::getpid()) + "_node" +
+                           std::to_string(i) + ".wal");
     std::filesystem::remove_all(path);  // fresh demo (each WAL is a directory)
     wal_paths.push_back(path.string());
   }
@@ -58,8 +70,9 @@ int main() {
     nodes.push_back(make_node(setup, v, addresses, wal_paths[v]));
   }
   for (auto& node : nodes) node->start();
-  std::printf("4 validators listening on 127.0.0.1:%u..%u, WALs in %s\n",
-              addresses[0].port, addresses[3].port, wal_dir.c_str());
+  std::printf("4 validators listening on 127.0.0.1:%u,%u,%u,%u, WALs in %s\n",
+              addresses[0].port, addresses[1].port, addresses[2].port, addresses[3].port,
+              wal_dir.c_str());
 
   // Open-loop client: 200 tx/s to each validator for 3 seconds.
   std::uint64_t batch_id = 0;
@@ -105,5 +118,6 @@ int main() {
   std::printf("cluster committed %llu more txs after the restart\n",
               static_cast<unsigned long long>(committed_after - committed_before));
   for (auto& node : nodes) node->stop();
+  for (const auto& path : wal_paths) std::filesystem::remove_all(path);
   return committed_after > committed_before ? 0 : 1;
 }

@@ -144,10 +144,10 @@ CommitTrace& CommitForensics::on_committed(const CommittedSubDag& sub_dag,
 }
 
 void CommitForensics::durable_ack(TimeMicros now) {
-  for (CommitTrace& trace : traces_) {
-    if (!trace.durable_pending) continue;
-    trace.durable_pending = false;
-    trace.durable_micros = std::max<TimeMicros>(0, now - trace.committed_at);
+  // Pending traces are the newest: every ack resolves all of them.
+  for (auto it = traces_.rbegin(); it != traces_.rend() && it->durable_pending; ++it) {
+    it->durable_pending = false;
+    it->durable_micros = std::max<TimeMicros>(0, now - it->committed_at);
   }
 }
 

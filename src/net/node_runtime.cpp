@@ -73,17 +73,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
                                      "Transactions in committed sub-DAGs");
   committed_blocks_ =
       &registry_.counter("mm_committed_blocks_total", "Blocks in committed sub-DAGs");
-  highest_round_ = &registry_.gauge("mm_highest_round", "Highest round in the local DAG");
-  dag_blocks_ = &registry_.gauge("mm_dag_blocks", "Blocks in the live DAG window");
-  dag_digest_probes_ = &registry_.counter(
-      "mm_dag_digest_probes_total",
-      "Lookups and insertions on the DAG's digest index (ingress only)");
-  dag_payload_bytes_ = &registry_.gauge(
-      "mm_dag_payload_bytes", "Wire bytes of the blocks in the live DAG window");
-  decided_log_entries_ = &registry_.gauge("mm_decided_log_entries",
-                                          "Consumed leader slots in the decided log");
-  vote_memo_entries_ = &registry_.gauge(
-      "mm_vote_memo_entries", "Memoized vote traversals the commit rule keeps");
   decode_errors_ = &registry_.counter("mm_decode_errors_total",
                                       "Block frames that failed to decode");
   verify_frames_dropped_ =
@@ -99,18 +88,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
   worker_crypto_rejected_ =
       &registry_.counter("mm_ingest_worker_crypto_rejects_total",
                          "Blocks failing crypto verification on the verify workers");
-  core_structurally_rejected_ = &registry_.gauge(
-      "mm_ingest_core_structural_rejects", "Core ingest stats mirror: structural rejects");
-  core_crypto_rejected_ = &registry_.gauge("mm_ingest_core_crypto_rejects",
-                                           "Core ingest stats mirror: crypto rejects");
-  core_cache_hits_ = &registry_.gauge("mm_ingest_core_cache_hits",
-                                      "Core ingest stats mirror: verifier-cache hits");
-  core_verified_ =
-      &registry_.gauge("mm_ingest_core_verified", "Core ingest stats mirror: verified blocks");
-  core_preverified_ = &registry_.gauge("mm_ingest_core_preverified",
-                                       "Core ingest stats mirror: preverified blocks");
-  block_payload_bytes_ = &registry_.histogram(
-      "mm_block_payload_bytes", "Transaction bytes per own proposal (TxBatch::wire_bytes)");
   peer_rx_lag_ = &registry_.histogram(
       "mm_peer_rx_lag_micros",
       "Receive-side lag: author created_at to local receive stamp, clamped at 0");
@@ -128,11 +105,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       "Flight-recorder dump files written by the loop-stall watchdog");
   loop_.set_tick_observer(
       [this](TimeMicros busy, TimeMicros now) { watchdog_.observe_tick(busy, now); });
-  core_ = std::make_unique<ValidatorCore>(committee_, key, config_.validator);
-  // Share the core's pool (built or adopted by the ValidatorCore ctor):
-  // clients and workers admit into it concurrently, the core drains it when
-  // proposing.
-  mempool_ = core_->mempool_handle();
   if (config_.validator.execute_app) {
     // Before recovery: replayed commits must reach the state machine too.
     exec::ExecutionEngine::Options exec_options;
@@ -141,51 +113,93 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
         exec_options,
         [this](const exec::WaveDelivery& wave) { on_wave_delivered(wave); });
   }
-  Checkpointer::Hooks hooks;
-  hooks.send = [this](ValidatorId peer, BytesView frame) { send_to_peer(peer, frame); };
-  hooks.write = [this](Checkpointer::WriteTask task) {
+  NodePipeline::Env env;
+  env.now = [] { return steady_now_micros(); };
+  env.broadcast = [this](const std::vector<BlockPtr>& group) { egress(group, kAllPeers); };
+  env.send_blocks = [this](ValidatorId peer, const std::vector<BlockPtr>& blocks) {
+    egress(blocks, peer);
+  };
+  env.send_fetch = [this](ValidatorId peer, const std::vector<BlockRef>& refs) {
+    serde::Writer w;
+    w.u8(static_cast<std::uint8_t>(MessageType::kFetch));
+    w.varint(refs.size());
+    for (const auto& ref : refs) {
+      w.varint(ref.round);
+      w.u32(ref.author);
+      w.digest(ref.digest);
+    }
+    send_to_peer(peer, {w.data().data(), w.data().size()});
+  };
+  env.send_horizon = [this](ValidatorId peer, Round horizon) {
+    serde::Writer w;
+    w.u8(static_cast<std::uint8_t>(MessageType::kHorizon));
+    w.varint(horizon);
+    send_to_peer(peer, {w.data().data(), w.data().size()});
+  };
+  env.checkpoint.send = [this](ValidatorId peer, BytesView frame) { send_to_peer(peer, frame); };
+  env.checkpoint.write = [this](Checkpointer::WriteTask task) {
     verify_pool_.submit([this, task = std::move(task)] {
       if (auto done = task()) loop_.post(std::move(done));
     });
   };
   if (exec_engine_ != nullptr) {
-    hooks.app_digest = [this] { return exec_engine_->state_digest(); };
-    hooks.app_snapshot = [this] { return exec_engine_->app_snapshot(); };
-    hooks.app_delta = [this] { return exec_engine_->app_delta_snapshot(); };
-    hooks.clear_app_delta = [this] { exec_engine_->clear_app_delta_window(); };
-    hooks.install_app = [this](BytesView snapshot) {
+    env.checkpoint.app_digest = [this] { return exec_engine_->state_digest(); };
+    env.checkpoint.app_snapshot = [this] { return exec_engine_->app_snapshot(); };
+    env.checkpoint.app_delta = [this] { return exec_engine_->app_delta_snapshot(); };
+    env.checkpoint.clear_app_delta = [this] { exec_engine_->clear_app_delta_window(); };
+    env.checkpoint.install_app = [this](BytesView snapshot) {
       exec_engine_->install_snapshot(snapshot);
     };
   }
-  checkpointer_ = std::make_unique<Checkpointer>(committee_, *core_, key, registry_,
-                                                 &recorder_, std::move(hooks),
-                                                 config_.wal_path);
-  if (!config_.wal_path.empty()) {
-    // Recovery before the WAL is reopened for append: the newest valid
-    // checkpoint chain (when checkpointing) plus segment replay. wal_path is
-    // a directory holding the segments and the checkpoint store side by side.
-    checkpointer_->recover();
-    const auto replay = SegmentedWal::replay(
-        config_.wal_path, [this](BlockPtr block, bool) {
-          Actions actions = core_->recover_block(std::move(block));
-          if (exec_engine_ != nullptr) {
-            // Replay commits apply serially inline (the recovery path never
-            // runs parallel waves) with no delivery callbacks — the original
-            // run already stamped these batches' finality.
-            for (const auto& sub_dag : actions.committed) exec_engine_->replay(sub_dag);
-          }
-        });
-    if (replay.records > 0) {
-      MM_LOG(kInfo) << "v" << id() << " replayed " << replay.records
-                    << " records from " << replay.segments << " WAL segments"
-                    << (replay.corrupt_tail ? " (torn tail dropped)" : "");
+  env.commit = [this](const CommittedSubDag& sub_dag, TimeMicros committed_at,
+                      CommitTrace* trace) {
+    committed_blocks_->add(sub_dag.blocks.size());
+    committed_tx_->add(sub_dag.transaction_count());
+    if (commit_handler_) {
+      const TimeMicros execute_start = steady_now_micros();
+      commit_handler_(sub_dag);
+      if (exec_engine_ == nullptr) {
+        // Without an engine the handler IS the execution stage; with one the
+        // kExecute span is recorded at wave retirement instead.
+        const TimeMicros handler_micros = steady_now_micros() - execute_start;
+        tracer_.record_stage(obs::Stage::kExecute, handler_micros, sub_dag.blocks.size());
+        trace->execute_micros = handler_micros;
+      }
     }
-    highest_round_->set(static_cast<std::int64_t>(core_->dag().highest_round()));
+    // Single-drain handoff to the merge thread (inline apply when
+    // execution_threads == 0); commit order is preserved by the queue.
+    if (exec_engine_ != nullptr) exec_engine_->execute(sub_dag, committed_at);
+  };
+  env.replay_commit = [this](const CommittedSubDag& sub_dag) {
+    // Serially inline, without delivery callbacks: the original run already
+    // stamped these batches' finality.
+    if (exec_engine_ != nullptr) exec_engine_->replay(sub_dag);
+  };
+  env.deferred_execution = exec_engine_ != nullptr;
+  pipeline_ = std::make_unique<NodePipeline>(
+      committee_, key, config_.validator, registry_, std::move(env),
+      NodePipeline::Observers{&tracer_, &forensics_, &recorder_, /*core_metrics=*/true},
+      config_.wal_path);
+  // Share the core's pool (built or adopted by the ValidatorCore ctor):
+  // clients and workers admit into it concurrently, the core drains it when
+  // proposing.
+  mempool_ = core().mempool_handle();
+
+  // Recovery, before the log reopens for append.
+  const auto replay = pipeline_->recover();
+  if (replay.records > 0) {
+    MM_LOG(kInfo) << "v" << id() << " replayed " << replay.records << " records from "
+                  << replay.segments << " WAL segments"
+                  << (replay.corrupt_tail ? " (torn tail dropped)" : "");
+  }
+  std::unique_ptr<Wal> wal;
+  SegmentedWal* segments = nullptr;
+  if (!config_.wal_path.empty()) {
     SegmentedWalOptions seg_options;
     seg_options.segment_bytes = config_.validator.wal_segment_bytes;
     seg_options.fsync_on_sync = config_.validator.wal_fsync;
     auto segmented = std::make_unique<SegmentedWal>(config_.wal_path, seg_options);
-    seg_wal_ = segmented.get();
+    segments = segmented.get();
     if (config_.validator.wal_group_commit) {
       GroupCommitWalOptions wal_options;
       wal_options.flush_interval = config_.validator.wal_flush_interval;
@@ -199,16 +213,16 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
           std::move(segmented), wal_options,
           [this](std::function<void()> ack) { loop_.post(std::move(ack)); });
       group_wal_ = group.get();
-      wal_ = std::move(group);
+      wal = std::move(group);
     } else {
-      wal_ = std::move(segmented);
+      wal = std::move(segmented);
     }
   } else {
     // No persistence: NullWal acks durability synchronously, so
     // wal_group_commit without a wal_path cannot wedge the proposal path.
-    wal_ = std::make_unique<NullWal>();
+    wal = std::make_unique<NullWal>();
   }
-  checkpointer_->start(seg_wal_);
+  pipeline_->start(std::move(wal), segments);
   outgoing_.resize(committee_.size());
   // Constructor tail: every bespoke-counter source (io backend, mempool,
   // group WAL) now exists, so the scrape-time bridges can bind to them.
@@ -428,7 +442,7 @@ void NodeRuntime::loop_main() {
   }
   admin_.reset();
   listener_.reset();
-  wal_->sync();
+  pipeline_->wal().sync();
 }
 
 void NodeRuntime::dial_peer(ValidatorId peer) {
@@ -544,19 +558,19 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, const TcpConnection::Frame& fr
           ref.digest = r.digest();
           refs.push_back(ref);
         }
-        perform(core_->on_fetch_request(refs, peer, steady_now_micros()));
+        pipeline_->perform(core().on_fetch_request(refs, peer, steady_now_micros()));
         break;
       }
       case MessageType::kHorizon: {
-        perform(core_->on_peer_horizon(peer, r.varint(), steady_now_micros()));
+        pipeline_->perform(core().on_peer_horizon(peer, r.varint(), steady_now_micros()));
         break;
       }
       case MessageType::kCheckpointRequest: {
-        checkpointer_->serve(peer);
+        checkpointer().serve(peer);
         break;
       }
       case MessageType::kCertShare: {
-        checkpointer_->on_share(r.raw(r.remaining()));
+        checkpointer().on_share(r.raw(r.remaining()));
         break;
       }
       case MessageType::kCheckpointChain: {
@@ -564,15 +578,15 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, const TcpConnection::Frame& fr
         // per request — the window closes on receipt, not on install, so a
         // chain that fails verification cannot hold it open for an
         // unlimited stream of multi-MB frames.
-        if (!checkpointer_->accept_chain(peer)) break;  // unsolicited: drop unread
+        if (!checkpointer().accept_chain(peer)) break;  // unsolicited: drop unread
         // Decode + crypto verification are the expensive parts; they are
         // pure functions of the bytes and the committee.
         const BytesView payload = r.raw(r.remaining());
         verify_pool_.submit([this, peer, copy = Bytes(payload.begin(), payload.end())] {
-          auto chain = checkpointer_->verify_chain(peer, {copy.data(), copy.size()});
+          auto chain = checkpointer().verify_chain(peer, {copy.data(), copy.size()});
           if (!chain.has_value()) return;
           loop_.post([this, chain = std::move(*chain)]() mutable {
-            perform(checkpointer_->install(std::move(chain), steady_now_micros()));
+            pipeline_->perform(checkpointer().install(std::move(chain), steady_now_micros()));
           });
         });
         break;
@@ -687,24 +701,24 @@ void NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
     const TimeMicros picked_up = steady_now_micros();
     tracer_.record_stage(obs::Stage::kInsertQueue, picked_up - verified_at,
                          refs.size());
-    perform(core_->on_blocks(std::move(items), picked_up));
+    pipeline_->perform(core().on_blocks(std::move(items), picked_up));
     tracer_.record_stage(obs::Stage::kDagInsert, steady_now_micros() - picked_up);
     for (const auto& ref : refs) {
-      if (core_->knows_block(ref)) forwarded_digests_.insert(ref.digest);
+      if (core().knows_block(ref)) forwarded_digests_.insert(ref.digest);
     }
   });
 }
 
 IngestStats NodeRuntime::ingest_stats() const {
+  const NodePipeline::CoreMetrics& core = pipeline_->metrics();
+  const auto read = [](const obs::Gauge* g) { return static_cast<std::uint64_t>(g->value()); };
   IngestStats stats;
   stats.structurally_rejected =
-      static_cast<std::uint64_t>(core_structurally_rejected_->value()) +
-      worker_structurally_rejected_->value();
-  stats.crypto_rejected = static_cast<std::uint64_t>(core_crypto_rejected_->value()) +
-                          worker_crypto_rejected_->value();
-  stats.cache_hits = static_cast<std::uint64_t>(core_cache_hits_->value());
-  stats.verified = static_cast<std::uint64_t>(core_verified_->value());
-  stats.preverified = static_cast<std::uint64_t>(core_preverified_->value());
+      read(core.structurally_rejected) + worker_structurally_rejected_->value();
+  stats.crypto_rejected = read(core.crypto_rejected) + worker_crypto_rejected_->value();
+  stats.cache_hits = read(core.cache_hits);
+  stats.verified = read(core.verified);
+  stats.preverified = read(core.preverified);
   return stats;
 }
 
@@ -776,154 +790,6 @@ void NodeRuntime::encode_egress(std::vector<EgressItem> items) {
   });
 }
 
-void NodeRuntime::perform(Actions&& actions) {
-  // The sans-IO core and everything here run exclusively on the loop
-  // thread; workers only decode/verify, encode egress, admit submissions
-  // and write checkpoints.
-  assert(loop_.in_loop_thread());
-  const TimeMicros perform_now = steady_now_micros();
-  for (const auto& block : actions.inserted) {
-    wal_->append_block(*block, block->author() == id());
-    // Insert stamp: opens the commit-wait span closed by sub_dag_committed.
-    tracer_.block_inserted(block->digest(), perform_now);
-    recorder_.record(obs::FlightEventType::kBlockInsert, perform_now,
-                     block->author(), block->round());
-    // Forensics arrival stamp: commit traces attribute wave closure to the
-    // latest of these per sub-DAG.
-    forensics_.block_arrived(block->digest(), perform_now);
-  }
-  if (!actions.inserted.empty()) {
-    // The whole batch becomes durable together: each block waits the full
-    // span. An inline WAL syncs and acks right here; a group-commit WAL
-    // posts the ack back to the loop thread after the covering flush.
-    wal_->on_durable([this, appended_at = perform_now,
-                      count = actions.inserted.size()] {
-      tracer_.record_stage(obs::Stage::kWalDurable,
-                           steady_now_micros() - appended_at, count);
-      recorder_.record_now(obs::FlightEventType::kWalFlush, count);
-    });
-  }
-
-  if (!actions.broadcast.empty()) {
-    // Non-equivocation rests on never broadcasting an own block that a
-    // restart could forget: the send waits for WAL durability. Own
-    // proposals are always in actions.inserted, so on the inline path the
-    // sync above already covered them and this ack costs no second sync.
-    std::vector<EgressItem> items;
-    items.reserve(actions.broadcast.size());
-    for (const auto& block : actions.broadcast) {
-      block_payload_bytes_->record(static_cast<std::int64_t>(block->payload_bytes()));
-      items.push_back({block, kAllPeers});
-    }
-    wal_->on_durable([this, items = std::move(items)]() mutable {
-      egress_drain_.push(std::move(items));
-    });
-  }
-
-  for (const auto& request : actions.fetch_requests) {
-    serde::Writer w;
-    w.u8(static_cast<std::uint8_t>(MessageType::kFetch));
-    w.varint(request.refs.size());
-    for (const auto& ref : request.refs) {
-      w.varint(ref.round);
-      w.u32(ref.author);
-      w.digest(ref.digest);
-    }
-    send_to_peer(request.peer, {w.data().data(), w.data().size()});
-  }
-
-  for (const auto& notice : actions.horizon_notices) {
-    serde::Writer w;
-    w.u8(static_cast<std::uint8_t>(MessageType::kHorizon));
-    w.varint(notice.horizon);
-    send_to_peer(notice.peer, {w.data().data(), w.data().size()});
-  }
-
-  for (const ValidatorId peer : actions.checkpoint_requests) checkpointer_->request(peer);
-
-  for (const auto& response : actions.responses) {
-    // Already-durable blocks (they are in the DAG): no gate, straight to the
-    // egress encoder.
-    std::vector<EgressItem> items;
-    items.reserve(response.blocks.size());
-    for (const auto& block : response.blocks) items.push_back({block, response.peer});
-    egress_drain_.push(std::move(items));
-  }
-
-  for (const auto& sub_dag : actions.committed) {
-    // Boundary crossings fire BEFORE this sub-DAG reaches execution: at the
-    // crossing of B_k the engine has been fed exactly the commits with
-    // slot < B_k, which is what makes the cut's app digest canonical.
-    checkpointer_->advance(sub_dag.slot, actions);
-    committed_blocks_->add(sub_dag.blocks.size());
-    committed_tx_->add(sub_dag.transaction_count());
-    // Closes the per-block commit-wait spans and records finality for every
-    // client-stamped batch, weighted by transaction count — unless the
-    // execution engine owns finality, in which case the stamps fire per
-    // retired wave (on_wave_delivered) and only the commit-wait spans close
-    // here.
-    const TimeMicros committed_at = steady_now_micros();
-    recorder_.record(obs::FlightEventType::kCommit, committed_at,
-                     sub_dag.leader != nullptr ? sub_dag.leader->author() : 0,
-                     sub_dag.slot.round);
-    // The commit trace: arrival offsets were stamped at insert time; the
-    // post-decision breakdown fills in below (apply inline, durable on the
-    // WAL ack, execute at delivery).
-    CommitTrace& trace = forensics_.on_committed(sub_dag, committed_at);
-    trace.durable_pending = true;
-    trace.execute_pending = exec_engine_ != nullptr;
-    tracer_.sub_dag_committed(sub_dag, committed_at,
-                              /*record_finality=*/exec_engine_ == nullptr);
-    if (commit_handler_) {
-      const TimeMicros execute_start = steady_now_micros();
-      commit_handler_(sub_dag);
-      if (exec_engine_ == nullptr) {
-        // Without an engine the handler IS the execution stage; with one the
-        // kExecute span is recorded at wave retirement instead.
-        const TimeMicros handler_micros = steady_now_micros() - execute_start;
-        tracer_.record_stage(obs::Stage::kExecute, handler_micros,
-                             sub_dag.blocks.size());
-        trace.execute_micros = handler_micros;
-      }
-    }
-    if (exec_engine_ != nullptr) {
-      // Single-drain handoff to the merge thread (inline apply when
-      // execution_threads == 0); commit order is preserved by the queue.
-      exec_engine_->execute(sub_dag, committed_at);
-    }
-    trace.apply_micros = steady_now_micros() - committed_at;
-  }
-  if (!actions.committed.empty()) {
-    // Durable breakdown: the flush covering this batch's blocks covers every
-    // commit above (replay re-derives them from the blocks).
-    wal_->on_durable([this] { forensics_.durable_ack(steady_now_micros()); });
-  }
-  highest_round_->set(static_cast<std::int64_t>(core_->dag().highest_round()));
-
-  // The consumption head may have crossed boundaries past the last committed
-  // sub-DAG's slot (skip decisions consume slots without delivering).
-  checkpointer_->advance(core_->committer().next_pending_slot(), actions);
-
-  // Publish the core's pipeline counters for thread-safe reads.
-  const IngestStats stats = core_->ingest_stats();
-  core_structurally_rejected_->set(static_cast<std::int64_t>(stats.structurally_rejected));
-  core_crypto_rejected_->set(static_cast<std::int64_t>(stats.crypto_rejected));
-  core_cache_hits_->set(static_cast<std::int64_t>(stats.cache_hits));
-  core_verified_->set(static_cast<std::int64_t>(stats.verified));
-  core_preverified_->set(static_cast<std::int64_t>(stats.preverified));
-  // Retention: what the core keeps resident (DAG window, decided log, vote
-  // memo).
-  dag_blocks_->set(static_cast<std::int64_t>(core_->dag().block_count()));
-  dag_payload_bytes_->set(static_cast<std::int64_t>(core_->dag().wire_bytes()));
-  const std::uint64_t probes = core_->dag().digest_probes();
-  dag_digest_probes_->add(probes - dag_digest_probes_mirrored_);
-  dag_digest_probes_mirrored_ = probes;
-  decided_log_entries_->set(
-      static_cast<std::int64_t>(core_->committer().decided_sequence().size()));
-  vote_memo_entries_->set(
-      static_cast<std::int64_t>(core_->committer().vote_memo_entries()));
-}
-
 void NodeRuntime::on_wave_delivered(const exec::WaveDelivery& wave) {
   // Merge-thread context when execution_threads > 0 (loop thread otherwise):
   // only thread-safe tracer paths here — batch_delivered and record_stage
@@ -942,23 +808,26 @@ void NodeRuntime::on_wave_delivered(const exec::WaveDelivery& wave) {
 }
 
 void NodeRuntime::offer_latest_block(ValidatorId peer) {
-  const Round round = core_->last_proposed_round();
+  const Round round = core().last_proposed_round();
   if (round == 0) return;  // nothing proposed yet
-  const auto& cell = core_->dag().slot(round, id());
+  const auto& cell = core().dag().slot(round, id());
   if (cell.empty()) return;
-  // Offers carry an own block, so they obey the same durability gate as the
-  // original broadcast: under group commit a tick can fire between a
-  // proposal's insertion and its group flush, and offering the block in
-  // that window would leak a potentially-forgettable proposal. (Usually the
-  // block is long durable and the ack completes at once.)
-  std::vector<EgressItem> items{EgressItem{cell.front(), peer}};
-  wal_->on_durable([this, items = std::move(items)]() mutable {
-    egress_drain_.push(std::move(items));
-  });
+  // Offers carry an own block, so they obey the broadcast's durability gate:
+  // under group commit a tick can fire between a proposal's insertion and
+  // its group flush. (Usually the block is long durable and the ack
+  // completes at once.)
+  pipeline_->wal().on_durable([this, block = cell.front(), peer] { egress({block}, peer); });
+}
+
+void NodeRuntime::egress(const std::vector<BlockPtr>& blocks, ValidatorId target) {
+  std::vector<EgressItem> items;
+  items.reserve(blocks.size());
+  for (const auto& block : blocks) items.push_back({block, target});
+  egress_drain_.push(std::move(items));
 }
 
 void NodeRuntime::tick() {
-  perform(core_->on_tick(steady_now_micros()));
+  pipeline_->perform(core().on_tick(steady_now_micros()));
   // Periodic anti-entropy: re-offer our tip so peers that missed broadcasts
   // (connection races, drops mid-flight) converge. Receipt is idempotent.
   const TimeMicros now = steady_now_micros();
@@ -1037,13 +906,13 @@ std::string NodeRuntime::render_status_json() {
   const auto append_u64 = [](std::string& out, std::uint64_t v) {
     out += std::to_string(v);
   };
-  const SlotId head = core_->committer().next_pending_slot();
+  const SlotId head = core().committer().next_pending_slot();
   std::string out = "{\"validator\":";
   append_u64(out, id());
   out += ",\"ticking\":";
   out += ticking_ ? "true" : "false";
   out += ",\"highest_round\":";
-  append_u64(out, core_->dag().highest_round());
+  append_u64(out, core().dag().highest_round());
   out += ",\"head\":{\"round\":";
   append_u64(out, head.round);
   out += ",\"leader_offset\":";
@@ -1071,15 +940,15 @@ std::string NodeRuntime::render_status_json() {
   out += ",\"bytes\":";
   append_u64(out, mempool_->bytes());
   out += "},\"checkpoint\":{\"active\":";
-  out += checkpointer_->cutting() ? "true" : "false";
+  out += checkpointer().cutting() ? "true" : "false";
   out += ",\"sequence\":";
-  append_u64(out, checkpointer_->sequence());
+  append_u64(out, checkpointer().sequence());
   out += ",\"horizon\":";
-  append_u64(out, checkpointer_->last_horizon());
+  append_u64(out, checkpointer().last_horizon());
   out += ",\"chain_links\":";
-  append_u64(out, checkpointer_->chain_links());
+  append_u64(out, checkpointer().chain_links());
   out += ",\"certified_links\":";
-  append_u64(out, checkpointer_->certified_links());
+  append_u64(out, checkpointer().certified_links());
   out += "},\"flightrec\":{\"rings\":";
   append_u64(out, recorder_.ring_count());
   out += ",\"stall_dumps\":";
@@ -1096,7 +965,7 @@ void NodeRuntime::nudge_proposal() {
   if (!propose_nudge_pending_.exchange(true, std::memory_order_acq_rel)) {
     loop_.post([this] {
       propose_nudge_pending_.store(false, std::memory_order_release);
-      perform(core_->on_mempool_ready(steady_now_micros()));
+      pipeline_->perform(core().on_mempool_ready(steady_now_micros()));
     });
   }
 }

@@ -1,9 +1,9 @@
 // NodeRuntime: a deployable validator process component.
 //
-// Owns an event loop thread, the sans-IO ValidatorCore, the TCP mesh to all
+// Owns an event loop thread, the validator's sans-IO NodePipeline (its
+// ValidatorCore, checkpointer and write-ahead log) and the TCP mesh to all
 // peers (one dialed connection per peer for sending; accepted connections
-// deliver peer traffic), and optionally a write-ahead log for crash
-// recovery. This mirrors the paper's networked multi-core validator (§4):
+// deliver peer traffic). This mirrors the paper's networked multi-core validator (§4):
 // tokio + raw TCP there, epoll + raw TCP here.
 //
 // Block ingestion is pipelined: the loop thread only reads frames off the
@@ -21,34 +21,14 @@
 // is caller-runs and the same stages run on the loop thread; their posts
 // back then cost no wakeup (net/event_loop.h).
 //
-// The write side is pipelined the same way (docs/ARCHITECTURE.md has the
-// full picture):
-//   * Egress: outbound blocks — proposal broadcasts, fetch responses,
-//     anti-entropy offers — are queued for a worker that encodes each block
-//     ONCE into a shared immutable frame (net/tcp.h SharedFrame); the loop
-//     thread then hands every per-peer send a refcounted view. Frames reach
-//     the sockets in enqueue order.
-//   * WAL: with a wal_path, the log is always the segmented layout
-//     (wal/segmented_wal.h, a directory of rolling seg-*.wal files) and
-//     construction replays it. ValidatorConfig::wal_group_commit only picks
-//     who lands the records: the caller (inline append + sync on the loop
-//     thread) or wal/group_commit_wal.h's writer thread (whole groups as one
-//     write + sync). Either way the loop thread makes one call,
-//     on_durable(), and own proposals enter the egress path only when that
-//     ack runs, preserving the recovery contract (a broadcast block is
-//     always replayable). Inline WALs ack synchronously — including
-//     NullWal, so running without persistence can never wedge the proposal
-//     path.
-// Together these leave the loop thread as pure I/O multiplexing.
-//
-// Checkpointing (ValidatorConfig::checkpoint_interval) is the sans-IO
-// validator/checkpointer.h, which the simulator runs too. The runtime hands
-// it the loop's peer sends, a writer hook (serialization and crash-atomic
-// file writes on a worker, completion posted back to the loop thread), the
-// execution engine's state, and the SegmentedWal; with persistence its
-// checkpoint store shares the WAL's directory, and recovery installs the
-// newest valid chain before segment-suffix replay. Catch-up chains verify on
-// a worker and install on the loop thread.
+// What the node does with the core's Actions, and WAL recovery, is
+// validator/pipeline.h (NodePipeline), which the simulator runs too. The
+// runtime supplies its Env: the loop's clock, peer sends, checkpoint writes
+// on a worker, and the commit handoff to the execution engine. Outbound
+// blocks are encoded ONCE on a worker into a shared frame (net/tcp.h
+// SharedFrame) and fanned out by the loop thread in enqueue order. With a
+// wal_path the log is the segmented layout, landed inline or by
+// wal/group_commit_wal.h's writer thread, whose acks post to the loop.
 //
 // Message frames (first payload byte is the type):
 //   kHandshake:          u32 validator id + 32-byte committee epoch seed
@@ -80,8 +60,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
-#include "validator/checkpointer.h"
-#include "validator/validator.h"
+#include "validator/pipeline.h"
 #include "wal/group_commit_wal.h"
 #include "wal/segmented_wal.h"
 #include "wal/wal.h"
@@ -213,7 +192,7 @@ class NodeRuntime {
   std::uint64_t committed_transactions() const { return committed_tx_->value(); }
   std::uint64_t committed_blocks() const { return committed_blocks_->value(); }
   Round highest_round() const {
-    return static_cast<Round>(highest_round_->value());
+    return static_cast<Round>(pipeline_->metrics().highest_round->value());
   }
 
   // Combined ingestion-pipeline counters: the worker stages (structural and
@@ -222,8 +201,6 @@ class NodeRuntime {
   IngestStats ingest_stats() const;
   // Frames that failed to decode as blocks (malformed wire bytes).
   std::uint64_t decode_errors() const { return decode_errors_->value(); }
-  // Frames dropped because the verify queue was full (overload shedding).
-  std::uint64_t verify_frames_dropped() const { return verify_frames_dropped_->value(); }
   // Admission-control counters of the shared mempool (thread-safe).
   MempoolStats mempool_stats() const { return mempool_->stats(); }
   // Egress/WAL write-side introspection (thread-safe). The encode counter
@@ -233,9 +210,6 @@ class NodeRuntime {
   bool wal_group_commit_active() const { return group_wal_ != nullptr; }
   std::uint64_t wal_groups_flushed() const {
     return group_wal_ ? group_wal_->groups_flushed() : 0;
-  }
-  std::uint64_t wal_flush_micros() const {
-    return group_wal_ ? group_wal_->flush_micros() : 0;
   }
   // I/O-plane accounting (thread-safe): the syscalls-per-committed-block
   // numerator. submit_syscalls counts data-plane kernel entries
@@ -334,7 +308,8 @@ class NodeRuntime {
   void dial_peer(ValidatorId peer);
   void on_peer_frame(ValidatorId peer, const TcpConnection::Frame& frame);
   void on_unidentified_connection(TcpConnectionPtr connection);
-  void perform(Actions&& actions);
+  ValidatorCore& core() { return pipeline_->core(); }
+  Checkpointer& checkpointer() { return pipeline_->checkpointer(); }
   // Verify-drain body: decodes + structurally validates + batch-crypto-
   // verifies one drained batch, folds its per-block cost into the EWMA that
   // sizes the next batch, and posts survivors to the loop thread.
@@ -343,15 +318,19 @@ class NodeRuntime {
   // Hands a shared encoded frame to `target` (every peer when kAllPeers) —
   // per-peer sends only bump the frame's refcount. Loop thread.
   void send_shared(ValidatorId target, const SharedFrame& frame);
-  // Egress-drain body: encodes each block once into a SharedFrame and posts
-  // the sends back to the loop thread.
+  // Queues `blocks` for `target` (kAllPeers broadcasts) on the egress drain,
+  // whose body encodes each block once into a SharedFrame and posts the
+  // sends back to the loop thread.
+  void egress(const std::vector<BlockPtr>& blocks, ValidatorId target);
   void encode_egress(std::vector<EgressItem> items);
   // Submission-drain body: admits one burst into the shared pool and nudges
   // the loop thread.
   void admit_batches(std::vector<TxBatch> batches);
   // Queues one proposal re-check on the loop thread (collapses bursts).
   void nudge_proposal();
-  const Checkpointer::Counters& ckpt_counter() const { return checkpointer_->counters(); }
+  const Checkpointer::Counters& ckpt_counter() const {
+    return pipeline_->checkpointer().counters();
+  }
   void tick();
   Bytes encode_block(const Block& block) const;
   // Sends our latest own block to `peer` (all peers when kAllPeers); its
@@ -398,15 +377,6 @@ class NodeRuntime {
   // Shared with the core (ValidatorConfig::mempool_instance): submissions
   // are admitted on client/worker threads, drains happen on the loop thread.
   std::shared_ptr<ShardedMempool> mempool_;
-  std::unique_ptr<ValidatorCore> core_;
-  std::unique_ptr<Wal> wal_;
-  // Non-null iff wal_ is a GroupCommitWal (introspection + explicit shutdown
-  // before the loop object dies: the writer posts acks through loop_).
-  GroupCommitWal* group_wal_ = nullptr;
-  // Non-null iff wal_path is set: the SegmentedWal owned by wal_ (directly,
-  // or inside the group-commit decorator). Its internal mutex makes the loop
-  // thread's roll/retire safe against the WAL writer thread's appends.
-  SegmentedWal* seg_wal_ = nullptr;
   CommitHandler commit_handler_;
   // Execution engine (ValidatorConfig::execute_app): fed on the loop thread
   // from the commit path; applies on its merge thread (execution_threads > 0)
@@ -414,11 +384,13 @@ class NodeRuntime {
   // surfaces (see on_wave_delivered) plus loop_.post, which is why stop()
   // shuts the engine down while loop_ is still alive.
   std::unique_ptr<exec::ExecutionEngine> exec_engine_;
-
-  // Checkpoint cut/cert/serve/install/recovery (loop-thread state; its
-  // counters are thread-safe). Built after the core and the engine, whose
-  // state its hooks read.
-  std::unique_ptr<Checkpointer> checkpointer_;
+  // The core, its checkpointer and its WAL (loop-thread state; the counters
+  // are thread-safe). Built after the engine, whose state its hooks read.
+  std::unique_ptr<NodePipeline> pipeline_;
+  // Non-null iff the pipeline's WAL is a GroupCommitWal (introspection +
+  // explicit shutdown before the loop object dies: the writer posts acks
+  // through loop_).
+  GroupCommitWal* group_wal_ = nullptr;
 
   EventLoop loop_;
   // The off-loop stages' executor (caller-runs with zero threads) and the
@@ -454,9 +426,6 @@ class NodeRuntime {
 
   obs::Counter* committed_tx_;
   obs::Counter* committed_blocks_;
-  obs::Gauge* highest_round_;
-  // Transaction bytes per own proposal, recorded in perform().
-  obs::Histogram* block_payload_bytes_;
 
   // Receive-side lag forensics: created_at (author clock) -> local receive,
   // clamped at 0. One aggregate histogram plus one per peer; negative deltas
@@ -489,24 +458,6 @@ class NodeRuntime {
   std::atomic<TimeMicros> verify_cost_ewma_{0};
   obs::Counter* worker_structurally_rejected_;
   obs::Counter* worker_crypto_rejected_;
-  // Mirror of the core's IngestStats, refreshed on the loop thread after
-  // every step so ingest_stats() never races the core. Gauges, not counters:
-  // each refresh overwrites with the core's absolute value.
-  obs::Gauge* core_structurally_rejected_;
-  obs::Gauge* core_crypto_rejected_;
-  obs::Gauge* core_cache_hits_;
-  obs::Gauge* core_verified_;
-  obs::Gauge* core_preverified_;
-  // Retention mirrors, refreshed with the ingest mirrors: the DAG window's
-  // block count and wire bytes (Dag maintains both at insert/prune) and the
-  // decided log's length. Together they explain resident memory. The digest
-  // probe counter advances by the core's count since the last refresh.
-  obs::Gauge* dag_blocks_;
-  obs::Counter* dag_digest_probes_;
-  std::uint64_t dag_digest_probes_mirrored_ = 0;
-  obs::Gauge* dag_payload_bytes_;
-  obs::Gauge* decided_log_entries_;
-  obs::Gauge* vote_memo_entries_;
 };
 
 }  // namespace mahimahi::net

@@ -10,7 +10,7 @@
 #include "exec/access.h"
 #include "exec/engine.h"
 #include "obs/trace.h"
-#include "validator/checkpointer.h"
+#include "validator/pipeline.h"
 #include "wal/segmented_wal.h"
 
 namespace mahimahi::sim {
@@ -59,6 +59,46 @@ CommitterOptions options_for(const SimConfig& config) {
   return {};
 }
 
+// Virtual-time group commit (SimConfig::wal_group_commit), the simulator's
+// GroupCommitWal: the first staged record arms a flush `schedule` runs
+// wal_flush_interval later, which lands the group in the inner log, then
+// runs the waiting acks in registration order. The harness drops a crashed
+// validator's pending flush by epoch: the staged tail dies with the process.
+class DeferredWal final : public Wal {
+ public:
+  DeferredWal(std::unique_ptr<Wal> inner,
+              std::function<void(std::function<void()>)> schedule, obs::Counter* groups)
+      : inner_(std::move(inner)), schedule_(std::move(schedule)), groups_(groups) {}
+  DeferredWal(const DeferredWal&) = delete;  // the scheduled flush holds its address
+  DeferredWal& operator=(const DeferredWal&) = delete;
+
+  void append_block(const Block& block, bool own) override {
+    staged_.emplace_back(block, own);
+    if (staged_.size() == 1) schedule_([this] { sync(); });  // one flush per group
+  }
+
+  void sync() override {
+    for (const auto& [block, own] : staged_) inner_->append_block(block, own);
+    inner_->sync();
+    if (!staged_.empty()) groups_->add();
+    staged_.clear();
+    for (const auto& ack : std::exchange(acks_, {})) ack();
+  }
+
+  // With nothing staged, everything appended is durable: ack at once.
+  void on_durable(std::function<void()> done) override {
+    if (staged_.empty()) return done();
+    acks_.push_back(std::move(done));
+  }
+
+ private:
+  std::unique_ptr<Wal> inner_;
+  std::function<void(std::function<void()>)> schedule_;
+  obs::Counter* groups_;
+  std::vector<std::pair<Block, bool>> staged_;
+  std::vector<std::function<void()>> acks_;
+};
+
 }  // namespace
 
 struct SimHarness::Impl {
@@ -99,60 +139,24 @@ struct SimHarness::Impl {
       }
     }
 
-    down.assign(config.n, 0);
+    epochs.assign(config.n, 0);
     mem_logs.resize(config.n);
-    wals.resize(config.n);
-    wal_stages.resize(config.n);
-    ckpts.resize(config.n);
     execs.resize(config.n);
     exec_epochs.assign(config.n, 0);
+    nodes.resize(config.n);
     for (ValidatorId v = 0; v < config.n; ++v) {
-      if (!alive(v)) {
-        nodes.push_back(nullptr);
-        continue;
-      }
-      nodes.push_back(make_node(v));
-      if (!config.wal_dir.empty()) open_wal(v);
+      if (!alive(v)) continue;
       if (config.execute_app) execs[v] = std::make_unique<ExecNode>();
-      ckpts[v] = make_checkpointer(v);
-      ckpts[v]->start(wals[v].get());
+      boot(v, /*recover=*/false);
     }
-    // Retention gauges under the runtime's names, for validator 0 (the
-    // tracer's reporter); read when the registry is dumped.
-    const auto v0_gauge = [this](const char* name, const char* help, auto read) {
-      registry.gauge_fn(
-          name,
-          [this, read] {
-            return running(0) ? static_cast<std::int64_t>(read(*nodes[0])) : 0;
-          },
-          help);
-    };
-    v0_gauge("mm_dag_blocks", "Blocks in validator 0's live DAG window",
-             [](const ValidatorCore& core) { return core.dag().block_count(); });
-    v0_gauge("mm_dag_payload_bytes",
-             "Wire bytes of the blocks in validator 0's live DAG window",
-             [](const ValidatorCore& core) { return core.dag().wire_bytes(); });
-    v0_gauge("mm_decided_log_entries", "Consumed leader slots in validator 0's decided log",
-             [](const ValidatorCore& core) {
-               return core.committer().decided_sequence().size();
-             });
-    v0_gauge("mm_vote_memo_entries",
-             "Memoized vote traversals validator 0's commit rule keeps",
-             [](const ValidatorCore& core) { return core.committer().vote_memo_entries(); });
-    registry.counter_fn(
-        "mm_dag_digest_probes_total",
-        [this] { return running(0) ? nodes[0]->dag().digest_probes() : 0; },
-        "Lookups and insertions on validator 0's DAG digest index (ingress only)");
   }
 
-  // Opens validator v's on-disk log (rolling segments).
-  void open_wal(ValidatorId v) {
-    SegmentedWalOptions options;
-    options.segment_bytes = config.wal_segment_bytes;
-    wals[v] = std::make_unique<SegmentedWal>(wal_path(v), options);
-  }
-
-  std::unique_ptr<ValidatorCore> make_node(ValidatorId v) {
+  // Boots validator v: the node's own pipeline (validator/pipeline.h) over
+  // simulated links, observed for validator 0 only, recovering from its log
+  // on a restart. The log is the on-disk segments with wal_dir, the
+  // in-memory log when restarts need one without it, none otherwise; group
+  // commit defers a real log (with none there is nothing to make durable).
+  void boot(ValidatorId v, bool recover) {
     ValidatorConfig vc;
     vc.id = v;
     vc.min_round_delay = config.min_round_delay;
@@ -171,49 +175,93 @@ struct SimHarness::Impl {
       vc.signature_cache = verifier_cache;
     }
     vc.byzantine_equivocate = v < config.equivocators;
-    return std::make_unique<ValidatorCore>(setup.committee,
-                                           setup.keypairs[v].private_key, vc);
-  }
 
-  // Validator v's checkpointer: the node's own (validator/checkpointer.h),
-  // driven over simulated links. A write lands checkpoint_write_delay after
-  // the cut, epoch-guarded like the group-commit flush, so a crash in
-  // between drops it. The app hooks drain the executor first, the sim
-  // analogue of ExecutionEngine::drain().
-  std::unique_ptr<Checkpointer> make_checkpointer(ValidatorId v) {
-    Checkpointer::Hooks hooks;
-    hooks.send = [this, v](ValidatorId to, BytesView frame) {
+    NodePipeline::Env env;
+    env.now = [this] { return queue.now(); };
+    env.broadcast = [this, v](const std::vector<BlockPtr>& group) { dispatch_broadcast(v, group); };
+    env.send_blocks = [this, v](ValidatorId peer, const std::vector<BlockPtr>& blocks) {
+      for (const auto& block : blocks) schedule_send(v, peer, block);
+    };
+    env.send_fetch = [this, v](ValidatorId peer, const std::vector<BlockRef>& refs) {
+      schedule_small_message(v, peer, [this, v, peer, refs] {
+        nodes[peer]->perform(nodes[peer]->core().on_fetch_request(refs, v, queue.now()));
+      });
+    };
+    env.send_horizon = [this, v](ValidatorId peer, Round horizon) {
+      schedule_small_message(v, peer, [this, v, peer, horizon] {
+        nodes[peer]->perform(nodes[peer]->core().on_peer_horizon(v, horizon, queue.now()));
+      });
+    };
+    // A checkpoint write lands checkpoint_write_delay after the cut; a crash
+    // in between drops it. The app hooks drain the executor first, the sim
+    // analogue of ExecutionEngine::drain().
+    env.checkpoint.send = [this, v](ValidatorId to, BytesView frame) {
       send_checkpoint_frame(v, to, frame);
     };
-    hooks.write = [this, v](Checkpointer::WriteTask task) {
+    env.checkpoint.write = [this, v](Checkpointer::WriteTask task) {
       queue.schedule_after(config.checkpoint_write_delay,
-                           [this, v, task = std::move(task), epoch = wal_stages[v].epoch] {
-                             if (wal_stages[v].epoch != epoch || !running(v)) return;
+                           [this, v, task = std::move(task), epoch = epochs[v]] {
+                             if (epochs[v] != epoch || !running(v)) return;
                              if (auto done = task()) done();
                            });
     };
     if (config.execute_app) {
-      hooks.app_digest = [this, v] {
+      const auto drained = [this, v]() -> exec::SerialExecutor& {
         drain_exec(v);
-        return execs[v]->executor.state_digest();
+        return execs[v]->executor;
       };
-      hooks.app_snapshot = [this, v] {
-        drain_exec(v);
-        return execs[v]->executor.snapshot_bytes();
-      };
-      hooks.app_delta = [this, v] {
-        drain_exec(v);
-        return execs[v]->executor.take_app_delta();
-      };
-      hooks.clear_app_delta = [this, v] {
-        drain_exec(v);
-        execs[v]->executor.take_app_delta();
-      };
-      hooks.install_app = [this, v](BytesView snapshot) { install_app(v, snapshot); };
+      env.checkpoint.app_digest = [drained] { return drained().state_digest(); };
+      env.checkpoint.app_snapshot = [drained] { return drained().snapshot_bytes(); };
+      env.checkpoint.app_delta = [drained] { return drained().take_app_delta(); };
+      env.checkpoint.clear_app_delta = [drained] { drained().take_app_delta(); };
+      env.checkpoint.install_app = [this, v](BytesView snapshot) { install_app(v, snapshot); };
     }
-    return std::make_unique<Checkpointer>(
-        setup.committee, *nodes[v], setup.keypairs[v].private_key, registry, nullptr,
-        std::move(hooks), config.wal_dir.empty() ? std::string{} : wal_path(v));
+    env.commit = [this, v](const CommittedSubDag& sub_dag, TimeMicros, CommitTrace*) {
+      record_commits(v, sub_dag);
+    };
+    env.replay_commit = [this, v](const CommittedSubDag& sub_dag) {
+      // Counted before the crash: refresh the recorded sequence and re-apply
+      // serially without stamps, leaving throughput and latency untouched.
+      if (config.record_sequences) {
+        for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
+      }
+      if (config.execute_app && execs[v] != nullptr) {
+        execs[v]->log.push_back(sub_dag);
+        execs[v]->executor.apply_subdag(sub_dag);
+      }
+    };
+    env.deferred_execution = config.execute_app;
+    NodePipeline::Observers observers;
+    if (v == 0) observers = {&tracer, &forensics, nullptr, /*core_metrics=*/true};
+    nodes[v] = std::make_unique<NodePipeline>(
+        setup.committee, setup.keypairs[v].private_key, vc, registry, std::move(env),
+        observers, config.wal_dir.empty() ? std::string{} : wal_path(v));
+    if (recover) nodes[v]->recover(config.wal_dir.empty() ? &mem_logs[v] : nullptr);
+
+    std::unique_ptr<Wal> log;
+    SegmentedWal* segments = nullptr;
+    if (!config.wal_dir.empty()) {
+      SegmentedWalOptions options;
+      options.segment_bytes = config.wal_segment_bytes;
+      auto segmented = std::make_unique<SegmentedWal>(wal_path(v), options);
+      segments = segmented.get();
+      log = std::move(segmented);
+    } else if (!config.restarts.empty()) {
+      log = std::make_unique<MemoryWal>(mem_logs[v]);
+    }
+    if (log == nullptr) {
+      log = std::make_unique<NullWal>();
+    } else if (config.wal_group_commit) {
+      log = std::make_unique<DeferredWal>(
+          std::move(log),
+          [this, v, epoch = epochs[v]](std::function<void()> flush) {
+            queue.schedule_after(config.wal_flush_interval, [this, v, epoch, flush] {
+              if (epochs[v] == epoch && running(v)) flush();
+            });
+          },
+          wal_groups_flushed);
+    }
+    nodes[v]->start(std::move(log), segments);
   }
 
   bool withholds(ValidatorId v) const {
@@ -231,12 +279,13 @@ struct SimHarness::Impl {
     auto payload = std::make_shared<const Bytes>(frame.begin() + 1, frame.end());
     switch (frame[0]) {
       case Checkpointer::kRequestFrame:
-        schedule_small_message(from, to, [this, from, to] { ckpts[to]->serve(from); });
+        schedule_small_message(from, to,
+                               [this, from, to] { nodes[to]->checkpointer().serve(from); });
         return;
       case Checkpointer::kShareFrame:
         if (withholds(from) || withholds(to)) return;
         schedule_small_message(from, to, [this, to, payload] {
-          ckpts[to]->on_share({payload->data(), payload->size()});
+          nodes[to]->checkpointer().on_share({payload->data(), payload->size()});
         });
         return;
       case Checkpointer::kChainFrame: {
@@ -244,10 +293,12 @@ struct SimHarness::Impl {
         egress_free[from] = start + transmission_delay(payload->size());
         const TimeMicros arrival = egress_free[from] + latency->sample(from, to, rng);
         queue.schedule(arrival, [this, from, to, payload] {
-          if (!running(to) || !ckpts[to]->accept_chain(from)) return;
-          auto chain = ckpts[to]->verify_chain(from, {payload->data(), payload->size()});
+          if (!running(to)) return;
+          Checkpointer& checkpointer = nodes[to]->checkpointer();
+          if (!checkpointer.accept_chain(from)) return;
+          auto chain = checkpointer.verify_chain(from, {payload->data(), payload->size()});
           if (chain.has_value()) {
-            handle_actions(to, ckpts[to]->install(std::move(*chain), queue.now()));
+            nodes[to]->perform(checkpointer.install(std::move(*chain), queue.now()));
           }
         });
         return;
@@ -276,9 +327,7 @@ struct SimHarness::Impl {
 
   bool alive(ValidatorId v) const { return v < config.n - config.crashed; }
   // Alive AND not currently crashed by a RestartSpec.
-  bool running(ValidatorId v) const {
-    return alive(v) && !down[v] && nodes[v] != nullptr;
-  }
+  bool running(ValidatorId v) const { return alive(v) && nodes[v] != nullptr; }
   std::uint32_t alive_count() const { return config.n - config.crashed; }
   bool in_window(TimeMicros t) const { return t >= config.warmup && t <= config.duration; }
 
@@ -331,7 +380,7 @@ struct SimHarness::Impl {
     if (!running(to)) return;  // crashed between arrival and drain
     auto& inbox = inboxes[to];
     if (inbox.empty()) return;
-    const std::size_t cap = nodes[to]->config().max_ingest_batch;
+    const std::size_t cap = nodes[to]->core().config().max_ingest_batch;
     const std::size_t take = cap == 0 ? inbox.size() : std::min(cap, inbox.size());
     std::vector<IngestBlock> items;
     items.reserve(take);
@@ -353,7 +402,7 @@ struct SimHarness::Impl {
         }
       }
     }
-    handle_actions(to, nodes[to]->on_blocks(std::move(items), queue.now()));
+    nodes[to]->perform(nodes[to]->core().on_blocks(std::move(items), queue.now()));
   }
 
   void schedule_small_message(ValidatorId from, ValidatorId to,
@@ -368,20 +417,12 @@ struct SimHarness::Impl {
     });
   }
 
-  // True when validator v's log uses the staged group-commit model. With no
-  // log at all there is nothing to make durable: acks are synchronous, the
-  // NullWal behavior.
-  bool group_commit_active(ValidatorId v) const {
-    return config.wal_group_commit &&
-           (wals[v] != nullptr || !config.restarts.empty());
-  }
-
   // Sends one Actions::broadcast group to the network. An equivocator's twin
   // proposals are split: half the peers see one block, half the other. The
   // split is per broadcast group, which is why gated (deferred) broadcasts
   // keep their group boundaries instead of being flattened.
   void dispatch_broadcast(ValidatorId v, const std::vector<BlockPtr>& blocks) {
-    const bool split = nodes[v]->config().byzantine_equivocate && blocks.size() > 1;
+    const bool split = nodes[v]->core().config().byzantine_equivocate && blocks.size() > 1;
     for (ValidatorId peer = 0; peer < config.n; ++peer) {
       if (peer == v || !alive(peer)) continue;
       if (split) {
@@ -392,135 +433,8 @@ struct SimHarness::Impl {
     }
   }
 
-  void handle_actions(ValidatorId v, Actions&& actions) {
-    const bool staged_wal = group_commit_active(v);
-    if (v == 0) {
-      for (const auto& block : actions.broadcast) {
-        block_payload_bytes->record(static_cast<std::int64_t>(block->payload_bytes()));
-      }
-    }
-    // Broadcast own blocks — immediately when the log is inline-durable (or
-    // absent), behind the covering group flush otherwise.
-    if (!actions.broadcast.empty()) {
-      if (staged_wal) {
-        wal_stages[v].gated_broadcasts.push_back(actions.broadcast);
-        schedule_wal_flush(v);
-      } else {
-        dispatch_broadcast(v, actions.broadcast);
-      }
-    }
-
-    // Validator 0's lifecycle spans: insert stamps open the commit-wait
-    // breakdown that record_commits closes, all in virtual time.
-    if (v == 0) {
-      for (const auto& block : actions.inserted) {
-        tracer.block_inserted(block->digest(), queue.now());
-        forensics.block_arrived(block->digest(), queue.now());
-      }
-    }
-
-    for (auto& request : actions.fetch_requests) {
-      fetch_requests->add();
-      const ValidatorId peer = request.peer;
-      if (!alive(peer)) continue;
-      schedule_small_message(v, peer, [this, v, peer, refs = std::move(request.refs)] {
-        handle_actions(peer, nodes[peer]->on_fetch_request(refs, v, queue.now()));
-      });
-    }
-
-    for (auto& response : actions.responses) {
-      for (const auto& block : response.blocks) schedule_send(v, response.peer, block);
-    }
-
-    for (const auto& sub_dag : actions.committed) {
-      // Boundary crossings fire before the sub-DAG reaches execution, which
-      // makes the cut's app digest canonical.
-      ckpts[v]->advance(sub_dag.slot, actions);
-      record_commits(v, sub_dag);
-    }
-
-    // Persist admitted blocks for crash recovery (only when a restart can
-    // actually happen; the log is pure overhead otherwise). Group commit
-    // stages them for the deferred flush event instead — a crash before the
-    // flush loses exactly the staged tail.
-    if (staged_wal) {
-      if (!actions.inserted.empty()) {
-        for (const auto& block : actions.inserted) {
-          wal_stages[v].records.emplace_back(block, block->author() == v);
-        }
-        schedule_wal_flush(v);
-      }
-    } else if (wals[v] != nullptr) {
-      for (const auto& block : actions.inserted) {
-        wals[v]->append_block(*block, block->author() == v);
-      }
-    } else if (!config.restarts.empty()) {
-      for (const auto& block : actions.inserted) mem_logs[v].push_back(block);
-    }
-
-    // Checkpoint & state sync: horizon notices travel like any small
-    // message; catch-up requests pull the serving peer's chain.
-    for (const auto& notice : actions.horizon_notices) {
-      schedule_small_message(
-          v, notice.peer, [this, from = v, to = notice.peer, h = notice.horizon] {
-            handle_actions(to, nodes[to]->on_peer_horizon(from, h, queue.now()));
-          });
-    }
-    for (const ValidatorId target : actions.checkpoint_requests) {
-      checkpoint_requests->add();
-      ckpts[v]->request(target);
-    }
-
-    // Skip decisions may have moved the consumption head past a boundary.
-    ckpts[v]->advance(nodes[v]->committer().next_pending_slot(), actions);
-  }
-
-  void schedule_wal_flush(ValidatorId v) {
-    auto& stage = wal_stages[v];
-    if (stage.flush_scheduled) return;  // one covering flush per open group
-    stage.flush_scheduled = true;
-    queue.schedule_after(config.wal_flush_interval,
-                         [this, v, epoch = stage.epoch] { flush_wal(v, epoch); });
-  }
-
-  // The deferred group flush: lands every staged record as one group
-  // (append + sync on the file path), then releases the broadcasts gated on
-  // it. `epoch` invalidates events that were in flight across a crash.
-  void flush_wal(ValidatorId v, std::uint64_t epoch) {
-    auto& stage = wal_stages[v];
-    if (stage.epoch != epoch) return;  // scheduled before a crash: stale
-    stage.flush_scheduled = false;
-    if (!running(v)) return;
-    if (wals[v] != nullptr) {
-      for (const auto& [block, own] : stage.records) wals[v]->append_block(*block, own);
-      wals[v]->sync();
-    } else {
-      for (const auto& [block, own] : stage.records) mem_logs[v].push_back(block);
-    }
-    if (!stage.records.empty()) wal_groups_flushed->add();
-    stage.records.clear();
-    // The covering flush makes every commit since the previous one durable.
-    if (v == 0) forensics.durable_ack(queue.now());
-    const auto gated = std::move(stage.gated_broadcasts);
-    stage.gated_broadcasts.clear();
-    for (const auto& group : gated) dispatch_broadcast(v, group);
-  }
-
   void record_commits(ValidatorId v, const CommittedSubDag& sub_dag) {
     const TimeMicros now = queue.now();
-    // Validator 0's view: per-block commit-wait spans and the transaction-
-    // weighted finality histogram, deterministic in virtual time. With the
-    // execution model on, finality moves to wave-delivery time
-    // (exec_run_wave) — only the commit-wait spans close here.
-    if (v == 0) {
-      tracer.sub_dag_committed(sub_dag, now, !config.execute_app);
-      // Forensic trace in virtual time. Durable resolves at the covering
-      // group flush (inline WAL appends are synchronous in the sim: 0);
-      // execute resolves when the wave schedule retires the sub-DAG.
-      CommitTrace& trace = forensics.on_committed(sub_dag, now);
-      trace.durable_pending = group_commit_active(0);
-      trace.execute_pending = config.execute_app && execs[0] != nullptr;
-    }
     if (config.execute_app && execs[v] != nullptr) {
       execs[v]->log.push_back(sub_dag);
       execs[v]->pending.push_back(sub_dag);
@@ -648,79 +562,28 @@ struct SimHarness::Impl {
 
   void crash(ValidatorId v) {
     if (!running(v)) return;
-    down[v] = 1;
-    ckpts[v].reset();  // before the core it drives
+    // The core, its checkpointer and its log die with the process; a
+    // deferred log's staged tail and the broadcasts it gated with them.
     nodes[v].reset();
     inboxes[v].clear();   // in-flight deliveries die with the process
-    // The staged group-commit tail dies with the process: records that never
-    // flushed are not durable, and the broadcasts they gated never happened.
-    wal_stages[v].records.clear();
-    wal_stages[v].gated_broadcasts.clear();
-    wal_stages[v].flush_scheduled = false;
     // Invalidates in-flight flush and checkpoint-write events: a cut whose
     // write never landed dies with the process.
-    ++wal_stages[v].epoch;
+    ++epochs[v];
     // The executor (mid-wave state included) dies with the process; restart
     // rebuilds it from checkpoint + log replay. Scheduled wave events stale.
     ++exec_epochs[v];
     execs[v].reset();
-    if (wals[v] != nullptr) {
-      // Keep the file for replay; drop the open handle like a crash would.
-      wals[v]->sync();
-      wals[v].reset();
-    }
   }
 
   void restart(ValidatorId v) {
-    if (!alive(v) || !down[v]) return;
-    nodes[v] = make_node(v);
-    down[v] = 0;
+    if (!alive(v) || running(v)) return;
     // The restarted committer re-decides from the first slot, so its
     // recorded sequence restarts from scratch too (replay repopulates it).
     if (config.record_sequences) sequences[v].clear();
-
     if (config.execute_app) execs[v] = std::make_unique<ExecNode>();
-
-    const auto replay_one = [this, v](BlockPtr block) {
-      Actions actions = nodes[v]->recover_block(std::move(block));
-      wal_replayed_blocks->add();
-      // Replayed commits were already counted before the crash: refresh the
-      // recorded sequence but leave throughput/latency metrics untouched.
-      if (config.record_sequences) {
-        for (const auto& sub : actions.committed) {
-          for (const auto& block_ptr : sub.blocks) {
-            sequences[v].push_back(block_ptr->ref());
-          }
-        }
-      }
-      // Replayed commits reach the state machine serially inline (the
-      // ISSUE contract: recovery never runs parallel waves) with no
-      // delivery stamps — the pre-crash run already stamped them.
-      if (config.execute_app && execs[v] != nullptr) {
-        for (const auto& sub : actions.committed) {
-          execs[v]->log.push_back(sub);
-          execs[v]->executor.apply_subdag(sub);
-        }
-      }
-    };
-
-    // Recovery prefers newest valid checkpoint + log-suffix replay: install
-    // first (it sets the horizon, so sub-horizon log records are skipped),
-    // then replay whatever the log still holds. Recovery from an older
-    // checkpoint (a newer one corrupted mid-write) degrades to more replay,
-    // never to divergence — the log records are a superset of every cut.
     // Without wal_dir there is no checkpoint store: the in-memory log
     // replays and the validator catches up by snapshot like any joiner.
-    ckpts[v] = make_checkpointer(v);
-    ckpts[v]->recover();
-    if (!config.wal_dir.empty()) {
-      SegmentedWal::replay(wal_path(v),
-                           [&](BlockPtr block, bool) { replay_one(std::move(block)); });
-      open_wal(v);  // resume appends
-    } else {
-      for (const auto& block : mem_logs[v]) replay_one(block);
-    }
-    ckpts[v]->start(wals[v].get());
+    boot(v, /*recover=*/true);
 
     // Re-arm the driver loops that died while the validator was down.
     queue.schedule_after(0, [this, v] { tick(v); });
@@ -766,14 +629,14 @@ struct SimHarness::Impl {
       batches.push_back(std::move(batch));
     }
     if (!batches.empty()) {
-      handle_actions(v, nodes[v]->on_transactions(std::move(batches), queue.now()));
+      nodes[v]->perform(nodes[v]->core().on_transactions(std::move(batches), queue.now()));
     }
     queue.schedule_after(config.client_interval, [this, v] { inject_load(v); });
   }
 
   void tick(ValidatorId v) {
     if (!running(v)) return;
-    handle_actions(v, nodes[v]->on_tick(queue.now()));
+    nodes[v]->perform(nodes[v]->core().on_tick(queue.now()));
     queue.schedule_after(config.tick_interval, [this, v] { tick(v); });
   }
 
@@ -809,22 +672,19 @@ struct SimHarness::Impl {
     ValidatorId reporter = 0;
     while (reporter < config.n && !running(reporter)) ++reporter;
     if (reporter < config.n) {
-      result.max_round = nodes[reporter]->dag().highest_round();
-      result.commit_stats = nodes[reporter]->committer().stats();
-      result.total_blocks = nodes[reporter]->dag().block_count();
-      if (config.record_sequences) {
-        result.decisions = nodes[reporter]->committer().decided_sequence();
-      }
+      const ValidatorCore& core = nodes[reporter]->core();
+      result.max_round = core.dag().highest_round();
+      result.commit_stats = core.committer().stats();
+      result.total_blocks = core.dag().block_count();
+      if (config.record_sequences) result.decisions = core.committer().decided_sequence();
+      result.mempool_rejected = core.mempool().stats().rejected();
     }
-    if (reporter < config.n) {
-      result.mempool_rejected = nodes[reporter]->mempool().stats().rejected();
-    }
-    result.fetch_requests = fetch_requests->value();
-    result.wal_replayed_blocks = wal_replayed_blocks->value();
+    result.fetch_requests = pipeline_counters.fetch_requests->value();
+    result.wal_replayed_blocks = pipeline_counters.replayed_blocks->value();
     result.wal_groups_flushed = wal_groups_flushed->value();
     result.checkpoints_written = ckpt_counters.written->value();
     result.snapshot_catchups = ckpt_counters.catchups->value();
-    result.checkpoint_requests = checkpoint_requests->value();
+    result.checkpoint_requests = pipeline_counters.checkpoint_requests->value();
     result.checkpoint_delta_cuts = ckpt_counters.delta_cuts->value();
     result.checkpoint_certs_formed = ckpt_counters.certs->value();
     result.equivocation_cells = count_equivocation_cells();
@@ -865,7 +725,7 @@ struct SimHarness::Impl {
     for (ValidatorId v = 0; v < config.n; ++v) {
       if (!running(v)) continue;
       std::uint64_t cells = 0;
-      const Dag& dag = nodes[v]->dag();
+      const Dag& dag = nodes[v]->core().dag();
       for (Round r = 1; r <= dag.highest_round(); ++r) {
         for (ValidatorId author = 0; author < config.n; ++author) {
           if (dag.slot(r, author).size() > 1) ++cells;
@@ -881,28 +741,17 @@ struct SimHarness::Impl {
   EventQueue queue;
   std::unique_ptr<LatencyModel> latency;
   Rng rng;
-  std::vector<std::unique_ptr<ValidatorCore>> nodes;
+  // Per validator: its pipeline (null while down).
+  std::vector<std::unique_ptr<NodePipeline>> nodes;
   std::vector<TimeMicros> egress_free;
   std::vector<TimeMicros> cert_rtt;
   std::vector<std::vector<std::uint64_t>> batch_seq;  // [validator][client]
   std::vector<std::deque<IngestBlock>> inboxes;   // batched same-time deliveries
   std::vector<char> inbox_scheduled;
-  std::vector<char> down;                         // RestartSpec crash state
-  // Per validator, when wal_dir is set: the on-disk log.
-  std::vector<std::unique_ptr<SegmentedWal>> wals;
-  std::vector<std::vector<BlockPtr>> mem_logs;    // in-memory WAL fallback
-  // Per validator: its checkpointer (null while down). Declared after the
-  // cores it drives, so it is destroyed first.
-  std::vector<std::unique_ptr<Checkpointer>> ckpts;
-  // Group-commit staging (SimConfig::wal_group_commit): records and gated
-  // broadcast groups awaiting the deferred flush event.
-  struct WalStage {
-    std::vector<std::pair<BlockPtr, bool>> records;          // (block, own)
-    std::vector<std::vector<BlockPtr>> gated_broadcasts;     // per Actions group
-    bool flush_scheduled = false;
-    std::uint64_t epoch = 0;  // bumped at crash; stale events no-op
-  };
-  std::vector<WalStage> wal_stages;
+  // Bumped at a crash: stales pending log flushes and checkpoint writes.
+  std::vector<std::uint64_t> epochs;
+  // For restarts without wal_dir: in-memory logs, outliving the pipelines.
+  std::vector<MemoryWal::Store> mem_logs;
   // Execution model (execute_app): per-validator executor + wave-event state.
   // `plan` points into `current`'s blocks, so the sub-DAG stays alive beside
   // it. `log`/`ref_base` feed the run-end serial-equivalence self-check.
@@ -941,22 +790,15 @@ struct SimHarness::Impl {
   CommitForensics forensics{CommitForensics::Options{.trace_capacity = 1 << 16}};
   obs::Histogram* peer_rx_lag = &registry.histogram(
       "mm_peer_rx_lag_micros", "Peer block creation-to-arrival lag at validator 0");
-  obs::Histogram* block_payload_bytes = &registry.histogram(
-      "mm_block_payload_bytes", "Transaction bytes per own proposal of validator 0");
   obs::Counter* committed_tx = &registry.counter(
       "mm_committed_transactions_total", "Origin-side committed transactions (in-window)");
   obs::Counter* submitted_tx = &registry.counter("mm_submitted_transactions_total",
                                                  "Transactions injected (in-window)");
-  obs::Counter* fetch_requests =
-      &registry.counter("mm_fetch_requests_total", "Synchronizer fetches, all validators");
-  // The checkpointers' counters, summed over validators.
+  // The pipelines' and checkpointers' counters, summed over validators.
+  NodePipeline::Counters pipeline_counters{registry};
   Checkpointer::Counters ckpt_counters{registry};
-  obs::Counter* checkpoint_requests =
-      &registry.counter("mm_checkpoint_requests_total", "Catch-up requests sent");
   obs::Counter* wal_groups_flushed =
       &registry.counter("mm_wal_groups_flushed_total", "Non-empty group flushes");
-  obs::Counter* wal_replayed_blocks =
-      &registry.counter("mm_wal_replayed_blocks_total", "Blocks replayed across restarts");
 };
 
 SimHarness::SimHarness(SimConfig config) : impl_(std::make_unique<Impl>(std::move(config))) {}

@@ -1,9 +1,10 @@
 // End-to-end discrete-event simulation of a geo-replicated deployment.
 //
-// Substitutes for the paper's AWS testbed (§5.1): n validator cores run the
+// Substitutes for the paper's AWS testbed (§5.1): n validators run the
 // real protocol logic (real blocks, real DAG, real commit rules) over a
 // simulated WAN with per-link latency sampling and sender-side bandwidth
-// serialization. Open-loop clients submit 512-byte transactions at a fixed
+// serialization. Each validator is the TCP runtime's own NodePipeline
+// (validator/pipeline.h); the harness supplies its clock, links and faults. Open-loop clients submit 512-byte transactions at a fixed
 // aggregate rate; the harness measures commit latency (submission at the
 // origin validator to commit at that validator) and committed throughput,
 // exactly the quantities on the axes of Figures 3-5 and 7.
@@ -58,22 +59,17 @@ struct SimConfig {
   };
   std::vector<RestartSpec> restarts;
 
-  // When non-empty, every live validator appends admitted blocks to a
-  // SegmentedWal in the directory `{wal_dir}/v{id}.wal` and restart replays
-  // it — the real on-disk recovery path, serde included. When empty,
-  // restarts replay an in-memory block log. Use a fresh directory per run:
-  // the WAL appends.
+  // When non-empty, every live validator's log is a SegmentedWal in the
+  // directory `{wal_dir}/v{id}.wal`, which restart replays — the real
+  // on-disk recovery path, serde included. When empty, restarts replay an
+  // in-memory log (MemoryWal). Use a fresh directory per run: the WAL
+  // appends.
   std::string wal_dir;
 
-  // Deterministic model of ValidatorConfig::wal_group_commit: admitted
-  // blocks stage per validator and land in the log (file or in-memory) as
-  // one group when a deferred flush event fires wal_flush_interval later;
-  // own-block broadcasts wait for the flush that covers them (the runtime's
-  // durability gate), and a crash loses the staged tail — exactly what a
-  // real group-commit crash loses. With no log at all (empty wal_dir and no
-  // restarts) there is nothing to make durable, so acks are synchronous and
-  // broadcasts flow immediately — the NullWal behavior the TCP runtime
-  // relies on to not wedge proposals.
+  // ValidatorConfig::wal_group_commit in virtual time: the log stages
+  // records and lands them as one group wal_flush_interval after the first,
+  // and a crash loses the staged tail. With no log at all (empty wal_dir and
+  // no restarts) there is nothing to make durable, so acks stay synchronous.
   bool wal_group_commit = false;
   TimeMicros wal_flush_interval = millis(1);
 

@@ -1,9 +1,9 @@
 // Checkpointer: the validator's checkpoint subsystem, sans-IO.
 //
-// The TCP runtime (net/node_runtime.h) and the simulator (sim/harness.h) each
-// own one per validator, so the simulator runs the node's own checkpointing
-// rather than a model of it. It lives on its owner's consensus thread beside
-// the ValidatorCore:
+// Each validator's NodePipeline (validator/pipeline.h) owns one, in the TCP
+// runtime and the simulator alike, so the simulator runs the node's own
+// checkpointing rather than a model of it. It lives on its owner's consensus
+// thread beside the ValidatorCore:
 //   * cuts happen at CANONICAL boundary slots (checkpoint/cert.h
 //     cut_boundary_slot): when the consumption head crosses boundary k, the
 //     consistent cut is captured and truncated back to the boundary, so every

@@ -16,17 +16,19 @@
 // entry point. A run without checkpoints simply never cuts or retires.
 //
 // Durability model: append_block stages a record; sync() makes everything
-// staged durable. Inline implementations (NullWal, SegmentedWal) complete
-// on_durable() synchronously — append, sync, ack, all on the caller's
-// thread. wal/group_commit_wal.h adds the off-thread variant: appends stage
-// into a buffer, a writer thread flushes groups, and the ack arrives later.
-// Drivers that must not send an own block before it is durable (the
-// non-equivocation contract) gate the send on on_durable() and work with
-// either.
+// staged durable. Inline implementations (NullWal, MemoryWal, SegmentedWal)
+// complete on_durable() synchronously — append, sync, ack, all on the
+// caller's thread. wal/group_commit_wal.h adds the off-thread variant:
+// appends stage into a buffer, a writer thread flushes groups, and the ack
+// arrives later. NodePipeline (validator/pipeline.h), the one driver of a
+// validator's log, gates every own-block send on on_durable() (the
+// non-equivocation contract) and works with either.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "types/block.h"
 
@@ -71,6 +73,22 @@ class NullWal : public Wal {
  public:
   void append_block(const Block&, bool) override {}
   void sync() override {}
+};
+
+// In-memory log: appended blocks land in a store that outlives the Wal, as a
+// disk outlives its process (the simulator's crash model without a
+// wal_dir; NodePipeline::recover replays it). Appends copy; sync is free.
+class MemoryWal : public Wal {
+ public:
+  using Store = std::vector<BlockPtr>;
+  explicit MemoryWal(Store& store) : store_(store) {}
+  void append_block(const Block& block, bool) override {
+    store_.push_back(std::make_shared<const Block>(block));
+  }
+  void sync() override {}
+
+ private:
+  Store& store_;
 };
 
 }  // namespace mahimahi
