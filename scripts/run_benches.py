@@ -141,6 +141,11 @@ BENCHES: List[Bench] = [
                 "--compare", "MicrosPerBatch",
                 "BM_ExecApplySerial/conflict:0",
                 "BM_ExecApplyParallel/conflict:0")),
+
+    # The design ablations through the simulator (wave stride, direct skip,
+    # wave length 3, GC depth): a plain smoke run, no artifact, so the sim's
+    # GC-depth sweep runs on every push and must exit zero.
+    Bench(name="ablations", binary="bench_ablations", json=False),
 ]
 
 

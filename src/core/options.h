@@ -7,6 +7,11 @@
 
 namespace mahimahi {
 
+// The GC depth deployed validators run at: the TCP benchmark's committee
+// (bench/e2e) sets 50, and the simulator gives every protocol that applies
+// the delivery cut the same depth, so both environments prune alike.
+inline constexpr Round kDefaultGcDepth = 50;
+
 struct CommitterOptions {
   // Rounds per wave: Propose, Boost*, Vote, Certify. The paper ships 5
   // (maximum asynchronous commit probability) and 4 (lower latency under the

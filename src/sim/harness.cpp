@@ -43,20 +43,25 @@ namespace {
 
 constexpr std::uint64_t kOriginShift = 40;
 
+// Every committer that applies the delivery cut runs the node's GC depth.
+// Tusk stays unbounded: TuskCommitter::prune_below is a no-op and its
+// linearizer has no delivery cut, so a validator's delivered history would
+// depend on when it pruned.
 CommitterOptions options_for(const SimConfig& config) {
   if (config.committer_override.has_value()) return *config.committer_override;
+  CommitterOptions options;
   switch (config.protocol) {
-    case Protocol::kMahiMahi5: return mahi_mahi_5(config.leaders_per_round);
-    case Protocol::kMahiMahi4: return mahi_mahi_4(config.leaders_per_round);
-    case Protocol::kMahiMahi3: {
-      CommitterOptions o = mahi_mahi_5(config.leaders_per_round);
-      o.wave_length = 3;
-      return o;
-    }
-    case Protocol::kCordialMiners: return cordial_miners_shape(5);
+    case Protocol::kMahiMahi5: options = mahi_mahi_5(config.leaders_per_round); break;
+    case Protocol::kMahiMahi4: options = mahi_mahi_4(config.leaders_per_round); break;
+    case Protocol::kMahiMahi3:
+      options = mahi_mahi_5(config.leaders_per_round);
+      options.wave_length = 3;
+      break;
+    case Protocol::kCordialMiners: options = cordial_miners_shape(5); break;
     case Protocol::kTusk: return {};  // unused (factory overrides)
   }
-  return {};
+  options.gc_depth = kDefaultGcDepth;
+  return options;
 }
 
 // Virtual-time group commit (SimConfig::wal_group_commit), the simulator's

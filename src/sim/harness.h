@@ -74,16 +74,17 @@ struct SimConfig {
   TimeMicros wal_flush_interval = millis(1);
 
   // Checkpointing (ValidatorConfig::checkpoint_interval): every validator
-  // runs the node's own validator/checkpointer.h. Nonzero (with a
-  // gc_depth-bearing committer_override for cuts) cuts at canonical boundary
-  // slots as base+delta chains, exchanges cert shares as small messages and
-  // certifies cuts at 2f+1. A cut's write (with wal_dir, to its
-  // CheckpointStore) lands checkpoint_write_delay later; a crash in between
-  // drops it, like a real crash during a checkpoint write. Peers that ask
-  // for sub-horizon ancestors get horizon notices, and a stuck validator
-  // fetches, verifies and installs a serving peer's chain over the
-  // simulated links. Restarts recover from the store with wal_dir; without
-  // it they replay the in-memory log and catch up by snapshot.
+  // runs the node's own validator/checkpointer.h. Nonzero cuts at canonical
+  // boundary slots (cuts need GC: every protocol but Tusk runs it unless a
+  // committer_override turns it off) as base+delta chains, exchanges cert
+  // shares as small messages and certifies cuts at 2f+1. A cut's write
+  // (with wal_dir, to its CheckpointStore) lands checkpoint_write_delay
+  // later; a crash in between drops it, like a real crash during a
+  // checkpoint write. Peers that ask for sub-horizon ancestors get horizon
+  // notices, and a stuck validator fetches, verifies and installs a serving
+  // peer's chain over the simulated links. Restarts recover from the store
+  // with wal_dir; without it they replay the in-memory log and catch up by
+  // snapshot.
   Round checkpoint_interval = 0;
   TimeMicros checkpoint_write_delay = millis(5);
   // Segment-roll budget of the on-disk layout (wal_dir runs); the sim uses
@@ -146,11 +147,15 @@ struct SimConfig {
   bool verify_crypto = false;
 
   // Mahi-Mahi committer options are derived from `protocol` and
-  // `leaders_per_round`; override here if non-default shapes are needed.
+  // `leaders_per_round`, with the node's GC depth (kDefaultGcDepth) for
+  // every protocol but Tusk; override here if non-default shapes are
+  // needed. The override is used as given, so it is the only way to run
+  // unbounded history (gc_depth = 0).
   std::optional<CommitterOptions> committer_override;
 
   // Record every validator's delivered block sequence (for agreement
-  // checks in tests; costs memory at scale, so off by default).
+  // checks in tests). Off by default: the sequences grow with run length,
+  // unlike the GC-bounded DAG.
   bool record_sequences = false;
 
   // --- Execution (exec/) ---------------------------------------------------

@@ -29,6 +29,8 @@ NodePipeline::CoreMetrics::CoreMetrics(obs::Registry& registry)
                                           "Consumed leader slots in the decided log")),
       vote_memo_entries(&registry.gauge("mm_vote_memo_entries",
                                         "Memoized vote traversals the commit rule keeps")),
+      fetch_inflight(&registry.gauge("mm_fetch_inflight",
+                                     "Missing ancestors with a fetch outstanding")),
       dag_digest_probes(&registry.counter(
           "mm_dag_digest_probes_total",
           "Lookups and insertions on the DAG's digest index (ingress only)")),
@@ -153,6 +155,7 @@ void NodePipeline::mirror_core() {
   set(metrics_->dag_payload_bytes, core_->dag().wire_bytes());
   set(metrics_->decided_log_entries, core_->committer().decided_sequence().size());
   set(metrics_->vote_memo_entries, core_->committer().vote_memo_entries());
+  set(metrics_->fetch_inflight, core_->inflight_fetches());
   const std::uint64_t probes = core_->dag().digest_probes();
   metrics_->dag_digest_probes->add(probes - probes_mirrored_);
   probes_mirrored_ = probes;

@@ -85,6 +85,7 @@ class NodePipeline {
     obs::Gauge* dag_payload_bytes;
     obs::Gauge* decided_log_entries;
     obs::Gauge* vote_memo_entries;
+    obs::Gauge* fetch_inflight;
     obs::Counter* dag_digest_probes;
     obs::Histogram* block_payload_bytes;
   };

@@ -42,6 +42,8 @@ class Synchronizer {
 
   // Refs currently being waited for (for retry logic).
   std::vector<BlockRef> outstanding() const;
+  // Does some parked block still wait for the parent with this digest?
+  bool is_missing(const Digest& digest) const { return missing_refs_.contains(digest); }
 
   // GC: missing refs below `round` count as satisfied (their blocks can
   // never be delivered — see Dag::parents_present), so pending blocks

@@ -234,10 +234,13 @@ void ValidatorCore::maybe_gc(Actions& actions) {
   const Round head = committer_->next_pending_slot().round;
   if (head <= depth) return;
   const Round horizon = head - depth;
-  if (horizon <= dag_.pruned_below()) return;
   // Safe by the deterministic delivery cut: every slot below `head` is
   // consumed, and any future leader (round >= head) delivers only blocks
   // with round >= head - gc_depth, so rounds below `horizon` are dead.
+  if (horizon > dag_.pruned_below()) prune_below(horizon, actions);
+}
+
+void ValidatorCore::prune_below(Round horizon, Actions& actions) {
   dag_.prune_below(horizon);
   committer_->prune_below(horizon);
   std::erase_if(tips_, [horizon](const BlockRef& ref) { return ref.round < horizon; });
@@ -248,6 +251,12 @@ void ValidatorCore::maybe_gc(Actions& actions) {
     note_inserted(unblocked);
     actions.inserted.push_back(std::move(unblocked));
   }
+  // The synchronizer stopped waiting for sub-horizon refs; their fetch
+  // bookkeeping would linger forever otherwise (a Byzantine author that
+  // references blocks it never sends would grow it without bound).
+  std::erase_if(inflight_fetches_, [this](const auto& entry) {
+    return !synchronizer_.is_missing(entry.first);
+  });
 }
 
 Actions ValidatorCore::on_transactions(std::vector<TxBatch> batches, TimeMicros now) {
@@ -353,17 +362,7 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
   // Drop local state below the checkpoint's horizon. Pending blocks whose
   // only missing parents fall below it unblock and insert, like any other
   // horizon move.
-  if (data.horizon > dag_.pruned_below()) {
-    dag_.prune_below(data.horizon);
-    committer_->prune_below(data.horizon);
-    std::erase_if(tips_,
-                  [&data](const BlockRef& ref) { return ref.round < data.horizon; });
-    for (BlockPtr& unblocked : synchronizer_.prune_below(data.horizon)) {
-      inflight_fetches_.erase(unblocked->digest());
-      note_inserted(unblocked);
-      actions.inserted.push_back(std::move(unblocked));
-    }
-  }
+  if (data.horizon > dag_.pruned_below()) prune_below(data.horizon, actions);
 
   // Install the DAG suffix through the synchronizer so parked descendants
   // cascade. The suffix is round-ascending and the horizon is set, so
@@ -393,14 +392,6 @@ Actions ValidatorCore::install_checkpoint(const CheckpointData& data, TimeMicros
     // horizon with no successor above it).
     last_proposed_round_ = data.last_proposed_round;
   }
-
-  // Fetch bookkeeping for ancestry the install made moot (resolved by the
-  // suffix, or pruned with the horizon) would linger forever otherwise.
-  std::unordered_set<Digest, DigestHasher> still_missing;
-  for (const auto& ref : synchronizer_.outstanding()) still_missing.insert(ref.digest);
-  std::erase_if(inflight_fetches_, [&still_missing](const auto& entry) {
-    return !still_missing.contains(entry.first);
-  });
 
   ++checkpoints_installed_;
   last_catchup_request_.reset();  // a fresh stall may legitimately re-request

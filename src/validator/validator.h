@@ -132,6 +132,9 @@ class ValidatorCore {
   bool knows_block(const BlockRef& ref) const {
     return dag_.contains(ref) || synchronizer_.is_pending(ref.digest);
   }
+  // Missing ancestors with a fetch outstanding; bounded by what the
+  // synchronizer still waits for.
+  std::size_t inflight_fetches() const { return inflight_fetches_.size(); }
   std::size_t mempool_size() const { return mempool_->size(); }
   const ShardedMempool& mempool() const { return *mempool_; }
   // The pool itself, for drivers that admit submissions off the core's
@@ -156,11 +159,14 @@ class ValidatorCore {
   void maybe_propose(TimeMicros now, Actions& actions);
   BlockPtr build_own_block(Round round, TimeMicros now);
   void note_inserted(const BlockPtr& block);
-  // Prunes DAG + committer + synchronizer state below the GC horizon
-  // derived from the consumed-slot head (CommitterOptions::gc_depth; no-op
-  // when 0). Blocks unblocked by the horizon move are appended to
-  // `actions.inserted` so the driver logs them.
+  // Moves the GC horizon derived from the consumed-slot head
+  // (CommitterOptions::gc_depth; no-op when 0).
   void maybe_gc(Actions& actions);
+  // The one horizon move, shared by GC and checkpoint install: prunes DAG,
+  // committer, tips and synchronizer state below `horizon` and drops fetch
+  // bookkeeping the synchronizer no longer waits for. Blocks unblocked by
+  // the move are appended to `actions.inserted` so the driver logs them.
+  void prune_below(Round horizon, Actions& actions);
   // Records `round` as reached by `author` (structurally + crypto valid
   // blocks only, parked or inserted) for credible_peer_horizon().
   void note_author_round(ValidatorId author, Round round);

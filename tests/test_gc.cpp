@@ -182,11 +182,54 @@ TEST(Gc, UnboundedRunRetainsEverything) {
   config.duration = seconds(12);
   config.warmup = seconds(2);
   config.seed = 13;
+  CommitterOptions options = mahi_mahi_5(config.leaders_per_round);
+  options.gc_depth = 0;
+  config.committer_override = options;
 
   const sim::SimResult result = sim::run_simulation(config);
   // Without GC the DAG holds every round produced so far.
   EXPECT_GE(result.total_blocks,
             static_cast<std::uint64_t>(result.max_round) * (config.n - 1));
+}
+
+// The simulator runs the node's GC by default: the same results as an
+// unbounded run of the same seed, from a DAG bounded by the GC window
+// instead of by run length.
+TEST(Gc, SimDefaultRunsNodeGcWithUnboundedResults) {
+  sim::SimConfig config;
+  config.protocol = sim::Protocol::kMahiMahi5;
+  config.n = 10;
+  config.wan = true;
+  config.load_tps = 2'000;
+  config.duration = seconds(20);
+  config.warmup = seconds(2);
+  config.record_sequences = true;
+  config.seed = 7;
+  const sim::SimResult pruned = sim::run_simulation(config);
+
+  CommitterOptions unbounded = mahi_mahi_5(config.leaders_per_round);
+  unbounded.gc_depth = 0;
+  config.committer_override = unbounded;
+  const sim::SimResult full = sim::run_simulation(config);
+
+  EXPECT_EQ(pruned.p50_latency_s, full.p50_latency_s);
+  EXPECT_EQ(pruned.p99_latency_s, full.p99_latency_s);
+  EXPECT_EQ(pruned.committed_tps, full.committed_tps);
+  EXPECT_EQ(pruned.commit_stats.direct_commits, full.commit_stats.direct_commits);
+  EXPECT_EQ(pruned.commit_stats.indirect_commits, full.commit_stats.indirect_commits);
+  EXPECT_EQ(pruned.commit_stats.direct_skips, full.commit_stats.direct_skips);
+  EXPECT_EQ(pruned.commit_stats.indirect_skips, full.commit_stats.indirect_skips);
+  EXPECT_EQ(pruned.commit_stats.delivered_blocks, full.commit_stats.delivered_blocks);
+  EXPECT_EQ(pruned.commit_stats.delivered_transactions,
+            full.commit_stats.delivered_transactions);
+  EXPECT_EQ(pruned.sequences, full.sequences);
+  EXPECT_GT(full.commit_stats.delivered_blocks, 0u);
+
+  EXPECT_LE(pruned.total_blocks,
+            static_cast<std::uint64_t>(config.n) * (kDefaultGcDepth + 10))
+      << pruned.to_string();
+  EXPECT_GE(full.total_blocks, static_cast<std::uint64_t>(full.max_round) * (config.n - 1))
+      << full.to_string();
 }
 
 TEST(Gc, RestartWithGcReplaysCleanly) {

@@ -190,8 +190,12 @@ TEST(Recovery, RestartUnderWanAndHigherLoad) {
 TEST(Recovery, LateJoinerCatchesUpFromPeers) {
   // A validator that crashes at t=0 (before doing anything, WAL empty) and
   // restarts at t=6 is effectively a late joiner: everything it needs must
-  // come from peers through the synchronizer's fetch path.
+  // come from peers through the synchronizer's fetch path, so the peers keep
+  // unbounded history (with GC they prune it; see the gc_config scenarios).
   SimConfig config = recovery_config();
+  CommitterOptions options = mahi_mahi_5(config.leaders_per_round);
+  options.gc_depth = 0;
+  config.committer_override = options;
   config.restarts.push_back({.id = 2, .crash_at = millis(1), .restart_at = seconds(6)});
 
   const SimResult result = run_simulation(config);

@@ -220,6 +220,7 @@ TEST(Retention, VoteMemoStaysWithinAFewWavesWithoutGc) {
   config.seed = 17;
   const CommitterOptions options = mahi_mahi_5(config.leaders_per_round);
   ASSERT_EQ(options.gc_depth, 0u);
+  config.committer_override = options;
 
   const sim::SimResult result = sim::run_simulation(config);
   EXPECT_GE(result.max_round, 150u);

@@ -1,10 +1,13 @@
 // Unit tests for the sans-IO validator core: proposal rule, synchronizer
-// integration, fetch retry, mempool draining, equivocation mode, recovery.
+// integration, fetch retry, fetch bookkeeping at the GC horizon, mempool
+// draining, equivocation mode, recovery.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "sim/dag_builder.h"
 #include "types/validation.h"
+#include "validator/pipeline.h"
 #include "validator/validator.h"
 
 namespace mahimahi {
@@ -179,6 +182,55 @@ TEST_F(ValidatorTest, FetchRetryRotatesPeers) {
   // block author first).
   const Actions retried = v0->on_tick(millis(1000));
   ASSERT_FALSE(retried.fetch_requests.empty());
+}
+
+// A Byzantine author references a parent it never sends. Once the GC
+// horizon passes that parent the synchronizer stops waiting for it, and its
+// fetch bookkeeping must go too: mm_fetch_inflight reads 0, not 1 forever.
+TEST_F(ValidatorTest, HorizonMoveDropsFetchesForParentsThatNeverArrive) {
+  DagBuilder builder(4);
+  builder.build_fully_connected(30);
+
+  ValidatorConfig config = config_for(0);
+  config.observer = true;
+  config.committer.gc_depth = 8;
+  config.validation.verify_signature = false;
+  config.validation.verify_coin_share = false;
+  obs::Registry registry;
+  NodePipeline::Env env;
+  env.now = [] { return TimeMicros{0}; };
+  env.send_fetch = [](ValidatorId, const std::vector<BlockRef>&) {};
+  env.commit = [](const CommittedSubDag&, TimeMicros, CommitTrace*) {};
+  NodePipeline pipeline(setup_.committee, setup_.keypairs[0].private_key, config, registry,
+                        std::move(env), NodePipeline::Observers{.core_metrics = true}, "");
+  pipeline.start(std::make_unique<NullWal>(), nullptr);
+  const auto inflight = [&registry] {
+    return registry.dump().gauge_value("mm_fetch_inflight");
+  };
+
+  // Round 5 of author 3, over three real round-4 parents and one forged one.
+  std::vector<BlockRef> parents;
+  for (ValidatorId a = 0; a < 3; ++a) {
+    parents.push_back(builder.dag().slot(4, a).front()->ref());
+  }
+  Digest forged{};
+  forged.bytes.fill(0xab);
+  parents.push_back(BlockRef{4, 3, forged});
+  const BlockPtr lying = std::make_shared<const Block>(
+      Block::make(3, 5, std::move(parents), {}, setup_.committee.coin().share(3, 5),
+                  setup_.keypairs[3].private_key));
+  pipeline.perform(pipeline.core().on_block(lying, 3, 0));
+  EXPECT_EQ(inflight(), 4);
+
+  for (Round r = 1; r <= 30; ++r) {
+    for (ValidatorId v = 0; v < 4; ++v) {
+      pipeline.perform(pipeline.core().on_block(builder.dag().slot(r, v).front(), v, 0));
+    }
+  }
+  ASSERT_GT(pipeline.core().dag().pruned_below(), 4u)
+      << "the horizon must pass the forged parent";
+  EXPECT_EQ(pipeline.core().inflight_fetches(), 0u);
+  EXPECT_EQ(inflight(), 0);
 }
 
 TEST_F(ValidatorTest, MempoolDrainsIntoProposals) {
