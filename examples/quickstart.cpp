@@ -40,7 +40,8 @@ int main() {
   batch.id = 1;
   batch.count = 3;                       // three 512-byte transactions
   batch.payload = to_bytes("hello mahi-mahi");
-  work.emplace_back(0, validators[0]->on_transactions({batch}, now));
+  validators[0]->mempool_handle()->submit(batch);
+  work.emplace_back(0, validators[0]->on_mempool_ready(now));
 
   // Drive the cluster: perform every action a core emits — deliver broadcast
   // blocks to all peers, serve fetch requests — instantly. The cores do the

@@ -15,7 +15,7 @@
 #include "common/fsio.h"
 #include "common/log.h"
 #include "serde/serde.h"
-#include "validator/crypto_stage.h"
+#include "validator/ingest.h"
 #include "wal/wal.h"
 
 namespace mahimahi {

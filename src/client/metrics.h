@@ -9,23 +9,17 @@
 
 namespace mahimahi {
 
-// Per-stage counters of the block-ingestion pipeline
-// (decode → structural validation → crypto verification → DAG insert).
-// Owned by each ValidatorCore; drivers that run the crypto stage off-thread
-// (net/node_runtime.h) keep mirror counters for their worker stages and sum
-// both views for reporting.
-// The acceptance counters track where the signature-verification DECISION
-// came from, not raw cycles: cache_hits and verified are decisions made
-// inside the core, preverified means the driver ran the (configured) crypto
-// stage off-thread — including configurations where that stage skips
-// signatures. With verify_signature disabled, blocks accepted inline
-// increment none of them.
+// Per-stage counters of the block screen (validator/ingest.h): structural
+// validation, then crypto verification. screen_blocks counts one batch into
+// its ScreenedBatch, and the core adds every admitted batch to its totals,
+// whichever thread screened it. The acceptance counters track where each
+// accepted block's signature decision came from, not raw cycles; with
+// verify_signature disabled, accepted blocks increment neither.
 struct IngestStats {
   std::uint64_t structurally_rejected = 0;  // failed the cheap structural stage
   std::uint64_t crypto_rejected = 0;        // bad signature or coin share
   std::uint64_t cache_hits = 0;             // verifier-cache hit skipped ed25519
   std::uint64_t verified = 0;               // paid full crypto verification
-  std::uint64_t preverified = 0;            // driver ran the crypto stage off-thread
 };
 
 // Collects (latency, weight) samples; weight = transactions represented by

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <unordered_set>
 
 #include "common/log.h"
 #include "obs/export.h"
 #include "serde/serde.h"
-#include "validator/crypto_stage.h"
 
 namespace mahimahi::net {
 
@@ -29,6 +27,57 @@ std::size_t ingest_batch_cap(std::size_t max_batch, TimeMicros latency_budget,
     cap = std::min(cap, std::max(kVerifyAmortizationFloor, by_budget));
   }
   return std::max<std::size_t>(1, cap);
+}
+
+namespace {
+
+// A reader past the type byte, which must be `type`'s.
+serde::Reader frame_body(BytesView frame, MessageType type) {
+  serde::Reader r(frame);
+  if (r.u8() != static_cast<std::uint8_t>(type)) throw serde::SerdeError("wrong frame type");
+  return r;
+}
+
+}  // namespace
+
+Bytes encode_fetch_frame(const std::vector<BlockRef>& refs) {
+  serde::Writer w;
+  w.u8(static_cast<std::uint8_t>(MessageType::kFetch));
+  w.varint(refs.size());
+  for (const auto& ref : refs) {
+    w.varint(ref.round);
+    w.u32(ref.author);
+    w.digest(ref.digest);
+  }
+  return std::move(w).take();
+}
+
+std::vector<BlockRef> decode_fetch_frame(BytesView frame) {
+  serde::Reader r = frame_body(frame, MessageType::kFetch);
+  const std::uint64_t count = r.varint();
+  if (count > kMaxFetchRefs) throw serde::SerdeError("absurd fetch count");
+  std::vector<BlockRef> refs(count);
+  for (auto& ref : refs) {
+    ref.round = r.varint();
+    ref.author = r.u32();
+    ref.digest = r.digest();
+  }
+  r.expect_done();
+  return refs;
+}
+
+Bytes encode_horizon_frame(Round horizon) {
+  serde::Writer w;
+  w.u8(static_cast<std::uint8_t>(MessageType::kHorizon));
+  w.varint(horizon);
+  return std::move(w).take();
+}
+
+Round decode_horizon_frame(BytesView frame) {
+  serde::Reader r = frame_body(frame, MessageType::kHorizon);
+  const Round horizon = r.varint();
+  r.expect_done();
+  return horizon;
 }
 
 NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey key,
@@ -63,9 +112,10 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       egress_drain_(
           verify_pool_,
           [this](std::vector<EgressItem> items) { encode_egress(std::move(items)); }),
-      submit_drain_(
-          verify_pool_,
-          [this](std::vector<TxBatch> batches) { admit_batches(std::move(batches)); }) {
+      submit_drain_(verify_pool_, [this](std::vector<TxBatch> batches) {
+        pipeline_->admit(std::move(batches));
+        nudge_proposal();
+      }) {
   // Metric handles first: the recovery path below already writes some of
   // them. Creation is the only locked step; every later touch is a relaxed
   // atomic on a stable object.
@@ -78,16 +128,8 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
   verify_frames_dropped_ =
       &registry_.counter("mm_verify_frames_dropped_total",
                          "Frames shed because the verify queue was full");
-  submit_rejected_ = &registry_.counter(
-      "mm_submit_rejected_total", "Local submit() batches the mempool rejected");
   egress_frames_encoded_ = &registry_.counter(
       "mm_egress_frames_encoded_total", "Outbound block frames encoded once and fanned out");
-  worker_structurally_rejected_ =
-      &registry_.counter("mm_ingest_worker_structural_rejects_total",
-                         "Blocks failing structural validation on the verify workers");
-  worker_crypto_rejected_ =
-      &registry_.counter("mm_ingest_worker_crypto_rejects_total",
-                         "Blocks failing crypto verification on the verify workers");
   peer_rx_lag_ = &registry_.histogram(
       "mm_peer_rx_lag_micros",
       "Receive-side lag: author created_at to local receive stamp, clamped at 0");
@@ -120,21 +162,10 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
     egress(blocks, peer);
   };
   env.send_fetch = [this](ValidatorId peer, const std::vector<BlockRef>& refs) {
-    serde::Writer w;
-    w.u8(static_cast<std::uint8_t>(MessageType::kFetch));
-    w.varint(refs.size());
-    for (const auto& ref : refs) {
-      w.varint(ref.round);
-      w.u32(ref.author);
-      w.digest(ref.digest);
-    }
-    send_to_peer(peer, {w.data().data(), w.data().size()});
+    send_to_peer(peer, encode_fetch_frame(refs));
   };
   env.send_horizon = [this](ValidatorId peer, Round horizon) {
-    serde::Writer w;
-    w.u8(static_cast<std::uint8_t>(MessageType::kHorizon));
-    w.varint(horizon);
-    send_to_peer(peer, {w.data().data(), w.data().size()});
+    send_to_peer(peer, encode_horizon_frame(horizon));
   };
   env.checkpoint.send = [this](ValidatorId peer, BytesView frame) { send_to_peer(peer, frame); };
   env.checkpoint.write = [this](Checkpointer::WriteTask task) {
@@ -546,25 +577,12 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, const TcpConnection::Frame& fr
         }
         break;
       }
-      case MessageType::kFetch: {
-        const std::uint64_t count = r.varint();
-        if (count > 10000) throw serde::SerdeError("absurd fetch count");
-        std::vector<BlockRef> refs;
-        refs.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          BlockRef ref;
-          ref.round = r.varint();
-          ref.author = r.u32();
-          ref.digest = r.digest();
-          refs.push_back(ref);
-        }
-        pipeline_->perform(core().on_fetch_request(refs, peer, steady_now_micros()));
+      case MessageType::kFetch:
+        pipeline_->on_fetch_request(decode_fetch_frame(frame), peer);
         break;
-      }
-      case MessageType::kHorizon: {
-        pipeline_->perform(core().on_peer_horizon(peer, r.varint(), steady_now_micros()));
+      case MessageType::kHorizon:
+        pipeline_->on_peer_horizon(peer, decode_horizon_frame(frame));
         break;
-      }
       case MessageType::kCheckpointRequest: {
         checkpointer().serve(peer);
         break;
@@ -586,7 +604,7 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, const TcpConnection::Frame& fr
           auto chain = checkpointer().verify_chain(peer, {copy.data(), copy.size()});
           if (!chain.has_value()) return;
           loop_.post([this, chain = std::move(*chain)]() mutable {
-            pipeline_->perform(checkpointer().install(std::move(chain), steady_now_micros()));
+            pipeline_->install_checkpoint(std::move(chain));
           });
         });
         break;
@@ -606,12 +624,10 @@ void NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
   // Batching, not thread fan-out, is where the verification win comes from.
   const TimeMicros start = steady_now_micros();
 
-  // Stage: decode + structural validation + dedup.
-  std::vector<BlockPtr> blocks;
-  std::vector<ValidatorId> senders;
-  blocks.reserve(frames.size());
-  senders.reserve(frames.size());
-  std::unordered_set<Digest, DigestHasher> in_batch;
+  // Stage: decode. Blocks the core already retained (anti-entropy re-offers)
+  // drop here, before the screen pays for them again.
+  std::vector<IngestBlock> items;
+  items.reserve(frames.size());
   for (const auto& frame : frames) {
     BlockPtr block;
     try {
@@ -625,83 +641,52 @@ void NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
     }
     // Decode span starts at the loop thread's receive stamp, so it includes
     // the verify-queue wait — the number that grows first under overload.
-    const TimeMicros decoded_at = steady_now_micros();
-    tracer_.record_stage(obs::Stage::kDecode, decoded_at - frame.received_at);
-    // Already retained by the core (anti-entropy re-offer) or duplicated
-    // within this very batch: skip before the crypto stage.
-    if (!in_batch.insert(block->digest()).second) continue;
+    tracer_.record_stage(obs::Stage::kDecode, steady_now_micros() - frame.received_at);
     if (forwarded_digests_.contains(block->digest())) continue;
-    const BlockValidity structural = validate_block_structure(*block, committee_);
-    tracer_.record_stage(obs::Stage::kStructural, steady_now_micros() - decoded_at);
-    if (structural != BlockValidity::kValid) {
-      worker_structurally_rejected_->add();
-      MM_LOG(kDebug) << "v" << id() << " rejected block from v" << frame.peer << ": "
-                     << to_string(structural);
-      continue;
-    }
-    // First sight of a structurally valid block: the receive-side lag stamp
-    // (author's created_at against the loop thread's receive stamp) and the
-    // admit event. Dedup above keeps re-deliveries from double-counting.
-    record_rx_lag(*block, frame.received_at);
-    recorder_.record(obs::FlightEventType::kBlockAdmit, frame.received_at,
-                     block->author(), block->round());
-    blocks.push_back(std::move(block));
-    senders.push_back(frame.peer);
+    items.push_back({std::move(block), frame.peer, frame.received_at});
   }
 
-  // Stage: the shared crypto stage (validator/crypto_stage.h) — verifier-
-  // cache consult (a configured shared cache short-circuits signatures a
-  // co-located runtime already verified), batched coin-share checks, one
-  // RLC signature batch with bisecting fallback. Safe off-thread: the
-  // committee is immutable and the cache internally locked.
-  const TimeMicros crypto_start = steady_now_micros();
-  const CryptoStageResult stage =
-      run_crypto_stage(blocks, committee_, config_.validator.validation,
-                       config_.validator.signature_cache.get());
-  if (!blocks.empty()) {
-    const TimeMicros crypto_end = steady_now_micros();
-    // Batch-amortized: record the per-block mean, weighted by the batch size.
-    tracer_.record_stage(obs::Stage::kCryptoVerify,
-                         (crypto_end - crypto_start) / static_cast<TimeMicros>(blocks.size()),
-                         blocks.size());
-    // The cost estimate sizing the next drain counts only frames that
-    // reached the crypto stage: floods of near-free drops (duplicate
-    // re-offers, decode failures) must not drag the EWMA to zero and disable
-    // the latency shaping right before a burst of genuine blocks.
-    const TimeMicros per_block = (crypto_end - start) / static_cast<TimeMicros>(blocks.size());
+  // Stage: the block screen (validator/ingest.h). A configured shared cache
+  // short-circuits signatures a co-located runtime already verified.
+  ScreenedBatch screened =
+      screen_blocks(std::move(items), committee_, config_.validator.validation,
+                    config_.validator.signature_cache.get(), &tracer_);
+  const IngestStats& stats = screened.stats();
+  // The cost estimate sizing the next drain counts only blocks that reached
+  // the crypto stage: floods of near-free drops (duplicate re-offers, decode
+  // failures) must not drag the EWMA to zero and disable the latency shaping
+  // right before a burst of genuine blocks.
+  if (const std::uint64_t reached = screened.blocks().size() + stats.crypto_rejected) {
+    const TimeMicros per_block =
+        (steady_now_micros() - start) / static_cast<TimeMicros>(reached);
     const TimeMicros prev = verify_cost_ewma_.load(std::memory_order_relaxed);
     verify_cost_ewma_.store(prev == 0 ? per_block : (3 * prev + per_block) / 4,
                             std::memory_order_relaxed);
   }
-
-  std::vector<IngestBlock> items;
-  items.reserve(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    if (stage.verdicts[i] != BlockValidity::kValid) {
-      worker_crypto_rejected_->add();
-      MM_LOG(kDebug) << "v" << id() << " rejected block from v" << senders[i] << ": "
-                     << to_string(stage.verdicts[i]);
-      continue;
-    }
-    items.push_back(IngestBlock{std::move(blocks[i]), senders[i], true,
-                                stage.cache_hit[i] != 0});
-  }
-  if (items.empty()) return;
-
-  // Hand the verified batch back to the loop thread; the core never runs
-  // concurrently with itself. The forwarded-digest record is written there,
-  // AFTER the core decides: a block the synchronizer drops under
-  // back-pressure must stay re-deliverable through the fetch path.
+  // First sight of an accepted block: the receive-side lag stamp (author's
+  // created_at against the loop thread's receive stamp) and the admit event.
+  // The screen's dedup keeps re-deliveries from double-counting.
   std::vector<BlockRef> refs;
-  refs.reserve(items.size());
-  for (const auto& item : items) refs.push_back(item.block->ref());
+  refs.reserve(screened.blocks().size());
+  for (const auto& item : screened.blocks()) {
+    record_rx_lag(*item.block, item.received_at);
+    recorder_.record(obs::FlightEventType::kBlockAdmit, item.received_at,
+                     item.block->author(), item.block->round());
+    refs.push_back(item.block->ref());
+  }
+  if (refs.empty() && stats.structurally_rejected + stats.crypto_rejected == 0) return;
+
+  // Hand the screened batch, rejects counted, to the loop thread; the core
+  // never runs concurrently with itself. The forwarded-digest record is
+  // written there, AFTER the core decides: a block the synchronizer drops
+  // under back-pressure must stay re-deliverable through the fetch path.
   const TimeMicros verified_at = steady_now_micros();
-  loop_.post([this, items = std::move(items), refs = std::move(refs),
+  loop_.post([this, screened = std::move(screened), refs = std::move(refs),
               verified_at]() mutable {
     const TimeMicros picked_up = steady_now_micros();
     tracer_.record_stage(obs::Stage::kInsertQueue, picked_up - verified_at,
                          refs.size());
-    pipeline_->perform(core().on_blocks(std::move(items), picked_up));
+    pipeline_->on_screened(std::move(screened));
     tracer_.record_stage(obs::Stage::kDagInsert, steady_now_micros() - picked_up);
     for (const auto& ref : refs) {
       if (core().knows_block(ref)) forwarded_digests_.insert(ref.digest);
@@ -712,14 +697,8 @@ void NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
 IngestStats NodeRuntime::ingest_stats() const {
   const NodePipeline::CoreMetrics& core = pipeline_->metrics();
   const auto read = [](const obs::Gauge* g) { return static_cast<std::uint64_t>(g->value()); };
-  IngestStats stats;
-  stats.structurally_rejected =
-      read(core.structurally_rejected) + worker_structurally_rejected_->value();
-  stats.crypto_rejected = read(core.crypto_rejected) + worker_crypto_rejected_->value();
-  stats.cache_hits = read(core.cache_hits);
-  stats.verified = read(core.verified);
-  stats.preverified = read(core.preverified);
-  return stats;
+  return IngestStats{read(core.structurally_rejected), read(core.crypto_rejected),
+                     read(core.cache_hits), read(core.verified)};
 }
 
 NodeRuntime::IoPlaneReport NodeRuntime::io_plane_report() const {
@@ -739,13 +718,6 @@ NodeRuntime::IoPlaneReport NodeRuntime::io_plane_report() const {
     report.wal_ring_active = group_wal_->wal_ring_active();
   }
   return report;
-}
-
-Bytes NodeRuntime::encode_block(const Block& block) const {
-  serde::Writer w(1 + block.encoded_size());
-  w.u8(static_cast<std::uint8_t>(MessageType::kBlock));
-  block.serialize_into(w);
-  return std::move(w).take();
 }
 
 void NodeRuntime::send_to_peer(ValidatorId peer, BytesView frame) {
@@ -782,7 +754,10 @@ void NodeRuntime::encode_egress(std::vector<EgressItem> items) {
   for (const auto& item : items) {
     // Pure CPU over immutable blocks: safe off-thread, exactly like the
     // verify stage's decode.
-    sends.emplace_back(item.target, make_shared_frame(encode_block(*item.block)));
+    serde::Writer w(1 + item.block->encoded_size());
+    w.u8(static_cast<std::uint8_t>(MessageType::kBlock));
+    item.block->serialize_into(w);
+    sends.emplace_back(item.target, make_shared_frame(std::move(w).take()));
     egress_frames_encoded_->add();
   }
   loop_.post([this, sends = std::move(sends)] {
@@ -827,7 +802,7 @@ void NodeRuntime::egress(const std::vector<BlockPtr>& blocks, ValidatorId target
 }
 
 void NodeRuntime::tick() {
-  pipeline_->perform(core().on_tick(steady_now_micros()));
+  pipeline_->on_tick();
   // Periodic anti-entropy: re-offer our tip so peers that missed broadcasts
   // (connection races, drops mid-flight) converge. Receipt is idempotent.
   const TimeMicros now = steady_now_micros();
@@ -850,20 +825,6 @@ void NodeRuntime::submit(std::vector<TxBatch> batches) {
     return;
   }
   submit_drain_.push(std::move(batches));
-}
-
-void NodeRuntime::admit_batches(std::vector<TxBatch> batches) {
-  const std::size_t submitted = batches.size();
-  std::uint64_t rejected = 0;
-  for (const AdmitResult verdict : mempool_->submit_all(std::move(batches))) {
-    if (!admitted(verdict)) ++rejected;
-  }
-  if (rejected > 0) {
-    submit_rejected_->add(rejected);
-    MM_LOG(kWarn) << "v" << id() << " mempool rejected " << rejected << "/"
-                  << submitted << " submitted batches (backpressure)";
-  }
-  nudge_proposal();
 }
 
 void NodeRuntime::record_rx_lag(const Block& block, TimeMicros received_at) {
@@ -917,6 +878,11 @@ std::string NodeRuntime::render_status_json() {
   append_u64(out, head.round);
   out += ",\"leader_offset\":";
   append_u64(out, head.leader_offset);
+  const CommitStats& slots = core().committer().stats();
+  out += "},\"slots\":{\"direct_commits\":" + std::to_string(slots.direct_commits) +
+         ",\"indirect_commits\":" + std::to_string(slots.indirect_commits) +
+         ",\"direct_skips\":" + std::to_string(slots.direct_skips) +
+         ",\"indirect_skips\":" + std::to_string(slots.indirect_skips);
   out += "},\"committed_blocks\":";
   append_u64(out, committed_blocks_->value());
   out += ",\"committed_transactions\":";
@@ -965,7 +931,7 @@ void NodeRuntime::nudge_proposal() {
   if (!propose_nudge_pending_.exchange(true, std::memory_order_acq_rel)) {
     loop_.post([this] {
       propose_nudge_pending_.store(false, std::memory_order_release);
-      pipeline_->perform(core().on_mempool_ready(steady_now_micros()));
+      pipeline_->on_mempool_ready();
     });
   }
 }

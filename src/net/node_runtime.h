@@ -8,12 +8,13 @@
 //
 // Block ingestion is pipelined: the loop thread only reads frames off the
 // sockets and enqueues them; a small worker pool (config.verify_threads)
-// decodes and crypto-verifies them — batched, so bursts amortize ed25519
-// costs (crypto/ed25519.h) — and posts the surviving blocks back to the loop
-// thread, which feeds them to ValidatorCore::on_blocks. The core stays
-// single-threaded and sans-IO; only decode + verification, which are pure
-// functions of the frame bytes and the committee, run concurrently. Commit
-// evaluation runs inside the core, on the loop thread.
+// decodes them and runs the one block screen (validator/ingest.h) —
+// batched, so bursts amortize ed25519 costs (crypto/ed25519.h) — and posts
+// the screened batch back to the loop thread, which hands it to
+// NodePipeline::on_screened. The core stays single-threaded and sans-IO;
+// only decode and the screen, which are pure functions of the frame bytes
+// and the committee, run concurrently. Commit evaluation runs inside the
+// core, on the loop thread.
 //
 // Every stage has one code path. Each worker stage is fed through a
 // SerialDrain (net/worker_pool.h): one drain at a time, so its output
@@ -21,14 +22,15 @@
 // is caller-runs and the same stages run on the loop thread; their posts
 // back then cost no wakeup (net/event_loop.h).
 //
-// What the node does with the core's Actions, and WAL recovery, is
-// validator/pipeline.h (NodePipeline), which the simulator runs too. The
-// runtime supplies its Env: the loop's clock, peer sends, checkpoint writes
-// on a worker, and the commit handoff to the execution engine. Outbound
-// blocks are encoded ONCE on a worker into a shared frame (net/tcp.h
-// SharedFrame) and fanned out by the loop thread in enqueue order. With a
-// wal_path the log is the segmented layout, landed inline or by
-// wal/group_commit_wal.h's writer thread, whose acks post to the loop.
+// Every input reaches the core through validator/pipeline.h (NodePipeline),
+// which also performs the core's Actions and runs WAL recovery; the
+// simulator runs it too. The runtime supplies its Env: the loop's clock,
+// peer sends, checkpoint writes on a worker, and the commit handoff to the
+// execution engine. Outbound blocks are encoded ONCE on a worker into a
+// shared frame (net/tcp.h SharedFrame) and fanned out by the loop thread in
+// enqueue order. With a wal_path the log is the segmented layout, landed
+// inline or by wal/group_commit_wal.h's writer thread, whose acks post to
+// the loop.
 //
 // Message frames (first payload byte is the type):
 //   kHandshake:          u32 validator id + 32-byte committee epoch seed
@@ -81,6 +83,27 @@ inline constexpr std::size_t kVerifyAmortizationFloor = 8;
 // latency shaping never goes below min(max_batch, kVerifyAmortizationFloor).
 std::size_t ingest_batch_cap(std::size_t max_batch, TimeMicros latency_budget,
                              TimeMicros ewma_per_block);
+
+// The first payload byte of every peer frame (the table in the header).
+enum class MessageType : std::uint8_t {
+  kHandshake = 1,
+  kBlock = 2,
+  kFetch = 3,
+  kHorizon = 4,
+  kCheckpointRequest = Checkpointer::kRequestFrame,
+  // 6 is retired (legacy single-record checkpoint response); never reuse.
+  kCertShare = Checkpointer::kShareFrame,
+  kCheckpointChain = Checkpointer::kChainFrame,
+};
+
+// The kFetch and kHorizon codecs, type byte included. A decoder throws
+// serde::SerdeError on another type byte, a short or overlong body, or a
+// fetch count past kMaxFetchRefs — checked before anything is reserved.
+inline constexpr std::uint64_t kMaxFetchRefs = 10'000;
+Bytes encode_fetch_frame(const std::vector<BlockRef>& refs);
+std::vector<BlockRef> decode_fetch_frame(BytesView frame);
+Bytes encode_horizon_frame(Round horizon);
+Round decode_horizon_frame(BytesView frame);
 
 struct NodeAddress {
   std::string host = "127.0.0.1";
@@ -195,9 +218,8 @@ class NodeRuntime {
     return static_cast<Round>(pipeline_->metrics().highest_round->value());
   }
 
-  // Combined ingestion-pipeline counters: the worker stages (structural and
-  // crypto rejects during off-thread verification) plus the core's own
-  // stages, mirrored after every loop-thread step. Thread-safe.
+  // The ingestion pipeline's stage counters, mirrored from the core after
+  // every loop-thread step. Thread-safe.
   IngestStats ingest_stats() const;
   // Frames that failed to decode as blocks (malformed wire bytes).
   std::uint64_t decode_errors() const { return decode_errors_->value(); }
@@ -249,7 +271,9 @@ class NodeRuntime {
   }
   // Batches this runtime's submit() path rejected (subset view of
   // mempool_stats(), attributable to local clients).
-  std::uint64_t submit_rejected() const { return submit_rejected_->value(); }
+  std::uint64_t submit_rejected() const {
+    return pipeline_->counters().submit_rejected->value();
+  }
 
   // --- Execution subsystem (ValidatorConfig::execute_app, exec/) ----------
   //
@@ -274,17 +298,6 @@ class NodeRuntime {
   std::uint16_t listen_port() const { return listen_port_.load(); }
 
  private:
-  enum class MessageType : std::uint8_t {
-    kHandshake = 1,
-    kBlock = 2,
-    kFetch = 3,
-    kHorizon = 4,
-    kCheckpointRequest = Checkpointer::kRequestFrame,
-    // 6 is retired (legacy single-record checkpoint response); never reuse.
-    kCertShare = Checkpointer::kShareFrame,
-    kCheckpointChain = Checkpointer::kChainFrame,
-  };
-
   struct RawFrame {
     ValidatorId peer;
     // The serialized block is buffer[offset..]: a large frame keeps the
@@ -308,11 +321,11 @@ class NodeRuntime {
   void dial_peer(ValidatorId peer);
   void on_peer_frame(ValidatorId peer, const TcpConnection::Frame& frame);
   void on_unidentified_connection(TcpConnectionPtr connection);
-  ValidatorCore& core() { return pipeline_->core(); }
+  const ValidatorCore& core() const { return pipeline_->core(); }
   Checkpointer& checkpointer() { return pipeline_->checkpointer(); }
-  // Verify-drain body: decodes + structurally validates + batch-crypto-
-  // verifies one drained batch, folds its per-block cost into the EWMA that
-  // sizes the next batch, and posts survivors to the loop thread.
+  // Verify-drain body: decodes one drained batch and screens it
+  // (validator/ingest.h), folds its per-block cost into the EWMA that sizes
+  // the next batch, and posts the screened batch to the loop thread.
   void verify_frames(std::vector<RawFrame> frames);
   void send_to_peer(ValidatorId peer, BytesView frame);
   // Hands a shared encoded frame to `target` (every peer when kAllPeers) —
@@ -323,16 +336,12 @@ class NodeRuntime {
   // sends back to the loop thread.
   void egress(const std::vector<BlockPtr>& blocks, ValidatorId target);
   void encode_egress(std::vector<EgressItem> items);
-  // Submission-drain body: admits one burst into the shared pool and nudges
-  // the loop thread.
-  void admit_batches(std::vector<TxBatch> batches);
   // Queues one proposal re-check on the loop thread (collapses bursts).
   void nudge_proposal();
   const Checkpointer::Counters& ckpt_counter() const {
     return pipeline_->checkpointer().counters();
   }
   void tick();
-  Bytes encode_block(const Block& block) const;
   // Sends our latest own block to `peer` (all peers when kAllPeers); its
   // parent references let the receiver fetch anything else it is missing.
   static constexpr ValidatorId kAllPeers = ~0u;
@@ -447,7 +456,6 @@ class NodeRuntime {
   VerifierCache forwarded_digests_;
   obs::Counter* decode_errors_;
   obs::Counter* verify_frames_dropped_;
-  obs::Counter* submit_rejected_;
   // Collapses a burst of off-loop submissions into one queued proposal
   // re-check on the loop thread.
   std::atomic<bool> propose_nudge_pending_{false};
@@ -456,8 +464,6 @@ class NodeRuntime {
   // active verify drain, read when sizing the next batch. Stays a bespoke
   // atomic (control state, not a metric); a gauge_fn bridges it for scrapes.
   std::atomic<TimeMicros> verify_cost_ewma_{0};
-  obs::Counter* worker_structurally_rejected_;
-  obs::Counter* worker_crypto_rejected_;
 };
 
 }  // namespace mahimahi::net

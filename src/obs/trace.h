@@ -38,7 +38,7 @@ enum class Stage : std::size_t {
   kStructural,     // structural validation of a decoded block
   kCryptoVerify,   // signature verification (batch-amortized per block)
   kInsertQueue,    // verified on worker -> picked up by the loop thread
-  kDagInsert,      // core on_blocks step (DAG insert + block production)
+  kDagInsert,      // core on_screened step (DAG insert + block production)
   kCommitWait,     // DAG insert -> commit decision applied (per committed block)
   kWalDurable,     // WAL append -> group-commit durability ack
   kExecute,        // committed sub-dag handed to execution -> applied

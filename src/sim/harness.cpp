@@ -189,12 +189,12 @@ struct SimHarness::Impl {
     };
     env.send_fetch = [this, v](ValidatorId peer, const std::vector<BlockRef>& refs) {
       schedule_small_message(v, peer, [this, v, peer, refs] {
-        nodes[peer]->perform(nodes[peer]->core().on_fetch_request(refs, v, queue.now()));
+        nodes[peer]->on_fetch_request(refs, v);
       });
     };
     env.send_horizon = [this, v](ValidatorId peer, Round horizon) {
       schedule_small_message(v, peer, [this, v, peer, horizon] {
-        nodes[peer]->perform(nodes[peer]->core().on_peer_horizon(v, horizon, queue.now()));
+        nodes[peer]->on_peer_horizon(v, horizon);
       });
     };
     // A checkpoint write lands checkpoint_write_delay after the cut; a crash
@@ -302,9 +302,7 @@ struct SimHarness::Impl {
           Checkpointer& checkpointer = nodes[to]->checkpointer();
           if (!checkpointer.accept_chain(from)) return;
           auto chain = checkpointer.verify_chain(from, {payload->data(), payload->size()});
-          if (chain.has_value()) {
-            nodes[to]->perform(checkpointer.install(std::move(*chain), queue.now()));
-          }
+          if (chain.has_value()) nodes[to]->install_checkpoint(std::move(*chain));
         });
         return;
       }
@@ -367,16 +365,16 @@ struct SimHarness::Impl {
   // Batched delivery through the staged ingestion pipeline: blocks arriving
   // at the same simulated instant accumulate in a per-validator inbox that a
   // same-time drain event (scheduled behind them by the queue's determinis-
-  // tic tie-break) flushes as one ValidatorCore::on_blocks call — the sim
+  // tic tie-break) flushes as one NodePipeline::on_blocks call — the sim
   // analogue of the TCP runtime's worker-pool batches.
   void deliver_block(ValidatorId to, BlockPtr block, ValidatorId from) {
-    inboxes[to].push_back(IngestBlock{std::move(block), from, false});
+    inboxes[to].push_back(IngestBlock{std::move(block), from});
     if (inbox_scheduled[to]) return;
     inbox_scheduled[to] = 1;
     queue.schedule(queue.now(), [this, to] { drain_inbox(to); });
   }
 
-  // Flushes the inbox through ValidatorCore::on_blocks, honouring the core's
+  // Flushes the inbox through NodePipeline::on_blocks, honouring the core's
   // max_ingest_batch (the sim analogue of the TCP runtime's adaptive verify
   // drain): an over-cap burst is split into several same-time on_blocks
   // calls, later arrivals never wait behind the entire backlog.
@@ -407,7 +405,7 @@ struct SimHarness::Impl {
         }
       }
     }
-    nodes[to]->perform(nodes[to]->core().on_blocks(std::move(items), queue.now()));
+    nodes[to]->on_blocks(std::move(items));
   }
 
   void schedule_small_message(ValidatorId from, ValidatorId to,
@@ -634,14 +632,15 @@ struct SimHarness::Impl {
       batches.push_back(std::move(batch));
     }
     if (!batches.empty()) {
-      nodes[v]->perform(nodes[v]->core().on_transactions(std::move(batches), queue.now()));
+      nodes[v]->admit(std::move(batches));
+      nodes[v]->on_mempool_ready();
     }
     queue.schedule_after(config.client_interval, [this, v] { inject_load(v); });
   }
 
   void tick(ValidatorId v) {
     if (!running(v)) return;
-    nodes[v]->perform(nodes[v]->core().on_tick(queue.now()));
+    nodes[v]->on_tick();
     queue.schedule_after(config.tick_interval, [this, v] { tick(v); });
   }
 

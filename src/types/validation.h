@@ -41,11 +41,10 @@ enum class BlockValidity {
 std::string to_string(BlockValidity validity);
 
 struct ValidationOptions {
-  // Signature verification can be skipped (simulator fast path, or a driver
-  // that already verified off-thread). The validator core additionally
-  // consults a digest-keyed verification cache (validator/verifier_cache.h)
-  // before paying for ed25519, when one is configured
-  // (ValidatorConfig::signature_cache).
+  // Signature verification can be skipped (the simulator's fast path). The
+  // block screen (validator/ingest.h) consults a digest-keyed verification
+  // cache (validator/verifier_cache.h) before paying for ed25519, when one is
+  // configured (ValidatorConfig::signature_cache).
   bool verify_signature = true;
   bool verify_coin_share = true;
 };

@@ -1,5 +1,7 @@
 #include "validator/pipeline.h"
 
+#include "common/log.h"
+
 namespace mahimahi {
 
 NodePipeline::Counters::Counters(obs::Registry& registry)
@@ -8,7 +10,9 @@ NodePipeline::Counters::Counters(obs::Registry& registry)
       checkpoint_requests(&registry.counter("mm_checkpoint_requests_total",
                                             "Checkpoint catch-up requests sent")),
       replayed_blocks(&registry.counter("mm_wal_replayed_blocks_total",
-                                        "Blocks replayed from the WAL at recovery")) {}
+                                        "Blocks replayed from the WAL at recovery")),
+      submit_rejected(&registry.counter("mm_submit_rejected_total",
+                                        "Client batches the mempool rejected at admit()")) {}
 
 NodePipeline::CoreMetrics::CoreMetrics(obs::Registry& registry)
     : highest_round(&registry.gauge("mm_highest_round", "Highest round in the local DAG")),
@@ -20,8 +24,10 @@ NodePipeline::CoreMetrics::CoreMetrics(obs::Registry& registry)
                                  "Core ingest stats mirror: verifier-cache hits")),
       verified(&registry.gauge("mm_ingest_core_verified",
                                "Core ingest stats mirror: verified blocks")),
-      preverified(&registry.gauge("mm_ingest_core_preverified",
-                                  "Core ingest stats mirror: preverified blocks")),
+      direct_commits(&registry.gauge("mm_slot_direct_commits", "Slots committed directly")),
+      indirect_commits(&registry.gauge("mm_slot_indirect_commits", "Slots committed indirectly")),
+      direct_skips(&registry.gauge("mm_slot_direct_skips", "Slots skipped directly")),
+      indirect_skips(&registry.gauge("mm_slot_indirect_skips", "Slots skipped indirectly")),
       dag_blocks(&registry.gauge("mm_dag_blocks", "Blocks in the live DAG window")),
       dag_payload_bytes(&registry.gauge("mm_dag_payload_bytes",
                                         "Wire bytes of the blocks in the live DAG window")),
@@ -76,6 +82,14 @@ SegmentedWal::ReplayResult NodePipeline::recover(const MemoryWal::Store* memory)
 void NodePipeline::start(std::unique_ptr<Wal> wal, SegmentedWal* segments) {
   wal_ = std::move(wal);
   checkpointer_->start(segments);
+}
+
+void NodePipeline::admit(std::vector<TxBatch> batches) {
+  for (const AdmitResult verdict : core_->mempool_handle()->submit_all(std::move(batches))) {
+    if (admitted(verdict)) continue;
+    counters_.submit_rejected->add();
+    MM_LOG(kDebug) << "v" << core_->id() << " mempool rejected batch: " << to_string(verdict);
+  }
 }
 
 void NodePipeline::perform(Actions&& actions) {
@@ -150,7 +164,11 @@ void NodePipeline::mirror_core() {
   set(metrics_->crypto_rejected, stats.crypto_rejected);
   set(metrics_->cache_hits, stats.cache_hits);
   set(metrics_->verified, stats.verified);
-  set(metrics_->preverified, stats.preverified);
+  const CommitStats& slots = core_->committer().stats();
+  set(metrics_->direct_commits, slots.direct_commits);
+  set(metrics_->indirect_commits, slots.indirect_commits);
+  set(metrics_->direct_skips, slots.direct_skips);
+  set(metrics_->indirect_skips, slots.indirect_skips);
   set(metrics_->dag_blocks, core_->dag().block_count());
   set(metrics_->dag_payload_bytes, core_->dag().wire_bytes());
   set(metrics_->decided_log_entries, core_->committer().decided_sequence().size());

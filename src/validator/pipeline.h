@@ -1,16 +1,21 @@
-// NodePipeline: one validator's node, sans-IO, and the only code that
-// performs a ValidatorCore's Actions.
+// NodePipeline: one validator's node, sans-IO, and its only way in.
 //
 // It owns the validator's ValidatorCore, its Checkpointer and, from start()
 // on, its Wal. Both drivers run it — the TCP runtime (net/node_runtime.h) on
 // its event loop, the simulator (sim/harness.h) per validator in virtual
-// time — so both take one WAL, durability-gate, send, checkpoint and commit
-// path, and one recovery.
+// time — so both take one input path, one WAL, durability-gate, send,
+// checkpoint and commit path, and one recovery.
+//
+// One entry point per node input reads Env::now, calls the core and performs
+// the result; core() is const, so no driver reaches a core input around
+// them. on_blocks screens inline (validator/ingest.h); on_screened takes a
+// batch a worker screened.
 //
 // The Env contract: a driver supplies its clock, the peer sends, the
-// Checkpointer's hooks and the commit/execute handoff. Every Env call and
-// durability ack runs on the thread that calls perform(); a Wal that acks
-// elsewhere posts its acks back (the runtime's group-commit WAL does).
+// Checkpointer's hooks and the commit/execute handoff. Every entry point,
+// perform(), Env call and durability ack runs on the driver's one thread; a
+// Wal that acks elsewhere posts its acks back (the runtime's group-commit
+// WAL does). Only screen_blocks and admit() may run on any thread.
 //
 // The dispatch order is fixed: WAL append, broadcast (behind on_durable),
 // fetch requests, fetch responses, commits, horizon notices, checkpoint
@@ -71,8 +76,9 @@ class NodePipeline {
   };
 
   // The core's state, mirrored after every perform() for reads from any
-  // thread (highest round, ingest stages' absolute counts, what the core
-  // keeps resident), and the transaction bytes of every own proposal.
+  // thread (highest round, ingest stages' absolute counts, commit-rule slot
+  // outcomes, what the core keeps resident), and the transaction bytes of
+  // every own proposal.
   struct CoreMetrics {
     explicit CoreMetrics(obs::Registry& registry);
     obs::Gauge* highest_round;
@@ -80,7 +86,10 @@ class NodePipeline {
     obs::Gauge* crypto_rejected;
     obs::Gauge* cache_hits;
     obs::Gauge* verified;
-    obs::Gauge* preverified;
+    obs::Gauge* direct_commits;
+    obs::Gauge* indirect_commits;
+    obs::Gauge* direct_skips;
+    obs::Gauge* indirect_skips;
     obs::Gauge* dag_blocks;
     obs::Gauge* dag_payload_bytes;
     obs::Gauge* decided_log_entries;
@@ -97,6 +106,7 @@ class NodePipeline {
     obs::Counter* fetch_requests;
     obs::Counter* checkpoint_requests;
     obs::Counter* replayed_blocks;
+    obs::Counter* submit_rejected;
   };
 
   // `store_dir` empty = no persistence; otherwise the directory holding the
@@ -116,13 +126,38 @@ class NodePipeline {
   // inside it (null without one), which checkpoint cuts roll and retire.
   void start(std::unique_ptr<Wal> wal, SegmentedWal* segments);
 
+  // --- Inputs (the driver's thread) ----------------------------------------
+  void on_blocks(std::vector<IngestBlock> items) {
+    perform(core_->on_blocks(std::move(items), env_.now()));
+  }
+  void on_screened(ScreenedBatch batch) {
+    perform(core_->on_screened(std::move(batch), env_.now()));
+  }
+  void on_tick() { perform(core_->on_tick(env_.now())); }
+  void on_fetch_request(const std::vector<BlockRef>& refs, ValidatorId from) {
+    perform(core_->on_fetch_request(refs, from, env_.now()));
+  }
+  void on_peer_horizon(ValidatorId peer, Round horizon) {
+    perform(core_->on_peer_horizon(peer, horizon, env_.now()));
+  }
+  void on_mempool_ready() { perform(core_->on_mempool_ready(env_.now())); }
+  void install_checkpoint(Checkpointer::VerifiedChain chain) {
+    perform(checkpointer_->install(std::move(chain), env_.now()));
+  }
+
+  // Client transactions into the shared mempool's front door; rejects count
+  // in mm_submit_rejected_total. Thread-safe; proposes nothing by itself:
+  // the driver follows with on_mempool_ready on its own thread.
+  void admit(std::vector<TxBatch> batches);
+
   // Performs one step's Actions, in the order above.
   void perform(Actions&& actions);
 
-  ValidatorCore& core() { return *core_; }
+  const ValidatorCore& core() const { return *core_; }
   Checkpointer& checkpointer() { return *checkpointer_; }
   const Checkpointer& checkpointer() const { return *checkpointer_; }
   Wal& wal() { return *wal_; }
+  const Counters& counters() const { return counters_; }
   // Only with Observers::core_metrics.
   const CoreMetrics& metrics() const { return *metrics_; }
 

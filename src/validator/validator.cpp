@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_set>
 
 #include "common/log.h"
-#include "validator/crypto_stage.h"
 
 namespace mahimahi {
 
@@ -61,7 +59,7 @@ void ValidatorCore::note_inserted(const BlockPtr& block) {
 
 Actions ValidatorCore::on_block(BlockPtr block, ValidatorId from, TimeMicros now) {
   std::vector<IngestBlock> items;
-  items.push_back({std::move(block), from, false});
+  items.push_back({std::move(block), from});
   return on_blocks(std::move(items), now);
 }
 
@@ -102,85 +100,21 @@ Actions ValidatorCore::recover_block(BlockPtr block) {
 }
 
 Actions ValidatorCore::on_blocks(std::vector<IngestBlock> items, TimeMicros now) {
+  std::erase_if(items, [this](const IngestBlock& item) { return knows_block(item.block->ref()); });
+  return on_screened(screen_blocks(std::move(items), committee_, config_.validation,
+                                   config_.signature_cache.get()),
+                     now);
+}
+
+Actions ValidatorCore::on_screened(ScreenedBatch batch, TimeMicros now) {
+  const IngestStats& stats = batch.stats();
+  ingest_stats_.structurally_rejected += stats.structurally_rejected;
+  ingest_stats_.crypto_rejected += stats.crypto_rejected;
+  ingest_stats_.cache_hits += stats.cache_hits;
+  ingest_stats_.verified += stats.verified;
   Actions actions;
-
-  // --- Stage 1: dedup + structural validation -------------------------------
-  // Cheap integer work; everything rejected here never touches crypto.
-  std::vector<IngestBlock> batch;
-  batch.reserve(items.size());
-  std::unordered_set<Digest, DigestHasher> in_batch;
-  for (auto& item : items) {
-    const Digest& digest = item.block->digest();
-    if (dag_.contains(item.block->ref()) || synchronizer_.is_pending(digest)) continue;
-    if (!in_batch.insert(digest).second) continue;  // duplicate within batch
-    if (item.block->round() < dag_.pruned_below()) {
-      continue;  // stale: below the GC horizon, can never be delivered
-    }
-    const BlockValidity structural = validate_block_structure(*item.block, committee_);
-    if (structural != BlockValidity::kValid) {
-      ++blocks_rejected_;
-      ++ingest_stats_.structurally_rejected;
-      MM_LOG(kDebug) << "v" << config_.id << " rejected block from v" << item.from
-                     << ": " << to_string(structural);
-      continue;
-    }
-    batch.push_back(std::move(item));
-  }
-
-  // --- Stage 2: crypto verification, batched --------------------------------
-  // The shared crypto stage (validator/crypto_stage.h): verifier-cache
-  // consult, batched coin-share checks, one random-linear-combination
-  // signature batch with bisecting fallback. Blocks the driver preverified
-  // off-thread skip the stage entirely.
-  std::vector<char> rejected(batch.size(), 0);
-  const auto& cache = config_.signature_cache;
-  const bool cacheable = cache != nullptr && config_.validation.verify_signature;
-
-  std::vector<BlockPtr> to_verify;
-  std::vector<std::size_t> verify_index;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].crypto_verified) continue;
-    to_verify.push_back(batch[i].block);
-    verify_index.push_back(i);
-  }
-  const CryptoStageResult stage =
-      run_crypto_stage(to_verify, committee_, config_.validation, cache.get());
-  for (std::size_t j = 0; j < verify_index.size(); ++j) {
-    const std::size_t i = verify_index[j];
-    if (stage.verdicts[j] != BlockValidity::kValid) {
-      rejected[i] = 1;
-      ++blocks_rejected_;
-      ++ingest_stats_.crypto_rejected;
-      MM_LOG(kDebug) << "v" << config_.id << " rejected block from v" << batch[i].from
-                     << ": " << to_string(stage.verdicts[j]);
-    } else if (stage.cache_hit[j]) {
-      ++ingest_stats_.cache_hits;
-    } else if (config_.validation.verify_signature) {
-      ++ingest_stats_.verified;
-    }
-  }
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (rejected[i] || !batch[i].crypto_verified) continue;
-    if (batch[i].cache_hit) {
-      // The driver's signature check was itself a cache hit: count it as
-      // one, and the digest is already cached.
-      ++ingest_stats_.cache_hits;
-      continue;
-    }
-    ++ingest_stats_.preverified;
-    // The driver's verification is as good as ours: seed the cache so
-    // co-located cores skip the work too.
-    if (cacheable) cache->insert(batch[i].block->digest());
-  }
-
-  // --- Stage 3: DAG insert via the synchronizer -----------------------------
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (rejected[i]) continue;
-    admit(std::move(batch[i].block), batch[i].from, now, actions);
-  }
-
-  // --- Stage 4: propose / commit / GC, once per batch -----------------------
+  for (const IngestBlock& item : batch.blocks()) admit(item.block, item.from, now, actions);
+  // Propose, commit and collect garbage once per batch.
   if (!actions.inserted.empty()) {
     maybe_propose(now, actions);
     commit_and_gc(actions);
@@ -197,9 +131,9 @@ void ValidatorCore::commit_and_gc(Actions& actions) {
 
 void ValidatorCore::admit(BlockPtr block, ValidatorId from, TimeMicros now,
                           Actions& actions) {
-  // An earlier block of this batch may have cascade-inserted this one (it
-  // was parked in the synchronizer); re-check before offering.
-  if (dag_.contains(block->ref()) || synchronizer_.is_pending(block->digest())) return;
+  // Known already, or cascade-inserted by an earlier block of this batch (it
+  // was parked in the synchronizer).
+  if (knows_block(block->ref())) return;
   // Parked blocks count toward the per-author round watermark too: a late
   // joiner's view of the cluster head is EXACTLY its parked suffix.
   note_author_round(block->author(), block->round());
@@ -257,18 +191,6 @@ void ValidatorCore::prune_below(Round horizon, Actions& actions) {
   std::erase_if(inflight_fetches_, [this](const auto& entry) {
     return !synchronizer_.is_missing(entry.first);
   });
-}
-
-Actions ValidatorCore::on_transactions(std::vector<TxBatch> batches, TimeMicros now) {
-  Actions actions;
-  for (const AdmitResult verdict : mempool_->submit_all(std::move(batches))) {
-    if (!admitted(verdict)) {
-      MM_LOG(kDebug) << "v" << config_.id << " mempool rejected batch: "
-                     << to_string(verdict);
-    }
-  }
-  maybe_propose(now, actions);
-  return actions;
 }
 
 Actions ValidatorCore::on_mempool_ready(TimeMicros now) {

@@ -6,9 +6,10 @@
 // block first) together with any still-unreferenced tips, carrying fresh
 // transactions and the round's coin share.
 //
-// Drivers (the discrete-event simulator, the TCP runtime, tests) feed inputs
-// and perform the returned Actions. The core never reads a clock and never
-// does I/O, so the same binary logic runs identically under both transports.
+// NodePipeline (validator/pipeline.h) feeds it every input and performs the
+// returned Actions for both drivers, the simulator and the TCP runtime; tests
+// may drive it directly. The core never reads a clock and never does I/O, so
+// the same binary logic runs identically under both transports.
 #pragma once
 
 #include <optional>
@@ -20,22 +21,10 @@
 #include "mempool/mempool.h"
 #include "validator/actions.h"
 #include "validator/config.h"
+#include "validator/ingest.h"
 #include "validator/synchronizer.h"
 
 namespace mahimahi {
-
-// One unit of work for the batch ingestion entry point.
-struct IngestBlock {
-  BlockPtr block;
-  ValidatorId from = 0;  // author or relayer (fetch-response sender)
-  // The driver already ran the crypto stage off the core's thread (e.g. the
-  // TCP runtime's verify workers); the core skips coin/signature checks.
-  bool crypto_verified = false;
-  // Refinement of crypto_verified: the driver's signature check was a
-  // verifier-cache hit rather than a paid verification (keeps the core's
-  // IngestStats truthful about where crypto cycles went).
-  bool cache_hit = false;
-};
 
 class ValidatorCore {
  public:
@@ -48,23 +37,18 @@ class ValidatorCore {
   // one-element on_blocks call.
   Actions on_block(BlockPtr block, ValidatorId from, TimeMicros now);
 
-  // Batch entry point: runs the staged ingestion pipeline
-  //   dedup → structural validation → batched crypto verification →
-  //   DAG insert → propose/commit/GC (once per batch)
-  // over all items. Crypto verification is amortized across the batch
-  // (types/validation.h); proposal and commit evaluation run once instead of
-  // once per block. Output is deterministic in the item order.
+  // Drops the blocks this core knows (knows_block), screens the rest
+  // (validator/ingest.h) and admits them through on_screened. Output is
+  // deterministic in the item order.
   Actions on_blocks(std::vector<IngestBlock> items, TimeMicros now);
 
-  // Client transactions: admits each batch through the sharded mempool's
-  // front door (rejects are counted in mempool().stats()), then re-checks
-  // the proposal rule. Same-thread convenience path — drivers that admit
-  // off-thread submit to the shared pool directly and call
-  // on_mempool_ready() from the core's thread instead.
-  Actions on_transactions(std::vector<TxBatch> batches, TimeMicros now);
+  // Admits a screened batch: adds its stage counts, drops known blocks,
+  // offers the rest to the synchronizer, then proposes, commits and collects
+  // garbage once for the whole batch.
+  Actions on_screened(ScreenedBatch batch, TimeMicros now);
 
-  // Notification that the shared mempool gained transactions through a
-  // side-channel (off-loop admission): re-checks the proposal rule only.
+  // The shared mempool gained transactions (admitted on any thread through
+  // mempool_handle()): re-checks the proposal rule only.
   Actions on_mempool_ready(TimeMicros now);
 
   // A peer requests blocks we may hold.
@@ -126,21 +110,21 @@ class ValidatorCore {
   const CommitterBase& committer() const { return *committer_; }
   const ValidatorConfig& config() const { return config_; }
   Round last_proposed_round() const { return last_proposed_round_; }
-  // Is this block in the DAG or parked in the synchronizer? Drivers use it
-  // as a dedup hint ("safe to drop re-deliveries"); the core's own
-  // ingestion-time dedup remains authoritative.
+  // Is this block in the DAG, parked in the synchronizer, or below the GC
+  // horizon (history it will never admit)? Ingestion drops such blocks, and
+  // drivers may too ("safe to drop re-deliveries").
   bool knows_block(const BlockRef& ref) const {
-    return dag_.contains(ref) || synchronizer_.is_pending(ref.digest);
+    return dag_.contains(ref) || synchronizer_.is_pending(ref.digest) ||
+           ref.round < dag_.pruned_below();
   }
   // Missing ancestors with a fetch outstanding; bounded by what the
   // synchronizer still waits for.
   std::size_t inflight_fetches() const { return inflight_fetches_.size(); }
   std::size_t mempool_size() const { return mempool_->size(); }
   const ShardedMempool& mempool() const { return *mempool_; }
-  // The pool itself, for drivers that admit submissions off the core's
-  // thread (net/node_runtime.h). Thread-safe by construction.
+  // The pool itself, for admission off the core's thread
+  // (NodePipeline::admit). Thread-safe by construction.
   const std::shared_ptr<ShardedMempool>& mempool_handle() const { return mempool_; }
-  std::uint64_t blocks_rejected() const { return blocks_rejected_ + synchronizer_.rejected(); }
   // Stage counters of the ingestion pipeline (client/metrics.h). Blocks the
   // synchronizer dropped for lying parent labels count as structural rejects.
   IngestStats ingest_stats() const {
@@ -148,10 +132,14 @@ class ValidatorCore {
     stats.structurally_rejected += synchronizer_.rejected();
     return stats;
   }
+  std::uint64_t blocks_rejected() const {
+    const IngestStats stats = ingest_stats();
+    return stats.structurally_rejected + stats.crypto_rejected;
+  }
 
  private:
-  // Pipeline stage: admits one crypto-cleared block through the
-  // synchronizer, collecting fetch requests and insertions into `actions`.
+  // Admits one screened block through the synchronizer, collecting fetch
+  // requests and insertions into `actions`.
   void admit(BlockPtr block, ValidatorId from, TimeMicros now, Actions& actions);
   // Commit evaluation + GC after insertions: try_commit, then maybe_gc.
   void commit_and_gc(Actions& actions);
@@ -210,7 +198,6 @@ class ValidatorCore {
   // inserted); feeds credible_peer_horizon().
   std::vector<Round> author_highest_seen_;
 
-  std::uint64_t blocks_rejected_ = 0;
   std::uint64_t equivocation_counter_ = 0;
   IngestStats ingest_stats_;
 

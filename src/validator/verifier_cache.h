@@ -42,8 +42,8 @@ class VerifierCache {
   }
 
   // Locked lookup-and-count in one acquisition: returns true and counts a
-  // hit when present, else counts a miss. The ingestion crypto stage's
-  // single entry point into the cache (one lock per block, and the counter
+  // hit when present, else counts a miss. The crypto stage's single entry
+  // point into the cache (one lock per block, and the counter
   // always matches the lookup that actually happened).
   bool check_and_count(const Digest& digest) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -81,14 +81,6 @@ class VerifierCache {
   std::uint64_t misses() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return misses_;
-  }
-  void count_hit() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++hits_;
-  }
-  void count_miss() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
   }
 
  private:

@@ -261,10 +261,9 @@ TEST_P(KvClusterTest, ReplicasConvergeToIdenticalState) {
     const TimeMicros now = millis(tick * 10);
     const ValidatorId origin = tick % kN;
     const std::string key = "key-" + std::to_string(tick % 5);
-    absorb(origin,
-           nodes[origin]->on_transactions(
-               {kv_batch(next_id++, {KvCommand::put(key, std::to_string(tick))})}, now),
-           wire);
+    nodes[origin]->mempool_handle()->submit(
+        kv_batch(next_id++, {KvCommand::put(key, std::to_string(tick))}));
+    absorb(origin, nodes[origin]->on_mempool_ready(now), wire);
     for (ValidatorId v = 0; v < kN; ++v) absorb(v, nodes[v]->on_tick(now), wire);
     // Deliver everything broadcast this tick to every peer.
     std::vector<std::pair<ValidatorId, BlockPtr>> current;

@@ -14,7 +14,11 @@
 //   * decoding is canonical: every byte string Block::deserialize accepts
 //     re-serializes byte-identically (so hashing the received content in
 //     place gives the digest re-serialization would), and an overlong varint
-//     in any field is rejected.
+//     in any field is rejected;
+//   * the kFetch and kHorizon frames (net/node_runtime.h) take the same
+//     mutations: the decoders never crash, reject every truncation, trailing
+//     bytes and a fetch count past kMaxFetchRefs, and whatever they accept
+//     re-encodes byte-identically.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,6 +27,7 @@
 
 #include "common/rng.h"
 #include "crypto/blake2b.h"
+#include "net/node_runtime.h"
 #include "types/validation.h"
 #include "wal/segmented_wal.h"
 
@@ -264,6 +269,154 @@ TEST(BlockCanonicalEncoding, OverlongVarintRejectedInEveryField) {
           << "overlong varint #" << field << " of " << varints << " accepted";
     }
   }
+}
+
+// --------------------------------------------------------------------------
+// Fetch and horizon frames
+// --------------------------------------------------------------------------
+
+class FrameFuzz : public ::testing::Test {
+ protected:
+  FrameFuzz() {
+    // Multi-byte varint rounds, every author byte pattern, random digests.
+    Rng rng(4242);
+    for (const std::size_t count : {0, 1, 3, 40}) {
+      std::vector<BlockRef> refs;
+      for (std::size_t i = 0; i < count; ++i) {
+        BlockRef ref;
+        ref.round = rng.uniform(std::uint64_t{1} << (7 * (i % 6)));
+        ref.author = static_cast<ValidatorId>(rng.uniform(std::uint64_t{1} << 32));
+        for (auto& byte : ref.digest.bytes) byte = static_cast<std::uint8_t>(rng.uniform(256));
+        refs.push_back(ref);
+      }
+      fetches_.push_back(net::encode_fetch_frame(refs));
+    }
+    for (const Round horizon : {Round{0}, Round{127}, Round{128}, Round{1} << 40}) {
+      horizons_.push_back(net::encode_horizon_frame(horizon));
+    }
+  }
+
+  // A frame either throws SerdeError or decodes canonically.
+  static bool fetch_ok(const Bytes& frame) {
+    try {
+      return net::encode_fetch_frame(net::decode_fetch_frame({frame.data(), frame.size()})) ==
+             frame;
+    } catch (const serde::SerdeError&) {
+      return true;
+    }
+  }
+  static bool horizon_ok(const Bytes& frame) {
+    try {
+      return net::encode_horizon_frame(
+                 net::decode_horizon_frame({frame.data(), frame.size()})) == frame;
+    } catch (const serde::SerdeError&) {
+      return true;
+    }
+  }
+  std::vector<Bytes> all() const {
+    std::vector<Bytes> frames = fetches_;
+    frames.insert(frames.end(), horizons_.begin(), horizons_.end());
+    return frames;
+  }
+  // Decodes by the frame's own type byte (the horizon decoder when absent).
+  static bool decodes(const Bytes& frame) {
+    try {
+      if (!frame.empty() && frame[0] == static_cast<std::uint8_t>(net::MessageType::kFetch)) {
+        net::decode_fetch_frame({frame.data(), frame.size()});
+      } else {
+        net::decode_horizon_frame({frame.data(), frame.size()});
+      }
+      return true;
+    } catch (const serde::SerdeError&) {
+      return false;
+    }
+  }
+
+  std::vector<Bytes> fetches_;
+  std::vector<Bytes> horizons_;
+};
+
+TEST_F(FrameFuzz, PristineFramesRoundTrip) {
+  for (const Bytes& frame : fetches_) EXPECT_TRUE(decodes(frame) && fetch_ok(frame));
+  for (const Bytes& frame : horizons_) EXPECT_TRUE(decodes(frame) && horizon_ok(frame));
+  EXPECT_EQ(net::decode_horizon_frame(horizons_.back()), Round{1} << 40);
+  // The cap itself is accepted.
+  const std::vector<BlockRef> full(net::kMaxFetchRefs, BlockRef{5, 2, Digest{}});
+  EXPECT_EQ(net::decode_fetch_frame(net::encode_fetch_frame(full)), full);
+}
+
+TEST_F(FrameFuzz, BitFlipsNeverCrashAndStayCanonical) {
+  Rng rng(2025);
+  for (const Bytes& frame : all()) {
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes mutated = frame;
+        mutated[i] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_TRUE(fetch_ok(mutated) && horizon_ok(mutated))
+            << "byte " << i << " bit " << bit << " decoded non-canonically";
+      }
+    }
+  }
+  // Random buffers behind a valid type byte.
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes junk(1 + rng.uniform(300));
+    for (auto& byte : junk) byte = static_cast<std::uint8_t>(rng.uniform(256));
+    junk[0] = static_cast<std::uint8_t>(trial % 2 == 0 ? net::MessageType::kFetch
+                                                       : net::MessageType::kHorizon);
+    EXPECT_TRUE(fetch_ok(junk) && horizon_ok(junk)) << "trial " << trial;
+  }
+}
+
+TEST_F(FrameFuzz, EveryTruncationThrows) {
+  for (const Bytes& frame : all()) {
+    for (std::size_t length = 0; length < frame.size(); ++length) {
+      EXPECT_FALSE(decodes(Bytes(frame.begin(), frame.begin() + length)))
+          << "truncation to " << length << " of " << frame.size() << " bytes decoded";
+    }
+  }
+}
+
+TEST_F(FrameFuzz, TrailingBytesAreRejected) {
+  // Like the block codec: a frame is exactly its encoding.
+  for (const Bytes& frame : all()) {
+    for (const std::size_t extra : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
+      Bytes extended = frame;
+      extended.insert(extended.end(), extra, 0x00);
+      EXPECT_FALSE(decodes(extended)) << extra << " trailing bytes accepted";
+    }
+  }
+}
+
+TEST_F(FrameFuzz, InflatedCountThrowsBeforeReserving) {
+  // Counts past the cap, with and without refs behind them: the decoder
+  // throws on the count itself, so a 2^63 claim reserves nothing.
+  for (const std::uint64_t count :
+       {net::kMaxFetchRefs + 1, std::uint64_t{1} << 32, ~std::uint64_t{0} >> 1}) {
+    serde::Writer w;
+    w.u8(static_cast<std::uint8_t>(net::MessageType::kFetch));
+    w.varint(count);
+    for (int i = 0; i < 3; ++i) {
+      w.varint(1);
+      w.u32(0);
+      w.digest(Digest{});
+    }
+    const Bytes frame = std::move(w).take();
+    try {
+      net::decode_fetch_frame({frame.data(), frame.size()});
+      ADD_FAILURE() << "count " << count << " accepted";
+    } catch (const serde::SerdeError& error) {
+      EXPECT_STREQ(error.what(), "absurd fetch count");
+    }
+  }
+  // A count within the cap that the bytes do not back still throws.
+  Bytes short_frame = fetches_[2];
+  short_frame[1] = 4;  // claims 4 refs, carries 3
+  EXPECT_FALSE(decodes(short_frame));
+}
+
+TEST_F(FrameFuzz, WrongTypeByteThrows) {
+  EXPECT_THROW(net::decode_fetch_frame(horizons_[1]), serde::SerdeError);
+  EXPECT_THROW(net::decode_horizon_frame(fetches_[1]), serde::SerdeError);
 }
 
 // --------------------------------------------------------------------------

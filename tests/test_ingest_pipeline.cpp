@@ -1,6 +1,7 @@
 // Staged ingestion pipeline tests: batch entry point, per-stage rejection,
-// verifier-cache interaction, idempotence, and driver equivalence (per-block
-// "sim style" vs batched "TCP worker style" delivery commit identically).
+// verifier-cache interaction, the screened-batch handoff, idempotence, and
+// driver equivalence (per-block "sim style" vs batched "TCP worker style"
+// delivery commit identically).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,7 +49,7 @@ class IngestPipelineTest : public ::testing::Test {
   static std::vector<IngestBlock> as_batch(const std::vector<BlockPtr>& blocks,
                                            ValidatorId from = 1) {
     std::vector<IngestBlock> items;
-    for (const auto& block : blocks) items.push_back({block, from, false});
+    for (const auto& block : blocks) items.push_back({block, from});
     return items;
   }
 
@@ -73,8 +74,8 @@ TEST_F(IngestPipelineTest, BadSignatureInBatchRejectsOnlyThatBlock) {
   auto round1 = builder_.add_full_round(1);
 
   std::vector<IngestBlock> batch = as_batch({round1[0], round1[1]});
-  batch.push_back({forged_round1_block(2, /*signer=*/1), 1, false});
-  batch.push_back({round1[3], 1, false});
+  batch.push_back({forged_round1_block(2, /*signer=*/1), 1});
+  batch.push_back({round1[3], 1});
 
   const Actions actions = core->on_blocks(std::move(batch), 0);
 
@@ -100,7 +101,7 @@ TEST_F(IngestPipelineTest, BadCoinShareRejectsInBatch) {
                   setup_.keypairs[2].private_key));
 
   std::vector<IngestBlock> batch = as_batch({round1[0], round1[1]});
-  batch.push_back({bad_coin, 1, false});
+  batch.push_back({bad_coin, 1});
 
   const Actions actions = core->on_blocks(std::move(batch), 0);
   EXPECT_EQ(actions.inserted.size(), 2u);
@@ -121,7 +122,7 @@ TEST_F(IngestPipelineTest, StructuralRejectionHappensBeforeCrypto) {
       Block::make(1, 1, std::move(parents), {}, setup_.committee.coin().share(1, 1),
                   setup_.keypairs[1].private_key));
 
-  core->on_blocks({{malformed, 1, false}}, 0);
+  core->on_blocks({{malformed, 1}}, 0);
   EXPECT_EQ(core->ingest_stats().structurally_rejected, 1u);
   // The crypto stage never saw it.
   EXPECT_EQ(core->ingest_stats().crypto_rejected, 0u);
@@ -174,20 +175,27 @@ TEST_F(IngestPipelineTest, VerifierCacheHitsSkipCryptoStage) {
   EXPECT_GE(cache->hits(), schedule.size());
 }
 
-TEST_F(IngestPipelineTest, PreverifiedBlocksSkipCryptoAndSeedCache) {
+TEST_F(IngestPipelineTest, ScreenedBatchPaysCryptoOnceAndSeedsCache) {
+  // The runtime's path: a worker screens, the core admits. The screen's
+  // verification is the only one, and it leaves every digest in the cache.
   auto cache = std::make_shared<VerifierCache>();
   ValidatorConfig config = observer_config(0);
   config.signature_cache = cache;
   auto core = make_observer(0, config);
 
   const auto round1 = builder_.add_full_round(1);
-  std::vector<IngestBlock> batch;
-  for (const auto& block : round1) batch.push_back({block, 1, true});
-  const Actions actions = core->on_blocks(std::move(batch), 0);
+  ScreenedBatch screened = screen_blocks(as_batch(round1), setup_.committee,
+                                         config.validation, cache.get());
+  EXPECT_EQ(screened.stats().verified, round1.size());
+  EXPECT_EQ(cache->misses(), round1.size());
+  const Actions actions = core->on_screened(std::move(screened), 0);
 
   EXPECT_EQ(actions.inserted.size(), round1.size());
-  EXPECT_EQ(core->ingest_stats().preverified, round1.size());
-  EXPECT_EQ(core->ingest_stats().verified, 0u);
+  EXPECT_EQ(core->ingest_stats().verified, round1.size());
+  EXPECT_EQ(core->ingest_stats().cache_hits, 0u);
+  // Admission consulted the cache no further: no second crypto pass.
+  EXPECT_EQ(cache->misses(), round1.size());
+  EXPECT_EQ(cache->hits(), 0u);
   for (const auto& block : round1) EXPECT_TRUE(cache->contains(block->digest()));
 }
 

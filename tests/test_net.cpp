@@ -638,13 +638,17 @@ TEST_F(TcpClusterTest, FourNodesCommitTransactions) {
   }
 
   // The worker pool carried the ingestion pipeline: every peer block was
-  // decoded and crypto-verified off the loop thread.
+  // decoded and screened off the loop thread.
   for (const auto& node : nodes) {
     const IngestStats stats = node->ingest_stats();
-    EXPECT_GT(stats.preverified, 0u) << "node " << node->id();
+    EXPECT_GT(stats.verified + stats.cache_hits, 0u) << "node " << node->id();
     EXPECT_EQ(stats.crypto_rejected, 0u);
     EXPECT_EQ(stats.structurally_rejected, 0u);
     EXPECT_EQ(node->decode_errors(), 0u);
+    // The commit rule's slot outcomes reach the registry: a healthy
+    // committee commits leaders directly.
+    EXPECT_GT(node->metrics_registry().dump().gauge_value("mm_slot_direct_commits"), 0)
+        << "node " << node->id();
   }
 }
 
@@ -782,6 +786,7 @@ TEST_F(TcpClusterTest, AdminIntrospectionStatusTracesAndFlightrec) {
            "\"peers\":[{\"id\":0,\"connected\":true}",
            "\"mempool\":{\"batches\":", "\"checkpoint\":{\"active\":",
            "\"flightrec\":{\"rings\":", "\"commit_traces\":",
+           "\"slots\":{\"direct_commits\":",
        }) {
     EXPECT_NE(status.find(needle), std::string::npos) << "missing: " << needle;
   }
@@ -986,11 +991,9 @@ TEST_F(TcpClusterTest, InlineVerificationCommitsIdentically) {
   }));
   for (auto& node : nodes) node->stop();
   for (const auto& node : nodes) {
-    // Every peer block went through the crypto stage before the core: the
-    // core never verified one itself.
+    // Every peer block went through the screen on the loop thread.
     const IngestStats stats = node->ingest_stats();
-    EXPECT_GT(stats.preverified, 0u) << "node " << node->id();
-    EXPECT_EQ(stats.verified, 0u) << "node " << node->id();
+    EXPECT_GT(stats.verified + stats.cache_hits, 0u) << "node " << node->id();
     EXPECT_GT(node->egress_frames_encoded(), 0u) << "node " << node->id();
     // The stages ran on the loop thread without relabelling its ring.
     bool saw_admit = false;

@@ -10,7 +10,10 @@
 //   * fetch responses carry blocks already in the DAG and are not gated;
 //   * the dispatch order is pinned (the simulator's RNG stream depends on it);
 //   * recover() on a log the pipeline wrote restores the proposer round, so
-//     the restarted validator re-proposes nothing.
+//     the restarted validator re-proposes nothing;
+//   * the input doors: a block failing the screen (signature or shape) never
+//     reaches the log, a fully rejected screened batch still counts, admit()
+//     counts rejects.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -115,6 +118,27 @@ class PipelineTest : public ::testing::Test {
     return handle;
   }
 
+  // A round-1 block by `author` over the genesis round, signed with
+  // `signer`'s key (a forgery unless the two match).
+  BlockPtr round1_block(const NodePipeline& pipeline, ValidatorId author, ValidatorId signer) {
+    std::vector<BlockRef> parents;
+    for (const auto& genesis : pipeline.core().dag().blocks_at(0)) {
+      parents.push_back(genesis->ref());
+    }
+    return std::make_shared<const Block>(
+        Block::make(author, 1, std::move(parents), {}, setup_.committee.coin().share(author, 1),
+                    setup_.keypairs[signer].private_key));
+  }
+
+  // Actions as the core returns them for its own round-1 proposal.
+  Actions own_proposal(const NodePipeline& pipeline) {
+    Actions actions;
+    const BlockPtr own = round1_block(pipeline, 0, 0);
+    actions.inserted.push_back(own);
+    actions.broadcast.push_back(own);
+    return actions;
+  }
+
   bool broadcast_seen() const {
     for (const auto& event : events_) {
       if (event.rfind("broadcast", 0) == 0) return true;
@@ -132,7 +156,7 @@ class PipelineTest : public ::testing::Test {
 TEST_F(PipelineTest, OwnProposalBroadcastsOnlyAfterItsAppendIsDurable) {
   auto pipeline = make_pipeline();
   ManualWal& wal = start(*pipeline, /*inline_acks=*/false);
-  pipeline->perform(pipeline->core().on_tick(now_));
+  pipeline->on_tick();
   EXPECT_EQ(events_, (Events{"append own"}));
   EXPECT_FALSE(broadcast_seen()) << "broadcast before the covering flush";
 
@@ -145,7 +169,7 @@ TEST_F(PipelineTest, OwnProposalBroadcastsOnlyAfterItsAppendIsDurable) {
 TEST_F(PipelineTest, EquivocatorTwinsBroadcastAsOneGroupAfterTheAck) {
   auto pipeline = make_pipeline(/*equivocate=*/true);
   ManualWal& wal = start(*pipeline, /*inline_acks=*/false);
-  pipeline->perform(pipeline->core().on_tick(now_));
+  pipeline->on_tick();
   EXPECT_EQ(events_, (Events{"append own", "append own"}));
   EXPECT_FALSE(broadcast_seen());
 
@@ -161,7 +185,7 @@ TEST_F(PipelineTest, CrashBeforeTheFlushNeverSends) {
     events_.clear();
     auto pipeline = make_pipeline(equivocate);
     start(*pipeline, /*inline_acks=*/false);
-    pipeline->perform(pipeline->core().on_tick(now_));
+    pipeline->on_tick();
     pipeline.reset();  // the process dies with its log unflushed
     EXPECT_FALSE(broadcast_seen()) << "equivocate=" << equivocate;
     EXPECT_TRUE(broadcast_.empty());
@@ -171,7 +195,7 @@ TEST_F(PipelineTest, CrashBeforeTheFlushNeverSends) {
 TEST_F(PipelineTest, FetchResponsesAreNotGated) {
   auto pipeline = make_pipeline();
   ManualWal& wal = start(*pipeline, /*inline_acks=*/false);
-  Actions actions = pipeline->core().on_tick(now_);
+  Actions actions = own_proposal(*pipeline);
   const BlockPtr own = actions.broadcast.at(0);
   actions.responses.push_back({2, {own}});
   pipeline->perform(std::move(actions));
@@ -186,7 +210,7 @@ TEST_F(PipelineTest, DispatchOrderIsPinned) {
   // responses, commits, horizon notices, checkpoint requests.
   auto pipeline = make_pipeline();
   start(*pipeline, /*inline_acks=*/true);
-  Actions actions = pipeline->core().on_tick(now_);
+  Actions actions = own_proposal(*pipeline);
   const BlockPtr own = actions.broadcast.at(0);
   actions.fetch_requests.push_back({1, {own->ref()}});
   actions.responses.push_back({2, {own}});
@@ -207,7 +231,7 @@ TEST_F(PipelineTest, RecoverRestoresTheProposerRound) {
   {
     auto pipeline = make_pipeline(false, dir.string());
     start(*pipeline, /*inline_acks=*/true, std::make_unique<SegmentedWal>(dir.string()));
-    pipeline->perform(pipeline->core().on_tick(now_));
+    pipeline->on_tick();
   }
   ASSERT_EQ(broadcast_.size(), 1u);
   const BlockPtr proposed = broadcast_[0];
@@ -223,7 +247,8 @@ TEST_F(PipelineTest, RecoverRestoresTheProposerRound) {
   EXPECT_EQ(restarted->core().last_proposed_round(), proposed->round());
   EXPECT_TRUE(restarted->core().knows_block(proposed->ref()));
   start(*restarted, /*inline_acks=*/true);
-  restarted->perform(restarted->core().on_tick(now_ += millis(500)));
+  now_ += millis(500);
+  restarted->on_tick();
   EXPECT_FALSE(broadcast_seen()) << "the restarted validator re-proposed";
   EXPECT_EQ(restarted->core().dag().slot(proposed->round(), 0).size(), 1u);
 
@@ -231,11 +256,64 @@ TEST_F(PipelineTest, RecoverRestoresTheProposerRound) {
   // equivocation recovery prevents.
   auto amnesiac = make_pipeline();
   start(*amnesiac, /*inline_acks=*/true);
-  amnesiac->perform(amnesiac->core().on_tick(now_));
+  amnesiac->on_tick();
   ASSERT_EQ(broadcast_.size(), 1u);
   EXPECT_EQ(broadcast_[0]->round(), proposed->round());
   EXPECT_NE(broadcast_[0]->digest(), proposed->digest());
   std::filesystem::remove_all(dir);
+}
+
+TEST_F(PipelineTest, ScreenRejectsNeverReachTheLog) {
+  auto pipeline = make_pipeline();
+  start(*pipeline, /*inline_acks=*/true);
+  const BlockPtr forged = round1_block(*pipeline, 1, /*signer=*/2);
+  // Correctly signed, but over two genesis parents: short of the 2f+1 quorum.
+  const auto genesis = pipeline->core().dag().blocks_at(0);
+  const BlockPtr misshapen = std::make_shared<const Block>(
+      Block::make(3, 1, {genesis[0]->ref(), genesis[3]->ref()}, {},
+                  setup_.committee.coin().share(3, 1), setup_.keypairs[3].private_key));
+  pipeline->on_blocks({{forged, 1}, {misshapen, 3}});
+  EXPECT_TRUE(events_.empty()) << events_.front();
+  EXPECT_FALSE(pipeline->core().knows_block(forged->ref()));
+  EXPECT_FALSE(pipeline->core().knows_block(misshapen->ref()));
+  EXPECT_EQ(pipeline->core().ingest_stats().crypto_rejected, 1u);
+  EXPECT_EQ(pipeline->core().ingest_stats().structurally_rejected, 1u);
+
+  // The genuine block from the same author goes through the same door.
+  pipeline->on_blocks({{round1_block(*pipeline, 1, 1), 1}});
+  ASSERT_FALSE(events_.empty());
+  EXPECT_EQ(events_.front(), "append");
+  EXPECT_EQ(pipeline->core().ingest_stats().verified, 1u);
+}
+
+TEST_F(PipelineTest, FullyRejectedScreenedBatchStillCounts) {
+  auto pipeline = make_pipeline();
+  start(*pipeline, /*inline_acks=*/true);
+  ValidationOptions validation;
+  ScreenedBatch screened = screen_blocks({{round1_block(*pipeline, 1, 2), 1},
+                                          {round1_block(*pipeline, 3, 2), 3}},
+                                         setup_.committee, validation, nullptr);
+  ASSERT_TRUE(screened.blocks().empty());
+  pipeline->on_screened(std::move(screened));
+  EXPECT_TRUE(events_.empty());
+  EXPECT_EQ(pipeline->core().ingest_stats().crypto_rejected, 2u);
+  EXPECT_EQ(pipeline->core().blocks_rejected(), 2u);
+}
+
+TEST_F(PipelineTest, AdmitCountsMempoolRejects) {
+  auto pipeline = make_pipeline();
+  start(*pipeline, /*inline_acks=*/true);
+  TxBatch batch;
+  batch.id = 9;
+  batch.count = 3;
+  pipeline->admit({batch, batch});
+  EXPECT_EQ(registry_.counter("mm_submit_rejected_total").value(), 1u);
+  EXPECT_TRUE(events_.empty()) << "admit() proposed by itself";
+
+  pipeline->on_mempool_ready();
+  ASSERT_EQ(broadcast_.size(), 1u);
+  ASSERT_EQ(broadcast_[0]->batches().size(), 1u);
+  EXPECT_EQ(broadcast_[0]->batches()[0].id, 9u);
 }
 
 }  // namespace

@@ -150,6 +150,15 @@ TEST(SimIntegration, SurvivesCrashFaults) {
   // Crashed validators' slots are skipped directly, not via anchors.
   EXPECT_GT(result.commit_stats.direct_skips, 0u);
   expect_prefix_consistent(result, "crash");
+  // Validator 0's slot gauges, mirrored by its pipeline after every step,
+  // read the commit rule's own counts.
+  const auto gauge = [&](const char* name) {
+    return static_cast<std::uint64_t>(result.metrics.gauge_value(name));
+  };
+  EXPECT_EQ(gauge("mm_slot_direct_commits"), result.commit_stats.direct_commits);
+  EXPECT_EQ(gauge("mm_slot_indirect_commits"), result.commit_stats.indirect_commits);
+  EXPECT_EQ(gauge("mm_slot_direct_skips"), result.commit_stats.direct_skips);
+  EXPECT_EQ(gauge("mm_slot_indirect_skips"), result.commit_stats.indirect_skips);
 }
 
 TEST(SimIntegration, CordialMinersSkipsLateUnderCrashFaults) {

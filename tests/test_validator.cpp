@@ -30,6 +30,14 @@ class ValidatorTest : public ::testing::Test {
                                            config_for(id));
   }
 
+  // Client transactions the way NodePipeline takes them: admit() into the
+  // core's pool, then on_mempool_ready.
+  static Actions submit(ValidatorCore& validator, std::vector<TxBatch> batches,
+                        TimeMicros now) {
+    validator.mempool_handle()->submit_all(std::move(batches));
+    return validator.on_mempool_ready(now);
+  }
+
   // Runs a fully-connected in-memory cluster of 4 validators, delivering
   // every broadcast to every peer. With min_round_delay = 0 and instant
   // delivery the cluster free-runs (each quorum immediately triggers the
@@ -219,12 +227,12 @@ TEST_F(ValidatorTest, HorizonMoveDropsFetchesForParentsThatNeverArrive) {
   const BlockPtr lying = std::make_shared<const Block>(
       Block::make(3, 5, std::move(parents), {}, setup_.committee.coin().share(3, 5),
                   setup_.keypairs[3].private_key));
-  pipeline.perform(pipeline.core().on_block(lying, 3, 0));
+  pipeline.on_blocks({{lying, 3}});
   EXPECT_EQ(inflight(), 4);
 
   for (Round r = 1; r <= 30; ++r) {
     for (ValidatorId v = 0; v < 4; ++v) {
-      pipeline.perform(pipeline.core().on_block(builder.dag().slot(r, v).front(), v, 0));
+      pipeline.on_blocks({{builder.dag().slot(r, v).front(), v}});
     }
   }
   ASSERT_GT(pipeline.core().dag().pruned_below(), 4u)
@@ -240,7 +248,7 @@ TEST_F(ValidatorTest, MempoolDrainsIntoProposals) {
   batch.count = 10;
   // Transactions trigger an immediate proposal when a quorum for the
   // previous round is already available (here: genesis).
-  const Actions actions = validator->on_transactions({batch}, 0);
+  const Actions actions = submit(*validator, {batch}, 0);
   ASSERT_EQ(actions.broadcast.size(), 1u);
   ASSERT_EQ(actions.broadcast[0]->batches().size(), 1u);
   EXPECT_EQ(actions.broadcast[0]->batches()[0].id, 42u);
@@ -255,7 +263,7 @@ TEST_F(ValidatorTest, BlockPayloadCapRespected) {
   ValidatorCore validator(setup_.committee, setup_.keypairs[0].private_key, config);
   std::vector<TxBatch> batches(5);
   for (std::size_t i = 0; i < 5; ++i) batches[i].id = i;
-  const Actions actions = validator.on_transactions(batches, 0);
+  const Actions actions = submit(validator, batches, 0);
   ASSERT_EQ(actions.broadcast.size(), 1u);
   EXPECT_EQ(actions.broadcast[0]->batches().size(), 2u);
   EXPECT_EQ(validator.mempool_size(), 3u);
@@ -293,7 +301,7 @@ TEST_F(ValidatorTest, OversizedBatchStillProposed) {
   huge.id = 1;
   huge.count = 100;
   huge.tx_bytes = 512;  // 51200 bytes > 1024 cap
-  const Actions actions = validator.on_transactions({huge}, 0);
+  const Actions actions = submit(validator, {huge}, 0);
   ASSERT_EQ(actions.broadcast.size(), 1u);
   ASSERT_EQ(actions.broadcast[0]->batches().size(), 1u);
   EXPECT_EQ(validator.mempool_size(), 0u);
@@ -306,7 +314,7 @@ TEST_F(ValidatorTest, MempoolAdmissionRejectsDuplicates) {
   batch.count = 3;
   // Proposals fire on submission, so the duplicate must ride in the same
   // call to be observable as an admission reject.
-  const Actions actions = validator->on_transactions({batch, batch}, 0);
+  const Actions actions = submit(*validator, {batch, batch}, 0);
   ASSERT_EQ(actions.broadcast.size(), 1u);
   EXPECT_EQ(actions.broadcast[0]->batches().size(), 1u);
   EXPECT_EQ(validator->mempool().stats().duplicate, 1u);
