@@ -6,6 +6,7 @@
 
 #include "common/crc32.h"
 #include "crypto/blake2b.h"
+#include "crypto/blake2bp.h"
 #include "crypto/coin.h"
 #include "crypto/ed25519.h"
 #include "crypto/sha512.h"
@@ -21,14 +22,34 @@ Bytes make_input(std::size_t size) {
   return data;
 }
 
-void BM_Blake2b256(benchmark::State& state) {
+// The bulk-hash series: sequential BLAKE2b, and BLAKE2bp through the
+// dispatched stripe kernel (AVX2 where the host has it) and through the
+// scalar leaves. NsPerByte is the CI gate's unit (scripts/run_benches.py):
+// BLAKE2bp must beat BLAKE2b per byte on a 256 KiB block. The 1-2 KiB sizes
+// bracket kBulkHashCrossover, where the two cost the same.
+void hash_series(benchmark::State& state, Digest (*hash)(BytesView)) {
   const Bytes input = make_input(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Blake2b::hash256({input.data(), input.size()}));
+    benchmark::DoNotOptimize(hash({input.data(), input.size()}));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  // Seconds per (bytes / 1e9), i.e. nanoseconds per byte.
+  state.counters["NsPerByte"] = benchmark::Counter(
+      static_cast<double>(state.range(0)) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_Blake2b256)->Arg(64)->Arg(512)->Arg(4096)->Arg(65536)->Arg(262144);
+
+void BM_Blake2b256(benchmark::State& state) { hash_series(state, &Blake2b::hash256); }
+void BM_Blake2bp256(benchmark::State& state) { hash_series(state, &Blake2bp::hash256); }
+void BM_Blake2bp256Portable(benchmark::State& state) {
+  hash_series(state, &Blake2bp::hash256_portable);
+}
+#define MM_HASH_SIZES \
+  ->Arg(64)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(65536)->Arg(262144)
+BENCHMARK(BM_Blake2b256) MM_HASH_SIZES;
+BENCHMARK(BM_Blake2bp256) MM_HASH_SIZES;
+BENCHMARK(BM_Blake2bp256Portable) MM_HASH_SIZES;
+#undef MM_HASH_SIZES
 
 void BM_Sha512(benchmark::State& state) {
   const Bytes input = make_input(static_cast<std::size_t>(state.range(0)));

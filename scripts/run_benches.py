@@ -56,12 +56,20 @@ BENCHES: List[Bench] = [
     # reads 40-56 us and 53-104 us at this min_time; the double-and-add
     # arithmetic they replaced took 380-620 us, so 200 us catches a fall
     # back to it without flaking on a slow runner.
+    # The bulk-hash series: BLAKE2bp through the dispatched stripe kernel
+    # must cost fewer ns per byte than sequential BLAKE2b on a 256 KiB block
+    # (the same VM: 0.50-0.53 against 1.40-1.46), which fails the push if
+    # the kernel ever falls back to the compiler's generic vector lowering.
     Bench(name="micro_crypto", binary="bench_micro_crypto",
-          filter="BM_Ed25519(Sign|Verify)$|Ed25519VerifyBatch|Ed25519VerifySingleLoop",
+          filter="BM_Ed25519(Sign|Verify)$|Ed25519VerifyBatch|Ed25519VerifySingleLoop"
+                 "|BM_Blake2b",
           min_time="0.05",
           gate=("--expect", "BM_Ed25519VerifyBatch",
+                "--expect", "BM_Blake2bp256",
                 "--max-ns", "BM_Ed25519Sign$", "200000",
-                "--max-ns", "BM_Ed25519Verify$", "200000")),
+                "--max-ns", "BM_Ed25519Verify$", "200000",
+                "--compare", "NsPerByte", "BM_Blake2b256/262144",
+                "BM_Blake2bp256/262144")),
 
     # DAG hot paths: inserting one fully connected round (every parent
     # resolved through its (round, author) cell), structural validation and

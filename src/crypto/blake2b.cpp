@@ -5,26 +5,14 @@
 #include <cstring>
 #include <utility>
 
+#include "crypto/blake2b_core.h"
+
 namespace mahimahi::crypto {
 
 namespace {
 
-constexpr std::array<std::uint64_t, 8> kIv = {
-    0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL, 0x3c6ef372fe94f82bULL,
-    0xa54ff53a5f1d36f1ULL, 0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
-    0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL};
-
-constexpr std::uint8_t kSigma[10][16] = {
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
-    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
-    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
-    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
-    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
-    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
-    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
-    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
-    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0}};
+using blake2b_core::kIv;
+using blake2b_core::kSigma;
 
 inline std::uint64_t load_le64(const std::uint8_t* p) {
   std::uint64_t v;
@@ -81,20 +69,26 @@ Blake2b::Blake2b(std::size_t digest_size, BytesView key) : digest_size_(digest_s
   }
 }
 
-void Blake2b::compress(const std::uint8_t* block, bool last) {
+namespace blake2b_core {
+
+void compress(std::array<std::uint64_t, 8>& h, const std::uint8_t* block,
+              std::uint64_t counter, bool last, bool last_node) {
   std::uint64_t m[16];
   for (int i = 0; i < 16; ++i) m[i] = load_le64(block + 8 * i);
 
   std::uint64_t v[16];
-  for (int i = 0; i < 8; ++i) v[i] = h_[i];
+  for (int i = 0; i < 8; ++i) v[i] = h[i];
   for (int i = 0; i < 8; ++i) v[8 + i] = kIv[i];
-  v[12] ^= counter_;  // low word of the byte counter; high word is zero
+  v[12] ^= counter;  // low word of the byte counter; high word is zero
   if (last) v[14] = ~v[14];
+  if (last_node) v[15] = ~v[15];
 
   rounds(v, m, std::make_index_sequence<12>{});
 
-  for (int i = 0; i < 8; ++i) h_[i] ^= v[i] ^ v[8 + i];
+  for (int i = 0; i < 8; ++i) h[i] ^= v[i] ^ v[8 + i];
 }
+
+}  // namespace blake2b_core
 
 void Blake2b::update(BytesView data) {
   // The final block must be compressed with the `last` flag set in finish(),
@@ -110,13 +104,13 @@ void Blake2b::update(BytesView data) {
     size -= take;
     if (size == 0) return;
     counter_ += kBlockSize;
-    compress(buffer_.data(), /*last=*/false);
+    blake2b_core::compress(h_, buffer_.data(), counter_, /*last=*/false);
     buffered_ = 0;
   }
   // Whole blocks straight from the input, no staging copy.
   while (size > kBlockSize) {
     counter_ += kBlockSize;
-    compress(in, /*last=*/false);
+    blake2b_core::compress(h_, in, counter_, /*last=*/false);
     in += kBlockSize;
     size -= kBlockSize;
   }
@@ -127,7 +121,7 @@ void Blake2b::update(BytesView data) {
 void Blake2b::finish(std::uint8_t* out) {
   counter_ += buffered_;
   std::memset(buffer_.data() + buffered_, 0, kBlockSize - buffered_);
-  compress(buffer_.data(), /*last=*/true);
+  blake2b_core::compress(h_, buffer_.data(), counter_, /*last=*/true);
   std::uint8_t full[kMaxDigestSize];
   for (int i = 0; i < 8; ++i) std::memcpy(full + 8 * i, &h_[i], 8);
   std::memcpy(out, full, digest_size_);

@@ -34,9 +34,6 @@ class Blake2b {
   static Digest mac256(BytesView key, BytesView data);
 
  private:
-  // Compresses one 128-byte block, read in place.
-  void compress(const std::uint8_t* block, bool last);
-
   std::array<std::uint64_t, 8> h_;
   std::array<std::uint8_t, kBlockSize> buffer_{};
   std::size_t buffered_ = 0;

@@ -1,12 +1,13 @@
 #include "types/block.h"
 
-#include "crypto/blake2b.h"
+#include "crypto/blake2bp.h"
 
 namespace mahimahi {
 
 namespace {
-// v2 added the author creation timestamp to the digested content.
-constexpr std::string_view kDigestDomain = "mahi-mahi/block/v2";
+// v2 added the author creation timestamp to the digested content; v3 moved
+// content of kBulkHashCrossover bytes or more to BLAKE2bp-256.
+constexpr std::string_view kDigestDomain = "mahi-mahi/block/v3";
 }
 
 Block Block::make(ValidatorId author, Round round, std::vector<BlockRef> parents,
@@ -81,7 +82,7 @@ void Block::write_content(serde::Writer& w) const {
 void Block::finalize_digest() {
   serde::Writer w(content_size());
   write_content(w);
-  digest_ = crypto::Blake2b::hash256({w.data().data(), w.size()});
+  digest_ = crypto::bulk_hash256({w.data().data(), w.size()});
 }
 
 std::size_t Block::encoded_size() const {
@@ -129,7 +130,7 @@ Block Block::deserialize(BytesView data) {
   std::copy(sig.begin(), sig.end(), b.signature_.bytes.begin());
   r.expect_done();
   // Canonical decoding makes the received content the digest preimage.
-  b.digest_ = crypto::Blake2b::hash256(data.first(data.size() - b.signature_.bytes.size()));
+  b.digest_ = crypto::bulk_hash256(data.first(data.size() - b.signature_.bytes.size()));
   return b;
 }
 

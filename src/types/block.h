@@ -76,7 +76,9 @@ class Block {
  private:
   Block() = default;
 
-  // Digest preimage: all fields except the signature, domain-separated.
+  // Digest preimage: all fields except the signature, domain-separated. The
+  // digest is crypto::bulk_hash256 of it (BLAKE2bp-256 from
+  // crypto::kBulkHashCrossover bytes up, BLAKE2b-256 below).
   std::size_t content_size() const;
   void write_content(serde::Writer& w) const;
   // Digest of a freshly built block (make, genesis).

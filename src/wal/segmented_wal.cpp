@@ -68,7 +68,11 @@ SegmentScan scan_segment(const std::string& path, const SegmentedWal::Visitor& v
     std::uint32_t len, crc;
     std::memcpy(&len, header, 4);
     std::memcpy(&crc, header + 4, 4);
-    if (len > 64 * 1024 * 1024) {  // corrupt length field
+    // Every record a writer appends has at least its type byte, so a zero
+    // length is a torn tail too: after a crash some filesystems leave the
+    // grown end of the file zero-filled, and eight zero bytes would otherwise
+    // pass as an empty record (crc32 of no bytes is 0).
+    if (len == 0 || len > 64 * 1024 * 1024) {  // torn or corrupt length field
       result.corrupt_tail = true;
       break;
     }
@@ -79,9 +83,17 @@ SegmentScan scan_segment(const std::string& path, const SegmentedWal::Visitor& v
       break;
     }
 
+    // The CRC matched over a non-empty payload, so these are the bytes a
+    // writer wrote: a record that does not decode comes from another binary
+    // (an older block domain tag, an unknown record type), never from a
+    // crash. Cutting it off as a torn tail would drop the validator's own
+    // blocks and let it sign a second block for a round it already
+    // broadcast, so replay refuses the log.
+    BlockPtr block;
+    WalRecordType type;
     try {
       serde::Reader r({payload.data(), payload.size()});
-      const auto type = static_cast<WalRecordType>(r.u8());
+      type = static_cast<WalRecordType>(r.u8());
       if (type != WalRecordType::kOwnBlock && type != WalRecordType::kReceivedBlock) {
         throw serde::SerdeError("unknown WAL record type");
       }
@@ -93,12 +105,14 @@ SegmentScan scan_segment(const std::string& path, const SegmentedWal::Visitor& v
         throw serde::SerdeError("block record length exceeds payload");
       }
       const BytesView encoded = r.raw(static_cast<std::size_t>(encoded_len));
-      auto block = std::make_shared<const Block>(Block::deserialize(encoded));
-      if (visitor) visitor(std::move(block), type == WalRecordType::kOwnBlock);
-    } catch (const serde::SerdeError&) {
-      result.corrupt_tail = true;
-      break;
+      block = std::make_shared<const Block>(Block::deserialize(encoded));
+    } catch (const serde::SerdeError& error) {
+      std::fclose(file);
+      throw std::runtime_error("SegmentedWal: record " + std::to_string(result.records) +
+                               " of " + path + " passes its CRC but does not decode (" +
+                               error.what() + "): a log from another binary cannot be replayed");
     }
+    if (visitor) visitor(std::move(block), type == WalRecordType::kOwnBlock);
     ++result.records;
     result.valid_bytes += 8 + len;
   }

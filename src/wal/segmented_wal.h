@@ -129,8 +129,10 @@ class SegmentedWal : public Wal {
   // falls back to an older checkpoint); a torn tail of the final segment is
   // dropped and, with `truncate_corrupt_tail`, cut off the file so the next
   // append lands on a clean record boundary. Throws when `dir` exists but is
-  // not a directory (e.g. a monolithic log from an older binary): starting
-  // from an empty log instead would re-propose rounds and equivocate.
+  // not a directory (e.g. a monolithic log from an older binary), and when a
+  // non-empty record passes its CRC but does not decode (e.g. a block under
+  // an older domain tag): starting from an empty or cut log instead would
+  // re-propose rounds and equivocate. A zero-length record is a torn tail.
   static ReplayResult replay(const std::string& dir, const Visitor& visitor,
                              bool truncate_corrupt_tail = true);
 

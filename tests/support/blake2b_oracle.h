@@ -2,6 +2,11 @@
 // it compressed straight from the input with unrolled rounds — every byte
 // staged through the block buffer, rounds looped over a runtime sigma table.
 // The differential tests check the fast code against it byte for byte.
+//
+// It also takes a full parameter block and the last-node flag, so
+// blake2bp_reference below builds the four-leaf tree hash (BLAKE2bp) out of
+// it the way the BLAKE2 specification describes it, one sequential node at a
+// time.
 #pragma once
 
 #include <algorithm>
@@ -14,12 +19,42 @@
 
 namespace mahimahi::crypto::oracle {
 
+// The tree fields of the parameter block (RFC 7693 §2.8; sequential mode is
+// fanout = depth = 1 and zeros).
+struct TreeParams {
+  std::uint8_t fanout = 1;
+  std::uint8_t depth = 1;
+  std::uint64_t node_offset = 0;
+  std::uint8_t node_depth = 0;
+  std::uint8_t inner_length = 0;
+};
+
 class Blake2bReference {
  public:
-  explicit Blake2bReference(std::size_t digest_size, BytesView key = {})
-      : digest_size_(digest_size) {
+  // `digest_size` is the parameter block's digest length; `output_size` (0 =
+  // the same) is how many bytes finish() returns: a BLAKE2bp leaf declares
+  // the tree's digest length but outputs its full 64-byte chaining value.
+  explicit Blake2bReference(std::size_t digest_size, BytesView key = {},
+                            TreeParams tree = {}, bool last_node = false,
+                            std::size_t output_size = 0)
+      : digest_size_(output_size != 0 ? output_size : digest_size), last_node_(last_node) {
+    // Serialize the parameter block byte by byte, then XOR it into the IV.
+    std::array<std::uint8_t, 64> param{};
+    param[0] = static_cast<std::uint8_t>(digest_size);
+    param[1] = static_cast<std::uint8_t>(key.size());
+    param[2] = tree.fanout;
+    param[3] = tree.depth;
+    for (int i = 0; i < 8; ++i) {
+      param[8 + i] = static_cast<std::uint8_t>(tree.node_offset >> (8 * i));
+    }
+    param[16] = tree.node_depth;
+    param[17] = tree.inner_length;
     h_ = kIv;
-    h_[0] ^= 0x01010000ULL ^ (static_cast<std::uint64_t>(key.size()) << 8) ^ digest_size_;
+    for (int i = 0; i < 8; ++i) {
+      std::uint64_t word;
+      std::memcpy(&word, param.data() + 8 * i, 8);
+      h_[i] ^= word;
+    }
     if (!key.empty()) {
       std::array<std::uint8_t, 128> key_block{};
       std::memcpy(key_block.data(), key.data(), key.size());
@@ -89,6 +124,7 @@ class Blake2bReference {
     for (int i = 0; i < 8; ++i) v[8 + i] = kIv[i];
     v[12] ^= counter_;
     if (last) v[14] = ~v[14];
+    if (last && last_node_) v[15] = ~v[15];
     for (int round = 0; round < 12; ++round) {
       const std::uint8_t* s = kSigma[round % 10];
       g(v[0], v[4], v[8], v[12], m[s[0]], m[s[1]]);
@@ -108,6 +144,28 @@ class Blake2bReference {
   std::size_t buffered_ = 0;
   std::uint64_t counter_ = 0;
   std::size_t digest_size_;
+  bool last_node_;
 };
+
+// BLAKE2bp with a `digest_size`-byte output: 128-byte blocks dealt
+// round-robin to four leaves (fanout 4, depth 2, inner length 64, node offset
+// = leaf index, the last leaf flagged as the last node), and a root (node
+// depth 1, last node) over the four 64-byte leaf outputs.
+inline Bytes blake2bp_reference(BytesView data, std::size_t digest_size) {
+  constexpr std::uint8_t kLeaves = 4;
+  Bytes leaf_outputs;
+  for (std::uint8_t leaf = 0; leaf < kLeaves; ++leaf) {
+    Blake2bReference node(digest_size, {}, {kLeaves, 2, leaf, 0, 64},
+                          /*last_node=*/leaf == kLeaves - 1, /*output_size=*/64);
+    for (std::size_t offset = 128 * leaf; offset < data.size(); offset += 128 * kLeaves) {
+      node.update(data.subspan(offset, std::min<std::size_t>(128, data.size() - offset)));
+    }
+    const Bytes out = node.finish();
+    leaf_outputs.insert(leaf_outputs.end(), out.begin(), out.end());
+  }
+  Blake2bReference root(digest_size, {}, {kLeaves, 2, 0, 1, 64}, /*last_node=*/true);
+  root.update({leaf_outputs.data(), leaf_outputs.size()});
+  return root.finish();
+}
 
 }  // namespace mahimahi::crypto::oracle

@@ -1,6 +1,7 @@
 // Hash-function tests: published test vectors (FIPS 180-4, RFC 7693),
 // incremental-API equivalence, the self-verifying SHA-512 constant
-// schedules (fracroot), and a seeded differential check of BLAKE2b against
+// schedules (fracroot), and seeded differential checks of BLAKE2b and of
+// both BLAKE2bp paths (the AVX2 stripe kernel and the scalar leaves) against
 // the reference implementation in support/blake2b_oracle.h.
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/blake2b.h"
+#include "crypto/blake2bp.h"
 #include "crypto/fracroot.h"
 #include "crypto/sha512.h"
 #include "support/blake2b_oracle.h"
@@ -248,6 +250,125 @@ TEST(Blake2b, MatchesReferenceImplementation) {
     chunked.finish(d.bytes.data());
     ASSERT_EQ(to_hex(d.view()), to_hex({expected.data(), 32})) << "chunked length " << length;
   }
+}
+
+// --- BLAKE2bp --------------------------------------------------------------
+
+Bytes random_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(size);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
+  return data;
+}
+
+Bytes pattern(std::size_t size) {
+  Bytes data(size);
+  for (std::size_t i = 0; i < size; ++i) data[i] = static_cast<std::uint8_t>(i % 251);
+  return data;
+}
+
+std::string reference256(BytesView data) {
+  const Bytes expected = oracle::blake2bp_reference(data, 32);
+  return to_hex({expected.data(), expected.size()});
+}
+
+// The oracle's tree, with the 64-byte output where every node's declared
+// digest length is 64, against values computed independently from CPython's
+// hashlib.blake2b with the same node parameters (fanout, depth, node offset,
+// node depth, inner size, last node).
+TEST(Blake2bpReference, MatchesIndependentTreeParameters) {
+  const auto reference512 = [](BytesView data) {
+    const Bytes out = oracle::blake2bp_reference(data, 64);
+    return to_hex({out.data(), out.size()});
+  };
+  EXPECT_EQ(reference512({}),
+            "b5ef811a8038f70b628fa8b294daae7492b1ebe343a80eaabbf1f6ae664dd67b"
+            "9d90b0120791eab81dc96985f28849f6a305186a85501b405114bfa678df9380");
+  EXPECT_EQ(reference512(as_bytes_view("abc")),
+            "b91a6b66ae87526c400b0a8b53774dc65284ad8f6575f8148ff93dff943a6ecd"
+            "8362130f22d6dae633aa0f91df4ac89aaff31d0f1b923c898e82025dedbdad6e");
+  const Bytes p640 = pattern(640);  // a full stripe plus one block
+  EXPECT_EQ(reference512({p640.data(), p640.size()}),
+            "0baeb34afb0295343c42d880fd427b6736a684a6f1e13154db7c01739da1d21d"
+            "102f84a67a4c18e851eda12f58b5773242d41c67f00557dac7df98e374b8086c");
+  const Bytes p4096 = pattern(4096);
+  EXPECT_EQ(reference512({p4096.data(), p4096.size()}),
+            "fbbb33fc5f391469bee5dc52c62707e6171baa52451a869bb9207cc690bd2899"
+            "1017c86d1110aee447a40fce7d3f20a148b56eb65d501e94cbd41ae356b48619");
+}
+
+// Every length 0..4096 and a block-sized 296 KiB input, each also 1-7 bytes
+// off alignment, one-shot and in random chunks, against the oracle.
+void expect_matches_reference(Digest (*hash)(BytesView), bool dispatched) {
+  const Bytes data = random_bytes(296 * 1024, 0xb1a2b);
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 4096; ++length) lengths.push_back(length);
+  lengths.push_back(data.size());
+  Bytes shifted(data.size() + 8);
+  Rng rng(4);
+  for (const std::size_t length : lengths) {
+    const BytesView input{data.data(), length};
+    const std::string expected = reference256(input);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      std::copy(input.begin(), input.end(), shifted.begin() + static_cast<std::ptrdiff_t>(offset));
+      ASSERT_EQ(hash({shifted.data() + offset, length}).hex(), expected)
+          << "length " << length << " offset " << offset;
+    }
+    if (!dispatched) continue;
+    Blake2bp chunked;
+    for (std::size_t at = 0; at < length;) {
+      const std::size_t take = std::min<std::size_t>(rng.uniform(1200), length - at);
+      chunked.update(input.subspan(at, take));
+      at += take;
+    }
+    ASSERT_EQ(chunked.finish().hex(), expected) << "chunked length " << length;
+  }
+}
+
+TEST(Blake2bp, PortableMatchesReference) {
+  expect_matches_reference(&Blake2bp::hash256_portable, false);
+}
+
+TEST(Blake2bp, DispatchedMatchesReference) {
+  expect_matches_reference(&Blake2bp::hash256, true);
+}
+
+// On an AVX2 host the dispatched path is the stripe kernel, so
+// DispatchedMatchesReference above checked the kernel.
+TEST(Blake2bp, Avx2HostsRunTheKernel) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "host has no AVX2";
+  EXPECT_TRUE(Blake2bp::vectorized());
+#else
+  GTEST_SKIP() << "the AVX2 kernel is x86-64 only";
+#endif
+}
+
+TEST(Blake2bp, GoldenDigests) {
+  const Bytes p4096 = pattern(4096);
+  for (const auto hash : {&Blake2bp::hash256, &Blake2bp::hash256_portable}) {
+    EXPECT_EQ(hash({}).hex(),
+              "e3f5e2e3c4336e2b8eec91ecb154e40c8b1fa34091b286bca5b67d5a7f87ff98");
+    EXPECT_EQ(hash(as_bytes_view("abc")).hex(),
+              "4792f00c05827a437fc55481e447eea1c9a39add28087733b3e53f1c04430dc7");
+    EXPECT_EQ(hash({p4096.data(), p4096.size()}).hex(),
+              "16caafd8dd1ed52836ab5339a5bc4f470b945706a4ef2d6303d5db80ba0e4014");
+  }
+}
+
+TEST(BulkHash, CrossoverPicksTheHash) {
+  const Bytes data = random_bytes(2 * kBulkHashCrossover, 11);
+  for (const std::size_t length :
+       {std::size_t{0}, std::size_t{1}, kBulkHashCrossover - 1, kBulkHashCrossover,
+        kBulkHashCrossover + 1, data.size()}) {
+    const BytesView input{data.data(), length};
+    const Digest expected = length < kBulkHashCrossover ? Blake2b::hash256(input)
+                                                        : Blake2bp::hash256(input);
+    EXPECT_EQ(bulk_hash256(input), expected) << "length " << length;
+  }
+  // The two parameter blocks separate the hashes on the same bytes.
+  const BytesView at_crossover{data.data(), kBulkHashCrossover};
+  EXPECT_NE(Blake2b::hash256(at_crossover), Blake2bp::hash256(at_crossover));
 }
 
 }  // namespace

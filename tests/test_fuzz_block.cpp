@@ -27,6 +27,7 @@
 
 #include "common/rng.h"
 #include "crypto/blake2b.h"
+#include "crypto/blake2bp.h"
 #include "net/node_runtime.h"
 #include "types/validation.h"
 #include "wal/segmented_wal.h"
@@ -91,6 +92,43 @@ TEST_F(BlockFuzz, EveryBitFlipIsRejected) {
     Bytes mutated = wire_;
     mutated[i] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
     EXPECT_TRUE(rejected(mutated)) << "bit flip at byte " << i;
+  }
+}
+
+// Content of kBulkHashCrossover bytes or more is digested with BLAKE2bp:
+// flips anywhere in a 4 KiB payload, and in the stripe tails, are caught.
+TEST_F(BlockFuzz, BulkBlockBitFlipsAreRejected) {
+  TxBatch batch;
+  batch.id = 78;
+  batch.count = 8;
+  batch.payload.resize(4096);
+  for (std::size_t i = 0; i < batch.payload.size(); ++i) {
+    batch.payload[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  const Block bulk = Block::make(1, 1, block_.parents(), {batch}, block_.coin_share(),
+                                 setup_.keypairs[1].private_key);
+  const Bytes wire = bulk.serialize();
+  ASSERT_GE(wire.size() - 64, crypto::kBulkHashCrossover);
+  EXPECT_FALSE(rejected(wire));
+  for (std::size_t i = 0; i < wire.size(); i += 5) {
+    Bytes mutated = wire;
+    mutated[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    EXPECT_TRUE(rejected(mutated)) << "bit flip at byte " << i << " accepted";
+  }
+}
+
+// An older binary's block (the v2 tag: every content size on BLAKE2b) is
+// refused at the tag, before any digest is computed.
+TEST_F(BlockFuzz, OlderDomainTagIsRejected) {
+  const std::string_view v2 = "mahi-mahi/block/v2";
+  Bytes image = wire_;
+  ASSERT_EQ(std::string(image.begin(), image.begin() + 18), "mahi-mahi/block/v3");
+  std::copy(v2.begin(), v2.end(), image.begin());
+  try {
+    Block::deserialize({image.data(), image.size()});
+    ADD_FAILURE() << "v2-tagged block decoded";
+  } catch (const serde::SerdeError& error) {
+    EXPECT_STREQ(error.what(), "bad block domain tag");
   }
 }
 
@@ -182,6 +220,8 @@ TEST(BlockCanonicalEncoding, AcceptedMutantsReserializeByteIdentically) {
   const auto setup = Committee::make_test(4);
   Rng rng(4242);
   std::size_t accepted = 0;
+  std::size_t small = 0;  // accepted content below / at or above the crossover
+  std::size_t bulk = 0;
   for (const Block& block : varied_blocks(setup, rng)) {
     const Bytes wire = block.serialize();
     for (int trial = 0; trial < 400; ++trial) {
@@ -205,10 +245,14 @@ TEST(BlockCanonicalEncoding, AcceptedMutantsReserializeByteIdentically) {
       const Bytes again = decoded->serialize();
       ASSERT_EQ(again, mutated) << "accepted a non-canonical encoding (trial " << trial << ")";
       // The in-place digest equals the re-serialize-then-hash digest.
-      EXPECT_EQ(decoded->digest(), crypto::Blake2b::hash256({again.data(), again.size() - 64}));
+      EXPECT_EQ(decoded->digest(), crypto::bulk_hash256({again.data(), again.size() - 64}));
+      (again.size() - 64 < crypto::kBulkHashCrossover ? small : bulk) += 1;
     }
   }
   EXPECT_GT(accepted, 100u);  // payload and signature bytes decode freely
+  // Both digest rules (BLAKE2b and BLAKE2bp) are exercised.
+  EXPECT_GT(small, 0u);
+  EXPECT_GT(bulk, 0u);
 }
 
 // Re-encodes `block` field by field with the varint at index `overlong`
@@ -225,7 +269,7 @@ Bytes encode_with_overlong(const Block& block, int overlong, int& varints) {
     w.u8(static_cast<std::uint8_t>(v) | 0x80);
     w.u8(0x00);
   };
-  w.raw(as_bytes_view("mahi-mahi/block/v2"));
+  w.raw(as_bytes_view("mahi-mahi/block/v3"));
   w.u32(block.author());
   varint(block.round());
   varint(static_cast<std::uint64_t>(block.created_at()));

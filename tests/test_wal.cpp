@@ -5,11 +5,14 @@
 // acks, torn groups).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
 
+#include "common/crc32.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "validator/validator.h"
@@ -115,6 +118,60 @@ TEST_F(WalTest, TornTailIsDiscardedAndTruncated) {
   const auto after = SegmentedWal::replay(path_.string(), visitor, true);
   EXPECT_EQ(after.records, 2u);
   EXPECT_FALSE(after.corrupt_tail);
+}
+
+TEST_F(WalTest, ZeroFilledTailIsDiscardedAndTruncated) {
+  // After a crash some filesystems keep a grown file size whose data never
+  // reached the disk, so the tail reads back as zeros. Eight zero bytes are a
+  // record header with len 0 and crc 0, which an empty payload would match:
+  // replay must still treat it as torn, not refuse the log.
+  const std::size_t valid_size = 2 * wal_encode_block_record(make_block(0, 1), true).size();
+  for (const std::size_t zeros : {8u, 13u, 64u}) {
+    std::filesystem::remove_all(path_);
+    {
+      SegmentedWal wal(path_.string());
+      wal.append_block(make_block(0, 1), true);
+      wal.append_block(make_block(1, 1), false);
+    }
+    ASSERT_EQ(std::filesystem::file_size(segment()), valid_size);
+    std::filesystem::resize_file(segment(), valid_size + zeros);
+
+    int replayed = 0;
+    const auto result =
+        SegmentedWal::replay(path_.string(), [&](BlockPtr, bool) { ++replayed; }, true);
+    EXPECT_EQ(result.records, 2u) << zeros << " zero bytes";
+    EXPECT_TRUE(result.corrupt_tail) << zeros << " zero bytes";
+    EXPECT_EQ(replayed, 2) << zeros << " zero bytes";
+    EXPECT_EQ(std::filesystem::file_size(segment()), valid_size) << zeros << " zero bytes";
+  }
+}
+
+TEST_F(WalTest, UndecodableRecordWithValidCrcIsRefusedNotTruncated) {
+  // An older binary's record: the block under the v2 domain tag, framed and
+  // CRC-sealed exactly as that binary wrote it. A crash cannot produce it, so
+  // replay throws instead of cutting it off as a torn tail.
+  Bytes record = wal_encode_block_record(make_block(1, 2), true);
+  const std::string_view v3 = "mahi-mahi/block/v3";
+  const auto tag = std::search(record.begin(), record.end(), v3.begin(), v3.end());
+  ASSERT_NE(tag, record.end());
+  *(tag + static_cast<std::ptrdiff_t>(v3.size()) - 1) = '2';
+  const std::uint32_t crc = crc32({record.data() + 8, record.size() - 8});
+  std::memcpy(record.data() + 4, &crc, sizeof(crc));
+  {
+    SegmentedWal wal(path_.string());
+    wal.append_block(make_block(0, 1), true);
+  }
+  {
+    std::ofstream out(segment(), std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(record.data()),
+              static_cast<std::streamsize>(record.size()));
+  }
+  const auto size = std::filesystem::file_size(segment());
+  int replayed = 0;
+  EXPECT_THROW(SegmentedWal::replay(path_.string(), [&](BlockPtr, bool) { ++replayed; }, true),
+               std::runtime_error);
+  EXPECT_EQ(replayed, 1);
+  EXPECT_EQ(std::filesystem::file_size(segment()), size);
 }
 
 TEST_F(WalTest, CorruptMiddleByteStopsReplay) {
