@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "core/committer.h"
+#include "mempool/mempool.h"
 #include "sim/dag_builder.h"
 #include "types/validation.h"
 #include "wal/segmented_wal.h"
@@ -27,16 +28,8 @@ void BM_BlockCreateAndSign(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCreateAndSign);
 
-// A block of a fully connected 10-validator DAG carrying `payload_bytes`
-// of transaction payload in 4 KiB batches (0 = an empty round-2 block). The
-// 256 KiB shape is close to a tcp-opaque-100k block (~300 KB), whose decode
-// cost is mostly the BLAKE2b digest.
-BlockPtr bench_block(std::size_t payload_bytes) {
-  DagBuilder builder(10);
-  builder.build_fully_connected(2);
-  if (payload_bytes == 0) return builder.dag().slot(2, 0).front();
-  std::vector<BlockRef> parents;
-  for (ValidatorId v = 0; v < builder.n(); ++v) parents.push_back(builder.dag().slot(2, v).front()->ref());
+// `payload_bytes` of transaction payload in 4 KiB batches.
+std::vector<TxBatch> bench_batches(std::size_t payload_bytes) {
   std::vector<TxBatch> batches;
   for (std::size_t left = payload_bytes; left > 0;) {
     TxBatch batch;
@@ -46,7 +39,32 @@ BlockPtr bench_block(std::size_t payload_bytes) {
     left -= batch.payload.size();
     batches.push_back(std::move(batch));
   }
-  return builder.add_block(0, 3, std::move(parents), std::move(batches));
+  return batches;
+}
+
+std::vector<BlockRef> round_refs(const DagBuilder& builder, Round round) {
+  std::vector<BlockRef> refs;
+  for (ValidatorId v = 0; v < builder.n(); ++v) refs.push_back(builder.dag().slot(round, v).front()->ref());
+  return refs;
+}
+
+// A block of a fully connected 10-validator DAG carrying `payload_bytes`
+// of transaction payload in 4 KiB batches (0 = an empty round-2 block). The
+// 256 KiB shape is close to a tcp-opaque-100k block (~300 KB), whose decode
+// cost is mostly hashing the payloads.
+BlockPtr bench_block(std::size_t payload_bytes) {
+  DagBuilder builder(10);
+  builder.build_fully_connected(2);
+  if (payload_bytes == 0) return builder.dag().slot(2, 0).front();
+  return builder.add_block(0, 3, round_refs(builder, 2), bench_batches(payload_bytes));
+}
+
+// Microseconds per iteration of the timed region (the inverted rate of 1e-6
+// per iteration), the unit --compare reads across BM_BlockMake and
+// BM_BlockDeserialize.
+benchmark::Counter micros_per_block() {
+  return benchmark::Counter(1e-6, benchmark::Counter::kIsIterationInvariantRate |
+                                      benchmark::Counter::kInvert);
 }
 
 void BM_BlockSerialize(benchmark::State& state) {
@@ -64,8 +82,36 @@ void BM_BlockDeserialize(benchmark::State& state) {
     benchmark::DoNotOptimize(Block::deserialize({wire.data(), wire.size()}));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * wire.size()));
+  state.counters["MicrosPerBlock"] = micros_per_block();
 }
 BENCHMARK(BM_BlockDeserialize)->Arg(0)->Arg(256 * 1024);
+
+// The author's path: the same block as BM_BlockDeserialize, built and signed
+// from batches that went through ShardedMempool admission, which already
+// hashed their payloads. Copying the drained batches stays outside the
+// timing. Hashing only the block's preimage, this must stay well under
+// BM_BlockDeserialize/262144, which hashes every payload byte.
+void BM_BlockMake(benchmark::State& state) {
+  DagBuilder builder(10);
+  builder.build_fully_connected(2);
+  const std::vector<BlockRef> parents = round_refs(builder, 2);
+  ShardedMempool pool;
+  for (TxBatch& batch : bench_batches(static_cast<std::size_t>(state.range(0)))) {
+    if (!admitted(pool.submit(std::move(batch)))) state.SkipWithError("batch not admitted");
+  }
+  const std::vector<TxBatch> drained = pool.drain(1 << 20, 1ull << 40);
+  const auto setup = Committee::make_test(10);
+  const crypto::CoinShare coin = setup.committee.coin().share(0, 3);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<TxBatch> batches = drained;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        Block::make(0, 3, parents, std::move(batches), coin, setup.keypairs[0].private_key));
+  }
+  state.counters["MicrosPerBlock"] = micros_per_block();
+}
+BENCHMARK(BM_BlockMake)->Arg(256 * 1024);
 
 void BM_BlockValidate(benchmark::State& state) {
   DagBuilder builder(10);

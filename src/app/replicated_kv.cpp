@@ -6,9 +6,11 @@
 namespace mahimahi::app {
 
 Digest batch_identity(const TxBatch& batch) {
-  serde::Writer w;
+  const Digest payload_digest =
+      batch.payload_digest ? *batch.payload_digest : TxBatch::hash_payload(batch.payload);
+  serde::Writer w(8 + 32);
   w.u64(batch.id);
-  w.bytes({batch.payload.data(), batch.payload.size()});
+  w.digest(payload_digest);
   return crypto::Blake2b::hash256({w.data().data(), w.data().size()});
 }
 

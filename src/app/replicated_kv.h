@@ -18,10 +18,15 @@
 
 namespace mahimahi::app {
 
-// Content identity of a batch: id plus payload. Two submissions of the same
-// command batch (client resubmission to a different validator) collide here;
-// distinct commands never do (up to hash collisions). Shared with the
-// parallel executor (exec/) so both apply paths deduplicate identically.
+// Content identity of a batch: H(id, payload digest). Two submissions of the
+// same command batch (client resubmission to a different validator) collide
+// here; distinct commands never do (up to hash collisions). A committed
+// batch carries its payload digest (types/transaction.h), so the payload is
+// not hashed again; a bare batch is hashed here. Identities are never
+// persisted: the dedup sets live in memory only, WAL replay rebuilds them
+// and exec::SerialExecutor clears its set on a checkpoint install, so
+// changing this derivation needs no migration. Shared with the parallel
+// executor (exec/) so both apply paths deduplicate identically.
 Digest batch_identity(const TxBatch& batch);
 
 class ReplicatedKv {

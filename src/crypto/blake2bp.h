@@ -68,10 +68,11 @@ class Blake2bp {
 // earns back once the stripe kernel has enough bytes to run on: on an AVX2
 // x86-64 host bench_micro_crypto reads BM_Blake2b256 and BM_Blake2bp256
 // within noise of each other at 1 KiB, the tree 1.3x faster at 2 KiB and
-// 1.9x at 4 KiB. Below the crossover sit genesis blocks and blocks with empty
-// payloads and few parents (an idle n = 4 committee's ~150-byte proposals,
-// BM_BlockDeserialize/0); at n = 50 a proposal's 34+ parent refs alone put it
-// above. The two parameter blocks keep the digests domain-separated.
+// 1.9x at 4 KiB. Below the crossover sit sub-KiB batch payloads and the
+// block preimages of small committees (genesis, an n = 4 block without
+// declared keys: ~350 bytes, BM_BlockDeserialize/0); at n = 50 a preimage's
+// 34+ parent refs alone put it above. The two parameter blocks keep the
+// digests domain-separated.
 inline constexpr std::size_t kBulkHashCrossover = 1024;
 
 // The 32-byte digest of `data`: BLAKE2b-256 below kBulkHashCrossover bytes,

@@ -1,5 +1,7 @@
 #include "mempool/mempool.h"
 
+#include <algorithm>
+
 #include "crypto/blake2b.h"
 
 namespace mahimahi {
@@ -15,21 +17,17 @@ const char* to_string(AdmitResult result) {
   return "?";
 }
 
-Digest ShardedMempool::batch_digest(const TxBatch& batch) {
-  crypto::Blake2b hasher(32);
-  std::uint8_t header[16];
+Digest ShardedMempool::batch_digest(const TxBatch& batch, const Digest& payload_digest) {
+  std::uint8_t preimage[16 + 32];
   for (int i = 0; i < 8; ++i) {
-    header[i] = static_cast<std::uint8_t>(batch.id >> (8 * i));
+    preimage[i] = static_cast<std::uint8_t>(batch.id >> (8 * i));
   }
   for (int i = 0; i < 4; ++i) {
-    header[8 + i] = static_cast<std::uint8_t>(batch.count >> (8 * i));
-    header[12 + i] = static_cast<std::uint8_t>(batch.tx_bytes >> (8 * i));
+    preimage[8 + i] = static_cast<std::uint8_t>(batch.count >> (8 * i));
+    preimage[12 + i] = static_cast<std::uint8_t>(batch.tx_bytes >> (8 * i));
   }
-  hasher.update({header, sizeof(header)});
-  hasher.update({batch.payload.data(), batch.payload.size()});
-  Digest digest;
-  hasher.finish(digest.bytes.data());
-  return digest;
+  std::copy(payload_digest.bytes.begin(), payload_digest.bytes.end(), preimage + 16);
+  return crypto::Blake2b::hash256({preimage, sizeof(preimage)});
 }
 
 ShardedMempool::ShardedMempool(MempoolConfig config) : config_(config) {
@@ -51,7 +49,8 @@ std::size_t ShardedMempool::shard_for(std::uint64_t client_key) const {
 AdmitResult ShardedMempool::submit(TxBatch batch) {
   const std::uint64_t batch_bytes = batch.wire_bytes();
   const std::uint64_t client = client_key(batch);
-  const Digest digest = batch_digest(batch);
+  batch.payload_digest = TxBatch::hash_payload(batch.payload);
+  const Digest digest = batch_digest(batch, *batch.payload_digest);
   Shard& shard = *shards_[shard_for(client)];
 
   {

@@ -16,8 +16,8 @@
 //
 // Admission control (the front door, applied per batch, first failure wins):
 //   1. duplicate rejection — a digest set per shard of the batches currently
-//      resident; the digest covers id + shape + payload but NOT the client
-//      submit timestamp, so a client retrying the same batch dedups,
+//      resident; the digest covers id + shape + payload digest but NOT the
+//      client submit timestamp, so a client retrying the same batch dedups,
 //   2. per-client byte quota — one client cannot squeeze the others out,
 //   3. per-shard batch-count cap — bounds queue memory,
 //   4. global byte cap — bounds pool memory across all shards.
@@ -93,10 +93,10 @@ class ShardedMempool {
     return batch.id >> kClientKeyShift;
   }
 
-  // Content digest used for duplicate rejection. Deliberately excludes
-  // `submitted_at`: a client retry re-stamps the batch but is still the same
-  // submission.
-  static Digest batch_digest(const TxBatch& batch);
+  // Content digest used for duplicate rejection: H(id, count, tx_bytes,
+  // payload_digest). Deliberately excludes `submitted_at`: a client retry
+  // re-stamps the batch but is still the same submission.
+  static Digest batch_digest(const TxBatch& batch, const Digest& payload_digest);
 
   explicit ShardedMempool(MempoolConfig config = {});
 
@@ -106,8 +106,11 @@ class ShardedMempool {
   // Shard a client key maps to. Stable for the lifetime of the pool.
   std::size_t shard_for(std::uint64_t client_key) const;
 
-  // Thread-safe admission. On kAccepted the batch is owned by the pool;
-  // every other verdict leaves the pool unchanged.
+  // Thread-safe admission. Hashes the payload once (TxBatch::hash_payload)
+  // and stores the result as the batch's payload_digest, replacing whatever
+  // the caller set: the block built from a drained batch commits to that
+  // digest without hashing the payload again. On kAccepted the batch is
+  // owned by the pool; every other verdict leaves the pool unchanged.
   AdmitResult submit(TxBatch batch);
 
   // Convenience: admit a burst, returning one verdict per batch (in order).
@@ -123,6 +126,8 @@ class ShardedMempool {
   // than the block byte budget must still be proposable, or it would wedge
   // its shard forever. Every subsequent batch respects the remaining budget;
   // the first one that would overflow it ends the drain.
+  //
+  // Drained batches carry the payload_digest computed at admission.
   //
   // Thread-safe, but intended to be called from the proposal path only.
   std::vector<TxBatch> drain(std::size_t max_batches, std::uint64_t max_bytes);

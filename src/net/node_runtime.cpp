@@ -128,6 +128,11 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
   verify_frames_dropped_ =
       &registry_.counter("mm_verify_frames_dropped_total",
                          "Frames shed because the verify queue was full");
+  redelivered_frames_ = &registry_.counter(
+      "mm_ingest_redelivered_frames_total",
+      "Block frames decoded and hashed, then dropped as already retained");
+  redelivered_bytes_ = &registry_.counter(
+      "mm_ingest_redelivered_bytes_total", "Bytes of the block frames counted as redelivered");
   egress_frames_encoded_ = &registry_.counter(
       "mm_egress_frames_encoded_total", "Outbound block frames encoded once and fanned out");
   peer_rx_lag_ = &registry_.histogram(
@@ -642,7 +647,11 @@ void NodeRuntime::verify_frames(std::vector<RawFrame> frames) {
     // Decode span starts at the loop thread's receive stamp, so it includes
     // the verify-queue wait — the number that grows first under overload.
     tracer_.record_stage(obs::Stage::kDecode, steady_now_micros() - frame.received_at);
-    if (forwarded_digests_.contains(block->digest())) continue;
+    if (forwarded_digests_.contains(block->digest())) {
+      redelivered_frames_->add();
+      redelivered_bytes_->add(frame.block().size());
+      continue;
+    }
     items.push_back({std::move(block), frame.peer, frame.received_at});
   }
 

@@ -454,6 +454,10 @@ class NodeRuntime {
   // (bad crypto, synchronizer back-pressure) stays re-deliverable.
   // VerifierCache is internally locked.
   VerifierCache forwarded_digests_;
+  // Frames (and their bytes) that decode paid for before forwarded_digests_
+  // dropped them: the hashing that anti-entropy re-offers still cost.
+  obs::Counter* redelivered_frames_;
+  obs::Counter* redelivered_bytes_;
   obs::Counter* decode_errors_;
   obs::Counter* verify_frames_dropped_;
   // Collapses a burst of off-loop submissions into one queued proposal

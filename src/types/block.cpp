@@ -5,9 +5,10 @@
 namespace mahimahi {
 
 namespace {
-// v2 added the author creation timestamp to the digested content; v3 moved
-// content of kBulkHashCrossover bytes or more to BLAKE2bp-256.
-constexpr std::string_view kDigestDomain = "mahi-mahi/block/v3";
+// v2 added the author creation timestamp to the digested content, v3 moved
+// large content to BLAKE2bp-256, and v4 digests each payload through its
+// payload digest instead of its bytes.
+constexpr std::string_view kDigestDomain = "mahi-mahi/block/v4";
 }
 
 Block Block::make(ValidatorId author, Round round, std::vector<BlockRef> parents,
@@ -53,17 +54,15 @@ std::uint64_t Block::payload_bytes() const {
   return total;
 }
 
-std::size_t Block::content_size() const {
+std::size_t Block::header_size() const {
   std::size_t size = kDigestDomain.size() + 4 + serde::varint_size(round_) +
                      serde::varint_size(static_cast<std::uint64_t>(created_at_)) +
                      serde::varint_size(parents_.size());
   for (const auto& parent : parents_) size += serde::varint_size(parent.round) + 4 + 32;
-  size += 32 + serde::varint_size(batches_.size());
-  for (const auto& batch : batches_) size += batch.encoded_size();
-  return size;
+  return size + 32;
 }
 
-void Block::write_content(serde::Writer& w) const {
+void Block::write_header(serde::Writer& w) const {
   w.raw(as_bytes_view(kDigestDomain));
   w.u32(author_);
   w.varint(round_);
@@ -75,13 +74,30 @@ void Block::write_content(serde::Writer& w) const {
     w.digest(parent.digest);
   }
   w.digest(coin_share_);
+}
+
+std::size_t Block::content_size() const {
+  std::size_t size = header_size() + serde::varint_size(batches_.size());
+  for (const auto& batch : batches_) size += batch.encoded_size();
+  return size;
+}
+
+void Block::write_content(serde::Writer& w) const {
+  write_header(w);
   w.varint(batches_.size());
   for (const auto& batch : batches_) batch.serialize(w);
 }
 
 void Block::finalize_digest() {
-  serde::Writer w(content_size());
-  write_content(w);
+  std::size_t size = header_size() + serde::varint_size(batches_.size());
+  for (auto& batch : batches_) {
+    if (!batch.payload_digest) batch.payload_digest = TxBatch::hash_payload(batch.payload);
+    size += batch.digested_size();
+  }
+  serde::Writer w(size);
+  write_header(w);
+  w.varint(batches_.size());
+  for (const auto& batch : batches_) batch.serialize_digested(w);
   digest_ = crypto::bulk_hash256({w.data().data(), w.size()});
 }
 
@@ -129,8 +145,7 @@ Block Block::deserialize(BytesView data) {
   const BytesView sig = r.raw(64);
   std::copy(sig.begin(), sig.end(), b.signature_.bytes.begin());
   r.expect_done();
-  // Canonical decoding makes the received content the digest preimage.
-  b.digest_ = crypto::bulk_hash256(data.first(data.size() - b.signature_.bytes.size()));
+  b.finalize_digest();
   return b;
 }
 

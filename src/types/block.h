@@ -8,8 +8,9 @@
 // forensics (mm_peer_rx_lag_micros). The timestamp is advisory: it is in
 // the author's clock domain, consumers clamp, and consensus never reads it.
 //
-// The digest commits to everything except the signature; the signature signs
-// the digest. Blocks are immutable after construction.
+// The digest commits to everything except the signature, each batch's
+// payload through its payload digest (TxBatch::hash_payload); the signature
+// signs the digest. Blocks are immutable after construction.
 #pragma once
 
 #include <memory>
@@ -28,7 +29,9 @@ class Block {
   // Constructs and signs a block. `parents` must already satisfy the
   // structural rules (the proposer guarantees this; validation re-checks).
   // `created_at` is the author-clock creation stamp (0 = unstamped; lag
-  // consumers skip unstamped blocks).
+  // consumers skip unstamped blocks). A batch's payload_digest is trusted
+  // as given (the mempool computed it at admission); batches without one
+  // are hashed here.
   static Block make(ValidatorId author, Round round, std::vector<BlockRef> parents,
                     std::vector<TxBatch> batches, crypto::CoinShare coin_share,
                     const crypto::Ed25519PrivateKey& key, TimeMicros created_at = 0);
@@ -58,14 +61,15 @@ class Block {
   // Transaction bytes across batches (TxBatch::wire_bytes).
   std::uint64_t payload_bytes() const;
 
-  // Wire codec: the digested content followed by the 64-byte signature.
-  // serialize_into() appends exactly encoded_size() bytes, so callers that
-  // frame a block (network, WAL, checkpoints) size one buffer up front and
-  // encode into it once. deserialize() accepts only canonical encodings
-  // (serde rejects overlong varints; every other field is fixed-width), so
-  // the received content bytes ARE the digest preimage and are hashed in
-  // place. It performs structural decoding only (no semantic validation —
-  // see types/validation.h).
+  // Wire codec: the content (domain tag, header, parents, coin share and
+  // batches with their payload bytes inline) followed by the 64-byte
+  // signature. serialize_into() appends exactly encoded_size() bytes, so
+  // callers that frame a block (network, WAL, checkpoints) size one buffer
+  // up front and encode into it once. deserialize() accepts only canonical
+  // encodings (serde rejects overlong varints; every other field is
+  // fixed-width), so each wire image has one decoding; it hashes every
+  // payload once, then the digest preimage. It performs structural decoding
+  // only (no semantic validation — see types/validation.h).
   std::size_t encoded_size() const;
   void serialize_into(serde::Writer& w) const;
   Bytes serialize() const;
@@ -76,12 +80,17 @@ class Block {
  private:
   Block() = default;
 
-  // Digest preimage: all fields except the signature, domain-separated. The
-  // digest is crypto::bulk_hash256 of it (BLAKE2bp-256 from
-  // crypto::kBulkHashCrossover bytes up, BLAKE2b-256 below).
+  // Domain tag, author, round, timestamp, parents and coin share: the
+  // leading fields of both the wire content and the digest preimage.
+  std::size_t header_size() const;
+  void write_header(serde::Writer& w) const;
+  // Wire content: the header, then every batch in full.
   std::size_t content_size() const;
   void write_content(serde::Writer& w) const;
-  // Digest of a freshly built block (make, genesis).
+  // Fills each batch's missing payload_digest, then sets the digest:
+  // crypto::bulk_hash256 of the preimage, which is the header followed by
+  // every batch with its payload replaced by length and payload digest
+  // (TxBatch::serialize_digested).
   void finalize_digest();
 
   ValidatorId author_ = 0;

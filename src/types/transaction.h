@@ -8,15 +8,21 @@
 // optional (examples and the TCP path carry actual bytes; the high-rate
 // simulator leaves it empty and accounts `count * tx_bytes` for bandwidth).
 // Latency metrics weight each batch sample by `count`.
+//
+// A block's digest covers each batch's payload through its payload digest
+// (hash_payload), not through the bytes, so a node hashes a payload once:
+// the mempool at admission, or Block::deserialize on receipt.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/time.h"
+#include "crypto/digest.h"
 #include "serde/serde.h"
 
 namespace mahimahi {
@@ -39,7 +45,22 @@ struct TxBatch {
   std::vector<std::string> read_keys;
   std::vector<std::string> write_keys;
 
-  bool operator==(const TxBatch&) const = default;
+  // Cache of hash_payload(payload). ShardedMempool::submit always recomputes
+  // it, Block::make fills it where missing and Block::deserialize computes
+  // it, so every batch inside a Block carries it. Never on the wire; not part
+  // of equality.
+  std::optional<Digest> payload_digest;
+
+  // The one payload-digest rule: crypto::bulk_hash256(payload). An empty
+  // payload (the sims' batches) maps to a constant, computed once.
+  static Digest hash_payload(BytesView payload);
+
+  // Every field but the payload_digest cache.
+  bool operator==(const TxBatch& other) const {
+    return id == other.id && submitted_at == other.submitted_at && count == other.count &&
+           tx_bytes == other.tx_bytes && payload == other.payload &&
+           read_keys == other.read_keys && write_keys == other.write_keys;
+  }
 
   // Bytes this batch occupies on the wire (used for bandwidth modelling and
   // block size caps).
@@ -54,15 +75,14 @@ struct TxBatch {
            keys_size(read_keys) + keys_size(write_keys);
   }
 
-  void serialize(serde::Writer& w) const {
-    w.u64(id);
-    w.u64(static_cast<std::uint64_t>(submitted_at));
-    w.u32(count);
-    w.u32(tx_bytes);
-    w.bytes({payload.data(), payload.size()});
-    serialize_keys(w, read_keys);
-    serialize_keys(w, write_keys);
-  }
+  void serialize(serde::Writer& w) const { write_fields(w, /*digested=*/false); }
+
+  // The batch's part of a block's digest preimage (types/block.h):
+  // serialize() with the payload bytes replaced by their length and
+  // payload_digest, which must be set.
+  std::size_t digested_size() const { return encoded_size() - payload.size() + 32; }
+
+  void serialize_digested(serde::Writer& w) const { write_fields(w, /*digested=*/true); }
 
   static TxBatch deserialize(serde::Reader& r) {
     TxBatch b;
@@ -77,6 +97,21 @@ struct TxBatch {
   }
 
  private:
+  void write_fields(serde::Writer& w, bool digested) const {
+    w.u64(id);
+    w.u64(static_cast<std::uint64_t>(submitted_at));
+    w.u32(count);
+    w.u32(tx_bytes);
+    if (digested) {
+      w.varint(payload.size());
+      w.digest(payload_digest.value());
+    } else {
+      w.bytes({payload.data(), payload.size()});
+    }
+    serialize_keys(w, read_keys);
+    serialize_keys(w, write_keys);
+  }
+
   static std::size_t keys_size(const std::vector<std::string>& keys) {
     std::size_t size = serde::varint_size(keys.size());
     for (const std::string& key : keys) size += serde::varint_size(key.size()) + key.size();

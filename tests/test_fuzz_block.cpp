@@ -12,9 +12,9 @@
 //   * WAL records are CRC-framed, so flipping any byte of a record makes
 //     replay stop at a clean prefix instead of delivering garbage;
 //   * decoding is canonical: every byte string Block::deserialize accepts
-//     re-serializes byte-identically (so hashing the received content in
-//     place gives the digest re-serialization would), and an overlong varint
-//     in any field is rejected;
+//     re-serializes byte-identically, and an overlong varint in any field is
+//     rejected; the decoded digest follows the v4 rule (each payload through
+//     its digest), restated here independently of Block;
 //   * the kFetch and kHorizon frames (net/node_runtime.h) take the same
 //     mutations: the decoders never crash, reject every truncation, trailing
 //     bytes and a fetch count past kMaxFetchRefs, and whatever they accept
@@ -95,7 +95,7 @@ TEST_F(BlockFuzz, EveryBitFlipIsRejected) {
   }
 }
 
-// Content of kBulkHashCrossover bytes or more is digested with BLAKE2bp:
+// A payload of kBulkHashCrossover bytes or more is digested with BLAKE2bp:
 // flips anywhere in a 4 KiB payload, and in the stripe tails, are caught.
 TEST_F(BlockFuzz, BulkBlockBitFlipsAreRejected) {
   TxBatch batch;
@@ -117,18 +117,20 @@ TEST_F(BlockFuzz, BulkBlockBitFlipsAreRejected) {
   }
 }
 
-// An older binary's block (the v2 tag: every content size on BLAKE2b) is
-// refused at the tag, before any digest is computed.
+// Older binaries' blocks (v2: every content size on BLAKE2b; v3: content
+// bytes on BLAKE2bp, payloads hashed inside the block digest) are refused at
+// the tag, before any digest is computed.
 TEST_F(BlockFuzz, OlderDomainTagIsRejected) {
-  const std::string_view v2 = "mahi-mahi/block/v2";
-  Bytes image = wire_;
-  ASSERT_EQ(std::string(image.begin(), image.begin() + 18), "mahi-mahi/block/v3");
-  std::copy(v2.begin(), v2.end(), image.begin());
-  try {
-    Block::deserialize({image.data(), image.size()});
-    ADD_FAILURE() << "v2-tagged block decoded";
-  } catch (const serde::SerdeError& error) {
-    EXPECT_STREQ(error.what(), "bad block domain tag");
+  ASSERT_EQ(std::string(wire_.begin(), wire_.begin() + 18), "mahi-mahi/block/v4");
+  for (const std::string_view older : {"mahi-mahi/block/v2", "mahi-mahi/block/v3"}) {
+    Bytes image = wire_;
+    std::copy(older.begin(), older.end(), image.begin());
+    try {
+      Block::deserialize({image.data(), image.size()});
+      ADD_FAILURE() << older << "-tagged block decoded";
+    } catch (const serde::SerdeError& error) {
+      EXPECT_STREQ(error.what(), "bad block domain tag") << older;
+    }
   }
 }
 
@@ -192,7 +194,8 @@ std::vector<Block> varied_blocks(const Committee::TestSetup& setup, Rng& rng) {
       batch.id = rng.next_u64();
       batch.submitted_at = static_cast<TimeMicros>(rng.uniform(1ull << 40));
       batch.count = static_cast<std::uint32_t>(1 + rng.uniform(1000));
-      batch.payload.resize(rng.uniform(300));
+      // Payloads on both sides of crypto::kBulkHashCrossover.
+      batch.payload.resize(rng.uniform(2) == 0 ? rng.uniform(300) : 1024 + rng.uniform(1024));
       for (auto& byte : batch.payload) byte = static_cast<std::uint8_t>(rng.next_u64());
       for (std::uint64_t k = rng.uniform(3); k > 0; --k) {
         batch.read_keys.push_back(std::string(rng.uniform(200), 'r'));
@@ -216,11 +219,48 @@ TEST(BlockCanonicalEncoding, EncodedSizeIsExact) {
   }
 }
 
+// The v4 block digest, restated from the decoded fields: the wire content
+// with each payload replaced by its length and crypto::bulk_hash256 digest,
+// hashed with crypto::bulk_hash256. Tallies every hashed input (payloads and
+// the preimage) below / at or above the crossover in `small` / `bulk`.
+Digest v4_digest(const Block& block, std::size_t& small, std::size_t& bulk) {
+  const auto hash = [&](BytesView input) {
+    (input.size() < crypto::kBulkHashCrossover ? small : bulk) += 1;
+    return crypto::bulk_hash256(input);
+  };
+  serde::Writer w;
+  w.raw(as_bytes_view("mahi-mahi/block/v4"));
+  w.u32(block.author());
+  w.varint(block.round());
+  w.varint(static_cast<std::uint64_t>(block.created_at()));
+  w.varint(block.parents().size());
+  for (const auto& parent : block.parents()) {
+    w.varint(parent.round);
+    w.u32(parent.author);
+    w.digest(parent.digest);
+  }
+  w.digest(block.coin_share());
+  w.varint(block.batches().size());
+  for (const auto& batch : block.batches()) {
+    w.u64(batch.id);
+    w.u64(static_cast<std::uint64_t>(batch.submitted_at));
+    w.u32(batch.count);
+    w.u32(batch.tx_bytes);
+    w.varint(batch.payload.size());
+    w.digest(hash({batch.payload.data(), batch.payload.size()}));
+    for (const auto* keys : {&batch.read_keys, &batch.write_keys}) {
+      w.varint(keys->size());
+      for (const auto& key : *keys) w.bytes(as_bytes_view(key));
+    }
+  }
+  return hash({w.data().data(), w.size()});
+}
+
 TEST(BlockCanonicalEncoding, AcceptedMutantsReserializeByteIdentically) {
   const auto setup = Committee::make_test(4);
   Rng rng(4242);
   std::size_t accepted = 0;
-  std::size_t small = 0;  // accepted content below / at or above the crossover
+  std::size_t small = 0;  // hashed inputs below / at or above the crossover
   std::size_t bulk = 0;
   for (const Block& block : varied_blocks(setup, rng)) {
     const Bytes wire = block.serialize();
@@ -244,9 +284,8 @@ TEST(BlockCanonicalEncoding, AcceptedMutantsReserializeByteIdentically) {
       ++accepted;
       const Bytes again = decoded->serialize();
       ASSERT_EQ(again, mutated) << "accepted a non-canonical encoding (trial " << trial << ")";
-      // The in-place digest equals the re-serialize-then-hash digest.
-      EXPECT_EQ(decoded->digest(), crypto::bulk_hash256({again.data(), again.size() - 64}));
-      (again.size() - 64 < crypto::kBulkHashCrossover ? small : bulk) += 1;
+      // The decoded digest follows the v4 rule.
+      EXPECT_EQ(decoded->digest(), v4_digest(*decoded, small, bulk));
     }
   }
   EXPECT_GT(accepted, 100u);  // payload and signature bytes decode freely
@@ -269,7 +308,7 @@ Bytes encode_with_overlong(const Block& block, int overlong, int& varints) {
     w.u8(static_cast<std::uint8_t>(v) | 0x80);
     w.u8(0x00);
   };
-  w.raw(as_bytes_view("mahi-mahi/block/v3"));
+  w.raw(as_bytes_view("mahi-mahi/block/v4"));
   w.u32(block.author());
   varint(block.round());
   varint(static_cast<std::uint64_t>(block.created_at()));

@@ -1,7 +1,8 @@
 // Unit tests for the sharded mempool subsystem (mempool/mempool.h):
 // shard-key stability, admission control (duplicates, client quotas, shard
 // and pool capacity), round-robin drain fairness, drain determinism, the
-// oversized-first-batch carry-over regression, and concurrent submission.
+// oversized-first-batch carry-over regression, concurrent submission, and
+// the payload digest that admitted batches carry into their block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +10,10 @@
 #include <map>
 #include <thread>
 
+#include "crypto/blake2bp.h"
 #include "mempool/mempool.h"
+#include "types/block.h"
+#include "types/validation.h"
 
 namespace mahimahi {
 namespace {
@@ -339,6 +343,121 @@ TEST(ShardedMempoolTest, ConcurrentSubmitWithConcurrentDrain) {
   EXPECT_EQ(drained.load(), kThreads * kPerThread);
   EXPECT_TRUE(pool.empty());
   EXPECT_EQ(pool.bytes(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// From admission to block
+// --------------------------------------------------------------------------
+
+class MempoolToBlockTest : public ::testing::Test {
+ protected:
+  MempoolToBlockTest() : setup_(Committee::make_test(4)) {
+    for (ValidatorId v = 0; v < 4; ++v) {
+      genesis_.push_back(Block::genesis(v, setup_.committee.coin()).ref());
+    }
+  }
+
+  // A batch with a `size`-byte patterned payload, optionally declaring keys.
+  static TxBatch payload_batch(std::uint64_t seq, std::size_t size, bool keys) {
+    TxBatch batch = make_batch(5, seq);
+    batch.payload.resize(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      batch.payload[i] = static_cast<std::uint8_t>(i * 31 + seq);
+    }
+    if (keys) {
+      batch.read_keys = {"acct/1", "acct/22"};
+      batch.write_keys = {"acct/333"};
+    }
+    return batch;
+  }
+
+  // Validator 1's round-1 block over `batches`, as the author builds it.
+  Block author_block(std::vector<TxBatch> batches) const {
+    return Block::make(1, 1, genesis_, std::move(batches), setup_.committee.coin().share(1, 1),
+                       setup_.keypairs[1].private_key);
+  }
+
+  // What a peer decodes from the author's wire image.
+  Block peer_copy(const Block& block) const {
+    const Bytes wire = block.serialize();
+    return Block::deserialize({wire.data(), wire.size()});
+  }
+
+  Committee::TestSetup setup_;
+  std::vector<BlockRef> genesis_;
+};
+
+// The author commits to the payload digests admission computed; a peer
+// hashes each payload itself. Both reach one block digest for payloads that
+// are empty, below and at or above crypto::kBulkHashCrossover, with and
+// without declared keys, one batch per block and all in one block.
+TEST_F(MempoolToBlockTest, AuthorDigestEqualsDecodedDigest) {
+  const std::size_t sizes[] = {0, 1, 700, crypto::kBulkHashCrossover - 1,
+                               crypto::kBulkHashCrossover, 4096, 128 * 1024 + 5};
+  ShardedMempool all;
+  std::uint64_t seq = 0;
+  for (const std::size_t size : sizes) {
+    for (const bool keys : {false, true}) {
+      ShardedMempool pool;
+      ASSERT_TRUE(admitted(pool.submit(payload_batch(seq, size, keys))));
+      ASSERT_TRUE(admitted(all.submit(payload_batch(seq, size, keys))));
+      ++seq;
+      std::vector<TxBatch> drained = pool.drain(1, 1ull << 40);
+      ASSERT_EQ(drained.size(), 1u);
+      ASSERT_TRUE(drained[0].payload_digest.has_value());
+      EXPECT_EQ(*drained[0].payload_digest,
+                TxBatch::hash_payload(drained[0].payload));
+
+      const Block authored = author_block(std::move(drained));
+      const Block decoded = peer_copy(authored);
+      EXPECT_EQ(decoded.digest(), authored.digest()) << size << " bytes, keys " << keys;
+      EXPECT_EQ(validate_block(decoded, setup_.committee), BlockValidity::kValid)
+          << size << " bytes, keys " << keys;
+    }
+  }
+  std::vector<TxBatch> everything = all.drain(1000, 1ull << 40);
+  ASSERT_EQ(everything.size(), seq);
+  const Block authored = author_block(std::move(everything));
+  EXPECT_EQ(peer_copy(authored).digest(), authored.digest());
+
+  // A batch that never went through a mempool (the sims' and tests' direct
+  // Block::make) is hashed in make and lands on the same digest.
+  std::vector<TxBatch> bare;
+  for (std::uint64_t i = 0; i < seq; ++i) bare.push_back(payload_batch(i, sizes[i / 2], i % 2));
+  EXPECT_EQ(author_block(std::move(bare)).digest(), authored.digest());
+}
+
+// Admission recomputes the payload digest: a caller-supplied one, right or
+// wrong, never reaches a block or the duplicate check.
+TEST_F(MempoolToBlockTest, WrongCallerSuppliedDigestCannotReachABlock) {
+  ShardedMempool pool;
+  TxBatch batch = payload_batch(1, 2048, true);
+  const Digest truth = TxBatch::hash_payload(batch.payload);
+  Digest lie = truth;
+  lie.bytes[0] ^= 0xff;
+  batch.payload_digest = lie;
+  ASSERT_TRUE(admitted(pool.submit(batch)));
+
+  // The same batch under another lie is still the same submission.
+  TxBatch retry = batch;
+  retry.payload_digest = Digest{};
+  EXPECT_EQ(pool.submit(retry), AdmitResult::kDuplicate);
+
+  std::vector<TxBatch> drained = pool.drain(10, 1ull << 40);
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].payload_digest, truth);
+
+  const Block authored = author_block(std::move(drained));
+  const Block decoded = peer_copy(authored);
+  EXPECT_EQ(decoded.digest(), authored.digest());
+  EXPECT_EQ(validate_block(decoded, setup_.committee), BlockValidity::kValid);
+
+  // The block a lie would have produced is one no peer accepts.
+  batch.payload_digest = lie;
+  const Block forged = author_block({batch});
+  EXPECT_NE(forged.digest(), authored.digest());
+  EXPECT_NE(peer_copy(forged).digest(), forged.digest());
+  EXPECT_NE(validate_block(peer_copy(forged), setup_.committee), BlockValidity::kValid);
 }
 
 }  // namespace

@@ -725,12 +725,28 @@ TEST_F(TcpClusterTest, AdminEndpointServesMetricsMidRun) {
        }) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing: " << needle;
   }
+  // The value of the first sample line of `name` in a text scrape.
+  const auto sample = [](const std::string& scrape, const std::string& name) {
+    const auto pos = scrape.find("\n" + name);
+    if (pos == std::string::npos) return std::uint64_t{0};
+    return static_cast<std::uint64_t>(std::stoull(scrape.substr(scrape.find(' ', pos) + 1)));
+  };
   // Commits happened, so the finality histogram holds real samples: the
   // cluster submit path stamps submitted_at at the client.
-  const auto count_pos = text.find("mm_finality_micros_count");
-  ASSERT_NE(count_pos, std::string::npos);
-  const auto value = text.substr(text.find(' ', count_pos) + 1);
-  EXPECT_GT(std::stoull(value), 0u);
+  ASSERT_NE(text.find("mm_finality_micros_count"), std::string::npos);
+  EXPECT_GT(sample(text, "mm_finality_micros_count"), 0u);
+
+  // Anti-entropy re-offers each node's latest block every resync_interval.
+  // Peers that already retained it still decode and hash the frame before
+  // dropping it; the redelivered counters show that cost on /metrics.
+  const auto redelivered = [&](const NodeRuntime& node) {
+    return node.metrics_registry().dump().counter_value("mm_ingest_redelivered_frames_total");
+  };
+  EXPECT_TRUE(wait_for([&] { return redelivered(*nodes[0]) > 0; }))
+      << "no redelivered frame after several resync intervals";
+  const std::string later = http_get(nodes[0]->admin_port(), "/metrics");
+  EXPECT_GT(sample(later, "mm_ingest_redelivered_frames_total"), 0u);
+  EXPECT_GT(sample(later, "mm_ingest_redelivered_bytes_total"), 0u);
 
   // JSON flavor parses far enough to carry the same counters.
   const std::string json = http_get(nodes[1]->admin_port(), "/metrics.json");

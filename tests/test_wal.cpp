@@ -147,14 +147,14 @@ TEST_F(WalTest, ZeroFilledTailIsDiscardedAndTruncated) {
 }
 
 TEST_F(WalTest, UndecodableRecordWithValidCrcIsRefusedNotTruncated) {
-  // An older binary's record: the block under the v2 domain tag, framed and
+  // An older binary's record: the block under the v3 domain tag, framed and
   // CRC-sealed exactly as that binary wrote it. A crash cannot produce it, so
   // replay throws instead of cutting it off as a torn tail.
   Bytes record = wal_encode_block_record(make_block(1, 2), true);
-  const std::string_view v3 = "mahi-mahi/block/v3";
-  const auto tag = std::search(record.begin(), record.end(), v3.begin(), v3.end());
+  const std::string_view v4 = "mahi-mahi/block/v4";
+  const auto tag = std::search(record.begin(), record.end(), v4.begin(), v4.end());
   ASSERT_NE(tag, record.end());
-  *(tag + static_cast<std::ptrdiff_t>(v3.size()) - 1) = '2';
+  *(tag + static_cast<std::ptrdiff_t>(v4.size()) - 1) = '3';
   const std::uint32_t crc = crc32({record.data() + 8, record.size() - 8});
   std::memcpy(record.data() + 4, &crc, sizeof(crc));
   {
