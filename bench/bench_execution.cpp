@@ -8,8 +8,7 @@
 //
 //   BM_ExecApplySerial/conflict:{0,25,75,100}    SerialExecutor::apply_subdag
 //                                                over the same commit stream —
-//                                                the execution_threads=0
-//                                                fallback and replay path.
+//                                                the WAL-replay path.
 //   BM_ExecApplyParallel/conflict:{0,25,75,100}  ExecutionEngine (worker pool
 //                                                + merge thread), execute() +
 //                                                drain() of the same stream.

@@ -8,7 +8,9 @@
 //   MAHIMAHI_SMOKE_SECONDS     load duration in seconds      (default 10)
 //   MAHIMAHI_SMOKE_BACKEND     epoll | uring | auto          (default auto)
 //   MAHIMAHI_SMOKE_EXECUTE     1 = execution engine on: real KV batches,
-//                              execute_app + execution_threads (default 0)
+//                              execute_app                   (default 0)
+//   MAHIMAHI_SMOKE_EXEC_THREADS  the engine's execution_threads; 0 = the
+//                              caller-runs engine on the loop (default 1)
 //   MAHIMAHI_SMOKE_METRICS     path: write validator 0's full Prometheus
 //                              dump here for artifact upload   (default off)
 //

@@ -97,14 +97,8 @@ Plan SerialExecutor::plan_decoded(std::vector<ExecTxn> txns) {
 
 std::vector<Delivery> SerialExecutor::apply_wave(const Plan& plan,
                                                  std::size_t wave,
-                                                 bool last_wave) {
-  return apply_wave_impl(plan, wave, last_wave, nullptr);
-}
-
-std::vector<Delivery> SerialExecutor::apply_wave_impl(const Plan& plan,
-                                                      std::size_t wave,
-                                                      bool last_wave,
-                                                      const void* resolved_opaque) {
+                                                 bool last_wave,
+                                                 const void* resolved_opaque) {
   const auto* resolved = static_cast<const ResolvedWave*>(resolved_opaque);
   const std::vector<std::uint32_t>& members = plan.waves[wave];
 
@@ -352,7 +346,7 @@ void ExecutionEngine::process(const Pending& pending) {
       }
     }
     const bool last = w + 1 == plan.waves.size();
-    deliver(serial_.apply_wave_impl(plan, w, last, &resolved), last, pending);
+    deliver(serial_.apply_wave(plan, w, last, &resolved), last, pending);
   }
 }
 

@@ -4,25 +4,29 @@
 // Two layers:
 //
 //   SerialExecutor   — the deterministic core: plan (decode + dedup + waves)
-//                      and wave-ordered apply on one thread. Used directly by
-//                      the simulator (virtual-time wave events), by WAL
-//                      replay, and as the `execution_threads = 0` fallback.
-//                      Byte-identical in state_digest() to app::ReplicatedKv
-//                      over the same committed stream (property-tested).
+//                      and wave-ordered apply on one thread. Its public face
+//                      is apply_subdag, the WAL-replay path and the
+//                      simulator's run-end serial reference; the wave steps
+//                      are the engine's alone. Byte-identical in
+//                      state_digest() to app::ReplicatedKv over the same
+//                      committed stream (property-tested).
 //
-//   ExecutionEngine  — the threaded wrapper, following the runtime's
-//                      single-drain pattern: execute() enqueues a sub-DAG; a
-//                      dedicated merge thread drains the queue in commit
-//                      order. Per sub-DAG it fans the pure per-batch decode
-//                      out to the worker pool, builds the plan serially, then
-//                      for each wave fans out per-transaction effect
-//                      preparation (workers read the quiescent store
-//                      concurrently and pre-resolve each command's
-//                      state-change outcome), barriers, and merges the wave's
-//                      effects into the store in committed order. The merge
-//                      is the only writer the store ever sees, so the result
-//                      is byte-identical to serial apply by construction of
-//                      the wave invariants (exec/plan.h).
+//   ExecutionEngine  — the node's execution stage (validator/pipeline.h
+//                      builds it), following the runtime's single-drain
+//                      pattern: execute() enqueues a sub-DAG; a dedicated
+//                      merge thread drains the queue in commit order. Per
+//                      sub-DAG it fans the pure per-batch decode out to the
+//                      worker pool, builds the plan serially, then for each
+//                      wave fans out per-transaction effect preparation
+//                      (workers read the quiescent store concurrently and
+//                      pre-resolve each command's state-change outcome),
+//                      barriers, and merges the wave's effects into the store
+//                      in committed order. The merge is the only writer the
+//                      store ever sees, so the result is byte-identical to
+//                      serial apply by construction of the wave invariants
+//                      (exec/plan.h). With zero threads the engine is
+//                      caller-runs: execute() runs the same per-wave code
+//                      inline, which is how the simulator executes.
 //
 // Early delivery: the delivery handler fires after each wave's merge, before
 // later waves of the same sub-DAG execute. A wave's transactions have all
@@ -30,8 +34,8 @@
 // an earlier wave), so acking them early never exposes unsettled state.
 //
 // Handler context: the merge thread when threads > 0, the caller of
-// execute() when threads == 0. Everything the NodeRuntime does in it
-// (histogram records, counter adds) is thread-safe by design.
+// execute() when threads == 0. Everything NodePipeline does in it
+// (histogram records, a post to the driver's thread) is thread-safe.
 #pragma once
 
 #include <condition_variable>
@@ -89,22 +93,8 @@ using DeliveryHandler = std::function<void(const WaveDelivery&)>;
 // The single-threaded deterministic core. Not thread-safe: one caller.
 class SerialExecutor {
  public:
-  // Decode + dedup + wave partition for one sub-DAG (updates dedup state and
-  // the plan-side stats). Accepts pre-decoded txns so the engine can fan the
-  // decode out before handing the serial part back.
-  Plan plan(const CommittedSubDag& subdag);
-  Plan plan_decoded(std::vector<ExecTxn> txns);
-
-  // Merge one wave in committed order; returns the wave's deliveries.
-  // `last_wave` marks the sub-DAG as retired (bumps the subdag counter).
-  std::vector<Delivery> apply_wave(const Plan& plan, std::size_t wave,
-                                   bool last_wave);
-
   // Plan + all waves, discarding deliveries: the WAL-replay path.
   void apply_subdag(const CommittedSubDag& subdag);
-
-  // A committed sub-DAG that carried no batches still retires.
-  void note_empty_subdag();
 
   // Checkpoint support: the store's full-state encoding, and its inverse.
   // Installing clears the dedup horizon — a snapshot jump leaves no basis
@@ -132,12 +122,23 @@ class SerialExecutor {
  private:
   friend class ExecutionEngine;
 
-  // Shared merge body: `resolved_opaque`, when non-null, points to the
-  // engine's worker-prepared per-command outcomes (ResolvedWave in
-  // engine.cpp) and switches the store writes to apply_resolved().
-  std::vector<Delivery> apply_wave_impl(const Plan& plan, std::size_t wave,
-                                        bool last_wave,
-                                        const void* resolved_opaque);
+  // Decode + dedup + wave partition for one sub-DAG (updates dedup state and
+  // the plan-side stats). Accepts pre-decoded txns so the engine can fan the
+  // decode out before handing the serial part back.
+  Plan plan(const CommittedSubDag& subdag);
+  Plan plan_decoded(std::vector<ExecTxn> txns);
+
+  // Merge one wave in committed order; returns the wave's deliveries.
+  // `last_wave` marks the sub-DAG as retired (bumps the subdag counter).
+  // `resolved_opaque`, when non-null, points to the engine's worker-prepared
+  // per-command outcomes (ResolvedWave in engine.cpp) and switches the store
+  // writes to apply_resolved().
+  std::vector<Delivery> apply_wave(const Plan& plan, std::size_t wave,
+                                   bool last_wave,
+                                   const void* resolved_opaque = nullptr);
+
+  // A committed sub-DAG that carried no batches still retires.
+  void note_empty_subdag();
 
   app::KvStore store_;
   std::unordered_set<Digest, DigestHasher> executed_;

@@ -105,8 +105,7 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
             // Adaptive batching: bound how much of the backlog one pass takes
             // so a block arriving mid-burst reaches the core within roughly
             // the latency budget instead of waiting out the whole queue.
-            return ingest_batch_cap(config_.validator.max_ingest_batch,
-                                    config_.validator.ingest_latency_budget,
+            return ingest_batch_cap(kMaxIngestBatch, kIngestLatencyBudget,
                                     verify_cost_ewma_.load(std::memory_order_relaxed));
           }),
       egress_drain_(
@@ -152,14 +151,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       "Flight-recorder dump files written by the loop-stall watchdog");
   loop_.set_tick_observer(
       [this](TimeMicros busy, TimeMicros now) { watchdog_.observe_tick(busy, now); });
-  if (config_.validator.execute_app) {
-    // Before recovery: replayed commits must reach the state machine too.
-    exec::ExecutionEngine::Options exec_options;
-    exec_options.threads = config_.validator.execution_threads;
-    exec_engine_ = std::make_unique<exec::ExecutionEngine>(
-        exec_options,
-        [this](const exec::WaveDelivery& wave) { on_wave_delivered(wave); });
-  }
   NodePipeline::Env env;
   env.now = [] { return steady_now_micros(); };
   env.broadcast = [this](const std::vector<BlockPtr>& group) { egress(group, kAllPeers); };
@@ -178,40 +169,22 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       if (auto done = task()) loop_.post(std::move(done));
     });
   };
-  if (exec_engine_ != nullptr) {
-    env.checkpoint.app_digest = [this] { return exec_engine_->state_digest(); };
-    env.checkpoint.app_snapshot = [this] { return exec_engine_->app_snapshot(); };
-    env.checkpoint.app_delta = [this] { return exec_engine_->app_delta_snapshot(); };
-    env.checkpoint.clear_app_delta = [this] { exec_engine_->clear_app_delta_window(); };
-    env.checkpoint.install_app = [this](BytesView snapshot) {
-      exec_engine_->install_snapshot(snapshot);
-    };
-  }
-  env.commit = [this](const CommittedSubDag& sub_dag, TimeMicros committed_at,
-                      CommitTrace* trace) {
+  env.commit = [this](const CommittedSubDag& sub_dag, TimeMicros, CommitTrace* trace) {
     committed_blocks_->add(sub_dag.blocks.size());
     committed_tx_->add(sub_dag.transaction_count());
     if (commit_handler_) {
       const TimeMicros execute_start = steady_now_micros();
       commit_handler_(sub_dag);
-      if (exec_engine_ == nullptr) {
+      if (!config_.validator.execute_app) {
         // Without an engine the handler IS the execution stage; with one the
-        // kExecute span is recorded at wave retirement instead.
+        // pipeline records the kExecute span when the sub-DAG retires.
         const TimeMicros handler_micros = steady_now_micros() - execute_start;
         tracer_.record_stage(obs::Stage::kExecute, handler_micros, sub_dag.blocks.size());
         trace->execute_micros = handler_micros;
       }
     }
-    // Single-drain handoff to the merge thread (inline apply when
-    // execution_threads == 0); commit order is preserved by the queue.
-    if (exec_engine_ != nullptr) exec_engine_->execute(sub_dag, committed_at);
   };
-  env.replay_commit = [this](const CommittedSubDag& sub_dag) {
-    // Serially inline, without delivery callbacks: the original run already
-    // stamped these batches' finality.
-    if (exec_engine_ != nullptr) exec_engine_->replay(sub_dag);
-  };
-  env.deferred_execution = exec_engine_ != nullptr;
+  env.post = [this](std::function<void()> task) { loop_.post(std::move(task)); };
   pipeline_ = std::make_unique<NodePipeline>(
       committee_, key, config_.validator, registry_, std::move(env),
       NodePipeline::Observers{&tracer_, &forensics_, &recorder_, /*core_metrics=*/true},
@@ -336,47 +309,47 @@ void NodeRuntime::register_callback_metrics() {
         [this] { return static_cast<std::int64_t>(group_wal_->wal_ring_active() ? 1 : 0); },
         "1 when the WAL writer flushes through its own io_uring");
   }
-  if (exec_engine_ != nullptr) {
+  if (execution_active()) {
     // Execution engine: stats() copies a mutex-guarded snapshot the merge
     // thread refreshes per wave, so scrapes never race the store.
     registry_.counter_fn(
-        "mm_exec_subdags_total", [this] { return exec_engine_->stats().subdags; },
+        "mm_exec_subdags_total", [this] { return execution_stats().subdags; },
         "Committed sub-DAGs fully executed and retired");
     registry_.counter_fn(
-        "mm_exec_waves_total", [this] { return exec_engine_->stats().waves; },
+        "mm_exec_waves_total", [this] { return execution_stats().waves; },
         "Dependency waves merged into the replicated state");
     registry_.counter_fn(
         "mm_exec_batches_executed_total",
-        [this] { return exec_engine_->stats().batches_executed; },
+        [this] { return execution_stats().batches_executed; },
         "Batches that applied state-machine commands");
     registry_.counter_fn(
         "mm_exec_commands_total",
-        [this] { return exec_engine_->stats().commands_applied; },
+        [this] { return execution_stats().commands_applied; },
         "KV commands applied to the replicated store");
     registry_.counter_fn(
         "mm_exec_parallel_batches_total",
-        [this] { return exec_engine_->stats().parallel_batches; },
+        [this] { return execution_stats().parallel_batches; },
         "Batches executed in a wave alongside non-conflicting peers");
     registry_.counter_fn(
         "mm_exec_conflict_delayed_total",
-        [this] { return exec_engine_->stats().conflict_delayed; },
+        [this] { return execution_stats().conflict_delayed; },
         "Batches pushed past the earliest wave by declared conflicts");
     registry_.counter_fn(
         "mm_exec_early_deliveries_total",
-        [this] { return exec_engine_->stats().early_deliveries; },
+        [this] { return execution_stats().early_deliveries; },
         "Batches delivered before their sub-DAG's last wave retired");
     registry_.counter_fn(
-        "mm_exec_dedup_total", [this] { return exec_engine_->stats().deduplicated; },
+        "mm_exec_dedup_total", [this] { return execution_stats().deduplicated; },
         "Committed batches skipped as already-executed duplicates");
     registry_.counter_fn(
-        "mm_exec_malformed_total", [this] { return exec_engine_->stats().malformed; },
+        "mm_exec_malformed_total", [this] { return execution_stats().malformed; },
         "Committed batches whose KV payload failed to decode");
     registry_.counter_fn(
-        "mm_exec_opaque_total", [this] { return exec_engine_->stats().opaque; },
+        "mm_exec_opaque_total", [this] { return execution_stats().opaque; },
         "Batches executed under the conservative conflicts-with-all class");
     registry_.counter_fn(
         "mm_exec_access_violations_total",
-        [this] { return exec_engine_->stats().access_violations; },
+        [this] { return execution_stats().access_violations; },
         "Batches whose payload escaped its declared access set (demoted to opaque)");
   }
 }
@@ -401,14 +374,14 @@ void NodeRuntime::stop() {
     thread_.join();
   }
   // The WAL writer and the execution merge thread last: both may still post
-  // through loop_ (durability acks; execute_done from on_wave_delivered), so
-  // they must be joined while the loop object is alive — exec_engine_ is
-  // declared before loop_ and would otherwise outlive it. The stopped loop
-  // queues the posts and never runs them (the sends they gate have no live
-  // connections left anyway). The engine drains first, so the app state
-  // covers every commit the loop handed it.
+  // through loop_ (durability acks; the pipeline's execute stamps), so they
+  // must be joined while the loop object is alive — pipeline_ is declared
+  // before loop_ and would otherwise outlive it. The stopped loop queues the
+  // posts and never runs them (the sends they gate have no live connections
+  // left anyway). The engine drains first, so the app state covers every
+  // commit the loop handed it.
   if (group_wal_) group_wal_->shutdown();
-  if (exec_engine_) exec_engine_->shutdown();
+  if (auto* engine = pipeline_->engine()) engine->shutdown();
 }
 
 void NodeRuntime::loop_main() {
@@ -772,23 +745,6 @@ void NodeRuntime::encode_egress(std::vector<EgressItem> items) {
   loop_.post([this, sends = std::move(sends)] {
     for (const auto& [target, frame] : sends) send_shared(target, frame);
   });
-}
-
-void NodeRuntime::on_wave_delivered(const exec::WaveDelivery& wave) {
-  // Merge-thread context when execution_threads > 0 (loop thread otherwise):
-  // only thread-safe tracer paths here — batch_delivered and record_stage
-  // never touch the loop-owned insert-stamp table.
-  const TimeMicros now = steady_now_micros();
-  for (const exec::Delivery& delivery : wave.batches) {
-    tracer_.batch_delivered(delivery.submitted_at, delivery.count, now);
-  }
-  if (wave.subdag_complete) {
-    tracer_.record_stage(obs::Stage::kExecute, now - wave.enqueued_at,
-                         std::max<std::uint32_t>(wave.block_count, 1));
-    // Resolve the commit trace's execute breakdown on the loop thread, where
-    // forensics_ lives (this callback may be on the merge thread).
-    loop_.post([this, slot = wave.slot, now] { forensics_.execute_done(slot, now); });
-  }
 }
 
 void NodeRuntime::offer_latest_block(ValidatorId peer) {

@@ -25,8 +25,8 @@
 // Every input reaches the core through validator/pipeline.h (NodePipeline),
 // which also performs the core's Actions and runs WAL recovery; the
 // simulator runs it too. The runtime supplies its Env: the loop's clock,
-// peer sends, checkpoint writes on a worker, and the commit handoff to the
-// execution engine. Outbound blocks are encoded ONCE on a worker into a
+// peer sends, checkpoint writes on a worker, its commit counters and
+// loop_.post; the pipeline owns the execution engine. Outbound blocks are encoded ONCE on a worker into a
 // shared frame (net/tcp.h SharedFrame) and fanned out by the loop thread in
 // enqueue order. With a wal_path the log is the segmented layout, landed
 // inline or by wal/group_commit_wal.h's writer thread, whose acks post to
@@ -76,8 +76,8 @@ namespace mahimahi::net {
 // creates in slow environments).
 inline constexpr std::size_t kVerifyAmortizationFloor = 8;
 
-// Adaptive ingest batching (ValidatorConfig::max_ingest_batch /
-// ingest_latency_budget): how many queued block frames one verify drain may
+// Adaptive ingest batching (kMaxIngestBatch / kIngestLatencyBudget in
+// validator/ingest.h): how many queued block frames one verify drain may
 // take, given the EWMA of per-block decode+verify cost. max_batch 0 =
 // unbounded; budget or ewma 0 = no latency shaping. Never returns 0, and
 // latency shaping never goes below min(max_batch, kVerifyAmortizationFloor).
@@ -277,21 +277,23 @@ class NodeRuntime {
 
   // --- Execution subsystem (ValidatorConfig::execute_app, exec/) ----------
   //
-  // When active, every committed sub-DAG feeds a deterministic KV execution
-  // engine: parallel waves with execution_threads > 0, serial inline apply
-  // otherwise, and `mm_exec_*` counters in the registry. Finality stamps
-  // (mm_finality_micros) then fire at execution-delivery time per retired
-  // wave instead of at commit time.
-  bool execution_active() const { return exec_engine_ != nullptr; }
+  // When active, every committed sub-DAG feeds the pipeline's deterministic
+  // KV execution engine: parallel waves with execution_threads > 0, inline
+  // caller-runs apply otherwise, and `mm_exec_*` counters in the registry.
+  // Finality stamps (mm_finality_micros) then fire at execution-delivery
+  // time per retired wave instead of at commit time.
+  bool execution_active() const { return pipeline_->engine() != nullptr; }
   // Drains the engine (every commit enqueued so far fully retires) and
   // returns the replicated state digest. Thread-safe; blocks the caller,
   // never the loop thread. Digest of an empty store when inactive.
   Digest app_state_digest() {
-    return exec_engine_ ? exec_engine_->state_digest() : app::KvStore{}.state_digest();
+    auto* engine = pipeline_->engine();
+    return engine ? engine->state_digest() : app::KvStore{}.state_digest();
   }
   // Scrape-safe snapshot of the engine's counters (zeros when inactive).
   exec::ExecStats execution_stats() const {
-    return exec_engine_ ? exec_engine_->stats() : exec::ExecStats{};
+    const auto* engine = pipeline_->engine();
+    return engine ? engine->stats() : exec::ExecStats{};
   }
 
   ValidatorId id() const { return config_.validator.id; }
@@ -364,13 +366,6 @@ class NodeRuntime {
   // recorder to flightrec-v<id>-<n>.bin.
   void on_loop_stall(TimeMicros busy_micros, TimeMicros now);
 
-  // Execution-delivery callback: finality stamps per retired wave and the
-  // kExecute span when the sub-DAG completes. Runs on the engine's merge
-  // thread (execution_threads > 0) or inline on the loop thread — every
-  // record it makes is thread-safe (histograms/counters only, never the
-  // tracer's stamp table).
-  void on_wave_delivered(const exec::WaveDelivery& wave);
-
   const Committee& committee_;
   NodeRuntimeConfig config_;
   // Declared before every consumer: the tracer, watchdog, and all the metric
@@ -387,14 +382,10 @@ class NodeRuntime {
   // are admitted on client/worker threads, drains happen on the loop thread.
   std::shared_ptr<ShardedMempool> mempool_;
   CommitHandler commit_handler_;
-  // Execution engine (ValidatorConfig::execute_app): fed on the loop thread
-  // from the commit path; applies on its merge thread (execution_threads > 0)
-  // or inline. Its delivery callback touches only thread-safe observability
-  // surfaces (see on_wave_delivered) plus loop_.post, which is why stop()
-  // shuts the engine down while loop_ is still alive.
-  std::unique_ptr<exec::ExecutionEngine> exec_engine_;
-  // The core, its checkpointer and its WAL (loop-thread state; the counters
-  // are thread-safe). Built after the engine, whose state its hooks read.
+  // The core, its checkpointer, its execution engine and its WAL (loop-thread
+  // state; the counters and engine reads are thread-safe). The engine's
+  // delivery handler posts through loop_, which is why stop() shuts the
+  // engine down while loop_ is still alive.
   std::unique_ptr<NodePipeline> pipeline_;
   // Non-null iff the pipeline's WAL is a GroupCommitWal (introspection +
   // explicit shutdown before the loop object dies: the writer posts acks

@@ -7,7 +7,6 @@
 #include "baselines/tusk.h"
 #include "client/kv_batches.h"
 #include "common/log.h"
-#include "exec/access.h"
 #include "exec/engine.h"
 #include "obs/trace.h"
 #include "validator/pipeline.h"
@@ -146,13 +145,10 @@ struct SimHarness::Impl {
 
     epochs.assign(config.n, 0);
     mem_logs.resize(config.n);
-    execs.resize(config.n);
-    exec_epochs.assign(config.n, 0);
+    exec_logs.resize(config.n);
     nodes.resize(config.n);
     for (ValidatorId v = 0; v < config.n; ++v) {
-      if (!alive(v)) continue;
-      if (config.execute_app) execs[v] = std::make_unique<ExecNode>();
-      boot(v, /*recover=*/false);
+      if (alive(v)) boot(v, /*recover=*/false);
     }
   }
 
@@ -180,6 +176,7 @@ struct SimHarness::Impl {
       vc.signature_cache = verifier_cache;
     }
     vc.byzantine_equivocate = v < config.equivocators;
+    vc.execute_app = config.execute_app;  // execution_threads 0: caller-runs
 
     NodePipeline::Env env;
     env.now = [this] { return queue.now(); };
@@ -198,8 +195,7 @@ struct SimHarness::Impl {
       });
     };
     // A checkpoint write lands checkpoint_write_delay after the cut; a crash
-    // in between drops it. The app hooks drain the executor first, the sim
-    // analogue of ExecutionEngine::drain().
+    // in between drops it.
     env.checkpoint.send = [this, v](ValidatorId to, BytesView frame) {
       send_checkpoint_frame(v, to, frame);
     };
@@ -210,32 +206,23 @@ struct SimHarness::Impl {
                              if (auto done = task()) done();
                            });
     };
-    if (config.execute_app) {
-      const auto drained = [this, v]() -> exec::SerialExecutor& {
-        drain_exec(v);
-        return execs[v]->executor;
-      };
-      env.checkpoint.app_digest = [drained] { return drained().state_digest(); };
-      env.checkpoint.app_snapshot = [drained] { return drained().snapshot_bytes(); };
-      env.checkpoint.app_delta = [drained] { return drained().take_app_delta(); };
-      env.checkpoint.clear_app_delta = [drained] { drained().take_app_delta(); };
-      env.checkpoint.install_app = [this, v](BytesView snapshot) { install_app(v, snapshot); };
-    }
+    // The serial reference restarts from each installed app snapshot.
+    env.checkpoint.app_installed = [this, v](BytesView snapshot) {
+      exec_logs[v].base.assign(snapshot.begin(), snapshot.end());
+      exec_logs[v].subdags.clear();
+    };
     env.commit = [this, v](const CommittedSubDag& sub_dag, TimeMicros, CommitTrace*) {
       record_commits(v, sub_dag);
     };
     env.replay_commit = [this, v](const CommittedSubDag& sub_dag) {
-      // Counted before the crash: refresh the recorded sequence and re-apply
-      // serially without stamps, leaving throughput and latency untouched.
+      // Counted before the crash: refresh the recorded sequence, leaving
+      // throughput and latency untouched.
       if (config.record_sequences) {
         for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
       }
-      if (config.execute_app && execs[v] != nullptr) {
-        execs[v]->log.push_back(sub_dag);
-        execs[v]->executor.apply_subdag(sub_dag);
-      }
+      if (config.execute_app) exec_logs[v].subdags.push_back(sub_dag);
     };
-    env.deferred_execution = config.execute_app;
+    env.post = [](std::function<void()> task) { task(); };
     NodePipeline::Observers observers;
     if (v == 0) observers = {&tracer, &forensics, nullptr, /*core_metrics=*/true};
     nodes[v] = std::make_unique<NodePipeline>(
@@ -309,21 +296,6 @@ struct SimHarness::Impl {
     }
   }
 
-  // A checkpoint's app snapshot replaces validator v's state. In-flight and
-  // queued sub-DAGs are all below the new horizon (the core just skipped
-  // past them), so they are dropped; the serial reference restarts from the
-  // same base. Runs before the install's actions, so any commits it unblocks
-  // execute on top of the snapshot.
-  void install_app(ValidatorId v, BytesView snapshot) {
-    ++exec_epochs[v];
-    auto& ex = *execs[v];
-    ex.pending.clear();
-    ex.plan.reset();
-    ex.executor.install_snapshot(snapshot);
-    ex.ref_base.assign(snapshot.begin(), snapshot.end());
-    ex.log.clear();
-  }
-
   std::string wal_path(ValidatorId v) const {
     return config.wal_dir + "/v" + std::to_string(v) + ".wal";
   }
@@ -374,17 +346,16 @@ struct SimHarness::Impl {
     queue.schedule(queue.now(), [this, to] { drain_inbox(to); });
   }
 
-  // Flushes the inbox through NodePipeline::on_blocks, honouring the core's
-  // max_ingest_batch (the sim analogue of the TCP runtime's adaptive verify
-  // drain): an over-cap burst is split into several same-time on_blocks
-  // calls, later arrivals never wait behind the entire backlog.
+  // Flushes the inbox through NodePipeline::on_blocks, kMaxIngestBatch blocks
+  // at a time (the sim analogue of the TCP runtime's adaptive verify drain):
+  // an over-cap burst is split into several same-time on_blocks calls, later
+  // arrivals never wait behind the entire backlog.
   void drain_inbox(ValidatorId to) {
     inbox_scheduled[to] = 0;
     if (!running(to)) return;  // crashed between arrival and drain
     auto& inbox = inboxes[to];
     if (inbox.empty()) return;
-    const std::size_t cap = nodes[to]->core().config().max_ingest_batch;
-    const std::size_t take = cap == 0 ? inbox.size() : std::min(cap, inbox.size());
+    const std::size_t take = std::min(kMaxIngestBatch, inbox.size());
     std::vector<IngestBlock> items;
     items.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
@@ -438,11 +409,7 @@ struct SimHarness::Impl {
 
   void record_commits(ValidatorId v, const CommittedSubDag& sub_dag) {
     const TimeMicros now = queue.now();
-    if (config.execute_app && execs[v] != nullptr) {
-      execs[v]->log.push_back(sub_dag);
-      execs[v]->pending.push_back(sub_dag);
-      exec_pump(v);
-    }
+    if (config.execute_app) exec_logs[v].subdags.push_back(sub_dag);
     if (config.record_sequences) {
       for (const auto& block : sub_dag.blocks) sequences[v].push_back(block->ref());
     }
@@ -458,111 +425,6 @@ struct SimHarness::Impl {
     }
   }
 
-  // --- Execution model (SimConfig::execute_app) ----------------------------
-  //
-  // One SerialExecutor per validator, driven by virtual-time wave events:
-  // sub-DAGs execute strictly in commit order (one in flight per validator),
-  // each wave retiring execution_wave_delay after the previous one. The
-  // events are observational — nothing feeds back into consensus — so wave
-  // timing never perturbs the DAG, only delivery stamps and exec counters.
-
-  // Pops pending sub-DAGs until one yields a non-empty plan; true when a
-  // plan is in flight afterwards.
-  bool exec_plan_next(ValidatorId v) {
-    auto& ex = *execs[v];
-    while (!ex.pending.empty()) {
-      ex.current = std::move(ex.pending.front());
-      ex.pending.pop_front();
-      ex.plan.emplace(ex.executor.plan(ex.current));
-      if (ex.plan->waves.empty()) {
-        ex.executor.note_empty_subdag();
-        ex.plan.reset();
-        continue;
-      }
-      ex.next_wave = 0;
-      ex.delivered.assign(ex.plan->txns.size(), 0);
-      return true;
-    }
-    return false;
-  }
-
-  // Applies the in-flight plan's next wave; true when that retired the
-  // sub-DAG. Checks the early-delivery safety invariant against the pairwise
-  // ground truth before applying: nothing in this wave may conflict with a
-  // still-unsettled plan-order predecessor.
-  bool exec_run_wave(ValidatorId v) {
-    auto& ex = *execs[v];
-    const std::size_t wave = ex.next_wave++;
-    const bool last = wave + 1 == ex.plan->waves.size();
-    for (const std::uint32_t i : ex.plan->waves[wave]) {
-      for (std::uint32_t j = 0; j < i; ++j) {
-        if (!ex.delivered[j] &&
-            exec::conflicts(ex.plan->txns[j].access, ex.plan->txns[i].access)) {
-          ++exec_order_violations_;
-        }
-      }
-    }
-    const auto deliveries = ex.executor.apply_wave(*ex.plan, wave, last);
-    for (const std::uint32_t i : ex.plan->waves[wave]) ex.delivered[i] = 1;
-    ++exec_waves_;
-    const TimeMicros now = queue.now();
-    for (const auto& delivery : deliveries) {
-      if (delivery.early) ++exec_early_;
-      if (v == 0) tracer.batch_delivered(delivery.submitted_at, delivery.count, now);
-    }
-    if (last && v == 0) forensics.execute_done(ex.current.slot, now);
-    if (last) ex.plan.reset();
-    return last;
-  }
-
-  // Starts execution when idle: inline to completion with a zero wave delay
-  // (the zero-worker model), by scheduled wave events otherwise.
-  void exec_pump(ValidatorId v) {
-    auto& ex = *execs[v];
-    if (ex.plan.has_value()) return;  // the in-flight sub-DAG's events drive on
-    if (config.execution_wave_delay == 0) {
-      while (exec_plan_next(v)) {
-        while (!exec_run_wave(v)) {
-        }
-      }
-      return;
-    }
-    if (exec_plan_next(v)) {
-      queue.schedule_after(config.execution_wave_delay, [this, v, epoch = exec_epochs[v]] {
-        exec_wave_event(v, epoch);
-      });
-    }
-  }
-
-  void exec_wave_event(ValidatorId v, std::uint64_t epoch) {
-    if (epoch != exec_epochs[v] || !running(v) || execs[v] == nullptr) return;
-    if (!execs[v]->plan.has_value()) return;
-    if (exec_run_wave(v)) {
-      exec_pump(v);
-      return;
-    }
-    queue.schedule_after(config.execution_wave_delay,
-                         [this, v, epoch] { exec_wave_event(v, epoch); });
-  }
-
-  // Forces every enqueued sub-DAG through at the current instant — the sim
-  // analogue of ExecutionEngine::drain(), used at checkpoint cuts and run
-  // end. Scheduled wave events go stale via the epoch bump.
-  void drain_exec(ValidatorId v) {
-    if (!config.execute_app || execs[v] == nullptr) return;
-    auto& ex = *execs[v];
-    if (!ex.plan.has_value() && ex.pending.empty()) return;
-    ++exec_epochs[v];
-    if (ex.plan.has_value()) {
-      while (!exec_run_wave(v)) {
-      }
-    }
-    while (exec_plan_next(v)) {
-      while (!exec_run_wave(v)) {
-      }
-    }
-  }
-
   void crash(ValidatorId v) {
     if (!running(v)) return;
     // The core, its checkpointer and its log die with the process; a
@@ -572,10 +434,6 @@ struct SimHarness::Impl {
     // Invalidates in-flight flush and checkpoint-write events: a cut whose
     // write never landed dies with the process.
     ++epochs[v];
-    // The executor (mid-wave state included) dies with the process; restart
-    // rebuilds it from checkpoint + log replay. Scheduled wave events stale.
-    ++exec_epochs[v];
-    execs[v].reset();
   }
 
   void restart(ValidatorId v) {
@@ -583,7 +441,9 @@ struct SimHarness::Impl {
     // The restarted committer re-decides from the first slot, so its
     // recorded sequence restarts from scratch too (replay repopulates it).
     if (config.record_sequences) sequences[v].clear();
-    if (config.execute_app) execs[v] = std::make_unique<ExecNode>();
+    // The engine died with the pipeline; recovery rebuilds it from the
+    // checkpoint and the log, so the serial reference restarts too.
+    exec_logs[v] = {};
     // Without wal_dir there is no checkpoint store: the in-memory log
     // replays and the validator catches up by snapshot like any joiner.
     boot(v, /*recover=*/true);
@@ -695,26 +555,24 @@ struct SimHarness::Impl {
     if (config.execute_app) {
       result.app_digests.assign(config.n, Digest{});
       for (ValidatorId v = 0; v < config.n; ++v) {
-        if (!running(v) || execs[v] == nullptr) continue;
-        drain_exec(v);
-        result.app_digests[v] = execs[v]->executor.state_digest();
-        // Wave scheduling is an ordering optimization, never a semantics
+        if (!running(v)) continue;
+        auto* const engine = nodes[v]->engine();
+        result.app_digests[v] = engine->state_digest();
+        const auto stats = engine->stats();
+        result.exec_waves += stats.waves;
+        result.exec_early_deliveries += stats.early_deliveries;
+        // Wave-ordered apply is an ordering optimization, never a semantics
         // change: re-apply the validator's recorded commit stream serially
         // (from its last installed snapshot base) and demand byte-identical
         // state.
+        const ExecLog& log = exec_logs[v];
         exec::SerialExecutor reference;
-        if (!execs[v]->ref_base.empty()) {
-          reference.install_snapshot(
-              {execs[v]->ref_base.data(), execs[v]->ref_base.size()});
-        }
-        for (const auto& sub : execs[v]->log) reference.apply_subdag(sub);
+        if (!log.base.empty()) reference.install_snapshot({log.base.data(), log.base.size()});
+        for (const auto& sub : log.subdags) reference.apply_subdag(sub);
         if (!(reference.state_digest() == result.app_digests[v])) {
           ++result.exec_serial_mismatches;
         }
       }
-      result.exec_waves = exec_waves_;
-      result.exec_early_deliveries = exec_early_;
-      result.exec_order_violations = exec_order_violations_;
     }
     result.commit_traces = forensics.traces();
     result.metrics = registry.dump();
@@ -756,24 +614,13 @@ struct SimHarness::Impl {
   std::vector<std::uint64_t> epochs;
   // For restarts without wal_dir: in-memory logs, outliving the pipelines.
   std::vector<MemoryWal::Store> mem_logs;
-  // Execution model (execute_app): per-validator executor + wave-event state.
-  // `plan` points into `current`'s blocks, so the sub-DAG stays alive beside
-  // it. `log`/`ref_base` feed the run-end serial-equivalence self-check.
-  struct ExecNode {
-    exec::SerialExecutor executor;
-    std::deque<CommittedSubDag> pending;  // committed, not yet planned
-    CommittedSubDag current;              // sub-DAG the in-flight plan covers
-    std::optional<exec::Plan> plan;
-    std::size_t next_wave = 0;
-    std::vector<char> delivered;          // per plan-txn settled flag
-    Bytes ref_base;                       // last installed snapshot (or empty)
-    std::vector<CommittedSubDag> log;     // commit stream since ref_base
+  // The run-end serial reference (execute_app): per validator, its last
+  // installed app snapshot and its commit stream since.
+  struct ExecLog {
+    Bytes base;  // empty = the empty store
+    std::vector<CommittedSubDag> subdags;
   };
-  std::vector<std::unique_ptr<ExecNode>> execs;
-  std::vector<std::uint64_t> exec_epochs;  // survives crashes; stales events
-  std::uint64_t exec_waves_ = 0;
-  std::uint64_t exec_early_ = 0;
-  std::uint64_t exec_order_violations_ = 0;
+  std::vector<ExecLog> exec_logs;
   std::shared_ptr<VerifierCache> verifier_cache;  // shared when verify_crypto
 
   LatencyRecorder latency_recorder;

@@ -4,8 +4,9 @@
 // real protocol logic (real blocks, real DAG, real commit rules) over a
 // simulated WAN with per-link latency sampling and sender-side bandwidth
 // serialization. Each validator is the TCP runtime's own NodePipeline
-// (validator/pipeline.h); the harness supplies its clock, links and faults. Open-loop clients submit 512-byte transactions at a fixed
-// aggregate rate; the harness measures commit latency (submission at the
+// (validator/pipeline.h), execution engine included; the harness supplies
+// its clock, links and faults. Open-loop clients submit 512-byte
+// transactions at a fixed aggregate rate; the harness measures commit latency (submission at the
 // origin validator to commit at that validator) and committed throughput,
 // exactly the quantities on the axes of Figures 3-5 and 7.
 //
@@ -160,21 +161,14 @@ struct SimConfig {
 
   // --- Execution (exec/) ---------------------------------------------------
   //
-  // Deterministic model of ValidatorConfig::execute_app: every validator owns
-  // an exec::SerialExecutor fed by its commit stream. Committed sub-DAGs are
-  // planned into dependency waves and applied by virtual-time wave events,
-  // serialized per validator; validator 0's finality histogram
-  // (mm_finality_micros) then stamps at wave-delivery time instead of commit
-  // time — early waves stamp before their sub-DAG retires, the
-  // early-delivery win. Injected load switches from opaque filler to real
-  // encoded KV batches (client/kv_batches.h) so execution does real work.
+  // ValidatorConfig::execute_app on every validator: each pipeline runs the
+  // node's own execution engine with zero threads (caller-runs), so every
+  // committed sub-DAG applies wave by wave at its commit instant. Validator
+  // 0's finality histogram (mm_finality_micros), kExecute span and commit
+  // traces' execute stamps come from the engine's deliveries, as in the TCP
+  // runtime. Injected load switches from opaque filler to real encoded KV
+  // batches (client/kv_batches.h) so execution does real work.
   bool execute_app = false;
-  // Virtual time between consecutive wave retirements of one sub-DAG.
-  // 0 = the whole sub-DAG applies inline at the commit instant — the
-  // zero-worker model: identical state, and every wave (early flags
-  // included) stamps at the commit instant, so early delivery carries no
-  // latency win.
-  TimeMicros execution_wave_delay = 0;
   // KV workload shape (execute_app runs only): the chance a command targets
   // the shared hot keyspace instead of the stream's private keys — the
   // declared-conflict rate between concurrently committed batches.
@@ -213,20 +207,16 @@ struct SimResult {
   // equivocators, or a recovery bug re-proposing a logged round).
   std::uint64_t equivocation_cells = 0;
 
-  // Execution model results (execute_app runs; empty/zero otherwise). Every
-  // running validator's executor is force-drained at run end before its
-  // digest is taken.
+  // Execution results (execute_app runs; empty/zero otherwise), read from
+  // the running validators' engines at run end; a restarted validator's
+  // engine counts its recovery replay too.
   std::vector<Digest> app_digests;        // per validator; down = zero digest
-  std::uint64_t exec_waves = 0;           // waves applied, all validators
+  std::uint64_t exec_waves = 0;           // waves applied, running validators
   std::uint64_t exec_early_deliveries = 0;  // batches delivered pre-retirement
-  // Wave events that would have delivered a batch while a conflicting
-  // plan-order predecessor was still unsettled. The early-delivery safety
-  // invariant: must stay 0.
-  std::uint64_t exec_order_violations = 0;
-  // Validators whose wave-scheduled executor state diverged from a serial
-  // re-apply of their own recorded commit stream (snapshot base included).
-  // Must stay 0: wave scheduling is an ordering optimization, not a
-  // semantics change.
+  // Validators whose engine state diverged from a serial re-apply of their
+  // own commit stream (Env::commit and Env::replay_commit, from the last
+  // installed snapshot). Must stay 0: wave-ordered apply is an ordering
+  // optimization, not a semantics change.
   std::uint64_t exec_serial_mismatches = 0;
 
   // Full dump of the run's metrics registry: every counter above plus the

@@ -53,13 +53,14 @@ Checkpointer::Counters::Counters(obs::Registry& registry)
 Checkpointer::Checkpointer(const Committee& committee, ValidatorCore& core,
                            crypto::Ed25519PrivateKey key, obs::Registry& registry,
                            obs::FlightRecorder* recorder, Hooks hooks,
-                           const std::string& store_dir)
+                           exec::ExecutionEngine* app, const std::string& store_dir)
     : committee_(committee),
       core_(core),
       config_(core.config()),
       key_(key),
       recorder_(recorder),
       hooks_(std::move(hooks)),
+      app_(app),
       counters_(registry),
       cutting_(config_.checkpoint_interval > 0 && config_.committer.gc_depth > 0 &&
                core.checkpoint_capable()),
@@ -97,11 +98,9 @@ void Checkpointer::recover() {
     chain_.push_back(std::move(link));
   }
   core_.install_checkpoint(data, 0);  // recovery: actions are moot
-  if (hooks_.install_app && !data.app_state.empty()) {
-    // The cut's app snapshot stands in for every sub-horizon commit; the
-    // segment-suffix replay lands the rest on top of it.
-    hooks_.install_app({data.app_state.data(), data.app_state.size()});
-  }
+  // The cut's app snapshot stands in for every sub-horizon commit; the
+  // segment-suffix replay lands the rest on top of it.
+  install_app(data);
   MM_LOG(kInfo) << "v" << id() << " recovered checkpoint " << data.sequence
                 << " (horizon r" << data.horizon << ", " << chain_.size()
                 << "-link chain, " << data.blocks.size() << " suffix blocks)";
@@ -162,7 +161,7 @@ void Checkpointer::cross_boundary(std::uint64_t cut_index, SlotId boundary,
   // The app digest drains: the app has been fed exactly the commits with
   // slot < boundary (the crossing fires before this pass's sub-DAG at or
   // past it is enqueued), so this is the canonical digest at the cut.
-  payload.app_digest = hooks_.app_digest ? hooks_.app_digest() : Digest{};
+  payload.app_digest = app_ ? app_->state_digest() : Digest{};
 
   auto [it, inserted] = pending_.try_emplace(cut_index, committee_.quorum_threshold());
   PendingCut& pending = it->second;
@@ -217,17 +216,17 @@ void Checkpointer::start_cut(std::uint64_t cut_index, SlotId boundary,
       data.sequence - base_seq_ <= ValidatorConfig::checkpoint_max_deltas) {
     try {
       delta = make_checkpoint_delta(*last_cut_, data, base_seq_,
-                                    hooks_.app_delta ? hooks_.app_delta() : Bytes{});
+                                    app_ ? app_->app_delta_snapshot() : Bytes{});
       is_base = false;
     } catch (const std::invalid_argument&) {
       is_base = true;
     }
   }
-  if (is_base && hooks_.app_snapshot) {
+  if (is_base && app_ != nullptr) {
     // The full snapshot subsumes the touched-key window; restart it so the
     // next delta carries exactly the keys touched after this base.
-    data.app_state = hooks_.app_snapshot();
-    hooks_.clear_app_delta();
+    data.app_state = app_->app_snapshot();
+    app_->clear_app_delta_window();
   }
 
   // Rolling the segment at a base cut gives the retire boundary: every
@@ -442,11 +441,9 @@ Actions Checkpointer::install(VerifiedChain chain, TimeMicros now) {
   if (core_.committer().next_pending_slot() <= before) return {};  // stale snapshot
   counters_.catchups->add();
   (chain.certified ? counters_.certified_installs : counters_.uncertified_installs)->add();
-  if (hooks_.install_app && !data.app_state.empty()) {
-    // State jump: replace the replica's app state with the cut's snapshot.
-    // Commits the install emits resume execution from this point.
-    hooks_.install_app({data.app_state.data(), data.app_state.size()});
-  }
+  // State jump: replace the replica's app state with the cut's snapshot.
+  // Commits the install emits resume execution from this point.
+  install_app(data);
   MM_LOG(kInfo) << "v" << id() << " installed snapshot from v" << data.author
                 << " (horizon r" << data.horizon << ", head r" << data.head.round << ")";
   // Persist the snapshot as our own recovery point: a crash from here on
@@ -496,6 +493,13 @@ Actions Checkpointer::install(VerifiedChain chain, TimeMicros now) {
   }
   last_cut_ = std::make_shared<const CheckpointData>(std::move(data));
   return actions;
+}
+
+void Checkpointer::install_app(const CheckpointData& data) {
+  if (app_ == nullptr || data.app_state.empty()) return;
+  const BytesView snapshot{data.app_state.data(), data.app_state.size()};
+  app_->install_snapshot(snapshot);
+  if (hooks_.app_installed) hooks_.app_installed(snapshot);
 }
 
 }  // namespace mahimahi

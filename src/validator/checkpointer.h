@@ -26,8 +26,9 @@
 //   * recovery installs the newest valid chain of the CheckpointStore before
 //     the owner replays the WAL suffix.
 //
-// Owners reach it only through Hooks, plus the SegmentedWal handed to
-// start() for segment rolls and retirement, and the shared metrics registry.
+// Owners reach it only through Hooks, the execution engine whose state the
+// cuts carry, the SegmentedWal handed to start() for segment rolls and
+// retirement, and the shared metrics registry.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +41,7 @@
 
 #include "checkpoint/cert.h"
 #include "checkpoint/checkpoint.h"
+#include "exec/engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "validator/validator.h"
@@ -64,12 +66,9 @@ class Checkpointer {
     std::function<void(ValidatorId, BytesView)> send;
     // Runs a write task, then posts its non-empty completion.
     std::function<void(WriteTask)> write;
-    // App state. All null = no app: zero digest, no snapshots.
-    std::function<Digest()> app_digest;
-    std::function<Bytes()> app_snapshot;
-    std::function<Bytes()> app_delta;
-    std::function<void()> clear_app_delta;
-    std::function<void(BytesView)> install_app;
+    // Optional observer: each app snapshot installed into the engine
+    // (recovery and catch-up), after the engine took it.
+    std::function<void(BytesView)> app_installed;
   };
 
   // The checkpoint counters, under the same names in the runtime and the simulator. Building
@@ -95,10 +94,13 @@ class Checkpointer {
   };
 
   // `store_dir` empty = no persistence; otherwise the CheckpointStore shares
-  // the WAL's directory. `recorder` may be null.
+  // the WAL's directory. `recorder` may be null. `app` is the engine whose
+  // state cuts carry and installs replace; null = no app: zero digest, no
+  // snapshots.
   Checkpointer(const Committee& committee, ValidatorCore& core,
                crypto::Ed25519PrivateKey key, obs::Registry& registry,
-               obs::FlightRecorder* recorder, Hooks hooks, const std::string& store_dir);
+               obs::FlightRecorder* recorder, Hooks hooks, exec::ExecutionEngine* app,
+               const std::string& store_dir);
   // Pending write tasks and posted completions hold its address.
   Checkpointer(const Checkpointer&) = delete;
   Checkpointer& operator=(const Checkpointer&) = delete;
@@ -157,6 +159,8 @@ class Checkpointer {
                   std::uint64_t keep_from, std::shared_ptr<const Bytes> encoded,
                   std::shared_ptr<const CheckpointData> data);
   void collect(std::uint64_t cut_index, PendingCut& pending, const CutShare& share);
+  // Replaces the app state with a cut's snapshot (none = no-op).
+  void install_app(const CheckpointData& data);
   void attach_cert(std::uint64_t cut_index, std::shared_ptr<const Bytes> cert);
 
   const Committee& committee_;
@@ -165,6 +169,7 @@ class Checkpointer {
   crypto::Ed25519PrivateKey key_;  // signs cut-certificate shares
   obs::FlightRecorder* recorder_;
   Hooks hooks_;
+  exec::ExecutionEngine* app_;  // null = no app
   Counters counters_;
   const bool cutting_;
   const bool certifying_;

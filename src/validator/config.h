@@ -40,16 +40,8 @@ struct ValidatorConfig {
   // the core builds a private pool from `mempool`.
   std::shared_ptr<ShardedMempool> mempool_instance;
 
-  // Adaptive ingest batching (drivers' drain policy, not the core's): one
-  // verify/ingest drain takes at most `max_ingest_batch` queued blocks
-  // (0 = unbounded), shrunk further so a batch's estimated verification time
-  // stays within `ingest_latency_budget` (0 = no budget). Keeps a single
-  // straggler block from waiting behind a 64-block burst at low load while
-  // preserving batched-crypto amortization under sustained load.
-  std::size_t max_ingest_batch = 64;
-  TimeMicros ingest_latency_budget = millis(2);
-
-  // Write-side offload (drivers' policy, like the ingest knobs above).
+  // Write-side offload (drivers' policy, like the ingest drain constants in
+  // validator/ingest.h).
   //
   // wal_group_commit picks who lands the WAL's records; the log itself is
   // the segmented layout either way. On: appends stage into a buffer and a
@@ -100,18 +92,18 @@ struct ValidatorConfig {
 
   // --- Execution (exec/) ---------------------------------------------------
   //
-  // Drivers' policy, like the write-side knobs above: when set, the driver owns
-  // a deterministic KV execution engine fed by the commit stream — committed
+  // When set, the node's pipeline (validator/pipeline.h) owns a
+  // deterministic KV execution engine fed by the commit stream — committed
   // batches apply to the replicated state machine, finality stamps move from
-  // commit time to execution-delivery time, and `mm_exec_*` counters appear
-  // in the registry. Off = commits are handed to the commit handler only
-  // (the pre-execution behaviour).
+  // commit time to execution-delivery time, and the TCP runtime exports
+  // `mm_exec_*` counters. Off = commits are handed to the commit handler
+  // only (the pre-execution behaviour).
   bool execute_app = false;
   // Worker threads for conflict-aware parallel execution: per-batch decode
   // and per-wave effect preparation fan out to this many workers while a
   // dedicated merge thread applies waves in committed order (exec/engine.h).
-  // 0 = serial inline apply on the commit path — always the WAL-replay path
-  // regardless of this setting.
+  // 0 = the caller-runs engine: the same wave code inline on the commit
+  // path (the simulator's setting). WAL replay is serial inline regardless.
   std::size_t execution_threads = 0;
 
   // Minimum spacing between own proposals. 0 = advance as soon as a 2f+1

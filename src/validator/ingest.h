@@ -19,11 +19,21 @@
 #include <vector>
 
 #include "client/metrics.h"
+#include "common/time.h"
 #include "obs/trace.h"
 #include "types/validation.h"
 #include "validator/verifier_cache.h"
 
 namespace mahimahi {
+
+// Adaptive ingest batching, the drivers' drain policy: one verify/ingest
+// drain takes at most kMaxIngestBatch queued blocks, and the runtime shrinks
+// it further so a batch's estimated verification time stays within
+// kIngestLatencyBudget (net/node_runtime.h ingest_batch_cap). Keeps a single
+// straggler block from waiting behind a 64-block burst at low load while
+// preserving batched-crypto amortization under sustained load.
+inline constexpr std::size_t kMaxIngestBatch = 64;
+inline constexpr TimeMicros kIngestLatencyBudget = 2 * kMicrosPerMilli;
 
 // One received block.
 struct IngestBlock {

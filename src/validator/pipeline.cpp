@@ -1,5 +1,7 @@
 #include "validator/pipeline.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace mahimahi {
@@ -51,9 +53,14 @@ NodePipeline::NodePipeline(const Committee& committee, crypto::Ed25519PrivateKey
       counters_(registry),
       store_dir_(store_dir),
       core_(std::make_unique<ValidatorCore>(committee, key, config)),
+      engine_(config.execute_app
+                  ? std::make_unique<exec::ExecutionEngine>(
+                        exec::ExecutionEngine::Options{.threads = config.execution_threads},
+                        [this](const exec::WaveDelivery& wave) { on_delivered(wave); })
+                  : nullptr),
       checkpointer_(std::make_unique<Checkpointer>(committee, *core_, key, registry,
                                                    observers.recorder, env_.checkpoint,
-                                                   store_dir)) {
+                                                   engine_.get(), store_dir)) {
   if (observers.core_metrics) metrics_.emplace(registry);
 }
 
@@ -65,7 +72,12 @@ SegmentedWal::ReplayResult NodePipeline::recover(const MemoryWal::Store* memory)
   const auto replay = [this](BlockPtr block) {
     Actions actions = core_->recover_block(std::move(block));
     counters_.replayed_blocks->add();
-    for (const auto& sub_dag : actions.committed) env_.replay_commit(sub_dag);
+    for (const auto& sub_dag : actions.committed) {
+      if (env_.replay_commit) env_.replay_commit(sub_dag);
+      // Serially inline, without deliveries: the original run already
+      // stamped these batches' finality.
+      if (engine_) engine_->replay(sub_dag);
+    }
   };
   SegmentedWal::ReplayResult result;
   if (memory != nullptr) {
@@ -191,11 +203,36 @@ void NodePipeline::commit(const CommittedSubDag& sub_dag) {
   CommitTrace* trace = forensics ? &forensics->on_committed(sub_dag, committed_at) : nullptr;
   if (trace) {
     trace->durable_pending = true;
-    trace->execute_pending = env_.deferred_execution;
+    trace->execute_pending = engine_ != nullptr;
   }
-  if (tracer) tracer->sub_dag_committed(sub_dag, committed_at, !env_.deferred_execution);
+  // With an engine, finality stamps at delivery (on_delivered) instead.
+  if (tracer) tracer->sub_dag_committed(sub_dag, committed_at, engine_ == nullptr);
   env_.commit(sub_dag, committed_at, trace);
+  // Commit order is the engine's queue order (inline with zero threads).
+  if (engine_) engine_->execute(sub_dag, committed_at);
   if (trace) trace->apply_micros = env_.now() - committed_at;
+}
+
+void NodePipeline::on_delivered(const exec::WaveDelivery& wave) {
+  // Only thread-safe paths here: batch_delivered and record_stage never
+  // touch the tracer's insert-stamp table, and the forensics live on the
+  // driver's thread, so their stamp is posted there.
+  auto* const tracer = observers_.tracer;
+  auto* const forensics = observers_.forensics;
+  if (tracer == nullptr && forensics == nullptr) return;
+  const TimeMicros now = env_.now();
+  if (tracer) {
+    for (const exec::Delivery& delivery : wave.batches) {
+      tracer->batch_delivered(delivery.submitted_at, delivery.count, now);
+    }
+    if (wave.subdag_complete) {
+      tracer->record_stage(obs::Stage::kExecute, now - wave.enqueued_at,
+                           std::max<std::uint32_t>(wave.block_count, 1));
+    }
+  }
+  if (forensics && wave.subdag_complete) {
+    env_.post([forensics, slot = wave.slot, now] { forensics->execute_done(slot, now); });
+  }
 }
 
 }  // namespace mahimahi

@@ -1,10 +1,11 @@
 // NodePipeline: one validator's node, sans-IO, and its only way in.
 //
-// It owns the validator's ValidatorCore, its Checkpointer and, from start()
-// on, its Wal. Both drivers run it — the TCP runtime (net/node_runtime.h) on
-// its event loop, the simulator (sim/harness.h) per validator in virtual
-// time — so both take one input path, one WAL, durability-gate, send,
-// checkpoint and commit path, and one recovery.
+// It owns the validator's ValidatorCore, its Checkpointer, its execution
+// engine (ValidatorConfig::execute_app) and, from start() on, its Wal. Both
+// drivers run it — the TCP runtime (net/node_runtime.h) on its event loop,
+// the simulator (sim/harness.h) per validator in virtual time — so both
+// take one input path, one WAL, durability-gate, send, checkpoint, commit
+// and execution path, and one recovery.
 //
 // One entry point per node input reads Env::now, calls the core and performs
 // the result; core() is const, so no driver reaches a core input around
@@ -12,10 +13,19 @@
 // batch a worker screened.
 //
 // The Env contract: a driver supplies its clock, the peer sends, the
-// Checkpointer's hooks and the commit/execute handoff. Every entry point,
-// perform(), Env call and durability ack runs on the driver's one thread; a
-// Wal that acks elsewhere posts its acks back (the runtime's group-commit
-// WAL does). Only screen_blocks and admit() may run on any thread.
+// Checkpointer's hooks, a commit observer and a post to its own thread.
+// Every entry point, perform(), Env call and durability ack runs on the
+// driver's one thread; a Wal that acks elsewhere posts its acks back (the
+// runtime's group-commit WAL does). Only screen_blocks and admit() may run
+// on any thread, and, with execution_threads > 0, the engine's delivery
+// handler calls Env::now and Env::post from its merge thread.
+//
+// Execution: the pipeline hands the engine each committed sub-DAG after
+// Env::commit, replays recovered ones into it, gives the Checkpointer the
+// engine, and records delivery in one place: finality per delivered batch,
+// the kExecute span per retired sub-DAG, and the commit trace's execute
+// stamp, posted through Env::post. The simulator runs the engine with zero
+// threads (caller-runs), so its deliveries land at the commit instant.
 //
 // The dispatch order is fixed: WAL append, broadcast (behind on_durable),
 // fetch requests, fetch responses, commits, horizon notices, checkpoint
@@ -33,6 +43,7 @@
 #include <vector>
 
 #include "core/commit_trace.h"
+#include "exec/engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -55,14 +66,14 @@ class NodePipeline {
     std::function<void(ValidatorId, Round)> send_horizon;
     Checkpointer::Hooks checkpoint;
     // Per committed sub-DAG in commit order, after the pipeline's
-    // bookkeeping; `trace` is its commit trace (null without forensics).
+    // bookkeeping and before the engine takes it; `trace` is its commit
+    // trace (null without forensics).
     std::function<void(const CommittedSubDag&, TimeMicros committed_at, CommitTrace* trace)>
         commit;
-    // Per sub-DAG that recovery re-derives: re-apply it, without stamps.
+    // Optional: per sub-DAG that recovery re-derives, without stamps.
     std::function<void(const CommittedSubDag&)> replay_commit;
-    // True when commit() feeds an execution stage that stamps finality per
-    // delivered wave; false when finality stamps at commit.
-    bool deferred_execution = false;
+    // Runs a task on the driver's thread.
+    std::function<void(std::function<void()>)> post;
   };
 
   // Optional observers; null = unobserved. The simulator observes validator
@@ -120,7 +131,8 @@ class NodePipeline {
   // Recovery, before start(), and the only WAL replay: the newest valid
   // checkpoint chain, then the log — `memory` when the driver keeps its log
   // in memory, else the segments under store_dir — through
-  // ValidatorCore::recover_block, with commits to Env::replay_commit.
+  // ValidatorCore::recover_block, with commits to Env::replay_commit and
+  // the engine.
   SegmentedWal::ReplayResult recover(const MemoryWal::Store* memory = nullptr);
   // Hands over the log perform() appends to; `segments` is the SegmentedWal
   // inside it (null without one), which checkpoint cuts roll and retire.
@@ -157,12 +169,18 @@ class NodePipeline {
   Checkpointer& checkpointer() { return *checkpointer_; }
   const Checkpointer& checkpointer() const { return *checkpointer_; }
   Wal& wal() { return *wal_; }
+  // The execution stage; null without ValidatorConfig::execute_app. Its
+  // stats() and state reads are thread-safe. A driver whose Env::post
+  // target dies before the pipeline calls shutdown() on it first.
+  exec::ExecutionEngine* engine() const { return engine_.get(); }
   const Counters& counters() const { return counters_; }
   // Only with Observers::core_metrics.
   const CoreMetrics& metrics() const { return *metrics_; }
 
  private:
   void commit(const CommittedSubDag& sub_dag);
+  // The engine's delivery handler (the merge thread with threads > 0).
+  void on_delivered(const exec::WaveDelivery& wave);
   void mirror_core();
 
   Env env_;
@@ -170,6 +188,8 @@ class NodePipeline {
   Counters counters_;
   const std::string store_dir_;
   std::unique_ptr<ValidatorCore> core_;
+  // Built before the checkpointer that reads and installs its state.
+  std::unique_ptr<exec::ExecutionEngine> engine_;
   // Destroyed before the core it drives.
   std::unique_ptr<Checkpointer> checkpointer_;
   std::unique_ptr<Wal> wal_;

@@ -77,7 +77,7 @@ class CheckpointerShares : public ::testing::Test {
       };
       node.checkpointer = std::make_unique<Checkpointer>(
           setup_.committee, *node.core, setup_.keypairs[v].private_key, node.registry,
-          nullptr, std::move(hooks), v == 0 ? store_dir : std::string{});
+          nullptr, std::move(hooks), /*app=*/nullptr, v == 0 ? store_dir : std::string{});
       node.checkpointer->start(nullptr);
     }
   }

@@ -2,10 +2,11 @@
 // partition invariants against the pairwise-conflict ground truth, dedup /
 // malformed / filler / access-violation parity with app::ReplicatedKv, the
 // property that parallel apply is byte-identical in state_digest() to serial
-// apply across randomized conflict rates and interleavings, the simulator's
-// virtual-time execution model (zero-worker equivalence, crash/restart
-// recovery, early-delivery ordering safety), and a live TCP cluster running
-// the threaded engine end to end.
+// apply across randomized conflict rates and interleavings, early-delivery
+// ordering safety on the caller-runs and the threaded engine, the simulator
+// running the node's engine (crash/restart recovery, execute-stage
+// reporting), and a live TCP cluster running the threaded engine end to
+// end.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "app/replicated_kv.h"
@@ -333,6 +335,40 @@ TEST(ExecutionEngine, WaveDeliveriesArriveInOrderWithEarlyFlags) {
   }());
 }
 
+// One randomized sub-DAG's batches at `workload`'s conflict rate, with
+// resubmissions, Byzantine garbage, filler and undeclared KV mixed in.
+// `previous` carries the resubmission source across calls.
+std::vector<TxBatch> random_batches(Rng& rng, const client::KvWorkload& workload,
+                                    std::uint64_t seed, int sub_index, TxBatch& previous) {
+  std::vector<TxBatch> batches;
+  const std::uint64_t count = 3 + rng.uniform(6);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    TxBatch batch = client::synth_kv_batch(
+        workload, seed, static_cast<std::uint64_t>(sub_index) * 100 + i, rng);
+    switch (rng.uniform(10)) {
+      case 0:  // client resubmission
+        if (!previous.payload.empty()) batch = previous;
+        break;
+      case 1:  // Byzantine garbage
+        batch.payload.resize(batch.payload.size() / 2 + 1);
+        batch.write_keys.clear();
+        break;
+      case 2:  // bandwidth filler
+        batch.payload.clear();
+        batch.write_keys.clear();
+        break;
+      case 3:  // undeclared KV (derived access path)
+        batch.write_keys.clear();
+        break;
+      default:
+        break;
+    }
+    previous = batch;
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
 // The acceptance property: parallel apply (worker pool + wave merge) is
 // byte-identical in state_digest() to serial apply and to ReplicatedKv, over
 // >= 100 randomized schedules spanning 0/25/75/100% conflict rates, with
@@ -355,33 +391,8 @@ TEST(ExecutionEngineProperty, ParallelApplyByteIdenticalToSerial) {
 
       TxBatch previous;  // resubmission source
       for (int sub_index = 0; sub_index < 3; ++sub_index) {
-        std::vector<TxBatch> batches;
-        const std::uint64_t count = 3 + rng.uniform(6);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          TxBatch batch = client::synth_kv_batch(
-              workload, seed, static_cast<std::uint64_t>(sub_index) * 100 + i, rng);
-          switch (rng.uniform(10)) {
-            case 0:  // client resubmission
-              if (!previous.payload.empty()) batch = previous;
-              break;
-            case 1:  // Byzantine garbage
-              batch.payload.resize(batch.payload.size() / 2 + 1);
-              batch.write_keys.clear();
-              break;
-            case 2:  // bandwidth filler
-              batch.payload.clear();
-              batch.write_keys.clear();
-              break;
-            case 3:  // undeclared KV (derived access path)
-              batch.write_keys.clear();
-              break;
-            default:
-              break;
-          }
-          previous = batch;
-          batches.push_back(std::move(batch));
-        }
-        const CommittedSubDag sub = factory.make(std::move(batches));
+        const CommittedSubDag sub =
+            factory.make(random_batches(rng, workload, seed, sub_index, previous));
         replica.apply_subdag(sub);
         serial.apply_subdag(sub);
         engine.execute(sub, /*enqueued_at=*/0);
@@ -395,6 +406,89 @@ TEST(ExecutionEngineProperty, ParallelApplyByteIdenticalToSerial) {
       EXPECT_EQ(engine.stats().commands_applied, replica.commands_applied());
       EXPECT_EQ(engine.stats().deduplicated, replica.batches_deduplicated());
     }
+  }
+}
+
+// Early-delivery safety on the caller-runs and the threaded engine: a batch
+// may be delivered before its sub-DAG retires, but never while a conflicting
+// plan-order predecessor in its sub-DAG is still undelivered. The handler
+// checks each delivered wave against a reference plan built beside the
+// engine (same dedup horizon), with the pairwise exec::conflicts() ground
+// truth.
+TEST(ExecutionEngineProperty, EarlyDeliveriesNeverPrecedeConflictingPredecessors) {
+  const std::uint64_t iters = property_iters(30);
+  const std::uint32_t rates[] = {25, 75, 100};
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    std::uint64_t early = 0;
+    for (const std::uint32_t rate : rates) {
+      for (std::uint64_t seed = 1; seed <= iters; ++seed) {
+        Rng rng(seed * 104729 + rate);
+        client::KvWorkload workload;
+        workload.conflict_percent = rate;
+        workload.hot_keys = 2;
+        workload.commands_per_batch = 3;
+
+        SubdagFactory factory;
+        std::vector<CommittedSubDag> subs;
+        std::vector<Plan> plans;  // committed order, one per sub-DAG
+        std::unordered_set<Digest, DigestHasher> executed;
+        TxBatch previous;
+        for (int sub_index = 0; sub_index < 3; ++sub_index) {
+          subs.push_back(factory.make(random_batches(rng, workload, seed, sub_index, previous)));
+          plans.push_back(build_plan(decode_subdag(subs.back()), executed));
+        }
+
+        // Merge-thread state with threads > 0; read after the drain below.
+        std::size_t current = 0;  // plan of the sub-DAG being delivered
+        std::size_t next_wave = 0;
+        std::vector<char> delivered;
+        std::uint64_t violations = 0;
+        std::uint64_t mismatches = 0;
+        ExecutionEngine engine(ExecutionEngine::Options{.threads = threads},
+                               [&](const WaveDelivery& wave) {
+          if (current == plans.size()) {
+            ++mismatches;
+            return;
+          }
+          const Plan& plan = plans[current];
+          if (plan.waves.empty()) {
+            // An empty sub-DAG retires with one delivery carrying no batches.
+            mismatches += wave.batches.empty() && wave.subdag_complete ? 0 : 1;
+            ++current;
+            return;
+          }
+          if (next_wave == 0) delivered.assign(plan.txns.size(), 0);
+          const std::vector<std::uint32_t>& members = plan.waves[next_wave];
+          if (wave.batches.size() != members.size()) {
+            ++mismatches;
+            return;
+          }
+          for (std::size_t pos = 0; pos < members.size(); ++pos) {
+            const std::uint32_t i = members[pos];
+            if (wave.batches[pos].batch_id != plan.txns[i].batch->id) ++mismatches;
+            for (std::uint32_t j = 0; j < i; ++j) {
+              if (!delivered[j] && conflicts(plan.txns[j].access, plan.txns[i].access)) {
+                ++violations;
+              }
+            }
+          }
+          for (const std::uint32_t i : members) delivered[i] = 1;
+          if (++next_wave == plan.waves.size()) {
+            mismatches += wave.subdag_complete ? 0 : 1;
+            ++current;
+            next_wave = 0;
+          }
+        });
+        for (const auto& sub : subs) engine.execute(sub, /*enqueued_at=*/0);
+        engine.drain();
+        ASSERT_EQ(mismatches, 0u) << "threads=" << threads << " rate=" << rate
+                                  << " seed=" << seed;
+        EXPECT_EQ(violations, 0u) << "threads=" << threads << " rate=" << rate
+                                  << " seed=" << seed;
+        early += engine.stats().early_deliveries;
+      }
+    }
+    EXPECT_GT(early, 0u) << "threads=" << threads;
   }
 }
 
@@ -436,35 +530,9 @@ sim::SimConfig exec_sim_config() {
   return config;
 }
 
-// Wave scheduling is an ordering optimization, not a semantics change: the
-// zero-delay (zero-worker / inline) run and the wave-event run produce
-// byte-identical per-validator state. Execution is observational — it never
-// feeds back into consensus — so both runs see the same commit stream.
-TEST(SimExecution, ZeroWorkerRunBitIdenticalToWaveScheduledRun) {
-  sim::SimConfig serial_config = exec_sim_config();
-  serial_config.execution_wave_delay = 0;
-  const sim::SimResult serial = sim::run_simulation(serial_config);
-
-  sim::SimConfig waved_config = exec_sim_config();
-  waved_config.execution_wave_delay = millis(2);
-  const sim::SimResult waved = sim::run_simulation(waved_config);
-
-  EXPECT_GT(serial.committed_tps, 0.0);
-  EXPECT_GT(serial.exec_waves, 0u);
-  EXPECT_EQ(serial.exec_order_violations, 0u);
-  EXPECT_EQ(serial.exec_serial_mismatches, 0u);
-  EXPECT_EQ(waved.exec_order_violations, 0u);
-  EXPECT_EQ(waved.exec_serial_mismatches, 0u);
-  ASSERT_EQ(serial.app_digests.size(), waved.app_digests.size());
-  for (std::size_t v = 0; v < serial.app_digests.size(); ++v) {
-    EXPECT_EQ(serial.app_digests[v], waved.app_digests[v]) << "validator " << v;
-    EXPECT_NE(serial.app_digests[v], Digest{}) << "validator " << v << " executed nothing";
-  }
-}
-
-// A crash mid-wave loses the executor; restart rebuilds it by WAL replay
-// (serial inline, the recovery contract) and ends byte-identical to a serial
-// re-apply of the recovered validator's own commit stream.
+// A crash loses the engine; restart rebuilds it by WAL replay (serial
+// inline, the recovery contract) and ends byte-identical
+// to a serial re-apply of the recovered validator's own commit stream.
 TEST(SimExecution, CrashRestartMidWaveRecoversStateDigest) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("mm_exec_restart_" + std::to_string(::getpid()));
@@ -474,8 +542,7 @@ TEST(SimExecution, CrashRestartMidWaveRecoversStateDigest) {
   sim::SimConfig config = exec_sim_config();
   config.wal_dir = dir.string();
   config.duration = seconds(12);
-  config.execution_wave_delay = millis(10);  // plans stay in flight across events
-  config.kv_conflict_percent = 75;           // multi-wave plans
+  config.kv_conflict_percent = 75;  // multi-wave plans
   config.restarts.push_back({/*id=*/2, /*crash_at=*/seconds(4),
                              /*restart_at=*/seconds(6)});
   const sim::SimResult result = sim::run_simulation(config);
@@ -483,27 +550,56 @@ TEST(SimExecution, CrashRestartMidWaveRecoversStateDigest) {
 
   EXPECT_GT(result.wal_replayed_blocks, 0u);
   EXPECT_GT(result.exec_waves, 0u);
-  EXPECT_EQ(result.exec_order_violations, 0u);
   // The recovered validator (and everyone else) matches the serial reference
   // replay of its own recorded stream — snapshot base included.
   EXPECT_EQ(result.exec_serial_mismatches, 0u);
   EXPECT_NE(result.app_digests[2], Digest{});
 }
 
-// Early-delivery safety: under a conflict-heavy workload with real wave
-// latency, batches are delivered before their sub-DAG retires — but never
-// before every conflicting plan-order predecessor has settled.
-TEST(SimExecution, EarlyDeliveriesNeverPrecedeConflictingPredecessors) {
+// The same crash with checkpoints on: recovery installs the newest cut's app
+// snapshot into the new engine before the WAL suffix replays on top of it,
+// and the serial reference restarts from that snapshot (the Checkpointer's
+// app_installed observer).
+TEST(SimExecution, CrashRestartFromCheckpointRecoversStateDigest) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mm_exec_ckpt_restart_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
   sim::SimConfig config = exec_sim_config();
-  config.execution_wave_delay = millis(5);
+  config.wal_dir = dir.string();
+  config.duration = seconds(12);
+  config.checkpoint_interval = 10;
   config.kv_conflict_percent = 75;
-  config.kv_hot_keys = 2;
+  config.restarts.push_back({/*id=*/2, /*crash_at=*/seconds(5),
+                             /*restart_at=*/seconds(7)});
+  const sim::SimResult result = sim::run_simulation(config);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_GT(result.checkpoints_written, 0u);
+  EXPECT_GT(result.wal_replayed_blocks, 0u);
+  EXPECT_EQ(result.exec_serial_mismatches, 0u);
+  EXPECT_NE(result.app_digests[2], Digest{});
+}
+
+// The simulator reports execution the way the TCP runtime does: validator
+// 0's pipeline records the kExecute span per retired sub-DAG and resolves
+// every commit trace's execute stamp (zero-length in virtual time: the
+// caller-runs engine delivers at the commit instant).
+TEST(SimExecution, ReportsExecuteStageLikeTheRuntime) {
+  sim::SimConfig config = exec_sim_config();
+  config.kv_conflict_percent = 75;
   const sim::SimResult result = sim::run_simulation(config);
 
-  EXPECT_GT(result.exec_waves, 0u);
-  EXPECT_GT(result.exec_early_deliveries, 0u);
-  EXPECT_EQ(result.exec_order_violations, 0u);
   EXPECT_EQ(result.exec_serial_mismatches, 0u);
+  EXPECT_GT(result.exec_early_deliveries, 0u);
+  EXPECT_GT(result.metrics.histogram("mm_stage_execute_micros").count(), 0u);
+  EXPECT_GT(result.metrics.histogram("mm_finality_micros").count(), 0u);
+  ASSERT_FALSE(result.commit_traces.empty());
+  for (const CommitTrace& trace : result.commit_traces) {
+    EXPECT_FALSE(trace.execute_pending) << "slot r" << trace.slot.round;
+    EXPECT_EQ(trace.execute_micros, 0);
+  }
 }
 
 // --------------------------------------------------------------------------

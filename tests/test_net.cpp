@@ -921,8 +921,8 @@ TEST_F(TcpClusterTest, WatchdogStallAutoDumpsFlightRecorder) {
 // Destroys a running cluster with KV load in flight and the execution
 // engine's merge thread busy. The merge thread posts execute_done through
 // the event loop, so stop() must join it while loop_ is still alive (the
-// engine is declared before the loop and would otherwise outlive it); the
-// TSan leg turns a violation into a failure.
+// pipeline that owns the engine is declared before the loop and would
+// otherwise outlive it); the TSan leg turns a violation into a failure.
 TEST_F(TcpClusterTest, ExecEngineShutdownUnderLoadJoinsBeforeLoopDies) {
   execute_app_ = true;
   execution_threads_ = 1;
