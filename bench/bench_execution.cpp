@@ -13,9 +13,22 @@
 //                                                + merge thread), execute() +
 //                                                drain() of the same stream.
 //
-// Both series report MicrosPerBatch — wall micros per committed batch for
-// the whole stream (manual timing: batch/block construction, engine and
-// thread spawn are outside the clock). At conflict:0 every batch lands in
+//   BM_KvStoreApply                              app::KvStore::apply over the
+//                                                e2e KV command shape (below):
+//                                                NsPerCommand, the merge
+//                                                thread's per-command cost.
+//   BM_KvStoreCut                                state_digest + delta_bytes +
+//                                                clear_delta_window on that
+//                                                keyspace after one cut
+//                                                window: MicrosPerCut.
+//
+// The store series use the tcp-kv-durable-20k shape: 4 validators' private
+// keyspaces of 4,096 keys each plus 4 hot keys, 25% of commands on a hot
+// key, every tenth command a Delete, 16-byte values.
+//
+// The ExecApply series report MicrosPerBatch — wall micros per committed
+// batch for the whole stream (manual timing: batch/block construction,
+// engine and thread spawn are outside the clock). At conflict:0 every batch lands in
 // wave 0 and the parallel engine must win; at conflict:100 every wave holds
 // one batch and parallel degenerates to serial plus handoff overhead — the
 // honest cost of the machinery.
@@ -39,6 +52,7 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -167,7 +181,91 @@ void BM_ExecApplyParallel(benchmark::State& state) {
   finish(state, elapsed);
 }
 
+// The tcp-kv-durable-20k command stream (bench/e2e/bench_e2e.cpp make_batch)
+// over all four validators' keyspaces, drawn up front so the clock sees
+// only the store.
+constexpr std::uint32_t kKvStreams = 4;
+constexpr std::uint32_t kKvPrivateKeys = 4096;
+constexpr std::size_t kKvCommands = 1 << 16;
+// Commands between two checkpoint cuts: about one second of the workload.
+constexpr std::size_t kKvCutWindow = 20000;
+
+std::vector<app::KvCommand> kv_store_stream(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<app::KvCommand> commands;
+  commands.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const bool hot = rng.uniform(100) < 25;
+    std::string key =
+        hot ? "hot/" : "s" + std::to_string(rng.uniform(kKvStreams)) + "/";
+    key += std::to_string(rng.uniform(hot ? 4 : kKvPrivateKeys));
+    if (i % 10 == 9) {
+      commands.push_back(app::KvCommand::del(std::move(key)));
+    } else {
+      std::string value(16, 'v');
+      value[0] = static_cast<char>('a' + i % 26);
+      commands.push_back(app::KvCommand::put(std::move(key), std::move(value)));
+    }
+  }
+  return commands;
+}
+
+void BM_KvStoreApply(benchmark::State& state) {
+  const std::vector<app::KvCommand> stream = kv_store_stream(kKvCommands, 0x5EED41);
+  // Steady state: the keyspace is populated before the clock starts, and
+  // every iteration ends with the cut that closes its delta window.
+  app::KvStore store;
+  for (const app::KvCommand& command : stream) store.apply(command);
+  store.clear_delta_window();
+  double elapsed = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    for (const app::KvCommand& command : stream) store.apply(command);
+    const std::chrono::duration<double> delta =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(delta.count());
+    elapsed += delta.count();
+    store.clear_delta_window();
+  }
+  const double commands =
+      static_cast<double>(state.iterations()) * static_cast<double>(kKvCommands);
+  state.SetItemsProcessed(static_cast<std::int64_t>(commands));
+  state.counters["NsPerCommand"] =
+      benchmark::Counter(commands > 0 ? elapsed * 1e9 / commands : 0);
+}
+
+void BM_KvStoreCut(benchmark::State& state) {
+  const std::vector<app::KvCommand> stream = kv_store_stream(kKvCommands, 0x5EED41);
+  app::KvStore store;
+  for (const app::KvCommand& command : stream) store.apply(command);
+  store.clear_delta_window();
+  std::size_t next = 0;
+  double elapsed = 0;
+  for (auto _ : state) {
+    // One cut window of commands, outside the clock.
+    for (std::size_t i = 0; i < kKvCutWindow; ++i) {
+      store.apply(stream[next]);
+      next = (next + 1) % stream.size();
+    }
+    const auto start = std::chrono::steady_clock::now();
+    Digest digest = store.state_digest();
+    Bytes delta = store.delta_bytes();
+    store.clear_delta_window();
+    benchmark::DoNotOptimize(digest);
+    benchmark::DoNotOptimize(delta);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(took.count());
+    elapsed += took.count();
+  }
+  const double cuts = static_cast<double>(state.iterations());
+  state.counters["MicrosPerCut"] = benchmark::Counter(cuts > 0 ? elapsed * 1e6 / cuts : 0);
+}
+
 void register_benches() {
+  benchmark::RegisterBenchmark("BM_KvStoreApply", BM_KvStoreApply)->UseManualTime();
+  benchmark::RegisterBenchmark("BM_KvStoreCut", BM_KvStoreCut)->UseManualTime();
+
   auto* serial = benchmark::RegisterBenchmark("BM_ExecApplySerial", BM_ExecApplySerial);
   serial->ArgName("conflict")->UseManualTime();
   for (int conflict : {0, 25, 75, 100}) serial->Arg(conflict);

@@ -151,9 +151,11 @@ BENCHES: List[Bench] = [
     # Serial vs conflict-aware parallel apply across the conflict-rate
     # sweep. Parallel must beat serial on the fully disjoint workload; the
     # parallel series only registers on hosts with >= 2 hardware threads,
-    # and the compare self-skips (with a note) where it is absent.
+    # and the compare self-skips (with a note) where it is absent. The KV
+    # store's per-command series must exist too.
     Bench(name="execution", binary="bench_execution", min_time="0.05",
           gate=("--expect", "BM_ExecApplySerial",
+                "--expect", "BM_KvStoreApply",
                 "--compare", "MicrosPerBatch",
                 "BM_ExecApplySerial/conflict:0",
                 "BM_ExecApplyParallel/conflict:0")),

@@ -52,8 +52,8 @@ struct KvWorkload {
   std::uint32_t hot_keys = 4;
   std::uint32_t commands_per_batch = 8;
   std::uint32_t value_bytes = 16;
-  // Every tenth command is a Delete (exercises the resolved no-op-delete
-  // branch of the parallel merge); 0 disables.
+  // Every tenth command is a Delete (exercises the store's tombstones and
+  // its no-op Delete of an absent key); false disables.
   bool with_deletes = true;
 };
 

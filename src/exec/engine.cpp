@@ -2,51 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
+#include "common/thread_name.h"
 #include "types/block.h"
 
 namespace mahimahi::exec {
 
 namespace {
-
-// Per-command pre-resolved state-change outcomes for the transactions of one
-// wave, indexed [position within wave][command]. Filled by workers, consumed
-// by the merge.
-using ResolvedWave = std::vector<std::vector<std::uint8_t>>;
-
-// Pre-resolves one transaction's commands against the pre-wave store state.
-// Safe to run concurrently with other transactions of the same wave: their
-// write sets are disjoint from this transaction's keys (wave invariant 1),
-// so presence/absence of *these* keys is fixed for the whole wave — only the
-// transaction's own earlier commands can change it, tracked in the overlay.
-std::vector<std::uint8_t> resolve_effects(const app::KvStore& store,
-                                          const ExecTxn& txn) {
-  std::vector<std::uint8_t> resolved(txn.commands.size(), 0);
-  std::unordered_map<std::string, bool> overlay;  // key -> present after own cmds
-  for (std::size_t i = 0; i < txn.commands.size(); ++i) {
-    const app::KvCommand& cmd = txn.commands[i];
-    switch (cmd.op) {
-      case app::KvCommand::Op::kPut:
-        resolved[i] = 1;
-        overlay[cmd.key] = true;
-        break;
-      case app::KvCommand::Op::kDelete: {
-        const auto it = overlay.find(cmd.key);
-        const bool present =
-            it != overlay.end() ? it->second : store.get(cmd.key).has_value();
-        resolved[i] = present ? 1 : 0;
-        overlay[cmd.key] = false;
-        break;
-      }
-      case app::KvCommand::Op::kNoop:
-        break;
-    }
-  }
-  return resolved;
-}
 
 // Stack-allocated completion barrier for a fan-out. notify under the lock:
 // the waiter may destroy the fence the moment the predicate holds.
@@ -97,9 +60,7 @@ Plan SerialExecutor::plan_decoded(std::vector<ExecTxn> txns) {
 
 std::vector<Delivery> SerialExecutor::apply_wave(const Plan& plan,
                                                  std::size_t wave,
-                                                 bool last_wave,
-                                                 const void* resolved_opaque) {
-  const auto* resolved = static_cast<const ResolvedWave*>(resolved_opaque);
+                                                 bool last_wave) {
   const std::vector<std::uint32_t>& members = plan.waves[wave];
 
   std::size_t executable = 0;
@@ -110,16 +71,10 @@ std::vector<Delivery> SerialExecutor::apply_wave(const Plan& plan,
 
   std::vector<Delivery> deliveries;
   deliveries.reserve(members.size());
-  for (std::size_t pos = 0; pos < members.size(); ++pos) {
-    const ExecTxn& txn = plan.txns[members[pos]];
+  for (const std::uint32_t index : members) {
+    const ExecTxn& txn = plan.txns[index];
     if (txn.skip == Skip::kNone && !txn.commands.empty()) {
-      for (std::size_t i = 0; i < txn.commands.size(); ++i) {
-        if (resolved) {
-          store_.apply_resolved(txn.commands[i], (*resolved)[pos][i] != 0);
-        } else {
-          store_.apply(txn.commands[i]);
-        }
-      }
+      for (const app::KvCommand& command : txn.commands) store_.apply(command);
       stats_.commands_applied += txn.commands.size();
       ++stats_.batches_executed;
       if (executable > 1) ++stats_.parallel_batches;
@@ -159,7 +114,8 @@ void SerialExecutor::apply_subdag(const CommittedSubDag& subdag) {
 ExecutionEngine::ExecutionEngine(Options options, DeliveryHandler on_delivery)
     : on_delivery_(std::move(on_delivery)) {
   if (options.threads > 0) {
-    pool_ = std::make_unique<net::WorkerPool>(options.threads, "exec");
+    pool_ = std::make_unique<net::WorkerPool>(options.threads, "exec", nullptr,
+                                              "mm-exec");
     merge_ = std::thread([this] { merge_main(); });
   }
 }
@@ -250,6 +206,7 @@ ExecStats ExecutionEngine::stats() const {
 }
 
 void ExecutionEngine::merge_main() {
+  set_thread_name("mm-exec-merge");
   for (;;) {
     Pending pending;
     {
@@ -310,43 +267,11 @@ void ExecutionEngine::process(const Pending& pending) {
     return;
   }
 
-  // Stage 3 — per wave: workers pre-resolve each member transaction's
-  // effects against the quiescent store (concurrent reads only), then the
-  // merge applies them in committed order and the wave delivers. Conflicting
-  // transactions are separated by the wave barrier; non-conflicting ones
-  // resolve concurrently.
+  // Stage 3 — the merge applies each wave in committed order, and the wave
+  // delivers before the next one runs.
   for (std::size_t w = 0; w < plan.waves.size(); ++w) {
-    const std::vector<std::uint32_t>& members = plan.waves[w];
-    ResolvedWave resolved(members.size());
-    const bool fan_out = workers > 0 && members.size() > 1;
-    if (fan_out) {
-      const std::size_t chunks = std::min(workers, members.size());
-      const std::size_t stride = (members.size() + chunks - 1) / chunks;
-      Fence fence(chunks);
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = c * stride;
-        const std::size_t end = std::min(begin + stride, members.size());
-        pool_->submit([&, begin, end] {
-          for (std::size_t pos = begin; pos < end; ++pos) {
-            const ExecTxn& txn = plan.txns[members[pos]];
-            if (txn.skip == Skip::kNone && !txn.commands.empty()) {
-              resolved[pos] = resolve_effects(serial_.store(), txn);
-            }
-          }
-          fence.done();
-        });
-      }
-      fence.wait();
-    } else {
-      for (std::size_t pos = 0; pos < members.size(); ++pos) {
-        const ExecTxn& txn = plan.txns[members[pos]];
-        if (txn.skip == Skip::kNone && !txn.commands.empty()) {
-          resolved[pos] = resolve_effects(serial_.store(), txn);
-        }
-      }
-    }
     const bool last = w + 1 == plan.waves.size();
-    deliver(serial_.apply_wave(plan, w, last, &resolved), last, pending);
+    deliver(serial_.apply_wave(plan, w, last), last, pending);
   }
 }
 

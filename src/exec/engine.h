@@ -16,17 +16,17 @@
 //                      pattern: execute() enqueues a sub-DAG; a dedicated
 //                      merge thread drains the queue in commit order. Per
 //                      sub-DAG it fans the pure per-batch decode out to the
-//                      worker pool, builds the plan serially, then for each
-//                      wave fans out per-transaction effect preparation
-//                      (workers read the quiescent store concurrently and
-//                      pre-resolve each command's state-change outcome),
-//                      barriers, and merges the wave's effects into the store
-//                      in committed order. The merge is the only writer the
-//                      store ever sees, so the result is byte-identical to
-//                      serial apply by construction of the wave invariants
-//                      (exec/plan.h). With zero threads the engine is
-//                      caller-runs: execute() runs the same per-wave code
-//                      inline, which is how the simulator executes.
+//                      worker pool, builds the plan serially, then applies
+//                      each wave's commands to the store in committed order
+//                      and delivers the wave. The merge is the only writer
+//                      the store ever sees, so the result is byte-identical
+//                      to serial apply by construction of the wave
+//                      invariants (exec/plan.h). A command costs one hash
+//                      probe in the store (app/kv_store.h), so the merge
+//                      applies waves directly: no worker pass prepares
+//                      them. With zero threads the engine is caller-runs:
+//                      execute() runs the same per-wave code inline, which
+//                      is how the simulator executes.
 //
 // Early delivery: the delivery handler fires after each wave's merge, before
 // later waves of the same sub-DAG execute. A wave's transactions have all
@@ -130,12 +130,8 @@ class SerialExecutor {
 
   // Merge one wave in committed order; returns the wave's deliveries.
   // `last_wave` marks the sub-DAG as retired (bumps the subdag counter).
-  // `resolved_opaque`, when non-null, points to the engine's worker-prepared
-  // per-command outcomes (ResolvedWave in engine.cpp) and switches the store
-  // writes to apply_resolved().
   std::vector<Delivery> apply_wave(const Plan& plan, std::size_t wave,
-                                   bool last_wave,
-                                   const void* resolved_opaque = nullptr);
+                                   bool last_wave);
 
   // A committed sub-DAG that carried no batches still retires.
   void note_empty_subdag();
@@ -148,8 +144,8 @@ class SerialExecutor {
 class ExecutionEngine {
  public:
   struct Options {
-    // Worker threads for decode fan-out and per-wave effect preparation.
-    // 0 = no threads at all: execute() applies inline on the caller.
+    // Worker threads for the decode fan-out; the waves apply on the merge
+    // thread. 0 = no threads at all: execute() applies inline on the caller.
     std::size_t threads = 0;
   };
 

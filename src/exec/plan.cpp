@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -71,11 +72,24 @@ Plan build_plan(std::vector<ExecTxn> txns,
   Plan plan;
   plan.txns = std::move(txns);
 
-  // Per-key high-water marks: the last wave that wrote / read each key so
-  // far. Lookup-only usage — unordered iteration order never observed, so
-  // the plan is deterministic.
-  std::unordered_map<std::string, std::uint32_t> last_write_wave;
-  std::unordered_map<std::string, std::uint32_t> last_read_wave;
+  // Per-key high-water marks: one past the last wave that wrote / read each
+  // key so far (0: none yet), keyed by views into the plan's own access sets
+  // (plan.txns is not resized below, so the strings stay put). Lookup-only
+  // usage — unordered iteration order never observed, so the plan is
+  // deterministic.
+  struct KeyMarks {
+    std::uint32_t write = 0;
+    std::uint32_t read = 0;
+  };
+  std::unordered_map<std::string_view, KeyMarks> marks;
+  std::size_t keys = 0;
+  for (const ExecTxn& txn : plan.txns) {
+    keys += txn.access.writes.size() + txn.access.reads.size();
+  }
+  marks.reserve(keys);
+  // The current transaction's entries, writes first (element references
+  // survive a rehash).
+  std::vector<KeyMarks*> touched;
   std::uint32_t floor = 0;       // earliest admissible wave (opaque barriers)
   std::uint32_t next_wave = 0;   // == max assigned wave + 1
 
@@ -116,29 +130,26 @@ Plan build_plan(std::vector<ExecTxn> txns,
       continue;
     }
 
+    // One probe per key: a write follows every earlier write and read of
+    // its key, a read every earlier write.
     std::uint32_t wave = floor;
+    touched.clear();
     for (const std::string& key : txn.access.writes) {
-      if (auto it = last_write_wave.find(key); it != last_write_wave.end()) {
-        wave = std::max(wave, it->second + 1);
-      }
-      if (auto it = last_read_wave.find(key); it != last_read_wave.end()) {
-        wave = std::max(wave, it->second + 1);
-      }
+      KeyMarks& m = marks[key];
+      wave = std::max({wave, m.write, m.read});
+      touched.push_back(&m);
     }
     for (const std::string& key : txn.access.reads) {
-      if (auto it = last_write_wave.find(key); it != last_write_wave.end()) {
-        wave = std::max(wave, it->second + 1);
-      }
+      KeyMarks& m = marks[key];
+      wave = std::max(wave, m.write);
+      touched.push_back(&m);
     }
     plan.conflict_delayed += wave > floor ? 1 : 0;
     place(i, wave);
-    for (const std::string& key : txn.access.writes) {
-      auto [it, inserted] = last_write_wave.try_emplace(key, wave);
-      if (!inserted) it->second = std::max(it->second, wave);
-    }
-    for (const std::string& key : txn.access.reads) {
-      auto [it, inserted] = last_read_wave.try_emplace(key, wave);
-      if (!inserted) it->second = std::max(it->second, wave);
+    const std::size_t writes = txn.access.writes.size();
+    for (std::size_t k = 0; k < touched.size(); ++k) {
+      std::uint32_t& mark = k < writes ? touched[k]->write : touched[k]->read;
+      mark = std::max(mark, wave + 1);
     }
   }
   return plan;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "obs/export.h"
 #include "serde/serde.h"
 
@@ -97,7 +98,8 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
           .trace_capacity = config_.commit_trace_capacity}),
       loop_(config_.io_backend),
       verify_pool_(config_.verify_threads,
-                   "v" + std::to_string(config_.validator.id) + "/wk", &recorder_),
+                   "v" + std::to_string(config_.validator.id) + "/wk", &recorder_,
+                   "mm-verify"),
       verify_drain_(
           verify_pool_,
           [this](std::vector<RawFrame> frames) { verify_frames(std::move(frames)); },
@@ -385,6 +387,7 @@ void NodeRuntime::stop() {
 }
 
 void NodeRuntime::loop_main() {
+  set_thread_name("mm-loop");
   set_log_context("v" + std::to_string(id()));
   recorder_.label_thread("loop");
   if (config_.admin_port >= 0) {

@@ -1,13 +1,16 @@
 #include "net/worker_pool.h"
 
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "obs/flight_recorder.h"
 
 namespace mahimahi::net {
 
 WorkerPool::WorkerPool(std::size_t threads, std::string log_context,
-                       obs::FlightRecorder* recorder)
-    : log_context_(std::move(log_context)), recorder_(recorder) {
+                       obs::FlightRecorder* recorder, std::string thread_name)
+    : log_context_(std::move(log_context)),
+      recorder_(recorder),
+      thread_name_(std::move(thread_name)) {
   threads_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     threads_.emplace_back([this] { worker_main(); });
@@ -43,6 +46,7 @@ void WorkerPool::stop() {
 }
 
 void WorkerPool::worker_main() {
+  if (!thread_name_.empty()) set_thread_name(thread_name_.c_str());
   if (!log_context_.empty()) set_log_context(log_context_);
   if (recorder_ != nullptr) recorder_->label_thread("worker");
   for (;;) {

@@ -40,9 +40,11 @@ class WorkerPool {
   // log_context, when non-empty, becomes each worker thread's MM_LOG context
   // (see common/log.h) so cluster-test log lines are attributable. With a
   // recorder, each worker labels its flight-recorder ring "worker" at thread
-  // start, before it records anything.
+  // start, before it records anything. thread_name, when non-empty, names
+  // each worker thread (common/thread_name.h).
   explicit WorkerPool(std::size_t threads, std::string log_context = "",
-                      obs::FlightRecorder* recorder = nullptr);
+                      obs::FlightRecorder* recorder = nullptr,
+                      std::string thread_name = "");
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -60,6 +62,7 @@ class WorkerPool {
 
   std::string log_context_;
   obs::FlightRecorder* recorder_;
+  std::string thread_name_;
   std::mutex mutex_;
   std::condition_variable wake_;
   std::deque<Task> queue_;

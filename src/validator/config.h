@@ -100,8 +100,8 @@ struct ValidatorConfig {
   // only (the pre-execution behaviour).
   bool execute_app = false;
   // Worker threads for conflict-aware parallel execution: per-batch decode
-  // and per-wave effect preparation fan out to this many workers while a
-  // dedicated merge thread applies waves in committed order (exec/engine.h).
+  // fans out to this many workers while a dedicated merge thread applies
+  // waves in committed order (exec/engine.h).
   // 0 = the caller-runs engine: the same wave code inline on the commit
   // path (the simulator's setting). WAL replay is serial inline regardless.
   std::size_t execution_threads = 0;

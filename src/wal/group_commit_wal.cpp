@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "wal/wal_ring.h"
 
 namespace mahimahi {
@@ -111,6 +112,7 @@ std::uint64_t GroupCommitWal::flush_micros() const {
 }
 
 void GroupCommitWal::writer_main() {
+  set_thread_name("mm-wal");
   if (!options_.log_context.empty()) set_log_context(options_.log_context);
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {

@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "app/replicated_kv.h"
+#include "common/env.h"
+#include "common/rng.h"
+#include "crypto/blake2b.h"
 #include "sim/dag_builder.h"
 #include "validator/validator.h"
 
@@ -69,6 +75,258 @@ TEST(KvStore, StateDigestReflectsHistoryLength) {
   b.apply(KvCommand::put("x", "1"));
   EXPECT_EQ(a.get("x"), b.get("x"));
   EXPECT_NE(a.state_digest(), b.state_digest());
+}
+
+// --------------------------------------------------------------------------
+// KvStore against a reference model
+// --------------------------------------------------------------------------
+
+// The store's documented semantics and encodings, written the plain way: an
+// ordered map of contents, an ordered set for the delta window.
+struct KvModel {
+  std::map<std::string, std::string> entries;
+  std::set<std::string> touched;
+  std::uint64_t version = 0;
+
+  bool apply(const KvCommand& command) {
+    switch (command.op) {
+      case KvCommand::Op::kPut:
+        entries[command.key] = command.value;
+        break;
+      case KvCommand::Op::kDelete:
+        if (entries.erase(command.key) == 0) return false;
+        break;
+      case KvCommand::Op::kNoop:
+        return false;
+    }
+    ++version;
+    touched.insert(command.key);
+    return true;
+  }
+
+  // apply_delta(): the carried keys and version; the window keeps its keys.
+  void apply_delta(const KvModel& source) {
+    for (const std::string& key : source.touched) {
+      const auto it = source.entries.find(key);
+      if (it != source.entries.end()) {
+        entries[key] = it->second;
+      } else {
+        entries.erase(key);
+      }
+    }
+    version = source.version;
+  }
+
+  Bytes snapshot() const {
+    serde::Writer w;
+    w.u64(version);
+    w.varint(entries.size());
+    for (const auto& [key, value] : entries) {
+      w.bytes(as_bytes_view(key));
+      w.bytes(as_bytes_view(value));
+    }
+    return std::move(w).take();
+  }
+
+  Bytes delta() const {
+    serde::Writer w;
+    w.u64(version);
+    w.varint(touched.size());
+    for (const std::string& key : touched) {
+      w.bytes(as_bytes_view(key));
+      const auto it = entries.find(key);
+      w.u8(it != entries.end() ? 1 : 0);
+      if (it != entries.end()) w.bytes(as_bytes_view(it->second));
+    }
+    return std::move(w).take();
+  }
+
+  Digest digest() const {
+    const Bytes encoded = snapshot();
+    return crypto::Blake2b::hash256({encoded.data(), encoded.size()});
+  }
+};
+
+void expect_matches(const KvStore& store, const KvModel& model, const std::string& key,
+                    const std::string& label) {
+  const auto it = model.entries.find(key);
+  EXPECT_EQ(store.get(key), it == model.entries.end()
+                                ? std::nullopt
+                                : std::optional<std::string>(it->second))
+      << label << " key " << key;
+  EXPECT_EQ(store.size(), model.entries.size()) << label;
+  EXPECT_EQ(store.version(), model.version) << label;
+}
+
+// A cut: both encodings byte for byte, the digest, and the base + delta
+// reconstruction. Closes the window on both sides and returns the new base.
+Bytes check_cut(KvStore& store, KvModel& model, const Bytes& base,
+                const std::string& label) {
+  const Bytes snapshot = store.snapshot_bytes();
+  const Bytes delta = store.delta_bytes();
+  EXPECT_EQ(snapshot, model.snapshot()) << label;
+  EXPECT_EQ(delta, model.delta()) << label;
+  EXPECT_EQ(store.state_digest(), model.digest()) << label;
+  EXPECT_EQ(store.touched_count(), model.touched.size()) << label;
+  KvStore rebuilt = KvStore::restore({base.data(), base.size()});
+  rebuilt.apply_delta({delta.data(), delta.size()});
+  EXPECT_EQ(rebuilt.state_digest(), store.state_digest()) << label;
+  EXPECT_EQ(rebuilt.size(), store.size()) << label;
+  store.clear_delta_window();
+  model.touched.clear();
+  EXPECT_EQ(store.touched_count(), 0u) << label;
+  EXPECT_EQ(store.delta_bytes(), model.delta()) << label;
+  return snapshot;
+}
+
+KvCommand random_command(Rng& rng) {
+  // A small keyspace, so one window sees a key put, deleted and put again.
+  std::string key = "k" + std::to_string(rng.uniform(12));
+  if (rng.uniform(8) == 0) key += std::string(rng.uniform(40), 'x');
+  switch (rng.uniform(10)) {
+    case 0:
+      return KvCommand{};
+    case 1: case 2: case 3:
+      return KvCommand::del(std::move(key));
+    default:
+      return KvCommand::put(std::move(key),
+                            std::string(rng.uniform(24), static_cast<char>('a' + rng.uniform(26))));
+  }
+}
+
+TEST(KvStoreProperty, MatchesReferenceModelAcrossCuts) {
+  const std::uint64_t iters = property_iters(40);
+  for (std::uint64_t iter = 0; iter < iters; ++iter) {
+    Rng rng(0xC0FFEE + iter);
+    KvStore store;
+    KvModel model;
+    KvModel base_model;  // the state at the last cut, window empty
+    Bytes base = model.snapshot();
+    const std::size_t steps = 200 + rng.uniform(400);
+    for (std::size_t step = 0; step < steps; ++step) {
+      const std::string label = "iter " + std::to_string(iter) + " step " + std::to_string(step);
+      switch (rng.uniform(40)) {
+        case 0:
+        case 1:
+          base = check_cut(store, model, base, label);
+          base_model = model;
+          break;
+        case 2:
+          // SerialExecutor::install_snapshot: move-assign a restored store.
+          base = check_cut(store, model, base, label + " (install)");
+          base_model = model;
+          store = KvStore::restore({base.data(), base.size()});
+          break;
+        case 3: {
+          // Mid-window copy and move: the copy rebuilds its index and window;
+          // the moves carry both over.
+          KvStore copy(store);
+          KvStore moved(std::move(copy));
+          store = std::move(moved);
+          break;
+        }
+        case 4: {
+          // apply_delta onto a store whose own window is open: the carried
+          // keys land, and the target's window keeps its own keys.
+          KvStore target = KvStore::restore({base.data(), base.size()});
+          KvModel target_model = base_model;
+          for (int i = 0; i < 6; ++i) {
+            const KvCommand command = random_command(rng);
+            EXPECT_EQ(target.apply(command), target_model.apply(command)) << label;
+          }
+          const Bytes delta = store.delta_bytes();
+          target.apply_delta({delta.data(), delta.size()});
+          target_model.apply_delta(model);
+          EXPECT_EQ(target.snapshot_bytes(), target_model.snapshot()) << label << " (target)";
+          EXPECT_EQ(target.delta_bytes(), target_model.delta()) << label << " (target)";
+          EXPECT_EQ(target.size(), target_model.entries.size()) << label << " (target)";
+          break;
+        }
+        default: {
+          const KvCommand command = random_command(rng);
+          EXPECT_EQ(store.apply(command), model.apply(command)) << label;
+          expect_matches(store, model, command.key, label);
+          break;
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    check_cut(store, model, base, "iter " + std::to_string(iter) + " final");
+  }
+}
+
+TEST(KvStoreProperty, WindowReportsDeleteThenPutAndPutThenDelete) {
+  KvStore store;
+  KvModel model;
+  for (const KvCommand& command :
+       {KvCommand::put("a", "1"), KvCommand::put("b", "2"), KvCommand::put("c", "3")}) {
+    store.apply(command);
+    model.apply(command);
+  }
+  Bytes base = check_cut(store, model, model.snapshot(), "setup");
+  // a: delete then put; d: put then delete; z: delete of a key never present.
+  for (const KvCommand& command :
+       {KvCommand::del("a"), KvCommand::put("a", "1b"), KvCommand::put("d", "4"),
+        KvCommand::del("d"), KvCommand::del("z")}) {
+    EXPECT_EQ(store.apply(command), model.apply(command));
+    expect_matches(store, model, command.key, "window");
+  }
+  EXPECT_EQ(store.touched_count(), 2u);  // a and d; z changed nothing
+  EXPECT_FALSE(store.get("d").has_value());
+  EXPECT_FALSE(store.get("z").has_value());
+  base = check_cut(store, model, base, "cut");
+  // The tombstone of d is gone with the window: a later delete is a no-op.
+  EXPECT_FALSE(store.apply(KvCommand::del("d")));
+  EXPECT_EQ(store.touched_count(), 0u);
+}
+
+// Snapshots and deltas list keys strictly ascending; a peer's bytes that do
+// not are malformed, not silently merged.
+Bytes kv_snapshot(std::uint64_t version,
+                  const std::vector<std::pair<std::string, std::string>>& entries) {
+  serde::Writer w;
+  w.u64(version);
+  w.varint(entries.size());
+  for (const auto& [key, value] : entries) {
+    w.bytes(as_bytes_view(key));
+    w.bytes(as_bytes_view(value));
+  }
+  return std::move(w).take();
+}
+
+Bytes kv_delta(std::uint64_t version, const std::vector<std::string>& keys) {
+  serde::Writer w;
+  w.u64(version);
+  w.varint(keys.size());
+  for (const std::string& key : keys) {
+    w.bytes(as_bytes_view(key));
+    w.u8(1);
+    w.bytes(as_bytes_view(std::string("v")));
+  }
+  return std::move(w).take();
+}
+
+TEST(KvStore, RestoreAndApplyDeltaRejectRepeatedKey) {
+  const Bytes good = kv_snapshot(2, {{"a", "1"}, {"b", "2"}});
+  EXPECT_EQ(KvStore::restore({good.data(), good.size()}).size(), 2u);
+  const Bytes repeated = kv_snapshot(2, {{"a", "1"}, {"a", "2"}});
+  EXPECT_THROW(KvStore::restore({repeated.data(), repeated.size()}), serde::SerdeError);
+
+  KvStore store = KvStore::restore({good.data(), good.size()});
+  const Bytes delta = kv_delta(3, {"b", "b"});
+  EXPECT_THROW(store.apply_delta({delta.data(), delta.size()}), serde::SerdeError);
+}
+
+TEST(KvStore, RestoreAndApplyDeltaRejectDescendingKeys) {
+  const Bytes descending = kv_snapshot(2, {{"b", "2"}, {"a", "1"}});
+  EXPECT_THROW(KvStore::restore({descending.data(), descending.size()}), serde::SerdeError);
+
+  KvStore store;
+  const Bytes good = kv_delta(2, {"a", "b"});
+  store.apply_delta({good.data(), good.size()});
+  EXPECT_EQ(store.size(), 2u);
+  const Bytes delta = kv_delta(3, {"c", "b"});
+  EXPECT_THROW(store.apply_delta({delta.data(), delta.size()}), serde::SerdeError);
 }
 
 // --------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -15,6 +16,7 @@
 #include <functional>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "client/kv_batches.h"
@@ -953,6 +955,41 @@ TEST_F(TcpClusterTest, ExecEngineShutdownUnderLoadJoinsBeforeLoopDies) {
     submit_load();
     nodes.clear();  // ~NodeRuntime -> stop() mid-stream
   }
+}
+
+// Every runtime thread carries its role's name (common/thread_name.h), so
+// per-thread CPU reads by role: scripts/thread_cpu.py groups by these names.
+TEST_F(TcpClusterTest, RuntimeThreadsAreNamedByRole) {
+  execute_app_ = true;
+  execution_threads_ = 1;
+  wal_group_commit_ = true;
+  const auto dir = std::filesystem::temp_directory_path();
+  std::vector<std::string> wal_paths;
+  for (int i = 0; i < 4; ++i) {
+    auto path = dir / ("mahi_tcp_names_" + std::to_string(::getpid()) + "_" +
+                       std::to_string(i) + ".wal");
+    std::filesystem::remove_all(path);
+    wal_paths.push_back(path.string());
+  }
+  auto nodes = start_cluster(wal_paths);
+  const std::set<std::string> expected = {"mm-loop", "mm-verify", "mm-exec-merge",
+                                          "mm-exec", "mm-wal"};
+  std::set<std::string> names;
+  // Each thread names itself as it starts, so poll until all have.
+  EXPECT_TRUE(wait_for([&] {
+    names.clear();
+    for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+      std::ifstream comm(task.path() / "comm");
+      std::string name;
+      if (std::getline(comm, name)) names.insert(name);
+    }
+    return std::includes(names.begin(), names.end(), expected.begin(), expected.end());
+  }));
+  for (const std::string& name : expected) {
+    EXPECT_TRUE(names.count(name)) << "no thread named " << name;
+  }
+  nodes.clear();
+  for (const auto& path : wal_paths) std::filesystem::remove_all(path);
 }
 
 TEST_F(TcpClusterTest, SharedVerifierCacheSkipsRepeatVerification) {
