@@ -32,12 +32,18 @@
 // the kernel supports io_uring) pays 1 linked write→fsync submission per
 // group. scripts/check_bench.py --compare gates the uring column against the
 // classic one.
+//
+//   BM_Crc32                 the record-framing checksum alone, in bytes/s:
+//                            every WAL record, checkpoint and delta cut is
+//                            framed with it.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <future>
 #include <string>
 
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "types/committee.h"
 #include "wal/group_commit_wal.h"
 #include "wal/segmented_wal.h"
@@ -235,6 +241,15 @@ BENCHMARK(BM_WalGroupDurableFsync)->ArgName("burst")->Arg(1)->Arg(8)->Arg(64);
 void BM_WalGroupDurableFsyncUring(benchmark::State& state) {
   group_durable_bench(state, /*fsync=*/true, /*use_uring=*/true);
 }
+
+void BM_Crc32(benchmark::State& state) {
+  Bytes data(static_cast<std::size_t>(state.range(0)));
+  Rng rng(7);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) benchmark::DoNotOptimize(crc32({data.data(), data.size()}));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1048576);
 
 }  // namespace
 

@@ -2,8 +2,11 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
@@ -120,27 +123,41 @@ void EventLoop::fire_due_timers() {
   }
 }
 
-int EventLoop::next_timeout_ms() const {
-  if (timers_.empty()) return 100;
-  const TimeMicros delta = timers_.top().due - steady_now_micros();
-  if (delta <= 0) return 0;
-  return static_cast<int>(std::min<TimeMicros>(delta / 1000 + 1, 100));
+TimeMicros EventLoop::next_timeout_micros() const {
+  const TimeMicros kMaxWait = millis(100);
+  if (timers_.empty()) return kMaxWait;
+  return std::clamp<TimeMicros>(timers_.top().due - steady_now_micros(), 0, kMaxWait);
+}
+
+int EventLoop::wait(epoll_event* events, int capacity) {
+  const TimeMicros timeout = next_timeout_micros();
+  if (precise_wait_) {
+    const timespec spec{static_cast<time_t>(timeout / 1'000'000),
+                        static_cast<long>(timeout % 1'000'000) * 1000};
+    const int count = ::epoll_pwait2(epoll_fd_, events, capacity, &spec, nullptr);
+    if (count >= 0 || errno != ENOSYS) return count;
+    precise_wait_ = false;  // a pre-5.11 kernel: whole milliseconds, rounded up
+  }
+  return ::epoll_wait(epoll_fd_, events, capacity, static_cast<int>((timeout + 999) / 1000));
 }
 
 void EventLoop::run() {
   running_.store(true);
   stop_requested_.store(false);
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  // Timers here are due at the microsecond; the default timer slack would
+  // let the kernel defer each timed wait by up to 50 µs.
+  ::prctl(PR_SET_TIMERSLACK, 1UL);
   epoll_event events[64];
   while (!stop_requested_.load(std::memory_order_relaxed)) {
     // Tick boundary: everything the last iteration prepared (sends, recv
     // re-arms, cancels) goes to the kernel in one batched submission before
     // the loop blocks. No-op on the readiness backend.
     backend_->flush();
-    const int count = ::epoll_wait(epoll_fd_, events, 64, next_timeout_ms());
+    const int count = wait(events, 64);
     wait_syscalls_.fetch_add(1, std::memory_order_relaxed);
     if (count < 0 && errno != EINTR) {
-      MM_LOG(kError) << "epoll_wait failed: " << std::strerror(errno);
+      MM_LOG(kError) << "epoll wait failed: " << std::strerror(errno);
       break;
     }
     const TimeMicros busy_start = steady_now_micros();

@@ -5,8 +5,15 @@
 // NodeRuntime owns one loop running on its own thread — the C++ analogue of
 // the paper's one-tokio-runtime-per-validator setup.
 //
+// Timers are microsecond-precise: the loop blocks in epoll_pwait2 with a
+// nanosecond timeout up to the earliest due timer, and its thread runs at
+// 1 ns timer slack (the kernel's default defers wake-ups by up to 50 µs),
+// so a timer fires within tens of µs of its due time, never before it.
+// NodeRuntime's round-pacing wake-up relies on this: rounding the wait to
+// whole milliseconds would make every paced proposal up to 1 ms late.
+//
 // The loop also owns the I/O backend (io_backend.h) that decides how
-// connection bytes move. epoll_wait stays the multiplexing primitive either
+// connection bytes move. epoll stays the multiplexing primitive either
 // way; under the io_uring backend it watches the ring fd instead of the
 // sockets, and the loop flushes the backend's submission queue once per
 // iteration right before blocking — the tick boundary that batches every
@@ -25,6 +32,8 @@
 
 #include "common/time.h"
 #include "net/io_backend.h"
+
+struct epoll_event;
 
 namespace mahimahi::net {
 
@@ -78,14 +87,14 @@ class EventLoop {
   const IoBackend& io_backend() const { return *backend_; }
   IoBackendKind io_backend_kind() const { return backend_->kind(); }
 
-  // Multiplexing cost: epoll_wait calls made by run(). Identical in kind
+  // Multiplexing cost: epoll waits made by run(). Identical in kind
   // under both backends, so it is reported separately from the backend's
   // data-plane submit_syscalls.
   std::uint64_t wait_syscalls() const {
     return wait_syscalls_.load(std::memory_order_relaxed);
   }
   // Time the loop thread spent executing callbacks/timers/posted tasks (not
-  // blocked in epoll_wait). The "bounded loop-thread time" metric for
+  // blocked in the epoll wait). The "bounded loop-thread time" metric for
   // committee-scale smoke tests.
   TimeMicros busy_micros() const { return busy_micros_.load(std::memory_order_relaxed); }
 
@@ -99,13 +108,18 @@ class EventLoop {
  private:
   void drain_posted();
   void fire_due_timers();
-  int next_timeout_ms() const;
+  // Until the earliest timer is due, capped at 100 ms.
+  TimeMicros next_timeout_micros() const;
+  // Blocks for events until the earliest timer is due: one epoll_pwait2
+  // with a nanosecond timeout (epoll_wait on kernels without it).
+  int wait(epoll_event* events, int capacity);
 
   std::unique_ptr<IoBackend> backend_;
   std::atomic<std::uint64_t> wait_syscalls_{0};
   std::atomic<TimeMicros> busy_micros_{0};
   TickObserver tick_observer_;
 
+  bool precise_wait_ = true;  // epoll_pwait2 is available
   int epoll_fd_ = -1;
   int wakeup_fd_ = -1;
   std::atomic<bool> running_{false};

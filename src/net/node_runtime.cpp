@@ -187,6 +187,7 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
     }
   };
   env.post = [this](std::function<void()> task) { loop_.post(std::move(task)); };
+  env.wake_at = [this](TimeMicros deadline) { wake_at(deadline); };
   pipeline_ = std::make_unique<NodePipeline>(
       committee_, key, config_.validator, registry_, std::move(env),
       NodePipeline::Observers{&tracer_, &forensics_, &recorder_, /*core_metrics=*/true},
@@ -779,6 +780,14 @@ void NodeRuntime::tick() {
     offer_latest_block(kAllPeers);
   }
   loop_.schedule(config_.tick_interval, [this] { tick(); });
+}
+
+void NodeRuntime::wake_at(TimeMicros deadline) {
+  if (wake_timer_ != 0) loop_.cancel_timer(wake_timer_);
+  wake_timer_ = loop_.schedule(deadline - steady_now_micros(), [this] {
+    wake_timer_ = 0;
+    pipeline_->on_tick();
+  });
 }
 
 void NodeRuntime::submit(std::vector<TxBatch> batches) {

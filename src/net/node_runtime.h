@@ -120,6 +120,9 @@ struct NodeRuntimeConfig {
   // older binary) makes construction throw rather than start from an empty
   // log and re-propose rounds.
   std::string wal_path;
+  // Paces fetch retries and anti-entropy only: proposals fire at the
+  // pacing floor's deadline (ValidatorCore::proposal_deadline) or at an
+  // input, never waiting for a tick.
   TimeMicros tick_interval = millis(50);
   TimeMicros dial_retry = millis(200);
   // Anti-entropy: how often to re-offer our latest own block to all peers.
@@ -344,6 +347,9 @@ class NodeRuntime {
     return pipeline_->checkpointer().counters();
   }
   void tick();
+  // Arms the one pacing timer for the core's proposal deadline
+  // (NodePipeline::Env::wake_at), replacing the pending one.
+  void wake_at(TimeMicros deadline);
   // Sends our latest own block to `peer` (all peers when kAllPeers); its
   // parent references let the receiver fetch anything else it is missing.
   static constexpr ValidatorId kAllPeers = ~0u;
@@ -423,6 +429,8 @@ class NodeRuntime {
   std::atomic<bool> start_failed_{false};
   bool ticking_ = false;
   TimeMicros last_resync_ = 0;
+  // The pending pacing timer's id; 0 when none is pending.
+  std::uint64_t wake_timer_ = 0;
 
   obs::Counter* committed_tx_;
   obs::Counter* committed_blocks_;

@@ -107,7 +107,12 @@ struct ValidatorConfig {
   std::size_t execution_threads = 0;
 
   // Minimum spacing between own proposals. 0 = advance as soon as a 2f+1
-  // quorum for the previous round exists (pure asynchronous pace).
+  // quorum for the previous round exists (pure asynchronous pace). A
+  // deadline, not a poll: when it holds back a proposal whose quorum is
+  // ready, ValidatorCore::proposal_deadline says when it expires and the
+  // runtime wakes then (NodePipeline::Env::wake_at). Rounds may still
+  // outpace 1/min_round_delay: a validator whose deadline fires after a
+  // higher quorum formed skips ahead to it.
   TimeMicros min_round_delay = 0;
 
   // Semantic validation toggles (see types/validation.h). The simulator's

@@ -14,7 +14,10 @@ NodePipeline::Counters::Counters(obs::Registry& registry)
       replayed_blocks(&registry.counter("mm_wal_replayed_blocks_total",
                                         "Blocks replayed from the WAL at recovery")),
       submit_rejected(&registry.counter("mm_submit_rejected_total",
-                                        "Client batches the mempool rejected at admit()")) {}
+                                        "Client batches the mempool rejected at admit()")),
+      proposal_wake_lateness(&registry.histogram(
+          "mm_proposal_wake_lateness_micros",
+          "Own proposal time minus the pacing deadline, for proposals the floor held back")) {}
 
 NodePipeline::CoreMetrics::CoreMetrics(obs::Registry& registry)
     : highest_round(&registry.gauge("mm_highest_round", "Highest round in the local DAG")),
@@ -129,6 +132,10 @@ void NodePipeline::perform(Actions&& actions) {
   // proposals are among the blocks appended above, so the ack costs no
   // second sync.
   if (!actions.broadcast.empty()) {
+    if (proposal_deadline_) {
+      counters_.proposal_wake_lateness->record(actions.broadcast.front()->created_at() -
+                                               *proposal_deadline_);
+    }
     for (const auto& block : actions.broadcast) {
       if (metrics_) {
         metrics_->block_payload_bytes->record(static_cast<std::int64_t>(block->payload_bytes()));
@@ -162,6 +169,11 @@ void NodePipeline::perform(Actions&& actions) {
   // Skips consume slots without delivering: the head may be past the last
   // committed sub-DAG's boundary.
   checkpointer_->advance(core_->committer().next_pending_slot(), actions);
+  const std::optional<TimeMicros> deadline = core_->proposal_deadline();
+  if (deadline != proposal_deadline_) {
+    proposal_deadline_ = deadline;
+    if (deadline && env_.wake_at) env_.wake_at(*deadline);
+  }
   mirror_core();
 }
 

@@ -29,9 +29,10 @@
 //
 // The dispatch order is fixed: WAL append, broadcast (behind on_durable),
 // fetch requests, fetch responses, commits, horizon notices, checkpoint
-// requests. The append comes first so that every durability gate of the
-// pass covers the pass's own blocks: a group-commit WAL's on_durable covers
-// only records appended before the call. The sends keep one order because
+// requests, then a new proposal deadline to Env::wake_at. The append comes
+// first so that every durability gate of the pass covers the pass's own
+// blocks: a group-commit WAL's on_durable covers only records appended
+// before the call. The sends keep one order because
 // the simulator draws link latencies from one seeded RNG in send order;
 // reordering them changes every virtual-time result.
 #pragma once
@@ -74,6 +75,11 @@ class NodePipeline {
     std::function<void(const CommittedSubDag&)> replay_commit;
     // Runs a task on the driver's thread.
     std::function<void(std::function<void()>)> post;
+    // Optional: called with ValidatorCore::proposal_deadline whenever a new
+    // one is set. The driver calls on_tick at that instant, so a proposal
+    // the pacing floor held back fires when the floor expires, not at the
+    // next input. Unset, the next input or tick proposes (the simulator).
+    std::function<void(TimeMicros)> wake_at;
   };
 
   // Optional observers; null = unobserved. The simulator observes validator
@@ -118,6 +124,9 @@ class NodePipeline {
     obs::Counter* checkpoint_requests;
     obs::Counter* replayed_blocks;
     obs::Counter* submit_rejected;
+    // Per own proposal the floor held back while its quorum was ready: how
+    // long after the floor released it the proposal fired.
+    obs::Histogram* proposal_wake_lateness;
   };
 
   // `store_dir` empty = no persistence; otherwise the directory holding the
@@ -195,6 +204,8 @@ class NodePipeline {
   std::unique_ptr<Wal> wal_;
   std::optional<CoreMetrics> metrics_;
   std::uint64_t probes_mirrored_ = 0;
+  // The core's proposal deadline as of the last perform().
+  std::optional<TimeMicros> proposal_deadline_;
 };
 
 }  // namespace mahimahi

@@ -368,12 +368,14 @@ void ValidatorCore::maybe_propose(TimeMicros now, Actions& actions) {
   if (target <= last_proposed_round_) return;
   if (last_proposal_time_.has_value() &&
       now - *last_proposal_time_ < config_.min_round_delay) {
+    proposal_deadline_ = *last_proposal_time_ + config_.min_round_delay;
     return;
   }
 
   const BlockPtr block = build_own_block(target, now);
   last_proposed_round_ = target;
   last_proposal_time_ = now;
+  proposal_deadline_.reset();
   own_last_ref_ = block->ref();
   dag_.insert(block);
   note_inserted(block);

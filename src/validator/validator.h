@@ -110,6 +110,11 @@ class ValidatorCore {
   const CommitterBase& committer() const { return *committer_; }
   const ValidatorConfig& config() const { return config_; }
   Round last_proposed_round() const { return last_proposed_round_; }
+  // When the min_round_delay floor holds back a proposal whose 2f+1 quorum
+  // is already in: the instant the floor releases it. Empty otherwise, and
+  // cleared by the proposal. A driver that calls on_tick at this instant
+  // proposes on time instead of at its next input.
+  std::optional<TimeMicros> proposal_deadline() const { return proposal_deadline_; }
   // Is this block in the DAG, parked in the synchronizer, or below the GC
   // horizon (history it will never admit)? Ingestion drops such blocks, and
   // drivers may too ("safe to drop re-deliveries").
@@ -180,6 +185,8 @@ class ValidatorCore {
   // (rather than a 0 sentinel) so a proposal made at t=0 still arms the
   // min_round_delay pacing gate.
   std::optional<TimeMicros> last_proposal_time_;
+  // See proposal_deadline().
+  std::optional<TimeMicros> proposal_deadline_;
   // Our latest proposal, by identity only: the next proposal's first parent
   // (§2.3). A ref, so an idle observer or a stalled proposer pins no block.
   BlockRef own_last_ref_;

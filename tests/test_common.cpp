@@ -63,6 +63,39 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc32_finish(state), crc32({data.data(), data.size()}));
 }
 
+// The bytewise reference the sliced kernel must match bit for bit: WAL
+// segments, checkpoints, deltas and certificates written by any version stay
+// readable.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t state = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    state ^= data[i];
+    for (int k = 0; k < 8; ++k) state = (state & 1) ? 0xedb88320u ^ (state >> 1) : state >> 1;
+  }
+  return state ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtAnyLengthAlignmentAndSplit) {
+  Rng rng(42);
+  Bytes buffer(4096 + 16);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next_u64());
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t offset = rng.uniform(16);
+    const std::size_t size = rng.uniform(4097);
+    const std::uint8_t* data = buffer.data() + offset;
+    const std::uint32_t expected = reference_crc32(data, size);
+    ASSERT_EQ(crc32({data, size}), expected) << "size " << size << " offset " << offset;
+    // Random incremental split points.
+    std::uint32_t state = crc32_init();
+    for (std::size_t at = 0; at < size;) {
+      const std::size_t take = rng.uniform(size - at) + 1;
+      state = crc32_update(state, {data + at, take});
+      at += take;
+    }
+    ASSERT_EQ(crc32_finish(state), expected) << "size " << size << " offset " << offset;
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlips) {
   Bytes data = to_bytes("some WAL record payload");
   const std::uint32_t original = crc32({data.data(), data.size()});

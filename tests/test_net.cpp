@@ -247,6 +247,37 @@ TEST(EventLoop, LoopThreadPostsRunBeforeTheLoopBlocks) {
   EXPECT_EQ(timer_post_waits, timer_waits);
 }
 
+TEST(EventLoop, TimersFireAtTheirDueMicrosecond) {
+  // Back-to-back 3.3 ms timers: none fires early, and the loop does not
+  // round the wait up to whole milliseconds (that would make each one at
+  // least 0.7 ms late).
+  EventLoop loop;
+  std::thread runner([&] { loop.run(); });
+  constexpr std::size_t kTimers = 50;
+  const TimeMicros delay = 3300;
+  std::vector<TimeMicros> lateness;  // touched on the loop thread only
+  std::atomic<bool> done{false};
+  std::function<void()> arm = [&] {
+    const TimeMicros due = steady_now_micros() + delay;
+    loop.schedule(delay, [&, due] {
+      lateness.push_back(steady_now_micros() - due);
+      if (lateness.size() == kTimers) {
+        done = true;
+      } else {
+        arm();
+      }
+    });
+  };
+  loop.post(arm);
+  const bool finished = wait_for([&] { return done.load(); });
+  loop.stop();
+  runner.join();
+  ASSERT_TRUE(finished);
+  for (const TimeMicros late : lateness) EXPECT_GE(late, 0) << "a timer fired early";
+  std::sort(lateness.begin(), lateness.end());
+  EXPECT_LT(lateness[kTimers / 2], 500) << "median lateness in µs";
+}
+
 TEST(WorkerPool, ZeroThreadsRunTasksOnTheCallerUntilStopped) {
   WorkerPool pool(0);
   EXPECT_EQ(pool.thread_count(), 0u);
@@ -540,7 +571,7 @@ class TcpClusterTest : public ::testing::Test {
     config.validator.wal_segment_bytes = 64 * 1024;
     config.validator.min_round_delay = min_round_delay_;
     config.peers = addresses_;
-    config.tick_interval = millis(10);
+    config.tick_interval = tick_interval_;
     config.wal_path = wal_path;
     config.verify_threads = verify_threads_;
     config.validator.signature_cache = shared_cache_;
@@ -560,6 +591,7 @@ class TcpClusterTest : public ::testing::Test {
   Round gc_depth_ = 0;
   Round checkpoint_interval_ = 0;
   TimeMicros min_round_delay_ = millis(5);
+  TimeMicros tick_interval_ = millis(10);
   // Write-side knob: the group-commit WAL writer thread.
   bool wal_group_commit_ = false;
   // Execution engine (off by default); threads > 0 runs its merge thread.
@@ -651,6 +683,28 @@ TEST_F(TcpClusterTest, FourNodesCommitTransactions) {
     // committee commits leaders directly.
     EXPECT_GT(node->metrics_registry().dump().gauge_value("mm_slot_direct_commits"), 0)
         << "node " << node->id();
+  }
+}
+
+// Proposals fire when the pacing floor expires, not at the next tick: an
+// idle committee whose ticks are a second apart still runs at the floor's
+// pace, and the median paced proposal fires within a millisecond of its
+// deadline.
+TEST_F(TcpClusterTest, IdleClusterRunsAtTheFloorNotTheTick) {
+  tick_interval_ = millis(1000);
+  min_round_delay_ = millis(20);
+  auto nodes = start_cluster();
+  ASSERT_TRUE(wait_for([&] { return nodes[0]->highest_round() >= 2; }));
+  const Round start = nodes[0]->highest_round();
+  std::this_thread::sleep_for(2s);
+  const Round reached = nodes[0]->highest_round();
+  for (auto& node : nodes) node->stop();
+  EXPECT_GE(reached - start, 40u) << "rounds in 2 s";
+  for (const auto& node : nodes) {
+    const obs::HistogramSnapshot lateness =
+        node->metrics_registry().dump().histogram("mm_proposal_wake_lateness_micros");
+    EXPECT_GE(lateness.count(), 20u) << "node " << node->id();
+    EXPECT_LE(lateness.percentile(0.5), 1023u) << "node " << node->id();
   }
 }
 

@@ -13,7 +13,9 @@
 //     the restarted validator re-proposes nothing;
 //   * the input doors: a block failing the screen (signature or shape) never
 //     reaches the log, a fully rejected screened batch still counts, admit()
-//     counts rejects.
+//     counts rejects;
+//   * pacing: a proposal deadline reaches Env::wake_at once, after the
+//     pass's sends, and the proposal it releases records its lateness.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -82,6 +84,7 @@ class PipelineTest : public ::testing::Test {
     config.id = 0;
     config.committer = mahi_mahi_5(1);
     config.byzantine_equivocate = equivocate;
+    config.min_round_delay = min_round_delay_;
     NodePipeline::Env env;
     env.now = [this] { return now_; };
     env.broadcast = [this](const std::vector<BlockPtr>& group) {
@@ -104,6 +107,9 @@ class PipelineTest : public ::testing::Test {
       events_.push_back("commit");
     };
     env.replay_commit = [](const CommittedSubDag&) {};
+    env.wake_at = [this](TimeMicros deadline) {
+      events_.push_back("wake " + std::to_string(deadline));
+    };
     return std::make_unique<NodePipeline>(setup_.committee, setup_.keypairs[0].private_key,
                                           config, registry_, std::move(env),
                                           NodePipeline::Observers{}, store_dir);
@@ -151,6 +157,7 @@ class PipelineTest : public ::testing::Test {
   Events events_;
   std::vector<BlockPtr> broadcast_;
   TimeMicros now_ = 0;
+  TimeMicros min_round_delay_ = 0;
 };
 
 TEST_F(PipelineTest, OwnProposalBroadcastsOnlyAfterItsAppendIsDurable) {
@@ -314,6 +321,39 @@ TEST_F(PipelineTest, AdmitCountsMempoolRejects) {
   ASSERT_EQ(broadcast_.size(), 1u);
   ASSERT_EQ(broadcast_[0]->batches().size(), 1u);
   EXPECT_EQ(broadcast_[0]->batches()[0].id, 9u);
+}
+
+TEST_F(PipelineTest, ProposalDeadlineWakesOnceAndRecordsLateness) {
+  min_round_delay_ = millis(20);
+  auto pipeline = make_pipeline();
+  start(*pipeline, /*inline_acks=*/true);
+  pipeline->on_tick();  // round 1: the first proposal is never held
+  ASSERT_EQ(broadcast_.size(), 1u);
+
+  // The round-1 quorum completes inside the floor: one wake-up for the
+  // instant the floor expires, after the pass's own work.
+  events_.clear();
+  now_ = millis(1);
+  pipeline->on_blocks({{round1_block(*pipeline, 1, 1), 1}, {round1_block(*pipeline, 2, 2), 2}});
+  EXPECT_EQ(events_, (Events{"append", "append", "wake 20000"}));
+  EXPECT_EQ(pipeline->core().proposal_deadline(), millis(20));
+
+  // An unchanged deadline is not handed over again.
+  events_.clear();
+  now_ = millis(2);
+  pipeline->on_blocks({{round1_block(*pipeline, 3, 3), 3}});
+  EXPECT_EQ(events_, (Events{"append"}));
+
+  // The wake-up 30 µs late: the held proposal fires and records it.
+  now_ = millis(20) + 30;
+  pipeline->on_tick();
+  ASSERT_EQ(broadcast_.size(), 2u);
+  EXPECT_EQ(broadcast_[1]->round(), 2u);
+  EXPECT_FALSE(pipeline->core().proposal_deadline().has_value());
+  const obs::HistogramSnapshot lateness =
+      registry_.histogram("mm_proposal_wake_lateness_micros").snapshot();
+  EXPECT_EQ(lateness.count(), 1u);
+  EXPECT_EQ(lateness.sum, 30u);
 }
 
 }  // namespace

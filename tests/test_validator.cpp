@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <queue>
 
+#include "common/rng.h"
 #include "sim/dag_builder.h"
 #include "types/validation.h"
 #include "validator/pipeline.h"
@@ -325,20 +328,100 @@ TEST_F(ValidatorTest, MinRoundDelayPacesProposals) {
   config.min_round_delay = millis(100);
   ValidatorCore validator(setup_.committee, setup_.keypairs[0].private_key, config);
   EXPECT_EQ(validator.on_tick(0).broadcast.size(), 1u);  // first proposal free
+  EXPECT_FALSE(validator.proposal_deadline().has_value()) << "nothing is held back";
 
   // Deliver a full round-1 quorum: proposal for round 2 must wait for the
-  // pacing delay.
-  auto v1 = make_validator(1);
-  auto v2 = make_validator(2);
-  auto v3 = make_validator(3);
-  validator.on_block(v1->on_tick(0).broadcast[0], 1, millis(10));
-  validator.on_block(v2->on_tick(0).broadcast[0], 2, millis(11));
-  const Actions quorum = validator.on_block(v3->on_tick(0).broadcast[0], 3, millis(12));
+  // pacing delay, and the core names the instant it may fire.
+  const BlockPtr b1 = make_validator(1)->on_tick(0).broadcast.at(0);
+  const BlockPtr b2 = make_validator(2)->on_tick(0).broadcast.at(0);
+  const BlockPtr b3 = make_validator(3)->on_tick(0).broadcast.at(0);
+  validator.on_block(b1, 1, millis(10));
+  EXPECT_FALSE(validator.proposal_deadline().has_value()) << "no round-1 quorum yet";
+  validator.on_block(b2, 2, millis(11));
+  EXPECT_EQ(validator.proposal_deadline(), millis(100)) << "quorum ready, floor holds";
+  const Actions quorum = validator.on_block(b3, 3, millis(12));
   EXPECT_TRUE(quorum.broadcast.empty()) << "paced: too early to propose round 2";
-  EXPECT_TRUE(validator.on_tick(millis(50)).broadcast.empty());
-  const Actions after_delay = validator.on_tick(millis(101));
-  ASSERT_EQ(after_delay.broadcast.size(), 1u);
-  EXPECT_EQ(after_delay.broadcast[0]->round(), 2u);
+  EXPECT_TRUE(validator.on_tick(millis(100) - 1).broadcast.empty());
+  EXPECT_EQ(validator.proposal_deadline(), millis(100));
+  const Actions at_deadline = validator.on_tick(millis(100));
+  ASSERT_EQ(at_deadline.broadcast.size(), 1u);
+  EXPECT_EQ(at_deadline.broadcast[0]->round(), 2u);
+  EXPECT_FALSE(validator.proposal_deadline().has_value()) << "cleared by the proposal";
+}
+
+TEST_F(ValidatorTest, DeadlineWakeUpsNeverBreakTheFloor) {
+  // Four cores in virtual time, woken exactly at their proposal deadlines,
+  // with random starts and link delays that stagger the deadlines. Every
+  // held proposal fires at its deadline, and no two own proposals are
+  // closer than the floor, skip-ahead included.
+  const TimeMicros floor = millis(20);
+  std::vector<std::unique_ptr<ValidatorCore>> nodes;
+  for (ValidatorId v = 0; v < 4; ++v) {
+    ValidatorConfig config = config_for(v);
+    config.min_round_delay = floor;
+    nodes.push_back(std::make_unique<ValidatorCore>(
+        setup_.committee, setup_.keypairs[v].private_key, config));
+  }
+  struct Event {
+    TimeMicros at;
+    std::uint64_t seq;
+    ValidatorId to;
+    BlockPtr block;  // null: a wake-up at `to`'s deadline
+    ValidatorId from = 0;
+    bool operator>(const Event& other) const {
+      return at != other.at ? at > other.at : seq > other.seq;
+    }
+  };
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  std::uint64_t seq = 0;
+  Rng rng(11);
+  std::vector<std::vector<TimeMicros>> proposed_at(4);
+  std::vector<std::optional<TimeMicros>> armed(4);
+  std::uint64_t wakes_that_proposed = 0;
+
+  const auto handle = [&](ValidatorId v, TimeMicros now, const Actions& actions) {
+    for (const auto& block : actions.broadcast) {
+      proposed_at[v].push_back(now);
+      for (ValidatorId to = 0; to < 4; ++to) {
+        if (to == v) continue;
+        const TimeMicros delay = static_cast<TimeMicros>(rng.uniform(millis(30)));
+        events.push(Event{now + delay, seq++, to, block, v});
+      }
+    }
+    const std::optional<TimeMicros> deadline = nodes[v]->proposal_deadline();
+    if (deadline) {
+      EXPECT_GT(*deadline, now) << "a deadline is always in the future when set";
+      if (deadline != armed[v]) events.push(Event{*deadline, seq++, v, nullptr});
+    }
+    armed[v] = deadline;
+  };
+  for (ValidatorId v = 0; v < 4; ++v) {
+    const TimeMicros start = static_cast<TimeMicros>(rng.uniform(millis(10)));
+    handle(v, start, nodes[v]->on_tick(start));
+  }
+  while (!events.empty()) {
+    const Event event = events.top();
+    events.pop();
+    if (event.at > millis(1000)) break;
+    if (event.block != nullptr) {
+      handle(event.to, event.at, nodes[event.to]->on_block(event.block, event.from, event.at));
+      continue;
+    }
+    const bool due = nodes[event.to]->proposal_deadline() == event.at;
+    const Actions actions = nodes[event.to]->on_tick(event.at);
+    if (due) {
+      EXPECT_FALSE(actions.broadcast.empty()) << "v" << event.to << " slept through its deadline";
+      wakes_that_proposed += !actions.broadcast.empty();
+    }
+    handle(event.to, event.at, actions);
+  }
+  EXPECT_GT(wakes_that_proposed, 40u);
+  for (ValidatorId v = 0; v < 4; ++v) {
+    EXPECT_GT(proposed_at[v].size(), 30u) << "v" << v;
+    for (std::size_t i = 1; i < proposed_at[v].size(); ++i) {
+      EXPECT_GE(proposed_at[v][i] - proposed_at[v][i - 1], floor) << "v" << v << " proposal " << i;
+    }
+  }
 }
 
 TEST_F(ValidatorTest, EquivocatorProducesTwins) {
