@@ -1,27 +1,17 @@
-// I/O-plane comparison: the same 11-validator loopback TCP committee — group
-// commit + fsync WAL, verification inline on the loop thread — run once per
-// backend, measured in SYSCALLS PER COMMITTED BLOCK rather than wall time.
+// I/O-plane cost: an 11-validator loopback TCP committee — group commit +
+// fsync WAL, verification inline on the loop thread — measured in SYSCALLS
+// PER COMMITTED BLOCK rather than wall time.
 //
-// Wall time on a loopback cluster mostly measures the scheduler; what the
-// io_uring plane actually changes is how many kernel entries each committed
-// block costs. The counters here come straight from the runtime's own
-// accounting (NodeRuntime::io_plane_report):
+// Wall time on a loopback cluster mostly measures the scheduler; the kernel
+// entries each committed block costs are a stable unit. The counters here
+// come straight from the runtime's own accounting
+// (NodeRuntime::io_plane_report):
 //
-//   NetSyscallsPerBlock  data-plane entries — one recv/sendmsg per readiness
-//                        event on epoll, one io_uring_enter per loop tick
-//                        (covering every send, recv re-arm and cancel the
-//                        tick produced) on uring;
-//   WalSyscallsPerBlock  group-flush entries on the WAL writer thread —
-//                        write + fsync classically, one linked write→fsync
-//                        submission with the WAL ring;
+//   NetSyscallsPerBlock  data-plane entries: one recv/sendmsg per call made
+//                        on epoll readiness;
+//   WalSyscallsPerBlock  group-flush entries on the WAL writer thread: one
+//                        write + one fsync per group;
 //   SyscallsPerBlock     the sum, the headline metric.
-//
-// Entries: BM_IoPlaneClusterEpoll always; BM_IoPlaneClusterUring only where
-// the kernel supports io_uring (registered from main(), so no skipped-entry
-// noise in the JSON). CI diffs the two with
-//   scripts/check_bench.py --compare SyscallsPerBlock Epoll Uring
-// which fails the push if the uring plane ever costs more syscalls per
-// committed block than epoll.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -32,7 +22,6 @@
 #include <vector>
 
 #include "core/options.h"
-#include "net/io_backend.h"
 #include "net/node_runtime.h"
 #include "types/committee.h"
 
@@ -51,8 +40,8 @@ std::string bench_dir(const char* tag) {
       .string();
 }
 
-void io_plane_cluster_bench(benchmark::State& state, IoBackendKind kind) {
-  const std::string dir = bench_dir(to_string(kind));
+void BM_IoPlaneCluster(benchmark::State& state) {
+  const std::string dir = bench_dir("cluster");
   for (auto _ : state) {
     fs::remove_all(dir);
     fs::create_directories(dir);
@@ -89,16 +78,10 @@ void io_plane_cluster_bench(benchmark::State& state, IoBackendKind kind) {
       config.wal_path = dir + "/v" + std::to_string(v) + ".wal";
       config.tick_interval = millis(10);
       config.verify_threads = 0;
-      config.io_backend = kind;
       nodes.push_back(std::make_unique<NodeRuntime>(
           setup.committee, setup.keypairs[v].private_key, config));
     }
     for (auto& node : nodes) node->start();
-    if (nodes[0]->io_backend_kind() != kind) {
-      state.SkipWithError("requested backend did not materialize");
-      for (auto& node : nodes) node->stop();
-      break;
-    }
     TxBatch batch;
     batch.id = 7;
     batch.count = 10;
@@ -122,13 +105,11 @@ void io_plane_cluster_bench(benchmark::State& state, IoBackendKind kind) {
     std::uint64_t net_syscalls = 0;
     std::uint64_t wal_syscalls = 0;
     std::uint64_t blocks = 0;
-    bool ring_active = true;
     for (auto& node : nodes) {
       const auto report = node->io_plane_report();
       net_syscalls += report.submit_syscalls;
       wal_syscalls += report.wal_flush_syscalls;
       blocks += node->committed_blocks();
-      ring_active = ring_active && report.wal_ring_active;
     }
     for (auto& node : nodes) node->stop();
     nodes.clear();
@@ -145,32 +126,12 @@ void io_plane_cluster_bench(benchmark::State& state, IoBackendKind kind) {
         static_cast<double>(wal_syscalls) / static_cast<double>(blocks);
     state.counters["SyscallsPerBlock"] =
         static_cast<double>(net_syscalls + wal_syscalls) / static_cast<double>(blocks);
-    state.counters["WalRingActive"] =
-        kind == IoBackendKind::kUring && ring_active ? 1.0 : 0.0;
     state.SetItemsProcessed(static_cast<std::int64_t>(blocks));
   }
 }
 
-void BM_IoPlaneClusterEpoll(benchmark::State& state) {
-  io_plane_cluster_bench(state, IoBackendKind::kEpoll);
-}
-BENCHMARK(BM_IoPlaneClusterEpoll)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_IoPlaneClusterUring(benchmark::State& state) {
-  io_plane_cluster_bench(state, IoBackendKind::kUring);
-}
+BENCHMARK(BM_IoPlaneCluster)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (uring_backend_available()) {
-    benchmark::RegisterBenchmark("BM_IoPlaneClusterUring", BM_IoPlaneClusterUring)
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -27,11 +27,7 @@
 // reports SyscallsPerRecord — kernel entries spent making records durable
 // (SegmentedWal::syscalls, which counts sync() and group flushes alike),
 // divided by records landed. Inline fsync pays 2 per burst on the appender;
-// group commit pays 2 per GROUP on the writer thread; the
-// ring-backed variant (BM_WalGroupDurableFsyncUring, registered only where
-// the kernel supports io_uring) pays 1 linked write→fsync submission per
-// group. scripts/check_bench.py --compare gates the uring column against the
-// classic one.
+// group commit pays 2 per GROUP (write + fsync) on the writer thread.
 //
 //   BM_Crc32                 the record-framing checksum alone, in bytes/s:
 //                            every WAL record, checkpoint and delta cut is
@@ -47,7 +43,6 @@
 #include "types/committee.h"
 #include "wal/group_commit_wal.h"
 #include "wal/segmented_wal.h"
-#include "wal/wal_ring.h"
 
 namespace {
 
@@ -172,22 +167,16 @@ void BM_WalAppendGroupCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_WalAppendGroupCommit)->ArgName("burst")->Arg(1)->Arg(8)->Arg(64);
 
-void group_durable_bench(benchmark::State& state, bool fsync, bool use_uring) {
+void group_durable_bench(benchmark::State& state, bool fsync) {
   const std::size_t burst = static_cast<std::size_t>(state.range(0));
-  const std::string path = bench_wal_path(
-      use_uring ? "durable_uring" : (fsync ? "durable_fsync" : "durable"));
+  const std::string path = bench_wal_path(fsync ? "durable_fsync" : "durable");
   std::filesystem::remove_all(path);
   GroupCommitWalOptions options;
   options.flush_interval = 0;
-  options.use_io_uring = use_uring;
   auto make_wal = [&] {
     return std::make_unique<GroupCommitWal>(open_log(path, fsync), options);
   };
   auto wal = make_wal();
-  if (use_uring && !wal->wal_ring_active()) {
-    state.SkipWithError("WAL ring did not come up despite runtime support probe");
-    return;
-  }
   std::uint64_t bursts = 0;
   std::uint64_t groups = 0;
   std::uint64_t flush_syscalls = 0;
@@ -222,7 +211,7 @@ void group_durable_bench(benchmark::State& state, bool fsync, bool use_uring) {
 }
 
 void BM_WalGroupDurableLatency(benchmark::State& state) {
-  group_durable_bench(state, /*fsync=*/false, /*use_uring=*/false);
+  group_durable_bench(state, /*fsync=*/false);
 }
 BENCHMARK(BM_WalGroupDurableLatency)->ArgName("burst")->Arg(1)->Arg(8)->Arg(64);
 
@@ -230,17 +219,9 @@ BENCHMARK(BM_WalGroupDurableLatency)->ArgName("burst")->Arg(1)->Arg(8)->Arg(64);
 // latency falls ~linearly with burst size, versus BM_WalAppendInlineFsync
 // which pays the device each time the appender syncs.
 void BM_WalGroupDurableFsync(benchmark::State& state) {
-  group_durable_bench(state, /*fsync=*/true, /*use_uring=*/false);
+  group_durable_bench(state, /*fsync=*/true);
 }
 BENCHMARK(BM_WalGroupDurableFsync)->ArgName("burst")->Arg(1)->Arg(8)->Arg(64);
-
-// Same workload landed through the WAL submission ring: one linked
-// write→fsync io_uring pair per group. Registered from main() only where the
-// kernel supports io_uring, so the JSON never carries a skipped entry on
-// hosts (or CI runners) that refuse rings.
-void BM_WalGroupDurableFsyncUring(benchmark::State& state) {
-  group_durable_bench(state, /*fsync=*/true, /*use_uring=*/true);
-}
 
 void BM_Crc32(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)));
@@ -253,18 +234,4 @@ BENCHMARK(BM_Crc32)->Arg(1048576);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (mahimahi::WalUring::supported()) {
-    benchmark::RegisterBenchmark("BM_WalGroupDurableFsyncUring",
-                                 BM_WalGroupDurableFsyncUring)
-        ->ArgName("burst")
-        ->Arg(1)
-        ->Arg(8)
-        ->Arg(64);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -2,11 +2,10 @@
 //
 // The CI-facing cousin of tcp_cluster.cpp: everything is env-parameterized
 // so the nightly workflow can run the same binary at shapes a per-push job
-// cannot afford (50 validators, both I/O backends) without a rebuild:
+// cannot afford (50 validators) without a rebuild:
 //
 //   MAHIMAHI_SMOKE_VALIDATORS  committee size                (default 4)
 //   MAHIMAHI_SMOKE_SECONDS     load duration in seconds      (default 10)
-//   MAHIMAHI_SMOKE_BACKEND     epoll | uring | auto          (default auto)
 //   MAHIMAHI_SMOKE_EXECUTE     1 = execution engine on: real KV batches,
 //                              execute_app                   (default 0)
 //   MAHIMAHI_SMOKE_EXEC_THREADS  the engine's execution_threads; 0 = the
@@ -16,17 +15,13 @@
 //
 // Exit 0 only when every validator committed transactions; with
 // MAHIMAHI_SMOKE_EXECUTE also when every validator executed commands with
-// zero declared-access violations. An explicit uring request on a kernel
-// without rings falls back to epoll (the runtime warns); the resolved
-// backend per validator 0 is printed so the nightly log shows what actually
-// ran.
+// zero declared-access violations.
 //
 // Build & run:  ./build/cluster_smoke
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -49,29 +44,12 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return (end != nullptr && *end == '\0') ? value : fallback;
 }
 
-IoBackendKind env_backend() {
-  const char* raw = std::getenv("MAHIMAHI_SMOKE_BACKEND");
-  const std::string value = raw == nullptr ? "auto" : raw;
-  if (value == "epoll") return IoBackendKind::kEpoll;
-  if (value == "uring") return IoBackendKind::kUring;
-  return IoBackendKind::kAuto;
-}
-
-const char* backend_name(IoBackendKind kind) {
-  switch (kind) {
-    case IoBackendKind::kEpoll: return "epoll";
-    case IoBackendKind::kUring: return "uring";
-    default: return "auto";
-  }
-}
-
 }  // namespace
 
 int main() {
   const auto n = static_cast<std::uint32_t>(env_u64("MAHIMAHI_SMOKE_VALIDATORS", 4));
   const auto seconds = env_u64("MAHIMAHI_SMOKE_SECONDS", 10);
   const bool execute = env_u64("MAHIMAHI_SMOKE_EXECUTE", 0) != 0;
-  const IoBackendKind backend = env_backend();
   const char* metrics_path = std::getenv("MAHIMAHI_SMOKE_METRICS");
 
   auto setup = Committee::make_test(n);
@@ -102,14 +80,12 @@ int main() {
       config.validator.execution_threads =
           static_cast<std::size_t>(env_u64("MAHIMAHI_SMOKE_EXEC_THREADS", 1));
     }
-    config.io_backend = backend;
     config.peers = addresses;
     nodes.push_back(std::make_unique<NodeRuntime>(
         setup.committee, setup.keypairs[v].private_key, config));
   }
   for (auto& node : nodes) node->start();
-  std::printf("cluster_smoke: %u validators, backend %s (resolved %s), %llus%s\n",
-              n, backend_name(backend), backend_name(nodes[0]->io_backend_kind()),
+  std::printf("cluster_smoke: %u validators, %llus%s\n", n,
               static_cast<unsigned long long>(seconds),
               execute ? ", execution on" : "");
 

@@ -26,16 +26,17 @@ gate fails (exit 1) on:
 So a bench that bit-rots into producing garbage — or a CI step whose filter
 matches nothing — fails the push instead of silently uploading junk.
 
---compare is the I/O-plane regression gate: bench_io_plane reports
-SyscallsPerBlock for an epoll and (where the kernel allows) an io_uring run
-of the same cluster, and
+--compare is the regression gate between two series of one run: for
+example bench_micro_crypto reports NsPerByte for sequential BLAKE2b and the
+four-lane BLAKE2bp kernel on one block size, and
 
-    check_bench.py bench_io_plane.json --compare SyscallsPerBlock Epoll Uring
+    check_bench.py bench_micro_crypto.json \
+        --compare NsPerByte BM_Blake2b256/262144 BM_Blake2bp256/262144
 
-fails the push if the uring plane ever costs more syscalls per committed
-block than epoll. When no benchmark matches TEST, the comparison is skipped
-with a note — an epoll-only build (MAHIMAHI_IOURING=OFF, or a kernel that
-refuses rings) is not a regression.
+fails the push if the four-lane kernel ever costs more per byte. When no
+benchmark matches TEST, the comparison is skipped with a note — a series
+that only registers on some hosts (bench_execution's parallel apply needs
+two hardware threads) is not a regression where it is absent.
 
 Usage: check_bench.py FILE.json [--expect NAME_SUBSTRING]...
                       [--compare COUNTER BASE_SUBSTRING TEST_SUBSTRING]...

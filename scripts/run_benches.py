@@ -101,17 +101,14 @@ BENCHES: List[Bench] = [
           filter="BM_CommitBatch", min_time="0.05",
           gate=("--expect", "BM_CommitBatchSerial")),
 
-    # Inline-sync vs group-commit append cost; the ring-backed flush must
-    # never pay more syscalls per record than the classic writer (skipped
-    # where the kernel refuses rings).
+    # Inline-sync vs group-commit append cost, and the durable group
+    # latency with and without fsync.
     Bench(name="wal", binary="bench_wal",
           filter="BM_Wal", min_time="0.05",
           gate=("--expect", "BM_WalAppendInlineSync",
                 "--expect", "BM_WalAppendGroupCommit",
                 "--expect", "BM_WalGroupDurableLatency",
-                "--expect", "BM_WalGroupDurableFsync",
-                "--compare", "SyscallsPerRecord", "BM_WalGroupDurableFsync/",
-                "BM_WalGroupDurableFsyncUring")),
+                "--expect", "BM_WalGroupDurableFsync")),
 
     # Monolithic replay vs checkpoint + segment-suffix, plus catch-up
     # transfer (full-cut re-send vs delta-chain links). The benches fail
@@ -130,12 +127,9 @@ BENCHES: List[Bench] = [
                 "BM_RecoveryCatchupDeltaChain")),
 
     # Syscalls per committed block on a real 11-validator committee
-    # (Iterations(1): one cluster run per backend — no min_time). The uring
-    # plane must never cost more syscalls per block than epoll; the compare
-    # self-skips on epoll-only kernels.
+    # (Iterations(1): one cluster run — no min_time).
     Bench(name="io_plane", binary="bench_io_plane",
-          gate=("--expect", "BM_IoPlaneClusterEpoll",
-                "--compare", "SyscallsPerBlock", "Epoll", "Uring")),
+          gate=("--expect", "BM_IoPlaneCluster")),
 
     # The registry's contract with the pipeline: every record primitive one
     # relaxed atomic add, held under 50 ns single-threaded. (The 8-thread

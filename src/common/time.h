@@ -16,8 +16,8 @@ using TimeMicros = std::int64_t;
 constexpr TimeMicros kMicrosPerMilli = 1000;
 constexpr TimeMicros kMicrosPerSecond = 1000 * 1000;
 
-inline TimeMicros millis(std::int64_t ms) { return ms * kMicrosPerMilli; }
-inline TimeMicros seconds(double s) { return static_cast<TimeMicros>(s * kMicrosPerSecond); }
+constexpr TimeMicros millis(std::int64_t ms) { return ms * kMicrosPerMilli; }
+constexpr TimeMicros seconds(double s) { return static_cast<TimeMicros>(s * kMicrosPerSecond); }
 inline double to_seconds(TimeMicros t) { return static_cast<double>(t) / kMicrosPerSecond; }
 
 // Steady-clock now, for the real (non-simulated) runtime.

@@ -1,9 +1,8 @@
 // Lightweight admin HTTP endpoint on the validator's TCP plane.
 //
 // Serves GET /metrics (Prometheus text format) and GET /metrics.json from
-// the loop thread, over raw-mode TcpConnections — so it works identically
-// under the epoll and io_uring backends, shares the loop's lifecycle, and
-// adds no thread. The HTTP dialect is deliberately minimal: parse the
+// the loop thread, over raw-mode TcpConnections — so it shares the loop's
+// lifecycle and adds no thread. The HTTP dialect is deliberately minimal: parse the
 // request line, ignore headers, answer with Content-Length and
 // Connection: close, wait for the peer to hang up. curl, Prometheus
 // scrapers, and the cluster tests all speak it.

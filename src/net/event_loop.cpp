@@ -14,7 +14,7 @@
 
 namespace mahimahi::net {
 
-EventLoop::EventLoop(IoBackendKind backend) : backend_(make_io_backend(backend)) {
+EventLoop::EventLoop() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw std::runtime_error("epoll_create1 failed");
   wakeup_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -24,8 +24,6 @@ EventLoop::EventLoop(IoBackendKind backend) : backend_(make_io_backend(backend))
     while (::read(wakeup_fd_, &value, sizeof(value)) > 0) {
     }
   });
-  // After the epoll set exists: a completion backend registers its ring fd.
-  backend_->attach(*this);
 }
 
 EventLoop::~EventLoop() {
@@ -150,10 +148,6 @@ void EventLoop::run() {
   ::prctl(PR_SET_TIMERSLACK, 1UL);
   epoll_event events[64];
   while (!stop_requested_.load(std::memory_order_relaxed)) {
-    // Tick boundary: everything the last iteration prepared (sends, recv
-    // re-arms, cancels) goes to the kernel in one batched submission before
-    // the loop blocks. No-op on the readiness backend.
-    backend_->flush();
     const int count = wait(events, 64);
     wait_syscalls_.fetch_add(1, std::memory_order_relaxed);
     if (count < 0 && errno != EINTR) {

@@ -12,18 +12,14 @@
 // NodeRuntime's round-pacing wake-up relies on this: rounding the wait to
 // whole milliseconds would make every paced proposal up to 1 ms late.
 //
-// The loop also owns the I/O backend (io_backend.h) that decides how
-// connection bytes move. epoll stays the multiplexing primitive either
-// way; under the io_uring backend it watches the ring fd instead of the
-// sockets, and the loop flushes the backend's submission queue once per
-// iteration right before blocking — the tick boundary that batches every
-// send/recv prepared this iteration into one kernel entry.
+// Connection bytes move on epoll readiness: each TcpConnection registers its
+// fd here and makes its own recv/sendmsg calls, counting them into the
+// loop's IoPlaneStats.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -31,21 +27,38 @@
 #include <vector>
 
 #include "common/time.h"
-#include "net/io_backend.h"
 
 struct epoll_event;
 
 namespace mahimahi::net {
+
+// Data-plane syscall accounting: kernel entries made for connection bytes
+// vs logical operations completed. Bumped on the loop thread by
+// TcpConnection; relaxed atomics so any thread may read. epoll waits are the
+// loop's multiplexing cost, counted by EventLoop::wait_syscalls instead.
+struct IoPlaneStats {
+  std::atomic<std::uint64_t> submit_syscalls{0};  // recv/sendmsg calls
+  std::atomic<std::uint64_t> send_ops{0};         // gathered sends that moved bytes
+  std::atomic<std::uint64_t> recv_ops{0};         // reads that delivered bytes
+  std::atomic<std::uint64_t> bytes_sent{0};
+  std::atomic<std::uint64_t> bytes_received{0};
+
+  void note_send(std::uint64_t bytes) {
+    send_ops.fetch_add(1, std::memory_order_relaxed);
+    bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void note_recv(std::uint64_t bytes) {
+    recv_ops.fetch_add(1, std::memory_order_relaxed);
+    bytes_received.fetch_add(bytes, std::memory_order_relaxed);
+  }
+};
 
 class EventLoop {
  public:
   using FdCallback = std::function<void(std::uint32_t epoll_events)>;
   using Task = std::function<void()>;
 
-  // `backend` defaults to the classic readiness path so raw loop users (sim,
-  // tools, tests) keep seed behavior; NodeRuntime passes its configured kind
-  // (kAuto resolves to io_uring when the kernel supports it).
-  explicit EventLoop(IoBackendKind backend = IoBackendKind::kEpoll);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -81,15 +94,12 @@ class EventLoop {
 
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
-  // The data-plane backend (never null). Connections route their I/O through
-  // it; kind() tells callers which path is live after kAuto resolution.
-  IoBackend& io_backend() { return *backend_; }
-  const IoBackend& io_backend() const { return *backend_; }
-  IoBackendKind io_backend_kind() const { return backend_->kind(); }
+  // Data-plane counters of the connections on this loop.
+  IoPlaneStats& io_stats() { return io_stats_; }
+  const IoPlaneStats& io_stats() const { return io_stats_; }
 
-  // Multiplexing cost: epoll waits made by run(). Identical in kind
-  // under both backends, so it is reported separately from the backend's
-  // data-plane submit_syscalls.
+  // Multiplexing cost: epoll waits made by run(), reported separately from
+  // the data-plane submit_syscalls.
   std::uint64_t wait_syscalls() const {
     return wait_syscalls_.load(std::memory_order_relaxed);
   }
@@ -114,7 +124,7 @@ class EventLoop {
   // with a nanosecond timeout (epoll_wait on kernels without it).
   int wait(epoll_event* events, int capacity);
 
-  std::unique_ptr<IoBackend> backend_;
+  IoPlaneStats io_stats_;
   std::atomic<std::uint64_t> wait_syscalls_{0};
   std::atomic<TimeMicros> busy_micros_{0};
   TickObserver tick_observer_;

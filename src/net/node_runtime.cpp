@@ -32,6 +32,18 @@ std::size_t ingest_batch_cap(std::size_t max_batch, TimeMicros latency_budget,
 
 namespace {
 
+// Delay before re-dialing a peer whose dial failed or whose connection closed.
+constexpr TimeMicros kDialRetry = millis(200);
+// Bound on frames queued for the verify stage: a peer outrunning
+// verification throughput must not grow the queue without bound. Overflow
+// drops the incoming frame — safe, since anti-entropy re-offers and the
+// synchronizer's fetch path re-deliver anything that matters.
+constexpr std::size_t kMaxPendingVerifyFrames = 10'000;
+// Slots per flight-recorder thread ring (power of two; 32 bytes each).
+constexpr std::size_t kFlightRecRingCapacity = 4096;
+// Recent commit traces kept for /trace/commits (core/commit_trace.h).
+constexpr std::size_t kCommitTraceCapacity = 64;
+
 // A reader past the type byte, which must be `type`'s.
 serde::Reader frame_body(BytesView frame, MessageType type) {
   serde::Reader r(frame);
@@ -87,7 +99,7 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       config_(std::move(config)),
       registry_("validator=\"" + std::to_string(config_.validator.id) + "\""),
       tracer_(registry_),
-      recorder_(obs::FlightRecorder::Options{config_.flightrec_ring_capacity}),
+      recorder_(obs::FlightRecorder::Options{kFlightRecRingCapacity}),
       watchdog_(registry_,
                 obs::LoopWatchdogOptions{
                     .stall_budget = config_.loop_stall_budget,
@@ -95,8 +107,7 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
                                        TimeMicros now) { on_loop_stall(busy, now); }},
                 "v" + std::to_string(config_.validator.id)),
       forensics_(CommitForensics::Options{
-          .trace_capacity = config_.commit_trace_capacity}),
-      loop_(config_.io_backend),
+          .trace_capacity = kCommitTraceCapacity}),
       verify_pool_(config_.verify_threads,
                    "v" + std::to_string(config_.validator.id) + "/wk", &recorder_,
                    "mm-verify"),
@@ -216,9 +227,6 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
       GroupCommitWalOptions wal_options;
       wal_options.flush_interval = config_.validator.wal_flush_interval;
       wal_options.log_context = "v" + std::to_string(id()) + "/wal";
-      // One I/O plane: when the loop's data plane resolved to io_uring, the
-      // WAL writer gets its own ring too (linked write→fsync per group).
-      wal_options.use_io_uring = loop_.io_backend_kind() == IoBackendKind::kUring;
       // Durability acks run on the loop thread: they release gated proposal
       // broadcasts, which touch loop-owned connection state.
       auto group = std::make_unique<GroupCommitWal>(
@@ -236,32 +244,29 @@ NodeRuntime::NodeRuntime(const Committee& committee, crypto::Ed25519PrivateKey k
   }
   pipeline_->start(std::move(wal), segments);
   outgoing_.resize(committee_.size());
-  // Constructor tail: every bespoke-counter source (io backend, mempool,
+  // Constructor tail: every bespoke-counter source (loop I/O stats, mempool,
   // group WAL) now exists, so the scrape-time bridges can bind to them.
   register_callback_metrics();
 }
 
 void NodeRuntime::register_callback_metrics() {
-  // I/O plane: the backend's own atomics stay where they are; dump() reads
+  // I/O plane: the loop's own atomics stay where they are; dump() reads
   // them through these thin callbacks. The io_plane_report() accessor keeps
   // reading the same sources directly, so benches see identical numbers.
-  registry_.counter_fn(
-      "mm_io_submit_syscalls_total",
-      [this] { return loop_.io_backend().stats().submit_syscalls; },
-      "Data-plane kernel entries (recv/sendmsg on epoll, io_uring_enter on uring)");
-  registry_.counter_fn(
-      "mm_io_send_ops_total", [this] { return loop_.io_backend().stats().send_ops; },
-      "Data-plane send operations completed");
-  registry_.counter_fn(
-      "mm_io_recv_ops_total", [this] { return loop_.io_backend().stats().recv_ops; },
-      "Data-plane receive operations completed");
-  registry_.counter_fn(
-      "mm_io_bytes_sent_total", [this] { return loop_.io_backend().stats().bytes_sent; },
-      "Bytes sent on the consensus TCP plane");
-  registry_.counter_fn(
-      "mm_io_bytes_received_total",
-      [this] { return loop_.io_backend().stats().bytes_received; },
-      "Bytes received on the consensus TCP plane");
+  const IoPlaneStats& io = loop_.io_stats();
+  const auto read = [](const std::atomic<std::uint64_t>& counter) {
+    return [&counter] { return counter.load(std::memory_order_relaxed); };
+  };
+  registry_.counter_fn("mm_io_submit_syscalls_total", read(io.submit_syscalls),
+                       "Data-plane kernel entries (recv/sendmsg calls)");
+  registry_.counter_fn("mm_io_send_ops_total", read(io.send_ops),
+                       "Data-plane send operations completed");
+  registry_.counter_fn("mm_io_recv_ops_total", read(io.recv_ops),
+                       "Data-plane receive operations completed");
+  registry_.counter_fn("mm_io_bytes_sent_total", read(io.bytes_sent),
+                       "Bytes sent on the consensus TCP plane");
+  registry_.counter_fn("mm_io_bytes_received_total", read(io.bytes_received),
+                       "Bytes received on the consensus TCP plane");
   registry_.counter_fn(
       "mm_loop_wait_syscalls_total", [this] { return loop_.wait_syscalls(); },
       "epoll_wait multiplexing calls made by the event loop");
@@ -306,11 +311,7 @@ void NodeRuntime::register_callback_metrics() {
     registry_.counter_fn(
         "mm_wal_flush_syscalls_total",
         [this] { return group_wal_->group_flush_syscalls(); },
-        "Kernel entries for group flushes (write+fsync, or one linked uring submit)");
-    registry_.gauge_fn(
-        "mm_wal_ring_active",
-        [this] { return static_cast<std::int64_t>(group_wal_->wal_ring_active() ? 1 : 0); },
-        "1 when the WAL writer flushes through its own io_uring");
+        "Kernel entries for group flushes (write, plus fsync when enabled)");
   }
   if (execution_active()) {
     // Execution engine: stats() copies a mutex-guarded snapshot the merge
@@ -463,7 +464,7 @@ void NodeRuntime::dial_peer(ValidatorId peer) {
   tcp_connect(loop_, address.host, address.port, [this, peer](TcpConnectionPtr connection) {
     if (!loop_.running() && connection == nullptr) return;
     if (connection == nullptr) {
-      loop_.schedule(config_.dial_retry, [this, peer] { dial_peer(peer); });
+      loop_.schedule(kDialRetry, [this, peer] { dial_peer(peer); });
       return;
     }
     outgoing_[peer] = connection;
@@ -471,7 +472,7 @@ void NodeRuntime::dial_peer(ValidatorId peer) {
         [](BytesView) {},  // outgoing connections are send-only
         [this, peer] {
           outgoing_[peer] = nullptr;
-          loop_.schedule(config_.dial_retry, [this, peer] { dial_peer(peer); });
+          loop_.schedule(kDialRetry, [this, peer] { dial_peer(peer); });
         });
     // Identify ourselves.
     serde::Writer w;
@@ -552,7 +553,7 @@ void NodeRuntime::on_peer_frame(ValidatorId peer, const TcpConnection::Frame& fr
         } else {
           raw.buffer.assign(payload.begin(), payload.end());
         }
-        if (!verify_drain_.push_bounded(std::move(raw), config_.max_pending_verify_frames)) {
+        if (!verify_drain_.push_bounded(std::move(raw), kMaxPendingVerifyFrames)) {
           // Overload shedding: anti-entropy and the fetch path re-deliver
           // dropped blocks once the backlog clears.
           verify_frames_dropped_->add();
@@ -689,19 +690,17 @@ IngestStats NodeRuntime::ingest_stats() const {
 
 NodeRuntime::IoPlaneReport NodeRuntime::io_plane_report() const {
   IoPlaneReport report;
-  const IoPlaneStats stats = loop_.io_backend().stats();
-  report.backend = loop_.io_backend().name();
-  report.submit_syscalls = stats.submit_syscalls;
-  report.send_ops = stats.send_ops;
-  report.recv_ops = stats.recv_ops;
-  report.bytes_sent = stats.bytes_sent;
-  report.bytes_received = stats.bytes_received;
+  const IoPlaneStats& io = loop_.io_stats();
+  report.submit_syscalls = io.submit_syscalls.load(std::memory_order_relaxed);
+  report.send_ops = io.send_ops.load(std::memory_order_relaxed);
+  report.recv_ops = io.recv_ops.load(std::memory_order_relaxed);
+  report.bytes_sent = io.bytes_sent.load(std::memory_order_relaxed);
+  report.bytes_received = io.bytes_received.load(std::memory_order_relaxed);
   report.wait_syscalls = loop_.wait_syscalls();
   report.loop_busy_micros = static_cast<std::uint64_t>(loop_.busy_micros());
   if (group_wal_ != nullptr) {
     report.wal_flush_syscalls = group_wal_->group_flush_syscalls();
     report.wal_groups = group_wal_->groups_flushed();
-    report.wal_ring_active = group_wal_->wal_ring_active();
   }
   return report;
 }

@@ -124,7 +124,6 @@ struct NodeRuntimeConfig {
   // pacing floor's deadline (ValidatorCore::proposal_deadline) or at an
   // input, never waiting for a tick.
   TimeMicros tick_interval = millis(50);
-  TimeMicros dial_retry = millis(200);
   // Anti-entropy: how often to re-offer our latest own block to all peers.
   // Broadcasts to a peer whose connection is down are dropped by TCP, so
   // eventual delivery (§2.1, Lemma 9) needs a push-based repair path; the
@@ -135,17 +134,6 @@ struct NodeRuntimeConfig {
   // writes. 0 = a caller-runs pool: the same stages run on the thread that
   // feeds them (the loop thread, or a client's submit() thread).
   std::size_t verify_threads = 2;
-  // Bound on frames queued for the verify stage: a peer outrunning
-  // verification throughput must not grow the queue without bound. Overflow
-  // drops the incoming frame — safe, since anti-entropy re-offers and the
-  // synchronizer's fetch path re-deliver anything that matters.
-  std::size_t max_pending_verify_frames = 10'000;
-  // I/O backend for the event loop's socket data plane AND (via the WAL
-  // writer's own ring) group flushes. kAuto resolves to io_uring when the
-  // kernel supports it and falls back to epoll otherwise — both backends
-  // move byte-identical wire frames and WAL files, so this only changes
-  // syscalls per operation, never behavior.
-  IoBackendKind io_backend = IoBackendKind::kAuto;
   // Admin/metrics HTTP endpoint (GET /metrics Prometheus text, /metrics.json)
   // served from the loop thread on the TCP plane, loopback only. -1 =
   // disabled (default); 0 = bind an ephemeral port (read it back via
@@ -159,10 +147,6 @@ struct NodeRuntimeConfig {
   // writes flightrec-v<id>-<n>.bin there (rate-limited with the stall warn).
   // The recorder itself is always on; empty only disables the stall dumps.
   std::string flightrec_dir;
-  // Slots per flight-recorder thread ring (power of two; 32 bytes each).
-  std::size_t flightrec_ring_capacity = 4096;
-  // Recent commit traces kept for /trace/commits (core/commit_trace.h).
-  std::size_t commit_trace_capacity = 64;
 };
 
 class NodeRuntime {
@@ -237,13 +221,11 @@ class NodeRuntime {
     return group_wal_ ? group_wal_->groups_flushed() : 0;
   }
   // I/O-plane accounting (thread-safe): the syscalls-per-committed-block
-  // numerator. submit_syscalls counts data-plane kernel entries
-  // (recv/sendmsg on epoll, io_uring_enter on uring); wait_syscalls counts
-  // the loop's epoll_wait multiplexing, identical in kind under both
-  // backends; wal_flush_syscalls counts group-flush entries on the WAL
-  // writer thread. Divide by committed_blocks() for the bench metric.
+  // numerator. submit_syscalls counts data-plane recv/sendmsg calls;
+  // wait_syscalls counts the loop's epoll waits; wal_flush_syscalls counts
+  // group-flush writes and fsyncs on the WAL writer thread. Divide by
+  // committed_blocks() for the bench metric.
   struct IoPlaneReport {
-    const char* backend = "";
     std::uint64_t submit_syscalls = 0;
     std::uint64_t send_ops = 0;
     std::uint64_t recv_ops = 0;
@@ -253,10 +235,8 @@ class NodeRuntime {
     std::uint64_t loop_busy_micros = 0;
     std::uint64_t wal_flush_syscalls = 0;
     std::uint64_t wal_groups = 0;
-    bool wal_ring_active = false;
   };
   IoPlaneReport io_plane_report() const;
-  IoBackendKind io_backend_kind() const { return loop_.io_backend_kind(); }
   // Checkpoint subsystem introspection (thread-safe counter reads).
   std::uint64_t checkpoints_written() const { return ckpt_counter().written->value(); }
   // Snapshot catch-ups completed: peer checkpoints verified and installed.
@@ -403,7 +383,7 @@ class NodeRuntime {
   // three single-drain queues feeding it. stop() joins the workers before
   // the loop thread exits, so no drain outlives what it touches.
   WorkerPool verify_pool_;
-  // Bounded by config.max_pending_verify_frames; each pass takes
+  // Bounded by kMaxPendingVerifyFrames; each pass takes
   // ingest_batch_cap() frames.
   SerialDrain<RawFrame> verify_drain_;
   // Unbounded, unlike verify frames: entries are blocks this node itself

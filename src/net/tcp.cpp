@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -25,6 +26,10 @@ namespace {
 constexpr std::size_t kIngressChunkBytes = 64 * 1024;
 // Capacity an idle read buffer may keep between bursts.
 constexpr std::size_t kMaxIdleBufferBytes = 4 * kIngressChunkBytes;
+// Gather cap for one batched sendmsg: a burst of small frames to one peer
+// collapses into one syscall almost regardless of burst size. IOV_MAX is
+// 1024 on Linux; the clamp keeps a pathological libc value off the stack.
+constexpr std::size_t kMaxGatherIovecs = IOV_MAX < 1024 ? IOV_MAX : 1024;
 
 void set_non_blocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -41,10 +46,7 @@ void set_no_delay(int fd) {
 // --- TcpConnection -----------------------------------------------------------
 
 TcpConnection::TcpConnection(EventLoop& loop, int fd)
-    : loop_(loop),
-      backend_(loop.io_backend()),
-      completion_driven_(backend_.completion_driven()),
-      fd_(fd) {
+    : loop_(loop), io_stats_(loop.io_stats()), fd_(fd) {
   set_non_blocking(fd_);
   set_no_delay(fd_);
 }
@@ -62,12 +64,6 @@ void TcpConnection::start(FrameHandler on_frame, CloseHandler on_close) {
   on_close_ = std::move(on_close);
   if (registered_) return;  // re-binding handlers (e.g. after a handshake)
   registered_ = true;
-  if (completion_driven_) {
-    // No epoll registration: the backend arms a multishot recv and delivers
-    // bytes via ingress_bytes(); egress goes through conn_flush().
-    backend_.conn_register(*this);
-    return;
-  }
   auto self = shared_from_this();
   loop_.add_fd(fd_, EPOLLIN, [self](std::uint32_t events) { self->handle_events(events); });
 }
@@ -98,10 +94,10 @@ void TcpConnection::handle_readable() {
   for (;;) {
     const ssize_t received =
         ::recv(fd_, ingress_scratch_.data(), ingress_scratch_.size(), 0);
-    backend_.note_submit_syscalls();
+    io_stats_.submit_syscalls.fetch_add(1, std::memory_order_relaxed);
     if (received > 0) {
       bytes_received_ += static_cast<std::uint64_t>(received);
-      backend_.note_recv_op(static_cast<std::uint64_t>(received));
+      io_stats_.note_recv(static_cast<std::uint64_t>(received));
       append_and_parse(ingress_scratch_.data(), static_cast<std::size_t>(received));
       if (closed()) return;
       continue;
@@ -216,28 +212,6 @@ void TcpConnection::parse_buffered() {
   read_consumed_ = 0;
 }
 
-void TcpConnection::ingress_bytes(const std::uint8_t* data, std::size_t size) {
-  bytes_received_ += size;
-  if (raw_) {
-    if (on_raw_) {
-      const RawHandler handler = on_raw_;
-      handler({data, size});
-    }
-    return;
-  }
-  if (read_buffer_.size() == read_consumed_) {
-    // Fast path: no partial frame buffered — parse straight out of the
-    // backend's buffer and buffer only a trailing fragment, if any.
-    read_buffer_.clear();
-    read_consumed_ = 0;
-    std::size_t offset = 0;
-    if (!parse_frames(data, size, offset)) return;
-    data += offset;
-    size -= offset;
-  }
-  append_and_parse(data, size);
-}
-
 void TcpConnection::send_frame(BytesView payload) {
   send_frame(make_shared_frame(Bytes(payload.begin(), payload.end())));
 }
@@ -249,10 +223,6 @@ void TcpConnection::send_frame(SharedFrame payload) {
   std::memcpy(pending.header.data(), &length, 4);
   pending.payload = std::move(payload);
   write_queue_.push_back(std::move(pending));
-  if (completion_driven_) {
-    backend_.conn_flush(*this);  // arm a send SQE unless one is in flight
-    return;
-  }
   handle_writable();  // opportunistic immediate flush
 }
 
@@ -262,10 +232,6 @@ void TcpConnection::send_raw(SharedFrame payload) {
   pending.header_len = 0;  // no length prefix: bytes go out exactly as given
   pending.payload = std::move(payload);
   write_queue_.push_back(std::move(pending));
-  if (completion_driven_) {
-    backend_.conn_flush(*this);
-    return;
-  }
   handle_writable();
 }
 
@@ -313,8 +279,7 @@ void TcpConnection::handle_writable() {
     // Gather the queue head into one sendmsg: each pending frame contributes
     // its unsent header and payload slices, so a burst of small frames costs
     // one syscall instead of one per frame, and no frame is ever copied into
-    // a connection-private buffer. Capped by the same constant that sizes
-    // the uring backend's send batches.
+    // a connection-private buffer.
     std::array<iovec, kMaxGatherIovecs> iov;
     const std::size_t iov_count = gather_unsent(iov.data(), iov.size());
     if (iov_count == 0) {  // fully-sent head (empty payload edge case)
@@ -326,7 +291,7 @@ void TcpConnection::handle_writable() {
     message.msg_iov = iov.data();
     message.msg_iovlen = iov_count;
     const ssize_t sent = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
-    backend_.note_submit_syscalls();
+    io_stats_.submit_syscalls.fetch_add(1, std::memory_order_relaxed);
     if (sent < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
@@ -334,7 +299,7 @@ void TcpConnection::handle_writable() {
       return;
     }
     if (sent == 0) break;  // defensive: never spin on a zero-byte send
-    backend_.note_send_op(static_cast<std::uint64_t>(sent));
+    io_stats_.note_send(static_cast<std::uint64_t>(sent));
     retire_sent(static_cast<std::size_t>(sent));
   }
   if (write_queue_.empty()) {
@@ -359,13 +324,7 @@ void TcpConnection::close() {
   // function returns. In the destructor path the lock yields nullptr, but
   // handlers are already cleared there.
   const TcpConnectionPtr guard = weak_from_this().lock();
-  if (completion_driven_ && registered_) {
-    // Before the fd goes away: cancels the multishot recv and, if a send is
-    // still in flight, adopts the write queue until its completion lands.
-    backend_.conn_unregister(*this);
-  } else if (!completion_driven_ && registered_) {
-    loop_.remove_fd(fd_);
-  }
+  if (registered_) loop_.remove_fd(fd_);
   ::close(fd_);
   fd_ = -1;
   if (on_close_) {

@@ -4,13 +4,10 @@
 // a message type (see node_runtime.h). Connections buffer partial reads and
 // writes; oversized frames kill the connection (peer protocol violation).
 //
-// A connection moves its bytes through the loop's IoBackend. On the classic
-// epoll backend it registers its fd and makes its own recv/sendmsg syscalls
-// on readiness; on the io_uring backend it registers with the backend
-// instead, which arms a multishot recv and drains the write queue via send
-// SQEs — the connection then only parses ingress bytes handed to it and
-// exposes its queue through the gather/retire API below. Both paths emit
-// byte-identical wire frames.
+// A connection registers its fd with the loop's epoll set and makes its own
+// recv/sendmsg syscalls on readiness, counting them into the loop's
+// IoPlaneStats. Each sendmsg gathers the queued frame slices, up to the
+// gather cap in tcp.cpp.
 #pragma once
 
 #include <array>
@@ -56,21 +53,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   using CloseHandler = std::function<void()>;
   using RawHandler = std::function<void(BytesView bytes)>;
 
-  // One queued outbound frame: the 4-byte length prefix plus a refcounted,
-  // immutable payload. `sent` counts bytes of (header + payload) already on
-  // the wire, so a partial send resumes mid-frame. Public because the uring
-  // backend adopts a closing connection's queue while a send completion is
-  // still in flight (the SQE's iovecs point into these elements).
-  // header_len is 4 for framed writes and 0 for raw-mode writes (send_raw);
-  // the gather/retire paths read it instead of header.size(), which is how
-  // both backends emit unframed bytes without any uring-side changes.
-  struct PendingWrite {
-    std::array<std::uint8_t, 4> header{};
-    std::uint8_t header_len = 4;
-    SharedFrame payload;
-    std::size_t sent = 0;
-  };
-
   // Takes ownership of the (already non-blocking) socket fd.
   TcpConnection(EventLoop& loop, int fd);
   ~TcpConnection();
@@ -78,7 +60,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
-  // Registers with the loop/backend; handlers fire on the loop thread.
+  // Registers with the loop; handlers fire on the loop thread.
   void start(FrameHandler on_frame, CloseHandler on_close);
 
   // Raw (unframed) mode: ingress bytes are delivered to on_bytes exactly as
@@ -103,25 +85,26 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t bytes_received() const { return bytes_received_; }
 
-  // --- completion-backend API (loop thread; used by UringBackend) ------------
-
-  // Fills `iov` (capacity `max`) with the queue's unsent header/payload
-  // slices, exactly as the epoll gather path would. Returns the count.
-  std::size_t gather_unsent(iovec* iov, std::size_t max) const;
-  // Accounts `count` wire bytes as sent and pops fully-sent frames.
-  void retire_sent(std::size_t count);
-  bool has_pending_writes() const { return !write_queue_.empty(); }
-  // Appends received bytes and parses/dispatches complete frames. May close
-  // the connection (oversized frame, or the handler closes it).
-  void ingress_bytes(const std::uint8_t* data, std::size_t size);
-  // Hands the queue to a zombie holder so in-flight SQE iovecs stay valid
-  // after the connection goes away (deque move preserves element addresses).
-  std::deque<PendingWrite> release_write_queue() { return std::move(write_queue_); }
-
  private:
+  // One queued outbound frame: the length prefix plus a refcounted,
+  // immutable payload. `sent` counts bytes of (header + payload) already on
+  // the wire, so a partial send resumes mid-frame. header_len is 4 for
+  // framed writes and 0 for raw-mode writes (send_raw).
+  struct PendingWrite {
+    std::array<std::uint8_t, 4> header{};
+    std::uint8_t header_len = 4;
+    SharedFrame payload;
+    std::size_t sent = 0;
+  };
+
   void handle_events(std::uint32_t events);
   void handle_readable();
   void handle_writable();
+  // Fills `iov` (capacity `max`) with the queue's unsent header/payload
+  // slices. Returns the count.
+  std::size_t gather_unsent(iovec* iov, std::size_t max) const;
+  // Accounts `count` wire bytes as sent and pops fully-sent frames.
+  void retire_sent(std::size_t count);
   void update_interest();
   void dispatch(const Frame& frame);
   // Dispatches complete frames in data[offset, size); advances `offset` past
@@ -135,9 +118,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void parse_buffered();
 
   EventLoop& loop_;
-  IoBackend& backend_;
-  // Cached backend mode: completion-driven connections never touch epoll.
-  const bool completion_driven_;
+  IoPlaneStats& io_stats_;
   int fd_;
   bool registered_ = false;
   bool raw_ = false;

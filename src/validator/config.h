@@ -80,10 +80,6 @@ struct ValidatorConfig {
   // Segment-roll byte budget of the WAL (wal/segmented_wal.h). Applies to
   // every persistent run, with or without checkpoints.
   std::uint64_t wal_segment_bytes = 4 << 20;
-  // Minimum spacing between snapshot catch-up requests, so a validator deep
-  // below everyone's horizon asks one peer at a time instead of fanning a
-  // multi-megabyte download out to the whole committee.
-  TimeMicros catchup_retry_delay = seconds(1);
   // Delta-chain length bound: after a base cut, up to this many incremental
   // delta cuts (checkpoint/delta.h) ride on it before the writer re-bases
   // with a fresh full checkpoint. Bounds both catch-up transfer length and
@@ -139,8 +135,7 @@ struct ValidatorConfig {
   // sequence) is a pure function of the delivered blocks.
   bool observer = false;
 
-  // Synchronizer limits.
-  std::size_t max_pending_blocks = 100'000;
+  // Synchronizer: how long an unanswered fetch waits before it is re-asked.
   TimeMicros fetch_retry_delay = 500 * kMicrosPerMilli;
 };
 

@@ -7,6 +7,17 @@
 
 namespace mahimahi {
 
+namespace {
+
+// Blocks the synchronizer parks while their ancestry is fetched.
+constexpr std::size_t kMaxPendingBlocks = 100'000;
+// Minimum spacing between snapshot catch-up requests, so a validator deep
+// below everyone's horizon asks one peer at a time instead of fanning a
+// multi-megabyte download out to the whole committee.
+constexpr TimeMicros kCatchupRetryDelay = seconds(1);
+
+}  // namespace
+
 ValidatorCore::ValidatorCore(const Committee& committee, crypto::Ed25519PrivateKey key,
                              ValidatorConfig config)
     : committee_(committee),
@@ -16,7 +27,7 @@ ValidatorCore::ValidatorCore(const Committee& committee, crypto::Ed25519PrivateK
       committer_(config.committer_factory
                      ? config.committer_factory(dag_, committee)
                      : std::make_unique<Committer>(dag_, committee, config.committer)),
-      synchronizer_(dag_, config.max_pending_blocks),
+      synchronizer_(dag_, kMaxPendingBlocks),
       mempool_(config.mempool_instance
                    ? config.mempool_instance
                    : std::make_shared<ShardedMempool>(config.mempool)) {
@@ -249,7 +260,7 @@ Actions ValidatorCore::on_peer_horizon(ValidatorId peer, Round horizon,
   }
   if (!stuck) return actions;
   if (last_catchup_request_.has_value() &&
-      now - *last_catchup_request_ < config_.catchup_retry_delay) {
+      now - *last_catchup_request_ < kCatchupRetryDelay) {
     return actions;
   }
   last_catchup_request_ = now;

@@ -6,7 +6,6 @@
 
 #include "common/log.h"
 #include "common/thread_name.h"
-#include "wal/wal_ring.h"
 
 namespace mahimahi {
 
@@ -21,13 +20,6 @@ std::chrono::microseconds chrono_micros(TimeMicros t) {
 GroupCommitWal::GroupCommitWal(std::unique_ptr<SegmentedWal> inner,
                                GroupCommitWalOptions options, AckExecutor ack_executor)
     : options_(options), ack_executor_(std::move(ack_executor)), inner_(std::move(inner)) {
-  if (options_.use_io_uring) {
-    // Set up before the writer starts: the ring is created here but driven
-    // only by the writer thread. nullptr (unsupported kernel / compiled out)
-    // leaves the classic write+fsync path attached.
-    wal_ring_ = WalUring::create();
-    if (wal_ring_ != nullptr) inner_->attach_wal_ring(wal_ring_.get());
-  }
   writer_ = std::thread([this] { writer_main(); });
 }
 
@@ -141,8 +133,7 @@ void GroupCommitWal::writer_main() {
       lock.unlock();
 
       // One durable landing for the whole group, off the appender's thread:
-      // write + sync classically, or a single linked write→fsync submission
-      // when the layout has the WAL ring attached.
+      // one write + sync.
       const TimeMicros start = steady_now_micros();
       try {
         inner_->append_group_durable({group.data(), group.size()});

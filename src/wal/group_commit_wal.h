@@ -54,11 +54,6 @@ struct GroupCommitWalOptions {
   // appender) once the buffer holds this much — an unbounded buffer would
   // hide a dying disk until the process OOMs.
   std::size_t max_staged_bytes = 64 << 20;
-  // Land groups through a WAL submission ring (wal/wal_ring.h): one linked
-  // write→fsync io_uring pair per group instead of the write + fsync syscall
-  // pair. Silently ignored when the ring is compiled out or the kernel
-  // refuses it — the classic path is always correct, just costlier.
-  bool use_io_uring = false;
   // Non-empty: the writer thread's MM_LOG context (see common/log.h), e.g.
   // "v3/wal" — makes its lines attributable in multi-validator cluster logs.
   std::string log_context;
@@ -99,9 +94,6 @@ class GroupCommitWal : public Wal {
   // Total micros the writer spent inside write + sync — the disk time that
   // no longer runs on the appender's thread.
   std::uint64_t flush_micros() const;
-  // True when groups land through the WAL ring (use_io_uring requested AND
-  // the ring came up AND the layout fsyncs).
-  bool wal_ring_active() const { return inner_->wal_ring_active(); }
   // Syscalls spent landing groups (see SegmentedWal::syscalls; the writer
   // never calls the layout's own sync()).
   std::uint64_t group_flush_syscalls() const { return inner_->syscalls(); }
@@ -114,9 +106,6 @@ class GroupCommitWal : public Wal {
 
   const GroupCommitWalOptions options_;
   const AckExecutor ack_executor_;
-  // Declared before inner_ (destroyed after it): the layout holds a raw
-  // pointer to the ring. Driven only by the writer thread.
-  std::unique_ptr<WalUring> wal_ring_;
   std::unique_ptr<SegmentedWal> inner_;
 
   mutable std::mutex mutex_;

@@ -13,7 +13,6 @@
 #include "common/fsio.h"
 #include "common/log.h"
 #include "serde/serde.h"
-#include "wal/wal_ring.h"
 
 namespace mahimahi {
 
@@ -245,33 +244,11 @@ void SegmentedWal::sync() {
   syscalls_.fetch_add(options_.fsync_on_sync ? 2 : 1, std::memory_order_relaxed);
 }
 
-void SegmentedWal::attach_wal_ring(WalUring* ring) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_ = ring;
-}
-
-bool SegmentedWal::wal_ring_active() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_ != nullptr && options_.fsync_on_sync;
-}
-
 void SegmentedWal::append_group_durable(BytesView group) {
   // Held across the I/O, like sync(): the checkpoint writer must not roll or
   // retire segments under a landing group.
   std::lock_guard<std::mutex> lock(mutex_);
   groups_durable_.fetch_add(1, std::memory_order_relaxed);
-  if (ring_ != nullptr && options_.fsync_on_sync) {
-    roll_if_over_budget_locked(group.size());
-    // Order stdio-buffered bytes ahead of the ring write (O_APPEND orders
-    // the two at the kernel). In steady state the buffer is empty.
-    if (std::fflush(file_) != 0) throw_io_error("flush", segment_path(dir_, active_index_));
-    const std::uint64_t spent = ring_->append_fsync(::fileno(file_), group);
-    syscalls_.fetch_add(spent, std::memory_order_relaxed);
-    dirty_ = false;
-    active_bytes_ += group.size();
-    ++active_records_;
-    return;
-  }
   write_locked(group);
   flush_active_locked();
   syscalls_.fetch_add(options_.fsync_on_sync ? 2 : 1, std::memory_order_relaxed);

@@ -44,8 +44,6 @@
 
 namespace mahimahi {
 
-class WalUring;  // wal/wal_ring.h
-
 struct SegmentedWalOptions {
   // Seal the active segment once it holds at least this many bytes. A single
   // oversized record (or group-commit group) still lands whole — segments
@@ -77,21 +75,14 @@ class SegmentedWal : public Wal {
   // on_durable several times per appended batch and pay the disk once.
   void sync() override;
 
-  // Lands one group durably: on return the bytes are written and synced.
-  // The group-commit writer flushes through this. With an attached ring (and
-  // fsync_on_sync set) the group lands as one linked write→fsync submission
-  // into the active segment — after the usual roll check, so segment budgets
-  // behave exactly as on the classic path.
+  // Lands one group durably: on return the bytes are written and synced
+  // (one write + one fsync, after the usual roll check). The group-commit
+  // writer flushes through this.
   void append_group_durable(BytesView group);
-  // Adopts a (non-owning) submission ring for group flushes; nullptr
-  // detaches. Call before concurrent appends start.
-  void attach_wal_ring(WalUring* ring);
-  bool wal_ring_active() const;
 
   // Syscall accounting: kernel entries spent making records durable —
-  // sync()'s write (+ fsync) and group flushes (write + fsync classically,
-  // ring enters otherwise). With groups_durable() it backs the
-  // syscalls-per-record columns in bench_wal/bench_io_plane.
+  // sync()'s and each group flush's write (+ fsync). With groups_durable()
+  // it backs the syscalls-per-record columns in bench_wal/bench_io_plane.
   std::uint64_t syscalls() const { return syscalls_.load(std::memory_order_relaxed); }
   std::uint64_t groups_durable() const {
     return groups_durable_.load(std::memory_order_relaxed);
@@ -162,7 +153,6 @@ class SegmentedWal : public Wal {
   std::uint64_t active_records_ = 0;    // records appended to it this session
   std::uint64_t segments_retired_ = 0;
   bool dirty_ = false;                  // appended since the last flush
-  WalUring* ring_ = nullptr;            // non-owning; see attach_wal_ring
   std::atomic<std::uint64_t> syscalls_{0};
   std::atomic<std::uint64_t> groups_durable_{0};
 };

@@ -1114,5 +1114,72 @@ TEST(CheckpointCert, CertifiedChainAcceptsAndMismatchedContentRefuses) {
   EXPECT_NE(misindexed.error, "");
 }
 
+TEST(CheckpointCert, RepeatedSignerNeverCountsTowardTheQuorum) {
+  Workload load(40);
+  CanonicalCutter cutter(load, 6);
+  for (const BlockPtr& block : load.blocks) cutter.feed(block);
+  ASSERT_FALSE(cutter.cuts.empty());
+  const CutPayload payload = payload_for(cutter.cuts.front());
+  const Bytes message = encode_cut_payload(payload);
+  std::vector<crypto::Ed25519PublicKey> keys;
+  for (ValidatorId v = 0; v < load.setup.committee.size(); ++v) {
+    keys.push_back(load.setup.committee.public_key(v));
+  }
+  const auto share = [&](ValidatorId v) {
+    return crypto::MultisigShare{v, sign_cut(payload, v, load.setup.keypairs[v].private_key)
+                                        .signature};
+  };
+  const std::uint32_t quorum = load.setup.committee.quorum_threshold();
+  ASSERT_EQ(quorum, 3u);
+
+  // Control: three distinct signers make a quorum.
+  const crypto::Multisig distinct{{share(0), share(1), share(2)}};
+  EXPECT_TRUE(crypto::multisig_verify(distinct, {message.data(), message.size()}, keys, quorum));
+
+  // 2f+1 valid shares that hold only 2f distinct signers: every signature
+  // verifies, yet the repeat must not stand in for a third validator.
+  const crypto::Multisig repeated{{share(0), share(1), share(1)}};
+  EXPECT_FALSE(
+      crypto::multisig_verify(repeated, {message.data(), message.size()}, keys, quorum));
+  EXPECT_NE(verify_checkpoint_certificate({payload, repeated}, load.setup.committee), "");
+}
+
+TEST(CheckpointCert, TamperedAppStateUnderAValidCertificateRefuses) {
+  Workload load(40);
+  constexpr Round kInterval = 6;
+  CanonicalCutter cutter(load, kInterval);
+  for (const BlockPtr& block : load.blocks) cutter.feed(block);
+  ASSERT_GE(cutter.cuts.size(), 2u);
+  const auto& cut = cutter.cuts.back();
+  const Bytes cert = certify(load, payload_for(cut), {0, 1, 2});
+
+  ValidationOptions validation;
+  validation.verify_signature = false;
+  validation.verify_coin_share = false;
+  const auto verify = [&](const CheckpointData& data) {
+    const Bytes record = encode_checkpoint(data);
+    const std::vector<std::pair<BytesView, BytesView>> views{
+        {BytesView{record.data(), record.size()}, BytesView{cert.data(), cert.size()}}};
+    const Bytes encoded = encode_checkpoint_chain_frame(views);
+    return verify_checkpoint_chain(decode_checkpoint_chain_frame({encoded.data(), encoded.size()}),
+                                   load.setup.committee, kShape, kInterval, validation);
+  };
+
+  // Control: the untouched cut verifies under its certificate.
+  const ChainVerifyResult good = verify(cut.data);
+  ASSERT_EQ(good.error, "");
+  EXPECT_TRUE(good.certified);
+
+  // Swap in another well-formed KV snapshot (an earlier cut's) and keep the
+  // certified app_digest: the certificate still binds, but the state it
+  // would install is not the state the quorum signed.
+  CheckpointData tampered = cut.data;
+  tampered.app_state = cutter.cuts.front().data.app_state;
+  ASSERT_NE(tampered.app_state, cut.data.app_state);
+  const ChainVerifyResult refused = verify(tampered);
+  EXPECT_NE(refused.error, "");
+  EXPECT_FALSE(refused.certified);
+}
+
 }  // namespace
 }  // namespace mahimahi

@@ -1,8 +1,8 @@
 // WAL tests over the one on-disk layout (SegmentedWal): append/replay
 // round-trips, torn-write recovery, corruption detection, full validator
 // crash-recovery, failed flushes that must never be acknowledged, and the
-// group-commit decorator (byte-identity with the inline log, durability
-// acks, torn groups).
+// group-commit decorator (byte-identity with the inline log, one write —
+// plus an fsync when enabled — per group, durability acks, torn groups).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "wal/group_commit_wal.h"
 #include "wal/segmented_wal.h"
 #include "wal/wal.h"
-#include "wal/wal_ring.h"
 
 namespace mahimahi {
 namespace {
@@ -358,60 +357,13 @@ TEST_F(WalTest, GroupCommitLogIsByteIdenticalToInlineLog) {
       EXPECT_EQ(group_wal.records_appended(), static_cast<std::uint64_t>(records));
       EXPECT_EQ(group_wal.records_flushed(), static_cast<std::uint64_t>(records));
       EXPECT_GE(group_wal.groups_flushed(), 1u);
+      // No fsync configured: each group lands as exactly one write.
+      EXPECT_EQ(group_wal.group_flush_syscalls(), group_wal.groups_flushed());
     }  // both WALs close (group drains via destructor)
 
     EXPECT_EQ(slurp(inline_path), slurp(group_path)) << "trial " << trial;
     std::filesystem::remove_all(inline_path);
     std::filesystem::remove_all(group_path);
-  }
-}
-
-TEST_F(WalTest, UringGroupFlushLogIsByteIdenticalToClassicLog) {
-  // Same property as above, one layer down: a group-commit WAL landing
-  // groups through the io_uring write→fsync path must produce byte-for-byte
-  // the log of a classic (write + fsync) group-commit WAL, whatever the
-  // flush boundaries. Recovery and the torn-tail model carry over unchanged.
-  if (!WalUring::supported()) GTEST_SKIP() << "io_uring unavailable";
-  Rng rng(43);
-  for (int trial = 0; trial < 4; ++trial) {
-    const auto classic_path = path_.string() + ".classic";
-    const auto uring_path = path_.string() + ".uring";
-    std::filesystem::remove_all(classic_path);
-    std::filesystem::remove_all(uring_path);
-    {
-      SegmentedWalOptions fsync;
-      fsync.fsync_on_sync = true;
-      GroupCommitWalOptions options;
-      options.flush_interval = static_cast<TimeMicros>(rng.uniform(3) * 200);
-      options.group_byte_budget = 1 + rng.uniform(4096);
-      GroupCommitWal classic(std::make_unique<SegmentedWal>(classic_path, fsync), options);
-      options.use_io_uring = true;
-      GroupCommitWal uring(std::make_unique<SegmentedWal>(uring_path, fsync), options);
-      ASSERT_TRUE(uring.wal_ring_active());
-
-      const int records = 8 + static_cast<int>(rng.uniform(25));
-      for (int i = 0; i < records; ++i) {
-        const Block block =
-            make_block(static_cast<ValidatorId>(rng.uniform(4)), 2000 * trial + i);
-        const bool own = rng.uniform(2) == 0;
-        classic.append_block(block, own);
-        uring.append_block(block, own);
-        if (rng.uniform(8) == 0) {
-          classic.sync();
-          uring.sync();
-        }
-      }
-      classic.sync();
-      uring.sync();
-      // The ring path really ran, and spent fewer kernel entries than the
-      // classic path's write + fsync per group would have.
-      EXPECT_GE(uring.groups_flushed(), 1u);
-      EXPECT_GT(uring.group_flush_syscalls(), 0u);
-      EXPECT_LT(uring.group_flush_syscalls(), 2 * uring.groups_flushed());
-    }
-    EXPECT_EQ(slurp(classic_path), slurp(uring_path)) << "trial " << trial;
-    std::filesystem::remove_all(classic_path);
-    std::filesystem::remove_all(uring_path);
   }
 }
 
